@@ -67,6 +67,21 @@ fn bench_routing(c: &mut Criterion) {
             ))
         })
     });
+    // The same ring plus one phantom 2-hop neighbor at id 999 999: route
+    // cost follows the ids heard, not the largest one.
+    let mut hostile = TwoHopSet::default();
+    hostile.upsert(NodeId(1), NodeId(999_999), until, SimTime::ZERO);
+    c.bench_function("routing_table_50_nodes_hostile_id", |b| {
+        b.iter(|| {
+            black_box(RoutingTable::compute(
+                NodeId(0),
+                black_box(&sym),
+                black_box(&hostile),
+                black_box(&topo),
+                SimTime::ZERO,
+            ))
+        })
+    });
 }
 
 fn bench_wire(c: &mut Criterion) {

@@ -74,8 +74,29 @@ pub struct RecomputeStats {
     pub flushes: u64,
     /// Times MPR selection actually executed.
     pub mpr_runs: u64,
-    /// Times the routing BFS actually executed.
+    /// Times the routing BFS actually executed. Doubles as the route
+    /// generation that stamps memoised avoid-route tables.
     pub route_runs: u64,
+    /// Avoid-routed next-hop lookups (investigation traffic sent or
+    /// forwarded around a suspect).
+    pub avoid_lookups: u64,
+    /// Avoid-route BFS runs: lookups that missed the memo.
+    pub avoid_runs: u64,
+}
+
+/// How many avoid-route tables a node memoises at once.
+const AVOID_MEMO_SLOTS: usize = 4;
+
+/// A memoised routing table computed around `avoided`. It is exact while
+/// `generation` equals the node's `route_runs`: the avoid BFS reads the
+/// same inputs as the main BFS, and every change to those inputs reaches
+/// a route run before any data-plane lookup (both lookup sites call
+/// [`OlsrNode::ensure_fresh`] first).
+#[derive(Debug, Clone)]
+struct AvoidRoutes {
+    avoided: NodeId,
+    generation: u64,
+    table: RoutingTable,
 }
 
 /// A unicast data payload delivered to this node.
@@ -160,6 +181,8 @@ pub struct OlsrNode<H: OlsrHooks = NoHooks> {
     route_ws: RoutingWorkspace,
     /// Reused routing-table double buffer, swapped with `routes` on change.
     routes_scratch: RoutingTable,
+    /// Memoised avoid-route tables, at most [`AVOID_MEMO_SLOTS`].
+    avoid_memo: Vec<AvoidRoutes>,
 }
 
 impl OlsrNode<NoHooks> {
@@ -213,6 +236,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
             sym_scratch: Vec::new(),
             route_ws: RoutingWorkspace::default(),
             routes_scratch: RoutingTable::default(),
+            avoid_memo: Vec::new(),
         }
     }
 
@@ -579,26 +603,53 @@ impl<H: OlsrHooks> OlsrNode<H> {
         true
     }
 
+    /// The next hop toward `dst`, routing around `avoid` when set. Callers
+    /// must [`ensure_fresh`](Self::ensure_fresh) first: the avoid memo is
+    /// keyed on the route generation that call settles.
     fn next_hop_for(&mut self, dst: NodeId, avoid: Option<NodeId>, now: SimTime) -> Option<NodeId> {
         match avoid {
             None => self.routes.next_hop(dst),
-            Some(avoided) => {
-                if dst == avoided {
-                    return None;
-                }
-                let sym = self.links.symmetric_neighbors(now);
-                RoutingTable::compute_avoiding_with(
-                    &mut self.route_ws,
-                    self.id,
-                    &sym,
-                    &self.two_hop,
-                    &self.topology,
-                    now,
-                    Some(avoided),
-                )
-                .next_hop(dst)
-            }
+            Some(avoided) if dst == avoided => None,
+            Some(avoided) => self.avoid_routes(avoided, now).next_hop(dst),
         }
+    }
+
+    /// The routing table around `avoided` for the current route
+    /// generation, from the memo or freshly computed into a stale entry's
+    /// allocation.
+    fn avoid_routes(&mut self, avoided: NodeId, now: SimTime) -> &RoutingTable {
+        self.stats.avoid_lookups += 1;
+        let generation = self.stats.route_runs;
+        let memo = &mut self.avoid_memo;
+        if let Some(i) =
+            memo.iter().position(|e| e.avoided == avoided && e.generation == generation)
+        {
+            return &memo[i].table;
+        }
+        self.stats.avoid_runs += 1;
+        let i = match memo.iter().position(|e| e.generation != generation) {
+            Some(stale) => stale,
+            None if memo.len() < AVOID_MEMO_SLOTS => {
+                memo.push(AvoidRoutes { avoided, generation, table: RoutingTable::default() });
+                memo.len() - 1
+            }
+            // All current: evict round-robin by miss count.
+            None => (self.stats.avoid_runs % AVOID_MEMO_SLOTS as u64) as usize,
+        };
+        let entry = &mut memo[i];
+        entry.avoided = avoided;
+        entry.generation = generation;
+        RoutingTable::compute_avoiding_into(
+            &mut self.route_ws,
+            &mut entry.table,
+            self.id,
+            &self.prev_sym,
+            &self.two_hop,
+            &self.topology,
+            now,
+            Some(avoided),
+        );
+        &entry.table
     }
 
     // ---- reception ------------------------------------------------------
@@ -1625,5 +1676,154 @@ mod tests {
         assert_eq!(next, Some(NodeId(2)));
         let next_none = a.next_hop_for(NodeId(1), Some(NodeId(1)), now);
         assert_eq!(next_none, None, "cannot route to the avoided node");
+    }
+
+    /// Wraps an [`OlsrNode`] and, on a timer of its own, checks every
+    /// avoid-routed next hop the node answers against a from-scratch
+    /// computation over its live repositories.
+    struct AvoidOracle {
+        node: OlsrNode,
+        ids: Vec<NodeId>,
+        probes: u64,
+        checks: u64,
+        saw_injected: bool,
+        mismatches: Vec<String>,
+    }
+
+    const TIMER_PROBE: TimerToken = TimerToken(TIMER_USER_BASE);
+
+    impl AvoidOracle {
+        fn probe(&mut self, ctx: &mut Context<'_>) {
+            // What the data plane does before every lookup.
+            self.node.ensure_fresh(ctx);
+            let now = ctx.now();
+            let node = &self.node;
+            self.saw_injected |= node.topology.iter(now).any(|t| t.last_hop == NodeId(30));
+            let sym = node.links.symmetric_neighbors(now);
+            let oracles: Vec<RoutingTable> = self
+                .ids
+                .iter()
+                .map(|&x| {
+                    RoutingTable::compute_avoiding(
+                        node.id,
+                        &sym,
+                        &node.two_hop,
+                        &node.topology,
+                        now,
+                        Some(x),
+                    )
+                })
+                .collect();
+            // Every probe looks up around the first three ids, which fit
+            // in the memo and so stay there across probes (and route
+            // runs). Every fourth probe first sweeps all pairs in
+            // avoided-major order, then in destination-major order, which
+            // cycles more avoided ids than the memo holds.
+            let n = self.ids.len();
+            let sweep = if self.probes.is_multiple_of(4) { n * n } else { 0 };
+            self.probes += 1;
+            let pairs = (0..sweep)
+                .map(|k| (k / n, k % n))
+                .chain((0..sweep).map(|k| (k % n, k / n)))
+                .chain((0..3 * n).map(|k| (k / n, k % n)));
+            for (xi, di) in pairs {
+                let (x, dst) = (self.ids[xi], self.ids[di]);
+                let want = if dst == x { None } else { oracles[xi].next_hop(dst) };
+                let got = self.node.next_hop_for(dst, Some(x), now);
+                self.checks += 1;
+                if got != want {
+                    self.mismatches.push(format!(
+                        "{} at {now}: dst {dst} avoiding {x}: memo {got:?}, oracle {want:?}",
+                        self.node.id
+                    ));
+                }
+            }
+        }
+    }
+
+    impl Application for AvoidOracle {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.node.on_start(ctx);
+            ctx.set_timer(SimDuration::from_millis(170), TIMER_PROBE);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
+            if timer == TIMER_PROBE {
+                self.probe(ctx);
+                ctx.set_timer(SimDuration::from_millis(170), TIMER_PROBE);
+            } else {
+                self.node.on_timer(ctx, timer);
+            }
+        }
+
+        fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
+            self.node.on_receive(ctx, from, payload);
+        }
+
+        fn on_receive_batch(&mut self, ctx: &mut Context<'_>, batch: &mut FrameBatch) {
+            self.node.on_receive_batch(ctx, batch);
+        }
+    }
+
+    #[test]
+    fn avoid_memo_matches_fresh_computation() {
+        // A 3x3 grid (orthogonal links only) probed every 170 ms while a
+        // forged TC arrives and expires, and the centre node dies and
+        // returns: every memoised answer must equal the from-scratch one.
+        let mut sim = SimulatorBuilder::new(61)
+            .radio(RadioConfig::unit_disk(110.0))
+            .arena(trustlink_sim::Arena::new(1_000.0, 1_000.0))
+            .build();
+        let ids: Vec<NodeId> = (0..9).map(NodeId).chain([NodeId(30)]).collect();
+        for i in 0..9 {
+            let app = AvoidOracle {
+                node: OlsrNode::new(OlsrConfig::fast()),
+                ids: ids.clone(),
+                probes: 0,
+                checks: 0,
+                saw_injected: false,
+                mismatches: Vec::new(),
+            };
+            let p = Position::new(f64::from(i % 3) * 100.0, f64::from(i / 3) * 100.0);
+            sim.add_node(Box::new(app), p);
+        }
+        sim.run_for(SimDuration::from_secs(8));
+        // TC receipt: a forged advertisement from phantom N30, valid 2 s.
+        let msg = Message {
+            vtime: SimDuration::from_secs(2),
+            originator: NodeId(30),
+            ttl: 8,
+            hop_count: 0,
+            seq: SequenceNumber(5),
+            body: MessageBody::Tc(TcMessage { ansn: 1, advertised: vec![NodeId(0)] }),
+        };
+        let packet = Packet { seq: SequenceNumber(5), messages: vec![msg] };
+        sim.inject_broadcast(NodeId(0), encode_packet(&packet));
+        // Tuple expiry, then neighbour loss and recovery at the centre.
+        sim.run_for(SimDuration::from_secs(4));
+        sim.kill(NodeId(4));
+        sim.run_for(SimDuration::from_secs(8));
+        sim.revive(NodeId(4));
+        sim.run_for(SimDuration::from_secs(8));
+
+        let mut stats = RecomputeStats::default();
+        let mut checks = 0;
+        let mut saw_injected = false;
+        for i in (0..9).filter(|&i| i != 4) {
+            let probe = sim.app_as::<AvoidOracle>(NodeId(i)).unwrap();
+            assert!(probe.mismatches.is_empty(), "{:#?}", probe.mismatches);
+            checks += probe.checks;
+            saw_injected |= probe.saw_injected;
+            let s = probe.node.recompute_stats();
+            stats.route_runs += s.route_runs;
+            stats.avoid_lookups += s.avoid_lookups;
+            stats.avoid_runs += s.avoid_runs;
+        }
+        assert!(saw_injected, "the forged TC never reached a topology set");
+        assert!(checks > 50_000, "only {checks} checks");
+        // Both memo paths ran: hits within a generation, recomputation
+        // after every route run.
+        assert!(stats.avoid_runs > stats.route_runs, "{stats:?}");
+        assert!(stats.avoid_runs < stats.avoid_lookups, "{stats:?}");
     }
 }

@@ -8,7 +8,7 @@
 //! the graph — the primitive the paper's investigation uses so that
 //! requests/answers "should not go through … the suspicious MPR".
 
-use std::collections::VecDeque;
+use std::hash::{BuildHasher, RandomState};
 
 use trustlink_sim::{NodeId, SimTime};
 
@@ -17,52 +17,160 @@ use crate::state::{TopologySet, TwoHopSet};
 /// Unvisited marker in the BFS distance array.
 const UNVISITED: u32 = u32::MAX;
 
-/// Reusable scratch state for [`RoutingTable::compute_with`].
+/// Free-entry marker in the slot half of an id→slot table entry: ids span
+/// all of `u32`, slot numbers never reach `u32::MAX`.
+const FREE: u32 = u32::MAX;
+
+/// Smallest id→slot table, in entries (a power of two).
+const MIN_TABLE: usize = 64;
+
+/// Reusable scratch state for [`RoutingTable::compute_avoiding_into`].
 ///
-/// Route calculation runs after every topology-changing packet; the
-/// original implementation rebuilt `BTreeMap` adjacency and BFS state per
-/// call. The workspace keeps dense per-node-id buffers (node ids are
-/// small `u32`s) that survive across recomputations, so the steady-state
-/// path allocates only the resulting table.
+/// The workspace interns the node ids it meets into compact slots through
+/// an open-addressing id→slot table, keeps one adjacency list per slot
+/// and runs the BFS over slots. Time and memory therefore scale with the
+/// edges the node has heard, never with the numeric size of an id: a
+/// forged `NodeId(u32::MAX)` costs one slot like any other.
+///
+/// The interner persists across computations, so a steady neighborhood
+/// re-uses its slots and its id-sorted slot order (the routes come out
+/// sorted by destination without a per-run sort). Once the ids interned
+/// outnumber about twice those the last computation still met, it starts
+/// over, so ids that are no longer heard do not pile up. Every buffer
+/// keeps its capacity, so the steady-state path allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingWorkspace {
-    /// Adjacency lists indexed by node id; cleared (capacity kept) after
-    /// each computation.
-    adj: Vec<Vec<NodeId>>,
-    /// Ids whose adjacency list is non-empty, for cheap clearing.
-    touched: Vec<u32>,
-    /// BFS hop counts, [`UNVISITED`] when unreached.
+    /// Open-addressing id→slot table of `(id, slot)` entries, [`FREE`]
+    /// slot when unused; a power of two at most half full.
+    table: Vec<(u32, u32)>,
+    /// The table's hash function, drawn at random when the workspace
+    /// first builds its table: ids arrive off the air, and a fixed
+    /// function would let a sender pick ids that all share one probe run.
+    hash: IdHash,
+    /// Slot → id.
+    ids: Vec<NodeId>,
+    /// Every slot, ascending by id; rebuilt when new ids were interned.
+    by_id: Vec<u32>,
+    /// Out-edges per slot in insertion order, which is what fixes the BFS
+    /// tie-breaks independently of id values. Emptied (capacity kept) at
+    /// the start of each computation.
+    adj: Vec<Vec<u32>>,
+    /// BFS hop counts per slot, [`UNVISITED`] when unreached.
     dist: Vec<u32>,
-    /// First hop toward each reached id.
-    first_hop: Vec<NodeId>,
-    /// BFS frontier.
-    queue: VecDeque<NodeId>,
+    /// First-hop slot toward each reached slot.
+    first_hop: Vec<u32>,
+    /// BFS visit order; the frontier is `queue[head..]`.
+    queue: Vec<u32>,
+}
+
+/// A multiply-add-shift hash from 32-bit ids to table buckets: for a
+/// random 64-bit multiplier and addend, two distinct ids share a bucket
+/// with probability at most about `2 / table.len()`. Only the speed of a
+/// computation depends on the draw; slots are numbered in interning order,
+/// so every result is identical whichever function was drawn.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHash {
+    mul: u64,
+    add: u64,
+    /// `64 - log2(table.len())`.
+    shift: u32,
+}
+
+impl IdHash {
+    /// A fresh random function for a table of `len` entries.
+    fn random(len: usize) -> Self {
+        let state = RandomState::new();
+        IdHash {
+            mul: state.hash_one(0u8) | 1,
+            add: state.hash_one(1u8),
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    /// The home bucket of `id`.
+    fn bucket(self, id: NodeId) -> usize {
+        (self.mul.wrapping_mul(u64::from(id.0)).wrapping_add(self.add) >> self.shift) as usize
+    }
 }
 
 impl RoutingWorkspace {
-    /// Grows the dense buffers to cover `id`.
-    fn ensure(&mut self, id: NodeId) {
-        let need = id.index() + 1;
-        if self.adj.len() < need {
-            self.adj.resize_with(need, Vec::new);
+    /// Empties the adjacency lists for a new computation. The interner
+    /// starts over when it holds more than about twice the ids the
+    /// previous computation met (slots with out-edges, plus the sym
+    /// neighbors and `me`, which may have none).
+    fn begin(&mut self, sym: usize) {
+        let mut live = sym + 1;
+        for list in &mut self.adj {
+            live += usize::from(!list.is_empty());
+            list.clear();
+        }
+        if self.table.is_empty() || self.ids.len() > 2 * live + MIN_TABLE {
+            let len = (live * 2).next_power_of_two().max(MIN_TABLE);
+            self.table.clear();
+            self.table.resize(len, (0, FREE));
+            self.hash = IdHash::random(len);
+            self.ids.clear();
+            self.by_id.clear();
+            self.adj.truncate(live);
         }
     }
 
-    fn push_edge(&mut self, from: NodeId, to: NodeId) {
-        self.ensure(from);
-        self.ensure(to);
-        let list = &mut self.adj[from.index()];
-        if list.is_empty() {
-            self.touched.push(from.0);
+    /// The slot of `id`, interning it on first sight.
+    fn slot(&mut self, id: NodeId) -> u32 {
+        let mask = self.table.len() - 1;
+        let mut i = self.hash.bucket(id);
+        loop {
+            let (key, slot) = self.table[i];
+            if slot == FREE {
+                return self.intern(i, id);
+            }
+            if key == id.0 {
+                return slot;
+            }
+            i = (i + 1) & mask;
         }
-        list.push(to);
     }
 
-    fn reset_for_next_use(&mut self) {
-        for &t in &self.touched {
-            self.adj[t as usize].clear();
+    /// Interns `id` into the free table entry `i`, doubling the table when
+    /// it passes half full.
+    #[cold]
+    fn intern(&mut self, i: usize, id: NodeId) -> u32 {
+        let slot = self.ids.len() as u32;
+        self.table[i] = (id.0, slot);
+        self.ids.push(id);
+        if self.adj.len() < self.ids.len() {
+            self.adj.push(Vec::new());
         }
-        self.touched.clear();
+        if self.ids.len() * 2 > self.table.len() {
+            let len = self.table.len() * 2;
+            self.table.clear();
+            self.table.resize(len, (0, FREE));
+            self.hash.shift -= 1;
+            for (slot, &id) in self.ids.iter().enumerate() {
+                let mut i = self.hash.bucket(id);
+                while self.table[i].1 != FREE {
+                    i = (i + 1) & (len - 1);
+                }
+                self.table[i] = (id.0, slot as u32);
+            }
+        }
+        slot
+    }
+
+    /// Adds the learned (non-link-sensed) link `a – b` as the edges
+    /// `a → b` then `b → a`, filtering anything touching `me` and
+    /// self-loops. `last` caches the previous `a`'s slot: both sets
+    /// iterate grouped by their first id.
+    fn push_relayed(&mut self, me: NodeId, last: &mut (NodeId, u32), a: NodeId, b: NodeId) {
+        if a == me || b == me || a == b {
+            return;
+        }
+        if last.0 != a {
+            *last = (a, self.slot(a));
+        }
+        let (a, b) = (last.1, self.slot(b));
+        self.adj[a as usize].push(b);
+        self.adj[b as usize].push(a);
     }
 }
 
@@ -79,11 +187,10 @@ pub struct Route {
 
 /// A freshly computed routing table.
 ///
-/// Backed by a `Vec<Route>` sorted by destination (node ids are dense
-/// `u32`s): lookups are binary searches, iteration is a slice walk, and a
-/// table can be recomputed *into* an existing allocation
-/// ([`RoutingTable::compute_avoiding_into`]) so the steady-state recompute
-/// path allocates nothing once warm.
+/// Backed by a `Vec<Route>` sorted by destination: lookups are binary
+/// searches, iteration is a slice walk, and a table can be recomputed
+/// *into* an existing allocation ([`RoutingTable::compute_avoiding_into`])
+/// so the steady-state recompute path allocates nothing once warm.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoutingTable {
     routes: Vec<Route>, // sorted ascending by dest
@@ -114,38 +221,9 @@ impl RoutingTable {
         now: SimTime,
         avoid: Option<NodeId>,
     ) -> Self {
-        let mut ws = RoutingWorkspace::default();
-        Self::compute_avoiding_with(&mut ws, me, symmetric_neighbors, two_hop, topology, now, avoid)
-    }
-
-    /// [`RoutingTable::compute`] through a caller-owned workspace: every
-    /// scratch structure is reused, so the only allocation in steady
-    /// state is the returned table itself. Results are identical to
-    /// [`RoutingTable::compute`] for every input.
-    pub fn compute_with(
-        ws: &mut RoutingWorkspace,
-        me: NodeId,
-        symmetric_neighbors: &[NodeId],
-        two_hop: &TwoHopSet,
-        topology: &TopologySet,
-        now: SimTime,
-    ) -> Self {
-        Self::compute_avoiding_with(ws, me, symmetric_neighbors, two_hop, topology, now, None)
-    }
-
-    /// Workspace-reusing form of [`RoutingTable::compute_avoiding`].
-    pub fn compute_avoiding_with(
-        ws: &mut RoutingWorkspace,
-        me: NodeId,
-        symmetric_neighbors: &[NodeId],
-        two_hop: &TwoHopSet,
-        topology: &TopologySet,
-        now: SimTime,
-        avoid: Option<NodeId>,
-    ) -> Self {
         let mut out = RoutingTable::default();
         Self::compute_avoiding_into(
-            ws,
+            &mut RoutingWorkspace::default(),
             &mut out,
             me,
             symmetric_neighbors,
@@ -177,18 +255,20 @@ impl RoutingTable {
         // from link sensing: a forged TC or HELLO mentioning this node must
         // never add a first hop that is not a verified symmetric neighbor
         // (the RFC's iterative calculation has the same property).
-        ws.ensure(me);
+        ws.begin(symmetric_neighbors.len());
+        let me_slot = ws.slot(me);
         for &n in symmetric_neighbors {
             if Some(n) != avoid && n != me {
-                ws.push_edge(me, n);
+                let n = ws.slot(n);
+                ws.adj[me_slot as usize].push(n);
             }
         }
+        let mut last = (me, me_slot);
         for pair in two_hop.iter(now) {
             if Some(pair.via) == avoid || Some(pair.two_hop) == avoid {
                 continue;
             }
-            Self::push_relayed(ws, me, pair.via, pair.two_hop);
-            Self::push_relayed(ws, me, pair.two_hop, pair.via);
+            ws.push_relayed(me, &mut last, pair.via, pair.two_hop);
         }
         for t in topology.iter(now) {
             if Some(t.last_hop) == avoid || Some(t.dest) == avoid {
@@ -197,54 +277,46 @@ impl RoutingTable {
             // TC edges are advertised by the MPR (last_hop); the RFC treats
             // them as usable in both directions for route calculation
             // because MPR selection requires a symmetric link.
-            Self::push_relayed(ws, me, t.last_hop, t.dest);
-            Self::push_relayed(ws, me, t.dest, t.last_hop);
+            ws.push_relayed(me, &mut last, t.last_hop, t.dest);
         }
 
-        // BFS from me over dense arrays (node ids are small integers).
-        let n = ws.adj.len();
-        ws.dist.clear();
-        ws.dist.resize(n, UNVISITED);
-        ws.first_hop.clear();
-        ws.first_hop.resize(n, me);
-        ws.queue.clear();
-        ws.dist[me.index()] = 0;
-        ws.queue.push_back(me);
-        while let Some(u) = ws.queue.pop_front() {
-            let du = ws.dist[u.index()];
-            // The adjacency list is moved out during the scan so the BFS
-            // state can be written; edges never target their own source,
-            // so the list cannot be observed empty mid-scan.
-            let nbrs = std::mem::take(&mut ws.adj[u.index()]);
-            for &v in &nbrs {
-                if ws.dist[v.index()] != UNVISITED {
+        // BFS from me over the slots.
+        let n = ws.ids.len();
+        let RoutingWorkspace { ids, by_id, adj, dist, first_hop, queue, .. } = ws;
+        dist.clear();
+        dist.resize(n, UNVISITED);
+        first_hop.clear();
+        first_hop.resize(n, me_slot);
+        queue.clear();
+        dist[me_slot as usize] = 0;
+        queue.push(me_slot);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let du = dist[u as usize];
+            for &v in &adj[u as usize] {
+                if dist[v as usize] != UNVISITED {
                     continue;
                 }
-                ws.dist[v.index()] = du + 1;
-                ws.first_hop[v.index()] = if u == me { v } else { ws.first_hop[u.index()] };
-                ws.queue.push_back(v);
+                dist[v as usize] = du + 1;
+                first_hop[v as usize] = if u == me_slot { v } else { first_hop[u as usize] };
+                queue.push(v);
             }
-            ws.adj[u.index()] = nbrs;
         }
 
+        // Emit the reached slots in id order.
+        if by_id.len() != n {
+            by_id.clear();
+            by_id.extend(0..n as u32);
+            by_id.sort_unstable_by_key(|&s| ids[s as usize]);
+        }
         out.routes.clear();
-        for i in 0..n {
-            let hops = ws.dist[i];
-            let dest = NodeId(i as u32);
-            if hops == UNVISITED || dest == me {
-                continue;
+        for &s in by_id.iter() {
+            let hops = dist[s as usize];
+            if hops != UNVISITED && s != me_slot {
+                let next_hop = ids[first_hop[s as usize] as usize];
+                out.routes.push(Route { dest: ids[s as usize], next_hop, hops });
             }
-            // Ascending `i` keeps the vec sorted by destination.
-            out.routes.push(Route { dest, next_hop: ws.first_hop[i], hops });
-        }
-        ws.reset_for_next_use();
-    }
-
-    /// Adds a learned (non-link-sensed) edge, filtering anything touching
-    /// `me` or degenerate self-loops — the guard the old closure applied.
-    fn push_relayed(ws: &mut RoutingWorkspace, me: NodeId, from: NodeId, to: NodeId) {
-        if from != me && to != me && from != to {
-            ws.push_edge(from, to);
         }
     }
 
@@ -483,6 +555,7 @@ mod tests {
         // growing, with and without avoidance) must match the one-shot
         // API every time.
         let mut ws = RoutingWorkspace::default();
+        let mut reused = RoutingTable::default();
         let big = topo_multi(&[(1, &[2, 3]), (2, &[4]), (4, &[3, 5]), (5, &[6])]);
         let small = topo(&[(1, 2)]);
         let sym_big = vec![NodeId(1), NodeId(2)];
@@ -495,8 +568,9 @@ mod tests {
             (&sym_small, &small, Some(NodeId(1))),
         ];
         for (sym, topo, avoid) in runs {
-            let reused = RoutingTable::compute_avoiding_with(
+            RoutingTable::compute_avoiding_into(
                 &mut ws,
+                &mut reused,
                 NodeId(0),
                 sym,
                 &no2h(),
@@ -507,6 +581,108 @@ mod tests {
             let fresh = RoutingTable::compute_avoiding(NodeId(0), sym, &no2h(), topo, now(), avoid);
             assert_eq!(reused, fresh, "avoid={avoid:?}");
         }
+    }
+
+    #[test]
+    fn max_id_tuples_cost_one_slot() {
+        // A 2-hop tuple and a TC tuple naming the largest id: the old dense
+        // buffers were sized `id + 1` and would abort on it.
+        let far = NodeId(u32::MAX);
+        let mut two_hop = TwoHopSet::default();
+        two_hop.upsert(NodeId(1), far, SimTime::from_secs(1_000), now());
+        let topo = topo_multi(&[(2, &[u32::MAX, 3])]);
+        let mut ws = RoutingWorkspace::default();
+        let mut table = RoutingTable::default();
+        RoutingTable::compute_avoiding_into(
+            &mut ws,
+            &mut table,
+            NodeId(0),
+            &[NodeId(1), NodeId(2)],
+            &two_hop,
+            &topo,
+            now(),
+            None,
+        );
+        let dests: Vec<NodeId> = table.iter().map(|r| r.dest).collect();
+        assert_eq!(dests, vec![NodeId(1), NodeId(2), NodeId(3), far]);
+        let r = table.route_to(far).unwrap();
+        assert_eq!((r.next_hop, r.hops), (NodeId(1), 2));
+        // Scratch holds the five ids met, not the largest id's worth.
+        assert_eq!(ws.ids.len(), 5);
+        assert_eq!(ws.dist.len(), 5);
+        assert_eq!(ws.table.len(), MIN_TABLE);
+    }
+
+    #[test]
+    fn interner_forgets_ids_no_longer_heard() {
+        // 300 sparse ids force several table doublings. The interner keeps
+        // them while they are heard; once a computation meets only a few,
+        // the next one starts over at the minimum size. Routes match the
+        // one-shot computation throughout.
+        let dests: Vec<u32> = (1..=300u32).map(|i| i * 14_000_000).collect();
+        let wide = topo_multi(&[(1, &dests)]);
+        let small = topo(&[(1, 2)]);
+        let mut ws = RoutingWorkspace::default();
+        let mut table = RoutingTable::default();
+        let sym = [NodeId(1)];
+        let mut run = |ws: &mut RoutingWorkspace, topo: &TopologySet| {
+            RoutingTable::compute_avoiding_into(
+                ws,
+                &mut table,
+                NodeId(0),
+                &sym,
+                &no2h(),
+                topo,
+                now(),
+                None,
+            );
+            assert_eq!(table, RoutingTable::compute(NodeId(0), &sym, &no2h(), topo, now()));
+            table.len()
+        };
+        assert_eq!(run(&mut ws, &wide), 301);
+        assert_eq!(run(&mut ws, &wide), 301);
+        assert_eq!(ws.ids.len(), 302);
+        assert!(ws.table.len() >= 2 * ws.ids.len());
+        assert_eq!(run(&mut ws, &small), 2);
+        assert_eq!(ws.ids.len(), 303, "kept: the previous run met every id");
+        assert_eq!(run(&mut ws, &small), 2);
+        assert_eq!((ws.ids.len(), ws.table.len()), (3, MIN_TABLE));
+        assert!(ws.adj.len() < 8, "{} adjacency lists kept", ws.adj.len());
+        assert_eq!(run(&mut ws, &wide), 301);
+    }
+
+    #[test]
+    fn crafted_ids_do_not_share_one_probe_run() {
+        // 2000 ids that all land in bucket 0 under the fixed Fibonacci
+        // multiplier (id * 0x9E3779B9 < 2^16 for every table of at most
+        // 2^16 entries). The keyed hash spreads them like any others.
+        const FIB: u32 = 0x9E37_79B9;
+        let mut inv = FIB;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u32.wrapping_sub(FIB.wrapping_mul(inv)));
+        }
+        assert_eq!(FIB.wrapping_mul(inv), 1);
+        let crafted: Vec<u32> = (1..=2000u32).map(|j| j.wrapping_mul(inv)).collect();
+        let mut ws = RoutingWorkspace::default();
+        let mut table = RoutingTable::default();
+        RoutingTable::compute_avoiding_into(
+            &mut ws,
+            &mut table,
+            NodeId(0),
+            &[NodeId(1)],
+            &no2h(),
+            &topo_multi(&[(1, &crafted)]),
+            now(),
+            None,
+        );
+        assert_eq!(table.len(), 2001);
+        let mut longest = 0;
+        let mut run = 0;
+        for &(_, slot) in ws.table.iter().chain(ws.table.iter()) {
+            run = if slot == FREE { 0 } else { run + 1 };
+            longest = longest.max(run);
+        }
+        assert!(longest < 200, "a probe run of {longest} entries");
     }
 
     #[test]

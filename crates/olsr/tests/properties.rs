@@ -206,6 +206,52 @@ proptest! {
         }
     }
 
+    #[test]
+    fn routes_survive_monotone_relabelling_into_sparse_ids(
+        edges in proptest::collection::vec((0u32..48, 0u32..48), 0..120),
+        pairs in proptest::collection::vec((1u32..8, 0u32..48), 0..30),
+        sym in proptest::collection::vec(1u32..8, 1..6),
+        gaps in proptest::collection::vec(1u32..(1 << 26), 48),
+        avoid in 0u32..60,
+    ) {
+        // Relabel ids 0..48 through a strictly increasing map whose top
+        // lands on u32::MAX - 1. Tie-breaks follow edge insertion order,
+        // which a monotone map preserves, so the table must come back
+        // identical: same destinations, next hops and hop counts, in the
+        // same order.
+        let mut label = [u32::MAX - 1; 48];
+        for i in (0..47).rev() {
+            label[i] = label[i + 1] - gaps[i];
+        }
+        let back = |id: NodeId| NodeId(label.binary_search(&id.0).expect("relabelled id") as u32);
+        let until = SimTime::from_secs(1_000);
+        let build = |map: &dyn Fn(u32) -> NodeId| {
+            let mut topo = TopologySet::default();
+            for (i, &(a, b)) in edges.iter().enumerate() {
+                if a != b {
+                    topo.apply_tc(map(a), i as u16, &[map(b)], until, SimTime::ZERO);
+                }
+            }
+            let mut two_hop = TwoHopSet::default();
+            for &(via, th) in &pairs {
+                two_hop.upsert(map(via), map(th), until, SimTime::ZERO);
+            }
+            let mut s: Vec<NodeId> = sym.iter().map(|&n| map(n)).collect();
+            s.sort_unstable();
+            s.dedup();
+            // Ids past 47 mean "no avoidance".
+            let avoid = (avoid < 48).then(|| map(avoid));
+            RoutingTable::compute_avoiding(map(0), &s, &two_hop, &topo, SimTime::ZERO, avoid)
+        };
+        let dense = build(&NodeId);
+        let sparse = build(&|i| NodeId(label[i as usize]));
+        let dense: Vec<(NodeId, NodeId, u32)> =
+            dense.iter().map(|r| (r.dest, r.next_hop, r.hops)).collect();
+        let mapped_back: Vec<(NodeId, NodeId, u32)> =
+            sparse.iter().map(|r| (back(r.dest), back(r.next_hop), r.hops)).collect();
+        prop_assert_eq!(dense, mapped_back);
+    }
+
     // ---- sequence numbers ---------------------------------------------------
 
     #[test]

@@ -14,10 +14,15 @@
 //! the guard measures the *engine's* steady state, not the protocol's.
 //! A second guard pins the `neighbors_in_range_into` query: range queries
 //! into a caller-owned buffer must not allocate either.
+//!
+//! The counter is process-wide, so the guards take [`LOCK`] for their
+//! whole body: under the default parallel test runner, one guard's
+//! measurement window would otherwise count the other's allocations.
 #![allow(unsafe_code)] // the counting global allocator is the whole point
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use bytes::Bytes;
 use trustlink_sim::prelude::*;
@@ -50,6 +55,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
+/// Serialises the guards in this file (see the module docs).
+static LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`LOCK`], shrugging off poisoning: a guard that failed already
+/// reported its own failure.
+fn exclusive() -> MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 const TICK: TimerToken = TimerToken(1);
 
 /// Broadcasts a fixed frame every 100 ms; receives through the default
@@ -77,6 +91,7 @@ impl Application for Beacon {
 
 #[test]
 fn steady_state_batched_delivery_allocates_nothing() {
+    let _serial = exclusive();
     let n = 256;
     let arena = topologies::arena_for_mean_degree(n, 150.0, 10.0);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
@@ -116,6 +131,7 @@ fn steady_state_batched_delivery_allocates_nothing() {
 
 #[test]
 fn neighbor_queries_into_a_buffer_allocate_nothing() {
+    let _serial = exclusive();
     let n = 256;
     let arena = topologies::arena_for_mean_degree(n, 150.0, 10.0);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(9);

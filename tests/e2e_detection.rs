@@ -259,3 +259,28 @@ fn ceasing_attack_lets_trust_recover_directionally() {
     // hold is that nobody condemned an *honest* node.
     assert!(report.false_positives().is_empty());
 }
+
+#[test]
+fn investigation_routes_are_memoised_per_route_generation() {
+    // Witness requests and answers route around the suspect at every hop.
+    // Each node memoises its avoid-route tables until its next route run,
+    // so on the 64-node scenario most lookups must be memo hits.
+    let report = ScenarioBuilder::new(501, 64)
+        .topology(Topology::Grid { cols: 8, spacing: 100.0 })
+        .radio(RadioConfig::unit_disk(150.0))
+        .detector(fast_detector())
+        .attacker(27, spoof_phantom(99))
+        .duration(SimDuration::from_secs(40))
+        .run();
+    assert!(report.detected(NodeId(27)));
+    let (mut lookups, mut runs) = (0, 0);
+    for id in report.sim.node_ids() {
+        if let Some(node) = report.sim.app_as::<DetectorNode>(id) {
+            let stats = node.olsr().recompute_stats();
+            lookups += stats.avoid_lookups;
+            runs += stats.avoid_runs;
+        }
+    }
+    assert!(lookups > 1_000, "too little investigation traffic: {lookups} avoid lookups");
+    assert!(runs <= lookups / 5, "{runs} avoid BFS runs for {lookups} lookups");
+}
