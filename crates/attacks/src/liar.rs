@@ -70,19 +70,18 @@ impl LiarPolicy {
     /// them: a cover-up answers `true`, an inverter asserts the opposite of
     /// the most likely truth (`false` knowledge ⇒ claim `true`).
     ///
-    /// `rng` may be `None` when [`LiarPolicy::draws_rng`] is `false`; the
-    /// caller keeps its deterministic RNG untouched for rng-free policies so
-    /// the sharded engine can run the answering callback without RNG access.
+    /// Only a probabilistic policy draws from `rng`; every other policy
+    /// leaves it untouched.
     ///
     /// # Panics
     ///
-    /// Panics if a probabilistic policy is asked to answer without an RNG,
-    /// or carries a probability outside `[0, 1]`.
+    /// Panics if a probabilistic policy carries a probability outside
+    /// `[0, 1]`.
     pub fn answer_opt(
         &self,
         truthful: Option<bool>,
         suspect: NodeId,
-        rng: Option<&mut StdRng>,
+        rng: &mut StdRng,
     ) -> Option<bool> {
         match self {
             LiarPolicy::Honest => truthful,
@@ -96,7 +95,6 @@ impl LiarPolicy {
             }
             LiarPolicy::Probabilistic { probability } => {
                 assert!((0.0..=1.0).contains(probability), "lie probability must be in [0,1]");
-                let rng = rng.expect("probabilistic liar needs an RNG");
                 if rng.random_bool(*probability) {
                     Some(!truthful.unwrap_or(false))
                 } else {
@@ -104,14 +102,6 @@ impl LiarPolicy {
                 }
             }
         }
-    }
-
-    /// `true` for the policies whose answers consume the deterministic RNG
-    /// stream. The detector consults this before touching [`rand`] state so
-    /// that rng-free policies keep its receive path eligible for parallel
-    /// (sharded) execution.
-    pub fn draws_rng(&self) -> bool {
-        matches!(self, LiarPolicy::Probabilistic { .. })
     }
 
     /// `true` for any policy that can produce false answers.
@@ -184,24 +174,45 @@ mod tests {
     #[test]
     fn answer_opt_honest_preserves_abstention() {
         let mut r = rng();
-        assert_eq!(LiarPolicy::Honest.answer_opt(None, NodeId(1), Some(&mut r)), None);
-        assert_eq!(LiarPolicy::Honest.answer_opt(Some(false), NodeId(1), None), Some(false));
+        assert_eq!(LiarPolicy::Honest.answer_opt(None, NodeId(1), &mut r), None);
+        assert_eq!(LiarPolicy::Honest.answer_opt(Some(false), NodeId(1), &mut r), Some(false));
     }
 
     #[test]
     fn answer_opt_cover_overrides_abstention_for_accomplice() {
         let policy = LiarPolicy::CoverFor { accomplices: vec![NodeId(7)] };
         let mut r = rng();
-        assert_eq!(policy.answer_opt(None, NodeId(7), Some(&mut r)), Some(true));
-        assert_eq!(policy.answer_opt(Some(false), NodeId(7), None), Some(true));
+        assert_eq!(policy.answer_opt(None, NodeId(7), &mut r), Some(true));
+        assert_eq!(policy.answer_opt(Some(false), NodeId(7), &mut r), Some(true));
         // Still honest about strangers, including their abstentions.
-        assert_eq!(policy.answer_opt(None, NodeId(8), None), None);
+        assert_eq!(policy.answer_opt(None, NodeId(8), &mut r), None);
     }
 
     #[test]
     fn answer_opt_always_lie_asserts() {
         let mut r = rng();
-        assert_eq!(LiarPolicy::AlwaysLie.answer_opt(None, NodeId(1), Some(&mut r)), Some(true));
-        assert_eq!(LiarPolicy::AlwaysLie.answer_opt(Some(true), NodeId(1), None), Some(false));
+        assert_eq!(LiarPolicy::AlwaysLie.answer_opt(None, NodeId(1), &mut r), Some(true));
+        assert_eq!(LiarPolicy::AlwaysLie.answer_opt(Some(true), NodeId(1), &mut r), Some(false));
+    }
+
+    #[test]
+    fn answer_opt_draws_only_for_probabilistic_policies() {
+        let silent = [
+            LiarPolicy::Honest,
+            LiarPolicy::AlwaysLie,
+            LiarPolicy::CoverFor { accomplices: vec![NodeId(7)] },
+        ];
+        for policy in &silent {
+            let mut r = rng();
+            for truthful in [None, Some(false), Some(true)] {
+                for suspect in [NodeId(7), NodeId(8)] {
+                    let _ = policy.answer_opt(truthful, suspect, &mut r);
+                }
+            }
+            assert_eq!(r, rng(), "{policy:?} drew from the stream");
+        }
+        let mut r = rng();
+        let _ = LiarPolicy::Probabilistic { probability: 0.5 }.answer_opt(None, NodeId(1), &mut r);
+        assert_ne!(r, rng(), "a probabilistic liar must draw");
     }
 }

@@ -4,11 +4,8 @@
 //! from one region so as to replay it in another region".
 //!
 //! The out-of-band channel is modelled as a pair of shared queues
-//! (`Arc<Mutex<…>>` — applications must be `Send` so the sharded engine can
-//! ship them between worker threads, and wormholes never declare themselves
-//! [`Application::rng_free`], so their callbacks always run on the serial
-//! replay path in a deterministic order); each
-//! endpoint drains its inbound queue on a fast timer and re-broadcasts the
+//! (`Arc<Mutex<…>>`, because applications must be `Send`); each endpoint
+//! drains its inbound queue on a fast timer and re-broadcasts the
 //! tunnelled frames unchanged, keeping the original originators — exactly
 //! the "invisible" variant the paper describes.
 

@@ -37,24 +37,11 @@
 //!   a speedup claim. The 10k row is batched-only (the oracle doubles an
 //!   already hour-class sweep) and demonstrates the pipeline completing
 //!   at the scale the ISSUE targets.
-//! * **sharded event loop** — wall time of a TC-silenced HELLO window
-//!   under `ExecutionMode::Serial` vs `ExecutionMode::Sharded` at 1, 2,
-//!   4 and 8 workers (median of 3 runs per cell), plus a 100k-node
-//!   bootstrap-window row. The two modes are byte-identical by contract
-//!   (`tests/shard_equivalence.rs`); every row asserts identical frame
-//!   counts. The section records `host_cpus`: on a single-core host a
-//!   parallel speedup is physically unobtainable, so there the rows
-//!   price the coordination overhead (loan/replay channels, outcome
-//!   buffers) rather than claim a win — rerun on a multi-core host for
-//!   the scaling curve.
 //!
 //! Usage:
 //!   `cargo run --release -p trustlink-bench --bin scale`                  — full sweep, writes BENCH_scale.json
 //!   `cargo run --release -p trustlink-bench --bin scale -- --smoke`       — small sizes, stdout only (CI)
 //!   `... -- --out <path>`                                                 — alternative output path
-//!   `... -- --sharded-only`                                               — run just the sharded section and
-//!                                                                           splice it into the existing JSON
-//!                                                                           (the full sweep is hour-class)
 
 use std::time::{Duration, Instant};
 
@@ -233,127 +220,6 @@ fn route_stretch(classic: &RouteSnapshot, scoped: &RouteSnapshot) -> (f64, f64, 
     (sum / count as f64, max, reached)
 }
 
-/// What the sharded rows run. `OlsrHello` is the TC-silenced HELLO
-/// window the convergence section uses — the representative protocol
-/// load. `Beacon` is a protocol-free periodic broadcaster exercising the
-/// engine alone: OLSR's per-node routing scratch is dense in global-id
-/// space (O(n) per node, O(n²) aggregate — ~300 GB at 100k nodes), so
-/// the 100k row measures the event loop, which is what this section is
-/// about, rather than OOM on protocol state.
-#[derive(Clone, Copy, PartialEq)]
-enum ShardWorkload {
-    OlsrHello,
-    Beacon,
-}
-
-impl ShardWorkload {
-    fn label(self) -> &'static str {
-        match self {
-            ShardWorkload::OlsrHello => "olsr_hello",
-            ShardWorkload::Beacon => "beacon",
-        }
-    }
-}
-
-/// Broadcasts a fixed frame every 100 ms from a staggered start; every
-/// callback is RNG-free, so the sharded loop can loan the whole
-/// population to workers.
-struct ShardBeacon {
-    payload: Bytes,
-}
-
-const BEACON_TICK: TimerToken = TimerToken(1);
-
-impl Application for ShardBeacon {
-    fn rng_free(&self, _class: CallbackClass) -> bool {
-        true
-    }
-
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let off = SimDuration::from_micros(u64::from(ctx.id().0) * 397 % 100_000);
-        ctx.set_timer(off, BEACON_TICK);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
-        if timer == BEACON_TICK {
-            ctx.broadcast(self.payload.clone());
-            ctx.set_timer(SimDuration::from_millis(100), BEACON_TICK);
-        }
-    }
-}
-
-/// One convergence window under the given execution mode and workload:
-/// wall ms, frames sent, frames delivered.
-fn sharded_window(
-    n: usize,
-    mode: ExecutionMode,
-    workload: ShardWorkload,
-    sim_secs: u64,
-) -> (f64, u64, u64) {
-    let cfg = OlsrConfig {
-        tc_interval: SimDuration::from_secs(600),
-        refresh_interval: SimDuration::from_secs(1),
-        ..OlsrConfig::fast()
-    };
-    let payload = Bytes::from_static(&[0u8; 64]);
-    let arena = topologies::arena_for_mean_degree(n, RANGE, MEAN_DEGREE);
-    let mut rng = StdRng::seed_from_u64(1);
-    let positions = topologies::random_geometric(n, &arena, &mut rng);
-    let t0 = Instant::now();
-    let mut sim = SimulatorBuilder::new(1)
-        .arena(arena)
-        .radio(RadioConfig::unit_disk(RANGE))
-        .scan_mode(ScanMode::Grid)
-        .delivery_mode(DeliveryMode::Batched)
-        .execution_mode(mode)
-        .expected_nodes(n)
-        .build();
-    for &p in &positions {
-        let app: Box<dyn Application> = match workload {
-            ShardWorkload::OlsrHello => Box::new(OlsrNode::new(cfg.clone())),
-            ShardWorkload::Beacon => Box::new(ShardBeacon { payload: payload.clone() }),
-        };
-        sim.add_node(app, p);
-    }
-    sim.run_for(SimDuration::from_secs(sim_secs));
-    (t0.elapsed().as_secs_f64() * 1e3, sim.stats().total_sent(), sim.stats().total_received())
-}
-
-/// Median-of-3 wall time for one (size, mode) cell. The runs are
-/// deterministic, so the frame counts must agree across repeats.
-fn sharded_median3(
-    n: usize,
-    mode: ExecutionMode,
-    workload: ShardWorkload,
-    sim_secs: u64,
-) -> (f64, u64, u64) {
-    let mut walls = [0.0f64; 3];
-    let (mut frames, mut delivered) = (0u64, 0u64);
-    for (i, wall) in walls.iter_mut().enumerate() {
-        let (w, f, d) = sharded_window(n, mode, workload, sim_secs);
-        *wall = w;
-        if i == 0 {
-            frames = f;
-            delivered = d;
-        } else {
-            assert_eq!((f, d), (frames, delivered), "non-deterministic repeat at n={n}");
-        }
-    }
-    walls.sort_by(f64::total_cmp);
-    (walls[1], frames, delivered)
-}
-
-struct ShardRow {
-    nodes: usize,
-    sim_secs: u64,
-    workload: ShardWorkload,
-    frames: u64,
-    delivered: u64,
-    serial_ms: f64,
-    /// `(workers, median wall ms)` per measured worker count.
-    worker_ms: Vec<(usize, f64)>,
-}
-
 struct FanOutRow {
     nodes: usize,
     linear_us: f64,
@@ -410,7 +276,6 @@ struct FloodRow {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let sharded_only = args.iter().any(|a| a == "--sharded-only");
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -450,39 +315,6 @@ fn main() {
     } else {
         &[(256, 6, true), (1024, 6, true), (4096, 6, true), (10_000, 6, false)]
     };
-    // (nodes, sim window, workload, worker counts). The 100k row is a
-    // bootstrap window (1 s, serial vs 4 workers only) on the engine-only
-    // beacon workload: the point is that the sharded *loop* completes at
-    // a scale an order beyond the rest of the sweep — OLSR itself cannot
-    // get there yet (its per-node dense routing scratch is O(n²)
-    // aggregate; see ShardWorkload).
-    let shard_plan: &[(usize, u64, ShardWorkload, &[usize])] = if smoke {
-        &[(64, 1, ShardWorkload::OlsrHello, &[2]), (256, 1, ShardWorkload::OlsrHello, &[2, 4])]
-    } else {
-        &[
-            (1024, 2, ShardWorkload::OlsrHello, &[1, 2, 4, 8]),
-            (4096, 2, ShardWorkload::OlsrHello, &[1, 2, 4, 8]),
-            (10_000, 2, ShardWorkload::OlsrHello, &[1, 2, 4, 8]),
-            (100_000, 1, ShardWorkload::Beacon, &[4]),
-        ]
-    };
-
-    if sharded_only {
-        let shard_rows = run_sharded_section(shard_plan);
-        let section = render_sharded(&shard_rows);
-        if smoke {
-            println!("{{\n{section}}}");
-            eprintln!("smoke mode: not writing {out_path}");
-        } else {
-            let existing =
-                std::fs::read_to_string(&out_path).unwrap_or_else(|_| "{\n}\n".to_string());
-            std::fs::write(&out_path, splice_sharded(&existing, &section))
-                .expect("write BENCH_scale.json");
-            eprintln!("spliced sharded_event_loop into {out_path}");
-        }
-        return;
-    }
-
     let mut fan_rows = Vec::new();
     for &n in fan_sizes {
         let grid_us = fan_out_us(n, ScanMode::Grid, broadcasts);
@@ -669,12 +501,7 @@ fn main() {
         });
     }
 
-    let shard_rows = run_sharded_section(shard_plan);
-
-    let json = splice_sharded(
-        &render_json(&fan_rows, &conv_rows, &rec_rows, &pipe_rows, &flood_rows, broadcasts),
-        &render_sharded(&shard_rows),
-    );
+    let json = render_json(&fan_rows, &conv_rows, &rec_rows, &pipe_rows, &flood_rows, broadcasts);
     if smoke {
         println!("{json}");
         eprintln!("smoke mode: not writing {out_path}");
@@ -749,102 +576,6 @@ fn main() {
             "the 10k-node batched pipeline window moved no traffic"
         );
     }
-}
-
-/// Measures every cell of the sharded plan: serial baseline first, then
-/// each worker count, asserting byte-identity's visible half (identical
-/// frame counts) per cell.
-fn run_sharded_section(plan: &[(usize, u64, ShardWorkload, &[usize])]) -> Vec<ShardRow> {
-    let mut rows = Vec::new();
-    for &(n, secs, workload, counts) in plan {
-        let (serial_ms, frames, delivered) =
-            sharded_median3(n, ExecutionMode::Serial, workload, secs);
-        let mut worker_ms = Vec::new();
-        for &w in counts {
-            let (ms, f, d) =
-                sharded_median3(n, ExecutionMode::Sharded { workers: w }, workload, secs);
-            assert_eq!(
-                (f, d),
-                (frames, delivered),
-                "sharded run at n={n} workers={w} moved different frame counts than serial"
-            );
-            worker_ms.push((w, ms));
-        }
-        let sweep = worker_ms
-            .iter()
-            .map(|(w, ms)| format!("{w}w {ms:.0} ms ({:.2}x)", serial_ms / ms))
-            .collect::<Vec<_>>()
-            .join("   ");
-        eprintln!(
-            "sharded  n={n:>6} [{}]: serial {serial_ms:>9.0} ms   {sweep}   ({frames} frames)",
-            workload.label()
-        );
-        rows.push(ShardRow {
-            nodes: n,
-            sim_secs: secs,
-            workload,
-            frames,
-            delivered,
-            serial_ms,
-            worker_ms,
-        });
-    }
-    rows
-}
-
-/// The `sharded_event_loop` JSON section (no outer braces, trailing
-/// newline) — appended by the full sweep and spliced over any previous
-/// section by `--sharded-only`.
-fn render_sharded(rows: &[ShardRow]) -> String {
-    let cpus = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-    let mut s = String::new();
-    s.push_str("  \"sharded_event_loop\": {\n");
-    s.push_str(&format!("    \"host_cpus\": {cpus},\n"));
-    s.push_str(
-        "    \"note\": \"conservative-lookahead sharded loop vs the serial oracle, median of 3 runs per cell; byte-identical by contract (tests/shard_equivalence.rs), frame counts asserted per row. Workload olsr_hello = TC-silenced HELLO window; beacon = engine-only periodic broadcast (the 100k row: OLSR per-node routing scratch is O(n^2) aggregate and OOMs at that scale, an open protocol item unrelated to execution mode). On a 1-CPU host a parallel speedup is physically unobtainable, so there these rows price the coordination overhead (loan/replay channels, outcome buffers); rerun on a multi-core host for the scaling curve.\",\n",
-    );
-    s.push_str("    \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        let workers = r
-            .worker_ms
-            .iter()
-            .map(|(w, ms)| {
-                format!(
-                    "{{ \"workers\": {w}, \"wall_ms\": {ms:.0}, \"serial_over_sharded\": {:.2} }}",
-                    r.serial_ms / ms
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        let fps = r.delivered as f64 / (r.serial_ms / 1e3);
-        s.push_str(&format!(
-            "      {{ \"nodes\": {nodes}, \"sim_secs\": {secs}, \"workload\": \"{workload}\", \"frames\": {frames}, \"delivered\": {delivered}, \"serial_wall_ms\": {serial:.0}, \"serial_deliveries_per_sec\": {fps:.0}, \"sharded\": [{workers}] }}{sep}\n",
-            nodes = r.nodes,
-            secs = r.sim_secs,
-            workload = r.workload.label(),
-            frames = r.frames,
-            delivered = r.delivered,
-            serial = r.serial_ms,
-        ));
-    }
-    s.push_str("    ]\n  }\n");
-    s
-}
-
-/// Splices the sharded section into an existing BENCH document, replacing
-/// any previous `sharded_event_loop` (always the last section).
-fn splice_sharded(existing: &str, section: &str) -> String {
-    let base = match existing.find(",\n  \"sharded_event_loop\"") {
-        Some(i) => existing[..i].to_string(),
-        None => {
-            let t = existing.trim_end();
-            let t = t.strip_suffix('}').expect("BENCH json must end with }");
-            t.trim_end().to_string()
-        }
-    };
-    let sep = if base.trim_end().ends_with('{') { "" } else { "," };
-    format!("{base}{sep}\n{section}}}\n")
 }
 
 fn render_json(

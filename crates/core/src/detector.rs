@@ -30,9 +30,7 @@ use trustlink_olsr::hooks::{NoHooks, OlsrHooks};
 use trustlink_olsr::node::OlsrNode;
 use trustlink_olsr::types::OlsrConfig;
 use trustlink_sim::record::LogRecord;
-use trustlink_sim::{
-    Application, CallbackClass, Context, NodeId, SimDuration, SimTime, TimerToken,
-};
+use trustlink_sim::{Application, Context, NodeId, SimDuration, SimTime, TimerToken};
 use trustlink_trust::aggregate::{
     answered_samples, detection_value, stability_weighted_detection_value,
     stability_weighted_evidence_samples, unweighted_detection_value, weighted_evidence_samples,
@@ -747,11 +745,7 @@ impl<H: OlsrHooks> DetectorNode<H> {
         match msg {
             InvestigationMessage::VerifyLinkRequest { case, suspect, contested } => {
                 let truthful = self.verify_link(suspect, contested, now);
-                // Rng-free liar policies must not touch the engine stream:
-                // the sharded engine runs this callback without RNG access
-                // whenever `rng_free` below declares it draw-free.
-                let rng = self.cfg.liar_policy.draws_rng().then(|| ctx.rng());
-                let answer = self.cfg.liar_policy.answer_opt(truthful, suspect, rng);
+                let answer = self.cfg.liar_policy.answer_opt(truthful, suspect, ctx.rng());
                 let Some(answer) = answer else {
                     return; // honest abstention: no knowledge of the link
                 };
@@ -865,23 +859,6 @@ impl<H: OlsrHooks> Application for DetectorNode<H> {
         self.olsr.on_receive(ctx, from, payload);
         for data in self.olsr.take_inbox() {
             self.handle_data(ctx, data.src, data.payload);
-        }
-    }
-
-    fn rng_free(&self, class: CallbackClass) -> bool {
-        match class {
-            // `on_start` staggers the analysis/gossip timers from the
-            // engine stream.
-            CallbackClass::Start => false,
-            // Analysis, gossip and the inner OLSR timers never draw.
-            CallbackClass::Timer => true,
-            // The receive path draws only when answering a verification
-            // request: a probabilistic liar rolls its lie, and an
-            // unreliable witness (answer_probability < 1) rolls whether to
-            // answer at all. Every other configuration is draw-free.
-            CallbackClass::Receive => {
-                !self.cfg.liar_policy.draws_rng() && self.cfg.answer_probability >= 1.0
-            }
         }
     }
 }

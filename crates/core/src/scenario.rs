@@ -15,8 +15,8 @@ use trustlink_attacks::liar::LiarPolicy;
 use trustlink_attacks::spoof::LinkSpoofing;
 use trustlink_olsr::types::{FloodScope, OlsrConfig, RecomputeMode};
 use trustlink_sim::{
-    topologies, Arena, ChannelModel, DeliveryMode, ExecutionMode, MobilityModel, NodeId, Position,
-    RadioConfig, ScanMode, SimDuration, Simulator, SimulatorBuilder,
+    topologies, Arena, ChannelModel, DeliveryMode, MobilityModel, NodeId, Position, RadioConfig,
+    ScanMode, SimDuration, Simulator, SimulatorBuilder,
 };
 
 use crate::detector::{DetectorConfig, DetectorNode, VerdictRecord};
@@ -74,7 +74,6 @@ pub struct ScenarioBuilder {
     duration: SimDuration,
     scan_mode: ScanMode,
     delivery_mode: DeliveryMode,
-    execution_mode: ExecutionMode,
     arena_override: Option<(f64, f64)>,
     mobility: MobilityModel,
     mobility_tick: Option<SimDuration>,
@@ -96,7 +95,6 @@ impl ScenarioBuilder {
             duration: SimDuration::from_secs(60),
             scan_mode: ScanMode::default(),
             delivery_mode: DeliveryMode::default(),
-            execution_mode: ExecutionMode::default(),
             arena_override: None,
             mobility: MobilityModel::Stationary,
             mobility_tick: None,
@@ -161,16 +159,6 @@ impl ScenarioBuilder {
     /// baseline benchmarking; both replay byte-identically per seed.
     pub fn delivery_mode(mut self, mode: DeliveryMode) -> Self {
         self.delivery_mode = mode;
-        self
-    }
-
-    /// Selects how the event loop executes ([`ExecutionMode::Serial`] by
-    /// default). [`ExecutionMode::Sharded`] partitions nodes across worker
-    /// shards along spatial-grid cells and runs bounded time epochs in
-    /// parallel; both replay byte-identically per seed at any worker count
-    /// (see `tests/shard_equivalence.rs`).
-    pub fn execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution_mode = mode;
         self
     }
 
@@ -270,7 +258,6 @@ impl ScenarioBuilder {
             .arena(arena)
             .scan_mode(self.scan_mode)
             .delivery_mode(self.delivery_mode)
-            .execution_mode(self.execution_mode)
             .expected_nodes(self.n);
         if let Some(tick) = self.mobility_tick {
             builder = builder.mobility_tick(tick);

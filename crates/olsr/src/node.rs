@@ -10,9 +10,7 @@
 
 use bytes::Bytes;
 use rand::RngExt;
-use trustlink_sim::{
-    Application, CallbackClass, Context, FloodStats, FrameBatch, NodeId, SimTime, TimerToken,
-};
+use trustlink_sim::{Application, Context, FloodStats, FrameBatch, NodeId, SimTime, TimerToken};
 
 use crate::hooks::{NoHooks, OlsrHooks};
 use crate::logging::{LogRecord, MessageKind, SuppressReason};
@@ -27,10 +25,7 @@ use crate::state::{
     MprSelectorSet, NeighborSet, TopologySet, TwoHopSet,
 };
 use crate::types::{FloodScope, OlsrConfig, RecomputeMode, SequenceNumber, Willingness};
-use crate::wire::{
-    decode_packet_with, encode_packet_into, materialize_message, DecodeArena, MessageType,
-    PacketView,
-};
+use crate::wire::{encode_packet_into, materialize_message, DecodeArena, MessageType, PacketView};
 
 /// Timer tokens used by the OLSR state machine. Wrappers layering their own
 /// timers on top must use tokens ≥ [`TIMER_USER_BASE`].
@@ -752,33 +747,8 @@ impl<H: OlsrHooks> OlsrNode<H> {
         }
     }
 
-    fn forward_flooded(&mut self, ctx: &mut Context<'_>, msg: &Message, from: NodeId) {
-        let now = ctx.now();
-        let kind = match msg.body {
-            MessageBody::Tc(_) => MessageKind::Tc,
-            MessageBody::Mid(_) => MessageKind::Mid,
-            MessageBody::Hna(_) => MessageKind::Hna,
-            _ => return,
-        };
-        let dup_until = now + self.config.duplicate_hold_time;
-        if self.duplicates.retransmitted(msg.originator, msg.seq, now) {
-            self.suppress_forward(ctx, msg.originator, kind, msg.seq, SuppressReason::Duplicate);
-            self.duplicates.record(msg.originator, msg.seq, false, dup_until, now);
-            return;
-        }
-        match self.flood_gate(from, msg.ttl, now) {
-            Err(reason) => {
-                self.suppress_forward(ctx, msg.originator, kind, msg.seq, reason);
-                self.duplicates.record(msg.originator, msg.seq, false, dup_until, now);
-            }
-            Ok(()) => self.forward_approved(ctx, msg, from, kind, dup_until, now),
-        }
-    }
-
     /// The header-only forwarding gates of the default forwarding
-    /// algorithm (§3.4), after the duplicate check: shared verbatim by the
-    /// per-frame oracle and the batched fast path so their decisions
-    /// cannot drift.
+    /// algorithm (§3.4), after the duplicate check.
     fn flood_gate(&mut self, from: NodeId, ttl: u8, now: SimTime) -> Result<(), SuppressReason> {
         if ttl <= 1 {
             return Err(SuppressReason::TtlExpired);
@@ -807,7 +777,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
     }
 
     /// Retransmits a message that passed every gate — or lets a drop
-    /// attacker swallow it. Shared by both receive paths.
+    /// attacker swallow it.
     fn forward_approved(
         &mut self,
         ctx: &mut Context<'_>,
@@ -869,69 +839,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
         self.unicast(ctx, next, vec![fwd]);
     }
 
-    fn handle_packet(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
-        let mut arena = std::mem::take(&mut self.decode_arena);
-        let packet = match decode_packet_with(&mut arena, payload) {
-            Ok(p) => p,
-            Err(_) => {
-                self.decode_arena = arena;
-                ctx.log(LogRecord::DecodeError { from });
-                return;
-            }
-        };
-        let now = ctx.now();
-        for msg in &packet.messages {
-            if msg.originator == self.id {
-                continue; // our own flood echoed back
-            }
-            let already_processed = self.duplicates.seen(msg.originator, msg.seq, now);
-            match &msg.body {
-                MessageBody::Hello(h) => {
-                    // HELLOs are link-local and never forwarded; process
-                    // every one (they are never duplicates in the flooding
-                    // sense).
-                    self.process_hello(ctx, msg.originator, h);
-                }
-                MessageBody::Tc(t) => {
-                    if !already_processed {
-                        self.process_tc(ctx, msg, t, from);
-                    }
-                    self.forward_flooded(ctx, msg, from);
-                }
-                MessageBody::Mid(m) => {
-                    if !already_processed {
-                        ctx.log(LogRecord::MidRx {
-                            originator: msg.originator,
-                            aliases: Box::from(&m.aliases[..]),
-                        });
-                        let until = now + msg.vtime;
-                        for &alias in &m.aliases {
-                            self.ifaces.upsert(alias, msg.originator, until);
-                        }
-                    }
-                    self.forward_flooded(ctx, msg, from);
-                }
-                MessageBody::Hna(h) => {
-                    if !already_processed {
-                        ctx.log(LogRecord::HnaRx {
-                            originator: msg.originator,
-                            networks: Box::from(&h.networks[..]),
-                        });
-                    }
-                    self.forward_flooded(ctx, msg, from);
-                }
-                MessageBody::Data(d) => {
-                    self.process_data(ctx, msg, d, from);
-                }
-            }
-        }
-        self.decode_arena = arena;
-        self.decode_arena.recycle(packet);
-        self.after_packet_recompute(ctx);
-    }
-
-    /// The decision-point trailer every received frame pays, shared by both
-    /// receive paths so flush semantics cannot drift between them.
+    /// The decision-point trailer every received frame pays.
     fn after_packet_recompute(&mut self, ctx: &mut Context<'_>) {
         if self.flags.any() {
             match self.config.recompute {
@@ -951,16 +859,12 @@ impl<H: OlsrHooks> OlsrNode<H> {
         }
     }
 
-    /// Batched receive fast path: decodes `frame` through a [`PacketView`]
+    /// The one receive path: validates `frame` through a [`PacketView`]
     /// (validation without materialization) and materializes message
     /// bodies only when they will actually be processed or retransmitted.
-    ///
-    /// Observably identical to [`Self::handle_packet`] on the same frame:
-    /// every log line, repository mutation, and RNG draw happens in the
-    /// same order. The only elided work is *pure* — body materialization
-    /// for duplicate flood copies whose forwarding decision needs nothing
-    /// beyond the message header, and `DuplicateSet` lookups for message
-    /// kinds the per-frame path queries but never uses.
+    /// A malformed frame is rejected whole, before any of its messages is
+    /// acted on. Duplicate flood copies are suppressed from the message
+    /// header alone; their bodies are never decoded.
     fn handle_frame_view(
         &mut self,
         ctx: &mut Context<'_>,
@@ -1001,8 +905,8 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 MessageType::Mid => MessageKind::Mid,
                 MessageType::Hna => MessageKind::Hna,
             };
-            // Flooded control traffic. One duplicate-set probe replaces the
-            // per-frame path's seen() + retransmitted() pair, and already
+            // Flooded control traffic. One duplicate-set probe answers both
+            // "seen before?" and "already retransmitted?", and already
             // applies the `forwarded = false` record for suppressed copies.
             let dup_until = now + self.config.duplicate_hold_time;
             match self.duplicates.probe_flood(mv.originator, mv.seq, dup_until, now) {
@@ -1251,7 +1155,9 @@ impl<H: OlsrHooks> Application for OlsrNode<H> {
     }
 
     fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
-        self.handle_packet(ctx, from, payload);
+        let mut arena = std::mem::take(&mut self.decode_arena);
+        self.handle_frame_view(ctx, from, &payload, &mut arena);
+        self.decode_arena = arena;
     }
 
     fn on_receive_batch(&mut self, ctx: &mut Context<'_>, batch: &mut FrameBatch) {
@@ -1262,18 +1168,6 @@ impl<H: OlsrHooks> Application for OlsrNode<H> {
             self.handle_frame_view(ctx, from, &payload, &mut arena);
         }
         self.decode_arena = arena;
-    }
-
-    fn rng_free(&self, class: CallbackClass) -> bool {
-        match class {
-            // `on_start` staggers HELLO/TC timers from the engine stream.
-            CallbackClass::Start => false,
-            // Receive and timer paths never draw, and hooks cannot: the
-            // `OlsrHooks` methods take no `Context`, so the whole protocol
-            // machine is deterministic given its inputs. This is what lets
-            // the sharded engine run OLSR traffic off the main thread.
-            CallbackClass::Receive | CallbackClass::Timer => true,
-        }
     }
 }
 

@@ -194,31 +194,23 @@ fn encode_tc(buf: &mut Vec<u8>, t: &TcMessage) {
     }
 }
 
-/// Recyclable buffers for packet decoding.
+/// Recyclable buffers for message decoding.
 ///
-/// Encoding has been allocation-stable since the `encode_packet_into`
-/// scratch buffer; decoding still built every `Vec` inside a [`Packet`]
-/// from scratch on each reception — the remaining hot-path allocation at
-/// scale. A `DecodeArena` closes it: [`decode_packet_with`] draws the
-/// message, group, address and network vectors from the arena's free
-/// lists, and [`recycle`](DecodeArena::recycle) walks a fully processed
-/// packet and parks every vector for the next reception. Payload bytes
-/// are zero-copy [`Bytes`] slices of the received frame and need no
+/// [`materialize_message`] draws the group, address and network vectors of
+/// a decoded [`Message`] from the arena's free lists, and
+/// [`recycle_message`](DecodeArena::recycle_message) parks every vector of
+/// a processed message for the next reception. Payload bytes are
+/// zero-copy [`Bytes`] slices of the received frame and need no
 /// recycling. Once warm, a steady-state reception decodes without
 /// touching the allocator.
 #[derive(Debug, Default)]
 pub struct DecodeArena {
-    msg_bufs: Vec<Vec<Message>>,
     group_bufs: Vec<Vec<LinkGroup>>,
     addr_bufs: Vec<Vec<NodeId>>,
     net_bufs: Vec<Vec<(NodeId, u8)>>,
 }
 
 impl DecodeArena {
-    fn take_msgs(&mut self) -> Vec<Message> {
-        self.msg_bufs.pop().unwrap_or_default()
-    }
-
     fn take_groups(&mut self) -> Vec<LinkGroup> {
         self.group_bufs.pop().unwrap_or_default()
     }
@@ -231,18 +223,8 @@ impl DecodeArena {
         self.net_bufs.pop().unwrap_or_default()
     }
 
-    /// Takes a fully processed packet apart and parks its vectors (cleared,
-    /// capacity kept) for the next [`decode_packet_with`] call.
-    pub fn recycle(&mut self, packet: Packet) {
-        let mut msgs = packet.messages;
-        for msg in msgs.drain(..) {
-            self.recycle_message(msg);
-        }
-        self.msg_bufs.push(msgs);
-    }
-
-    /// Parks one message's vectors, for callers that materialize messages
-    /// individually ([`materialize_message`]) rather than whole packets.
+    /// Parks one message's vectors (cleared, capacity kept) for the next
+    /// [`materialize_message`] call.
     pub fn recycle_message(&mut self, msg: Message) {
         match msg.body {
             MessageBody::Hello(h) => {
@@ -274,87 +256,19 @@ impl DecodeArena {
     }
 }
 
-/// Decodes a packet from bytes.
-///
-/// Convenience wrapper around [`decode_packet_with`] paying fresh
-/// allocations; reception hot paths should hold a [`DecodeArena`].
+/// Decodes a packet from bytes into owned messages: [`PacketView::parse`]
+/// followed by [`materialize_message`] for each message. Receive paths
+/// that keep an arena materialize only the messages they need instead.
 ///
 /// # Errors
 ///
 /// Returns a [`WireError`] when the buffer is truncated, a length field is
 /// inconsistent, or a message type is unknown.
 pub fn decode_packet(bytes: Bytes) -> Result<Packet, WireError> {
+    let view = PacketView::parse(&bytes)?;
     let mut arena = DecodeArena::default();
-    decode_packet_with(&mut arena, bytes)
-}
-
-/// Decodes a packet drawing every vector from `arena` (see
-/// [`DecodeArena`]). Results are identical to [`decode_packet`] for every
-/// input. On error, partially drawn buffers are dropped, not leaked back
-/// into the arena — errors are the cold path.
-///
-/// # Errors
-///
-/// Same contract as [`decode_packet`].
-pub fn decode_packet_with(arena: &mut DecodeArena, mut bytes: Bytes) -> Result<Packet, WireError> {
-    if bytes.len() < PACKET_HEADER_LEN {
-        return Err(WireError::Truncated);
-    }
-    // Declared length covers the whole packet including the 4 header bytes;
-    // two of them were already consumed by get_u16.
-    let declared = bytes.get_u16() as usize;
-    if declared < PACKET_HEADER_LEN {
-        return Err(WireError::BadLength);
-    }
-    match declared.cmp(&(bytes.len() + 2)) {
-        std::cmp::Ordering::Greater => return Err(WireError::Truncated),
-        std::cmp::Ordering::Less => return Err(WireError::BadLength),
-        std::cmp::Ordering::Equal => {}
-    }
-    let seq = SequenceNumber(bytes.get_u16());
-    // Protocol packets carry a handful of messages; clamp the hint so a
-    // forged frame full of payload bytes cannot force a huge reservation.
-    let mut messages = arena.take_msgs();
-    messages.reserve((bytes.remaining() / MESSAGE_HEADER_LEN).min(4));
-    while bytes.has_remaining() {
-        messages.push(decode_message(arena, &mut bytes)?);
-    }
-    Ok(Packet { seq, messages })
-}
-
-fn decode_message(arena: &mut DecodeArena, bytes: &mut Bytes) -> Result<Message, WireError> {
-    if bytes.remaining() < MESSAGE_HEADER_LEN {
-        return Err(WireError::Truncated);
-    }
-    let msg_type = bytes.get_u8();
-    let vtime = decode_vtime(bytes.get_u8());
-    let size = bytes.get_u16() as usize;
-    let originator = get_addr(bytes)?;
-    if bytes.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    let ttl = bytes.get_u8();
-    let hop_count = bytes.get_u8();
-    let seq = SequenceNumber(bytes.get_u16());
-    // type + vtime + size, the escape-encoded originator, ttl + hops + seq.
-    let header_len = 4 + originator.wire_len() + 4;
-    if size < header_len {
-        return Err(WireError::BadLength);
-    }
-    let body_len = size - header_len;
-    if bytes.remaining() < body_len {
-        return Err(WireError::Truncated);
-    }
-    let mut body_bytes = bytes.split_to(body_len);
-    let body = match msg_type {
-        MSG_HELLO => MessageBody::Hello(decode_hello(arena, &mut body_bytes)?),
-        MSG_TC => MessageBody::Tc(decode_tc(arena, &mut body_bytes)?),
-        MSG_MID => MessageBody::Mid(decode_mid(arena, &mut body_bytes)?),
-        MSG_HNA => MessageBody::Hna(decode_hna(arena, &mut body_bytes)?),
-        MSG_DATA => MessageBody::Data(decode_data(&mut body_bytes)?),
-        other => return Err(WireError::UnknownMessageType(other)),
-    };
-    Ok(Message { vtime, originator, ttl, hop_count, seq, body })
+    let messages = view.messages().map(|mv| materialize_message(&mut arena, &bytes, &mv)).collect();
+    Ok(Packet { seq: view.seq(), messages })
 }
 
 fn decode_mid(arena: &mut DecodeArena, bytes: &mut Bytes) -> Result<MidMessage, WireError> {
@@ -491,16 +405,15 @@ fn be16(buf: &[u8], off: usize) -> u16 {
 
 /// A fully validated, zero-materialization view over an encoded packet.
 ///
-/// [`PacketView::parse`] performs the complete structural validation of
-/// [`decode_packet_with`] — the two accept and reject exactly the same
-/// byte strings — but builds nothing: no vectors, no arena traffic.
-/// [`PacketView::messages`] then yields header views, and only the
-/// messages a receiver actually needs are decoded, individually, through
-/// [`materialize_message`]. This is the workhorse of the batched receive
-/// path: the dominant reception at scale is a flood copy that has already
-/// been forwarded or suppressed, and its fate is decided entirely from
-/// `(originator, seq, ttl)` — header bytes — without ever decoding the
-/// body it would have thrown away.
+/// [`PacketView::parse`] is the wire format's only structural validator:
+/// every byte string any decoder accepts has passed it. It builds nothing
+/// — no vectors, no arena traffic. [`PacketView::messages`] then yields
+/// header views, and only the messages a receiver actually needs are
+/// decoded, individually, through [`materialize_message`]. Every OLSR
+/// reception goes through it: the dominant reception at scale is a flood
+/// copy that has already been forwarded or suppressed, and its fate is
+/// decided entirely from `(originator, seq, ttl)` — header bytes —
+/// without ever decoding the body it would have thrown away.
 #[derive(Debug, Clone, Copy)]
 pub struct PacketView<'a> {
     buf: &'a [u8],
@@ -511,8 +424,10 @@ impl<'a> PacketView<'a> {
     ///
     /// # Errors
     ///
-    /// Rejects exactly the inputs [`decode_packet`] rejects, with the same
-    /// [`WireError`].
+    /// [`WireError::Truncated`] when the buffer ends inside a header, an
+    /// address or a declared length; [`WireError::BadLength`] when a
+    /// length field is inconsistent with its content;
+    /// [`WireError::UnknownMessageType`] for an unknown message type.
     pub fn parse(buf: &'a [u8]) -> Result<Self, WireError> {
         if buf.len() < PACKET_HEADER_LEN {
             return Err(WireError::Truncated);
@@ -534,8 +449,7 @@ impl<'a> PacketView<'a> {
             let msg_type = buf[off];
             let size = be16(buf, off + 2) as usize;
             // Walk the escape-encoded originator to find the true header
-            // length, mirroring the decoder's read sequence (and errors)
-            // exactly.
+            // length.
             let Some((_, alen)) = NodeId::read_at(buf, off + 4) else {
                 return Err(WireError::Truncated);
             };
@@ -695,8 +609,8 @@ impl Iterator for MessageViewIter<'_> {
 }
 
 /// Decodes the single message behind `view` into an owned [`Message`],
-/// drawing vectors from `arena` exactly like [`decode_packet_with`] and
-/// sharing the frame's storage for data payloads. Return it with
+/// drawing vectors from `arena` and sharing the frame's storage for data
+/// payloads. Return it with
 /// [`DecodeArena::recycle_message`] when done.
 ///
 /// # Panics
@@ -842,26 +756,36 @@ mod tests {
 
     #[test]
     fn arena_decode_matches_fresh_decode_across_reuse() {
-        // One arena driven across many packets (including recycling after
-        // each) must produce exactly what a fresh decode produces, and
-        // reuse must not leak state between packets.
+        // One arena driven across many frames (recycling every message
+        // after use) must materialize exactly what a fresh decode produces,
+        // and reuse must not leak state between frames — nor must a
+        // rejected frame in between poison it.
         let mut arena = DecodeArena::default();
-        let packets =
-            [sample_packet(), Packet { seq: SequenceNumber(1), messages: vec![] }, sample_packet()];
+        let frames = [
+            encode_packet(&sample_packet()),
+            encode_packet(&Packet { seq: SequenceNumber(1), messages: vec![] }),
+            Bytes::from_static(b"\x00\x03"),
+            encode_packet(&sample_packet()),
+        ];
         for _ in 0..3 {
-            for p in &packets {
-                let bytes = encode_packet(p);
-                let fresh = decode_packet(bytes.clone()).expect("fresh decode");
-                let pooled = decode_packet_with(&mut arena, bytes).expect("arena decode");
-                assert_eq!(pooled, fresh);
-                arena.recycle(pooled);
+            for frame in &frames {
+                let fresh = decode_packet(frame.clone());
+                let view = match PacketView::parse(frame) {
+                    Ok(view) => view,
+                    Err(e) => {
+                        assert_eq!(fresh, Err(e));
+                        continue;
+                    }
+                };
+                let messages: Vec<Message> =
+                    view.messages().map(|mv| materialize_message(&mut arena, frame, &mv)).collect();
+                let pooled = Packet { seq: view.seq(), messages };
+                assert_eq!(Ok(&pooled), fresh.as_ref());
+                for msg in pooled.messages {
+                    arena.recycle_message(msg);
+                }
             }
         }
-        // Errors must not poison the arena either.
-        assert!(decode_packet_with(&mut arena, Bytes::from_static(b"\x00\x03")).is_err());
-        let bytes = encode_packet(&sample_packet());
-        let after_err = decode_packet_with(&mut arena, bytes.clone()).unwrap();
-        assert_eq!(after_err, decode_packet(bytes).unwrap());
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! `(seed, configuration, applications)`.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
-use std::sync::mpsc;
+use std::collections::{BinaryHeap, HashMap};
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -15,9 +14,7 @@ use rand::SeedableRng;
 
 use crate::grid::SpatialGrid;
 use crate::mobility::{Arena, MobilityModel, MobilityState, Position};
-use crate::node::{
-    Application, CallbackClass, Command, Context, FrameBatch, LogBuffer, NodeId, TimerToken,
-};
+use crate::node::{Application, Command, Context, FrameBatch, LogBuffer, NodeId, TimerToken};
 use crate::radio::{ChannelModel, ChannelState, DeliveryOutcome, RadioConfig};
 use crate::record::{FlightRecord, FlightRecorder};
 use crate::stats::TrafficStats;
@@ -64,37 +61,6 @@ pub enum DeliveryMode {
     /// frame. The pre-batching behaviour, kept as the byte-identical
     /// oracle.
     PerFrame,
-}
-
-/// How the event loop executes.
-///
-/// Both modes produce byte-identical logs, statistics and verdict streams
-/// for the same seed, at any worker count — structurally, not
-/// probabilistically. `Sharded` partitions nodes across worker threads
-/// along spatial-grid cells and runs RNG-free callbacks
-/// ([`Application::rng_free`]) within a conservative lookahead window in
-/// parallel; everything that can touch the global RNG stream — fan-outs,
-/// mobility, RNG-drawing callbacks, command execution — replays on the
-/// main thread at its exact serial `(time, seq)` position. `Serial` is the
-/// reference loop, kept as the byte-identical oracle in the same pattern
-/// as [`ScanMode::Linear`] and [`DeliveryMode::PerFrame`];
-/// `tests/shard_equivalence.rs` pins the identity across the scenario
-/// matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// One thread processes every event in `(time, seq)` order. The
-    /// reference oracle and the default.
-    #[default]
-    Serial,
-    /// Grid-partitioned node shards run RNG-free callbacks on `workers`
-    /// threads within each lookahead epoch; outcomes merge back in strict
-    /// `(time, seq)` order.
-    Sharded {
-        /// Worker threads to spawn per [`Simulator::run_until`] call.
-        /// Clamped to at least 1; `workers: 1` exercises the full loan /
-        /// replay machinery on a single shard.
-        workers: usize,
-    },
 }
 
 /// What a scheduled event does when it fires.
@@ -218,7 +184,6 @@ pub struct SimulatorBuilder {
     mobility_tick: SimDuration,
     scan_mode: ScanMode,
     delivery_mode: DeliveryMode,
-    execution_mode: ExecutionMode,
     expected_nodes: usize,
     channel: Option<ChannelModel>,
 }
@@ -255,7 +220,6 @@ impl SimulatorBuilder {
             mobility_tick: SimDuration::from_millis(500),
             scan_mode: ScanMode::default(),
             delivery_mode: DeliveryMode::default(),
-            execution_mode: ExecutionMode::default(),
             expected_nodes: 0,
             channel: None,
         }
@@ -299,16 +263,6 @@ impl SimulatorBuilder {
     /// byte-identical per seed.
     pub fn delivery_mode(mut self, mode: DeliveryMode) -> Self {
         self.delivery_mode = mode;
-        self
-    }
-
-    /// Selects how the event loop executes. [`ExecutionMode::Serial`] (the
-    /// default) processes everything on one thread;
-    /// [`ExecutionMode::Sharded`] runs RNG-free callbacks on
-    /// grid-partitioned worker shards inside conservative lookahead
-    /// epochs — byte-identical per seed at any worker count.
-    pub fn execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution_mode = mode;
         self
     }
 
@@ -368,7 +322,6 @@ impl SimulatorBuilder {
             grid,
             scan_mode: self.scan_mode,
             delivery_mode: self.delivery_mode,
-            execution_mode: self.execution_mode,
             alive_count: 0,
             scratch_commands: Vec::with_capacity(if n > 0 { 64 } else { 0 }),
             scratch_candidates: Vec::with_capacity(if n > 0 { 256 } else { 0 }),
@@ -415,7 +368,6 @@ pub struct Simulator {
     grid: SpatialGrid,
     scan_mode: ScanMode,
     delivery_mode: DeliveryMode,
-    execution_mode: ExecutionMode,
     /// Number of alive slots, kept current so the grid path can account
     /// for out-of-range receivers it never visits (stats parity with the
     /// linear scan).
@@ -573,11 +525,6 @@ impl Simulator {
         self.delivery_mode
     }
 
-    /// The execution mode in force.
-    pub fn execution_mode(&self) -> ExecutionMode {
-        self.execution_mode
-    }
-
     /// Ground-truth neighbors of `id`: alive nodes within the propagation
     /// model's maximum range. (What an omniscient observer would call the
     /// 1-hop neighborhood; protocols must *discover* this.)
@@ -732,37 +679,8 @@ impl Simulator {
     /// Control events and batched frame deliveries live on separate heaps
     /// (the latter entries are slim and payload-free); they are merge-
     /// popped in strict global `(time, seq)` order, so splitting the heap
-    /// changes no ordering an application can observe. Under
-    /// [`ExecutionMode::Sharded`] the same order is produced by lookahead
-    /// epochs whose RNG-free callbacks run on worker shards.
+    /// changes no ordering an application can observe.
     pub fn run_until(&mut self, deadline: SimTime) {
-        match self.execution_mode {
-            ExecutionMode::Serial => self.run_until_serial(deadline),
-            ExecutionMode::Sharded { workers } => self.run_until_sharded(deadline, workers.max(1)),
-        }
-    }
-
-    /// The earliest pending `(time, seq)` key across both heaps, and
-    /// whether it belongs to the frame heap.
-    fn peek_key(&self) -> Option<((SimTime, u64), bool)> {
-        let control = self.queue.peek().map(|Reverse(ev)| (ev.time, ev.seq));
-        let frame = self.frame_queue.peek().map(|Reverse(fe)| (fe.time, fe.seq));
-        match (control, frame) {
-            (None, None) => None,
-            (Some(c), None) => Some((c, false)),
-            (None, Some(f)) => Some((f, true)),
-            (Some(c), Some(f)) => {
-                if f < c {
-                    Some((f, true))
-                } else {
-                    Some((c, false))
-                }
-            }
-        }
-    }
-
-    /// The reference event loop: one thread, strict `(time, seq)` order.
-    fn run_until_serial(&mut self, deadline: SimTime) {
         self.ensure_mobility_tick();
         while !self.halted {
             let Some((key, take_frame)) = self.peek_key() else { break };
@@ -784,312 +702,23 @@ impl Simulator {
         }
     }
 
-    /// The sharded event loop: conservative-lookahead epochs whose
-    /// RNG-free callbacks run on `workers` grid-partitioned shards, with
-    /// every outcome merged back at its exact serial position. See the
-    /// module comment above [`run_unit`] for the full argument.
-    fn run_until_sharded(&mut self, deadline: SimTime, workers: usize) {
-        self.ensure_mobility_tick();
-        // The lookahead guarantee: nothing transmitted at `T` arrives
-        // before `T + base_delay` — jitter and channel-model extras only
-        // ever add to the base ([`crate::radio`]). A zero base delay
-        // leaves no window to run ahead in; fall back to the oracle.
-        let lookahead = self.radio.base_delay;
-        if lookahead.is_zero() {
-            return self.run_until_serial(deadline);
-        }
-        std::thread::scope(|scope| {
-            let (result_tx, result_rx) = mpsc::channel::<WorkResult>();
-            let mut shards: Vec<mpsc::Sender<ShardPackage>> = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let (tx, rx) = mpsc::channel::<ShardPackage>();
-                shards.push(tx);
-                let result_tx = result_tx.clone();
-                scope.spawn(move || {
-                    while let Ok(pkg) = rx.recv() {
-                        let ShardPackage { units, epoch_base, cutoff, collision_window } = pkg;
-                        for unit in units {
-                            let r = run_unit(unit, epoch_base, cutoff, collision_window);
-                            if result_tx.send(r).is_err() {
-                                return;
-                            }
-                        }
-                    }
-                });
-            }
-            drop(result_tx);
-            while !self.halted && self.run_epoch_sharded(deadline, lookahead, &shards, &result_rx) {
-            }
-            // Dropping the package senders ends every worker loop; the
-            // scope joins them on exit.
-        });
-        if !self.halted && self.time < deadline {
-            self.time = deadline;
-        }
-    }
-
-    /// Runs one epoch of the sharded loop; `false` once nothing pending
-    /// falls at or before `deadline`.
-    fn run_epoch_sharded(
-        &mut self,
-        deadline: SimTime,
-        lookahead: SimDuration,
-        shards: &[mpsc::Sender<ShardPackage>],
-        results: &mpsc::Receiver<WorkResult>,
-    ) -> bool {
-        let Some((first, first_is_frame)) = self.peek_key() else { return false };
-        if first.0 > deadline {
-            return false;
-        }
-        // A mobility tick advances every node through the global RNG
-        // stream: it runs alone, as a serial barrier between epochs.
-        if !first_is_frame
-            && matches!(self.queue.peek(), Some(Reverse(ev)) if matches!(ev.kind, EventKind::MobilityTick))
-        {
-            let Reverse(ev) = self.queue.pop().expect("peeked event vanished");
-            self.time = ev.time;
-            self.dispatch(ev.kind);
-            return true;
-        }
-        // The epoch window is `[first, first + lookahead)`, capped at the
-        // deadline (inclusive bound, whole microseconds). Every delivery
-        // inside it is already queued — transmissions during the epoch
-        // land at least `lookahead` ahead — so the only events that can
-        // still appear inside the window are timers armed during the walk.
-        let epoch_last =
-            (first.0 + SimDuration::from_micros(lookahead.as_micros() - 1)).min(deadline);
-        // Exclusive upper bound of the epoch as a `(time, seq)` key: a
-        // mobility tick inside the window barriers the epoch early.
-        let mut cutoff = (epoch_last, u64::MAX);
-        let mut epoch: Vec<EpochEvent> = Vec::new();
-        while let Some((key, is_frame)) = self.peek_key() {
-            if key.0 > epoch_last {
-                break;
-            }
-            if is_frame {
-                let Reverse(fe) = self.frame_queue.pop().expect("peeked frame event vanished");
-                // The serial dispatcher's batch prologue, run at assembly:
-                // close the batch to joins and detach its storage. (No
-                // same-instant frame can still arrive — it would need to be
-                // sent less than `lookahead` ago.) The slab index stays
-                // reserved until the walk passes this event, so slabs are
-                // reused at exactly the serial points.
-                if let Some(st) = self.open_instants.get_mut(&fe.time) {
-                    st.open_batches -= 1;
-                    if st.open_batches == 0 {
-                        self.open_instants.remove(&fe.time);
-                    }
-                }
-                let batch = std::mem::take(&mut self.batches[fe.batch as usize]);
-                let to = NodeId(fe.to);
-                let slot = &mut self.slots[to.index()];
-                let pos = slot
-                    .pending_batches
-                    .iter()
-                    .position(|&(_, b)| b == fe.batch)
-                    .expect("assembled batch not pending on its receiver");
-                slot.pending_batches.swap_remove(pos);
-                epoch.push(EpochEvent {
-                    time: fe.time,
-                    seq: fe.seq,
-                    node: to,
-                    content: Some(EpochContent::Batch { slab: fe.batch, batch }),
-                });
-            } else {
-                if matches!(self.queue.peek(), Some(Reverse(ev)) if matches!(ev.kind, EventKind::MobilityTick))
-                {
-                    // The tick stays queued: it ends this epoch's intake
-                    // and fences off any timer that would fire at or after
-                    // it.
-                    cutoff = key;
-                    break;
-                }
-                let Reverse(ev) = self.queue.pop().expect("peeked event vanished");
-                let node = match &ev.kind {
-                    EventKind::Start { node } | EventKind::Timer { node, .. } => *node,
-                    EventKind::Deliver { to, .. } => *to,
-                    EventKind::MobilityTick => unreachable!("handled above"),
-                };
-                epoch.push(EpochEvent {
-                    time: ev.time,
-                    seq: ev.seq,
-                    node,
-                    content: Some(EpochContent::Kind(ev.kind)),
-                });
-            }
-        }
-        // Phase A: loan every eligible node — first callback RNG-free —
-        // with its event slice to the shard workers. Small epochs skip the
-        // round trip; the walk below then runs everything live, which *is*
-        // the serial semantics.
-        let epoch_base = self.seq;
-        let mut replay: BTreeMap<u32, NodeReplay> = BTreeMap::new();
-        if epoch.len() >= PARALLEL_EPOCH_THRESHOLD {
-            // `None` marks a node checked and found ineligible.
-            let mut units: BTreeMap<u32, Option<WorkUnit>> = BTreeMap::new();
-            for ev in &mut epoch {
-                let nid = ev.node.0;
-                let slots = &mut self.slots;
-                let entry = units.entry(nid).or_insert_with(|| {
-                    let class = class_of(ev.content.as_ref().expect("content taken at assembly"));
-                    let slot = &mut slots[nid as usize];
-                    if !slot.app.rng_free(class) {
-                        return None;
-                    }
-                    let app = std::mem::replace(&mut slot.app, Box::new(ParkedApp));
-                    let log = std::mem::take(&mut slot.log);
-                    Some(WorkUnit {
-                        node: ev.node,
-                        slot: WorkSlot { app, log, last_rx: slot.last_rx, alive: slot.alive },
-                        events: VecDeque::new(),
-                    })
-                });
-                if let Some(unit) = entry {
-                    let kind = match ev.content.take().expect("epoch event loaned twice") {
-                        EpochContent::Kind(EventKind::Start { .. }) => WorkKind::Start,
-                        EpochContent::Kind(EventKind::Timer { token, .. }) => {
-                            WorkKind::Timer(token)
-                        }
-                        EpochContent::Kind(EventKind::Deliver { from, payload, .. }) => {
-                            WorkKind::Deliver { from, payload }
-                        }
-                        EpochContent::Kind(EventKind::MobilityTick) => {
-                            unreachable!("mobility ticks never enter an epoch")
-                        }
-                        EpochContent::Batch { slab, batch } => WorkKind::Batch { slab, batch },
-                    };
-                    unit.events.push_back(WorkEvent { time: ev.time, seq: ev.seq, kind });
-                }
-            }
-            // Partition along grid cells: co-located nodes land on one
-            // worker, so a burst's receivers (decoding the same shared
-            // payload bytes) stay together.
-            let mut packages: Vec<Vec<WorkUnit>> = (0..shards.len()).map(|_| Vec::new()).collect();
-            let mut sent_units = 0usize;
-            for unit in units.into_values().flatten() {
-                packages[self.grid.shard_of(unit.node.0, shards.len())].push(unit);
-                sent_units += 1;
-            }
-            for (shard, units) in packages.into_iter().enumerate() {
-                if units.is_empty() {
-                    continue;
-                }
-                let pkg = ShardPackage {
-                    units,
-                    epoch_base,
-                    cutoff,
-                    collision_window: self.radio.collision_window,
-                };
-                shards[shard].send(pkg).expect("shard worker died");
-            }
-            for _ in 0..sent_units {
-                let r = results.recv().expect("shard worker died");
-                let slot = &mut self.slots[r.node.index()];
-                slot.app = r.slot.app;
-                slot.log = r.slot.log;
-                slot.last_rx = r.slot.last_rx;
-                self.stats.node_mut(r.node).received += r.received;
-                self.stats.lost_collision += r.lost_collision;
-                replay.insert(
-                    r.node.0,
-                    NodeReplay { outcomes: r.outcomes, unprocessed: r.unprocessed },
-                );
-            }
-        }
-        // Phase B: the serial spine. Walk the epoch merged with the timers
-        // the walk itself creates, in strict global `(time, seq)` order.
-        // Recorded outcomes execute at their exact position — sequence
-        // numbers, fan-out randomness and statistics are produced in
-        // precisely the serial order — and everything else dispatches
-        // live.
-        let mut next = 0usize;
-        while !self.halted {
-            let from_epoch = epoch.get(next).map(|e| (e.time, e.seq));
-            let from_queue =
-                self.queue.peek().map(|Reverse(ev)| (ev.time, ev.seq)).filter(|&k| k < cutoff);
-            let take_queue = match (from_epoch, from_queue) {
-                (None, None) => break,
-                (Some(_), None) => false,
-                (None, Some(_)) => true,
-                (Some(e), Some(q)) => q < e,
-            };
-            if take_queue {
-                let Reverse(ev) = self.queue.pop().expect("peeked event vanished");
-                self.time = ev.time;
-                let node = match &ev.kind {
-                    EventKind::Start { node } | EventKind::Timer { node, .. } => *node,
-                    EventKind::Deliver { to, .. } => *to,
-                    EventKind::MobilityTick => unreachable!("ticks are fenced off by the cutoff"),
-                };
-                match replay.get_mut(&node.0) {
-                    // A timer the worker already ran — it was armed and
-                    // fired inside the epoch on the worker's stand-in
-                    // queue. Its outcome replays here; the pop consumed
-                    // the event.
-                    Some(r) if !r.outcomes.is_empty() => {
-                        let mut out = r.outcomes.pop_front().expect("checked non-empty");
-                        debug_assert_eq!(out.time, ev.time);
-                        debug_assert!(
-                            out.seq >= epoch_base,
-                            "replayed a created timer against an original event"
-                        );
-                        debug_assert!(out.batch.is_none());
-                        self.execute(node, &mut out.commands);
-                    }
-                    _ => self.dispatch(ev.kind),
-                }
-            } else {
-                let ev = &mut epoch[next];
-                next += 1;
-                let (time, seq, node) = (ev.time, ev.seq, ev.node);
-                let content = ev.content.take();
-                self.time = time;
-                match content {
-                    Some(EpochContent::Kind(kind)) => self.dispatch(kind),
-                    Some(EpochContent::Batch { slab, batch }) => {
-                        self.dispatch_batch_tail(node, slab, batch)
-                    }
-                    None => {
-                        let r = replay.get_mut(&node.0).expect("loaned node lost its replay state");
-                        if let Some(mut out) = r.outcomes.pop_front() {
-                            debug_assert_eq!((out.time, out.seq), (time, seq));
-                            let parked = out.batch.take();
-                            self.execute(node, &mut out.commands);
-                            // The slab recycles after the commands run —
-                            // exactly where the serial dispatcher frees it.
-                            if let Some((slab, mut batch)) = parked {
-                                batch.clear();
-                                self.batches[slab as usize] = batch;
-                                self.free_batches.push(slab);
-                            }
-                        } else {
-                            // The worker parked this node here; from this
-                            // event on everything dispatches live.
-                            let we = r.unprocessed.pop_front().expect("worker dropped an event");
-                            debug_assert_eq!((we.time, we.seq), (time, seq));
-                            match we.kind {
-                                WorkKind::Start => self.dispatch(EventKind::Start { node }),
-                                WorkKind::Timer(token) => {
-                                    self.dispatch(EventKind::Timer { node, token })
-                                }
-                                WorkKind::Deliver { from, payload } => {
-                                    self.dispatch(EventKind::Deliver { to: node, from, payload })
-                                }
-                                WorkKind::Batch { slab, batch } => {
-                                    self.dispatch_batch_tail(node, slab, batch)
-                                }
-                            }
-                        }
-                    }
+    /// The earliest pending `(time, seq)` key across both heaps, and
+    /// whether it belongs to the frame heap.
+    fn peek_key(&self) -> Option<((SimTime, u64), bool)> {
+        let control = self.queue.peek().map(|Reverse(ev)| (ev.time, ev.seq));
+        let frame = self.frame_queue.peek().map(|Reverse(fe)| (fe.time, fe.seq));
+        match (control, frame) {
+            (None, None) => None,
+            (Some(c), None) => Some((c, false)),
+            (None, Some(f)) => Some((f, true)),
+            (Some(c), Some(f)) => {
+                if f < c {
+                    Some((f, true))
+                } else {
+                    Some((c, false))
                 }
             }
         }
-        debug_assert!(
-            self.halted
-                || replay.values().all(|r| r.outcomes.is_empty() && r.unprocessed.is_empty()),
-            "epoch walk left replay state unconsumed"
-        );
-        true
     }
 
     /// Runs for `span` of simulated time from the current instant.
@@ -1174,7 +803,7 @@ impl Simulator {
                 self.open_instants.remove(&fe.time);
             }
         }
-        let batch = std::mem::take(&mut self.batches[fe.batch as usize]);
+        let mut batch = std::mem::take(&mut self.batches[fe.batch as usize]);
         let slot = &mut self.slots[to.index()];
         let pos = slot
             .pending_batches
@@ -1182,14 +811,6 @@ impl Simulator {
             .position(|&(_, b)| b == fe.batch)
             .expect("dispatched batch not pending on its receiver");
         slot.pending_batches.swap_remove(pos);
-        self.dispatch_batch_tail(to, fe.batch, batch);
-    }
-
-    /// Admission, callback and slab recycling for one detached batch: the
-    /// tail of [`Simulator::dispatch_batch`], shared with the sharded walk
-    /// (which runs the prologue at epoch assembly).
-    fn dispatch_batch_tail(&mut self, to: NodeId, slab: u32, mut batch: FrameBatch) {
-        let slot = &mut self.slots[to.index()];
         if !slot.alive {
             batch.clear();
         } else {
@@ -1214,8 +835,8 @@ impl Simulator {
             self.run_callback(to, |app, ctx| app.on_receive_batch(ctx, &mut batch));
         }
         batch.clear();
-        self.batches[slab as usize] = batch;
-        self.free_batches.push(slab);
+        self.batches[fe.batch as usize] = batch;
+        self.free_batches.push(fe.batch);
     }
 
     fn run_callback(
@@ -1353,305 +974,6 @@ impl Simulator {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Sharded execution: conservative-lookahead epochs over grid-partitioned
-// node shards.
-//
-// The radio's minimum delivery delay (`RadioConfig::base_delay`; jitter and
-// channel-model extras only ever add to it) is a lookahead guarantee: no
-// frame transmitted at or after `T` can arrive before `T + base_delay`.
-// Every delivery inside the window `[T, T + base_delay)` is therefore
-// already queued when the window opens; the only events a callback can
-// still create inside it are its own timers. That makes the window an
-// *epoch* whose events may run ahead of the serial spine:
-//
-//   Phase A (parallel)  Eligible nodes are loaned — application, log,
-//     admission state — to workers, partitioned along spatial-grid cells.
-//     Each worker runs its nodes' callbacks with an RNG-less `Context`,
-//     recording each callback's commands. A node stays eligible while its
-//     `Application::rng_free` classification holds for the next event's
-//     class; the first non-RNG-free event parks the node and the rest of
-//     its slice returns unprocessed.
-//   Phase B (serial)    The main thread walks the epoch in global
-//     `(time, seq)` order, merged with timers the walk itself schedules.
-//     Events the worker ran replay their recorded commands at the exact
-//     serial position — sequence numbers, fan-out randomness, statistics
-//     and slab reuse all happen in precisely the serial order — and
-//     everything else dispatches live with full RNG access.
-//
-// Mobility ticks draw from the global stream for every node, so each runs
-// alone as a serial barrier between epochs. `Halt` ends the walk at the
-// halting event exactly like the serial loop; parked later work in the
-// same epoch is dropped, observably identical because the run ends there.
-
-/// Minimum epoch size (in events) worth a worker round trip. Below this
-/// the sharded loop keeps the whole epoch on the main thread — which is
-/// exactly the serial semantics.
-const PARALLEL_EPOCH_THRESHOLD: usize = 8;
-
-/// A node's engine-owned callback state, on loan to a worker for one
-/// epoch.
-struct WorkSlot {
-    app: Box<dyn Application>,
-    log: LogBuffer,
-    last_rx: Option<SimTime>,
-    alive: bool,
-}
-
-/// One epoch event, detached from the heaps and shipped to a worker.
-struct WorkEvent {
-    time: SimTime,
-    seq: u64,
-    kind: WorkKind,
-}
-
-enum WorkKind {
-    Start,
-    Timer(TimerToken),
-    Deliver {
-        from: NodeId,
-        payload: Bytes,
-    },
-    /// A coalesced delivery; `slab` is the engine slab index the batch
-    /// storage recycles into once the walk passes the event.
-    Batch {
-        slab: u32,
-        batch: FrameBatch,
-    },
-}
-
-impl PartialEq for WorkEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for WorkEvent {}
-impl PartialOrd for WorkEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for WorkEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// Everything one worker needs for one node's epoch slice.
-struct WorkUnit {
-    node: NodeId,
-    slot: WorkSlot,
-    events: VecDeque<WorkEvent>,
-}
-
-/// One shard's epoch of work.
-struct ShardPackage {
-    units: Vec<WorkUnit>,
-    /// `Simulator::seq` at epoch start. Pseudo sequence numbers for timers
-    /// created inside the epoch count up from here, which orders them
-    /// after every already-queued event — the same relative position their
-    /// real sequence numbers take when Phase B re-executes the `SetTimer`
-    /// commands.
-    epoch_base: u64,
-    /// Exclusive `(time, seq)` upper bound of the epoch: the mobility-tick
-    /// barrier when one falls inside the lookahead window, the window end
-    /// with an unreachable sequence otherwise.
-    cutoff: (SimTime, u64),
-    collision_window: Option<SimDuration>,
-}
-
-/// What one processed event produced on a worker.
-struct Outcome {
-    time: SimTime,
-    seq: u64,
-    commands: Vec<Command>,
-    /// The storage of a processed [`WorkKind::Batch`], returned for
-    /// recycling into the engine slab.
-    batch: Option<(u32, FrameBatch)>,
-}
-
-/// One node's state and outcomes coming back from a worker.
-struct WorkResult {
-    node: NodeId,
-    slot: WorkSlot,
-    /// Outcomes of the processed prefix, in the node's event order.
-    outcomes: VecDeque<Outcome>,
-    /// The unprocessed suffix, starting at the first event whose class the
-    /// application does not declare RNG-free. Phase B dispatches these
-    /// live.
-    unprocessed: VecDeque<WorkEvent>,
-    received: u64,
-    lost_collision: u64,
-}
-
-/// Replay state for one loaned node during the Phase B walk.
-struct NodeReplay {
-    outcomes: VecDeque<Outcome>,
-    unprocessed: VecDeque<WorkEvent>,
-}
-
-/// Placeholder parked in a slot while the real application is on loan.
-/// Never invoked: every event for the node inside the epoch travels with
-/// the loan, and the accessors cannot run while `run_until` holds
-/// `&mut Simulator`.
-struct ParkedApp;
-
-impl Application for ParkedApp {}
-
-/// One epoch event on the main thread.
-struct EpochEvent {
-    time: SimTime,
-    seq: u64,
-    node: NodeId,
-    /// `None` once the content was loaned to a worker.
-    content: Option<EpochContent>,
-}
-
-enum EpochContent {
-    Kind(EventKind),
-    Batch { slab: u32, batch: FrameBatch },
-}
-
-fn class_of(content: &EpochContent) -> CallbackClass {
-    match content {
-        EpochContent::Kind(EventKind::Start { .. }) => CallbackClass::Start,
-        EpochContent::Kind(EventKind::Timer { .. }) => CallbackClass::Timer,
-        EpochContent::Kind(EventKind::Deliver { .. }) | EpochContent::Batch { .. } => {
-            CallbackClass::Receive
-        }
-        EpochContent::Kind(EventKind::MobilityTick) => {
-            unreachable!("mobility ticks never enter an epoch")
-        }
-    }
-}
-
-/// Runs one node's epoch slice on a worker thread: the serial
-/// dispatcher's admission rules and callbacks, verbatim, against the
-/// node's loaned state — with an RNG-less context, so a misclassified
-/// draw panics instead of silently desynchronizing the replay.
-fn run_unit(
-    unit: WorkUnit,
-    epoch_base: u64,
-    cutoff: (SimTime, u64),
-    window: Option<SimDuration>,
-) -> WorkResult {
-    let WorkUnit { node, mut slot, mut events } = unit;
-    let mut outcomes = VecDeque::new();
-    // Timers armed inside the epoch fire inside it; this heap is the
-    // worker's stand-in for the main event queue.
-    let mut created: BinaryHeap<Reverse<WorkEvent>> = BinaryHeap::new();
-    let mut pseudo_seq = epoch_base;
-    let mut received = 0u64;
-    let mut lost_collision = 0u64;
-    loop {
-        let take_created = match (events.front(), created.peek()) {
-            (None, None) => break,
-            (Some(_), None) => false,
-            (None, Some(_)) => true,
-            (Some(e), Some(Reverse(c))) => (c.time, c.seq) < (e.time, e.seq),
-        };
-        let class = if take_created {
-            CallbackClass::Timer
-        } else {
-            match &events.front().expect("checked non-empty").kind {
-                WorkKind::Start => CallbackClass::Start,
-                WorkKind::Timer(_) => CallbackClass::Timer,
-                WorkKind::Deliver { .. } | WorkKind::Batch { .. } => CallbackClass::Receive,
-            }
-        };
-        if !slot.app.rng_free(class) {
-            // Park the node before touching anything: Phase B replays the
-            // processed prefix, then dispatches everything from here on
-            // live. Pending created timers are dropped — replaying the
-            // commands that armed them re-schedules each at its real
-            // global position.
-            break;
-        }
-        let ev = if take_created {
-            created.pop().expect("checked non-empty").0
-        } else {
-            events.pop_front().expect("checked non-empty")
-        };
-        let mut commands = Vec::new();
-        let mut batch_storage = None;
-        match ev.kind {
-            WorkKind::Start => {
-                if slot.alive {
-                    let mut ctx =
-                        Context::new_rng_free(node, ev.time, &mut slot.log, &mut commands);
-                    slot.app.on_start(&mut ctx);
-                }
-            }
-            WorkKind::Timer(token) => {
-                if slot.alive {
-                    let mut ctx =
-                        Context::new_rng_free(node, ev.time, &mut slot.log, &mut commands);
-                    slot.app.on_timer(&mut ctx, token);
-                }
-            }
-            WorkKind::Deliver { from, payload } => 'deliver: {
-                if !slot.alive {
-                    break 'deliver;
-                }
-                if let Some(w) = window {
-                    if let Some(last) = slot.last_rx {
-                        if ev.time.saturating_since(last) < w {
-                            lost_collision += 1;
-                            break 'deliver;
-                        }
-                    }
-                }
-                slot.last_rx = Some(ev.time);
-                received += 1;
-                let mut ctx = Context::new_rng_free(node, ev.time, &mut slot.log, &mut commands);
-                slot.app.on_receive(&mut ctx, from, payload);
-            }
-            WorkKind::Batch { slab, mut batch } => {
-                if !slot.alive {
-                    batch.clear();
-                } else {
-                    let time = ev.time;
-                    let last_rx = &mut slot.last_rx;
-                    batch.retain(|_| {
-                        if let Some(w) = window {
-                            if let Some(last) = *last_rx {
-                                if time.saturating_since(last) < w {
-                                    lost_collision += 1;
-                                    return false;
-                                }
-                            }
-                        }
-                        *last_rx = Some(time);
-                        received += 1;
-                        true
-                    });
-                }
-                if !batch.is_empty() {
-                    let mut ctx =
-                        Context::new_rng_free(node, ev.time, &mut slot.log, &mut commands);
-                    slot.app.on_receive_batch(&mut ctx, &mut batch);
-                }
-                batch_storage = Some((slab, batch));
-            }
-        }
-        for cmd in &commands {
-            if let Command::SetTimer { delay, token } = cmd {
-                let at = ev.time + *delay;
-                if (at, pseudo_seq) < cutoff {
-                    created.push(Reverse(WorkEvent {
-                        time: at,
-                        seq: pseudo_seq,
-                        kind: WorkKind::Timer(*token),
-                    }));
-                }
-                pseudo_seq += 1;
-            }
-        }
-        outcomes.push_back(Outcome { time: ev.time, seq: ev.seq, commands, batch: batch_storage });
-    }
-    WorkResult { node, slot, outcomes, unprocessed: events, received, lost_collision }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1670,10 +992,6 @@ mod tests {
     }
 
     impl Application for Chatter {
-        fn rng_free(&self, _class: CallbackClass) -> bool {
-            true // set_timer / broadcast / log only — no draws anywhere
-        }
-
         fn on_start(&mut self, ctx: &mut Context<'_>) {
             for i in 0..self.to_send {
                 ctx.set_timer(SimDuration::from_millis(10 * (i as u64 + 1)), TimerToken(i as u64));
@@ -2031,210 +1349,5 @@ mod tests {
         // 3 broadcasts of "msg-N" (5 bytes each).
         assert_eq!(sim.stats().node(a).broadcasts_sent, 3);
         assert_eq!(sim.stats().node(a).bytes_sent, 15);
-    }
-
-    /// Runs `script` against identically-configured simulators — serial
-    /// and sharded at several worker counts — and asserts logs, stats and
-    /// reception traces are byte-identical. The sharded-engine analogue of
-    /// [`assert_scan_modes_agree`].
-    fn assert_execution_modes_agree(seed: u64, script: impl Fn(&mut Simulator)) {
-        let fingerprint = |mode: ExecutionMode| {
-            let mut sim = SimulatorBuilder::new(seed)
-                .arena(Arena::new(600.0, 600.0))
-                .radio(RadioConfig::unit_disk(150.0).with_loss(0.2))
-                .mobility_tick(SimDuration::from_millis(100))
-                .execution_mode(mode)
-                .build();
-            script(&mut sim);
-            let mut out = format!("{:?}\n", sim.stats());
-            for id in sim.node_ids().collect::<Vec<_>>() {
-                for (at, line) in sim.log(id).entries() {
-                    out.push_str(&format!("{id} {at:?} {line}\n"));
-                }
-                out.push_str(&format!(
-                    "{id} rx={:?}\n",
-                    sim.app_as::<Chatter>(id).map(|c| &c.received)
-                ));
-            }
-            out
-        };
-        let serial = fingerprint(ExecutionMode::Serial);
-        for workers in [1, 2, 4] {
-            assert_eq!(
-                serial,
-                fingerprint(ExecutionMode::Sharded { workers }),
-                "seed {seed} workers {workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn execution_mode_defaults_to_serial() {
-        let sim = SimulatorBuilder::new(1).build();
-        assert_eq!(sim.execution_mode(), ExecutionMode::Serial);
-        let sim =
-            SimulatorBuilder::new(1).execution_mode(ExecutionMode::Sharded { workers: 4 }).build();
-        assert_eq!(sim.execution_mode(), ExecutionMode::Sharded { workers: 4 });
-    }
-
-    #[test]
-    fn sharded_matches_serial_for_stationary_mesh() {
-        for seed in [1, 2, 3] {
-            assert_execution_modes_agree(seed, |sim| {
-                for i in 0..24 {
-                    let x = f64::from(i % 6) * 90.0;
-                    let y = f64::from(i / 6) * 90.0;
-                    sim.add_node(Box::new(Chatter::new(4)), Position::new(x, y));
-                }
-                sim.run_for(SimDuration::from_secs(2));
-            });
-        }
-    }
-
-    #[test]
-    fn sharded_matches_serial_under_mobility_and_churn() {
-        for seed in [7, 8] {
-            assert_execution_modes_agree(seed, |sim| {
-                for i in 0..16u32 {
-                    sim.add_mobile_node(
-                        Box::new(Chatter::new(6)),
-                        Position::new(f64::from(i) * 35.0, f64::from(i % 4) * 120.0),
-                        MobilityModel::RandomWaypoint {
-                            speed_min: 20.0,
-                            speed_max: 60.0,
-                            pause: SimDuration::from_millis(200),
-                        },
-                    );
-                }
-                sim.run_for(SimDuration::from_millis(400));
-                sim.kill(NodeId(3));
-                sim.run_for(SimDuration::from_millis(400));
-                sim.revive(NodeId(3));
-                sim.inject_broadcast(NodeId(3), Bytes::from_static(b"back"));
-                sim.run_for(SimDuration::from_secs(2));
-            });
-        }
-    }
-
-    /// Re-arms a timer shorter than the lookahead window, so epochs keep
-    /// growing timers that were created *inside* them — the worker's
-    /// stand-in queue and the Phase B merge both get exercised.
-    struct Burster {
-        fired: u64,
-    }
-
-    impl Application for Burster {
-        fn rng_free(&self, _class: CallbackClass) -> bool {
-            true
-        }
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            ctx.set_timer(SimDuration::from_micros(300), TimerToken(0));
-        }
-        fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerToken) {
-            self.fired += 1;
-            ctx.log(LogRecord::TcTx { ansn: self.fired as u16, advertised: vec![] });
-            if self.fired.is_multiple_of(3) {
-                ctx.broadcast(Bytes::from_static(b"burst"));
-            }
-            if self.fired < 40 {
-                ctx.set_timer(SimDuration::from_micros(300), TimerToken(0));
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_matches_serial_with_in_epoch_timers() {
-        for seed in [11, 12] {
-            assert_execution_modes_agree(seed, |sim| {
-                for i in 0..12 {
-                    let x = f64::from(i % 4) * 100.0;
-                    let y = f64::from(i / 4) * 100.0;
-                    sim.add_node(Box::new(Burster { fired: 0 }), Position::new(x, y));
-                }
-                sim.run_for(SimDuration::from_millis(50));
-            });
-        }
-    }
-
-    #[test]
-    fn sharded_parks_rng_drawing_callbacks() {
-        use rand::RngExt;
-
-        /// Draws from the global stream on every reception; `rng_free`
-        /// stays the default `false`, so the sharded walk must park the
-        /// node and dispatch its deliveries live, in serial draw order.
-        struct Roller {
-            rolls: Vec<u64>,
-        }
-
-        impl Application for Roller {
-            fn on_receive(&mut self, ctx: &mut Context<'_>, _from: NodeId, _payload: Bytes) {
-                let v = ctx.rng().random_range(0..1_000_000u64);
-                self.rolls.push(v);
-                ctx.log(LogRecord::TcTx { ansn: (v % 1000) as u16, advertised: vec![] });
-            }
-        }
-
-        let fingerprint = |mode: ExecutionMode| {
-            let mut sim = SimulatorBuilder::new(21)
-                .arena(Arena::new(600.0, 600.0))
-                .radio(RadioConfig::unit_disk(200.0).with_loss(0.1))
-                .execution_mode(mode)
-                .build();
-            for i in 0..12 {
-                let x = f64::from(i % 4) * 90.0;
-                let y = f64::from(i / 4) * 90.0;
-                sim.add_node(Box::new(Chatter::new(5)), Position::new(x, y));
-            }
-            for i in 0..4 {
-                sim.add_node(
-                    Box::new(Roller { rolls: Vec::new() }),
-                    Position::new(f64::from(i) * 90.0, 270.0),
-                );
-            }
-            sim.run_for(SimDuration::from_secs(1));
-            let mut out = format!("{:?}\n", sim.stats());
-            for id in sim.node_ids().collect::<Vec<_>>() {
-                if let Some(r) = sim.app_as::<Roller>(id) {
-                    out.push_str(&format!("{id} rolls={:?}\n", r.rolls));
-                }
-                for (at, line) in sim.log(id).entries() {
-                    out.push_str(&format!("{id} {at:?} {line}\n"));
-                }
-            }
-            out
-        };
-        let serial = fingerprint(ExecutionMode::Serial);
-        for workers in [1, 2, 4] {
-            assert_eq!(
-                serial,
-                fingerprint(ExecutionMode::Sharded { workers }),
-                "workers {workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_with_zero_base_delay_falls_back_to_serial() {
-        let mut radio = RadioConfig::unit_disk(250.0);
-        radio.base_delay = SimDuration::ZERO;
-        radio.jitter = SimDuration::ZERO;
-        let run = |mode: ExecutionMode| {
-            let mut sim = SimulatorBuilder::new(2)
-                .radio(radio.clone())
-                .arena(Arena::new(10_000.0, 1_000.0))
-                .execution_mode(mode)
-                .build();
-            let _a = sim.add_node(Box::new(Chatter::new(3)), Position::new(0.0, 0.0));
-            let b = sim.add_node(Box::new(Chatter::new(0)), Position::new(100.0, 0.0));
-            sim.run_for(SimDuration::from_secs(1));
-            sim.app_as::<Chatter>(b)
-                .unwrap()
-                .received
-                .iter()
-                .map(|(t, f, p)| (t.as_micros(), f.0, p.clone()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(ExecutionMode::Serial), run(ExecutionMode::Sharded { workers: 4 }));
     }
 }

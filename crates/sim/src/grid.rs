@@ -168,24 +168,6 @@ impl SpatialGrid {
         self.node_cell[index as usize] = new as u32;
     }
 
-    /// The worker shard node `index` belongs to, for the sharded execution
-    /// mode: its current grid cell modulo the shard count, so co-located
-    /// nodes — the receivers of any one burst — land on the same worker.
-    /// Mobility rebalances for free: [`SpatialGrid::update`] moves the
-    /// node's cell, and with it the shard the next epoch assigns.
-    ///
-    /// Unindexed nodes (linear scan mode never inserts; dead nodes are
-    /// removed, though those receive no work anyway) fall back to a plain
-    /// round-robin over the node index.
-    pub(crate) fn shard_of(&self, index: u32, shards: usize) -> usize {
-        let cell = self.node_cell.get(index as usize).copied().unwrap_or(NOT_IN_GRID);
-        if cell == NOT_IN_GRID {
-            index as usize % shards
-        } else {
-            cell as usize % shards
-        }
-    }
-
     /// Appends to `out` the index of every indexed node within `range`
     /// metres of `pos` (inclusive), by walking the 3×3 cell neighborhood.
     /// `range` must not exceed the radio range the grid was sized for, or

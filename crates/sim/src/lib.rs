@@ -67,7 +67,7 @@ pub mod topologies;
 
 /// Convenient glob-import of the types needed to write and run applications.
 pub mod prelude {
-    pub use crate::engine::{DeliveryMode, ExecutionMode, ScanMode, Simulator, SimulatorBuilder};
+    pub use crate::engine::{DeliveryMode, ScanMode, Simulator, SimulatorBuilder};
     pub use crate::mobility::{Arena, MobilityModel, Position};
     pub use crate::node::{
         Application, CallbackClass, Context, FrameBatch, LogBuffer, NodeId, TimerToken,
@@ -83,7 +83,7 @@ pub mod prelude {
     pub use crate::time::{SimDuration, SimTime};
 }
 
-pub use engine::{DeliveryMode, ExecutionMode, ScanMode, Simulator, SimulatorBuilder};
+pub use engine::{DeliveryMode, ScanMode, Simulator, SimulatorBuilder};
 pub use grid::SpatialGrid;
 pub use mobility::{Arena, MobilityModel, Position};
 pub use node::{Application, CallbackClass, Context, FrameBatch, LogBuffer, NodeId, TimerToken};

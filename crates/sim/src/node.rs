@@ -112,9 +112,8 @@ impl fmt::Display for TimerToken {
     }
 }
 
-/// The class of an application callback, used by
-/// [`Application::rng_free`] to declare which callbacks never touch the
-/// simulation-wide RNG.
+/// The class of an application callback, the argument of
+/// [`Application::rng_free`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CallbackClass {
     /// [`Application::on_start`].
@@ -130,24 +129,17 @@ pub enum CallbackClass {
 /// All callbacks receive a [`Context`] used to emit frames, arm timers and
 /// append audit-log lines. Implementations must be `'static` (they are boxed
 /// into the engine) and should be deterministic given the context RNG.
-/// `Send` lets the sharded execution mode move node state to worker
-/// threads; applications hold plain owned data, so this is free.
+/// Applications must be `Send`; they hold plain owned data, so this is
+/// free.
 ///
 /// The supertrait [`Any`] enables downcasting a `dyn Application` back to its
 /// concrete type for post-run inspection, e.g.
 /// `sim.app(id).downcast_ref::<MyApp>()` via trait upcasting.
 pub trait Application: Any + Send {
-    /// Declares that a class of callbacks never calls [`Context::rng`],
-    /// for any input, in any state. The sharded execution mode runs
-    /// RNG-free callbacks on worker threads and replays everything else
-    /// serially at its exact global position, so the single RNG stream is
-    /// drawn in precisely the serial order.
-    ///
-    /// The default — `false` for everything — is always correct: it makes
-    /// the engine treat every callback as potentially RNG-drawing.
-    /// Overriding for a callback that *does* draw is a contract violation
-    /// the engine turns into a panic (see [`Context::rng`]), never a
-    /// silent divergence.
+    /// Declares that a class of callbacks never calls [`Context::rng`].
+    /// No engine path reads it: every callback runs on the one serial
+    /// event loop with full RNG access. It is kept, default-only, for
+    /// wrappers that still forward it.
     fn rng_free(&self, _class: CallbackClass) -> bool {
         false
     }
@@ -252,10 +244,7 @@ pub(crate) enum Command {
 pub struct Context<'a> {
     node: NodeId,
     now: SimTime,
-    /// `None` when the callback declared itself RNG-free
-    /// ([`Application::rng_free`]) and is running on a shard worker; a
-    /// draw then panics instead of silently breaking determinism.
-    rng: Option<&'a mut StdRng>,
+    rng: &'a mut StdRng,
     log: &'a mut LogBuffer,
     commands: &'a mut Vec<Command>,
 }
@@ -268,18 +257,7 @@ impl<'a> Context<'a> {
         log: &'a mut LogBuffer,
         commands: &'a mut Vec<Command>,
     ) -> Self {
-        Context { node, now, rng: Some(rng), log, commands }
-    }
-
-    /// A context whose RNG is inaccessible, for callbacks that declared
-    /// themselves RNG-free and run off the serial spine.
-    pub(crate) fn new_rng_free(
-        node: NodeId,
-        now: SimTime,
-        log: &'a mut LogBuffer,
-        commands: &'a mut Vec<Command>,
-    ) -> Self {
-        Context { node, now, rng: None, log, commands }
+        Context { node, now, rng, log, commands }
     }
 
     /// The identity of the node this callback runs on.
@@ -293,18 +271,8 @@ impl<'a> Context<'a> {
     }
 
     /// The simulation-wide deterministic random number generator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the running callback declared itself RNG-free via
-    /// [`Application::rng_free`] — a misclassification that would
-    /// otherwise silently desynchronize the sharded execution mode from
-    /// the serial oracle.
     pub fn rng(&mut self) -> &mut StdRng {
-        self.rng.as_deref_mut().expect(
-            "Context::rng called from a callback whose Application::rng_free \
-             classification declared it RNG-free",
-        )
+        self.rng
     }
 
     /// Queues a broadcast frame for transmission on the shared medium.

@@ -15,27 +15,43 @@
 //! A second guard pins the `neighbors_in_range_into` query: range queries
 //! into a caller-owned buffer must not allocate either.
 //!
-//! The counter is process-wide, so the guards take [`LOCK`] for their
-//! whole body: under the default parallel test runner, one guard's
-//! measurement window would otherwise count the other's allocations.
+//! The counter is per thread: each guard measures only the allocations
+//! its own thread makes, so neither the other guard nor the test
+//! harness's threads can leak into a measurement window.
 #![allow(unsafe_code)] // the counting global allocator is the whole point
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::cell::Cell;
 
 use bytes::Bytes;
 use trustlink_sim::prelude::*;
 use trustlink_sim::{topologies, Application, TimerToken};
 
 struct Counting;
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: pure pass-through to `System` plus a relaxed counter bump;
+thread_local! {
+    /// Allocator calls made by this thread. `const`-initialised with no
+    /// destructor, so bumping it from inside the allocator never
+    /// allocates or registers anything itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocator call on the current thread. `try_with` skips
+/// calls made while the thread is being torn down.
+fn bump() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocator calls made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: pure pass-through to `System` plus a thread-local counter bump;
 // every allocator contract obligation is `System`'s own.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         // SAFETY: caller upholds `alloc`'s contract; forwarded unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -46,7 +62,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         // SAFETY: caller upholds `realloc`'s contract; forwarded unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -54,15 +70,6 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static COUNTER: Counting = Counting;
-
-/// Serialises the guards in this file (see the module docs).
-static LOCK: Mutex<()> = Mutex::new(());
-
-/// Takes [`LOCK`], shrugging off poisoning: a guard that failed already
-/// reported its own failure.
-fn exclusive() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 const TICK: TimerToken = TimerToken(1);
 
@@ -91,7 +98,6 @@ impl Application for Beacon {
 
 #[test]
 fn steady_state_batched_delivery_allocates_nothing() {
-    let _serial = exclusive();
     let n = 256;
     let arena = topologies::arena_for_mean_degree(n, 150.0, 10.0);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
@@ -112,9 +118,9 @@ fn steady_state_batched_delivery_allocates_nothing() {
     sim.run_for(SimDuration::from_secs(5));
     let delivered_before: u64 = (0..n).map(|i| sim.stats().node(NodeId(i as u32)).received).sum();
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     sim.run_for(SimDuration::from_secs(5));
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    let during = allocs() - before;
 
     let delivered: u64 =
         (0..n).map(|i| sim.stats().node(NodeId(i as u32)).received).sum::<u64>() - delivered_before;
@@ -131,7 +137,6 @@ fn steady_state_batched_delivery_allocates_nothing() {
 
 #[test]
 fn neighbor_queries_into_a_buffer_allocate_nothing() {
-    let _serial = exclusive();
     let n = 256;
     let arena = topologies::arena_for_mean_degree(n, 150.0, 10.0);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(9);
@@ -154,7 +159,7 @@ fn neighbor_queries_into_a_buffer_allocate_nothing() {
         sim.neighbors_in_range_into(NodeId(i as u32), &mut buf);
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let mut total = 0usize;
     for _ in 0..16 {
         for i in 0..n {
@@ -162,7 +167,7 @@ fn neighbor_queries_into_a_buffer_allocate_nothing() {
             total += buf.len();
         }
     }
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    let during = allocs() - before;
 
     assert!(total > 10_000, "mesh too sparse to be meaningful: {total} neighbor hits");
     assert_eq!(

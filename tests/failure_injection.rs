@@ -26,22 +26,14 @@ fn spoof(fake: u32) -> LinkSpoofing {
 
 /// Every scenario in this suite honours `TRUSTLINK_RECOMPUTE=incremental|eager`
 /// so CI can replay the whole file under both routing-recompute schedules —
-/// failure handling must not depend on recompute cadence. It likewise
-/// honours `TRUSTLINK_WORKERS=<n>` to replay under the sharded event loop:
-/// failure handling must not depend on how the epochs are executed either.
-/// Unset means the builder defaults (incremental, serial).
+/// failure handling must not depend on recompute cadence. Unset means the
+/// builder default (incremental).
 fn scenario(seed: u64, n: usize) -> ScenarioBuilder {
     let builder = ScenarioBuilder::new(seed, n);
-    let builder = match std::env::var("TRUSTLINK_RECOMPUTE").as_deref() {
+    match std::env::var("TRUSTLINK_RECOMPUTE").as_deref() {
         Ok("incremental") => builder.recompute_mode(RecomputeMode::Incremental),
         Ok("eager") => builder.recompute_mode(RecomputeMode::Eager),
         Ok(other) => panic!("TRUSTLINK_RECOMPUTE must be incremental|eager, got `{other}`"),
-        Err(_) => builder,
-    };
-    match std::env::var("TRUSTLINK_WORKERS").as_deref() {
-        Ok(n) => builder.execution_mode(ExecutionMode::Sharded {
-            workers: n.parse().expect("TRUSTLINK_WORKERS must be a positive integer"),
-        }),
         Err(_) => builder,
     }
 }

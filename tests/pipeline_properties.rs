@@ -7,8 +7,8 @@ use trustlink_olsr::logging::{
     from_rlog_line, parse_line, LogRecord, MessageKind, SuppressReason, VerdictKind,
 };
 use trustlink_olsr::message::{
-    HelloMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody, NeighborType, Packet,
-    TcMessage,
+    DataMessage, HelloMessage, HnaMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody,
+    MidMessage, NeighborType, Packet, TcMessage,
 };
 use trustlink_olsr::types::{SequenceNumber, Willingness};
 use trustlink_olsr::wire::{decode_packet, encode_packet};
@@ -185,7 +185,158 @@ fn message() -> impl Strategy<Value = Message> {
         })
 }
 
+/// Wraps one message body into a single-message packet.
+fn packet_of(originator: u32, body: MessageBody) -> Packet {
+    Packet {
+        seq: SequenceNumber(7),
+        messages: vec![Message {
+            vtime: SimDuration::from_secs(6),
+            originator: NodeId(originator),
+            ttl: 255,
+            hop_count: 1,
+            seq: SequenceNumber(40),
+            body,
+        }],
+    }
+}
+
+/// Real encoded frames of every message type, the starting points of the
+/// byte-mutation properties: wide (escaped) ids such as 999 999 in every
+/// address position, a Data `avoid` escape, and one frame carrying
+/// several messages.
+fn seed_frames() -> Vec<bytes::Bytes> {
+    let wide = NodeId(999_999);
+    let hello = MessageBody::Hello(HelloMessage {
+        willingness: Willingness::High,
+        groups: vec![
+            LinkGroup {
+                code: LinkCode::new(LinkType::Sym, NeighborType::Mpr),
+                addrs: vec![NodeId(1), wide],
+            },
+            LinkGroup {
+                code: LinkCode::new(LinkType::Asym, NeighborType::Not),
+                addrs: vec![NodeId(9)],
+            },
+        ],
+    });
+    let tc = MessageBody::Tc(TcMessage { ansn: 300, advertised: vec![NodeId(2), wide, NodeId(4)] });
+    let mid = MessageBody::Mid(MidMessage { aliases: vec![wide, NodeId(51)] });
+    let hna = MessageBody::Hna(HnaMessage { networks: vec![(NodeId(100), 24), (wide, 16)] });
+    let data = |avoid| {
+        MessageBody::Data(DataMessage {
+            src: NodeId(3),
+            dst: wide,
+            avoid,
+            payload: bytes::Bytes::from_static(b"VERIFY_LINK N3-N9"),
+        })
+    };
+    let mut frames: Vec<_> = [
+        packet_of(3, hello.clone()),
+        packet_of(999_999, tc.clone()),
+        packet_of(5, mid),
+        packet_of(6, hna),
+        packet_of(0, data(Some(NodeId(0xFFFE)))),
+        packet_of(0, data(Some(wide))),
+        packet_of(0, data(None)),
+    ]
+    .iter()
+    .map(encode_packet)
+    .collect();
+    let mut mixed = packet_of(3, hello);
+    mixed.messages.extend(packet_of(12, tc).messages);
+    frames.push(encode_packet(&mixed));
+    frames
+}
+
+/// One byte-level edit of a frame, with positions taken modulo the
+/// current length.
+fn mutate(buf: &mut Vec<u8>, op: u8, pos: u16, byte: u8) {
+    let pos = usize::from(pos);
+    match op {
+        0 if !buf.is_empty() => {
+            let at = pos % buf.len();
+            buf[at] ^= byte | 1; // a flip always changes the byte
+        }
+        1 => buf.insert(pos % (buf.len() + 1), byte),
+        2 if !buf.is_empty() => {
+            buf.remove(pos % buf.len());
+        }
+        3 => buf.truncate(pos % (buf.len() + 1)),
+        _ => {}
+    }
+}
+
+/// Rewrites the packet length and the first message's size field to match
+/// the buffer, so an edit inside a body is not rejected by the header
+/// length checks alone and reaches the body validators.
+fn reseal(mut buf: Vec<u8>) -> Vec<u8> {
+    if buf.len() >= 8 {
+        let len = buf.len() as u16;
+        buf[0..2].copy_from_slice(&len.to_be_bytes());
+        buf[6..8].copy_from_slice(&(len - 4).to_be_bytes());
+    }
+    buf
+}
+
+/// The decoder's contract on hostile bytes, checked on the mutant as is
+/// and resealed: it returns instead of panicking, and whatever it accepts
+/// re-encodes to a frame that decodes back to the same packet. Returns how
+/// many of the two variants were accepted.
+fn check_decoder_on(buf: Vec<u8>) -> Result<u32, String> {
+    let mut accepted = 0;
+    for candidate in [reseal(buf.clone()), buf] {
+        let Ok(packet) = decode_packet(bytes::Bytes::from(candidate)) else { continue };
+        match decode_packet(encode_packet(&packet)) {
+            Ok(again) if again == packet => accepted += 1,
+            other => {
+                return Err(format!("accepted {packet:?} but its re-encoding decodes to {other:?}"))
+            }
+        }
+    }
+    Ok(accepted)
+}
+
+#[test]
+fn every_single_byte_mutation_of_real_frames_is_handled() {
+    // Deterministic sweep: every position of every seed frame, flipped
+    // three ways, with a byte inserted, deleted and truncated there.
+    // Unlike uniform noise these mutants keep a plausible header, so many
+    // reach the body parsers.
+    let (mut accepted, mut rejected) = (0u32, 0u32);
+    for frame in seed_frames() {
+        for pos in 0..=frame.len() as u16 {
+            for (op, byte) in [(0, 0x01), (0, 0x80), (0, 0xFF), (1, 0xFF), (2, 0), (3, 0)] {
+                let mut buf = frame.to_vec();
+                mutate(&mut buf, op, pos, byte);
+                match check_decoder_on(buf) {
+                    Ok(n) => {
+                        accepted += n;
+                        rejected += 2 - n;
+                    }
+                    Err(e) => panic!("op {op} at {pos}: {e}"),
+                }
+            }
+        }
+    }
+    assert!(accepted > 100, "only {accepted} mutants got past validation");
+    assert!(rejected > 100, "only {rejected} mutants were rejected");
+}
+
 proptest! {
+    #[test]
+    fn mutated_real_frames_never_panic_and_accepted_ones_roundtrip(
+        frame in 0usize..8,
+        edits in proptest::collection::vec((0u8..4, any::<u16>(), any::<u8>()), 1..6),
+    ) {
+        let mut buf = seed_frames()[frame].to_vec();
+        for &(op, pos, byte) in &edits {
+            mutate(&mut buf, op, pos, byte);
+        }
+        if let Err(e) = check_decoder_on(buf) {
+            panic!("frame {frame} after {edits:?}: {e}");
+        }
+    }
+
     #[test]
     fn log_render_parse_roundtrip(record in log_record()) {
         let line = record.to_line();
