@@ -5,7 +5,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use trustlink_olsr::logging::{from_rlog_line, parse_line, LogRecord};
 use trustlink_olsr::message::{
     HelloMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody, NeighborType, Packet,
     TcMessage,
@@ -15,6 +14,7 @@ use trustlink_olsr::routing::RoutingTable;
 use trustlink_olsr::state::{TopologySet, TwoHopSet};
 use trustlink_olsr::types::{SequenceNumber, Willingness};
 use trustlink_olsr::wire::{decode_packet, encode_packet};
+use trustlink_sim::record::{from_rlog_line, parse_line, LogRecord};
 use trustlink_sim::{NodeId, SimDuration, SimTime};
 use trustlink_trust::prelude::*;
 

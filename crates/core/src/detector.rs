@@ -29,7 +29,6 @@ use trustlink_ids::signature::{SignatureEngine, SignatureMatch};
 use trustlink_olsr::hooks::{NoHooks, OlsrHooks};
 use trustlink_olsr::node::OlsrNode;
 use trustlink_olsr::types::OlsrConfig;
-use trustlink_sim::record::LogRecord;
 use trustlink_sim::{Application, Context, NodeId, SimDuration, SimTime, TimerToken};
 use trustlink_trust::aggregate::{
     answered_samples, detection_value, stability_weighted_detection_value,
@@ -356,18 +355,14 @@ impl<H: OlsrHooks> DetectorNode<H> {
         // eager oracle and the incremental mode then feed this detector
         // identical per-batch evidence.
         self.olsr.refresh(ctx);
-        // 1. Tail our own audit log — typed records straight into the
-        // extractor, no text round-trip.
-        let new_records: Vec<(SimTime, LogRecord)> = {
-            let (records, next) = ctx.log_buffer().read_from(self.cursor);
-            let owned = records.to_vec();
-            self.cursor = next;
-            owned
-        };
+        // 1. Tail our own audit log — borrowed typed records straight into
+        // the extractor, no text round-trip.
         let mut events: Vec<DetectionEvent> = Vec::new();
-        for (at, record) in &new_records {
+        let (records, next) = ctx.log_buffer().read_from(self.cursor);
+        for (at, record) in records {
             events.extend(self.extractor.ingest_record(*at, record));
         }
+        self.cursor = next;
         // 2. Periodic checks (E3, TC silence). The silence allowance keys
         // off the scoped emission schedule: under fisheye flooding an MPR
         // legitimately skips 1-hop-audible TC slots when no ring is due
@@ -790,16 +785,16 @@ impl<H: OlsrHooks> DetectorNode<H> {
     fn verify_link(&self, suspect: NodeId, contested: NodeId, now: SimTime) -> Option<bool> {
         let me = self.olsr.id();
         if contested == me {
-            let holds = self.olsr.symmetric_neighbors(now).contains(&suspect);
+            let holds = self.olsr.is_symmetric_neighbor(suspect, now);
             if !holds && self.recently_flapped(suspect, now) {
                 return None; // I just lost that link myself: churn, not spoofing
             }
             return Some(holds);
         }
-        if self.olsr.symmetric_neighbors(now).contains(&contested) {
+        if self.olsr.is_symmetric_neighbor(contested, now) {
             // I hear the contested node's own HELLOs: does *it* claim the
             // suspect as a symmetric neighbor?
-            let claims = self.olsr.two_hop_set().reachable_via(contested, now).contains(&suspect);
+            let claims = self.olsr.two_hop_set().contains(contested, suspect, now);
             if !claims
                 && (self.recently_lost_two_hop(contested, suspect, now)
                     || self.recently_flapped(contested, now))
@@ -809,14 +804,14 @@ impl<H: OlsrHooks> DetectorNode<H> {
             return Some(claims);
         }
         // Corroboration through anyone other than the suspect?
-        let via_other =
-            self.olsr.two_hop_set().vias_for(contested, now).into_iter().any(|v| v != suspect);
-        let in_topology = self
-            .olsr
-            .topology_set()
-            .iter(now)
-            .any(|t| (t.dest == contested && t.last_hop != suspect) || t.last_hop == contested);
-        if !via_other && !in_topology {
+        let via_other = self.olsr.two_hop_set().iter_vias_for(contested, now).any(|v| v != suspect);
+        let in_topology = || {
+            self.olsr
+                .topology_set()
+                .iter(now)
+                .any(|t| (t.dest == contested && t.last_hop != suspect) || t.last_hop == contested)
+        };
+        if !via_other && !in_topology() {
             if self.warmed_up(now) {
                 Some(false) // nobody but the suspect has ever heard of it
             } else {
@@ -877,8 +872,8 @@ impl<H: OlsrHooks> std::fmt::Debug for DetectorNode<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trustlink_olsr::logging::LogRecord;
     use trustlink_olsr::types::Willingness;
+    use trustlink_sim::record::LogRecord;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)

@@ -17,10 +17,10 @@
 //! investigation and are produced by
 //! [`crate::investigation::Investigation`].
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
-use trustlink_olsr::logging::LogRecord;
-use trustlink_olsr::logging::ParseLogError;
+use trustlink_sim::record::LogRecord;
 use trustlink_sim::{NodeId, SimTime};
 
 /// How urgently an event calls for action.
@@ -261,11 +261,24 @@ impl EventExtractor {
                         self.known.insert(*claimed);
                     }
                 }
-                let changed = self.claims.get(from).is_none_or(|prev| prev[..] != sym[..]);
+                // The stored list is rewritten in place, and only when the
+                // claims changed.
+                let changed = match self.claims.entry(*from) {
+                    Entry::Vacant(e) => {
+                        e.insert(sym.to_vec());
+                        true
+                    }
+                    Entry::Occupied(mut e) if e.get()[..] != sym[..] => {
+                        let prev = e.get_mut();
+                        prev.clear();
+                        prev.extend_from_slice(sym);
+                        true
+                    }
+                    Entry::Occupied(_) => false,
+                };
                 if changed {
                     self.claim_changed_at.insert(*from, at);
                 }
-                self.claims.insert(*from, sym.to_vec());
             }
             LogRecord::TcRx { originator, advertised, .. } => {
                 // TC-spoofing heuristic (§III-A: "detection strategy [is]
@@ -332,21 +345,6 @@ impl EventExtractor {
             _ => {}
         }
         events
-    }
-
-    /// Convenience for externally captured text logs: parse a raw line and
-    /// ingest it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ParseLogError`] from the log parser.
-    pub fn ingest_line(
-        &mut self,
-        at: SimTime,
-        line: &str,
-    ) -> Result<Vec<DetectionEvent>, ParseLogError> {
-        let record = trustlink_olsr::logging::parse_line(line)?;
-        Ok(self.ingest_record(at, &record))
     }
 
     /// Periodic sweep for non-event-driven checks (the paper's
@@ -718,19 +716,5 @@ mod tests {
         // A real change updates it.
         ex.ingest_record(t(6), &hello(1, &[2]));
         assert_eq!(ex.claim_changed_at(NodeId(1)), Some(t(6)));
-    }
-
-    #[test]
-    fn ingest_line_parses_and_extracts() {
-        let silence = trustlink_sim::SimDuration::from_secs(1_000);
-        let mut ex = EventExtractor::new();
-        ex.ingest_line(t(0), "MPR_SET mprs=[N1]").unwrap();
-        assert!(ex.tick(t(0), silence).is_empty());
-        assert!(ex.ingest_line(t(1), "MPR_SET mprs=[N2]").unwrap().is_empty());
-        // The replacement surfaces at the slot boundary following the line.
-        let events = ex.tick(t(1), silence);
-        assert_eq!(events.len(), 1);
-        assert!(matches!(events[0], DetectionEvent::MprReplaced { .. }));
-        assert!(ex.ingest_line(t(2), "garbage line").is_err());
     }
 }

@@ -6,10 +6,11 @@
 //!
 //! The detection pipeline, exactly as the paper structures it:
 //!
-//! 1. **Logs** — the OLSR daemon writes text audit lines
-//!    ([`trustlink_olsr::logging`]); nothing else is observed, so "no
-//!    change is requested in the implementation of the node".
-//! 2. **Events** — [`events::EventExtractor`] parses the lines and emits
+//! 1. **Logs** — the OLSR daemon writes typed audit records
+//!    ([`trustlink_sim::record::LogRecord`], rendered as text lines only at
+//!    the edges); nothing else is observed, so "no change is requested in
+//!    the implementation of the node".
+//! 2. **Events** — [`events::EventExtractor`] ingests the records and emits
 //!    the paper's detection events: E1 (MPR replaced), E2 (MPR
 //!    misbehaving), E3 (sole connectivity) locally; E4/E5 arrive later from
 //!    investigations.
@@ -25,18 +26,20 @@
 //!
 //! ```
 //! use trustlink_ids::prelude::*;
+//! use trustlink_sim::record::LogRecord;
 //! use trustlink_sim::{NodeId, SimTime, SimDuration};
 //!
 //! let mut extractor = EventExtractor::new();
 //! let mut engine = SignatureEngine::with_builtin(SimDuration::from_secs(60));
+//! let mpr_set = |id| LogRecord::MprSet { mprs: Box::from([NodeId(id)]) };
 //!
 //! // The detector tails its own audit log, then closes the analysis slot
 //! // (E1 replacement is judged per slot, so transient MPR flaps — and the
 //! // router's recompute scheduling — cannot influence detection):
 //! let t0 = SimTime::from_secs(1);
-//! extractor.ingest_line(t0, "MPR_SET mprs=[N2]").unwrap();
+//! extractor.ingest_record(t0, &mpr_set(2));
 //! extractor.tick(t0, SimDuration::from_secs(600));
-//! extractor.ingest_line(SimTime::from_secs(2), "MPR_SET mprs=[N3]").unwrap();
+//! extractor.ingest_record(SimTime::from_secs(2), &mpr_set(3));
 //! for ev in extractor.tick(SimTime::from_secs(2), SimDuration::from_secs(600)) {
 //!     engine.observe(&ev);
 //! }

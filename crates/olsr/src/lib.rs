@@ -22,8 +22,9 @@
 //! Beyond the RFC, and central to the paper:
 //!
 //! * every routing-relevant action writes a line to the node's audit log
-//!   ([`logging::LogRecord`]); the intrusion detector parses **only** those
-//!   lines, so no change to the routing implementation is ever needed;
+//!   ([`trustlink_sim::record::LogRecord`]); the intrusion detector reads
+//!   **only** those records, so no change to the routing implementation is
+//!   ever needed;
 //! * the [`hooks::OlsrHooks`] trait exposes exactly the tamper points of
 //!   the paper's attack taxonomy (forge / drop / modify-and-forward), used
 //!   by the `trustlink-attacks` crate;
@@ -53,7 +54,6 @@
 #![warn(missing_docs)]
 
 pub mod hooks;
-pub mod logging;
 pub mod message;
 pub mod mpr;
 pub mod node;
@@ -65,7 +65,6 @@ pub mod wire;
 /// Glob-import of the types needed to run OLSR nodes.
 pub mod prelude {
     pub use crate::hooks::{NoHooks, OlsrHooks};
-    pub use crate::logging::{parse_line, LogRecord};
     pub use crate::message::{HelloMessage, MessageBody, Packet, TcMessage};
     pub use crate::node::{OlsrNode, ReceivedData, RecomputeStats};
     pub use crate::routing::{Route, RoutingTable};
@@ -76,7 +75,6 @@ pub mod prelude {
 }
 
 pub use hooks::{NoHooks, OlsrHooks};
-pub use logging::{parse_line, LogRecord};
 pub use node::{OlsrNode, ReceivedData, RecomputeStats};
 pub use routing::RoutingTable;
 pub use types::{FisheyeRing, FisheyeRings, FloodScope, OlsrConfig, RecomputeMode, Willingness};

@@ -10,10 +10,10 @@
 
 use bytes::Bytes;
 use rand::RngExt;
+use trustlink_sim::record::{LogRecord, MessageKind, SuppressReason};
 use trustlink_sim::{Application, Context, FloodStats, FrameBatch, NodeId, SimTime, TimerToken};
 
 use crate::hooks::{NoHooks, OlsrHooks};
-use crate::logging::{LogRecord, MessageKind, SuppressReason};
 use crate::message::{
     DataMessage, HelloMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody, MidMessage,
     NeighborType, Packet, TcMessage,
@@ -260,6 +260,12 @@ impl<H: OlsrHooks> OlsrNode<H> {
     /// Symmetric 1-hop neighbors at `now`, ascending.
     pub fn symmetric_neighbors(&self, now: SimTime) -> Vec<NodeId> {
         self.links.symmetric_neighbors(now)
+    }
+
+    /// `true` when `neighbor` is a symmetric neighbor at `now`: the point
+    /// form of [`symmetric_neighbors`](Self::symmetric_neighbors)`.contains(…)`.
+    pub fn is_symmetric_neighbor(&self, neighbor: NodeId, now: SimTime) -> bool {
+        self.links.is_symmetric(neighbor, now)
     }
 
     /// The current MPR set (ascending).
@@ -611,7 +617,8 @@ impl<H: OlsrHooks> OlsrNode<H> {
 
     /// The routing table around `avoided` for the current route
     /// generation, from the memo or freshly computed into a stale entry's
-    /// allocation.
+    /// allocation. A miss re-runs only the BFS over the adjacency the
+    /// generation's main route run left in `route_ws`.
     fn avoid_routes(&mut self, avoided: NodeId, now: SimTime) -> &RoutingTable {
         self.stats.avoid_lookups += 1;
         let generation = self.stats.route_runs;
@@ -634,15 +641,16 @@ impl<H: OlsrHooks> OlsrNode<H> {
         let entry = &mut memo[i];
         entry.avoided = avoided;
         entry.generation = generation;
-        RoutingTable::compute_avoiding_into(
+        RoutingTable::reroute_avoiding_into(
             &mut self.route_ws,
             &mut entry.table,
+            generation,
             self.id,
             &self.prev_sym,
             &self.two_hop,
             &self.topology,
             now,
-            Some(avoided),
+            avoided,
         );
         &entry.table
     }
@@ -1012,7 +1020,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
         if !self.topology.purge(now).is_empty() {
             topo_changed = true;
         }
-        self.duplicates.purge(now);
         self.ifaces.purge(now);
 
         // Symmetric-neighborhood delta (cheap: O(degree) every flush; this
@@ -1088,6 +1095,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 now,
                 None,
             );
+            self.route_ws.stamp(self.stats.route_runs);
             let diff = self.routes.diff(&self.routes_scratch);
             for r in &diff.added {
                 ctx.log(LogRecord::RouteAdded { dest: r.dest, next_hop: r.next_hop, hops: r.hops });
@@ -1330,7 +1338,7 @@ mod tests {
             }
             // Every rendered line must be parseable (external log consumers
             // depend on it).
-            crate::logging::parse_line(&line)
+            trustlink_sim::record::parse_line(&line)
                 .unwrap_or_else(|e| panic!("unparseable log line `{line}`: {e}"));
         }
         assert!(saw_hello_rx && saw_nbr_add);

@@ -38,6 +38,11 @@ const MIN_TABLE: usize = 64;
 /// outnumber about twice those the last computation still met, it starts
 /// over, so ids that are no longer heard do not pile up. Every buffer
 /// keeps its capacity, so the steady-state path allocates nothing.
+///
+/// After a main (`avoid = None`) computation the adjacency stays in place.
+/// Once [`stamp`](Self::stamp)ed with a route generation, it serves
+/// [`RoutingTable::reroute_avoiding_into`] for that generation without
+/// being rebuilt.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingWorkspace {
     /// Open-addressing id→slot table of `(id, slot)` entries, [`FREE`]
@@ -61,6 +66,10 @@ pub struct RoutingWorkspace {
     first_hop: Vec<u32>,
     /// BFS visit order; the frontier is `queue[head..]`.
     queue: Vec<u32>,
+    /// `(me, me's slot)` while `adj` holds the graph of a main computation.
+    main: Option<(NodeId, u32)>,
+    /// The route generation [`stamp`](Self::stamp) gave that graph.
+    generation: Option<u64>,
 }
 
 /// A multiply-add-shift hash from 32-bit ids to table buckets: for a
@@ -112,6 +121,29 @@ impl RoutingWorkspace {
             self.ids.clear();
             self.by_id.clear();
             self.adj.truncate(live);
+        }
+    }
+
+    /// Stamps the adjacency the last computation built with the route
+    /// generation `generation`, when that computation was a main
+    /// (`avoid = None`) one; otherwise the workspace stays unstamped.
+    pub fn stamp(&mut self, generation: u64) {
+        self.generation = self.main.map(|_| generation);
+    }
+
+    /// The slot of `id` if it is interned.
+    fn find(&self, id: NodeId) -> Option<u32> {
+        let mask = self.table.len().checked_sub(1)?;
+        let mut i = self.hash.bucket(id);
+        loop {
+            let (key, slot) = self.table[i];
+            if slot == FREE {
+                return None;
+            }
+            if key == id.0 {
+                return Some(slot);
+            }
+            i = (i + 1) & mask;
         }
     }
 
@@ -280,7 +312,61 @@ impl RoutingTable {
             ws.push_relayed(me, &mut last, t.last_hop, t.dest);
         }
 
-        // BFS from me over the slots.
+        ws.main = avoid.is_none().then_some((me, me_slot));
+        ws.generation = None;
+        Self::search_into(ws, out, me_slot, None);
+    }
+
+    /// The table around `avoided` for route generation `generation`, written
+    /// into `out`. When `ws` holds the main graph of `me` stamped with
+    /// `generation`, only the BFS and the emit step run, over that graph
+    /// with `avoided` masked out; otherwise this is
+    /// [`compute_avoiding_into`](Self::compute_avoiding_into) with
+    /// `Some(avoided)`. The caller must pass the inputs the stamped main
+    /// computation read. Either way the result equals
+    /// [`compute_avoiding`](Self::compute_avoiding): the avoid graph is the
+    /// main graph minus one vertex, every vertex keeps its remaining
+    /// out-edges in the same order, so the BFS breaks every tie the same
+    /// way.
+    #[allow(clippy::too_many_arguments)]
+    pub fn reroute_avoiding_into(
+        ws: &mut RoutingWorkspace,
+        out: &mut RoutingTable,
+        generation: u64,
+        me: NodeId,
+        symmetric_neighbors: &[NodeId],
+        two_hop: &TwoHopSet,
+        topology: &TopologySet,
+        now: SimTime,
+        avoided: NodeId,
+    ) {
+        match ws.main {
+            Some((main_me, me_slot)) if main_me == me && ws.generation == Some(generation) => {
+                // Avoiding `me` removes no edge: `me` has no in-edges.
+                let masked = if avoided == me { None } else { ws.find(avoided) };
+                Self::search_into(ws, out, me_slot, masked);
+            }
+            _ => Self::compute_avoiding_into(
+                ws,
+                out,
+                me,
+                symmetric_neighbors,
+                two_hop,
+                topology,
+                now,
+                Some(avoided),
+            ),
+        }
+    }
+
+    /// BFS from `me_slot` over `ws.adj`, never entering `masked`, then the
+    /// reached slots emitted into `out` in id order.
+    fn search_into(
+        ws: &mut RoutingWorkspace,
+        out: &mut RoutingTable,
+        me_slot: u32,
+        masked: Option<u32>,
+    ) {
         let n = ws.ids.len();
         let RoutingWorkspace { ids, by_id, adj, dist, first_hop, queue, .. } = ws;
         dist.clear();
@@ -288,6 +374,10 @@ impl RoutingTable {
         first_hop.clear();
         first_hop.resize(n, me_slot);
         queue.clear();
+        // A masked slot looks visited, so no edge leads into it.
+        if let Some(m) = masked {
+            dist[m as usize] = 0;
+        }
         dist[me_slot as usize] = 0;
         queue.push(me_slot);
         let mut head = 0;
@@ -302,6 +392,9 @@ impl RoutingTable {
                 first_hop[v as usize] = if u == me_slot { v } else { first_hop[u as usize] };
                 queue.push(v);
             }
+        }
+        if let Some(m) = masked {
+            dist[m as usize] = UNVISITED;
         }
 
         // Emit the reached slots in id order.
@@ -581,6 +674,59 @@ mod tests {
             let fresh = RoutingTable::compute_avoiding(NodeId(0), sym, &no2h(), topo, now(), avoid);
             assert_eq!(reused, fresh, "avoid={avoid:?}");
         }
+    }
+
+    #[test]
+    fn reroute_reuses_only_a_stamped_main_graph() {
+        let topo = topo_multi(&[(1, &[3]), (2, &[4]), (4, &[3])]);
+        let sym = [NodeId(1), NodeId(2)];
+        let want =
+            RoutingTable::compute_avoiding(NodeId(0), &sym, &no2h(), &topo, now(), Some(NodeId(1)));
+        let mut ws = RoutingWorkspace::default();
+        let mut main = RoutingTable::default();
+        let mut out = RoutingTable::default();
+        let mut compute = |ws: &mut RoutingWorkspace, avoid| {
+            RoutingTable::compute_avoiding_into(
+                ws,
+                &mut main,
+                NodeId(0),
+                &sym,
+                &no2h(),
+                &topo,
+                now(),
+                avoid,
+            );
+        };
+        let mut reroute = |ws: &mut RoutingWorkspace, generation| {
+            RoutingTable::reroute_avoiding_into(
+                ws,
+                &mut out,
+                generation,
+                NodeId(0),
+                &sym,
+                &no2h(),
+                &topo,
+                now(),
+                NodeId(1),
+            );
+            assert_eq!(out, want);
+        };
+        // A main graph nobody stamped: full computation, which replaces it.
+        compute(&mut ws, None);
+        reroute(&mut ws, 1);
+        assert_eq!((ws.main, ws.generation), (None, None));
+        // Stamped: the BFS alone runs and the main graph stays.
+        compute(&mut ws, None);
+        ws.stamp(1);
+        reroute(&mut ws, 1);
+        assert_eq!((ws.main, ws.generation), (Some((NodeId(0), 0)), Some(1)));
+        // Another generation falls back.
+        reroute(&mut ws, 2);
+        assert_eq!((ws.main, ws.generation), (None, None));
+        // An avoid computation cannot be stamped.
+        compute(&mut ws, Some(NodeId(2)));
+        ws.stamp(3);
+        assert_eq!(ws.generation, None);
     }
 
     #[test]

@@ -376,13 +376,41 @@ impl TwoHopSet {
             .map(|(&(_, th), _)| th)
     }
 
+    /// `true` when the pair `(via, two_hop)` is live at `now`: the point
+    /// form of [`TwoHopSet::reachable_via`]`.contains(…)`.
+    pub fn contains(&self, via: NodeId, two_hop: NodeId, now: SimTime) -> bool {
+        self.tuples.get(&(via, two_hop)).is_some_and(|&until| until > now)
+    }
+
     /// The 1-hop neighbors through which `two_hop` is reachable at `now`.
     pub fn vias_for(&self, two_hop: NodeId, now: SimTime) -> Vec<NodeId> {
-        self.tuples
-            .iter()
-            .filter(|(&(_, th), &until)| th == two_hop && until > now)
-            .map(|(&(v, _), _)| v)
-            .collect()
+        self.iter_vias_for(two_hop, now).collect()
+    }
+
+    /// Iterates [`TwoHopSet::vias_for`] without allocating (ascending). A
+    /// skip scan: each step is one range lookup that either lands on a
+    /// via's `(via, two_hop)` key or proves it absent and jumps to the next
+    /// via, so the cost follows the number of vias, not the set size.
+    pub fn iter_vias_for(
+        &self,
+        two_hop: NodeId,
+        now: SimTime,
+    ) -> impl Iterator<Item = NodeId> + '_ {
+        let mut from = Some((NodeId(0), two_hop));
+        std::iter::from_fn(move || {
+            while let Some(key) = from {
+                let (&(via, th), &until) = self.tuples.range(key..).next()?;
+                from = if th < two_hop {
+                    Some((via, two_hop))
+                } else {
+                    via.0.checked_add(1).map(|next| (NodeId(next), two_hop))
+                };
+                if th == two_hop && until > now {
+                    return Some(via);
+                }
+            }
+            None
+        })
     }
 
     /// Drops expired pairs; returns the removed `(via, two_hop)` pairs.
@@ -540,16 +568,14 @@ impl TopologySet {
                 // Dropping a *live* tuple is a topology change in itself —
                 // a TC that withdraws links (down to an empty advertised
                 // set) must re-trigger route calculation even when it
-                // inserts nothing.
-                self.tuples.retain(|(lh, _), t| {
-                    if *lh != last_hop {
-                        return true;
-                    }
-                    if t.until > now {
-                        changed = true;
-                    }
-                    false
-                });
+                // inserts nothing. Only this originator's `(last_hop, *)`
+                // key range is walked, never the whole map.
+                while let Some((&key, t)) =
+                    self.tuples.range((last_hop, NodeId(0))..=(last_hop, NodeId(u32::MAX))).next()
+                {
+                    changed |= t.until > now;
+                    self.tuples.remove(&key);
+                }
             }
         }
         self.min_expiry.cover(until);
@@ -608,17 +634,23 @@ impl TopologySet {
 /// reception probes it, and at 10³–10⁴ nodes each node holds thousands of
 /// live tuples — so it is a flat open-addressed table rather than an
 /// ordered map: one multiply-shift hash and (usually) one cache line per
-/// probe, instead of a B-tree descent. Deletion only ever happens
-/// wholesale in [`purge`](Self::purge), which rebuilds the table, so no
-/// tombstones are needed. A slot is free iff its `until` is zero: live
-/// entries always expire strictly after the epoch, because
+/// probe, instead of a B-tree descent. A slot is free iff its `until` is
+/// zero: live entries always expire strictly after the epoch, because
 /// [`record`](Self::record) stores `now + hold` and hold times are
 /// positive.
+///
+/// Every probe already treats an entry with `until <= now` as absent, so
+/// reclaiming expired slots is invisible to callers. Deletion therefore
+/// happens lazily: only when an insert would push occupancy past its
+/// bound (or on an explicit [`purge`](Self::purge)) are expired slots
+/// reclaimed, in place by backward-shift deletion, so no tombstones are
+/// needed and reclaiming allocates nothing. The table grows only when live
+/// entries still fill most of it after a reclaim.
 #[derive(Debug, Clone, Default)]
 pub struct DuplicateSet {
     /// Power-of-two slot array; empty until the first record.
     slots: Vec<DupSlot>,
-    /// Occupied slot count (live and expired-but-not-yet-purged alike).
+    /// Occupied slot count (live and expired-but-not-yet-reclaimed alike).
     live: usize,
     min_expiry: MinExpiry,
 }
@@ -698,11 +730,19 @@ impl DuplicateSet {
         self.live += 1;
     }
 
-    /// Grows (or first allocates) the table when one more insert would
-    /// push occupancy past ~70%.
-    fn ensure_capacity(&mut self) {
+    /// Makes room for one more entry as of `now`. While occupancy stays
+    /// within 70% nothing happens. Past that, expired slots are reclaimed
+    /// first; the table doubles (or is first allocated) only when more than
+    /// 65% of it is still occupied afterwards, so each reclaim is followed
+    /// by at least a twentieth of the table's worth of inserts before the
+    /// next.
+    fn make_room(&mut self, now: SimTime) {
         let cap = self.slots.len();
         if cap > 0 && (self.live + 1) * 10 <= cap * 7 {
+            return;
+        }
+        self.purge(now);
+        if cap > 0 && (self.live + 1) * 20 <= cap * 13 {
             return;
         }
         let new_cap = (cap * 2).max(Self::INITIAL_SLOTS);
@@ -713,6 +753,30 @@ impl DuplicateSet {
                 self.insert_new(s);
             }
         }
+    }
+
+    /// Frees slot `hole` by backward-shift deletion (Knuth's Algorithm R
+    /// for linear probing): every later entry of the probe run whose home
+    /// bucket does not lie cyclically in `(hole, j]` moves back into the
+    /// hole, so each remaining entry stays reachable from its home.
+    fn remove_at(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let s = self.slots[j];
+            if s.until == SimTime::ZERO {
+                break;
+            }
+            let home = (dup_hash(s.key) >> 32) as usize & mask;
+            let stays = if hole <= j { hole < home && home <= j } else { hole < home || home <= j };
+            if !stays {
+                self.slots[hole] = s;
+                hole = j;
+            }
+        }
+        self.slots[hole] = DUP_EMPTY;
+        self.live -= 1;
     }
 
     /// `true` when `(originator, seq)` was already processed.
@@ -741,7 +805,6 @@ impl DuplicateSet {
         until: SimTime,
         now: SimTime,
     ) {
-        self.min_expiry.cover(until);
         let key = dup_key(originator, seq);
         if let Some(i) = self.find(key) {
             let s = &mut self.slots[i];
@@ -753,9 +816,11 @@ impl DuplicateSet {
                 s.until = s.until.max(until);
             }
         } else {
-            self.ensure_capacity();
+            self.make_room(now);
             self.insert_new(DupSlot { until, key, retransmitted });
         }
+        // After `make_room`, whose reclaim recomputes the bound.
+        self.min_expiry.cover(until);
     }
 
     /// One-probe flood triage for the batched receive path: a single map
@@ -791,31 +856,37 @@ impl DuplicateSet {
         }
     }
 
-    /// Drops expired entries by rebuilding the table — the wholesale
-    /// deletion that lets the probe paths go tombstone-free. Min-expiry
-    /// gated: free while nothing can have expired.
+    /// Reclaims every expired slot in place. Never needed for correctness
+    /// (probes ignore expired entries, and [`record`](Self::record)
+    /// reclaims before it would grow the table); min-expiry gated: free
+    /// while nothing can have expired.
     pub fn purge(&mut self, now: SimTime) {
         if self.min_expiry.nothing_due(now) {
             return;
         }
-        let cap = self.slots.len();
-        let old = std::mem::replace(&mut self.slots, vec![DUP_EMPTY; cap]);
-        self.live = 0;
         self.min_expiry.reset();
-        for s in old {
-            if s.until > now {
-                self.min_expiry.cover(s.until);
-                self.insert_new(s);
+        let mut i = 0;
+        while i < self.slots.len() {
+            let until = self.slots[i].until;
+            if until == SimTime::ZERO {
+                i += 1;
+            } else if until <= now {
+                // A later entry may shift into `i`: look at it again.
+                self.remove_at(i);
+            } else {
+                self.min_expiry.cover(until);
+                i += 1;
             }
         }
     }
 
-    /// Number of remembered messages.
+    /// Number of occupied slots: remembered messages, including expired
+    /// ones not yet reclaimed (which every probe already treats as absent).
     pub fn len(&self) -> usize {
         self.live
     }
 
-    /// `true` when empty.
+    /// `true` when no slot is occupied.
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
@@ -872,6 +943,7 @@ impl InterfaceAssociationSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trustlink_sim::SimDuration;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -1109,6 +1181,31 @@ mod tests {
         set.record(NodeId(1), seq, false, t(40), t(20));
         assert!(set.seen(NodeId(1), seq, t(20)));
         assert!(!set.retransmitted(NodeId(1), seq, t(20)));
+    }
+
+    #[test]
+    fn duplicate_slots_stay_bounded_under_a_steady_flood_stream() {
+        // 100 distinct floods per simulated second, each held 30 s: about
+        // 3 000 live entries at any time, 100 000 recorded in total, and no
+        // explicit purge. Reclaiming before growth keeps the slot array at
+        // one size from the first hold period on.
+        let mut set = DuplicateSet::default();
+        let hold = SimDuration::from_secs(30);
+        let mut settled = None;
+        for step in 0..10_000u64 {
+            let now = SimTime::from_micros(step * 100_000);
+            for k in 0..10u32 {
+                let originator = NodeId(k * 10 + (step % 10) as u32);
+                let seq = SequenceNumber((step / 10) as u16);
+                assert!(!set.seen(originator, seq, now));
+                set.record(originator, seq, false, now + hold, now);
+            }
+            if now >= t(60) {
+                assert_eq!(*settled.get_or_insert(set.slots.len()), set.slots.len(), "at {now}");
+            }
+        }
+        assert_eq!(settled, Some(8_192));
+        assert!(set.len() <= 8_192 * 7 / 10);
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Property-based tests for the OLSR substrate: the MPR coverage
 //! invariant, routing loop-freedom, sequence-number arithmetic and the
-//! vtime codec.
+//! vtime codec, plus model oracles for the fast bookkeeping paths (masked
+//! avoid-route BFS, lazy duplicate reclaim, per-originator TC replacement).
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use trustlink_olsr::message::{decode_vtime, encode_vtime};
 use trustlink_olsr::mpr::{select_mprs, uncovered_targets, MprCandidate};
-use trustlink_olsr::routing::RoutingTable;
-use trustlink_olsr::state::{DuplicateSet, TopologySet, TwoHopSet};
+use trustlink_olsr::routing::{RoutingTable, RoutingWorkspace};
+use trustlink_olsr::state::{DupProbe, DuplicateSet, TopologySet, TwoHopSet};
 use trustlink_olsr::types::{SequenceNumber, Willingness};
 use trustlink_sim::{NodeId, SimDuration, SimTime};
 
@@ -350,5 +353,275 @@ proptest! {
         let mut set2 = set.clone();
         set2.purge(until);
         prop_assert!(set2.two_hop_addrs(until, NodeId(99), &[]).is_empty());
+    }
+
+    #[test]
+    fn two_hop_point_queries_match_scans(
+        pairs in proptest::collection::vec((0u32..6, 0u32..12, 1u64..10), 0..30),
+        now in 0u64..10,
+    ) {
+        // The skip-scan `iter_vias_for` and the point `contains` must agree
+        // with a filter over every live tuple, expired pairs included.
+        let mut set = TwoHopSet::default();
+        for &(via, th, until) in &pairs {
+            set.upsert(NodeId(via), NodeId(th), SimTime::from_secs(until), SimTime::ZERO);
+        }
+        let now = SimTime::from_secs(now);
+        let live: Vec<(NodeId, NodeId)> = set.iter(now).map(|t| (t.via, t.two_hop)).collect();
+        for th in (0..13).map(NodeId) {
+            let want: Vec<NodeId> =
+                live.iter().filter(|&&(_, t)| t == th).map(|&(v, _)| v).collect();
+            prop_assert_eq!(set.iter_vias_for(th, now).collect::<Vec<_>>(), want);
+            for via in (0..7).map(NodeId) {
+                prop_assert_eq!(set.contains(via, th, now), live.contains(&(via, th)));
+            }
+        }
+    }
+}
+
+// ---- model oracles for the fast bookkeeping paths ---------------------------
+
+/// One mutating operation on a duplicate set.
+#[derive(Debug, Clone, Copy)]
+enum DupOp {
+    Record { orig: u32, seq: u16, retx: bool, hold_ms: u64 },
+    Probe { orig: u32, seq: u16, hold_ms: u64 },
+}
+
+fn dup_ops() -> impl Strategy<Value = Vec<(u64, bool, DupOp)>> {
+    let op = prop_oneof![
+        (0u32..16, 0u16..8, any::<bool>(), 1u64..6_000)
+            .prop_map(|(orig, seq, retx, hold_ms)| DupOp::Record { orig, seq, retx, hold_ms }),
+        (0u32..16, 0u16..8, 1u64..6_000).prop_map(|(orig, seq, hold_ms)| DupOp::Probe {
+            orig,
+            seq,
+            hold_ms
+        }),
+    ];
+    // (clock advance in ms, purge the second set first, operation)
+    proptest::collection::vec((0u64..200, any::<bool>(), op), 0..300)
+}
+
+/// The duplicate-set semantics as a plain map: `(until, retransmitted)`
+/// per key, expired entries answered as absent and never removed.
+#[derive(Default)]
+struct DupModel(BTreeMap<(u32, u16), (SimTime, bool)>);
+
+impl DupModel {
+    fn live(&self, key: (u32, u16), now: SimTime) -> Option<(SimTime, bool)> {
+        self.0.get(&key).copied().filter(|&(until, _)| until > now)
+    }
+
+    fn record(&mut self, key: (u32, u16), retx: bool, until: SimTime, now: SimTime) {
+        let next = match self.live(key, now) {
+            Some((old, old_retx)) => (old.max(until), old_retx | retx),
+            None => (until, retx),
+        };
+        self.0.insert(key, next);
+    }
+
+    fn probe(&mut self, key: (u32, u16), until: SimTime, now: SimTime) -> DupProbe {
+        match self.live(key, now) {
+            Some((old, true)) => {
+                self.0.insert(key, (old.max(until), true));
+                DupProbe::Retransmitted
+            }
+            Some((_, false)) => DupProbe::SeenFresh,
+            None => DupProbe::New,
+        }
+    }
+}
+
+/// The topology set as a plain map with the whole-map `retain` that
+/// replaced a newer-ANSN originator's tuples before the range walk.
+#[derive(Default)]
+struct TopoModel(BTreeMap<(NodeId, NodeId), (u16, SimTime)>);
+
+impl TopoModel {
+    fn apply_tc(
+        &mut self,
+        last_hop: NodeId,
+        ansn: u16,
+        dests: &[NodeId],
+        until: SimTime,
+        now: SimTime,
+    ) -> bool {
+        let mut changed = false;
+        let existing = self
+            .0
+            .iter()
+            .filter(|(&(lh, _), &(_, u))| lh == last_hop && u > now)
+            .map(|(_, &(a, _))| a)
+            .next();
+        if let Some(existing) = existing {
+            let newer = SequenceNumber(ansn).is_newer_than(SequenceNumber(existing));
+            if existing != ansn && !newer {
+                return false;
+            }
+            if newer {
+                self.0.retain(|&(lh, _), &mut (_, u)| {
+                    if lh != last_hop {
+                        return true;
+                    }
+                    changed |= u > now;
+                    false
+                });
+            }
+        }
+        for &d in dests {
+            match self.0.insert((last_hop, d), (ansn, until)) {
+                Some((a, u)) if a == ansn && u > now => {}
+                _ => changed = true,
+            }
+        }
+        changed
+    }
+
+    fn live(&self, now: SimTime) -> Vec<(NodeId, NodeId, u16, SimTime)> {
+        self.0
+            .iter()
+            .filter(|(_, &(_, u))| u > now)
+            .map(|(&(lh, d), &(a, u))| (lh, d, a, u))
+            .collect()
+    }
+}
+
+fn topo_live(set: &TopologySet, now: SimTime) -> Vec<(NodeId, NodeId, u16, SimTime)> {
+    set.iter(now).map(|t| (t.last_hop, t.dest, t.ansn, t.until)).collect()
+}
+
+proptest! {
+    #[test]
+    fn reroute_avoiding_matches_compute_avoiding(
+        sym in proptest::collection::vec(1u32..8, 0..6),
+        pairs in proptest::collection::vec((1u32..8, 0u32..24, any::<bool>()), 0..30),
+        edges in proptest::collection::vec((0u32..32, 0u32..32, any::<bool>()), 0..60),
+        wide in any::<bool>(),
+    ) {
+        // me = 0; ids 1..8 may be sym neighbors, 2-hop entries reach into
+        // 0..24, TC tuples into 0..32 (24..32 only ever appear in TCs), and
+        // `wide` relabels 31 to the largest id. Half the tuples are expired.
+        let me = NodeId(0);
+        let now = SimTime::from_secs(10);
+        let id = |i: u32| if wide && i == 31 { NodeId(u32::MAX) } else { NodeId(i) };
+        let until = |live: bool| SimTime::from_secs(if live { 1_000 } else { 5 });
+        let mut sym: Vec<NodeId> = sym.into_iter().map(NodeId).collect();
+        sym.sort_unstable();
+        sym.dedup();
+        let mut two_hop = TwoHopSet::default();
+        for &(via, th, live) in &pairs {
+            two_hop.upsert(NodeId(via), id(th), until(live), SimTime::ZERO);
+        }
+        let mut by_origin: BTreeMap<(u32, bool), Vec<NodeId>> = BTreeMap::new();
+        for &(a, b, live) in &edges {
+            by_origin.entry((a, live)).or_default().push(id(b));
+        }
+        let mut topo = TopologySet::default();
+        for (&(a, live), dests) in &by_origin {
+            topo.apply_tc(id(a), u16::from(live), dests, until(live), SimTime::ZERO);
+        }
+
+        let mut ws = RoutingWorkspace::default();
+        let mut main = RoutingTable::default();
+        RoutingTable::compute_avoiding_into(&mut ws, &mut main, me, &sym, &two_hop, &topo, now, None);
+        ws.stamp(7);
+        let mut stale = ws.clone();
+        let mut out = RoutingTable::default();
+        // Every sym neighbor, 2-hop-only and TC-only id, `me`, and absent ids.
+        let avoided = (0..34).map(id).chain([NodeId(u32::MAX), NodeId(u32::MAX - 1)]);
+        for x in avoided {
+            let want = RoutingTable::compute_avoiding(me, &sym, &two_hop, &topo, now, Some(x));
+            RoutingTable::reroute_avoiding_into(
+                &mut ws, &mut out, 7, me, &sym, &two_hop, &topo, now, x,
+            );
+            prop_assert_eq!(&out, &want, "avoiding {}", x);
+            // Another generation's stamp falls back to the full computation.
+            RoutingTable::reroute_avoiding_into(
+                &mut stale, &mut out, 8, me, &sym, &two_hop, &topo, now, x,
+            );
+            prop_assert_eq!(&out, &want, "avoiding {} unstamped", x);
+        }
+        // The reroutes left the main graph intact.
+        RoutingTable::compute_avoiding_into(&mut ws, &mut out, me, &sym, &two_hop, &topo, now, None);
+        prop_assert_eq!(&out, &main);
+    }
+
+    #[test]
+    fn duplicate_answers_do_not_depend_on_purges(ops in dup_ops()) {
+        // `lazy` is never purged explicitly, `eager` is purged before the
+        // operations flagged so; both must answer like the plain model.
+        let mut lazy = DuplicateSet::default();
+        let mut eager = DuplicateSet::default();
+        let mut model = DupModel::default();
+        let mut now = SimTime::ZERO;
+        for (step, &(dt_ms, purge, op)) in ops.iter().enumerate() {
+            now += SimDuration::from_millis(dt_ms);
+            if purge {
+                eager.purge(now);
+            }
+            match op {
+                DupOp::Record { orig, seq, retx, hold_ms } => {
+                    let until = now + SimDuration::from_millis(hold_ms);
+                    lazy.record(NodeId(orig), SequenceNumber(seq), retx, until, now);
+                    eager.record(NodeId(orig), SequenceNumber(seq), retx, until, now);
+                    model.record((orig, seq), retx, until, now);
+                }
+                DupOp::Probe { orig, seq, hold_ms } => {
+                    let until = now + SimDuration::from_millis(hold_ms);
+                    let want = model.probe((orig, seq), until, now);
+                    let (o, s) = (NodeId(orig), SequenceNumber(seq));
+                    prop_assert_eq!(lazy.probe_flood(o, s, until, now), want, "step {}", step);
+                    prop_assert_eq!(eager.probe_flood(o, s, until, now), want, "step {}", step);
+                }
+            }
+            // `seen`/`retransmitted` for every key, after every operation.
+            for orig in 0..16u32 {
+                for seq in 0..8u16 {
+                    let live = model.live((orig, seq), now);
+                    let (o, s) = (NodeId(orig), SequenceNumber(seq));
+                    for set in [&lazy, &eager] {
+                        prop_assert_eq!(set.seen(o, s, now), live.is_some(), "step {}", step);
+                        prop_assert_eq!(
+                            set.retransmitted(o, s, now),
+                            live.is_some_and(|(_, r)| r),
+                            "step {}", step
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn apply_tc_matches_whole_map_retain(
+        tcs in proptest::collection::vec(
+            (0u32..5, 0u16..6, any::<bool>(), proptest::collection::vec(0u32..10, 0..5), 1u64..8, 0u64..3, any::<bool>()),
+            0..60,
+        ),
+    ) {
+        // ANSNs near 0, or near the wrap when the flag is set; `dt` advances
+        // the clock so tuples expire between TCs; a purge now and then.
+        let mut set = TopologySet::default();
+        let mut model = TopoModel::default();
+        let mut now = SimTime::ZERO;
+        for (step, (lh, ansn, wrap, dests, hold, dt, purge)) in tcs.into_iter().enumerate() {
+            now += SimDuration::from_secs(dt);
+            let ansn = if wrap { ansn.wrapping_sub(3) } else { ansn };
+            let dests: Vec<NodeId> = dests.into_iter().map(NodeId).collect();
+            let until = now + SimDuration::from_secs(hold);
+            let got = set.apply_tc(NodeId(lh), ansn, &dests, until, now);
+            let want = model.apply_tc(NodeId(lh), ansn, &dests, until, now);
+            prop_assert_eq!(got, want, "changed flag at step {}", step);
+            prop_assert_eq!(set.len(), model.0.len(), "stored tuples at step {}", step);
+            prop_assert_eq!(topo_live(&set, now), model.live(now), "step {}", step);
+            for o in 0..5 {
+                let want = model.live(now).iter().find(|t| t.0 == NodeId(o)).map(|t| t.2);
+                prop_assert_eq!(set.ansn_of(NodeId(o), now), want);
+            }
+            if purge {
+                set.purge(now);
+                model.0.retain(|_, &mut (_, u)| u > now);
+            }
+        }
     }
 }

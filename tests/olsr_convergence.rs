@@ -4,6 +4,7 @@
 
 use trustlink_olsr::prelude::*;
 use trustlink_sim::prelude::*;
+use trustlink_sim::record::parse_line;
 use trustlink_sim::topologies;
 
 /// Ground-truth hop distances by BFS over the unit-disk graph.

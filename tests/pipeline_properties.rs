@@ -3,15 +3,15 @@
 
 use proptest::prelude::*;
 
-use trustlink_olsr::logging::{
-    from_rlog_line, parse_line, LogRecord, MessageKind, SuppressReason, VerdictKind,
-};
 use trustlink_olsr::message::{
     DataMessage, HelloMessage, HnaMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody,
     MidMessage, NeighborType, Packet, TcMessage,
 };
 use trustlink_olsr::types::{SequenceNumber, Willingness};
 use trustlink_olsr::wire::{decode_packet, encode_packet};
+use trustlink_sim::record::{
+    from_rlog_line, parse_line, LogRecord, MessageKind, SuppressReason, VerdictKind,
+};
 use trustlink_sim::{NodeId, SimDuration, SimTime};
 
 fn node_id() -> impl Strategy<Value = NodeId> {
