@@ -7,8 +7,9 @@ use trustlink_olsr::message::{
     HelloMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody, NeighborType, Packet,
 };
 use trustlink_olsr::node::{OlsrNode, TIMER_USER_BASE};
-use trustlink_olsr::types::{OlsrConfig, SequenceNumber, Willingness};
+use trustlink_olsr::types::{OlsrConfig, SequenceNumber};
 use trustlink_olsr::wire::encode_packet;
+use trustlink_sim::record::Willingness;
 use trustlink_sim::{Application, Context, NodeId, SimDuration, TimerToken};
 
 const TIMER_SPOOF: TimerToken = TimerToken(TIMER_USER_BASE + 200);

@@ -11,7 +11,8 @@
 use trustlink_olsr::hooks::OlsrHooks;
 use trustlink_olsr::message::{Message, MessageBody};
 use trustlink_olsr::node::OlsrNode;
-use trustlink_olsr::types::{OlsrConfig, SequenceNumber, Willingness};
+use trustlink_olsr::types::{OlsrConfig, SequenceNumber};
+use trustlink_sim::record::Willingness;
 use trustlink_sim::NodeId;
 
 /// Inflates sequence numbers of relayed control messages.

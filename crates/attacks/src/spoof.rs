@@ -102,7 +102,7 @@ pub fn link_spoofing_node(config: OlsrConfig, spoofing: LinkSpoofing) -> LinkSpo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trustlink_olsr::types::Willingness;
+    use trustlink_sim::record::Willingness;
 
     fn hello_with(sym: &[u32]) -> HelloMessage {
         HelloMessage {

@@ -12,8 +12,9 @@ use trustlink_olsr::message::{
 use trustlink_olsr::mpr::{select_mprs, MprCandidate};
 use trustlink_olsr::routing::RoutingTable;
 use trustlink_olsr::state::{TopologySet, TwoHopSet};
-use trustlink_olsr::types::{SequenceNumber, Willingness};
+use trustlink_olsr::types::SequenceNumber;
 use trustlink_olsr::wire::{decode_packet, encode_packet};
+use trustlink_sim::record::Willingness;
 use trustlink_sim::record::{from_rlog_line, parse_line, LogRecord};
 use trustlink_sim::{NodeId, SimDuration, SimTime};
 use trustlink_trust::prelude::*;

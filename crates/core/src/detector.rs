@@ -872,8 +872,8 @@ impl<H: OlsrHooks> std::fmt::Debug for DetectorNode<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trustlink_olsr::types::Willingness;
     use trustlink_sim::record::LogRecord;
+    use trustlink_sim::record::Willingness;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)

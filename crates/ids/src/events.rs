@@ -494,7 +494,7 @@ impl EventExtractor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trustlink_olsr::types::Willingness;
+    use trustlink_sim::record::Willingness;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)

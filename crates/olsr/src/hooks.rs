@@ -17,7 +17,7 @@
 use trustlink_sim::{NodeId, SimTime};
 
 use crate::message::{DataMessage, HelloMessage, Message, TcMessage};
-use crate::types::Willingness;
+use trustlink_sim::record::Willingness;
 
 /// Extension points applied by [`crate::node::OlsrNode`] at well-defined
 /// places in the protocol state machine. All methods default to faithful

@@ -70,11 +70,12 @@ pub mod prelude {
     pub use crate::routing::{Route, RoutingTable};
     pub use crate::types::{
         FisheyeRing, FisheyeRings, FloodScope, OlsrConfig, RecomputeMode, SequenceNumber,
-        Willingness,
     };
+    pub use trustlink_sim::record::Willingness;
 }
 
 pub use hooks::{NoHooks, OlsrHooks};
 pub use node::{OlsrNode, ReceivedData, RecomputeStats};
 pub use routing::RoutingTable;
-pub use types::{FisheyeRing, FisheyeRings, FloodScope, OlsrConfig, RecomputeMode, Willingness};
+pub use trustlink_sim::record::Willingness;
+pub use types::{FisheyeRing, FisheyeRings, FloodScope, OlsrConfig, RecomputeMode};

@@ -4,9 +4,10 @@
 //! request/answer exchange over whatever transport the MANET offers; we
 //! give it a minimal unicast data plane inside the OLSR packet format).
 
+use trustlink_sim::record::Willingness;
 use trustlink_sim::{NodeId, SimDuration};
 
-use crate::types::{SequenceNumber, Willingness};
+use crate::types::SequenceNumber;
 
 /// Link type of a HELLO link code (RFC 3626 §6.1.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 
 use trustlink_sim::NodeId;
 
-use crate::types::Willingness;
+use trustlink_sim::record::Willingness;
 
 /// A candidate 1-hop neighbor for MPR selection.
 #[derive(Debug, Clone, PartialEq, Eq)]

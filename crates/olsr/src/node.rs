@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use rand::RngExt;
-use trustlink_sim::record::{LogRecord, MessageKind, SuppressReason};
+use trustlink_sim::record::{LogRecord, MessageKind, SuppressReason, Willingness};
 use trustlink_sim::{Application, Context, FloodStats, FrameBatch, NodeId, SimTime, TimerToken};
 
 use crate::hooks::{NoHooks, OlsrHooks};
@@ -24,7 +24,7 @@ use crate::state::{
     DupProbe, DuplicateSet, InterfaceAssociationSet, LinkSet, LinkStatus, LinkTuple,
     MprSelectorSet, NeighborSet, TopologySet, TwoHopSet,
 };
-use crate::types::{FloodScope, OlsrConfig, RecomputeMode, SequenceNumber, Willingness};
+use crate::types::{FloodScope, OlsrConfig, RecomputeMode, SequenceNumber};
 use crate::wire::{encode_packet_into, materialize_message, DecodeArena, MessageType, PacketView};
 
 /// Timer tokens used by the OLSR state machine. Wrappers layering their own
@@ -141,7 +141,8 @@ pub struct OlsrNode<H: OlsrHooks = NoHooks> {
     /// TC emission opportunities consumed while holding TC duty; drives
     /// the fisheye ring schedule ([`FloodScope::Fisheye`]).
     tc_emissions: u64,
-    /// Flood-frame accounting: TCs originated per ring, TCs re-flooded.
+    /// Flood-frame accounting: TCs originated per ring, TCs re-flooded,
+    /// flood copies suppressed per reason.
     flood: FloodStats,
     flags: ChangeFlags,
     /// `true` while a [`TIMER_RECOMPUTE`] is pending (incremental mode).
@@ -335,7 +336,8 @@ impl<H: OlsrHooks> OlsrNode<H> {
 
     /// Flood-frame accounting: TCs originated per [`FloodScope`] ring and
     /// TCs this node re-flooded for others — the quantity fisheye scoping
-    /// attacks (classic flooding books everything into ring 0).
+    /// attacks (classic flooding books everything into ring 0) — and the
+    /// flood copies of any kind it declined to retransmit, per reason.
     pub fn flood_stats(&self) -> &FloodStats {
         &self.flood
     }
@@ -773,15 +775,11 @@ impl<H: OlsrHooks> OlsrNode<H> {
         Ok(())
     }
 
-    fn suppress_forward(
-        &mut self,
-        ctx: &mut Context<'_>,
-        originator: NodeId,
-        kind: MessageKind,
-        seq: SequenceNumber,
-        reason: SuppressReason,
-    ) {
-        ctx.log(LogRecord::ForwardSuppressed { originator, kind, seq: seq.0, reason });
+    /// Counts a flood copy this node declines to retransmit. Suppressed
+    /// copies are counted, not logged: there is one per received copy, and
+    /// no IDS rule reads them.
+    fn suppress_forward(&mut self, reason: SuppressReason) {
+        self.flood.record_suppressed(reason);
     }
 
     /// Retransmits a message that passed every gate — or lets a drop
@@ -921,13 +919,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 DupProbe::Retransmitted => {
                     // Already retransmitted once: suppressed on the header
                     // alone, body never materialized.
-                    self.suppress_forward(
-                        ctx,
-                        mv.originator,
-                        kind,
-                        mv.seq,
-                        SuppressReason::Duplicate,
-                    );
+                    self.suppress_forward(SuppressReason::Duplicate);
                 }
                 DupProbe::SeenFresh => {
                     // Seen but not yet forwarded: processing is skipped, but
@@ -935,7 +927,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
                     // if the gates approve.
                     match self.flood_gate(from, mv.ttl, now) {
                         Err(reason) => {
-                            self.suppress_forward(ctx, mv.originator, kind, mv.seq, reason);
+                            self.suppress_forward(reason);
                             self.duplicates.record(mv.originator, mv.seq, false, dup_until, now);
                         }
                         Ok(()) => {
@@ -969,7 +961,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
                     }
                     match self.flood_gate(from, mv.ttl, now) {
                         Err(reason) => {
-                            self.suppress_forward(ctx, mv.originator, kind, mv.seq, reason);
+                            self.suppress_forward(reason);
                             self.duplicates.record(mv.originator, mv.seq, false, dup_until, now);
                         }
                         Ok(()) => self.forward_approved(ctx, &msg, from, kind, dup_until, now),
@@ -1425,6 +1417,18 @@ mod tests {
         sim.run_for(SimDuration::from_millis(200));
     }
 
+    /// Suppressions per reason since `before`, in the order duplicate,
+    /// not-MPR-selector, TTL-expired, unknown-sender.
+    fn suppressed_since(before: &FloodStats, after: &FloodStats) -> [u64; 4] {
+        [
+            SuppressReason::Duplicate,
+            SuppressReason::NotMprSelector,
+            SuppressReason::TtlExpired,
+            SuppressReason::UnknownSender,
+        ]
+        .map(|r| after.suppressed(r) - before.suppressed(r))
+    }
+
     fn mid_lines(sim: &trustlink_sim::Simulator, prefix: &str, seq: u16) -> usize {
         let needle = format!("seq={seq}");
         sim.log(NodeId(1)).lines().filter(|l| l.starts_with(prefix) && l.contains(&needle)).count()
@@ -1433,17 +1437,16 @@ mod tests {
     #[test]
     fn forward_flooded_drops_exhausted_ttl() {
         let mut sim = converged_line_with_recorder(41);
-        let fwd_before = sim.app_as::<OlsrNode<RecordForwards>>(NodeId(1)).unwrap().flood.forwarded;
+        let before = sim.app_as::<OlsrNode<RecordForwards>>(NodeId(1)).unwrap().flood.clone();
+        let fwd_before = before.forwarded;
         inject_tc(&mut sim, 900, 1, 0);
         let mid = sim.app_as::<OlsrNode<RecordForwards>>(NodeId(1)).unwrap();
         assert!(mid.hooks().seen.is_empty(), "a ttl=1 flood must never reach on_forward");
         assert_eq!(mid.flood.forwarded, fwd_before, "ttl=1 flood counted as forwarded");
-        assert_eq!(mid_lines(&sim, "FWD_SUPPRESS", 900), 1);
-        assert!(
-            sim.log(NodeId(1)).lines().any(|l| l.starts_with("FWD_SUPPRESS")
-                && l.contains("seq=900")
-                && l.contains("reason=ttl-expired")),
-            "suppression must cite the exhausted TTL"
+        assert_eq!(
+            suppressed_since(&before, &mid.flood),
+            [0, 0, 1, 0],
+            "exactly one suppression, citing the exhausted TTL"
         );
         assert_eq!(mid_lines(&sim, "FWD ", 900), 0);
     }
@@ -1468,15 +1471,15 @@ mod tests {
     fn forward_flooded_suppresses_duplicate_refloods() {
         let mut sim = converged_line_with_recorder(47);
         inject_tc(&mut sim, 902, 8, 0);
+        let before = sim.app_as::<OlsrNode<RecordForwards>>(NodeId(1)).unwrap().flood.clone();
         inject_tc(&mut sim, 902, 8, 0); // the same (originator, seq) again
         let mid = sim.app_as::<OlsrNode<RecordForwards>>(NodeId(1)).unwrap();
         assert_eq!(mid.hooks().seen.len(), 1, "duplicate flood was retransmitted");
         assert_eq!(mid_lines(&sim, "FWD ", 902), 1);
-        assert!(
-            sim.log(NodeId(1)).lines().any(|l| l.starts_with("FWD_SUPPRESS")
-                && l.contains("seq=902")
-                && l.contains("reason=duplicate")),
-            "second copy must be suppressed as a duplicate"
+        assert_eq!(
+            suppressed_since(&before, &mid.flood),
+            [1, 0, 0, 0],
+            "second copy must be suppressed, once, as a duplicate"
         );
     }
 

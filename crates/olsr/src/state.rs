@@ -22,9 +22,10 @@
 
 use std::collections::BTreeMap;
 
+use trustlink_sim::record::Willingness;
 use trustlink_sim::{NodeId, SimTime};
 
-use crate::types::{SequenceNumber, Willingness};
+use crate::types::SequenceNumber;
 
 /// One sensed link to a 1-hop neighbor (RFC 3626 §4.2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -266,6 +267,133 @@ impl NeighborSet {
     }
 }
 
+/// A tuple kept in [`Runs`]: the run it lives in, its place there, and
+/// its expiry.
+trait RunTuple: Copy {
+    /// `(first, second)`: the run's id and the tuple's sort key inside it.
+    fn key(&self) -> (NodeId, NodeId);
+    fn until(&self) -> SimTime;
+}
+
+/// Tuples keyed by `(first, second)`, kept as one run per first id, each
+/// run sorted by the second id. A refresh costs one map lookup plus a
+/// binary search in a contiguous run, and dropping every tuple of one first
+/// id empties one run — where a map keyed by the pair descends once per
+/// tuple. Iteration and purge output follow ascending `(first, second)`
+/// order, exactly as a pair-keyed map would.
+#[derive(Debug, Clone)]
+struct Runs<T> {
+    runs: BTreeMap<NodeId, Vec<T>>,
+    /// Stored tuples over all runs, live or not.
+    len: usize,
+    min_expiry: MinExpiry,
+}
+
+impl<T> Default for Runs<T> {
+    fn default() -> Self {
+        Runs { runs: BTreeMap::new(), len: 0, min_expiry: MinExpiry::default() }
+    }
+}
+
+impl<T: RunTuple> Runs<T> {
+    /// The run of `first`, ascending by second id (empty if none).
+    fn run(&self, first: NodeId) -> &[T] {
+        self.runs.get(&first).map_or(&[], Vec::as_slice)
+    }
+
+    /// The stored tuple keyed `(first, second)`, live or not.
+    fn get(&self, first: NodeId, second: NodeId) -> Option<&T> {
+        let run = self.run(first);
+        run.binary_search_by_key(&second, |t| t.key().1).ok().map(|i| &run[i])
+    }
+
+    /// Upserts `tuples`, all keyed under `first`, through one map lookup.
+    /// A tuple with a new key is inserted in order; an existing one is
+    /// handed to `update(stored, tuple)`. Returns `true` when any tuple was
+    /// inserted or any `update` returned `true`.
+    fn upsert(
+        &mut self,
+        first: NodeId,
+        tuples: impl ExactSizeIterator<Item = T>,
+        mut update: impl FnMut(&mut T, T) -> bool,
+    ) -> bool {
+        if tuples.len() == 0 {
+            return false;
+        }
+        let run = self.runs.entry(first).or_default();
+        let mut changed = false;
+        for t in tuples {
+            self.min_expiry.cover(t.until());
+            match run.binary_search_by_key(&t.key().1, |s| s.key().1) {
+                Ok(i) => changed |= update(&mut run[i], t),
+                Err(i) => {
+                    run.insert(i, t);
+                    self.len += 1;
+                    changed = true;
+                }
+            }
+        }
+        changed
+    }
+
+    /// Empties the run of `first`; returns how many of its tuples were
+    /// live at `now`. The run keeps its storage for the next upsert under
+    /// `first`; a purge drops runs that stay empty.
+    fn clear_run(&mut self, first: NodeId, now: SimTime) -> usize {
+        let Some(run) = self.runs.get_mut(&first) else {
+            return 0;
+        };
+        let live = run.iter().filter(|t| t.until() > now).count();
+        self.len -= run.len();
+        run.clear();
+        live
+    }
+
+    /// Removes the tuple keyed `(first, second)`; returns whether it existed.
+    fn remove(&mut self, first: NodeId, second: NodeId) -> bool {
+        let Some(run) = self.runs.get_mut(&first) else {
+            return false;
+        };
+        let Ok(i) = run.binary_search_by_key(&second, |t| t.key().1) else {
+            return false;
+        };
+        run.remove(i);
+        self.len -= 1;
+        true
+    }
+
+    /// Every stored tuple, live or not, ascending by `(first, second)`.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.runs.values().flatten()
+    }
+
+    /// Drops tuples expired at `now` and runs left empty; returns the
+    /// dropped keys, ascending. Min-expiry gated: free while nothing can
+    /// have expired.
+    fn purge(&mut self, now: SimTime) -> Vec<(NodeId, NodeId)> {
+        if self.min_expiry.nothing_due(now) {
+            return Vec::new();
+        }
+        self.min_expiry.reset();
+        let min_expiry = &mut self.min_expiry;
+        let mut dead = Vec::new();
+        self.runs.retain(|_, run| {
+            run.retain(|t| {
+                if t.until() <= now {
+                    dead.push(t.key());
+                    false
+                } else {
+                    min_expiry.cover(t.until());
+                    true
+                }
+            });
+            !run.is_empty()
+        });
+        self.len -= dead.len();
+        dead
+    }
+}
+
 /// A 2-hop neighbor entry (RFC 3626 §4.3.2): reachable `two_hop` via the
 /// symmetric 1-hop neighbor `via`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -278,11 +406,20 @@ pub struct TwoHopTuple {
     pub until: SimTime,
 }
 
-/// The 2-hop neighbor set.
+impl RunTuple for TwoHopTuple {
+    fn key(&self) -> (NodeId, NodeId) {
+        (self.via, self.two_hop)
+    }
+
+    fn until(&self) -> SimTime {
+        self.until
+    }
+}
+
+/// The 2-hop neighbor set, one run per `via`.
 #[derive(Debug, Clone, Default)]
 pub struct TwoHopSet {
-    tuples: BTreeMap<(NodeId, NodeId), SimTime>,
-    min_expiry: MinExpiry,
+    tuples: Runs<TwoHopTuple>,
 }
 
 impl TwoHopSet {
@@ -291,18 +428,12 @@ impl TwoHopSet {
     /// only as an expired leftover. A pure refresh of a live pair returns
     /// `false` — it cannot alter MPR selection or routing.
     pub fn upsert(&mut self, via: NodeId, two_hop: NodeId, until: SimTime, now: SimTime) -> bool {
-        self.min_expiry.cover(until);
-        match self.tuples.entry((via, two_hop)) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                let was_live = *e.get() > now;
-                *e.get_mut() = (*e.get()).max(until);
-                !was_live
-            }
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(until);
-                true
-            }
-        }
+        let tuple = TwoHopTuple { via, two_hop, until };
+        self.tuples.upsert(via, std::iter::once(tuple), |t, new| {
+            let was_live = t.until > now;
+            t.until = t.until.max(new.until);
+            !was_live
+        })
     }
 
     /// Removes every pair advertised through `via` (when a HELLO from `via`
@@ -311,22 +442,12 @@ impl TwoHopSet {
     /// the `via`-bounded validity invariant the reception path maintains,
     /// sweep-time calls always find 0 live pairs (pure GC).
     pub fn remove_via(&mut self, via: NodeId, now: SimTime) -> usize {
-        let mut live = 0;
-        self.tuples.retain(|(v, _), until| {
-            if *v != via {
-                return true;
-            }
-            if *until > now {
-                live += 1;
-            }
-            false
-        });
-        live
+        self.tuples.clear_run(via, now)
     }
 
     /// Removes one specific pair.
     pub fn remove(&mut self, via: NodeId, two_hop: NodeId) -> bool {
-        self.tuples.remove(&(via, two_hop)).is_some()
+        self.tuples.remove(via, two_hop)
     }
 
     /// All distinct 2-hop addresses at `now`, ascending, excluding `me` and
@@ -352,10 +473,8 @@ impl TwoHopSet {
         debug_assert!(exclude.windows(2).all(|w| w[0] <= w[1]), "exclude must be sorted");
         out.clear();
         out.extend(
-            self.tuples
-                .iter()
-                .filter(|(_, &until)| until > now)
-                .map(|(&(_, th), _)| th)
+            self.iter(now)
+                .map(|t| t.two_hop)
                 .filter(|th| *th != me && exclude.binary_search(th).is_err()),
         );
         out.sort_unstable();
@@ -368,18 +487,15 @@ impl TwoHopSet {
     }
 
     /// Iterates the 2-hop addresses reachable via `via` at `now` without
-    /// allocating (ascending; the keyspace is range-scanned).
+    /// allocating (ascending: `via`'s run in order).
     pub fn iter_via(&self, via: NodeId, now: SimTime) -> impl Iterator<Item = NodeId> + '_ {
-        self.tuples
-            .range((via, NodeId(0))..=(via, NodeId(u32::MAX)))
-            .filter(move |(_, &until)| until > now)
-            .map(|(&(_, th), _)| th)
+        self.tuples.run(via).iter().filter(move |t| t.until > now).map(|t| t.two_hop)
     }
 
     /// `true` when the pair `(via, two_hop)` is live at `now`: the point
     /// form of [`TwoHopSet::reachable_via`]`.contains(…)`.
     pub fn contains(&self, via: NodeId, two_hop: NodeId, now: SimTime) -> bool {
-        self.tuples.get(&(via, two_hop)).is_some_and(|&until| until > now)
+        self.tuples.get(via, two_hop).is_some_and(|t| t.until > now)
     }
 
     /// The 1-hop neighbors through which `two_hop` is reachable at `now`.
@@ -387,66 +503,39 @@ impl TwoHopSet {
         self.iter_vias_for(two_hop, now).collect()
     }
 
-    /// Iterates [`TwoHopSet::vias_for`] without allocating (ascending). A
-    /// skip scan: each step is one range lookup that either lands on a
-    /// via's `(via, two_hop)` key or proves it absent and jumps to the next
-    /// via, so the cost follows the number of vias, not the set size.
+    /// Iterates [`TwoHopSet::vias_for`] without allocating (ascending): one
+    /// binary search per via's run, so the cost follows the number of vias,
+    /// not the set size.
     pub fn iter_vias_for(
         &self,
         two_hop: NodeId,
         now: SimTime,
     ) -> impl Iterator<Item = NodeId> + '_ {
-        let mut from = Some((NodeId(0), two_hop));
-        std::iter::from_fn(move || {
-            while let Some(key) = from {
-                let (&(via, th), &until) = self.tuples.range(key..).next()?;
-                from = if th < two_hop {
-                    Some((via, two_hop))
-                } else {
-                    via.0.checked_add(1).map(|next| (NodeId(next), two_hop))
-                };
-                if th == two_hop && until > now {
-                    return Some(via);
-                }
-            }
-            None
+        self.tuples.runs.iter().filter_map(move |(&via, run)| {
+            let i = run.binary_search_by_key(&two_hop, |t| t.two_hop).ok()?;
+            (run[i].until > now).then_some(via)
         })
     }
 
-    /// Drops expired pairs; returns the removed `(via, two_hop)` pairs.
-    /// Min-expiry gated: free while nothing can have expired.
+    /// Drops expired pairs; returns the removed `(via, two_hop)` pairs,
+    /// ascending. Min-expiry gated: free while nothing can have expired.
     pub fn purge(&mut self, now: SimTime) -> Vec<(NodeId, NodeId)> {
-        if self.min_expiry.nothing_due(now) {
-            return Vec::new();
-        }
-        let dead: Vec<(NodeId, NodeId)> =
-            self.tuples.iter().filter(|(_, &until)| until <= now).map(|(&k, _)| k).collect();
-        for k in &dead {
-            self.tuples.remove(k);
-        }
-        self.min_expiry.reset();
-        for &until in self.tuples.values() {
-            self.min_expiry.cover(until);
-        }
-        dead
+        self.tuples.purge(now)
     }
 
-    /// Iterates all live tuples at `now`.
+    /// Iterates all live tuples at `now`, ascending by `(via, two_hop)`.
     pub fn iter(&self, now: SimTime) -> impl Iterator<Item = TwoHopTuple> + '_ {
-        self.tuples
-            .iter()
-            .filter(move |(_, &until)| until > now)
-            .map(|(&(via, two_hop), &until)| TwoHopTuple { via, two_hop, until })
+        self.tuples.iter().filter(move |t| t.until > now).copied()
     }
 
     /// Number of stored pairs (live or not).
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.tuples.len
     }
 
     /// `true` when the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.tuples.len == 0
     }
 }
 
@@ -525,11 +614,21 @@ pub struct TopologyTuple {
     pub until: SimTime,
 }
 
-/// The topology set built from received TCs.
+impl RunTuple for TopologyTuple {
+    fn key(&self) -> (NodeId, NodeId) {
+        (self.last_hop, self.dest)
+    }
+
+    fn until(&self) -> SimTime {
+        self.until
+    }
+}
+
+/// The topology set built from received TCs, one run per originator
+/// (`last_hop`).
 #[derive(Debug, Clone, Default)]
 pub struct TopologySet {
-    tuples: BTreeMap<(NodeId, NodeId), TopologyTuple>, // key: (last_hop, dest)
-    min_expiry: MinExpiry,
+    tuples: Runs<TopologyTuple>,
 }
 
 impl TopologySet {
@@ -539,11 +638,7 @@ impl TopologySet {
     /// exactly as if the leftovers had already been garbage-collected —
     /// this keeps the ANSN staleness check independent of purge timing.
     pub fn ansn_of(&self, last_hop: NodeId, now: SimTime) -> Option<u16> {
-        self.tuples
-            .range((last_hop, NodeId(0))..=(last_hop, NodeId(u32::MAX)))
-            .filter(|(_, t)| t.until > now)
-            .map(|(_, t)| t.ansn)
-            .next()
+        self.tuples.run(last_hop).iter().find(|t| t.until > now).map(|t| t.ansn)
     }
 
     /// Applies a TC from `last_hop` carrying `ansn` and `dests`
@@ -568,62 +663,42 @@ impl TopologySet {
                 // Dropping a *live* tuple is a topology change in itself —
                 // a TC that withdraws links (down to an empty advertised
                 // set) must re-trigger route calculation even when it
-                // inserts nothing. Only this originator's `(last_hop, *)`
-                // key range is walked, never the whole map.
-                while let Some((&key, t)) =
-                    self.tuples.range((last_hop, NodeId(0))..=(last_hop, NodeId(u32::MAX))).next()
-                {
-                    changed |= t.until > now;
-                    self.tuples.remove(&key);
-                }
+                // inserts nothing. Only this originator's run is emptied.
+                changed = self.tuples.clear_run(last_hop, now) > 0;
             }
         }
-        self.min_expiry.cover(until);
-        for &d in dests {
-            let t = TopologyTuple { dest: d, last_hop, ansn, until };
-            match self.tuples.insert((last_hop, d), t) {
-                Some(old) if old.ansn == ansn && old.until > now => {
-                    // pure refresh of a live tuple, not a topology change
-                }
-                _ => changed = true,
-            }
-        }
+        let fresh = dests.iter().map(|&dest| TopologyTuple { dest, last_hop, ansn, until });
+        changed |= self.tuples.upsert(last_hop, fresh, |old, t| {
+            // A same-ANSN copy of a live tuple is a pure refresh, not a
+            // topology change.
+            let refresh = old.ansn == ansn && old.until > now;
+            *old = t;
+            !refresh
+        });
         changed
     }
 
-    /// All live tuples at `now`.
+    /// All live tuples at `now`, ascending by `(last_hop, dest)`.
     pub fn iter(&self, now: SimTime) -> impl Iterator<Item = &TopologyTuple> {
-        self.tuples.values().filter(move |t| t.until > now)
+        self.tuples.iter().filter(move |t| t.until > now)
     }
 
-    /// Drops expired tuples; returns removed `(last_hop, dest)` pairs.
-    /// Min-expiry gated: free while nothing can have expired — the gate
-    /// that turns the former per-reception O(topology) sweep into an
-    /// occasional one.
+    /// Drops expired tuples; returns removed `(last_hop, dest)` pairs,
+    /// ascending. Min-expiry gated: free while nothing can have expired —
+    /// the gate that turns the former per-reception O(topology) sweep into
+    /// an occasional one.
     pub fn purge(&mut self, now: SimTime) -> Vec<(NodeId, NodeId)> {
-        if self.min_expiry.nothing_due(now) {
-            return Vec::new();
-        }
-        let dead: Vec<(NodeId, NodeId)> =
-            self.tuples.iter().filter(|(_, t)| t.until <= now).map(|(&k, _)| k).collect();
-        for k in &dead {
-            self.tuples.remove(k);
-        }
-        self.min_expiry.reset();
-        for t in self.tuples.values() {
-            self.min_expiry.cover(t.until);
-        }
-        dead
+        self.tuples.purge(now)
     }
 
     /// Number of stored tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.tuples.len
     }
 
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.tuples.len == 0
     }
 }
 

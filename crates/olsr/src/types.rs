@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use trustlink_sim::record::Willingness;
 use trustlink_sim::{SimDuration, SimTime};
 
 /// A 16-bit wrapping message/packet sequence number with the comparison
@@ -39,11 +40,6 @@ impl fmt::Display for SequenceNumber {
         write!(f, "{}", self.0)
     }
 }
-
-// Willingness moved down into the simulator's record vocabulary (HELLO
-// reception records carry it); re-exported here to keep the historical
-// `trustlink_olsr::types::Willingness` path working.
-pub use trustlink_sim::record::Willingness;
 
 /// How much a node advertises in its TCs (RFC 3626 §15.1 TC_REDUNDANCY).
 ///

@@ -12,13 +12,14 @@
 //! so forged packets from attack nodes can be thrown at the parser safely.
 
 use bytes::{Buf, BufMut, Bytes};
+use trustlink_sim::record::Willingness;
 use trustlink_sim::NodeId;
 
 use crate::message::{
     decode_vtime, encode_vtime, DataMessage, HelloMessage, HnaMessage, LinkCode, LinkGroup,
     Message, MessageBody, MidMessage, Packet, TcMessage,
 };
-use crate::types::{SequenceNumber, Willingness};
+use crate::types::SequenceNumber;
 
 /// Errors produced while decoding a packet.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,7 +1,8 @@
 //! Property-based tests for the OLSR substrate: the MPR coverage
 //! invariant, routing loop-freedom, sequence-number arithmetic and the
 //! vtime codec, plus model oracles for the fast bookkeeping paths (masked
-//! avoid-route BFS, lazy duplicate reclaim, per-originator TC replacement).
+//! avoid-route BFS, lazy duplicate reclaim, per-originator TC replacement,
+//! per-via 2-hop runs).
 
 use std::collections::BTreeMap;
 
@@ -11,7 +12,8 @@ use trustlink_olsr::message::{decode_vtime, encode_vtime};
 use trustlink_olsr::mpr::{select_mprs, uncovered_targets, MprCandidate};
 use trustlink_olsr::routing::{RoutingTable, RoutingWorkspace};
 use trustlink_olsr::state::{DupProbe, DuplicateSet, TopologySet, TwoHopSet};
-use trustlink_olsr::types::{SequenceNumber, Willingness};
+use trustlink_olsr::types::SequenceNumber;
+use trustlink_sim::record::Willingness;
 use trustlink_sim::{NodeId, SimDuration, SimTime};
 
 fn willingness() -> impl Strategy<Value = Willingness> {
@@ -490,6 +492,59 @@ fn topo_live(set: &TopologySet, now: SimTime) -> Vec<(NodeId, NodeId, u16, SimTi
     set.iter(now).map(|t| (t.last_hop, t.dest, t.ansn, t.until)).collect()
 }
 
+/// One mutating operation on a 2-hop set.
+#[derive(Debug, Clone, Copy)]
+enum TwoHopOp {
+    Upsert { via: u32, th: u32, hold: u64 },
+    Remove { via: u32, th: u32 },
+    RemoveVia { via: u32 },
+    Purge,
+}
+
+fn two_hop_ops() -> impl Strategy<Value = Vec<(u64, TwoHopOp)>> {
+    // Upserts four times as often as each other operation.
+    let op = (0u8..7, 0u32..6, 0u32..10, 1u64..8).prop_map(|(k, via, th, hold)| match k {
+        0 => TwoHopOp::Remove { via, th },
+        1 => TwoHopOp::RemoveVia { via },
+        2 => TwoHopOp::Purge,
+        _ => TwoHopOp::Upsert { via, th, hold },
+    });
+    // (clock advance in s, operation)
+    proptest::collection::vec((0u64..3, op), 0..120)
+}
+
+/// The 2-hop set as one plain map keyed by `(via, two_hop)`: expired pairs
+/// answered as absent, removed only by `remove`, `remove_via` and `purge`.
+#[derive(Default)]
+struct TwoHopModel(BTreeMap<(NodeId, NodeId), SimTime>);
+
+impl TwoHopModel {
+    fn upsert(&mut self, via: NodeId, th: NodeId, until: SimTime, now: SimTime) -> bool {
+        let old = self.0.get(&(via, th)).copied();
+        self.0.insert((via, th), old.map_or(until, |o| o.max(until)));
+        old.is_none_or(|o| o <= now)
+    }
+
+    fn remove_via(&mut self, via: NodeId, now: SimTime) -> usize {
+        let mut live = 0;
+        self.0.retain(|&(v, _), &mut u| {
+            live += usize::from(v == via && u > now);
+            v != via
+        });
+        live
+    }
+
+    fn purge(&mut self, now: SimTime) -> Vec<(NodeId, NodeId)> {
+        let dead: Vec<_> = self.0.iter().filter(|(_, &u)| u <= now).map(|(&k, _)| k).collect();
+        self.0.retain(|_, &mut u| u > now);
+        dead
+    }
+
+    fn live(&self, now: SimTime) -> Vec<(NodeId, NodeId, SimTime)> {
+        self.0.iter().filter(|(_, &u)| u > now).map(|(&(v, t), &u)| (v, t, u)).collect()
+    }
+}
+
 proptest! {
     #[test]
     fn reroute_avoiding_matches_compute_avoiding(
@@ -621,6 +676,49 @@ proptest! {
             if purge {
                 set.purge(now);
                 model.0.retain(|_, &mut (_, u)| u > now);
+            }
+        }
+    }
+
+    #[test]
+    fn two_hop_set_matches_pair_keyed_map(ops in two_hop_ops()) {
+        let mut set = TwoHopSet::default();
+        let mut model = TwoHopModel::default();
+        let mut now = SimTime::ZERO;
+        for (step, (dt, op)) in ops.into_iter().enumerate() {
+            now += SimDuration::from_secs(dt);
+            match op {
+                TwoHopOp::Upsert { via, th, hold } => {
+                    let (via, th) = (NodeId(via), NodeId(th));
+                    let until = now + SimDuration::from_secs(hold);
+                    let want = model.upsert(via, th, until, now);
+                    prop_assert_eq!(set.upsert(via, th, until, now), want, "step {}", step);
+                }
+                TwoHopOp::Remove { via, th } => {
+                    let (via, th) = (NodeId(via), NodeId(th));
+                    let want = model.0.remove(&(via, th)).is_some();
+                    prop_assert_eq!(set.remove(via, th), want, "step {}", step);
+                }
+                TwoHopOp::RemoveVia { via } => {
+                    let want = model.remove_via(NodeId(via), now);
+                    prop_assert_eq!(set.remove_via(NodeId(via), now), want, "step {}", step);
+                }
+                TwoHopOp::Purge => {
+                    prop_assert_eq!(set.purge(now), model.purge(now), "step {}", step);
+                }
+            }
+            prop_assert_eq!(set.len(), model.0.len(), "stored pairs at step {}", step);
+            prop_assert_eq!(set.is_empty(), model.0.is_empty());
+            let live: Vec<_> = set.iter(now).map(|t| (t.via, t.two_hop, t.until)).collect();
+            prop_assert_eq!(&live, &model.live(now), "step {}", step);
+            for th in (0..11).map(NodeId) {
+                let want: Vec<NodeId> =
+                    live.iter().filter(|&&(_, t, _)| t == th).map(|&(v, _, _)| v).collect();
+                prop_assert_eq!(set.iter_vias_for(th, now).collect::<Vec<_>>(), want);
+                for via in (0..7).map(NodeId) {
+                    let want = model.0.get(&(via, th)).is_some_and(|&u| u > now);
+                    prop_assert_eq!(set.contains(via, th, now), want, "step {}", step);
+                }
             }
         }
     }

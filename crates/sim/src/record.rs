@@ -121,7 +121,9 @@ impl fmt::Display for MessageKind {
     }
 }
 
-/// Why a flooded message was not retransmitted.
+/// Why a flooded message was not retransmitted: the key of the per-node
+/// suppression counters in [`FloodStats`](crate::stats::FloodStats).
+/// Suppressed copies are counted, not logged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SuppressReason {
     /// Already retransmitted (duplicate set).
@@ -142,16 +144,6 @@ impl SuppressReason {
             SuppressReason::TtlExpired => "ttl-expired",
             SuppressReason::UnknownSender => "unknown-sender",
         }
-    }
-
-    fn from_str_opt(s: &str) -> Option<Self> {
-        Some(match s {
-            "duplicate" => SuppressReason::Duplicate,
-            "not-mpr-selector" => SuppressReason::NotMprSelector,
-            "ttl-expired" => SuppressReason::TtlExpired,
-            "unknown-sender" => SuppressReason::UnknownSender,
-            _ => return None,
-        })
     }
 }
 
@@ -352,17 +344,6 @@ pub enum LogRecord {
         /// The neighbor we received it from.
         from: NodeId,
     },
-    /// We declined to retransmit a flooded message.
-    ForwardSuppressed {
-        /// Original creator of the message.
-        originator: NodeId,
-        /// Message kind.
-        kind: MessageKind,
-        /// Originator-scoped sequence number.
-        seq: u16,
-        /// Why it was suppressed.
-        reason: SuppressReason,
-    },
     /// Unicast data addressed to us arrived.
     DataRx {
         /// Source node.
@@ -471,9 +452,6 @@ impl LogRecord {
             }
             LogRecord::Forwarded { originator, kind, seq, from } => {
                 format!("FWD orig={originator} type={kind} seq={seq} from={from}")
-            }
-            LogRecord::ForwardSuppressed { originator, kind, seq, reason } => {
-                format!("FWD_SUPPRESS orig={originator} type={kind} seq={seq} reason={reason}")
             }
             LogRecord::DataRx { src } => format!("DATA_RX src={src}"),
             LogRecord::DataTx { dst, next_hop } => {
@@ -672,14 +650,6 @@ pub fn parse_line(line: &str) -> Result<LogRecord, ParseLogError> {
             seq: f.u16_field("seq")?,
             from: f.node("from")?,
         },
-        "FWD_SUPPRESS" => LogRecord::ForwardSuppressed {
-            originator: f.node("orig")?,
-            kind: MessageKind::from_str_opt(f.raw("type")?)
-                .ok_or(ParseLogError::BadValue("type"))?,
-            seq: f.u16_field("seq")?,
-            reason: SuppressReason::from_str_opt(f.raw("reason")?)
-                .ok_or(ParseLogError::BadValue("reason"))?,
-        },
         "DATA_RX" => LogRecord::DataRx { src: f.node("src")? },
         "DATA_TX" => LogRecord::DataTx { dst: f.node("dst")?, next_hop: f.node("next")? },
         "DATA_FWD" => LogRecord::DataForwarded {
@@ -874,12 +844,6 @@ mod tests {
                 seq: 12,
                 from: NodeId(2),
             },
-            LogRecord::ForwardSuppressed {
-                originator: NodeId(5),
-                kind: MessageKind::Mid,
-                seq: 12,
-                reason: SuppressReason::Duplicate,
-            },
             LogRecord::DataRx { src: NodeId(4) },
             LogRecord::DataTx { dst: NodeId(6), next_hop: NodeId(2) },
             LogRecord::DataForwarded { src: NodeId(1), dst: NodeId(6), next_hop: NodeId(3) },
@@ -933,16 +897,6 @@ mod tests {
             "HELLO_RX from=N3 will=3 sym=[N1,N2] asym=[]"
         );
         assert_eq!(LogRecord::MprSet { mprs: Box::from([]) }.to_line(), "MPR_SET mprs=[]");
-        assert_eq!(
-            LogRecord::ForwardSuppressed {
-                originator: NodeId(5),
-                kind: MessageKind::Tc,
-                seq: 3,
-                reason: SuppressReason::NotMprSelector
-            }
-            .to_line(),
-            "FWD_SUPPRESS orig=N5 type=TC seq=3 reason=not-mpr-selector"
-        );
         assert_eq!(LogRecord::AnalysisTick.to_line(), "ANALYSIS_TICK");
         assert_eq!(
             LogRecord::Verdict {

@@ -5,6 +5,7 @@
 //! report for it (frames transmitted/delivered/lost per node and in total).
 
 use crate::node::NodeId;
+use crate::record::SuppressReason;
 
 /// Per-node traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -88,6 +89,11 @@ pub struct FloodStats {
     pub originated_per_ring: Vec<u64>,
     /// Flood frames this node retransmitted on behalf of others.
     pub forwarded: u64,
+    /// Flood copies this node declined to retransmit, indexed by
+    /// [`SuppressReason`] (read through [`FloodStats::suppressed`]). They
+    /// are counted rather than logged: one per received copy, and no IDS
+    /// rule reads them.
+    suppressed: [u64; 4],
 }
 
 impl FloodStats {
@@ -104,6 +110,16 @@ impl FloodStats {
         self.originated_per_ring.iter().sum()
     }
 
+    /// Counts one flood copy suppressed for `reason`, of any message kind.
+    pub fn record_suppressed(&mut self, reason: SuppressReason) {
+        self.suppressed[reason as usize] += 1;
+    }
+
+    /// Flood copies suppressed for `reason`.
+    pub fn suppressed(&self, reason: SuppressReason) -> u64 {
+        self.suppressed[reason as usize]
+    }
+
     /// Folds another node's counters into this one (benchmark aggregation).
     pub fn merge(&mut self, other: &FloodStats) {
         if self.originated_per_ring.len() < other.originated_per_ring.len() {
@@ -113,6 +129,9 @@ impl FloodStats {
             *mine += theirs;
         }
         self.forwarded += other.forwarded;
+        for (mine, theirs) in self.suppressed.iter_mut().zip(other.suppressed) {
+            *mine += theirs;
+        }
     }
 }
 
@@ -151,15 +170,24 @@ mod tests {
         a.record_originated(2); // grows through the gap
         a.record_originated(2);
         a.forwarded += 5;
+        a.record_suppressed(SuppressReason::Duplicate);
+        a.record_suppressed(SuppressReason::Duplicate);
+        a.record_suppressed(SuppressReason::TtlExpired);
         assert_eq!(a.originated_per_ring, vec![1, 0, 2]);
         assert_eq!(a.originated_total(), 3);
 
         let mut b = FloodStats::default();
         b.record_originated(1);
         b.forwarded = 7;
+        b.record_suppressed(SuppressReason::Duplicate);
+        b.record_suppressed(SuppressReason::UnknownSender);
         b.merge(&a);
         assert_eq!(b.originated_per_ring, vec![1, 1, 2]);
         assert_eq!(b.originated_total(), 4);
         assert_eq!(b.forwarded, 12);
+        assert_eq!(b.suppressed(SuppressReason::Duplicate), 3);
+        assert_eq!(b.suppressed(SuppressReason::TtlExpired), 1);
+        assert_eq!(b.suppressed(SuppressReason::UnknownSender), 1);
+        assert_eq!(b.suppressed(SuppressReason::NotMprSelector), 0);
     }
 }

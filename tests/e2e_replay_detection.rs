@@ -72,21 +72,16 @@ fn duplicate_set_suppresses_short_delay_replays() {
     sim.run_for(SimDuration::from_secs(40));
     let replayer = sim.app_as::<ReplayAttacker>(attacker).expect("replayer");
     assert!(replayer.replayed_total() > 50, "replayer barely fired: {}", replayer.replayed_total());
-    // Typed evidence from the flight recorder: honest nodes suppressed
-    // duplicate floods (the replayed TCs among them) instead of
-    // re-forwarding.
-    let recorder = sim.flight_recorder();
-    let duplicate_suppressions = recorder
-        .records()
-        .iter()
-        .filter(|r| {
-            r.node != attacker
-                && matches!(
-                    r.record,
-                    LogRecord::ForwardSuppressed { reason: SuppressReason::Duplicate, .. }
-                )
+    // Evidence from the flood counters: honest nodes suppressed duplicate
+    // floods (the replayed TCs among them) instead of re-forwarding.
+    let duplicate_suppressions: u64 = sim
+        .node_ids()
+        .filter(|&id| id != attacker)
+        .map(|id| {
+            let detector = sim.app_as::<DetectorNode>(id).expect("honest detector");
+            detector.olsr().flood_stats().suppressed(SuppressReason::Duplicate)
         })
-        .count();
+        .sum();
     assert!(
         duplicate_suppressions > 0,
         "no duplicate suppression anywhere despite {} replayed frames",

@@ -1,18 +1,76 @@
 //! Cross-crate property tests: the log pipeline (render → parse → extract)
-//! and the wire pipeline (encode → decode) under adversarial inputs.
+//! and the wire pipelines (encode → decode) — OLSR frames, investigation
+//! messages and trust gossip — under adversarial inputs.
+//!
+//! A pass-through global allocator remembers the largest single request
+//! made on each thread, so a decoder's reservation on a hostile length
+//! field can be bounded.
+#![allow(unsafe_code)] // the request-size tracking allocator
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use proptest::prelude::*;
 
+use trustlink_core::gossip::TrustGossip;
+use trustlink_ids::investigation::InvestigationMessage;
 use trustlink_olsr::message::{
     DataMessage, HelloMessage, HnaMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody,
     MidMessage, NeighborType, Packet, TcMessage,
 };
-use trustlink_olsr::types::{SequenceNumber, Willingness};
+use trustlink_olsr::types::SequenceNumber;
 use trustlink_olsr::wire::{decode_packet, encode_packet};
 use trustlink_sim::record::{
-    from_rlog_line, parse_line, LogRecord, MessageKind, SuppressReason, VerdictKind,
+    from_rlog_line, parse_line, LogRecord, MessageKind, VerdictKind, Willingness,
 };
 use trustlink_sim::{NodeId, SimDuration, SimTime};
+use trustlink_trust::value::TrustValue;
+
+thread_local! {
+    /// Largest single allocation request (bytes) made by this thread since
+    /// the last [`reset_largest_request`]. `const`-initialised with no
+    /// destructor, so updating it from inside the allocator never
+    /// allocates.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_request(size: usize) {
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
+}
+
+fn reset_largest_request() {
+    LARGEST.with(|c| c.set(0));
+}
+
+fn largest_request() -> usize {
+    LARGEST.with(Cell::get)
+}
+
+struct TrackLargest;
+
+// SAFETY: pure pass-through to `System` plus a thread-local maximum; every
+// allocator contract obligation is `System`'s own.
+unsafe impl GlobalAlloc for TrackLargest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        // SAFETY: caller upholds `alloc`'s contract; forwarded unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: caller upholds `dealloc`'s contract; forwarded unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_request(new_size);
+        // SAFETY: caller upholds `realloc`'s contract; forwarded unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: TrackLargest = TrackLargest;
 
 fn node_id() -> impl Strategy<Value = NodeId> {
     (0u32..1000).prop_map(NodeId)
@@ -39,15 +97,6 @@ fn message_kind() -> impl Strategy<Value = MessageKind> {
         Just(MessageKind::Mid),
         Just(MessageKind::Hna),
         Just(MessageKind::Data),
-    ]
-}
-
-fn suppress_reason() -> impl Strategy<Value = SuppressReason> {
-    prop_oneof![
-        Just(SuppressReason::Duplicate),
-        Just(SuppressReason::NotMprSelector),
-        Just(SuppressReason::TtlExpired),
-        Just(SuppressReason::UnknownSender),
     ]
 }
 
@@ -120,14 +169,6 @@ fn log_record() -> impl Strategy<Value = LogRecord> {
             .prop_map(|(ansn, advertised)| LogRecord::TcTx { ansn, advertised }),
         (node_id(), message_kind(), any::<u16>(), node_id()).prop_map(
             |(originator, kind, seq, from)| LogRecord::Forwarded { originator, kind, seq, from }
-        ),
-        (node_id(), message_kind(), any::<u16>(), suppress_reason()).prop_map(
-            |(originator, kind, seq, reason)| LogRecord::ForwardSuppressed {
-                originator,
-                kind,
-                seq,
-                reason
-            }
         ),
         node_id().prop_map(|src| LogRecord::DataRx { src }),
         (node_id(), node_id()).prop_map(|(dst, next_hop)| LogRecord::DataTx { dst, next_hop }),
@@ -322,7 +363,149 @@ fn every_single_byte_mutation_of_real_frames_is_handled() {
     assert!(rejected > 100, "only {rejected} mutants were rejected");
 }
 
+/// Real encoded investigation messages and trust gossip, the starting
+/// points of the payload mutation properties: both message kinds, extreme
+/// case numbers, narrow, boundary and escaped (wide) ids, both answers,
+/// and gossip from empty to several entries at the trust extremes.
+fn seed_payloads() -> Vec<Payload> {
+    let wide = NodeId(999_999);
+    let edge = NodeId(0xFFFE); // the largest id that still fits two bytes
+    let mut out: Vec<Payload> = [
+        InvestigationMessage::VerifyLinkRequest { case: 7, suspect: NodeId(4), contested: wide },
+        InvestigationMessage::VerifyLinkRequest {
+            case: u64::MAX,
+            suspect: wide,
+            contested: NodeId(0),
+        },
+        InvestigationMessage::VerifyLinkResponse {
+            case: 0,
+            suspect: edge,
+            witness: NodeId(9),
+            link_exists: true,
+        },
+        InvestigationMessage::VerifyLinkResponse {
+            case: 1 << 40,
+            suspect: NodeId(4),
+            witness: wide,
+            link_exists: false,
+        },
+    ]
+    .into_iter()
+    .map(Payload::Investigation)
+    .collect();
+    for entries in [
+        vec![],
+        vec![(NodeId(1), TrustValue::new(0.4))],
+        vec![
+            (wide, TrustValue::new(-1.0)),
+            (edge, TrustValue::new(1.0)),
+            (NodeId(3), TrustValue::new(0.0)),
+        ],
+    ] {
+        out.push(Payload::Gossip(TrustGossip { entries }));
+    }
+    out
+}
+
+/// A seed payload of either data-plane message type.
+#[derive(Debug, Clone, PartialEq)]
+enum Payload {
+    Investigation(InvestigationMessage),
+    Gossip(TrustGossip),
+}
+
+impl Payload {
+    fn encode(&self) -> bytes::Bytes {
+        match self {
+            Payload::Investigation(m) => m.encode(),
+            Payload::Gossip(g) => g.encode(),
+        }
+    }
+
+    /// Decodes `bytes` as the same message type as `self`.
+    fn decode_like(&self, bytes: bytes::Bytes) -> Option<Payload> {
+        match self {
+            Payload::Investigation(_) => {
+                InvestigationMessage::decode(bytes).ok().map(Payload::Investigation)
+            }
+            Payload::Gossip(_) => TrustGossip::decode(bytes).ok().map(Payload::Gossip),
+        }
+    }
+}
+
+/// The payload decoders' contract on a mutant of `seed`: they return
+/// instead of panicking, and whatever they accept re-encodes to bytes that
+/// decode back to the same message. Returns whether the mutant was
+/// accepted.
+fn check_payload_decoder_on(seed: &Payload, buf: Vec<u8>) -> Result<bool, String> {
+    let Some(msg) = seed.decode_like(bytes::Bytes::from(buf)) else { return Ok(false) };
+    match seed.decode_like(msg.encode()) {
+        Some(again) if again == msg => Ok(true),
+        other => Err(format!("accepted {msg:?} but its re-encoding decodes to {other:?}")),
+    }
+}
+
+#[test]
+fn every_single_byte_mutation_of_real_payloads_is_handled() {
+    // The frame sweep's edits, applied to every position of every seed
+    // investigation message and gossip payload.
+    let (mut accepted, mut rejected) = (0u32, 0u32);
+    for seed in seed_payloads() {
+        let encoded = seed.encode();
+        assert_eq!(seed.decode_like(encoded.clone()).as_ref(), Some(&seed), "seed must decode");
+        for pos in 0..=encoded.len() as u16 {
+            for (op, byte) in [(0, 0x01), (0, 0x80), (0, 0xFF), (1, 0xFF), (2, 0), (3, 0)] {
+                let mut buf = encoded.to_vec();
+                mutate(&mut buf, op, pos, byte);
+                match check_payload_decoder_on(&seed, buf) {
+                    Ok(true) => accepted += 1,
+                    Ok(false) => rejected += 1,
+                    Err(e) => panic!("{seed:?}, op {op} at {pos}: {e}"),
+                }
+            }
+        }
+    }
+    assert!(accepted > 50, "only {accepted} mutants got past validation");
+    assert!(rejected > 100, "only {rejected} mutants were rejected");
+}
+
+#[test]
+fn gossip_count_beyond_its_body_is_rejected_within_the_reservation_cap() {
+    // A header declaring 65 535 entries over a body of zero, one or a few
+    // entries: the decoder must reject it, reserving at most the 1 024
+    // entries it caps a declared count at (not 65 535 entries' worth).
+    let cap = 1024 * std::mem::size_of::<(NodeId, TrustValue)>();
+    for body_entries in [0usize, 1, 3] {
+        let mut buf = vec![3u8, 0xFF, 0xFF];
+        for i in 0..body_entries {
+            buf.extend_from_slice(&(i as u16).to_be_bytes());
+            buf.extend_from_slice(&5000i16.to_be_bytes());
+        }
+        let bytes = bytes::Bytes::from(buf);
+        reset_largest_request();
+        let got = TrustGossip::decode(bytes);
+        let largest = largest_request();
+        assert!(got.is_err(), "{body_entries} entries under a 65 535 count were accepted");
+        assert!(largest <= cap, "decoding reserved {largest} bytes at once; the cap allows {cap}");
+    }
+}
+
 proptest! {
+    #[test]
+    fn mutated_real_payloads_never_panic_and_accepted_ones_roundtrip(
+        seed in 0usize..7,
+        edits in proptest::collection::vec((0u8..4, any::<u16>(), any::<u8>()), 1..6),
+    ) {
+        let seed = &seed_payloads()[seed];
+        let mut buf = seed.encode().to_vec();
+        for &(op, pos, byte) in &edits {
+            mutate(&mut buf, op, pos, byte);
+        }
+        if let Err(e) = check_payload_decoder_on(seed, buf) {
+            panic!("{seed:?} after {edits:?}: {e}");
+        }
+    }
+
     #[test]
     fn mutated_real_frames_never_panic_and_accepted_ones_roundtrip(
         frame in 0usize..8,
