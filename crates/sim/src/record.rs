@@ -136,23 +136,6 @@ pub enum SuppressReason {
     UnknownSender,
 }
 
-impl SuppressReason {
-    fn as_str(self) -> &'static str {
-        match self {
-            SuppressReason::Duplicate => "duplicate",
-            SuppressReason::NotMprSelector => "not-mpr-selector",
-            SuppressReason::TtlExpired => "ttl-expired",
-            SuppressReason::UnknownSender => "unknown-sender",
-        }
-    }
-}
-
-impl fmt::Display for SuppressReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// The rule (10) outcome carried in a recorded [`LogRecord::Verdict`].
 ///
 /// The semantic type lives in the trust crate; this is its wire-level
