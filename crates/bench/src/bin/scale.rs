@@ -3,7 +3,7 @@
 //! flooding, at 10²–10⁴ nodes, recorded as `BENCH_scale.json` at the
 //! repository root.
 //!
-//! Five measurements per network size:
+//! Four measurements per network size:
 //!
 //! * **broadcast fan-out** — the radio-layer cost PR 2 attacked: time per
 //!   `inject_broadcast` into a network of no-op applications (scheduling
@@ -27,16 +27,6 @@
 //!   (one classic interval — a full classic cycle there is an hour-class
 //!   measurement), so its stretch columns are skipped and its reduction
 //!   reflects the scoped bootstrap.
-//! * **frame pipeline** — wall time of the same full-stack window under
-//!   `DeliveryMode::Batched` (coalesced per-(receiver, instant) delivery
-//!   through the decode arena — the default) vs `DeliveryMode::PerFrame`
-//!   (the one-event-per-frame oracle). The two modes are byte-identical
-//!   by contract (`tests/batch_equivalence.rs`), which also bounds the
-//!   coalescing win: only *consecutive* same-instant deliveries may merge,
-//!   so the row is a parity guard plus a frames/s throughput figure, not
-//!   a speedup claim. The 10k row is batched-only (the oracle doubles an
-//!   already hour-class sweep) and demonstrates the pipeline completing
-//!   at the scale the ISSUE targets.
 //!
 //! Usage:
 //!   `cargo run --release -p trustlink-bench --bin scale`                  — full sweep, writes BENCH_scale.json
@@ -69,7 +59,6 @@ fn placed_sim(
     n: usize,
     seed: u64,
     mode: ScanMode,
-    delivery: DeliveryMode,
     app: impl Fn() -> Box<dyn Application>,
 ) -> Simulator {
     let arena = topologies::arena_for_mean_degree(n, RANGE, MEAN_DEGREE);
@@ -79,7 +68,6 @@ fn placed_sim(
         .arena(arena)
         .radio(RadioConfig::unit_disk(RANGE))
         .scan_mode(mode)
-        .delivery_mode(delivery)
         .expected_nodes(n)
         .build();
     for &p in &positions {
@@ -96,7 +84,7 @@ fn placed_sim(
 /// standard defence against scheduler and interrupt noise.
 fn fan_out_us(n: usize, mode: ScanMode, broadcasts: usize) -> f64 {
     const CHUNK: usize = 100;
-    let mut sim = placed_sim(n, 1, mode, DeliveryMode::Batched, || Box::new(Sink));
+    let mut sim = placed_sim(n, 1, mode, || Box::new(Sink));
     sim.run_for(SimDuration::from_millis(1)); // consume Start events
     let payload = Bytes::from_static(b"BENCH_FANOUT");
     // Warm up caches and the scratch buffers.
@@ -131,8 +119,7 @@ fn convergence_ms(n: usize, mode: ScanMode, sim_secs: u64) -> (f64, u64) {
         ..OlsrConfig::fast()
     };
     let t0 = Instant::now();
-    let mut sim =
-        placed_sim(n, 1, mode, DeliveryMode::Batched, || Box::new(OlsrNode::new(cfg.clone())));
+    let mut sim = placed_sim(n, 1, mode, || Box::new(OlsrNode::new(cfg.clone())));
     sim.run_for(SimDuration::from_secs(sim_secs));
     (t0.elapsed().as_secs_f64() * 1e3, sim.stats().total_sent())
 }
@@ -145,7 +132,6 @@ type RouteSnapshot = Vec<(u32, Vec<(u32, u32)>)>;
 struct FullStackRun {
     wall_ms: f64,
     frames: u64,
-    delivered: u64,
     route_runs: u64,
     flood: FloodStats,
     routes: RouteSnapshot,
@@ -153,27 +139,19 @@ struct FullStackRun {
 
 /// Wall milliseconds to simulate a `sim_secs`-second *full-stack*
 /// convergence window — HELLOs and TCs both flowing — under the given
-/// recompute mode, flood scope and delivery mode, plus the
+/// recompute mode and flood scope, plus the
 /// frame/recompute/flood accounting and a sampled routing snapshot.
-fn full_stack(
-    n: usize,
-    mode: RecomputeMode,
-    scope: FloodScope,
-    delivery: DeliveryMode,
-    sim_secs: u64,
-) -> FullStackRun {
+fn full_stack(n: usize, mode: RecomputeMode, scope: FloodScope, sim_secs: u64) -> FullStackRun {
     // RFC 3626 §18 default timing (hello 2 s, TC 5 s): the representative
     // deployment cadence. The `fast()` timing used by quick tests drives
     // 16× the TC traffic and makes the eager oracle a multi-hour
     // measurement at 4096 nodes without changing the speedup story.
     let cfg = OlsrConfig { recompute: mode, flood_scope: scope, ..OlsrConfig::rfc_default() };
     let t0 = Instant::now();
-    let mut sim =
-        placed_sim(n, 1, ScanMode::Grid, delivery, || Box::new(OlsrNode::new(cfg.clone())));
+    let mut sim = placed_sim(n, 1, ScanMode::Grid, || Box::new(OlsrNode::new(cfg.clone())));
     sim.run_for(SimDuration::from_secs(sim_secs));
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let frames = sim.stats().total_sent();
-    let delivered = sim.stats().total_received();
     let mut route_runs = 0u64;
     let mut flood = FloodStats::default();
     for id in sim.node_ids().collect::<Vec<_>>() {
@@ -190,7 +168,7 @@ fn full_stack(
             (id.0, table.iter().map(|r| (r.dest.0, r.hops)).collect())
         })
         .collect();
-    FullStackRun { wall_ms, frames, delivered, route_runs, flood, routes }
+    FullStackRun { wall_ms, frames, route_runs, flood, routes }
 }
 
 /// Route stretch of `scoped` relative to `classic`: mean and max
@@ -246,17 +224,6 @@ struct RecomputeRow {
     incremental_bfs: u64,
 }
 
-struct PipelineRow {
-    nodes: usize,
-    sim_secs: u64,
-    frames: u64,
-    delivered: u64,
-    /// `None` for sizes where the per-frame oracle is skipped on
-    /// wall-time grounds (10k).
-    per_frame_ms: Option<f64>,
-    batched_ms: f64,
-}
-
 struct FloodRow {
     nodes: usize,
     sim_secs: u64,
@@ -306,15 +273,6 @@ fn main() {
     } else {
         &[(256, 26, true), (1024, 26, true), (4096, 26, true), (10_000, 6, false)]
     };
-    // (nodes, sim window, run the per-frame oracle too?). The batched
-    // side reuses the incremental runs above where the plans coincide,
-    // so each row costs one extra (per-frame) run at most. The 10k row
-    // is batched-only for the same wall-time reason as the eager oracle.
-    let pipeline_plan: &[(usize, u64, bool)] = if smoke {
-        &[(64, 6, true), (256, 6, true)]
-    } else {
-        &[(256, 6, true), (1024, 6, true), (4096, 6, true), (10_000, 6, false)]
-    };
     let mut fan_rows = Vec::new();
     for &n in fan_sizes {
         let grid_us = fan_out_us(n, ScanMode::Grid, broadcasts);
@@ -342,21 +300,9 @@ fn main() {
     // classic baseline where the plans share (nodes, window).
     let mut classic_runs: Vec<(usize, u64, FullStackRun)> = Vec::new();
     for &(n, secs, with_eager) in recompute_plan {
-        let incr = full_stack(
-            n,
-            RecomputeMode::Incremental,
-            FloodScope::Classic,
-            DeliveryMode::Batched,
-            secs,
-        );
+        let incr = full_stack(n, RecomputeMode::Incremental, FloodScope::Classic, secs);
         let (eager_ms, eager_bfs) = if with_eager {
-            let eager = full_stack(
-                n,
-                RecomputeMode::Eager,
-                FloodScope::Classic,
-                DeliveryMode::Batched,
-                secs,
-            );
+            let eager = full_stack(n, RecomputeMode::Eager, FloodScope::Classic, secs);
             assert_eq!(
                 eager.frames, incr.frames,
                 "recompute modes transmitted different frame counts at n={n}"
@@ -393,82 +339,16 @@ fn main() {
         classic_runs.push((n, secs, incr));
     }
 
-    let mut pipe_rows = Vec::new();
-    for &(n, secs, with_oracle) in pipeline_plan {
-        // The batched side is exactly the incremental+classic run the
-        // recompute section already measured; reuse it where the plans
-        // share (nodes, window) rather than paying the run twice.
-        let (batched_ms, frames, delivered) =
-            match classic_runs.iter().find(|&&(rn, rs, _)| rn == n && rs == secs) {
-                Some((_, _, run)) => (run.wall_ms, run.frames, run.delivered),
-                None => {
-                    let run = full_stack(
-                        n,
-                        RecomputeMode::Incremental,
-                        FloodScope::Classic,
-                        DeliveryMode::Batched,
-                        secs,
-                    );
-                    (run.wall_ms, run.frames, run.delivered)
-                }
-            };
-        let per_frame_ms = if with_oracle {
-            let oracle = full_stack(
-                n,
-                RecomputeMode::Incremental,
-                FloodScope::Classic,
-                DeliveryMode::PerFrame,
-                secs,
-            );
-            assert_eq!(
-                oracle.frames, frames,
-                "delivery modes transmitted different frame counts at n={n}"
-            );
-            assert_eq!(
-                oracle.delivered, delivered,
-                "delivery modes delivered different frame counts at n={n}"
-            );
-            Some(oracle.wall_ms)
-        } else {
-            None
-        };
-        let frames_per_sec = delivered as f64 / (batched_ms / 1e3);
-        match per_frame_ms {
-            Some(p) => eprintln!(
-                "pipeline n={n:>6}: per-frame {p:>9.0} ms   batched {batched_ms:>9.0} ms   {:>5.2}×  ({delivered} delivered, {frames_per_sec:.0}/s batched)",
-                p / batched_ms
-            ),
-            None => eprintln!(
-                "pipeline n={n:>6}: per-frame (skipped: wall time)   batched {batched_ms:>9.0} ms          ({delivered} delivered, {frames_per_sec:.0}/s batched)"
-            ),
-        }
-        pipe_rows.push(PipelineRow {
-            nodes: n,
-            sim_secs: secs,
-            frames,
-            delivered,
-            per_frame_ms,
-            batched_ms,
-        });
-    }
-
     let mut flood_rows = Vec::new();
     for &(n, secs, full_cycle) in flood_plan {
         let classic = match classic_runs.iter().position(|&(rn, rs, _)| rn == n && rs == secs) {
             Some(i) => classic_runs.swap_remove(i).2,
-            None => full_stack(
-                n,
-                RecomputeMode::Incremental,
-                FloodScope::Classic,
-                DeliveryMode::Batched,
-                secs,
-            ),
+            None => full_stack(n, RecomputeMode::Incremental, FloodScope::Classic, secs),
         };
         let fisheye = full_stack(
             n,
             RecomputeMode::Incremental,
             FloodScope::Fisheye(FisheyeRings::default()),
-            DeliveryMode::Batched,
             secs,
         );
         let stretch = full_cycle.then(|| route_stretch(&classic.routes, &fisheye.routes));
@@ -501,7 +381,7 @@ fn main() {
         });
     }
 
-    let json = render_json(&fan_rows, &conv_rows, &rec_rows, &pipe_rows, &flood_rows, broadcasts);
+    let json = render_json(&fan_rows, &conv_rows, &rec_rows, &flood_rows, broadcasts);
     if smoke {
         println!("{json}");
         eprintln!("smoke mode: not writing {out_path}");
@@ -553,36 +433,12 @@ fn main() {
             "the 10k fisheye run must beat the classic flood wall"
         );
     }
-
-    // Frame-pipeline guard. Byte-identity constrains batching to runs of
-    // *consecutive* same-instant deliveries, so the honest contract is
-    // parity, not a speedup multiple: the batched default must never cost
-    // meaningfully more than the per-frame oracle. The 1.5× ceiling is
-    // noise headroom — interleaved repeats of this window swing ±40%
-    // wall-to-wall on shared hardware — not an expected cost.
-    let pipe_assert_at = if smoke { 256 } else { 4096 };
-    let prow = pipe_rows.iter().find(|r| r.nodes == pipe_assert_at).expect("pipeline assert row");
-    let per = prow.per_frame_ms.expect("per-frame oracle measured at the assert size");
-    assert!(
-        prow.batched_ms <= per * 1.5,
-        "batched delivery at {pipe_assert_at} nodes cost {:.0} ms vs {per:.0} ms per-frame \
-         (> 1.5× even with noise headroom)",
-        prow.batched_ms
-    );
-    if !smoke {
-        let p10k = pipe_rows.iter().find(|r| r.nodes == 10_000).expect("10k pipeline row");
-        assert!(
-            p10k.frames > 0 && p10k.delivered > 0,
-            "the 10k-node batched pipeline window moved no traffic"
-        );
-    }
 }
 
 fn render_json(
     fan: &[FanOutRow],
     conv: &[ConvergenceRow],
     rec: &[RecomputeRow],
-    pipe: &[PipelineRow],
     flood: &[FloodRow],
     broadcasts: usize,
 ) -> String {
@@ -643,27 +499,6 @@ fn render_json(
             tc_fwd = r.tc_frames_forwarded,
             incr = r.incremental_ms,
             incr_bfs = r.incremental_bfs,
-        ));
-    }
-    s.push_str("  ],\n");
-    // Parity rows, not speedup rows: batched-vs-per-frame is byte-identical
-    // by contract, which bounds coalescing to consecutive same-instant
-    // deliveries; wall ratios here sit inside run-to-run noise.
-    s.push_str("  \"frame_pipeline\": [\n");
-    for (i, r) in pipe.iter().enumerate() {
-        let sep = if i + 1 == pipe.len() { "" } else { "," };
-        let frames_per_sec = r.delivered as f64 / (r.batched_ms / 1e3);
-        let (per, ratio, skipped) = match r.per_frame_ms {
-            Some(p) => (format!("{p:.0}"), format!("{:.2}", p / r.batched_ms), ""),
-            None => ("null".to_string(), "null".to_string(), ", \"skipped_reason\": \"wall_time\""),
-        };
-        s.push_str(&format!(
-            "    {{ \"nodes\": {nodes}, \"sim_secs\": {secs}, \"frames_sent\": {frames}, \"frames_delivered\": {delivered}, \"per_frame_wall_ms\": {per}, \"batched_wall_ms\": {b_ms:.0}, \"per_frame_over_batched\": {ratio}, \"batched_deliveries_per_sec\": {frames_per_sec:.0}{skipped} }}{sep}\n",
-            nodes = r.nodes,
-            secs = r.sim_secs,
-            frames = r.frames,
-            delivered = r.delivered,
-            b_ms = r.batched_ms,
         ));
     }
     s.push_str("  ],\n");

@@ -15,8 +15,8 @@ use trustlink_attacks::liar::LiarPolicy;
 use trustlink_attacks::spoof::LinkSpoofing;
 use trustlink_olsr::types::{FloodScope, OlsrConfig, RecomputeMode};
 use trustlink_sim::{
-    topologies, Arena, ChannelModel, DeliveryMode, MobilityModel, NodeId, Position, RadioConfig,
-    ScanMode, SimDuration, Simulator, SimulatorBuilder,
+    topologies, Arena, ChannelModel, MobilityModel, NodeId, Position, RadioConfig, ScanMode,
+    SimDuration, Simulator, SimulatorBuilder,
 };
 
 use crate::detector::{DetectorConfig, DetectorNode, VerdictRecord};
@@ -73,7 +73,6 @@ pub struct ScenarioBuilder {
     liars: BTreeMap<usize, LiarPolicy>,
     duration: SimDuration,
     scan_mode: ScanMode,
-    delivery_mode: DeliveryMode,
     arena_override: Option<(f64, f64)>,
     mobility: MobilityModel,
     mobility_tick: Option<SimDuration>,
@@ -94,7 +93,6 @@ impl ScenarioBuilder {
             liars: BTreeMap::new(),
             duration: SimDuration::from_secs(60),
             scan_mode: ScanMode::default(),
-            delivery_mode: DeliveryMode::default(),
             arena_override: None,
             mobility: MobilityModel::Stationary,
             mobility_tick: None,
@@ -150,15 +148,6 @@ impl ScenarioBuilder {
     /// byte-identically per seed.
     pub fn scan_mode(mut self, mode: ScanMode) -> Self {
         self.scan_mode = mode;
-        self
-    }
-
-    /// Selects how the radio hands received frames to the stack
-    /// ([`DeliveryMode::Batched`] by default). [`DeliveryMode::PerFrame`]
-    /// is the one-event-per-frame oracle kept for equivalence testing and
-    /// baseline benchmarking; both replay byte-identically per seed.
-    pub fn delivery_mode(mut self, mode: DeliveryMode) -> Self {
-        self.delivery_mode = mode;
         self
     }
 
@@ -257,7 +246,6 @@ impl ScenarioBuilder {
             .radio(self.radio.clone())
             .arena(arena)
             .scan_mode(self.scan_mode)
-            .delivery_mode(self.delivery_mode)
             .expected_nodes(self.n);
         if let Some(tick) = self.mobility_tick {
             builder = builder.mobility_tick(tick);

@@ -11,7 +11,7 @@
 use bytes::Bytes;
 use rand::RngExt;
 use trustlink_sim::record::{LogRecord, MessageKind, SuppressReason, Willingness};
-use trustlink_sim::{Application, Context, FloodStats, FrameBatch, NodeId, SimTime, TimerToken};
+use trustlink_sim::{Application, Context, FloodStats, NodeId, SimTime, TimerToken};
 
 use crate::hooks::{NoHooks, OlsrHooks};
 use crate::message::{
@@ -1159,16 +1159,6 @@ impl<H: OlsrHooks> Application for OlsrNode<H> {
         self.handle_frame_view(ctx, from, &payload, &mut arena);
         self.decode_arena = arena;
     }
-
-    fn on_receive_batch(&mut self, ctx: &mut Context<'_>, batch: &mut FrameBatch) {
-        // One arena warm-up amortized across the whole batch; frames decode
-        // zero-copy through `PacketView` and recycle into the same arena.
-        let mut arena = std::mem::take(&mut self.decode_arena);
-        for (from, payload) in batch.drain() {
-            self.handle_frame_view(ctx, from, &payload, &mut arena);
-        }
-        self.decode_arena = arena;
-    }
 }
 
 impl<H: OlsrHooks> std::fmt::Debug for OlsrNode<H> {
@@ -1663,10 +1653,6 @@ mod tests {
 
         fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
             self.node.on_receive(ctx, from, payload);
-        }
-
-        fn on_receive_batch(&mut self, ctx: &mut Context<'_>, batch: &mut FrameBatch) {
-            self.node.on_receive_batch(ctx, batch);
         }
     }
 

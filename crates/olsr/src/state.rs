@@ -898,7 +898,7 @@ impl DuplicateSet {
         self.min_expiry.cover(until);
     }
 
-    /// One-probe flood triage for the batched receive path: a single map
+    /// One-probe flood triage for the receive path: a single map
     /// access answers what [`seen`](Self::seen) and
     /// [`retransmitted`](Self::retransmitted) would answer separately,
     /// and for the dominant already-retransmitted copy it applies — in

@@ -6,7 +6,7 @@
 //! `(seed, configuration, applications)`.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -14,7 +14,7 @@ use rand::SeedableRng;
 
 use crate::grid::SpatialGrid;
 use crate::mobility::{Arena, MobilityModel, MobilityState, Position};
-use crate::node::{Application, Command, Context, FrameBatch, LogBuffer, NodeId, TimerToken};
+use crate::node::{Application, Command, Context, LogBuffer, NodeId, TimerToken};
 use crate::radio::{ChannelModel, ChannelState, DeliveryOutcome, RadioConfig};
 use crate::record::{FlightRecord, FlightRecorder};
 use crate::stats::TrafficStats;
@@ -37,32 +37,6 @@ pub enum ScanMode {
     Linear,
 }
 
-/// How radio deliveries reach applications.
-///
-/// Both modes are byte-identical on logs, statistics and verdict streams
-/// for the same seed — structurally, not probabilistically. Every event
-/// (joined frames included) consumes a sequence number, so both modes
-/// assign the same `(time, seq)` key to every event; a frame may join an
-/// existing batch only when *nothing else* has been scheduled at that
-/// exact instant in between (see [`Simulator::enqueue_delivery`]), so a
-/// batch is always a run of globally *consecutive* same-instant events and
-/// dispatching it as one callback reorders nothing an application can
-/// observe. `tests/batch_equivalence.rs` pins this across the scenario
-/// matrix, in the same oracle-pair pattern as [`ScanMode::Linear`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeliveryMode {
-    /// Coalesce every frame arriving at one `(receiver, instant)` into a
-    /// single pooled [`FrameBatch`] and invoke
-    /// [`Application::on_receive_batch`] once. The default: slim 24-byte
-    /// heap entries, one callback per burst, zero steady-state allocation.
-    #[default]
-    Batched,
-    /// One heap event and one [`Application::on_receive`] callback per
-    /// frame. The pre-batching behaviour, kept as the byte-identical
-    /// oracle.
-    PerFrame,
-}
-
 /// What a scheduled event does when it fires.
 #[derive(Debug)]
 enum EventKind {
@@ -75,57 +49,6 @@ enum EventKind {
     /// Advance all mobile nodes and reschedule.
     MobilityTick,
 }
-
-/// A pending batched delivery: the slim per-receiver entry on the frame
-/// heap. 24 bytes against the ~48 of a payload-carrying [`ScheduledEvent`],
-/// and — the real saving — one entry per `(receiver, instant)` instead of
-/// one per frame. Ordered by `(time, seq)` like every other event; the
-/// derive produces exactly that because the fields are declared in key
-/// order and `to`/`batch` can never differ for equal `(time, seq)`.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct FrameEvent {
-    time: SimTime,
-    seq: u64,
-    to: u32,
-    batch: u32,
-}
-
-/// Bookkeeping for a future instant that has at least one open batch:
-/// which sequence number was assigned to the *latest* event scheduled at
-/// exactly this instant (frame or control), and how many open batches
-/// reference it. A batch whose last frame *is* that latest event can
-/// absorb the next same-instant frame without reordering anything; any
-/// interleaved event breaks the run and forces a fresh batch.
-struct InstantState {
-    last_seq: u64,
-    open_batches: u32,
-}
-
-/// A multiply-shift hasher for the engine's `SimTime`-keyed map. The map
-/// is touched on every scheduled event, and its keys are single already-
-/// uniform-enough `u64`s — SipHash's per-lookup setup cost dwarfs the work.
-/// Not DoS-resistant, which is fine for keys the simulator itself mints.
-#[derive(Default)]
-struct InstantHasher(u64);
-
-impl std::hash::Hasher for InstantHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-`u64` fragments (none today): FNV-1a.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type InstantMap = HashMap<SimTime, InstantState, std::hash::BuildHasherDefault<InstantHasher>>;
 
 struct ScheduledEvent {
     time: SimTime,
@@ -158,11 +81,6 @@ struct NodeSlot {
     alive: bool,
     /// Arrival time of the last accepted frame, for the collision window.
     last_rx: Option<SimTime>,
-    /// Open (not yet dispatched) frame batches addressed to this node, as
-    /// `(arrival instant, slab index)`. A handful at most — one per
-    /// distinct in-flight delivery instant — so join-or-create is a linear
-    /// scan over a vector that stays warm for the life of the slot.
-    pending_batches: Vec<(SimTime, u32)>,
 }
 
 /// Builder for a [`Simulator`].
@@ -183,32 +101,15 @@ pub struct SimulatorBuilder {
     radio: RadioConfig,
     mobility_tick: SimDuration,
     scan_mode: ScanMode,
-    delivery_mode: DeliveryMode,
     expected_nodes: usize,
     channel: Option<ChannelModel>,
 }
 
-/// Event-queue capacity reserved per expected node: a handful of pending
-/// protocol timers plus the in-flight deliveries of a broadcast burst.
-/// Purely a pre-allocation hint — the heap still grows past it when a
-/// flood spikes, it just no longer doubles its way up from empty.
-///
-/// Under [`DeliveryMode::PerFrame`] this sizes the single heap that holds
-/// both control events and per-frame deliveries. Under
-/// [`DeliveryMode::Batched`] deliveries live on their own slim frame heap:
-/// that heap takes this hint, while the main heap — now carrying only
-/// timers, starts and mobility ticks — needs just
-/// [`CONTROL_EVENTS_PER_NODE_HINT`].
-const EVENTS_PER_NODE_HINT: usize = 16;
-
-/// Main-heap capacity per expected node when deliveries are batched away
-/// onto the frame heap: protocol timers plus the one-shot start event.
+/// Event-heap capacity reserved per expected node: its protocol timers and
+/// the one-shot start event. Purely a pre-allocation hint — the heap grows
+/// past it when a flood puts deliveries in flight, it just no longer
+/// doubles its way up from empty.
 const CONTROL_EVENTS_PER_NODE_HINT: usize = 4;
-
-/// Batch-slab capacity per expected node. In-flight batches per receiver
-/// are bounded by the number of distinct delivery instants within the
-/// propagation-delay window — a handful even under flood load.
-const BATCHES_PER_NODE_HINT: usize = 4;
 
 impl SimulatorBuilder {
     /// Starts a builder with the given RNG seed.
@@ -219,7 +120,6 @@ impl SimulatorBuilder {
             radio: RadioConfig::default(),
             mobility_tick: SimDuration::from_millis(500),
             scan_mode: ScanMode::default(),
-            delivery_mode: DeliveryMode::default(),
             expected_nodes: 0,
             channel: None,
         }
@@ -256,16 +156,6 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Selects how deliveries reach applications.
-    /// [`DeliveryMode::Batched`] (the default) coalesces every frame
-    /// arriving at one `(receiver, instant)` into a single pooled batch;
-    /// [`DeliveryMode::PerFrame`] is the one-event-per-frame oracle,
-    /// byte-identical per seed.
-    pub fn delivery_mode(mut self, mode: DeliveryMode) -> Self {
-        self.delivery_mode = mode;
-        self
-    }
-
     /// Attaches a per-link [`ChannelModel`] (edge overrides, Gilbert–Elliott
     /// fading). Without one — the default — the uniform [`RadioConfig`] is
     /// the whole medium, and runs are byte-identical to builds that predate
@@ -294,21 +184,9 @@ impl SimulatorBuilder {
         let n = self.expected_nodes;
         let mut stats = TrafficStats::default();
         stats.reserve_nodes(n);
-        // Capacity split follows the mode: per-frame keeps every event on
-        // the main heap; batched moves deliveries to the frame heap, so the
-        // main heap only needs room for control events.
-        let (main_hint, frame_hint) = match self.delivery_mode {
-            DeliveryMode::PerFrame => (EVENTS_PER_NODE_HINT, 0),
-            DeliveryMode::Batched => (CONTROL_EVENTS_PER_NODE_HINT, EVENTS_PER_NODE_HINT),
-        };
         Simulator {
             time: SimTime::ZERO,
-            queue: BinaryHeap::with_capacity(n.saturating_mul(main_hint)),
-            frame_queue: BinaryHeap::with_capacity(n.saturating_mul(frame_hint)),
-            batches: Vec::with_capacity(n.saturating_mul(BATCHES_PER_NODE_HINT)),
-            batch_last_seq: Vec::with_capacity(n.saturating_mul(BATCHES_PER_NODE_HINT)),
-            free_batches: Vec::with_capacity(n.saturating_mul(BATCHES_PER_NODE_HINT)),
-            open_instants: InstantMap::default(),
+            queue: BinaryHeap::with_capacity(n.saturating_mul(CONTROL_EVENTS_PER_NODE_HINT)),
             seq: 0,
             slots: Vec::with_capacity(n),
             radio: self.radio,
@@ -321,7 +199,6 @@ impl SimulatorBuilder {
             halted: false,
             grid,
             scan_mode: self.scan_mode,
-            delivery_mode: self.delivery_mode,
             alive_count: 0,
             scratch_commands: Vec::with_capacity(if n > 0 { 64 } else { 0 }),
             scratch_candidates: Vec::with_capacity(if n > 0 { 256 } else { 0 }),
@@ -335,26 +212,6 @@ impl SimulatorBuilder {
 pub struct Simulator {
     time: SimTime,
     queue: BinaryHeap<Reverse<ScheduledEvent>>,
-    /// Slim per-`(receiver, instant)` delivery entries under
-    /// [`DeliveryMode::Batched`]; empty under `PerFrame`. Popped in merged
-    /// `(time, seq)` order with the main queue.
-    frame_queue: BinaryHeap<Reverse<FrameEvent>>,
-    /// Batch slab: frames coalesced per `(receiver, instant)`. Indexed by
-    /// [`FrameEvent::batch`]; recycled through `free_batches` with
-    /// capacity kept, so steady-state batching allocates nothing.
-    batches: Vec<FrameBatch>,
-    /// Sequence number of each open batch's last frame (parallel to
-    /// `batches`); compared against [`InstantState::last_seq`] to decide
-    /// whether a new same-instant frame may join.
-    batch_last_seq: Vec<u64>,
-    /// Slab indices free for reuse.
-    free_batches: Vec<u32>,
-    /// Future instants with open batches. Every `schedule` that lands on
-    /// such an instant records itself here, which closes the instant's
-    /// batches to further joins (strict consecutive-run coalescing).
-    /// Entries die with their last open batch, so the map stays tiny and
-    /// warm. Never iterated: determinism is untouched by hash order.
-    open_instants: InstantMap,
     seq: u64,
     slots: Vec<NodeSlot>,
     radio: RadioConfig,
@@ -367,7 +224,6 @@ pub struct Simulator {
     halted: bool,
     grid: SpatialGrid,
     scan_mode: ScanMode,
-    delivery_mode: DeliveryMode,
     /// Number of alive slots, kept current so the grid path can account
     /// for out-of-range receivers it never visits (stats parity with the
     /// linear scan).
@@ -413,7 +269,6 @@ impl Simulator {
             log: LogBuffer::default(),
             alive: true,
             last_rx: None,
-            pending_batches: Vec::with_capacity(BATCHES_PER_NODE_HINT),
         });
         self.grid.register_slot(id.0);
         if self.scan_mode == ScanMode::Grid {
@@ -520,11 +375,6 @@ impl Simulator {
         self.scan_mode
     }
 
-    /// The delivery mode in force.
-    pub fn delivery_mode(&self) -> DeliveryMode {
-        self.delivery_mode
-    }
-
     /// Ground-truth neighbors of `id`: alive nodes within the propagation
     /// model's maximum range. (What an omniscient observer would call the
     /// 1-hop neighborhood; protocols must *discover* this.)
@@ -601,123 +451,26 @@ impl Simulator {
         let seq = self.seq;
         self.seq += 1;
         let at = self.time + delay;
-        // Landing on an instant that has open batches closes them to
-        // further joins: a frame arriving after us at this instant is no
-        // longer consecutive with the batch's last frame. Empty (always,
-        // under per-frame delivery) skips the hash lookup.
-        if !self.open_instants.is_empty() {
-            if let Some(st) = self.open_instants.get_mut(&at) {
-                st.last_seq = seq;
-            }
-        }
         self.queue.push(Reverse(ScheduledEvent { time: at, seq, kind }));
     }
 
-    /// Routes one judged-deliverable frame according to the delivery mode:
-    /// a classic per-frame event, or a join-or-create into the receiver's
-    /// open batch for that arrival instant.
-    ///
-    /// Joining preserves the oracle's observable order *exactly*: every
-    /// frame consumes a sequence number (so later events get the same seq
-    /// in both modes), and a frame joins only when the batch's last frame
-    /// is still the latest event scheduled at that instant. A batch is
-    /// therefore a run of consecutive `(time, seq)` events; in per-frame
-    /// mode those would dispatch back-to-back with nothing in between, so
-    /// delivering them in one callback is indistinguishable. Anything
-    /// interleaved — a timer on the same microsecond, a frame for another
-    /// receiver — closes the batch and the next frame opens a fresh one
-    /// at its own key.
-    fn enqueue_delivery(&mut self, delay: SimDuration, to: NodeId, from: NodeId, payload: Bytes) {
-        if self.delivery_mode == DeliveryMode::PerFrame {
-            self.schedule(delay, EventKind::Deliver { to, from, payload });
-            return;
-        }
-        let at = self.time + delay;
-        let seq = self.seq;
-        self.seq += 1;
-        let slot = &mut self.slots[to.index()];
-        match self.open_instants.get_mut(&at) {
-            Some(st) => {
-                // This receiver's batch at `at` may join only if its last
-                // frame is the instant's latest event. At most one batch
-                // can satisfy that, and only ours is allowed to.
-                let join = slot
-                    .pending_batches
-                    .iter()
-                    .find(|&&(t, idx)| t == at && self.batch_last_seq[idx as usize] == st.last_seq);
-                st.last_seq = seq;
-                if let Some(&(_, idx)) = join {
-                    self.batch_last_seq[idx as usize] = seq;
-                    self.batches[idx as usize].push(from, payload);
-                    return;
-                }
-                st.open_batches += 1;
-            }
-            None => {
-                self.open_instants.insert(at, InstantState { last_seq: seq, open_batches: 1 });
-            }
-        }
-        let idx = match self.free_batches.pop() {
-            Some(i) => i,
-            None => {
-                let i = u32::try_from(self.batches.len()).expect("batch slab exceeds u32 indices");
-                self.batches.push(FrameBatch::default());
-                self.batch_last_seq.push(0);
-                i
-            }
-        };
-        self.batch_last_seq[idx as usize] = seq;
-        self.batches[idx as usize].push(from, payload);
-        slot.pending_batches.push((at, idx));
-        self.frame_queue.push(Reverse(FrameEvent { time: at, seq, to: to.0, batch: idx }));
-    }
-
-    /// Runs until the queues are exhausted, `deadline` is reached, or a
+    /// Runs until the queue is exhausted, `deadline` is reached, or a
     /// node halts the simulation. The clock always ends at `deadline`
     /// unless halted earlier.
-    ///
-    /// Control events and batched frame deliveries live on separate heaps
-    /// (the latter entries are slim and payload-free); they are merge-
-    /// popped in strict global `(time, seq)` order, so splitting the heap
-    /// changes no ordering an application can observe.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.ensure_mobility_tick();
         while !self.halted {
-            let Some((key, take_frame)) = self.peek_key() else { break };
-            if key.0 > deadline {
+            let Some(Reverse(next)) = self.queue.peek() else { break };
+            if next.time > deadline {
                 break;
             }
-            debug_assert!(key.0 >= self.time, "time went backwards");
-            self.time = key.0;
-            if take_frame {
-                let Reverse(fe) = self.frame_queue.pop().expect("peeked frame event vanished");
-                self.dispatch_batch(fe);
-            } else {
-                let Reverse(ev) = self.queue.pop().expect("peeked event vanished");
-                self.dispatch(ev.kind);
-            }
+            let Reverse(ev) = self.queue.pop().expect("peeked event vanished");
+            debug_assert!(ev.time >= self.time, "time went backwards");
+            self.time = ev.time;
+            self.dispatch(ev.kind);
         }
         if !self.halted && self.time < deadline {
             self.time = deadline;
-        }
-    }
-
-    /// The earliest pending `(time, seq)` key across both heaps, and
-    /// whether it belongs to the frame heap.
-    fn peek_key(&self) -> Option<((SimTime, u64), bool)> {
-        let control = self.queue.peek().map(|Reverse(ev)| (ev.time, ev.seq));
-        let frame = self.frame_queue.peek().map(|Reverse(fe)| (fe.time, fe.seq));
-        match (control, frame) {
-            (None, None) => None,
-            (Some(c), None) => Some((c, false)),
-            (None, Some(f)) => Some((f, true)),
-            (Some(c), Some(f)) => {
-                if f < c {
-                    Some((f, true))
-                } else {
-                    Some((c, false))
-                }
-            }
         }
     }
 
@@ -784,59 +537,6 @@ impl Simulator {
                 self.schedule(self.mobility_tick, EventKind::MobilityTick);
             }
         }
-    }
-
-    /// Dispatches one coalesced batch: applies the per-frame admission
-    /// rules (liveness, collision window, traffic accounting) exactly as
-    /// the per-frame dispatcher would — all frames in a batch share one
-    /// arrival instant, so under a collision window the first admitted
-    /// frame makes every later one collide, just as consecutive same-
-    /// instant `Deliver` events do — then hands the survivors to the
-    /// application in one callback. The batch storage is recycled.
-    fn dispatch_batch(&mut self, fe: FrameEvent) {
-        let to = NodeId(fe.to);
-        // This batch is no longer open; the instant's entry dies with its
-        // last batch.
-        if let Some(st) = self.open_instants.get_mut(&fe.time) {
-            st.open_batches -= 1;
-            if st.open_batches == 0 {
-                self.open_instants.remove(&fe.time);
-            }
-        }
-        let mut batch = std::mem::take(&mut self.batches[fe.batch as usize]);
-        let slot = &mut self.slots[to.index()];
-        let pos = slot
-            .pending_batches
-            .iter()
-            .position(|&(_, b)| b == fe.batch)
-            .expect("dispatched batch not pending on its receiver");
-        slot.pending_batches.swap_remove(pos);
-        if !slot.alive {
-            batch.clear();
-        } else {
-            let window = self.radio.collision_window;
-            let stats = &mut self.stats;
-            let time = self.time;
-            batch.retain(|_| {
-                if let Some(w) = window {
-                    if let Some(last) = slot.last_rx {
-                        if time.saturating_since(last) < w {
-                            stats.lost_collision += 1;
-                            return false;
-                        }
-                    }
-                }
-                slot.last_rx = Some(time);
-                stats.node_mut(to).received += 1;
-                true
-            });
-        }
-        if !batch.is_empty() {
-            self.run_callback(to, |app, ctx| app.on_receive_batch(ctx, &mut batch));
-        }
-        batch.clear();
-        self.batches[fe.batch as usize] = batch;
-        self.free_batches.push(fe.batch);
     }
 
     fn run_callback(
@@ -940,7 +640,7 @@ impl Simulator {
         };
         match outcome {
             DeliveryOutcome::Deliver(delay) => {
-                self.enqueue_delivery(delay, to, from, payload.clone())
+                self.schedule(delay, EventKind::Deliver { to, from, payload: payload.clone() })
             }
             DeliveryOutcome::OutOfRange => self.stats.lost_range += 1,
             DeliveryOutcome::Lost => self.stats.lost_random += 1,
@@ -967,7 +667,9 @@ impl Simulator {
             Some(ch) => ch.judge(&self.radio, from, to, tx_pos, rx_pos, &mut self.rng),
         };
         match outcome {
-            DeliveryOutcome::Deliver(delay) => self.enqueue_delivery(delay, to, from, payload),
+            DeliveryOutcome::Deliver(delay) => {
+                self.schedule(delay, EventKind::Deliver { to, from, payload })
+            }
             DeliveryOutcome::OutOfRange => self.stats.lost_range += 1,
             DeliveryOutcome::Lost => self.stats.lost_random += 1,
         }
@@ -977,6 +679,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::FrameBatch;
     use crate::record::LogRecord;
 
     /// Counts receptions; broadcasts `n` times on start with 10 ms spacing.
@@ -1325,21 +1028,54 @@ mod tests {
 
     #[test]
     fn expected_nodes_presizes_the_event_queue() {
-        // Batched (default): deliveries live on the frame heap, which takes
-        // the full per-node hint; the main heap only needs control events,
-        // and the batch slab is reserved too.
+        // One heap holds every event; it is presized for the control
+        // events alone and grows past that when deliveries are in flight.
         let sim = SimulatorBuilder::new(1).expected_nodes(100).build();
         assert!(sim.queue.capacity() >= 100 * CONTROL_EVENTS_PER_NODE_HINT);
-        assert!(sim.frame_queue.capacity() >= 100 * EVENTS_PER_NODE_HINT);
-        assert!(sim.batches.capacity() >= 100 * BATCHES_PER_NODE_HINT);
+        assert!(sim.queue.capacity() < 100 * 16, "presize must stay at the control-event hint");
         assert!(sim.slots.capacity() >= 100);
-        // Per-frame: everything on the main heap, as before batching.
-        let sim = SimulatorBuilder::new(1)
-            .expected_nodes(100)
-            .delivery_mode(DeliveryMode::PerFrame)
-            .build();
-        assert!(sim.queue.capacity() >= 100 * EVENTS_PER_NODE_HINT);
-        assert!(sim.slots.capacity() >= 100);
+    }
+
+    #[test]
+    fn debug_pending_events_counts_queued_deliveries() {
+        let (mut sim, a, _b) = two_node_sim(50.0, 250.0);
+        sim.run_for(SimDuration::from_millis(1)); // consume Start events
+                                                  // Three armed broadcast timers on `a`.
+        assert!(format!("{sim:?}").contains("pending_events: 3,"), "{sim:?}");
+        sim.inject_broadcast(a, Bytes::from_static(b"ghost"));
+        // The injected frame is one queued delivery to `b`.
+        assert!(format!("{sim:?}").contains("pending_events: 4,"), "{sim:?}");
+    }
+
+    #[test]
+    fn every_frame_reaches_on_receive_never_on_receive_batch() {
+        /// Receives per frame; any batched callback is a failure.
+        struct PerFrameOnly {
+            received: u32,
+        }
+        impl Application for PerFrameOnly {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                // Both frames land on the peer at one instant, back to
+                // back: the case batched delivery coalesced.
+                ctx.broadcast(Bytes::from_static(b"a"));
+                ctx.broadcast(Bytes::from_static(b"b"));
+            }
+            fn on_receive(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _payload: Bytes) {
+                self.received += 1;
+            }
+            fn on_receive_batch(&mut self, _ctx: &mut Context<'_>, _batch: &mut FrameBatch) {
+                panic!("the engine delivers frames one by one through on_receive");
+            }
+        }
+        let mut radio = RadioConfig::unit_disk(500.0);
+        radio.jitter = SimDuration::ZERO;
+        let mut sim = SimulatorBuilder::new(3).radio(radio).build();
+        let a = sim.add_node(Box::new(PerFrameOnly { received: 0 }), Position::new(0.0, 0.0));
+        let b = sim.add_node(Box::new(PerFrameOnly { received: 0 }), Position::new(10.0, 0.0));
+        sim.run_for(SimDuration::from_secs(1));
+        for id in [a, b] {
+            assert_eq!(sim.app_as::<PerFrameOnly>(id).unwrap().received, 2);
+        }
     }
 
     #[test]

@@ -67,11 +67,9 @@ pub mod topologies;
 
 /// Convenient glob-import of the types needed to write and run applications.
 pub mod prelude {
-    pub use crate::engine::{DeliveryMode, ScanMode, Simulator, SimulatorBuilder};
+    pub use crate::engine::{ScanMode, Simulator, SimulatorBuilder};
     pub use crate::mobility::{Arena, MobilityModel, Position};
-    pub use crate::node::{
-        Application, CallbackClass, Context, FrameBatch, LogBuffer, NodeId, TimerToken,
-    };
+    pub use crate::node::{Application, Context, LogBuffer, NodeId, TimerToken};
     pub use crate::radio::{
         ChannelModel, ChannelState, FadingConfig, LinkOverride, Propagation, RadioConfig,
     };
@@ -83,7 +81,7 @@ pub mod prelude {
     pub use crate::time::{SimDuration, SimTime};
 }
 
-pub use engine::{DeliveryMode, ScanMode, Simulator, SimulatorBuilder};
+pub use engine::{ScanMode, Simulator, SimulatorBuilder};
 pub use grid::SpatialGrid;
 pub use mobility::{Arena, MobilityModel, Position};
 pub use node::{Application, CallbackClass, Context, FrameBatch, LogBuffer, NodeId, TimerToken};

@@ -113,12 +113,14 @@ impl fmt::Display for TimerToken {
 }
 
 /// The class of an application callback, the argument of
-/// [`Application::rng_free`].
+/// [`Application::rng_free`]. No engine path uses it; it is kept only for
+/// the benchmark's tracing wrapper and is deleted in the next change that
+/// may edit that benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CallbackClass {
     /// [`Application::on_start`].
     Start,
-    /// [`Application::on_receive`] / [`Application::on_receive_batch`].
+    /// [`Application::on_receive`].
     Receive,
     /// [`Application::on_timer`].
     Timer,
@@ -132,14 +134,19 @@ pub enum CallbackClass {
 /// Applications must be `Send`; they hold plain owned data, so this is
 /// free.
 ///
+/// The engine makes exactly one callback per event: every frame a node
+/// hears arrives on its own through [`Application::on_receive`], in global
+/// `(time, sequence)` order with every other event.
+///
 /// The supertrait [`Any`] enables downcasting a `dyn Application` back to its
 /// concrete type for post-run inspection, e.g.
 /// `sim.app(id).downcast_ref::<MyApp>()` via trait upcasting.
 pub trait Application: Any + Send {
     /// Declares that a class of callbacks never calls [`Context::rng`].
-    /// No engine path reads it: every callback runs on the one serial
-    /// event loop with full RNG access. It is kept, default-only, for
-    /// wrappers that still forward it.
+    /// No engine path calls it: every callback runs on the one serial
+    /// event loop with full RNG access. It is kept, default-only, for the
+    /// benchmark's tracing wrapper and is deleted in the next change that
+    /// may edit that benchmark.
     fn rng_free(&self, _class: CallbackClass) -> bool {
         false
     }
@@ -151,14 +158,10 @@ pub trait Application: Any + Send {
     /// Called when a radio frame transmitted by `from` reaches this node.
     fn on_receive(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _payload: Bytes) {}
 
-    /// Called under [`DeliveryMode::Batched`](crate::engine::DeliveryMode)
-    /// with every frame that reached this node at one instant. The frames
-    /// are ordered exactly as the per-frame oracle would have delivered
-    /// them (global scheduling order), so the default implementation —
-    /// replaying them one by one through [`Application::on_receive`] — is
-    /// observably identical to per-frame delivery. Protocols override this
-    /// to amortize per-packet setup (decode arenas, freshness sweeps)
-    /// across the whole batch.
+    /// Replays `batch` frame by frame through [`Application::on_receive`].
+    /// No engine path calls it: the engine delivers every frame on its own.
+    /// It is kept, default-only, for the benchmark's tracing wrapper and is
+    /// deleted in the next change that may edit that benchmark.
     fn on_receive_batch(&mut self, ctx: &mut Context<'_>, batch: &mut FrameBatch) {
         for (from, payload) in batch.drain() {
             self.on_receive(ctx, from, payload);
@@ -169,24 +172,16 @@ pub trait Application: Any + Send {
     fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: TimerToken) {}
 }
 
-/// Every frame that arrived at one receiver at one delivery instant, in
-/// global scheduling order.
-///
-/// Payloads are [`Bytes`] views into the senders' encoded frame storage —
-/// coalescing copies nothing. Batches are pooled by the engine: the backing
-/// vector is recycled across deliveries, so steady-state batched dispatch
-/// performs no allocation.
+/// A group of received frames, the argument of
+/// [`Application::on_receive_batch`]. No engine path builds one; it is
+/// kept for the benchmark's tracing wrapper and is deleted in the next
+/// change that may edit that benchmark.
 #[derive(Debug, Default)]
 pub struct FrameBatch {
     frames: Vec<(NodeId, Bytes)>,
 }
 
 impl FrameBatch {
-    /// Appends one frame. Engine-internal; applications only consume.
-    pub(crate) fn push(&mut self, from: NodeId, payload: Bytes) {
-        self.frames.push((from, payload));
-    }
-
     /// Number of frames in the batch.
     pub fn len(&self) -> usize {
         self.frames.len()
@@ -197,26 +192,9 @@ impl FrameBatch {
         self.frames.is_empty()
     }
 
-    /// The frames in delivery order, without consuming them.
-    pub fn frames(&self) -> &[(NodeId, Bytes)] {
-        &self.frames
-    }
-
-    /// Drains the frames in delivery order. The backing capacity is kept so
-    /// the engine can recycle it.
+    /// Drains the frames in order.
     pub fn drain(&mut self) -> impl Iterator<Item = (NodeId, Bytes)> + '_ {
         self.frames.drain(..)
-    }
-
-    /// Empties the batch, keeping capacity.
-    pub(crate) fn clear(&mut self) {
-        self.frames.clear();
-    }
-
-    /// Per-frame admission filter used by the engine (collision window,
-    /// traffic accounting).
-    pub(crate) fn retain(&mut self, f: impl FnMut(&(NodeId, Bytes)) -> bool) {
-        self.frames.retain(f);
     }
 }
 

@@ -1,16 +1,16 @@
-//! Allocation-regression guard for the batched frame pipeline.
+//! Allocation-regression guard for the frame delivery path.
 //!
-//! The coalesced delivery path is built entirely from recycled storage:
-//! the frame heap, the batch slab, per-node pending-batch lists, the
-//! open-instant map and the grid scratch buffers all reach a fixed point
-//! during warm-up. After that, delivering a batch must allocate NOTHING —
-//! zero calls into the global allocator per delivered batch, not "few".
-//! A counting `#[global_allocator]` pins that: if a future change sneaks a
-//! per-delivery `Vec`, `Box` or hash-map growth into the hot path, this
-//! test fails with the exact count.
+//! Every delivered frame is one event on the engine's single event heap,
+//! and delivery is built entirely from recycled storage: the event heap,
+//! the per-callback command buffer and the grid scratch buffers all reach
+//! a fixed point during warm-up. After that, delivering a frame must
+//! allocate NOTHING — zero calls into the global allocator per delivered
+//! frame, not "few". A counting `#[global_allocator]` pins that: if a
+//! future change sneaks a per-delivery `Vec`, `Box` or hash-map growth
+//! into the hot path, this test fails with the exact count.
 //!
 //! The application under test is a deliberately allocation-free beacon
-//! (payload cloned from a shared `Bytes`, default batch drain, no logs):
+//! (payload cloned from a shared `Bytes`, default `on_receive`, no logs):
 //! the guard measures the *engine's* steady state, not the protocol's.
 //! A second guard pins the `neighbors_in_range_into` query: range queries
 //! into a caller-owned buffer must not allocate either.
@@ -74,7 +74,7 @@ static COUNTER: Counting = Counting;
 const TICK: TimerToken = TimerToken(1);
 
 /// Broadcasts a fixed frame every 100 ms; receives through the default
-/// batch drain. Steady state touches no heap: `Bytes::clone` is a
+/// `on_receive`. Steady state touches no heap: `Bytes::clone` is a
 /// refcount bump and the timer re-arm reuses the warmed event heap.
 struct Beacon {
     payload: Bytes,
@@ -83,7 +83,7 @@ struct Beacon {
 impl Application for Beacon {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         // Stagger starts so deliveries spread across distinct instants and
-        // the batch slab warms to its true working-set size.
+        // the event heap warms to its true working-set size.
         let off = SimDuration::from_micros(u64::from(ctx.id().0) * 397);
         ctx.set_timer(off, TICK);
     }
@@ -97,7 +97,7 @@ impl Application for Beacon {
 }
 
 #[test]
-fn steady_state_batched_delivery_allocates_nothing() {
+fn steady_state_per_frame_delivery_allocates_nothing() {
     let n = 256;
     let arena = topologies::arena_for_mean_degree(n, 150.0, 10.0);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
@@ -107,14 +107,14 @@ fn steady_state_batched_delivery_allocates_nothing() {
         .arena(arena)
         .radio(RadioConfig::unit_disk(150.0))
         .scan_mode(ScanMode::Grid)
-        .delivery_mode(DeliveryMode::Batched)
         .expected_nodes(n)
         .build();
     for &p in &positions {
         sim.add_node(Box::new(Beacon { payload: payload.clone() }), p);
     }
 
-    // Warm-up: grow every heap, slab and scratch buffer to its working set.
+    // Warm-up: grow the event heap and every scratch buffer to its working
+    // set.
     sim.run_for(SimDuration::from_secs(5));
     let delivered_before: u64 = (0..n).map(|i| sim.stats().node(NodeId(i as u32)).received).sum();
 
@@ -130,7 +130,7 @@ fn steady_state_batched_delivery_allocates_nothing() {
     );
     assert_eq!(
         during, 0,
-        "batched delivery allocated {during} times across {delivered} deliveries; \
+        "per-frame delivery allocated {during} times across {delivered} deliveries; \
          the steady-state pipeline must not touch the allocator at all"
     );
 }

@@ -19,7 +19,9 @@ use trustlink_olsr::message::{
     MidMessage, NeighborType, Packet, TcMessage,
 };
 use trustlink_olsr::types::SequenceNumber;
-use trustlink_olsr::wire::{decode_packet, encode_packet};
+use trustlink_olsr::wire::{
+    decode_packet, encode_packet, materialize_message, DecodeArena, PacketView,
+};
 use trustlink_sim::record::{
     from_rlog_line, parse_line, LogRecord, MessageKind, VerdictKind, Willingness,
 };
@@ -361,6 +363,69 @@ fn every_single_byte_mutation_of_real_frames_is_handled() {
     }
     assert!(accepted > 100, "only {accepted} mutants got past validation");
     assert!(rejected > 100, "only {rejected} mutants were rejected");
+}
+
+/// The largest single allocation `PacketView::parse` plus
+/// `materialize_message` (into a cold arena) may request for a frame of
+/// `len` bytes. The parse allocates nothing; each vector the decoders
+/// fill is sized from the bytes actually present, never from a declared
+/// count:
+///
+/// * TC advertised, MID aliases and HELLO link-group addresses:
+///   `reserve(remaining / 2)` ids — one 4-byte `NodeId` per 2 wire bytes,
+///   2 heap bytes per frame byte;
+/// * HNA networks: `reserve(remaining / 4)` entries of `(NodeId, u8)` —
+///   8 heap bytes per 4 wire bytes, again 2 per frame byte;
+/// * HELLO link groups: not reserved, but each group takes at least 4
+///   wire bytes, so doubling growth stops below `2 * len / 4` entries —
+///   `size_of::<LinkGroup>() / 2` heap bytes per frame byte (16 with a
+///   32-byte `LinkGroup`), the dominant factor.
+///
+/// A vector's first growth allocates at least 4 entries, hence the floor.
+fn decode_allocation_bound(len: usize) -> usize {
+    let ids = (len / 2).max(4) * std::mem::size_of::<NodeId>();
+    let networks = (len / 4).max(4) * std::mem::size_of::<(NodeId, u8)>();
+    let groups = (len / 2).max(4) * std::mem::size_of::<LinkGroup>();
+    ids.max(networks).max(groups)
+}
+
+#[test]
+fn decoding_mutated_real_frames_allocates_linearly_in_their_length() {
+    // The mutants of the sweep above, as is and resealed. Whatever a
+    // mutant declares in its length or count fields, the largest
+    // allocation its decode requests stays within a bound linear in the
+    // bytes actually received.
+    let mut materialized = 0u32;
+    for frame in seed_frames() {
+        for pos in 0..=frame.len() as u16 {
+            for (op, byte) in [(0, 0x01), (0, 0x80), (0, 0xFF), (1, 0xFF), (2, 0), (3, 0)] {
+                let mut buf = frame.to_vec();
+                mutate(&mut buf, op, pos, byte);
+                for candidate in [reseal(buf.clone()), buf] {
+                    let len = candidate.len();
+                    let bytes = bytes::Bytes::from(candidate);
+                    let mut arena = DecodeArena::default();
+                    reset_largest_request();
+                    let mut messages = 0u32;
+                    if let Ok(view) = PacketView::parse(&bytes) {
+                        for mv in view.messages() {
+                            drop(materialize_message(&mut arena, &bytes, &mv));
+                            messages += 1;
+                        }
+                    }
+                    let largest = largest_request();
+                    let bound = decode_allocation_bound(len);
+                    assert!(
+                        largest <= bound,
+                        "op {op} at {pos}: a {len}-byte frame requested {largest} bytes at once \
+                         (bound {bound})"
+                    );
+                    materialized += messages;
+                }
+            }
+        }
+    }
+    assert!(materialized > 100, "only {materialized} messages reached the decoders");
 }
 
 /// Real encoded investigation messages and trust gossip, the starting
