@@ -179,15 +179,15 @@ fn bench_trust_primitives(c: &mut Criterion) {
         b.iter(|| black_box(update.step(black_box(TrustValue::DEFAULT), black_box(&evidences))))
     });
 
-    let answers: Vec<(TrustValue, Answer)> = (0..14)
-        .map(|i| {
-            let t = TrustValue::new(0.1 + (i as f64) * 0.05);
-            let a = if i < 4 { Answer::Confirm } else { Answer::Deny };
-            (t, a)
+    let pool: Vec<Evidence> = (0..14)
+        .map(|i| Evidence {
+            weight: TrustValue::new(0.1 + (i as f64) * 0.05).weight(),
+            stability: 1.0,
+            answer: if i < 4 { Answer::Confirm } else { Answer::Deny },
         })
         .collect();
     c.bench_function("detection_value_14_witnesses", |b| {
-        b.iter(|| black_box(detection_value(black_box(answers.iter().copied()))))
+        b.iter(|| black_box(detection_value(black_box(&pool))))
     });
 
     let samples: Vec<f64> = (0..14).map(|i| if i % 3 == 0 { 1.0 } else { -1.0 }).collect();

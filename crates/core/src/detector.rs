@@ -30,11 +30,7 @@ use trustlink_olsr::hooks::{NoHooks, OlsrHooks};
 use trustlink_olsr::node::OlsrNode;
 use trustlink_olsr::types::OlsrConfig;
 use trustlink_sim::{Application, Context, NodeId, SimDuration, SimTime, TimerToken};
-use trustlink_trust::aggregate::{
-    answered_samples, detection_value, stability_weighted_detection_value,
-    stability_weighted_evidence_samples, unweighted_detection_value, weighted_evidence_samples,
-    Answer,
-};
+use trustlink_trust::aggregate::{detection_value, evidence_samples, Answer, Evidence};
 use trustlink_trust::confidence::margin_of_error;
 use trustlink_trust::decision::{DecisionRule, Verdict};
 use trustlink_trust::propagation::{multipath, Recommendation};
@@ -575,89 +571,75 @@ impl<H: OlsrHooks> DetectorNode<H> {
             };
             pairs.push((*w, answer));
         }
+        // One evidence row per witness. Without trust weighting every row
+        // weighs 1.0; stability is weighed only on top of trust weighting
+        // (the unweighted ablation ignores it) and is otherwise 1.0.
+        let weigh_stability = self.cfg.trust_weighting && self.cfg.stability_weighting;
+        let weight =
+            |trust: TrustValue| if self.cfg.trust_weighting { trust.weight() } else { 1.0 };
+        let mut pool: Vec<Evidence> = pairs
+            .iter()
+            .map(|&(w, answer)| Evidence {
+                weight: weight(self.trust.trust_of(&w)),
+                // The *least* stable view of the witness's link — the
+                // case-open snapshot or the current one. A link that flapped
+                // right before the trigger, or that dissolved while the case
+                // ran, counts for less either way.
+                stability: if weigh_stability {
+                    case.witness_stability(w).min(self.stability_of(w, now))
+                } else {
+                    1.0
+                },
+                answer,
+            })
+            .collect();
         // Property 5: the investigator's own first-hand observation of the
         // contested link joins the evidence pool. It carries the weight of
         // one default-trust witness — privileged in that it cannot lie to
         // us, but not strong enough to overrule several trusted witnesses
         // (a full-weight self-vote can start a false-positive spiral when
         // the investigator simply lacks corroborating state).
-        let self_evidence =
-            self.verify_link(suspect, case.contested, now).map(Answer::from_verification);
-        let self_weight = self.cfg.initial_trust;
-        let weighted_pool = |this: &Self| -> Vec<(TrustValue, Answer)> {
-            let mut v: Vec<(TrustValue, Answer)> =
-                pairs.iter().map(|&(w, a)| (this.trust.trust_of(&w), a)).collect();
-            if let Some(a) = self_evidence {
-                v.push((self_weight, a));
-            }
-            v
-        };
-        // Stability-weighted pool: each witness's evidence is scaled by the
-        // *least* stable view of its link — the case-open snapshot or the
-        // current one. A link that flapped right before the trigger, or
-        // that dissolved while the case ran, counts for less either way.
-        let stability_pool = |this: &Self| -> Vec<(TrustValue, f64, Answer)> {
-            let mut v: Vec<(TrustValue, f64, Answer)> = pairs
-                .iter()
-                .map(|&(w, a)| {
-                    let s = case.witness_stability(w).min(this.stability_of(w, now));
-                    (this.trust.trust_of(&w), s, a)
-                })
-                .collect();
-            if let Some(a) = self_evidence {
+        if let Some(link_ok) = self.verify_link(suspect, case.contested, now) {
+            pool.push(Evidence {
+                weight: weight(self.cfg.initial_trust),
                 // First-hand observation of the contested link is only as
                 // fresh as our links to the two nodes it connects.
-                let s = this.stability_of(suspect, now).min(this.stability_of(case.contested, now));
-                v.push((self_weight, s, a));
-            }
-            v
-        };
-        let detect = if self.cfg.trust_weighting {
-            if self.cfg.stability_weighting {
-                stability_weighted_detection_value(stability_pool(self))
-            } else {
-                detection_value(weighted_pool(self))
-            }
-        } else {
-            unweighted_detection_value(pairs.iter().map(|&(_, a)| a).chain(self_evidence))
-        };
-        let samples: Vec<f64> = if self.cfg.trust_weighting {
-            if self.cfg.stability_weighting {
-                stability_weighted_evidence_samples(stability_pool(self))
-            } else {
-                weighted_evidence_samples(weighted_pool(self))
-            }
-        } else {
-            answered_samples(pairs.iter().map(|&(_, a)| a).chain(self_evidence))
-        };
-        let margin = margin_of_error(&samples, self.cfg.confidence_level);
+                stability: if weigh_stability {
+                    self.stability_of(suspect, now).min(self.stability_of(case.contested, now))
+                } else {
+                    1.0
+                },
+                answer: Answer::from_verification(link_ok),
+            });
+        }
+        let detect = detection_value(&pool);
+        let margin = margin_of_error(&evidence_samples(&pool), self.cfg.confidence_level);
         let verdict = self.rule.decide(detect, margin);
         self.detect_history.push((now, suspect, detect));
 
         // Testimony evidence, keyed to the sign of the aggregate (§IV-B:
         // "this result is used to update the trust related to I and S_i").
         // Condemned nodes can no longer earn beneficial evidence.
-        if detect <= -self.cfg.testimony_threshold {
-            for (w, a) in &pairs {
-                if self.condemned.contains(w) {
-                    continue;
-                }
-                match a {
-                    Answer::Deny => self.trust.record(*w, EvidenceKind::TruthfulTestimony),
-                    Answer::Confirm => self.trust.record(*w, EvidenceKind::FalseTestimony),
-                    Answer::NoAnswer => self.trust.record(*w, EvidenceKind::Unresponsive),
-                }
-            }
+        let truthful = if detect <= -self.cfg.testimony_threshold {
+            Some(Answer::Deny)
         } else if detect >= self.cfg.testimony_threshold {
-            for (w, a) in &pairs {
-                if self.condemned.contains(w) {
+            Some(Answer::Confirm)
+        } else {
+            None
+        };
+        if let Some(truthful) = truthful {
+            for &(w, a) in &pairs {
+                if self.condemned.contains(&w) {
                     continue;
                 }
-                match a {
-                    Answer::Confirm => self.trust.record(*w, EvidenceKind::TruthfulTestimony),
-                    Answer::Deny => self.trust.record(*w, EvidenceKind::FalseTestimony),
-                    Answer::NoAnswer => self.trust.record(*w, EvidenceKind::Unresponsive),
-                }
+                let kind = if a == Answer::NoAnswer {
+                    EvidenceKind::Unresponsive
+                } else if a == truthful {
+                    EvidenceKind::TruthfulTestimony
+                } else {
+                    EvidenceKind::FalseTestimony
+                };
+                self.trust.record(w, kind);
             }
         }
 

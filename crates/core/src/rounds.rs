@@ -23,10 +23,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use trustlink_trust::aggregate::{
-    answered_samples, detection_value, unweighted_detection_value, weighted_evidence_samples,
-    Answer,
-};
+use trustlink_trust::aggregate::{detection_value, evidence_samples, Answer, Evidence};
 use trustlink_trust::confidence::margin_of_error;
 use trustlink_trust::decision::{DecisionRule, Verdict};
 use trustlink_trust::store::TrustStore;
@@ -258,19 +255,21 @@ impl RoundEngine {
         // investigation so far, re-weighted by the witnesses' current trust:
         // once a liar is distrusted, its earlier confirmations stop counting.
         self.history.extend(pairs.iter().copied());
-        let detect = if self.cfg.trust_weighting {
-            detection_value(self.history.iter().map(|&(i, a)| (self.trust.trust_of(&i), a)))
-        } else {
-            unweighted_detection_value(self.history.iter().map(|&(_, a)| a))
-        };
-        let samples: Vec<f64> = if self.cfg.trust_weighting {
-            weighted_evidence_samples(
-                self.history.iter().map(|&(i, a)| (self.trust.trust_of(&i), a)),
-            )
-        } else {
-            answered_samples(self.history.iter().map(|&(_, a)| a))
-        };
-        let margin = margin_of_error(&samples, self.cfg.confidence_level);
+        let pool: Vec<Evidence> = self
+            .history
+            .iter()
+            .map(|&(i, answer)| Evidence {
+                weight: if self.cfg.trust_weighting {
+                    self.trust.trust_of(&i).weight()
+                } else {
+                    1.0
+                },
+                stability: 1.0,
+                answer,
+            })
+            .collect();
+        let detect = detection_value(&pool);
+        let margin = margin_of_error(&evidence_samples(&pool), self.cfg.confidence_level);
         let verdict = self.rule.decide(detect, margin);
 
         // Formula (5) evidence assignment. The investigator is the attacked

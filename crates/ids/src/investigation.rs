@@ -237,36 +237,9 @@ impl Investigation {
         &self.witnesses
     }
 
-    /// Witnesses that have not answered yet.
-    pub fn pending(&self) -> Vec<NodeId> {
-        self.witnesses
-            .iter()
-            .filter(|(_, a)| *a == WitnessAnswer::Pending)
-            .map(|(w, _)| *w)
-            .collect()
-    }
-
-    /// Witnesses that confirmed the link (agree with the suspect).
-    pub fn agreeing(&self) -> Vec<NodeId> {
-        self.witnesses
-            .iter()
-            .filter(|(_, a)| *a == WitnessAnswer::Confirmed)
-            .map(|(w, _)| *w)
-            .collect()
-    }
-
-    /// Witnesses that denied the link (disagree with the suspect).
-    pub fn disagreeing(&self) -> Vec<NodeId> {
-        self.witnesses
-            .iter()
-            .filter(|(_, a)| *a == WitnessAnswer::Denied)
-            .map(|(w, _)| *w)
-            .collect()
-    }
-
     /// `true` once every witness answered or the deadline passed.
     pub fn is_complete(&self, now: SimTime) -> bool {
-        now >= self.deadline || self.pending().is_empty()
+        now >= self.deadline || !self.witnesses.iter().any(|(_, a)| *a == WitnessAnswer::Pending)
     }
 
     /// Number of interrogated witnesses.
@@ -384,9 +357,14 @@ mod tests {
         // Unknown witness and duplicate answers rejected.
         assert!(!inv.record_answer(NodeId(99), true));
         assert!(!inv.record_answer(NodeId(5), true));
-        assert_eq!(inv.disagreeing(), vec![NodeId(5)]);
-        assert_eq!(inv.agreeing(), vec![NodeId(6)]);
-        assert_eq!(inv.pending(), vec![NodeId(7)]);
+        assert_eq!(
+            inv.answers(),
+            [
+                (NodeId(5), WitnessAnswer::Denied),
+                (NodeId(6), WitnessAnswer::Confirmed),
+                (NodeId(7), WitnessAnswer::Pending),
+            ]
+        );
         assert!(!inv.is_complete(t(12)));
         // Deadline forces completion with a pending witness.
         assert!(inv.is_complete(t(15)));

@@ -16,8 +16,9 @@
 //! * routing-table calculation (§10), plus route computation that *avoids*
 //!   a chosen node — the primitive behind the paper's investigation rule
 //!   that requests "should not go through … the suspicious MPR";
-//! * a binary wire format over [`bytes`] (16-bit addresses instead of IPv4,
-//!   see `DESIGN.md`), with a decoder that never panics on forged input.
+//! * a binary wire format over [`bytes`] (escape-encoded node ids instead
+//!   of IPv4, see [`wire`]), with a decoder that never panics on forged
+//!   input.
 //!
 //! Beyond the RFC, and central to the paper:
 //!

@@ -1,7 +1,8 @@
 //! Binary wire format: a faithful shrinking of RFC 3626 §3 packet/message
 //! framing. Addresses are escape-encoded main addresses ([`NodeId`])
-//! instead of 32-bit IPv4 — documented in `DESIGN.md`; nothing in the
-//! protocol logic depends on the address width. Addresses below
+//! instead of 32-bit IPv4: a simulated node has no IP stack, only its
+//! identity, and nothing in the protocol logic depends on the address
+//! width. Addresses below
 //! [`NodeId::WIRE_ESCAPE`] occupy the two bytes the original 16-bit
 //! format used (so every historical scenario encodes byte-for-byte
 //! identically); wider addresses encode as the escape marker plus the

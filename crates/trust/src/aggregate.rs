@@ -10,8 +10,14 @@
 //!
 //! so that an answer counts in proportion to the answerer's trust. A result
 //! near `-1` means "the advertised link is almost certainly spoofed".
-
-use crate::value::TrustValue;
+//!
+//! Every variant the detectors run — trust-weighted, stability-diluted and
+//! the unweighted ablation — is this one formula over one pool of
+//! [`Evidence`] rows: a detector that does not weight by trust gives every
+//! row weight `1.0`, and one that does not weight by stability gives every
+//! row stability `1.0`. Both are exact in IEEE arithmetic (`1.0 · x == x`,
+//! `Σ 1.0 == n`), so each variant computes bit for bit what a dedicated
+//! formula would.
 
 /// A witness's answer to "is the link advertised by the suspect real?".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,37 +50,69 @@ impl Answer {
     }
 }
 
-/// Formula (8): merges `(trust-in-witness, answer)` pairs into a detection
-/// value in `[-1, 1]`.
+/// One witness's row in the evidence pool of formulas (8) and (9).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Evidence {
+    /// The witness's non-negative weight: its trust floored at zero
+    /// ([`TrustValue::weight`](crate::value::TrustValue::weight)), or
+    /// `1.0` for every row when trust weighting is off.
+    pub weight: f64,
+    /// The stability `s_i ∈ [0, 1]` of the link the evidence was sourced
+    /// over (see [`crate::stability`]), or `1.0` when stability is not
+    /// weighed.
+    pub stability: f64,
+    /// The witness's answer `e_i`.
+    pub answer: Answer,
+}
+
+impl Evidence {
+    /// The row's stability-scaled weighted evidence `w_i · (s_i · e_i)`.
+    fn weighted_answer(self) -> f64 {
+        self.weight * (self.stability * self.answer.as_f64())
+    }
+}
+
+/// Formula (8): merges an evidence pool into a detection value in
+/// `[-1, 1]`.
 ///
-/// Implementation notes, documented in `DESIGN.md`:
+/// Implementation notes:
 ///
-/// * Negative trust contributes **zero** weight (via
-///   [`TrustValue::weight`]): a distrusted witness is ignored rather than
-///   having its vote inverted.
-/// * The normalizer sums the trust of *all* witnesses, including those that
-///   did not answer (`e = 0`). Missing answers therefore dilute the result
-///   toward zero — this is what makes the paper's Figure 3 converge near
-///   `-0.8` rather than `-1` in an unreliable network.
-/// * If no witness carries positive trust the result is `0.0` (complete
+/// * A distrusted witness carries weight **zero** (via
+///   [`TrustValue::weight`](crate::value::TrustValue::weight)): it is
+///   ignored rather than having its vote inverted.
+/// * The normalizer sums the weight of *all* witnesses, including those
+///   that did not answer (`e = 0`). Missing answers therefore dilute the
+///   result toward zero — this is what makes the paper's Figure 3 converge
+///   near `-0.8` rather than `-1` in an unreliable network.
+/// * Stability scales the evidence but not the normalizer, so unstable
+///   evidence behaves like a partial non-answer: it pulls `Detect` toward
+///   zero instead of merely rebalancing the votes. Under heavy churn no
+///   coalition of young-link witnesses can push `|Detect|` past the average
+///   stability of their links, so rule (10) withholds judgement — churn
+///   delays verdicts, it cannot manufacture them.
+/// * If no witness carries positive weight the result is `0.0` (complete
 ///   uncertainty).
 ///
 /// ```
-/// use trustlink_trust::{detection_value, Answer, TrustValue};
-/// let detect = detection_value([
-///     (TrustValue::new(0.8), Answer::Deny),
-///     (TrustValue::new(0.8), Answer::Deny),
-///     (TrustValue::new(0.1), Answer::Confirm), // a barely-trusted liar
+/// use trustlink_trust::{detection_value, Answer, Evidence, TrustValue};
+/// let row = |trust: f64, answer| Evidence {
+///     weight: TrustValue::new(trust).weight(),
+///     stability: 1.0,
+///     answer,
+/// };
+/// let detect = detection_value(&[
+///     row(0.8, Answer::Deny),
+///     row(0.8, Answer::Deny),
+///     row(0.1, Answer::Confirm), // a barely-trusted liar
 /// ]);
 /// assert!(detect < -0.8);
 /// ```
-pub fn detection_value(answers: impl IntoIterator<Item = (TrustValue, Answer)>) -> f64 {
+pub fn detection_value(pool: &[Evidence]) -> f64 {
     let mut num = 0.0;
     let mut denom = 0.0;
-    for (trust, answer) in answers {
-        let w = trust.weight();
-        num += w * answer.as_f64();
-        denom += w;
+    for row in pool {
+        num += row.weighted_answer();
+        denom += row.weight;
     }
     if denom <= 0.0 {
         0.0
@@ -84,8 +122,8 @@ pub fn detection_value(answers: impl IntoIterator<Item = (TrustValue, Answer)>) 
 }
 
 /// The evidence *sample* used for the formula (9) confidence interval:
-/// the trust-weighted evidences `T_i⁺ · e_i` of the witnesses that actually
-/// answered and carry positive trust.
+/// the weighted evidences `w_i · (s_i · e_i)` of the witnesses that
+/// actually answered and carry positive weight.
 ///
 /// §IV-C estimates the spread of "the partial set of evidences e_1..e_n
 /// (namely the sample)"; witnesses that never answered contributed no
@@ -94,85 +132,27 @@ pub fn detection_value(answers: impl IntoIterator<Item = (TrustValue, Answer)>) 
 /// evidences vanish from the sample, the spread collapses, and the interval
 /// narrows — which is how the paper's investigations become decisive "at
 /// any round" once the trust system has done its work.
-pub fn weighted_evidence_samples(
-    answers: impl IntoIterator<Item = (TrustValue, Answer)>,
-) -> Vec<f64> {
-    answers
-        .into_iter()
-        .filter(|(t, a)| *a != Answer::NoAnswer && t.weight() > 0.0)
-        .map(|(t, a)| t.weight() * a.as_f64())
+pub fn evidence_samples(pool: &[Evidence]) -> Vec<f64> {
+    pool.iter()
+        .filter(|row| row.answer != Answer::NoAnswer && row.weight > 0.0)
+        .map(|row| row.weighted_answer())
         .collect()
-}
-
-/// Formula (8) with per-witness link-stability dilution: each evidence
-/// value is scaled by the stability weight `s_i ∈ [0, 1]` of the link it
-/// was sourced over (see [`crate::stability`]), while the normalizer keeps
-/// the witness's **full** trust.
-///
-/// Scaling the numerator but not the denominator makes unstable evidence
-/// behave like a partial non-answer: it pulls `Detect` toward zero instead
-/// of merely rebalancing the votes. Under heavy churn no coalition of
-/// young-link witnesses can push `|Detect|` past the average stability of
-/// their links, so rule (10) withholds judgement — churn delays verdicts,
-/// it cannot manufacture them. With every `s_i = 1.0` the computation is
-/// bit-identical to [`detection_value`].
-pub fn stability_weighted_detection_value(
-    answers: impl IntoIterator<Item = (TrustValue, f64, Answer)>,
-) -> f64 {
-    let mut num = 0.0;
-    let mut denom = 0.0;
-    for (trust, stability, answer) in answers {
-        let w = trust.weight();
-        num += w * (stability * answer.as_f64());
-        denom += w;
-    }
-    if denom <= 0.0 {
-        0.0
-    } else {
-        num / denom
-    }
-}
-
-/// The stability-diluted counterpart of [`weighted_evidence_samples`]: the
-/// sample for formula (9) is the stability-scaled weighted evidence of each
-/// answering, positively-trusted witness. With every stability at `1.0`
-/// this is bit-identical to [`weighted_evidence_samples`].
-pub fn stability_weighted_evidence_samples(
-    answers: impl IntoIterator<Item = (TrustValue, f64, Answer)>,
-) -> Vec<f64> {
-    answers
-        .into_iter()
-        .filter(|(t, _, a)| *a != Answer::NoAnswer && t.weight() > 0.0)
-        .map(|(t, s, a)| t.weight() * (s * a.as_f64()))
-        .collect()
-}
-
-/// The unweighted counterpart of [`weighted_evidence_samples`] (for the
-/// trust-weighting ablation): the raw evidences of answering witnesses.
-pub fn answered_samples(answers: impl IntoIterator<Item = Answer>) -> Vec<f64> {
-    answers.into_iter().filter(|a| *a != Answer::NoAnswer).map(|a| a.as_f64()).collect()
-}
-
-/// Like [`detection_value`] but *without* trust weighting — every witness
-/// counts equally. This is the ablation baseline ("trust-weighting off")
-/// used to show how much the trust system buys.
-pub fn unweighted_detection_value(answers: impl IntoIterator<Item = Answer>) -> f64 {
-    let mut num = 0.0;
-    let mut n = 0u32;
-    for answer in answers {
-        num += answer.as_f64();
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        num / f64::from(n)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::TrustValue;
+
+    /// A stable row weighted by `trust`.
+    fn trusted(trust: f64, answer: Answer) -> Evidence {
+        Evidence { weight: TrustValue::new(trust).weight(), stability: 1.0, answer }
+    }
+
+    /// A row of the unweighted ablation.
+    fn unit(answer: Answer) -> Evidence {
+        Evidence { weight: 1.0, stability: 1.0, answer }
+    }
 
     #[test]
     fn answer_values() {
@@ -185,60 +165,51 @@ mod tests {
 
     #[test]
     fn unanimous_denial_is_minus_one() {
-        let d = detection_value([
-            (TrustValue::new(0.5), Answer::Deny),
-            (TrustValue::new(0.9), Answer::Deny),
-        ]);
+        let d = detection_value(&[trusted(0.5, Answer::Deny), trusted(0.9, Answer::Deny)]);
         assert_eq!(d, -1.0);
     }
 
     #[test]
     fn unanimous_confirmation_is_plus_one() {
-        let d = detection_value([
-            (TrustValue::new(0.5), Answer::Confirm),
-            (TrustValue::new(0.9), Answer::Confirm),
-        ]);
+        let d = detection_value(&[trusted(0.5, Answer::Confirm), trusted(0.9, Answer::Confirm)]);
         assert_eq!(d, 1.0);
     }
 
     #[test]
     fn missing_answers_dilute() {
         // Two trusted deniers plus one trusted silent witness: |Detect| < 1.
-        let d = detection_value([
-            (TrustValue::new(0.6), Answer::Deny),
-            (TrustValue::new(0.6), Answer::Deny),
-            (TrustValue::new(0.6), Answer::NoAnswer),
+        let d = detection_value(&[
+            trusted(0.6, Answer::Deny),
+            trusted(0.6, Answer::Deny),
+            trusted(0.6, Answer::NoAnswer),
         ]);
         assert!((d - (-2.0 / 3.0)).abs() < 1e-12);
     }
 
     #[test]
     fn distrusted_witness_is_ignored() {
-        let d = detection_value([
-            (TrustValue::new(0.8), Answer::Deny),
-            (TrustValue::new(-0.9), Answer::Confirm), // loud, but distrusted
+        let d = detection_value(&[
+            trusted(0.8, Answer::Deny),
+            trusted(-0.9, Answer::Confirm), // loud, but distrusted
         ]);
         assert_eq!(d, -1.0);
     }
 
     #[test]
     fn zero_total_trust_gives_zero() {
-        let d = detection_value([
-            (TrustValue::new(-0.5), Answer::Deny),
-            (TrustValue::new(0.0), Answer::Confirm),
-        ]);
+        let d = detection_value(&[trusted(-0.5, Answer::Deny), trusted(0.0, Answer::Confirm)]);
         assert_eq!(d, 0.0);
-        assert_eq!(detection_value([]), 0.0);
+        assert_eq!(detection_value(&[]), 0.0);
     }
 
     #[test]
     fn trusted_liars_can_sway_early_rounds() {
         // The phenomenon behind Figure 3: while liars still hold trust,
         // they pull Detect toward zero.
-        let honest = (TrustValue::new(0.5), Answer::Deny);
-        let liar = (TrustValue::new(0.5), Answer::Confirm);
-        let d_few_liars = detection_value([honest, honest, honest, liar]);
-        let d_more_liars = detection_value([honest, honest, liar, liar]);
+        let honest = trusted(0.5, Answer::Deny);
+        let liar = trusted(0.5, Answer::Confirm);
+        let d_few_liars = detection_value(&[honest, honest, honest, liar]);
+        let d_more_liars = detection_value(&[honest, honest, liar, liar]);
         assert!(d_few_liars < d_more_liars, "{d_few_liars} vs {d_more_liars}");
         assert_eq!(d_more_liars, 0.0);
     }
@@ -246,9 +217,9 @@ mod tests {
     #[test]
     fn result_always_within_bounds() {
         for i in 0..50 {
-            let t = TrustValue::new(-1.0 + (i as f64) / 25.0);
+            let t = -1.0 + (i as f64) / 25.0;
             for a in [Answer::Confirm, Answer::Deny, Answer::NoAnswer] {
-                let d = detection_value([(t, a), (TrustValue::new(0.3), Answer::Deny)]);
+                let d = detection_value(&[trusted(t, a), trusted(0.3, Answer::Deny)]);
                 assert!((-1.0..=1.0).contains(&d), "out of bounds: {d}");
             }
         }
@@ -256,19 +227,18 @@ mod tests {
 
     #[test]
     fn unweighted_baseline_counts_everyone() {
-        let d = unweighted_detection_value([Answer::Deny, Answer::Deny, Answer::Confirm]);
+        let d = detection_value(&[unit(Answer::Deny), unit(Answer::Deny), unit(Answer::Confirm)]);
         assert!((d - (-1.0 / 3.0)).abs() < 1e-12);
-        assert_eq!(unweighted_detection_value([]), 0.0);
     }
 
     #[test]
     fn weighted_samples_drop_silent_and_distrusted() {
-        let samples = weighted_evidence_samples([
-            (TrustValue::new(0.8), Answer::Deny),     // in: -0.8
-            (TrustValue::new(0.5), Answer::NoAnswer), // out: silent
-            (TrustValue::new(-0.3), Answer::Confirm), // out: distrusted
-            (TrustValue::new(0.0), Answer::Confirm),  // out: zero weight
-            (TrustValue::new(0.2), Answer::Confirm),  // in: +0.2
+        let samples = evidence_samples(&[
+            trusted(0.8, Answer::Deny),     // in: -0.8
+            trusted(0.5, Answer::NoAnswer), // out: silent
+            trusted(-0.3, Answer::Confirm), // out: distrusted
+            trusted(0.0, Answer::Confirm),  // out: zero weight
+            trusted(0.2, Answer::Confirm),  // in: +0.2
         ]);
         assert_eq!(samples, vec![-0.8, 0.2]);
     }
@@ -277,61 +247,46 @@ mod tests {
     fn weighted_samples_collapse_when_liars_lose_trust() {
         // The interval-narrowing mechanism: identical trusted deniers give
         // zero spread.
-        let samples = weighted_evidence_samples([
-            (TrustValue::new(0.9), Answer::Deny),
-            (TrustValue::new(0.9), Answer::Deny),
-            (TrustValue::new(-0.8), Answer::Confirm),
+        let samples = evidence_samples(&[
+            trusted(0.9, Answer::Deny),
+            trusted(0.9, Answer::Deny),
+            trusted(-0.8, Answer::Confirm),
         ]);
         assert_eq!(samples, vec![-0.9, -0.9]);
         assert_eq!(crate::confidence::sample_std_dev(&samples), 0.0);
     }
 
     #[test]
-    fn answered_samples_keep_raw_answers() {
-        let samples =
-            answered_samples([Answer::Deny, Answer::NoAnswer, Answer::Confirm, Answer::Deny]);
+    fn unit_row_samples_keep_raw_answers() {
+        let samples = evidence_samples(&[
+            unit(Answer::Deny),
+            unit(Answer::NoAnswer),
+            unit(Answer::Confirm),
+            unit(Answer::Deny),
+        ]);
         assert_eq!(samples, vec![-1.0, 1.0, -1.0]);
-    }
-
-    #[test]
-    fn full_stability_is_bit_identical_to_formula_eight() {
-        let pairs = [
-            (TrustValue::new(0.8), Answer::Deny),
-            (TrustValue::new(0.4), Answer::NoAnswer),
-            (TrustValue::new(0.3), Answer::Confirm),
-            (TrustValue::new(-0.2), Answer::Deny),
-        ];
-        let with = stability_weighted_detection_value(pairs.iter().map(|&(t, a)| (t, 1.0, a)));
-        let without = detection_value(pairs.iter().copied());
-        assert_eq!(with.to_bits(), without.to_bits());
-        let s_with: Vec<f64> =
-            stability_weighted_evidence_samples(pairs.iter().map(|&(t, a)| (t, 1.0, a)));
-        let s_without = weighted_evidence_samples(pairs.iter().copied());
-        assert_eq!(s_with, s_without);
     }
 
     #[test]
     fn unstable_evidence_dilutes_toward_zero() {
         // Unanimous denial, but every link is half-stable: |Detect| is
         // capped by the average stability, not pushed back to -1.
-        let d = stability_weighted_detection_value([
-            (TrustValue::new(0.6), 0.5, Answer::Deny),
-            (TrustValue::new(0.6), 0.5, Answer::Deny),
-        ]);
+        let half = |answer| Evidence { stability: 0.5, ..trusted(0.6, answer) };
+        let d = detection_value(&[half(Answer::Deny), half(Answer::Deny)]);
         assert!((d - (-0.5)).abs() < 1e-12, "d={d}");
         // Mixed stability rebalances toward the stable witness.
-        let d = stability_weighted_detection_value([
-            (TrustValue::new(0.6), 1.0, Answer::Deny),
-            (TrustValue::new(0.6), 0.0, Answer::Confirm),
+        let d = detection_value(&[
+            trusted(0.6, Answer::Deny),
+            Evidence { stability: 0.0, ..trusted(0.6, Answer::Confirm) },
         ]);
         assert!((d - (-0.5)).abs() < 1e-12, "d={d}");
     }
 
     #[test]
     fn stability_dilution_cannot_flip_a_sign() {
-        let stable = stability_weighted_detection_value([
-            (TrustValue::new(0.5), 1.0, Answer::Deny),
-            (TrustValue::new(0.5), 0.2, Answer::Deny),
+        let stable = detection_value(&[
+            trusted(0.5, Answer::Deny),
+            Evidence { stability: 0.2, ..trusted(0.5, Answer::Deny) },
         ]);
         assert!(stable < 0.0);
         assert!(stable >= -1.0);

@@ -27,18 +27,21 @@
 //! use trustlink_trust::prelude::*;
 //!
 //! // Three witnesses answer "is the link advertised by the suspect real?".
-//! // Two honest nodes deny it (-1); a liar confirms it (+1).
-//! let answers = [
-//!     (TrustValue::new(0.7), Answer::Deny),
-//!     (TrustValue::new(0.6), Answer::Deny),
-//!     (TrustValue::new(0.2), Answer::Confirm),
-//! ];
-//! let detect = detection_value(answers.iter().copied());
+//! // Two honest nodes deny it (-1); a liar confirms it (+1). Each answer
+//! // becomes one evidence row weighted by the answerer's trust, over a
+//! // fully stable link.
+//! let row = |trust: f64, answer| Evidence {
+//!     weight: TrustValue::new(trust).weight(),
+//!     stability: 1.0,
+//!     answer,
+//! };
+//! let pool = [row(0.7, Answer::Deny), row(0.6, Answer::Deny), row(0.2, Answer::Confirm)];
+//! let detect = detection_value(&pool);
 //! assert!(detect < 0.0, "the spoofed link should look suspicious");
 //!
-//! // Margin of error over the raw answers at 95% confidence:
-//! let samples: Vec<f64> = answers.iter().map(|(_, a)| a.as_f64()).collect();
-//! let margin = margin_of_error(&samples, 0.95);
+//! // Margin of error over the answering witnesses' weighted evidence at
+//! // 95% confidence:
+//! let margin = margin_of_error(&evidence_samples(&pool), 0.95);
 //! let verdict = DecisionRule::default().decide(detect, margin);
 //! println!("detect={detect:.2} ± {margin:.2} → {verdict:?}");
 //! ```
@@ -58,7 +61,7 @@ pub mod value;
 
 /// Glob-import of the commonly used types and functions.
 pub mod prelude {
-    pub use crate::aggregate::{detection_value, stability_weighted_detection_value, Answer};
+    pub use crate::aggregate::{detection_value, evidence_samples, Answer, Evidence};
     pub use crate::confidence::{margin_of_error, probit, ConfidenceInterval};
     pub use crate::decision::{DecisionRule, Verdict};
     pub use crate::entropy::{binary_entropy, probability_from_trust, trust_from_probability};
@@ -69,7 +72,7 @@ pub mod prelude {
     pub use crate::value::{EvidenceKind, GravityCatalogue, TrustValue};
 }
 
-pub use aggregate::{detection_value, stability_weighted_detection_value, Answer};
+pub use aggregate::{detection_value, evidence_samples, Answer, Evidence};
 pub use confidence::{margin_of_error, probit, ConfidenceInterval};
 pub use decision::{DecisionRule, Verdict};
 pub use propagation::Recommendation;

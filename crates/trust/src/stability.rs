@@ -10,10 +10,10 @@
 //!
 //! This module scores the *channel* the evidence rode over, not the witness:
 //! a weight in `[0, 1]` derived from the symmetric-link age and flap history
-//! that the IDS extracts from the typed audit log. The aggregation layer
-//! (see [`crate::aggregate::stability_weighted_detection_value`]) multiplies
-//! each evidence value by its stability weight while keeping the witness's
-//! full trust in the normalizer, so unstable evidence *dilutes* the
+//! that the IDS extracts from the typed audit log. Formula (8),
+//! [`crate::aggregate::detection_value`], scales each evidence row's answer
+//! by the row's stability while keeping the witness's full trust in the
+//! normalizer, so unstable evidence *dilutes* the
 //! detection value toward zero exactly like a missing answer does. Churn
 //! noise therefore degrades detection gracefully — it can delay a verdict,
 //! never manufacture one — while mature stable links carry weight `1.0`

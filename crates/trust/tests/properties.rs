@@ -5,7 +5,6 @@
 
 use proptest::prelude::*;
 
-use trustlink_trust::aggregate::unweighted_detection_value;
 use trustlink_trust::confidence::{sample_std_dev, z_for_confidence_level};
 use trustlink_trust::entropy::{binary_entropy, probability_from_trust, trust_from_probability};
 use trustlink_trust::prelude::*;
@@ -16,6 +15,16 @@ fn trust_value() -> impl Strategy<Value = TrustValue> {
 
 fn answer() -> impl Strategy<Value = Answer> {
     prop_oneof![Just(Answer::Confirm), Just(Answer::Deny), Just(Answer::NoAnswer)]
+}
+
+/// A stable evidence row weighted by raw trust `t`.
+fn trusted(t: f64, answer: Answer) -> Evidence {
+    Evidence { weight: TrustValue::new(t).weight(), stability: 1.0, answer }
+}
+
+/// A row of the unweighted ablation.
+fn unit(answer: Answer) -> Evidence {
+    Evidence { weight: 1.0, stability: 1.0, answer }
 }
 
 fn evidence_kind() -> impl Strategy<Value = EvidenceKind> {
@@ -153,11 +162,13 @@ proptest! {
 
     #[test]
     fn detection_value_bounded(
-        answers in proptest::collection::vec((-1.0f64..=1.0, answer()), 0..16),
+        rows in proptest::collection::vec((-1.0f64..=1.0, 0.0f64..=1.0, answer()), 0..16),
     ) {
-        let d = detection_value(
-            answers.iter().map(|&(t, a)| (TrustValue::new(t), a)),
-        );
+        let pool: Vec<Evidence> = rows
+            .iter()
+            .map(|&(t, stability, a)| Evidence { stability, ..trusted(t, a) })
+            .collect();
+        let d = detection_value(&pool);
         prop_assert!((-1.0..=1.0).contains(&d));
     }
 
@@ -166,16 +177,16 @@ proptest! {
         base in proptest::collection::vec((0.1f64..=1.0, answer()), 1..8),
         noise in proptest::collection::vec((-1.0f64..=-0.01, answer()), 0..8),
     ) {
-        let with_noise: Vec<(TrustValue, Answer)> = base
+        let without: Vec<Evidence> = base.iter().map(|&(t, a)| trusted(t, a)).collect();
+        let with_noise: Vec<Evidence> = without
             .iter()
-            .map(|&(t, a)| (TrustValue::new(t), a))
-            .chain(noise.iter().map(|&(t, a)| (TrustValue::new(t), a)))
+            .copied()
+            .chain(noise.iter().map(|&(t, a)| trusted(t, a)))
             .collect();
-        let without: Vec<(TrustValue, Answer)> =
-            base.iter().map(|&(t, a)| (TrustValue::new(t), a)).collect();
-        let d1 = detection_value(with_noise);
-        let d2 = detection_value(without);
+        let d1 = detection_value(&with_noise);
+        let d2 = detection_value(&without);
         prop_assert!((d1 - d2).abs() < 1e-12);
+        prop_assert_eq!(evidence_samples(&with_noise), evidence_samples(&without));
     }
 
     #[test]
@@ -183,11 +194,46 @@ proptest! {
         answers in proptest::collection::vec(answer(), 1..16),
         t in 0.1f64..=1.0,
     ) {
-        let weighted = detection_value(
-            answers.iter().map(|&a| (TrustValue::new(t), a)),
-        );
-        let unweighted = unweighted_detection_value(answers.iter().copied());
-        prop_assert!((weighted - unweighted).abs() < 1e-9);
+        let weighted: Vec<Evidence> = answers.iter().map(|&a| trusted(t, a)).collect();
+        let unweighted: Vec<Evidence> = answers.iter().copied().map(unit).collect();
+        prop_assert!((detection_value(&weighted) - detection_value(&unweighted)).abs() < 1e-9);
+    }
+
+    /// Rows of weight and stability `1.0` are the unweighted ablation:
+    /// the plain mean `Σe/n` of every answer, and the raw answers of the
+    /// witnesses that replied as the sample.
+    #[test]
+    fn unit_rows_are_the_plain_mean(answers in proptest::collection::vec(answer(), 0..16)) {
+        let pool: Vec<Evidence> = answers.iter().copied().map(unit).collect();
+        let sum = answers.iter().fold(0.0, |acc, a| acc + a.as_f64());
+        let mean = if answers.is_empty() { 0.0 } else { sum / answers.len() as f64 };
+        prop_assert_eq!(detection_value(&pool).to_bits(), mean.to_bits());
+        let raw: Vec<f64> =
+            answers.iter().filter(|&&a| a != Answer::NoAnswer).map(|a| a.as_f64()).collect();
+        prop_assert_eq!(evidence_samples(&pool), raw);
+    }
+
+    /// Rows of stability `1.0` are formula (8) itself: `Σ w⁺e / Σ w⁺`
+    /// over every witness, and `w⁺e` of each answering, positively
+    /// weighted witness as the sample.
+    #[test]
+    fn full_stability_rows_are_the_trust_weighted_mean(
+        rows in proptest::collection::vec((-1.0f64..=1.0, answer()), 0..16),
+    ) {
+        let pool: Vec<Evidence> = rows.iter().map(|&(t, a)| trusted(t, a)).collect();
+        let (num, denom) = rows.iter().fold((0.0, 0.0), |(num, denom), &(t, a)| {
+            let w = TrustValue::new(t).weight();
+            (num + w * a.as_f64(), denom + w)
+        });
+        let mean = if denom <= 0.0 { 0.0 } else { num / denom };
+        prop_assert_eq!(detection_value(&pool).to_bits(), mean.to_bits());
+        let weighted: Vec<f64> = rows
+            .iter()
+            .map(|&(t, a)| (TrustValue::new(t).weight(), a))
+            .filter(|&(w, a)| a != Answer::NoAnswer && w > 0.0)
+            .map(|(w, a)| w * a.as_f64())
+            .collect();
+        prop_assert_eq!(evidence_samples(&pool), weighted);
     }
 
     // ---- confidence (9) -------------------------------------------------
