@@ -11,7 +11,7 @@
 //! | Active forge | broadcast storm (with masquerade) | [`storm`] |
 //! | Active forge | identity spoofing | [`identity`] |
 //! | Active forge | willingness manipulation | [`modify`] |
-//! | Drop | black hole / gray hole | [`drop`] |
+//! | Drop | black hole / gray hole | [`drop`](mod@drop) |
 //! | Modify & forward | sequence-number inflation, TC tampering | [`modify`] |
 //! | Modify & forward | replay | [`replay`] |
 //! | Modify & forward | wormhole (colluding pair) | [`wormhole`] |

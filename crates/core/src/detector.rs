@@ -31,18 +31,28 @@ use trustlink_olsr::node::OlsrNode;
 use trustlink_olsr::types::OlsrConfig;
 use trustlink_sim::{Application, Context, NodeId, SimDuration, SimTime, TimerToken};
 use trustlink_trust::aggregate::{detection_value, evidence_samples, Answer, Evidence};
-use trustlink_trust::confidence::margin_of_error;
+use trustlink_trust::confidence::{margin_of_error, CONFIDENCE_LEVEL};
 use trustlink_trust::decision::{DecisionRule, Verdict};
 use trustlink_trust::propagation::{multipath, Recommendation};
 use trustlink_trust::stability::{stability_weight, StabilityParams};
 use trustlink_trust::store::TrustStore;
-use trustlink_trust::update::TrustUpdate;
-use trustlink_trust::value::{EvidenceKind, GravityCatalogue, TrustValue};
+use trustlink_trust::value::{EvidenceKind, TrustValue};
 
 /// Timer token for the periodic log-analysis pass.
 pub const TIMER_ANALYSIS: TimerToken = TimerToken(2000);
 /// Timer token for the periodic trust-recommendation exchange.
 pub const TIMER_GOSSIP: TimerToken = TimerToken(2001);
+
+/// Window of the partially-ordered signature matcher.
+const SIGNATURE_WINDOW: SimDuration = SimDuration::from_secs(120);
+/// Maximum investigation rounds per suspect before giving up.
+const MAX_ROUNDS_PER_SUSPECT: u32 = 25;
+/// |Detect| needed before testimony evidence is assigned to witnesses
+/// (below it the round is too ambiguous to blame anyone). Kept small: with
+/// ~43 % liars among the answerers the first rounds sit near `-(h-l)/n`,
+/// and evidence must still flow for the trust system to bootstrap
+/// (Figure 3's worst case).
+const TESTIMONY_THRESHOLD: f64 = 0.05;
 
 /// Tunables of the detector agent.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,34 +62,11 @@ pub struct DetectorConfig {
     pub analysis_interval: SimDuration,
     /// Investigation protocol parameters.
     pub investigation: InvestigationConfig,
-    /// Forgetting factor β of formula (5).
-    pub beta: f64,
-    /// Gravity catalogue (the `α_j`).
-    pub gravity: GravityCatalogue,
-    /// Trust assigned to never-seen nodes.
-    pub initial_trust: TrustValue,
-    /// Decision threshold γ of rule (10).
-    pub gamma: f64,
-    /// Confidence level for the formula (9) margin.
-    pub confidence_level: f64,
-    /// Signature window for the partially-ordered matcher.
-    pub signature_window: SimDuration,
     /// How this node answers link-verification requests.
     pub liar_policy: LiarPolicy,
     /// Probability an answer is actually produced (models application-level
     /// unreliability on top of radio loss; the paper's missing evidence).
     pub answer_probability: f64,
-    /// Maximum investigation rounds per suspect before giving up.
-    pub max_rounds_per_suspect: u32,
-    /// |Detect| needed before testimony evidence is assigned to witnesses
-    /// (below it the round is too ambiguous to blame anyone). Keep this
-    /// small: with ~43 % liars among the answerers the first rounds sit
-    /// near `-(h-l)/n`, and evidence must still flow for the trust system
-    /// to bootstrap (Figure 3's worst case).
-    pub testimony_threshold: f64,
-    /// Record background `NormalRelaying` evidence for current symmetric
-    /// neighbors every slot (Property 1's beneficial activity).
-    pub relaying_evidence: bool,
     /// Ablation: when `false`, formula (8) is replaced by an unweighted
     /// average (the "no trust system" baseline).
     pub trust_weighting: bool,
@@ -97,9 +84,6 @@ pub struct DetectorConfig {
     /// (`FloodScope::Fisheye`); only meaningful while `trust_weighting` is
     /// on — the unweighted ablation baseline ignores it.
     pub stability_weighting: bool,
-    /// Knobs of the stability weight (maturity age, flap memory, down-link
-    /// cap); see [`StabilityParams`].
-    pub stability: StabilityParams,
     /// Grace period after start-up during which no investigation is opened
     /// and no "never heard of it" denial is issued: the routing protocol
     /// needs time to converge before absence of knowledge means anything.
@@ -127,20 +111,10 @@ impl Default for DetectorConfig {
         DetectorConfig {
             analysis_interval: SimDuration::from_secs(1),
             investigation: InvestigationConfig::default(),
-            beta: 0.9,
-            gravity: GravityCatalogue::default(),
-            initial_trust: TrustValue::DEFAULT,
-            gamma: 0.6,
-            confidence_level: 0.95,
-            signature_window: SimDuration::from_secs(120),
             liar_policy: LiarPolicy::Honest,
             answer_probability: 1.0,
-            max_rounds_per_suspect: 25,
-            testimony_threshold: 0.05,
-            relaying_evidence: true,
             trust_weighting: true,
             stability_weighting: false,
-            stability: StabilityParams::default(),
             warmup: SimDuration::from_secs(15),
             trust_slot_interval: SimDuration::from_secs(10),
             gossip_interval: None,
@@ -180,7 +154,6 @@ pub struct DetectorNode<H: OlsrHooks = NoHooks> {
     extractor: EventExtractor,
     engine: SignatureEngine,
     trust: TrustStore<NodeId>,
-    rule: DecisionRule,
     cursor: usize,
     cases: Vec<Investigation>,
     /// Replaced MPRs remembered per suspect (narrows witness selection).
@@ -190,8 +163,6 @@ pub struct DetectorNode<H: OlsrHooks = NoHooks> {
     verdicts: Vec<VerdictRecord>,
     matches: Vec<SignatureMatch>,
     next_case: u64,
-    /// Per-round Detect history: `(time, suspect, detect)`.
-    detect_history: Vec<(SimTime, NodeId, f64)>,
     started_at: SimTime,
     last_slot: SimTime,
     /// Latest trust digest received from each recommender.
@@ -224,15 +195,10 @@ impl<H: OlsrHooks> DetectorNode<H> {
     /// that also runs the detection software, as in the paper's setting
     /// where every node hosts the IDS).
     pub fn with_hooks(olsr: OlsrConfig, cfg: DetectorConfig, hooks: H) -> Self {
-        let trust = TrustStore::with_update(
-            cfg.initial_trust,
-            TrustUpdate::with_catalogue(cfg.beta, cfg.gravity.clone()),
-        );
         DetectorNode {
             olsr: OlsrNode::with_hooks(olsr, hooks),
-            engine: SignatureEngine::with_builtin(cfg.signature_window),
-            rule: DecisionRule::new(cfg.gamma),
-            trust,
+            engine: SignatureEngine::with_builtin(SIGNATURE_WINDOW),
+            trust: TrustStore::new(TrustValue::DEFAULT),
             cfg,
             extractor: EventExtractor::new(),
             cursor: 0,
@@ -243,7 +209,6 @@ impl<H: OlsrHooks> DetectorNode<H> {
             verdicts: Vec::new(),
             matches: Vec::new(),
             next_case: 0,
-            detect_history: Vec::new(),
             started_at: SimTime::ZERO,
             last_slot: SimTime::ZERO,
             recommendations: BTreeMap::new(),
@@ -290,11 +255,6 @@ impl<H: OlsrHooks> DetectorNode<H> {
     /// Nodes this detector has condemned as intruders.
     pub fn condemned(&self) -> Vec<NodeId> {
         self.condemned.iter().copied().collect()
-    }
-
-    /// The per-round `(time, suspect, Detect)` history (Figure 3's series).
-    pub fn detect_history(&self) -> &[(SimTime, NodeId, f64)] {
-        &self.detect_history
     }
 
     /// The log-derived view (for tests and tooling).
@@ -441,11 +401,11 @@ impl<H: OlsrHooks> DetectorNode<H> {
         // tick paces background relaying evidence.
         let slot_due = now.saturating_since(self.last_slot) >= self.cfg.trust_slot_interval;
         if finalized_any || slot_due {
-            if self.cfg.relaying_evidence {
-                for n in self.olsr.symmetric_neighbors(now) {
-                    if !self.condemned.contains(&n) {
-                        self.trust.record(n, EvidenceKind::NormalRelaying);
-                    }
+            // Background relaying evidence for current symmetric neighbors
+            // (Property 1's beneficial activity).
+            for n in self.olsr.symmetric_neighbors(now) {
+                if !self.condemned.contains(&n) {
+                    self.trust.record(n, EvidenceKind::NormalRelaying);
                 }
             }
             self.trust.end_slot();
@@ -473,7 +433,7 @@ impl<H: OlsrHooks> DetectorNode<H> {
     /// `now`, from the extractor's symmetric-link history.
     fn stability_of(&self, peer: NodeId, now: SimTime) -> f64 {
         let ls = self.extractor.link_stability(peer);
-        stability_weight(&self.cfg.stability, ls.age_secs(now), ls.secs_since_flap(now))
+        stability_weight(&StabilityParams::default(), ls.age_secs(now), ls.secs_since_flap(now))
     }
 
     /// Whether this node's own adjacency to `peer` flapped within the
@@ -485,7 +445,7 @@ impl<H: OlsrHooks> DetectorNode<H> {
                 .extractor
                 .link_stability(peer)
                 .secs_since_flap(now)
-                .is_some_and(|s| s < self.cfg.stability.flap_memory_secs)
+                .is_some_and(|s| s < StabilityParams::default().flap_memory_secs)
     }
 
     /// Whether this node logged the 2-hop pair `addr`-via-`via` as lost
@@ -493,7 +453,7 @@ impl<H: OlsrHooks> DetectorNode<H> {
     fn recently_lost_two_hop(&self, via: NodeId, addr: NodeId, now: SimTime) -> bool {
         self.cfg.stability_weighting
             && self.extractor.last_two_hop_loss(via, addr).is_some_and(|at| {
-                now.saturating_since(at).as_secs_f64() < self.cfg.stability.flap_memory_secs
+                now.saturating_since(at).as_secs_f64() < StabilityParams::default().flap_memory_secs
             })
     }
 
@@ -519,7 +479,7 @@ impl<H: OlsrHooks> DetectorNode<H> {
             return; // every advertised link is corroborated: nothing to dispute
         };
         let rounds = self.rounds.entry(suspect).or_insert(0);
-        if *rounds >= self.cfg.max_rounds_per_suspect {
+        if *rounds >= MAX_ROUNDS_PER_SUSPECT {
             return;
         }
         let old = self.old_mprs.get(&suspect).cloned().unwrap_or_default();
@@ -601,7 +561,7 @@ impl<H: OlsrHooks> DetectorNode<H> {
         // the investigator simply lacks corroborating state).
         if let Some(link_ok) = self.verify_link(suspect, case.contested, now) {
             pool.push(Evidence {
-                weight: weight(self.cfg.initial_trust),
+                weight: weight(TrustValue::DEFAULT),
                 // First-hand observation of the contested link is only as
                 // fresh as our links to the two nodes it connects.
                 stability: if weigh_stability {
@@ -613,16 +573,15 @@ impl<H: OlsrHooks> DetectorNode<H> {
             });
         }
         let detect = detection_value(&pool);
-        let margin = margin_of_error(&evidence_samples(&pool), self.cfg.confidence_level);
-        let verdict = self.rule.decide(detect, margin);
-        self.detect_history.push((now, suspect, detect));
+        let margin = margin_of_error(&evidence_samples(&pool), CONFIDENCE_LEVEL);
+        let verdict = DecisionRule::default().decide(detect, margin);
 
         // Testimony evidence, keyed to the sign of the aggregate (§IV-B:
         // "this result is used to update the trust related to I and S_i").
         // Condemned nodes can no longer earn beneficial evidence.
-        let truthful = if detect <= -self.cfg.testimony_threshold {
+        let truthful = if detect <= -TESTIMONY_THRESHOLD {
             Some(Answer::Deny)
-        } else if detect >= self.cfg.testimony_threshold {
+        } else if detect >= TESTIMONY_THRESHOLD {
             Some(Answer::Confirm)
         } else {
             None
@@ -676,7 +635,7 @@ impl<H: OlsrHooks> DetectorNode<H> {
             }
             Verdict::Unrecognized => {
                 // "more evidences should be collected": reopen immediately,
-                // bounded by max_rounds_per_suspect. The contested link is
+                // bounded by MAX_ROUNDS_PER_SUSPECT. The contested link is
                 // an open dispute and carries over verbatim.
                 let contested = case.contested;
                 self.maybe_open_case(ctx, suspect, Some(contested));
@@ -943,9 +902,10 @@ mod tests {
     #[test]
     fn default_config_is_coherent() {
         let cfg = DetectorConfig::default();
-        assert!(cfg.gamma > 0.0 && cfg.gamma <= 1.0);
+        let gamma = DecisionRule::default().gamma();
+        assert!(gamma > 0.0 && gamma <= 1.0);
         assert!((0.0..=1.0).contains(&cfg.answer_probability));
-        assert!(cfg.testimony_threshold < cfg.gamma);
+        assert!(TESTIMONY_THRESHOLD < gamma);
         assert!(cfg.warmup > cfg.analysis_interval);
         assert!(cfg.gossip_interval.is_none());
     }

@@ -24,7 +24,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use trustlink_trust::aggregate::{detection_value, evidence_samples, Answer, Evidence};
-use trustlink_trust::confidence::margin_of_error;
+use trustlink_trust::confidence::{margin_of_error, CONFIDENCE_LEVEL};
 use trustlink_trust::decision::{DecisionRule, Verdict};
 use trustlink_trust::store::TrustStore;
 use trustlink_trust::update::TrustUpdate;
@@ -73,14 +73,8 @@ pub struct RoundConfig {
     /// Rounds during which the attack is active (liars cover, honest deny).
     /// Outside this range all nodes simply behave well.
     pub attack_rounds: std::ops::Range<u32>,
-    /// Decision threshold γ.
-    pub gamma: f64,
-    /// Confidence level for the margin of error.
-    pub confidence_level: f64,
     /// Ablation: `false` disables trust weighting in formula (8).
     pub trust_weighting: bool,
-    /// Record background relaying evidence every round.
-    pub relaying_evidence: bool,
 }
 
 impl Default for RoundConfig {
@@ -96,10 +90,7 @@ impl Default for RoundConfig {
             gravity: GravityCatalogue::default(),
             answer_probability: 0.85,
             attack_rounds: 0..u32::MAX,
-            gamma: 0.6,
-            confidence_level: 0.95,
             trust_weighting: true,
-            relaying_evidence: true,
         }
     }
 }
@@ -170,7 +161,6 @@ pub struct RoundEngine {
     rng: StdRng,
     trust: TrustStore<usize>,
     roles: Vec<RoleKind>,
-    rule: DecisionRule,
     round: u32,
     /// Every `(witness, answer)` collected since the investigation opened;
     /// cleared when the attack window closes (the investigation ends).
@@ -201,8 +191,7 @@ impl RoundEngine {
             trust.set_trust(i, TrustValue::new(value));
             roles.push(if i < cfg.n_liars { RoleKind::Liar } else { RoleKind::Honest });
         }
-        let rule = DecisionRule::new(cfg.gamma);
-        RoundEngine { cfg, rng, trust, roles, rule, round: 0, history: Vec::new() }
+        RoundEngine { cfg, rng, trust, roles, round: 0, history: Vec::new() }
     }
 
     /// Number of witnesses.
@@ -269,8 +258,8 @@ impl RoundEngine {
             })
             .collect();
         let detect = detection_value(&pool);
-        let margin = margin_of_error(&evidence_samples(&pool), self.cfg.confidence_level);
-        let verdict = self.rule.decide(detect, margin);
+        let margin = margin_of_error(&evidence_samples(&pool), CONFIDENCE_LEVEL);
+        let verdict = DecisionRule::default().decide(detect, margin);
 
         // Formula (5) evidence assignment. The investigator is the attacked
         // node and the contested link is its own, so it knows the ground
@@ -289,9 +278,7 @@ impl RoundEngine {
                 Answer::Confirm => EvidenceKind::FalseTestimony,
             };
             self.trust.record(*i, kind);
-            if self.cfg.relaying_evidence {
-                self.trust.record(*i, EvidenceKind::NormalRelaying);
-            }
+            self.trust.record(*i, EvidenceKind::NormalRelaying);
         }
         self.trust.end_slot();
         (detect, margin, verdict)

@@ -2,10 +2,10 @@
 //! and liars, on the `trustlink-sim` radio.
 //!
 //! Where [`crate::rounds`] reproduces the paper's abstract evaluation
-//! protocol, a [`Scenario`] validates the whole stack end-to-end: OLSR
-//! converges, the attacker's forged HELLOs really trigger E1/E2 in other
-//! nodes' *logs*, investigations really ride the data plane around the
-//! suspect, and verdicts come out of rule (10).
+//! protocol, a [`ScenarioBuilder`] run validates the whole stack
+//! end-to-end: OLSR converges, the attacker's forged HELLOs really trigger
+//! E1/E2 in other nodes' *logs*, investigations really ride the data plane
+//! around the suspect, and verdicts come out of rule (10).
 
 use std::collections::BTreeMap;
 
@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trustlink_attacks::liar::LiarPolicy;
 use trustlink_attacks::spoof::LinkSpoofing;
-use trustlink_olsr::types::{FloodScope, OlsrConfig, RecomputeMode};
+use trustlink_olsr::types::OlsrConfig;
 use trustlink_sim::{
     topologies, Arena, ChannelModel, MobilityModel, NodeId, Position, RadioConfig, ScanMode,
     SimDuration, Simulator, SimulatorBuilder,
@@ -151,26 +151,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Selects the OLSR recompute scheduling used by every node
-    /// ([`RecomputeMode::Incremental`] by default). [`RecomputeMode::Eager`]
-    /// is the per-packet-recompute oracle kept for equivalence testing and
-    /// baseline benchmarking; both transmit byte-identical frames per seed.
-    pub fn recompute_mode(mut self, mode: RecomputeMode) -> Self {
-        self.olsr.recompute = mode;
-        self
-    }
-
-    /// Selects how far every node's TCs flood ([`FloodScope::Classic`] by
-    /// default). [`FloodScope::Fisheye`] is the graded-scope fast path;
-    /// unlike the other oracle pairs it is *not* byte-identical to
-    /// classic — the pinned contract is quantitative (identical
-    /// convictions, bounded route stretch, fewer forwarded TC frames; see
-    /// `tests/fisheye_equivalence.rs`).
-    pub fn flood_scope(mut self, scope: FloodScope) -> Self {
-        self.olsr.flood_scope = scope;
-        self
-    }
-
     /// Attaches a per-link [`ChannelModel`] (edge latency/loss overrides,
     /// Gilbert–Elliott burst fading). Off by default; channel-model-off
     /// runs stay byte-identical to builds without the channel layer.
@@ -208,11 +188,9 @@ impl ScenarioBuilder {
     fn sampling_arena(&self) -> Option<Arena> {
         match &self.topology {
             Topology::RandomConnected { arena } => Some(Arena::new(arena.0, arena.1)),
-            Topology::RandomGeometric { mean_degree } => Some(topologies::arena_for_mean_degree(
-                self.n,
-                self.radio.propagation.max_range(),
-                *mean_degree,
-            )),
+            Topology::RandomGeometric { mean_degree } => {
+                Some(topologies::arena_for_mean_degree(self.n, self.radio.range, *mean_degree))
+            }
             _ => None,
         }
     }
@@ -224,7 +202,7 @@ impl ScenarioBuilder {
             Topology::Ring { radius } => topologies::ring(self.n, *radius),
             Topology::RandomConnected { .. } => {
                 let arena = self.sampling_arena().expect("random topology has an arena");
-                let range = self.radio.propagation.max_range();
+                let range = self.radio.range;
                 topologies::random_connected(self.n, &arena, range, rng, 10_000)
             }
             Topology::RandomGeometric { .. } => {
@@ -443,6 +421,29 @@ mod tests {
             report.verdicts
         );
         assert!(report.false_positives().is_empty());
+    }
+
+    #[test]
+    fn zero_answer_probability_silences_every_witness() {
+        let run = |answer_probability: f64| {
+            ScenarioBuilder::new(11, 9)
+                .topology(Topology::Grid { cols: 3, spacing: 100.0 })
+                .detector(DetectorConfig { answer_probability, ..test_detector() })
+                .attacker(
+                    8,
+                    LinkSpoofing::permanent(SpoofVariant::AdvertiseNonExistent {
+                        fake: vec![NodeId(99)],
+                    }),
+                )
+                .duration(SimDuration::from_secs(30))
+                .run()
+        };
+        let answered =
+            |r: &ScenarioReport| r.verdicts.iter().map(|(_, v)| v.answered).sum::<usize>();
+        let silent = run(0.0);
+        assert!(!silent.verdicts.is_empty(), "no investigation concluded");
+        assert_eq!(answered(&silent), 0);
+        assert!(answered(&run(1.0)) > 0);
     }
 
     #[test]

@@ -100,10 +100,6 @@ pub enum MisbehaviourReason {
     TcSilence,
     /// A frame from the MPR failed to decode (forged/corrupt).
     MalformedTraffic,
-    /// The MPR's advertised neighbor set never changes although the
-    /// neighborhood around it does (the paper's "continues to advertise
-    /// identical 1-hop neighbors despite recent changes").
-    StaleAdvertisement,
     /// A MID claimed an alias that is another known node's main address
     /// (MID spoofing, §II: "a node that holds several interfaces ...
     /// should be distinguished" from identity theft).
@@ -173,8 +169,6 @@ pub struct EventExtractor {
     slot_mprs: Vec<NodeId>,
     /// Per-neighbor claimed symmetric neighbor sets from their HELLOs.
     claims: BTreeMap<NodeId, Vec<NodeId>>,
-    /// When each neighbor's claim last *changed* (not merely refreshed).
-    claim_changed_at: BTreeMap<NodeId, SimTime>,
     /// Every address ever seen in any log line: the local estimate of the
     /// network's node population `N`.
     known: BTreeSet<NodeId>,
@@ -263,21 +257,16 @@ impl EventExtractor {
                 }
                 // The stored list is rewritten in place, and only when the
                 // claims changed.
-                let changed = match self.claims.entry(*from) {
+                match self.claims.entry(*from) {
                     Entry::Vacant(e) => {
                         e.insert(sym.to_vec());
-                        true
                     }
                     Entry::Occupied(mut e) if e.get()[..] != sym[..] => {
                         let prev = e.get_mut();
                         prev.clear();
                         prev.extend_from_slice(sym);
-                        true
                     }
-                    Entry::Occupied(_) => false,
-                };
-                if changed {
-                    self.claim_changed_at.insert(*from, at);
+                    Entry::Occupied(_) => {}
                 }
             }
             LogRecord::TcRx { originator, advertised, .. } => {
@@ -445,19 +434,9 @@ impl EventExtractor {
 
     // ---- views used by the investigation planner -------------------------
 
-    /// The current MPR set as last logged.
-    pub fn current_mprs(&self) -> &[NodeId] {
-        &self.mprs
-    }
-
     /// What `neighbor` last claimed as its symmetric neighbors.
     pub fn claimed_neighbors_of(&self, neighbor: NodeId) -> Option<&[NodeId]> {
         self.claims.get(&neighbor).map(Vec::as_slice)
-    }
-
-    /// When `neighbor`'s claims last changed.
-    pub fn claim_changed_at(&self, neighbor: NodeId) -> Option<SimTime> {
-        self.claim_changed_at.get(&neighbor).copied()
     }
 
     /// Every address this node has ever seen mentioned.
@@ -709,12 +688,8 @@ mod tests {
         assert_eq!(ex.vias_for(NodeId(3)), vec![NodeId(1)]);
         assert!(ex.neighbors().contains(&NodeId(1)));
         assert!(ex.known_nodes().contains(&NodeId(3)));
-        assert_eq!(ex.claim_changed_at(NodeId(1)), Some(t(0)));
-        // Refresh without change keeps the change timestamp.
-        ex.ingest_record(t(5), &hello(1, &[2, 3]));
-        assert_eq!(ex.claim_changed_at(NodeId(1)), Some(t(0)));
-        // A real change updates it.
+        // A changed HELLO rewrites the stored claims.
         ex.ingest_record(t(6), &hello(1, &[2]));
-        assert_eq!(ex.claim_changed_at(NodeId(1)), Some(t(6)));
+        assert_eq!(ex.claimed_neighbors_of(NodeId(1)), Some(&[NodeId(2)][..]));
     }
 }

@@ -44,8 +44,6 @@ pub enum MisbehaviourKind {
     TcSilence,
     /// Malformed traffic.
     Malformed,
-    /// Stale advertisement.
-    Stale,
 }
 
 impl EventPattern {
@@ -63,7 +61,6 @@ impl EventPattern {
                     (MisbehaviourKind::UnknownClaim, MisbehaviourReason::UnknownClaimedNeighbor(_))
                         | (MisbehaviourKind::TcSilence, MisbehaviourReason::TcSilence)
                         | (MisbehaviourKind::Malformed, MisbehaviourReason::MalformedTraffic)
-                        | (MisbehaviourKind::Stale, MisbehaviourReason::StaleAdvertisement)
                 )
             }
             (EventPattern::SoleConnectivity, DetectionEvent::SoleConnectivity { .. }) => true,
@@ -163,7 +160,7 @@ impl SignatureMatch {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct PartialMatch {
     stage: usize,
     stage_times: Vec<SimTime>,
@@ -174,6 +171,8 @@ struct PartialMatch {
 #[derive(Debug, Clone)]
 pub struct SignatureEngine {
     signatures: Vec<Signature>,
+    /// Progress per `(signature, suspect)`; only entries past stage 0 are
+    /// kept, so events that advance nothing leave the table unchanged.
     partial: BTreeMap<(usize, NodeId), PartialMatch>,
 }
 
@@ -205,30 +204,26 @@ impl SignatureEngine {
         for suspect in event.suspects() {
             for (sig_idx, sig) in self.signatures.iter().enumerate() {
                 let key = (sig_idx, suspect);
-                let entry = self
+                // Window expiry: progress that has gone stale counts as none.
+                let mut progress = self
                     .partial
-                    .entry(key)
-                    .or_insert(PartialMatch { stage: 0, stage_times: Vec::new() });
-
-                // Window expiry: drop progress that has gone stale.
-                if let Some(&first) = entry.stage_times.first() {
-                    if at.saturating_since(first) > sig.window {
-                        entry.stage = 0;
-                        entry.stage_times.clear();
-                    }
-                }
-
-                if sig.stages[entry.stage].matches(event) {
-                    entry.stage += 1;
-                    entry.stage_times.push(at);
-                    if entry.stage == sig.stages.len() {
+                    .remove(&key)
+                    .filter(|p| at.saturating_since(p.stage_times[0]) <= sig.window)
+                    .unwrap_or_default();
+                if sig.stages[progress.stage].matches(event) {
+                    progress.stage += 1;
+                    progress.stage_times.push(at);
+                    if progress.stage == sig.stages.len() {
                         matches.push(SignatureMatch {
                             signature: sig.name.clone(),
                             suspect,
-                            stage_times: entry.stage_times.clone(),
+                            stage_times: progress.stage_times,
                         });
-                        self.partial.remove(&key);
+                        continue;
                     }
+                }
+                if progress.stage > 0 {
+                    self.partial.insert(key, progress);
                 }
             }
         }
@@ -244,10 +239,7 @@ impl SignatureEngine {
             .enumerate()
             .filter(|(_, s)| s.name == signature_name)
             .flat_map(|(idx, _)| {
-                self.partial
-                    .iter()
-                    .filter(move |((sig, _), pm)| *sig == idx && pm.stage > 0)
-                    .map(|((_, suspect), _)| *suspect)
+                self.partial.keys().filter(move |(sig, _)| *sig == idx).map(|(_, suspect)| *suspect)
             })
             .collect()
     }
@@ -393,6 +385,22 @@ mod tests {
         let eng = SignatureEngine::with_builtin(SimDuration::from_secs(30));
         let names: Vec<&str> = eng.signatures().iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["link-spoofing", "drop-attack", "forged-traffic"]);
+    }
+
+    #[test]
+    fn events_that_advance_nothing_leave_no_progress() {
+        // E3 starts no built-in signature: a stream of them naming distinct
+        // MPRs (or phantom ids) must not grow the progress table.
+        let mut eng = SignatureEngine::with_builtin(SimDuration::from_secs(120));
+        for i in 0..1_000u32 {
+            let ev = DetectionEvent::SoleConnectivity {
+                mpr: NodeId(i),
+                only_via: vec![NodeId(i + 1)],
+                at: t(1),
+            };
+            assert!(eng.observe(&ev).is_empty());
+        }
+        assert!(eng.partial.is_empty(), "{} empty progress entries", eng.partial.len());
     }
 
     #[test]

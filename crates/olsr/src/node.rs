@@ -11,7 +11,7 @@
 use bytes::Bytes;
 use rand::RngExt;
 use trustlink_sim::record::{LogRecord, MessageKind, SuppressReason, Willingness};
-use trustlink_sim::{Application, Context, FloodStats, NodeId, SimTime, TimerToken};
+use trustlink_sim::{Application, Context, FloodStats, NodeId, SimDuration, SimTime, TimerToken};
 
 use crate::hooks::{NoHooks, OlsrHooks};
 use crate::message::{
@@ -41,6 +41,15 @@ pub const TIMER_RECOMPUTE: TimerToken = TimerToken(4);
 /// First token value free for applications wrapping an [`OlsrNode`].
 pub const TIMER_USER_BASE: u64 = 1000;
 
+/// TTL of flooded control messages (classic scope).
+const DEFAULT_TTL: u8 = 255;
+/// TTL of unicast data.
+const DATA_TTL: u8 = 32;
+/// Coalescing window of the incremental mode's recompute timer: a burst of
+/// state-changing receptions inside one window triggers a single deferred
+/// recomputation.
+const RECOMPUTE_DEBOUNCE: SimDuration = SimDuration::from_millis(100);
+
 /// Which recompute inputs a burst of receptions has invalidated since the
 /// last [`OlsrNode::ensure_fresh`], tracked per domain so MPR selection
 /// reruns only when the 1/2-hop neighborhood actually changed and the
@@ -65,7 +74,7 @@ impl ChangeFlags {
 /// grow much slower than received packets.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecomputeStats {
-    /// Times [`ensure_fresh`](OlsrNode::ensure_fresh) ran (cheap, gated).
+    /// Times the gated freshness check (`ensure_fresh`) ran.
     pub flushes: u64,
     /// Times MPR selection actually executed.
     pub mpr_runs: u64,
@@ -442,14 +451,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 addrs: lost,
             });
         }
-        let willingness = self.hooks_willingness();
-        HelloMessage { willingness, groups }
-    }
-
-    fn hooks_willingness(&self) -> Willingness {
-        // `willingness_override` takes &mut; we keep the public builder
-        // immutable by caching nothing and only consulting the config here.
-        self.config.willingness
+        HelloMessage { willingness: Willingness::Default, groups }
     }
 
     fn emit_hello(&mut self, ctx: &mut Context<'_>) {
@@ -493,7 +495,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
         // follows within one ring cycle.
         self.tc_emissions += 1;
         let (ring, ttl, vtime) = match &self.config.flood_scope {
-            FloodScope::Classic => (0, self.config.default_ttl, self.config.topology_hold_time),
+            FloodScope::Classic => (0, DEFAULT_TTL, self.config.topology_hold_time),
             FloodScope::Fisheye(rings) => {
                 match rings.ring_for_emission(self.tc_emissions) {
                     // The advertised validity stretches with the ring
@@ -552,7 +554,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
         let msg = Message {
             vtime: self.config.topology_hold_time,
             originator: self.id,
-            ttl: self.config.default_ttl,
+            ttl: DEFAULT_TTL,
             hop_count: 0,
             seq: self.next_msg_seq(),
             body: MessageBody::Mid(MidMessage { aliases: self.mid_aliases.clone() }),
@@ -597,7 +599,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
         let msg = Message {
             vtime: self.config.neighbor_hold_time,
             originator: self.id,
-            ttl: self.config.data_ttl,
+            ttl: DATA_TTL,
             hop_count: 0,
             seq: self.next_msg_seq(),
             body: MessageBody::Data(DataMessage { src: self.id, dst, avoid, payload }),
@@ -858,7 +860,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 RecomputeMode::Incremental => {
                     if !self.debounce_armed {
                         self.debounce_armed = true;
-                        ctx.set_timer(self.config.recompute_debounce, TIMER_RECOMPUTE);
+                        ctx.set_timer(RECOMPUTE_DEBOUNCE, TIMER_RECOMPUTE);
                     }
                 }
             }

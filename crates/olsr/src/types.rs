@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use trustlink_sim::record::Willingness;
 use trustlink_sim::{SimDuration, SimTime};
 
 /// A 16-bit wrapping message/packet sequence number with the comparison
@@ -198,7 +197,7 @@ impl Default for FisheyeRings {
 }
 
 /// How far a node's TCs travel (the flooding scope). Scopes TC
-/// dissemination only — MID/HNA floods are rare and keep `default_ttl`.
+/// dissemination only — MID/HNA floods are rare and keep TTL 255.
 ///
 /// The third oracle pair of the codebase, after `ScanMode::Linear` and
 /// [`RecomputeMode::Eager`] — with one essential difference: `Fisheye` is
@@ -212,7 +211,7 @@ impl Default for FisheyeRings {
 /// the oracle.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum FloodScope {
-    /// Every TC floods network-wide (`default_ttl`) — RFC 3626 behaviour,
+    /// Every TC floods network-wide (TTL 255) — RFC 3626 behaviour,
     /// the equivalence oracle and benchmark baseline. O(n²) forwarded
     /// frames per TC interval.
     #[default]
@@ -258,22 +257,12 @@ pub struct OlsrConfig {
     pub topology_hold_time: SimDuration,
     /// How long duplicate-set entries are kept (default 30 s).
     pub duplicate_hold_time: SimDuration,
-    /// This node's willingness to relay.
-    pub willingness: Willingness,
     /// Interval between expiry sweeps / state refreshes (default 1 s).
     pub refresh_interval: SimDuration,
-    /// Default TTL for flooded control messages.
-    pub default_ttl: u8,
-    /// Default TTL for unicast data.
-    pub data_ttl: u8,
     /// TC advertisement richness (RFC 3626 §15.1).
     pub tc_redundancy: TcRedundancy,
     /// How recomputation is scheduled (see [`RecomputeMode`]).
     pub recompute: RecomputeMode,
-    /// Coalescing window of the incremental mode's recompute timer: a
-    /// burst of state-changing receptions inside one window triggers a
-    /// single deferred recomputation. Ignored in eager mode.
-    pub recompute_debounce: SimDuration,
     /// How far TCs flood (see [`FloodScope`]).
     pub flood_scope: FloodScope,
 }
@@ -289,13 +278,9 @@ impl OlsrConfig {
             neighbor_hold_time: hello * 3,
             topology_hold_time: tc * 3,
             duplicate_hold_time: SimDuration::from_secs(30),
-            willingness: Willingness::Default,
             refresh_interval: SimDuration::from_secs(1),
-            default_ttl: 255,
-            data_ttl: 32,
             tc_redundancy: TcRedundancy::default(),
             recompute: RecomputeMode::default(),
-            recompute_debounce: SimDuration::from_millis(100),
             flood_scope: FloodScope::default(),
         }
     }
@@ -311,13 +296,9 @@ impl OlsrConfig {
             neighbor_hold_time: hello * 3,
             topology_hold_time: tc * 3,
             duplicate_hold_time: SimDuration::from_secs(8),
-            willingness: Willingness::Default,
             refresh_interval: SimDuration::from_millis(250),
-            default_ttl: 255,
-            data_ttl: 32,
             tc_redundancy: TcRedundancy::default(),
             recompute: RecomputeMode::default(),
-            recompute_debounce: SimDuration::from_millis(100),
             flood_scope: FloodScope::default(),
         }
     }
@@ -325,12 +306,6 @@ impl OlsrConfig {
     /// Replaces the recompute scheduling mode.
     pub fn with_recompute(mut self, mode: RecomputeMode) -> Self {
         self.recompute = mode;
-        self
-    }
-
-    /// Replaces the willingness.
-    pub fn with_willingness(mut self, w: Willingness) -> Self {
-        self.willingness = w;
         self
     }
 
@@ -374,6 +349,7 @@ impl Expiry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trustlink_sim::record::Willingness;
 
     #[test]
     fn seqnum_wraps() {

@@ -179,7 +179,7 @@ impl SimulatorBuilder {
 
     /// Finalizes the configuration into an empty simulator.
     pub fn build(self) -> Simulator {
-        let grid = SpatialGrid::new(&self.arena, self.radio.propagation.max_range());
+        let grid = SpatialGrid::new(&self.arena, self.radio.range);
         let channel = self.channel.map(|m| ChannelState::new(m, self.seed));
         let n = self.expected_nodes;
         let mut stats = TrafficStats::default();
@@ -375,9 +375,9 @@ impl Simulator {
         self.scan_mode
     }
 
-    /// Ground-truth neighbors of `id`: alive nodes within the propagation
-    /// model's maximum range. (What an omniscient observer would call the
-    /// 1-hop neighborhood; protocols must *discover* this.)
+    /// Ground-truth neighbors of `id`: alive nodes within the radio range.
+    /// (What an omniscient observer would call the 1-hop neighborhood;
+    /// protocols must *discover* this.)
     pub fn neighbors_in_range(&self, id: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
         self.neighbors_in_range_into(id, &mut out);
@@ -393,7 +393,7 @@ impl Simulator {
     pub fn neighbors_in_range_into(&self, id: NodeId, out: &mut Vec<u32>) {
         out.clear();
         let me_pos = self.slots[id.index()].position;
-        let range = self.radio.propagation.max_range();
+        let range = self.radio.range;
         match self.scan_mode {
             ScanMode::Linear => out.extend(
                 self.slots
@@ -602,7 +602,7 @@ impl Simulator {
                 // (and therefore the RNG draw order: the radio draws only
                 // for positive-probability receivers) the same as the
                 // linear scan's.
-                let range = self.radio.propagation.max_range();
+                let range = self.radio.range;
                 let mut candidates = std::mem::take(&mut self.scratch_candidates);
                 candidates.clear();
                 self.grid.gather_within(tx_pos, range, &mut candidates);

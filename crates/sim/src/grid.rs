@@ -3,12 +3,12 @@
 //! Every broadcast used to scan all node slots — O(n) per frame, O(n²) per
 //! HELLO interval network-wide — which capped scenarios at a few dozen
 //! nodes. The [`SpatialGrid`] hashes positions into square cells at least
-//! as large as the radio's maximum propagation range, so any receiver that
-//! could possibly hear a frame lies in the 3×3 cell neighborhood of the
-//! transmitter. Positions are stored *inline* in the cell buckets: a
-//! range query walks nine contiguous arrays and never touches the node
-//! slots, which is what makes the query fast in practice (the slot array
-//! is orders of magnitude larger than a neighborhood).
+//! as large as the radio range, so any receiver that could possibly hear a
+//! frame lies in the 3×3 cell neighborhood of the transmitter. Positions
+//! are stored *inline* in the cell buckets: a range query walks nine
+//! contiguous arrays and never touches the node slots, which is what makes
+//! the query fast in practice (the slot array is orders of magnitude
+//! larger than a neighborhood).
 //!
 //! The engine keeps the index current incrementally: nodes enter on
 //! `add_node` / `revive`, leave on `kill`, and migrate on `set_position`
@@ -63,7 +63,7 @@ pub struct SpatialGrid {
 
 impl SpatialGrid {
     /// Builds an empty grid covering `arena` with cells sized for `range`
-    /// (the radio's maximum propagation range, in metres).
+    /// (the radio range, in metres).
     ///
     /// A non-positive or non-finite `range` degenerates to arena-sized
     /// cells (a 2×2 grid, since the far border rounds into its own

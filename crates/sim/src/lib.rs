@@ -10,10 +10,11 @@
 //!    configuration. Events are totally ordered by `(time, sequence)`; all
 //!    randomness flows from one seeded [`rand::rngs::StdRng`].
 //! 2. **Radio realism where it matters** — a broadcast wireless medium with
-//!    configurable propagation ([`radio::Propagation`]), Bernoulli frame
-//!    loss, propagation delay with jitter and an optional receiver-side
-//!    collision window. The paper's evaluation depends on *who hears whom*
-//!    and *which answers get lost*, which this models faithfully.
+//!    a unit-disk range ([`radio::RadioConfig`]), Bernoulli frame loss,
+//!    propagation delay with jitter, an optional receiver-side collision
+//!    window and per-link fading ([`radio::ChannelModel`]). The paper's
+//!    evaluation depends on *who hears whom* and *which answers get lost*,
+//!    which this models faithfully.
 //! 3. **Log-based observability** — every node owns an append-only
 //!    [`node::LogBuffer`] of typed [`record::LogRecord`] values. Protocols
 //!    log records, not strings; the intrusion detector of the paper consumes
@@ -70,9 +71,7 @@ pub mod prelude {
     pub use crate::engine::{ScanMode, Simulator, SimulatorBuilder};
     pub use crate::mobility::{Arena, MobilityModel, Position};
     pub use crate::node::{Application, Context, LogBuffer, NodeId, TimerToken};
-    pub use crate::radio::{
-        ChannelModel, ChannelState, FadingConfig, LinkOverride, Propagation, RadioConfig,
-    };
+    pub use crate::radio::{ChannelModel, ChannelState, FadingConfig, LinkOverride, RadioConfig};
     pub use crate::record::{
         FlightRecord, FlightRecorder, LogRecord, MessageKind, SuppressReason, VerdictKind,
         Willingness,
@@ -85,7 +84,7 @@ pub use engine::{ScanMode, Simulator, SimulatorBuilder};
 pub use grid::SpatialGrid;
 pub use mobility::{Arena, MobilityModel, Position};
 pub use node::{Application, CallbackClass, Context, FrameBatch, LogBuffer, NodeId, TimerToken};
-pub use radio::{ChannelModel, ChannelState, FadingConfig, LinkOverride, Propagation, RadioConfig};
+pub use radio::{ChannelModel, ChannelState, FadingConfig, LinkOverride, RadioConfig};
 pub use record::{
     parse_line, FlightRecord, FlightRecorder, LogRecord, MessageKind, ParseLogError,
     SuppressReason, VerdictKind, Willingness,

@@ -15,80 +15,13 @@ use crate::mobility::Position;
 use crate::node::NodeId;
 use crate::time::SimDuration;
 
-/// How received power falls off with distance, reduced to a delivery
-/// probability per frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Propagation {
-    /// Perfect reception up to `range` metres, nothing beyond. The classic
-    /// unit-disk model; the default.
-    UnitDisk {
-        /// Radio range in metres.
-        range: f64,
-    },
-    /// Perfect reception up to `full_range`, then delivery probability
-    /// decays linearly to zero at `max_range`. A cheap stand-in for fading
-    /// that still yields the "two nodes in range often fail to communicate"
-    /// phenomenon the paper highlights for evidence E3.
-    LinearFade {
-        /// Distance up to which delivery is certain, in metres.
-        full_range: f64,
-        /// Distance at which delivery probability reaches zero, in metres.
-        max_range: f64,
-    },
-}
-
-impl Propagation {
-    /// Probability that a frame crosses `distance` metres, before
-    /// independent Bernoulli loss is applied.
-    ///
-    /// Boundary behaviour, exactly:
-    ///
-    /// - [`Propagation::UnitDisk`]: `1.0` for every `distance <= range`
-    ///   (the boundary itself still delivers), `0.0` strictly beyond.
-    ///   A `range` of `0.0` therefore still delivers at distance `0.0`
-    ///   (a node can reach a co-located receiver) and nothing else.
-    /// - [`Propagation::LinearFade`]: `1.0` for `distance <= full_range`
-    ///   (inclusive), `0.0` for `distance >= max_range` (inclusive), and
-    ///   the open interval in between interpolates linearly. Because both
-    ///   boundary branches are checked *before* the interpolation, a
-    ///   degenerate model with `full_range == max_range` never divides by
-    ///   zero: the `full_range` check wins and the cliff is sharp, exactly
-    ///   like a unit disk of that radius.
-    pub fn delivery_probability(&self, distance: f64) -> f64 {
-        match *self {
-            Propagation::UnitDisk { range } => {
-                if distance <= range {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Propagation::LinearFade { full_range, max_range } => {
-                if distance <= full_range {
-                    1.0
-                } else if distance >= max_range {
-                    0.0
-                } else {
-                    1.0 - (distance - full_range) / (max_range - full_range)
-                }
-            }
-        }
-    }
-
-    /// The distance beyond which delivery is impossible.
-    pub fn max_range(&self) -> f64 {
-        match *self {
-            Propagation::UnitDisk { range } => range,
-            Propagation::LinearFade { max_range, .. } => max_range,
-        }
-    }
-}
-
 /// Full configuration of the shared medium.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RadioConfig {
-    /// Path-loss model.
-    pub propagation: Propagation,
+    /// Unit-disk range in metres: every receiver at a distance `<= range`
+    /// hears the frame (the boundary itself still delivers), nothing
+    /// beyond does. A range of `0.0` still reaches co-located receivers.
+    pub range: f64,
     /// Independent probability that an otherwise-deliverable frame is lost
     /// (interference, checksum failure, ...). `0.0` disables.
     pub loss_probability: f64,
@@ -108,7 +41,7 @@ impl RadioConfig {
     /// A loss-free unit-disk radio with 1 ms delay and 2 ms jitter.
     pub fn unit_disk(range: f64) -> Self {
         RadioConfig {
-            propagation: Propagation::UnitDisk { range },
+            range,
             loss_probability: 0.0,
             base_delay: SimDuration::from_millis(1),
             jitter: SimDuration::from_millis(2),
@@ -133,21 +66,10 @@ impl RadioConfig {
         self
     }
 
-    /// Replaces the propagation model.
-    pub fn with_propagation(mut self, p: Propagation) -> Self {
-        self.propagation = p;
-        self
-    }
-
     /// Decides the fate of a frame sent from `tx` toward a receiver at `rx`.
     pub fn judge(&self, tx: Position, rx: Position, rng: &mut StdRng) -> DeliveryOutcome {
-        let d = tx.distance(&rx);
-        let p = self.propagation.delivery_probability(d);
-        if p <= 0.0 {
+        if tx.distance(&rx) > self.range {
             return DeliveryOutcome::OutOfRange;
-        }
-        if p < 1.0 && !rng.random_bool(p) {
-            return DeliveryOutcome::Lost;
         }
         if self.loss_probability > 0.0 && rng.random_bool(self.loss_probability) {
             return DeliveryOutcome::Lost;
@@ -180,7 +102,7 @@ impl RadioConfig {
 pub enum DeliveryOutcome {
     /// The frame arrives after the given delay.
     Deliver(SimDuration),
-    /// The receiver is beyond the propagation model's maximum range.
+    /// The receiver is beyond the radio range.
     OutOfRange,
     /// The frame was dropped by fading or Bernoulli loss.
     Lost,
@@ -457,24 +379,20 @@ mod tests {
         StdRng::seed_from_u64(99)
     }
 
-    #[test]
-    fn unit_disk_is_sharp() {
-        let p = Propagation::UnitDisk { range: 100.0 };
-        assert_eq!(p.delivery_probability(0.0), 1.0);
-        assert_eq!(p.delivery_probability(100.0), 1.0);
-        assert_eq!(p.delivery_probability(100.01), 0.0);
-        assert_eq!(p.max_range(), 100.0);
+    /// Whether a frame from the origin reaches a receiver `distance`
+    /// metres away along the x axis (the radio is lossless).
+    fn reaches(cfg: &RadioConfig, distance: f64) -> bool {
+        let origin = Position::new(0.0, 0.0);
+        cfg.judge(origin, Position::new(distance, 0.0), &mut rng()) != DeliveryOutcome::OutOfRange
     }
 
     #[test]
-    fn linear_fade_interpolates() {
-        let p = Propagation::LinearFade { full_range: 100.0, max_range: 200.0 };
-        assert_eq!(p.delivery_probability(50.0), 1.0);
-        assert_eq!(p.delivery_probability(100.0), 1.0);
-        assert!((p.delivery_probability(150.0) - 0.5).abs() < 1e-12);
-        assert_eq!(p.delivery_probability(200.0), 0.0);
-        assert_eq!(p.delivery_probability(500.0), 0.0);
-        assert_eq!(p.max_range(), 200.0);
+    fn unit_disk_is_sharp() {
+        let cfg = RadioConfig::unit_disk(100.0);
+        assert!(reaches(&cfg, 0.0));
+        assert!(reaches(&cfg, 100.0));
+        assert!(!reaches(&cfg, 100.01));
+        assert_eq!(cfg.range, 100.0);
     }
 
     #[test]
@@ -532,6 +450,16 @@ mod tests {
     }
 
     #[test]
+    fn base_delay_sets_the_delivery_floor() {
+        let mut cfg = RadioConfig::unit_disk(100.0);
+        cfg.base_delay = SimDuration::from_millis(7);
+        cfg.jitter = SimDuration::ZERO;
+        let (tx, rx) = near();
+        let delay = cfg.judge(tx, rx, &mut rng());
+        assert_eq!(delay, DeliveryOutcome::Deliver(SimDuration::from_millis(7)));
+    }
+
+    #[test]
     fn bogus_loss_panic_names_the_value() {
         let caught = std::panic::catch_unwind(|| RadioConfig::default().with_loss(1.5))
             .expect_err("with_loss(1.5) must panic");
@@ -541,26 +469,9 @@ mod tests {
 
     #[test]
     fn zero_range_disk_still_reaches_colocated_receivers() {
-        let p = Propagation::UnitDisk { range: 0.0 };
-        assert_eq!(p.delivery_probability(0.0), 1.0);
-        assert_eq!(p.delivery_probability(f64::MIN_POSITIVE), 0.0);
-    }
-
-    #[test]
-    fn degenerate_linear_fade_is_a_sharp_cliff() {
-        // full_range == max_range: both boundary branches fire before the
-        // interpolation, so there is no 0/0 and the cliff is sharp.
-        let p = Propagation::LinearFade { full_range: 100.0, max_range: 100.0 };
-        assert_eq!(p.delivery_probability(100.0), 1.0);
-        assert_eq!(p.delivery_probability(100.0 + f64::EPSILON * 100.0), 0.0);
-    }
-
-    #[test]
-    fn linear_fade_boundaries_are_inclusive() {
-        let p = Propagation::LinearFade { full_range: 100.0, max_range: 200.0 };
-        // Exactly full_range delivers with certainty; exactly max_range never.
-        assert_eq!(p.delivery_probability(100.0), 1.0);
-        assert_eq!(p.delivery_probability(200.0), 0.0);
+        let cfg = RadioConfig::unit_disk(0.0);
+        assert!(reaches(&cfg, 0.0));
+        assert!(!reaches(&cfg, f64::EPSILON));
     }
 
     fn near() -> (Position, Position) {

@@ -2,7 +2,7 @@
 //!
 //! These return only positions; feed them to [`crate::Simulator::add_node`].
 //! The connectivity helpers use the unit-disk assumption (nodes closer than
-//! `range` are neighbors), matching [`crate::radio::Propagation::UnitDisk`].
+//! `range` are neighbors), matching [`crate::radio::RadioConfig::range`].
 
 use rand::rngs::StdRng;
 

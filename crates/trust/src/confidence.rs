@@ -105,6 +105,10 @@ pub fn sample_std_dev(samples: &[f64]) -> f64 {
     var.sqrt()
 }
 
+/// The confidence level the paper evaluates formula (9) at (95 %, so
+/// `z ≈ 1.96`); both the packet-level detector and the round engine use it.
+pub const CONFIDENCE_LEVEL: f64 = 0.95;
+
 /// Formula (9): the margin of error `ε = z·σ/√n` of the evidence sample at
 /// the given confidence level.
 ///

@@ -32,11 +32,6 @@ pub struct TrustStore<K> {
     initial: TrustValue,
     trust: HashMap<K, TrustValue>,
     pending: HashMap<K, Vec<EvidenceKind>>,
-    /// When `true`, peers with *no* evidence in a slot still undergo the
-    /// `β`-decay of formula (5) (drifting toward zero). The default `false`
-    /// freezes unobserved peers, which matches the paper's evaluation where
-    /// trust only moves when evidence arrives. Exposed for ablations.
-    pub decay_unobserved: bool,
     slots_elapsed: u64,
 }
 
@@ -54,7 +49,6 @@ impl<K: Eq + Hash + Clone> TrustStore<K> {
             initial,
             trust: HashMap::new(),
             pending: HashMap::new(),
-            decay_unobserved: false,
             slots_elapsed: 0,
         }
     }
@@ -86,25 +80,15 @@ impl<K: Eq + Hash + Clone> TrustStore<K> {
         self.pending.get(peer).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Closes the current time slot: applies formula (5) to every peer.
+    /// Closes the current time slot: applies formula (5) to every peer
+    /// with pending evidence.
     ///
-    /// Peers without pending evidence are left untouched unless
-    /// [`decay_unobserved`](Self::decay_unobserved) is set.
+    /// Peers without pending evidence are left untouched, which matches the
+    /// paper's evaluation where trust only moves when evidence arrives.
     pub fn end_slot(&mut self) {
-        let pending = std::mem::take(&mut self.pending);
-        if self.decay_unobserved {
-            let empty: Vec<EvidenceKind> = Vec::new();
-            let keys: Vec<K> = self.trust.keys().cloned().collect();
-            for k in keys {
-                let ev = pending.get(&k).unwrap_or(&empty);
-                let prev = self.trust_of(&k);
-                self.trust.insert(k, self.update.step(prev, ev));
-            }
-        } else {
-            for (k, ev) in pending {
-                let prev = self.trust_of(&k);
-                self.trust.insert(k, self.update.step(prev, &ev));
-            }
+        for (k, ev) in std::mem::take(&mut self.pending) {
+            let prev = self.trust_of(&k);
+            self.trust.insert(k, self.update.step(prev, &ev));
         }
         self.slots_elapsed += 1;
     }
@@ -160,15 +144,6 @@ mod tests {
         store.set_trust(1, TrustValue::new(0.8));
         store.end_slot();
         assert_eq!(store.trust_of(&1), TrustValue::new(0.8));
-    }
-
-    #[test]
-    fn decay_unobserved_ablation() {
-        let mut store: TrustStore<u32> = TrustStore::new(TrustValue::DEFAULT);
-        store.decay_unobserved = true;
-        store.set_trust(1, TrustValue::new(0.8));
-        store.end_slot();
-        assert!((store.trust_of(&1).get() - 0.72).abs() < 1e-12);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! > `T(A,I)_Δt = Σ_j α_j · e_j + β · T(A,I)_Δ(t-1)`
 //!
 //! The forgetting factor `β ∈ [0, 1)` privileges fresh evidence (Property 4);
-//! the gravity weights `α_j` come from
-//! [`GravityCatalogue`](crate::value::GravityCatalogue). The result is
+//! the gravity weights `α_j` come from [`GravityCatalogue`]. The result is
 //! clamped into the trust domain `[-1, 1]`.
 
 use crate::value::{EvidenceKind, GravityCatalogue, TrustValue};

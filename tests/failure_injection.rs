@@ -31,8 +31,10 @@ fn spoof(fake: u32) -> LinkSpoofing {
 fn scenario(seed: u64, n: usize) -> ScenarioBuilder {
     let builder = ScenarioBuilder::new(seed, n);
     match std::env::var("TRUSTLINK_RECOMPUTE").as_deref() {
-        Ok("incremental") => builder.recompute_mode(RecomputeMode::Incremental),
-        Ok("eager") => builder.recompute_mode(RecomputeMode::Eager),
+        Ok("incremental") => {
+            builder.olsr(OlsrConfig::fast().with_recompute(RecomputeMode::Incremental))
+        }
+        Ok("eager") => builder.olsr(OlsrConfig::fast().with_recompute(RecomputeMode::Eager)),
         Ok(other) => panic!("TRUSTLINK_RECOMPUTE must be incremental|eager, got `{other}`"),
         Err(_) => builder,
     }

@@ -102,7 +102,7 @@ fn single_unbounded_ring_detection_scenario_is_byte_identical() {
                 .detector(fast_detector())
                 .attacker(8, spoof_phantom(99))
                 .liar(1, LiarPolicy::CoverFor { accomplices: vec![NodeId(8)] })
-                .flood_scope(scope)
+                .olsr(OlsrConfig::fast().with_flood_scope(scope))
                 .duration(SimDuration::from_secs(60))
                 .run()
         };
@@ -154,7 +154,7 @@ fn scoped_fisheye_reaches_identical_convictions_on_e2e_matrix() {
                         spacing: 100.0,
                     })
                     .detector(fast_detector())
-                    .flood_scope(scope)
+                    .olsr(OlsrConfig::fast().with_flood_scope(scope))
                     .duration(SimDuration::from_secs(case.secs));
             if let Some(a) = case.attacker {
                 b = b.attacker(a, spoof_phantom(55));
@@ -202,7 +202,7 @@ fn scoped_fisheye_preserves_mobile_detection() {
                     pause: SimDuration::from_secs(2),
                 })
                 .mobility_tick(SimDuration::from_millis(250))
-                .flood_scope(scope)
+                .olsr(OlsrConfig::fast().with_flood_scope(scope))
                 .duration(SimDuration::from_secs(150))
                 .run()
         };

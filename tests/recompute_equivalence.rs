@@ -300,7 +300,7 @@ fn full_detection_scenario_verdicts_are_identical() {
                     }),
                 )
                 .liar(5, LiarPolicy::CoverFor { accomplices: vec![NodeId(8)] })
-                .recompute_mode(mode)
+                .olsr(OlsrConfig::fast().with_recompute(mode))
                 .duration(SimDuration::from_secs(60))
                 .run()
         };
