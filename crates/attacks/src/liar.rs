@@ -103,12 +103,6 @@ impl LiarPolicy {
             }
         }
     }
-
-    /// `true` for any policy that can produce false answers.
-    pub fn is_malicious(&self) -> bool {
-        !matches!(self, LiarPolicy::Honest)
-            && !matches!(self, LiarPolicy::Probabilistic { probability } if *probability == 0.0)
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +119,6 @@ mod tests {
         let mut r = rng();
         assert!(LiarPolicy::Honest.answer(true, NodeId(1), &mut r));
         assert!(!LiarPolicy::Honest.answer(false, NodeId(1), &mut r));
-        assert!(!LiarPolicy::Honest.is_malicious());
     }
 
     #[test]
@@ -133,7 +126,6 @@ mod tests {
         let mut r = rng();
         assert!(!LiarPolicy::AlwaysLie.answer(true, NodeId(1), &mut r));
         assert!(LiarPolicy::AlwaysLie.answer(false, NodeId(1), &mut r));
-        assert!(LiarPolicy::AlwaysLie.is_malicious());
     }
 
     #[test]
@@ -145,7 +137,6 @@ mod tests {
         // Honest about everyone else.
         assert!(!policy.answer(false, NodeId(8), &mut r));
         assert!(policy.answer(true, NodeId(8), &mut r));
-        assert!(policy.is_malicious());
     }
 
     #[test]
@@ -159,7 +150,6 @@ mod tests {
     #[test]
     fn zero_probability_is_honest() {
         let policy = LiarPolicy::Probabilistic { probability: 0.0 };
-        assert!(!policy.is_malicious());
         let mut r = rng();
         assert!(policy.answer(true, NodeId(1), &mut r));
     }

@@ -1,5 +1,6 @@
 //! Criterion benches: one group per paper figure, timing the full
-//! regeneration of each experiment (what `EXPERIMENTS.md` indexes).
+//! regeneration of each experiment (indexed in the README's "Reproducing
+//! the paper's figures").
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

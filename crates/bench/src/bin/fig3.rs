@@ -1,8 +1,7 @@
 //! Regenerates **Figure 3 — Impact of liars on the detection**: the
 //! trust-weighted investigation result `Detect(A, I)` per round, one curve
 //! per liar fraction (≈14 %, ≈29 % and ≈43 % of the witnesses — the paper
-//! quotes 26.3 % and 43.2 %), with mean ± min/max bands over several seeds
-//! (the `(liar count, seed)` runs fan out across threads).
+//! quotes 26.3 % and 43.2 %), with mean ± min/max bands over several seeds.
 //!
 //! Usage: `cargo run -p trustlink-bench --bin fig3 [-- --csv] [-- --single]`
 //! (`--single` reproduces the historical one-seed figure.)

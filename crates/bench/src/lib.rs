@@ -6,7 +6,8 @@
 //! * **Figure binaries** (`cargo run -p trustlink-bench --bin fig1|fig2|
 //!   fig3|sweep [-- --csv]`) — regenerate every figure of the paper's
 //!   evaluation section as an ASCII chart and, with `--csv`, as CSV on
-//!   stdout. See `EXPERIMENTS.md` for the paper-vs-measured record.
+//!   stdout. See the README's "Reproducing the paper's figures" for the
+//!   paper-vs-measured record.
 //! * **Criterion benches** (`cargo bench -p trustlink-bench`) — timing of
 //!   each experiment (`benches/figures.rs`), of the hot protocol and trust
 //!   primitives (`benches/micro.rs`), and of full packet-level scenarios

@@ -655,11 +655,11 @@ impl<H: OlsrHooks> DetectorNode<H> {
 
     fn send_gossip(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        let entries: Vec<(NodeId, TrustValue)> = self.trust.peers().map(|(n, t)| (*n, t)).collect();
-        if entries.is_empty() {
+        let digest = crate::gossip::TrustGossip::digest(&self.trust);
+        if digest.entries.is_empty() {
             return;
         }
-        let payload = crate::gossip::TrustGossip { entries }.encode();
+        let payload = digest.encode();
         for n in self.olsr.symmetric_neighbors(now) {
             self.olsr.send_data(ctx, n, payload.clone(), None);
         }

@@ -17,35 +17,11 @@ use trustlink_trust::Verdict;
 
 use crate::rounds::{RoleKind, RoundConfig, RoundEngine, RoundTrace};
 
-/// Runs the configurations across a `std::thread::scope` worker pool (one
-/// worker per available core, pulling work from a shared index so a slow
-/// run never idles the other cores) and returns the traces in input
-/// order. Each run is a pure function of its configuration (seed
-/// included), so the parallel sweep is bit-identical to the serial one —
-/// only wall time changes.
-fn run_rounds_parallel(cfgs: Vec<RoundConfig>, rounds: u32) -> Vec<RoundTrace> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    if cfgs.is_empty() {
-        return Vec::new();
-    }
-    let width = std::thread::available_parallelism().map_or(4, |n| n.get()).min(cfgs.len());
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RoundTrace>>> = cfgs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..width {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cfg) = cfgs.get(i) else { break };
-                let trace = RoundEngine::new(cfg.clone()).run(rounds);
-                *slots[i].lock().expect("result slot poisoned") = Some(trace);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("result slot poisoned").expect("worker filled every slot"))
-        .collect()
+/// Runs each configuration for `rounds` rounds and returns the traces in
+/// input order. Each run is a pure function of its configuration, seed
+/// included.
+fn run_rounds(cfgs: Vec<RoundConfig>, rounds: u32) -> Vec<RoundTrace> {
+    cfgs.into_iter().map(|cfg| RoundEngine::new(cfg).run(rounds)).collect()
 }
 
 /// One labelled line of a figure.
@@ -156,7 +132,7 @@ pub fn fig3_liar_impact(base: RoundConfig, liar_counts: &[usize], rounds: u32) -
     let witnesses = base.n_nodes - 2;
     let cfgs: Vec<RoundConfig> =
         liar_counts.iter().map(|&n_liars| RoundConfig { n_liars, ..base.clone() }).collect();
-    let traces = run_rounds_parallel(cfgs, rounds);
+    let traces = run_rounds(cfgs, rounds);
     let series = liar_counts
         .iter()
         .zip(&traces)
@@ -174,12 +150,11 @@ pub fn fig3_liar_impact(base: RoundConfig, liar_counts: &[usize], rounds: u32) -
 }
 
 /// **Figure 3 with confidence bands**: the liar-impact sweep repeated over
-/// `seeds` (≥ 5 recommended) instead of a single RNG draw, every
-/// `(liar count, seed)` run fanned out across `std::thread::scope`
-/// threads. Per liar count, three series are emitted — `… (mean)`,
-/// `… (min)` and `… (max)` of `Detect(A, I)` per round — so the paper's
-/// Figure 3 shape claims can be read against run-to-run spread rather
-/// than one trajectory.
+/// `seeds` (≥ 5 recommended) instead of a single RNG draw, one run per
+/// `(liar count, seed)`. Per liar count, three series are emitted —
+/// `… (mean)`, `… (min)` and `… (max)` of `Detect(A, I)` per round — so
+/// the paper's Figure 3 shape claims can be read against run-to-run spread
+/// rather than one trajectory.
 pub fn fig3_liar_impact_banded(
     base: RoundConfig,
     liar_counts: &[usize],
@@ -194,7 +169,7 @@ pub fn fig3_liar_impact_banded(
         .flat_map(|&n_liars| seeds.iter().map(move |&seed| (n_liars, seed)).collect::<Vec<_>>())
         .map(|(n_liars, seed)| RoundConfig { n_liars, seed, ..base.clone() })
         .collect();
-    let traces = run_rounds_parallel(cfgs, rounds);
+    let traces = run_rounds(cfgs, rounds);
     let mut series = Vec::new();
     for (li, &n_liars) in liar_counts.iter().enumerate() {
         let pct = 100.0 * n_liars as f64 / witnesses as f64;
@@ -252,7 +227,7 @@ pub fn liar_coalition_sweep(
         .flat_map(|n_liars| seeds.iter().map(move |&seed| (n_liars, seed)).collect::<Vec<_>>())
         .map(|(n_liars, seed)| RoundConfig { n_liars, seed, ..base.clone() })
         .collect();
-    let traces = run_rounds_parallel(cfgs, rounds);
+    let traces = run_rounds(cfgs, rounds);
     let sizes = max_coalition + 1;
     let mut rate = Vec::with_capacity(sizes);
     let mut latency = Vec::with_capacity(sizes);
@@ -349,7 +324,7 @@ pub fn ablations(base: RoundConfig, rounds: u32) -> Figure {
     ));
 
     let (labels, cfgs): (Vec<String>, Vec<RoundConfig>) = labelled.into_iter().unzip();
-    let traces = run_rounds_parallel(cfgs, rounds);
+    let traces = run_rounds(cfgs, rounds);
     let series = labels
         .into_iter()
         .zip(&traces)
@@ -403,7 +378,7 @@ pub fn conviction_latency(base: RoundConfig, liar_counts: &[usize], rounds: u32)
 /// deltas are the standing cost of the IDS and the marginal cost of
 /// investigations.
 pub fn overhead_comparison(seed: u64, duration_secs: u64) -> Figure {
-    use crate::detector::{DetectorConfig, DetectorNode};
+    use crate::detector::DetectorConfig;
     use crate::scenario::{ScenarioBuilder, Topology};
     use trustlink_attacks::spoof::{LinkSpoofing, SpoofVariant};
     use trustlink_olsr::{OlsrConfig, OlsrNode};
@@ -432,7 +407,6 @@ pub fn overhead_comparison(seed: u64, duration_secs: u64) -> Figure {
         sim.run_for(SimDuration::from_secs(duration_secs));
         sim.stats().total_sent() as f64 / (9.0 * duration_secs as f64)
     };
-    let _ = DetectorNode::with_defaults; // referenced for doc purposes
 
     let run = |attack: bool| {
         let mut b = ScenarioBuilder::new(seed, 9)
@@ -594,8 +568,8 @@ mod tests {
 
     #[test]
     fn parallel_sweeps_match_serial_results() {
-        // `ablations`/`fig3_liar_impact` fan across threads; each run is a
-        // pure function of its config, so repeating must be bit-identical.
+        // Each run of `ablations`/`fig3_liar_impact` is a pure function
+        // of its config, so repeating a sweep must be bit-identical.
         let cfg = RoundConfig {
             n_liars: 4,
             initial_trust: InitialTrust::Fixed(0.5),

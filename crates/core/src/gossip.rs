@@ -9,6 +9,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use trustlink_sim::NodeId;
+use trustlink_trust::store::TrustStore;
 use trustlink_trust::value::TrustValue;
 
 /// The gossip payload: a digest of the sender's trust ledger.
@@ -24,6 +25,17 @@ pub struct TrustGossip {
 /// Wire tag distinguishing gossip from investigation messages (tags 1, 2).
 const TAG: u8 = 3;
 
+/// Largest payload one OLSR data frame carries: the 16-bit packet length,
+/// less the 4-byte packet header, a message header of at most 14 bytes
+/// (wide originator) and a data header of at most 20 bytes (wide source,
+/// destination and avoid, plus the 2-byte payload length).
+const MAX_PAYLOAD: usize = u16::MAX as usize - 4 - 14 - 20;
+
+/// Most entries a digest carries: a tag and a count (3 bytes), then at most
+/// 8 bytes per entry (a wide node id and a 2-byte trust value). A digest of
+/// this many entries always fits one data frame.
+pub const MAX_ENTRIES: usize = (MAX_PAYLOAD - 3) / 8;
+
 /// Decoding error for [`TrustGossip`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BadGossip;
@@ -37,6 +49,17 @@ impl std::fmt::Display for BadGossip {
 impl std::error::Error for BadGossip {}
 
 impl TrustGossip {
+    /// The digest of `store` a detector sends: its peers in ascending id
+    /// order, the lowest [`MAX_ENTRIES`] of them. The bytes therefore do
+    /// not depend on the store's hash order, and the payload always fits
+    /// one data frame however many peers the store has.
+    pub fn digest(store: &TrustStore<NodeId>) -> Self {
+        let mut entries: Vec<(NodeId, TrustValue)> = store.peers().map(|(n, t)| (*n, t)).collect();
+        entries.sort_unstable_by_key(|&(n, _)| n);
+        entries.truncate(MAX_ENTRIES);
+        TrustGossip { entries }
+    }
+
     /// Serializes to bytes.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(3 + self.entries.len() * 4);
@@ -115,6 +138,56 @@ mod tests {
         buf.put_u16(0);
         buf.put_u8(9);
         assert!(TrustGossip::decode(buf.freeze()).is_err());
+    }
+
+    fn store_with(ids: impl Iterator<Item = u32>) -> TrustStore<NodeId> {
+        let mut store = TrustStore::new(TrustValue::DEFAULT);
+        for id in ids {
+            store.set_trust(NodeId(id), TrustValue::new(f64::from(id % 21) / 10.0 - 1.0));
+        }
+        store
+    }
+
+    #[test]
+    fn digest_of_a_huge_store_fits_one_data_frame() {
+        use trustlink_olsr::message::{DataMessage, Message, MessageBody, Packet};
+        use trustlink_olsr::types::SequenceNumber;
+        use trustlink_olsr::wire::encode_packet;
+        use trustlink_sim::SimDuration;
+
+        let wide = |i: u32| NodeId(u32::from(NodeId::WIRE_ESCAPE) + i);
+        let store = store_with((0..20_000).map(|i| wide(i).0));
+        let payload = TrustGossip::digest(&store).encode();
+        // The widest frame that can carry it: every address escaped.
+        let packet = Packet {
+            seq: SequenceNumber(0),
+            messages: vec![Message {
+                vtime: SimDuration::from_secs(6),
+                originator: wide(1),
+                ttl: 255,
+                hop_count: 0,
+                seq: SequenceNumber(0),
+                body: MessageBody::Data(DataMessage {
+                    src: wide(1),
+                    dst: wide(2),
+                    avoid: Some(wide(3)),
+                    payload: payload.clone(),
+                }),
+            }],
+        };
+        // `encode_packet` panics on a frame past the 16-bit length field.
+        let _ = encode_packet(&packet);
+        let decoded = TrustGossip::decode(payload).unwrap();
+        assert_eq!(decoded.entries.len(), MAX_ENTRIES);
+        assert!(decoded.entries.windows(2).all(|w| w[0].0 < w[1].0), "entries not ascending");
+        assert_eq!(decoded.entries[0].0, wide(0));
+    }
+
+    #[test]
+    fn digest_bytes_do_not_depend_on_insertion_order() {
+        let forward = store_with(0..3_000);
+        let backward = store_with((0..3_000).rev());
+        assert_eq!(TrustGossip::digest(&forward).encode(), TrustGossip::digest(&backward).encode());
     }
 
     #[test]

@@ -153,13 +153,6 @@ pub struct SignatureMatch {
     pub stage_times: Vec<SimTime>,
 }
 
-impl SignatureMatch {
-    /// When the final stage completed.
-    pub fn completed_at(&self) -> SimTime {
-        *self.stage_times.last().expect("a match has at least one stage")
-    }
-}
-
 #[derive(Debug, Clone, Default)]
 struct PartialMatch {
     stage: usize,
@@ -190,11 +183,6 @@ impl SignatureEngine {
             Signature::drop_attack(window),
             Signature::forged_traffic(),
         ])
-    }
-
-    /// The signatures loaded in this engine.
-    pub fn signatures(&self) -> &[Signature] {
-        &self.signatures
     }
 
     /// Feeds one event; returns all matches completed by it.
@@ -289,7 +277,6 @@ mod tests {
         assert_eq!(matches[0].suspect, NodeId(3));
         assert_eq!(matches[0].signature, "link-spoofing");
         assert_eq!(matches[0].stage_times, vec![t(1), t(2)]);
-        assert_eq!(matches[0].completed_at(), t(2));
         // Progress consumed.
         assert!(eng.partial_suspects("link-spoofing").is_empty());
     }
@@ -382,9 +369,22 @@ mod tests {
 
     #[test]
     fn builtin_engine_has_three_signatures() {
-        let eng = SignatureEngine::with_builtin(SimDuration::from_secs(30));
-        let names: Vec<&str> = eng.signatures().iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["link-spoofing", "drop-attack", "forged-traffic"]);
+        // A malformed frame, TC silence and a denied coverage from one MPR
+        // complete each built-in signature exactly once.
+        let mut eng = SignatureEngine::with_builtin(SimDuration::from_secs(30));
+        let misbehaving =
+            |reason, at| DetectionEvent::MprMisbehaving { mpr: NodeId(3), reason, at };
+        let mut names: Vec<String> = [
+            misbehaving(MisbehaviourReason::MalformedTraffic, t(1)),
+            misbehaving(MisbehaviourReason::TcSilence, t(2)),
+            e4(3, 3),
+        ]
+        .iter()
+        .flat_map(|ev| eng.observe(ev))
+        .map(|m| m.signature)
+        .collect();
+        names.sort();
+        assert_eq!(names, vec!["drop-attack", "forged-traffic", "link-spoofing"]);
     }
 
     #[test]

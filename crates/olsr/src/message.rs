@@ -226,23 +226,6 @@ impl MessageBody {
             MessageBody::Data(_) => 200,
         }
     }
-
-    /// Human-readable type name used in audit logs.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            MessageBody::Hello(_) => "HELLO",
-            MessageBody::Tc(_) => "TC",
-            MessageBody::Mid(_) => "MID",
-            MessageBody::Hna(_) => "HNA",
-            MessageBody::Data(_) => "DATA",
-        }
-    }
-
-    /// HELLOs are never forwarded (RFC 3626 §6.2); everything else floods
-    /// through the MPR backbone, except Data which is unicast-routed.
-    pub fn is_flooded(&self) -> bool {
-        matches!(self, MessageBody::Tc(_) | MessageBody::Mid(_) | MessageBody::Hna(_))
-    }
 }
 
 /// The common message header (RFC 3626 §3.3).
@@ -388,14 +371,6 @@ mod tests {
         for b in &bodies {
             assert!(seen.insert(b.type_byte()), "duplicate type byte");
         }
-    }
-
-    #[test]
-    fn flooding_classification() {
-        assert!(!MessageBody::Hello(hello_fixture()).is_flooded());
-        assert!(MessageBody::Tc(TcMessage { ansn: 0, advertised: vec![] }).is_flooded());
-        assert!(MessageBody::Mid(MidMessage { aliases: vec![] }).is_flooded());
-        assert!(MessageBody::Hna(HnaMessage { networks: vec![] }).is_flooded());
     }
 
     #[test]

@@ -36,73 +36,15 @@ pub struct MprCandidate {
     pub degree: usize,
 }
 
-/// Reusable scratch buffers for [`select_mprs_with`].
-///
-/// MPR selection runs after every received HELLO; the original
-/// implementation rebuilt several `BTreeMap`/`BTreeSet` structures per
-/// call. A node-owned workspace keeps the flat buffers the selection
-/// actually needs, so steady-state recomputation allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct MprWorkspace {
+/// Coverage of the deduplicated 2-hop targets by willing candidates.
+struct Coverage {
     /// Deduplicated targets, ascending.
     targets: Vec<NodeId>,
     /// Parallel to `targets`: already covered by a selected MPR?
     covered: Vec<bool>,
     /// `(candidate, target)` coverage pairs, sorted and deduplicated —
-    /// duplicate candidate addresses merge, exactly like the map-of-sets
-    /// this replaces.
+    /// duplicate candidate addresses merge.
     pairs: Vec<(NodeId, NodeId)>,
-    /// Parallel to `targets`: number of distinct candidates covering it.
-    cover_count: Vec<u32>,
-    /// Parallel to `targets`: one covering candidate (the sole one when
-    /// `cover_count == 1`).
-    sole_cover: Vec<NodeId>,
-}
-
-/// A reusable buffer of [`MprCandidate`]s.
-///
-/// Candidate construction used to allocate one `Vec<MprCandidate>` plus
-/// one `covers` vector per symmetric neighbor on *every* recomputation.
-/// The pool recycles both: [`clear`](CandidatePool::clear) parks the
-/// `covers` allocations of the previous round, and
-/// [`push`](CandidatePool::push) hands them back out. Once warm, building
-/// the candidate set allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct CandidatePool {
-    cands: Vec<MprCandidate>,
-    spare_covers: Vec<Vec<NodeId>>,
-}
-
-impl CandidatePool {
-    /// Empties the pool, keeping every allocation for reuse.
-    pub fn clear(&mut self) {
-        for mut c in self.cands.drain(..) {
-            c.covers.clear();
-            self.spare_covers.push(std::mem::take(&mut c.covers));
-        }
-    }
-
-    /// Starts a new candidate for `addr`; returns its `covers` buffer
-    /// (empty, capacity recycled) for the caller to fill.
-    pub fn push(&mut self, addr: NodeId, willingness: Willingness) -> &mut Vec<NodeId> {
-        let covers = self.spare_covers.pop().unwrap_or_default();
-        self.cands.push(MprCandidate { addr, willingness, covers, degree: 0 });
-        let c = self.cands.last_mut().expect("just pushed");
-        &mut c.covers
-    }
-
-    /// Finalizes the most recent candidate: sets its degree to the cover
-    /// count (the approximation documented on [`MprCandidate::degree`]).
-    pub fn seal_last(&mut self) {
-        if let Some(c) = self.cands.last_mut() {
-            c.degree = c.covers.len();
-        }
-    }
-
-    /// The candidates built so far.
-    pub fn candidates(&self) -> &[MprCandidate] {
-        &self.cands
-    }
 }
 
 /// Inserts `addr` into the sorted set `out`; `true` if newly added.
@@ -116,7 +58,7 @@ fn insert_sorted(out: &mut Vec<NodeId>, addr: NodeId) -> bool {
     }
 }
 
-impl MprWorkspace {
+impl Coverage {
     /// The coverage pairs of `addr`, as a sorted slice of the pair buffer.
     fn pairs_of(&self, addr: NodeId) -> &[(NodeId, NodeId)] {
         let lo = self.pairs.partition_point(|p| p.0 < addr);
@@ -150,83 +92,64 @@ impl MprWorkspace {
 /// [`Willingness::Never`] are never selected; 2-hop targets only reachable
 /// through such neighbors end up uncovered (as in the RFC).
 ///
-/// The result is sorted ascending. This is the convenience wrapper around
-/// [`select_mprs_with`], paying one workspace allocation per call.
+/// The result is sorted ascending.
 pub fn select_mprs(candidates: &[MprCandidate], two_hop_targets: &[NodeId]) -> Vec<NodeId> {
-    let mut ws = MprWorkspace::default();
     let mut out = Vec::new();
-    select_mprs_with(&mut ws, candidates, two_hop_targets, &mut out);
-    out
-}
-
-/// Allocation-free form of [`select_mprs`]: scratch state lives in `ws`,
-/// the selected set (sorted ascending) is written into `out`. Results are
-/// identical to [`select_mprs`] for every input.
-pub fn select_mprs_with(
-    ws: &mut MprWorkspace,
-    candidates: &[MprCandidate],
-    two_hop_targets: &[NodeId],
-    out: &mut Vec<NodeId>,
-) {
-    out.clear();
-    ws.targets.clear();
-    ws.targets.extend_from_slice(two_hop_targets);
-    ws.targets.sort_unstable();
-    ws.targets.dedup();
-    if ws.targets.is_empty() {
+    let mut targets = two_hop_targets.to_vec();
+    targets.sort_unstable();
+    targets.dedup();
+    if targets.is_empty() {
         // Still honour WILL_ALWAYS neighbors (RFC step 1).
         for c in candidates {
             if c.willingness == Willingness::Always {
-                insert_sorted(out, c.addr);
+                insert_sorted(&mut out, c.addr);
             }
         }
-        return;
+        return out;
     }
 
     // Coverage restricted to real targets and willing candidates.
-    ws.pairs.clear();
+    let mut pairs = Vec::new();
     for c in candidates {
         if c.willingness == Willingness::Never {
             continue;
         }
         for &t in &c.covers {
-            if ws.targets.binary_search(&t).is_ok() {
-                ws.pairs.push((c.addr, t));
+            if targets.binary_search(&t).is_ok() {
+                pairs.push((c.addr, t));
             }
         }
     }
-    ws.pairs.sort_unstable();
-    ws.pairs.dedup();
+    pairs.sort_unstable();
+    pairs.dedup();
 
-    ws.covered.clear();
-    ws.covered.resize(ws.targets.len(), false);
-    let mut uncovered = ws.targets.len();
+    let covered = vec![false; targets.len()];
+    let mut cov = Coverage { targets, covered, pairs };
+    let mut uncovered = cov.targets.len();
 
     // Step 1: WILL_ALWAYS neighbors are always MPRs.
     for c in candidates {
         if c.willingness == Willingness::Always {
-            insert_sorted(out, c.addr);
-            uncovered -= ws.mark_covered(c.addr);
+            insert_sorted(&mut out, c.addr);
+            uncovered -= cov.mark_covered(c.addr);
         }
     }
 
     // Step 2: neighbors that are the sole cover of some target.
-    ws.cover_count.clear();
-    ws.cover_count.resize(ws.targets.len(), 0);
-    ws.sole_cover.clear();
-    ws.sole_cover.resize(ws.targets.len(), NodeId(0));
-    for &(cand, t) in &ws.pairs {
-        let ti = ws.targets.binary_search(&t).expect("pair target not in target set");
-        ws.cover_count[ti] += 1;
-        ws.sole_cover[ti] = cand;
+    let mut cover_count = vec![0u32; cov.targets.len()];
+    let mut sole_cover = vec![NodeId(0); cov.targets.len()];
+    for &(cand, t) in &cov.pairs {
+        let ti = cov.targets.binary_search(&t).expect("pair target not in target set");
+        cover_count[ti] += 1;
+        sole_cover[ti] = cand;
     }
-    for ti in 0..ws.targets.len() {
-        if !ws.covered[ti] && ws.cover_count[ti] == 1 {
-            insert_sorted(out, ws.sole_cover[ti]);
+    for ti in 0..cov.targets.len() {
+        if !cov.covered[ti] && cover_count[ti] == 1 {
+            insert_sorted(&mut out, sole_cover[ti]);
         }
     }
     for &m in out.iter() {
-        uncovered -= ws.mark_covered(m);
+        uncovered -= cov.mark_covered(m);
     }
 
     // Step 3: greedy by (willingness, reachability, degree, addr-for-determinism).
@@ -236,12 +159,12 @@ pub fn select_mprs_with(
             if c.willingness == Willingness::Never || out.binary_search(&c.addr).is_ok() {
                 continue;
             }
-            let reach = ws
+            let reach = cov
                 .pairs_of(c.addr)
                 .iter()
                 .filter(|(_, t)| {
-                    let ti = ws.targets.binary_search(t).expect("pair target not in target set");
-                    !ws.covered[ti]
+                    let ti = cov.targets.binary_search(t).expect("pair target not in target set");
+                    !cov.covered[ti]
                 })
                 .count();
             if reach == 0 {
@@ -261,12 +184,13 @@ pub fn select_mprs_with(
         }
         match best {
             Some((_, _, _, addr)) => {
-                insert_sorted(out, addr);
-                uncovered -= ws.mark_covered(addr);
+                insert_sorted(&mut out, addr);
+                uncovered -= cov.mark_covered(addr);
             }
             None => break, // some targets are unreachable through willing neighbors
         }
     }
+    out
 }
 
 /// Checks the MPR coverage invariant: every target reachable through some
@@ -423,37 +347,6 @@ mod tests {
                 uncovered_targets(&cands, &targets, &mprs).is_empty(),
                 "uncovered targets with candidates {cands:?}"
             );
-        }
-    }
-
-    #[test]
-    fn workspace_reuse_matches_fresh_selection() {
-        // One workspace driven across heterogeneous inputs (including
-        // duplicate candidate addresses and shrinking target sets) must
-        // match a fresh `select_mprs` every time.
-        let cases: Vec<(Vec<MprCandidate>, Vec<NodeId>)> = vec![
-            (
-                vec![
-                    cand(1, Willingness::Default, &[10, 11]),
-                    cand(2, Willingness::Low, &[11, 12]),
-                    cand(3, Willingness::High, &[12, 13]),
-                    cand(4, Willingness::Always, &[13, 10]),
-                    cand(4, Willingness::Always, &[11]), // duplicate addr
-                ],
-                ids(&[10, 11, 12, 13, 13, 10]), // duplicated targets
-            ),
-            (vec![cand(9, Willingness::Always, &[])], ids(&[])),
-            (
-                vec![cand(1, Willingness::Never, &[20]), cand(2, Willingness::Default, &[20])],
-                ids(&[20, 21]),
-            ),
-            (vec![], ids(&[5])),
-        ];
-        let mut ws = MprWorkspace::default();
-        let mut out = Vec::new();
-        for (cands, targets) in &cases {
-            select_mprs_with(&mut ws, cands, targets, &mut out);
-            assert_eq!(out, select_mprs(cands, targets), "candidates {cands:?}");
         }
     }
 

@@ -15,17 +15,17 @@ use trustlink_sim::{Application, Context, FloodStats, NodeId, SimDuration, SimTi
 
 use crate::hooks::{NoHooks, OlsrHooks};
 use crate::message::{
-    DataMessage, HelloMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody, MidMessage,
-    NeighborType, Packet, TcMessage,
+    DataMessage, HelloMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody, NeighborType,
+    Packet, TcMessage,
 };
-use crate::mpr::{CandidatePool, MprWorkspace};
+use crate::mpr::MprCandidate;
 use crate::routing::{RoutingTable, RoutingWorkspace};
 use crate::state::{
     DupProbe, DuplicateSet, InterfaceAssociationSet, LinkSet, LinkStatus, LinkTuple,
     MprSelectorSet, NeighborSet, TopologySet, TwoHopSet,
 };
 use crate::types::{FloodScope, OlsrConfig, RecomputeMode, SequenceNumber};
-use crate::wire::{encode_packet_into, materialize_message, DecodeArena, MessageType, PacketView};
+use crate::wire::{encode_packet_into, materialize_message, MessageType, PacketView};
 
 /// Timer tokens used by the OLSR state machine. Wrappers layering their own
 /// timers on top must use tokens ≥ [`TIMER_USER_BASE`].
@@ -157,9 +157,6 @@ pub struct OlsrNode<H: OlsrHooks = NoHooks> {
     /// `true` while a [`TIMER_RECOMPUTE`] is pending (incremental mode).
     debounce_armed: bool,
     stats: RecomputeStats,
-    started: bool,
-    /// Alias addresses this node advertises in MIDs (usually empty).
-    pub mid_aliases: Vec<NodeId>,
     /// Neighbors barred from MPR selection (treated as `WILL_NEVER`),
     /// regardless of their advertised willingness. The trust-enabled
     /// detector populates this with condemned intruders — the CAP-OLSR
@@ -169,15 +166,6 @@ pub struct OlsrNode<H: OlsrHooks = NoHooks> {
     excluded_mprs: std::collections::BTreeSet<NodeId>,
     /// Reused wire-encode scratch: transmissions allocate only the frame.
     wire_scratch: Vec<u8>,
-    /// Reused wire-decode buffers (see [`DecodeArena`]): per-reception
-    /// decoding allocates nothing once warm.
-    decode_arena: DecodeArena,
-    /// Reused MPR-selection scratch (see [`MprWorkspace`]).
-    mpr_ws: MprWorkspace,
-    /// Reused MPR candidate buffers (see [`CandidatePool`]).
-    cand_pool: CandidatePool,
-    /// Reused MPR output buffer, swapped with `mprs` on change.
-    mpr_scratch: Vec<NodeId>,
     /// Reused 2-hop target buffer for MPR selection.
     targets_scratch: Vec<NodeId>,
     /// Reused symmetric-neighbor buffer, swapped with `prev_sym` on flush.
@@ -229,14 +217,8 @@ impl<H: OlsrHooks> OlsrNode<H> {
             flags: ChangeFlags::default(),
             debounce_armed: false,
             stats: RecomputeStats::default(),
-            started: false,
-            mid_aliases: Vec::new(),
             excluded_mprs: std::collections::BTreeSet::new(),
             wire_scratch: Vec::new(),
-            decode_arena: DecodeArena::default(),
-            mpr_ws: MprWorkspace::default(),
-            cand_pool: CandidatePool::default(),
-            mpr_scratch: Vec::new(),
             targets_scratch: Vec::new(),
             sym_scratch: Vec::new(),
             route_ws: RoutingWorkspace::default(),
@@ -255,11 +237,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
     /// The configuration in force.
     pub fn config(&self) -> &OlsrConfig {
         &self.config
-    }
-
-    /// Mutable access to the behaviour hooks.
-    pub fn hooks_mut(&mut self) -> &mut H {
-        &mut self.hooks
     }
 
     /// Immutable access to the behaviour hooks.
@@ -303,11 +280,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
         &self.two_hop
     }
 
-    /// The 1-hop neighbor set (with willingness).
-    pub fn neighbor_set(&self) -> &NeighborSet {
-        &self.neighbors
-    }
-
     /// Drains data payloads addressed to this node.
     pub fn take_inbox(&mut self) -> Vec<ReceivedData> {
         std::mem::take(&mut self.inbox)
@@ -321,21 +293,9 @@ impl<H: OlsrHooks> OlsrNode<H> {
         }
     }
 
-    /// Lifts an MPR exclusion.
-    pub fn readmit_to_mprs(&mut self, addr: NodeId) {
-        if self.excluded_mprs.remove(&addr) {
-            self.flags.nbr = true;
-        }
-    }
-
     /// The neighbors currently barred from MPR selection.
     pub fn excluded_mprs(&self) -> Vec<NodeId> {
         self.excluded_mprs.iter().copied().collect()
-    }
-
-    /// `true` once `on_start` ran.
-    pub fn is_started(&self) -> bool {
-        self.started
     }
 
     /// Recompute-pipeline counters (flushes vs actual MPR/BFS executions).
@@ -361,17 +321,9 @@ impl<H: OlsrHooks> OlsrNode<H> {
         let sym = self.links.symmetric_neighbors(now);
         let mut targets = Vec::new();
         self.two_hop.two_hop_addrs_into(now, self.id, &sym, &mut targets);
-        let mut pool = CandidatePool::default();
-        fill_mpr_candidates(
-            &mut pool,
-            &self.two_hop,
-            &self.neighbors,
-            &self.excluded_mprs,
-            self.id,
-            &sym,
-            now,
-        );
-        crate::mpr::select_mprs(pool.candidates(), &targets)
+        let candidates =
+            mpr_candidates(&self.two_hop, &self.neighbors, &self.excluded_mprs, self.id, &sym, now);
+        crate::mpr::select_mprs(&candidates, &targets)
     }
 
     /// The routing table this node would materialize at `now`, computed
@@ -543,28 +495,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
             true,
             now + self.config.duplicate_hold_time,
             now,
-        );
-        self.transmit(ctx, vec![msg]);
-    }
-
-    fn emit_mid(&mut self, ctx: &mut Context<'_>) {
-        if self.mid_aliases.is_empty() {
-            return;
-        }
-        let msg = Message {
-            vtime: self.config.topology_hold_time,
-            originator: self.id,
-            ttl: DEFAULT_TTL,
-            hop_count: 0,
-            seq: self.next_msg_seq(),
-            body: MessageBody::Mid(MidMessage { aliases: self.mid_aliases.clone() }),
-        };
-        self.duplicates.record(
-            self.id,
-            self.msg_seq,
-            true,
-            ctx.now() + self.config.duplicate_hold_time,
-            ctx.now(),
         );
         self.transmit(ctx, vec![msg]);
     }
@@ -873,13 +803,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
     /// A malformed frame is rejected whole, before any of its messages is
     /// acted on. Duplicate flood copies are suppressed from the message
     /// header alone; their bodies are never decoded.
-    fn handle_frame_view(
-        &mut self,
-        ctx: &mut Context<'_>,
-        from: NodeId,
-        frame: &Bytes,
-        arena: &mut DecodeArena,
-    ) {
+    fn handle_frame_view(&mut self, ctx: &mut Context<'_>, from: NodeId, frame: &Bytes) {
         let view = match PacketView::parse(frame) {
             Ok(v) => v,
             Err(_) => {
@@ -894,19 +818,17 @@ impl<H: OlsrHooks> OlsrNode<H> {
             }
             let kind = match mv.kind {
                 MessageType::Hello => {
-                    let msg = materialize_message(arena, frame, &mv);
+                    let msg = materialize_message(frame, &mv);
                     if let MessageBody::Hello(h) = &msg.body {
                         self.process_hello(ctx, msg.originator, h);
                     }
-                    arena.recycle_message(msg);
                     continue;
                 }
                 MessageType::Data => {
-                    let msg = materialize_message(arena, frame, &mv);
+                    let msg = materialize_message(frame, &mv);
                     if let MessageBody::Data(d) = &msg.body {
                         self.process_data(ctx, &msg, d, from);
                     }
-                    arena.recycle_message(msg);
                     continue;
                 }
                 MessageType::Tc => MessageKind::Tc,
@@ -933,14 +855,13 @@ impl<H: OlsrHooks> OlsrNode<H> {
                             self.duplicates.record(mv.originator, mv.seq, false, dup_until, now);
                         }
                         Ok(()) => {
-                            let msg = materialize_message(arena, frame, &mv);
+                            let msg = materialize_message(frame, &mv);
                             self.forward_approved(ctx, &msg, from, kind, dup_until, now);
-                            arena.recycle_message(msg);
                         }
                     }
                 }
                 DupProbe::New => {
-                    let msg = materialize_message(arena, frame, &mv);
+                    let msg = materialize_message(frame, &mv);
                     match &msg.body {
                         MessageBody::Tc(t) => self.process_tc(ctx, &msg, t, from),
                         MessageBody::Mid(m) => {
@@ -968,7 +889,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
                         }
                         Ok(()) => self.forward_approved(ctx, &msg, from, kind, dup_until, now),
                     }
-                    arena.recycle_message(msg);
                 }
             }
         }
@@ -995,9 +915,9 @@ impl<H: OlsrHooks> OlsrNode<H> {
         let mut topo_changed = self.flags.topo;
         self.flags = ChangeFlags::default();
 
-        // Expiry sweeps. Link-tuple removals cannot change the symmetric
-        // set (an expired tuple was already non-symmetric); two-hop and
-        // topology removals invalidate MPR/route inputs.
+        // Expired-tuple sweeps. Link-tuple removals cannot change the
+        // symmetric set (an expired tuple was already non-symmetric); two-hop
+        // and topology removals invalidate MPR/route inputs.
         for dead in self.links.purge(now) {
             ctx.log(LogRecord::LinkLost { neighbor: dead });
         }
@@ -1054,8 +974,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 &self.prev_sym,
                 &mut self.targets_scratch,
             );
-            fill_mpr_candidates(
-                &mut self.cand_pool,
+            let candidates = mpr_candidates(
                 &self.two_hop,
                 &self.neighbors,
                 &self.excluded_mprs,
@@ -1063,15 +982,10 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 &self.prev_sym,
                 now,
             );
-            crate::mpr::select_mprs_with(
-                &mut self.mpr_ws,
-                self.cand_pool.candidates(),
-                &self.targets_scratch,
-                &mut self.mpr_scratch,
-            );
-            if self.mpr_scratch != self.mprs {
-                ctx.log(LogRecord::MprSet { mprs: Box::from(&self.mpr_scratch[..]) });
-                std::mem::swap(&mut self.mprs, &mut self.mpr_scratch);
+            let mprs = crate::mpr::select_mprs(&candidates, &self.targets_scratch);
+            if mprs != self.mprs {
+                ctx.log(LogRecord::MprSet { mprs: Box::from(&mprs[..]) });
+                self.mprs = mprs;
             }
         }
 
@@ -1120,7 +1034,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
 impl<H: OlsrHooks> Application for OlsrNode<H> {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.id = ctx.id();
-        self.started = true;
         // Stagger the periodic timers so co-located nodes do not fire in
         // lock-step (the usual OLSR jitter).
         let hello_us = self.config.hello_interval.as_micros();
@@ -1141,7 +1054,6 @@ impl<H: OlsrHooks> Application for OlsrNode<H> {
             }
             TIMER_TC => {
                 self.emit_tc(ctx);
-                self.emit_mid(ctx);
                 ctx.set_timer(self.config.tc_interval, TIMER_TC);
             }
             TIMER_REFRESH => {
@@ -1157,9 +1069,7 @@ impl<H: OlsrHooks> Application for OlsrNode<H> {
     }
 
     fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
-        let mut arena = std::mem::take(&mut self.decode_arena);
-        self.handle_frame_view(ctx, from, &payload, &mut arena);
-        self.decode_arena = arena;
+        self.handle_frame_view(ctx, from, &payload);
     }
 }
 
@@ -1174,35 +1084,35 @@ impl<H: OlsrHooks> std::fmt::Debug for OlsrNode<H> {
     }
 }
 
-/// Builds the MPR candidate set for `me` into `pool` (cleared first): one
-/// candidate per symmetric neighbor, covering the strict 2-hop targets
-/// reachable through it, with `WILL_NEVER` forced for excluded intruders.
-/// The single definition both the hot path ([`OlsrNode::ensure_fresh`])
+/// Builds the MPR candidate set for `me`: one candidate per symmetric
+/// neighbor, covering the strict 2-hop targets reachable through it, with
+/// `WILL_NEVER` forced for excluded intruders. The single definition both the hot path ([`OlsrNode::ensure_fresh`])
 /// and the pure query ([`OlsrNode::effective_mprs`]) share — the
 /// equivalence suite compares materialized against effective state, so
 /// the two must be the same computation by construction. `sym` must be
 /// sorted ascending.
-fn fill_mpr_candidates(
-    pool: &mut CandidatePool,
+fn mpr_candidates(
     two_hop: &TwoHopSet,
     neighbors: &NeighborSet,
     excluded: &std::collections::BTreeSet<NodeId>,
     me: NodeId,
     sym: &[NodeId],
     now: SimTime,
-) {
-    pool.clear();
-    for &n in sym {
-        let willingness = if excluded.contains(&n) {
-            Willingness::Never
-        } else {
-            neighbors.get(n).map_or(Willingness::Default, |t| t.willingness)
-        };
-        let covers = pool.push(n, willingness);
-        covers
-            .extend(two_hop.iter_via(n, now).filter(|t| *t != me && sym.binary_search(t).is_err()));
-        pool.seal_last();
-    }
+) -> Vec<MprCandidate> {
+    sym.iter()
+        .map(|&n| {
+            let willingness = if excluded.contains(&n) {
+                Willingness::Never
+            } else {
+                neighbors.get(n).map_or(Willingness::Default, |t| t.willingness)
+            };
+            let covers: Vec<NodeId> = two_hop
+                .iter_via(n, now)
+                .filter(|t| *t != me && sym.binary_search(t).is_err())
+                .collect();
+            MprCandidate { addr: n, willingness, degree: covers.len(), covers }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -155,15 +155,6 @@ impl LinkSet {
         );
     }
 
-    /// Neighbors with at least an asymmetric link at `now`, ascending.
-    pub fn heard_neighbors(&self, now: SimTime) -> Vec<NodeId> {
-        self.tuples
-            .values()
-            .filter(|t| t.status(now) != LinkStatus::Lost)
-            .map(|t| t.neighbor)
-            .collect()
-    }
-
     /// Removes tuples wholly expired at `now`; returns the removed
     /// neighbors. Min-expiry gated: free while nothing can have expired.
     pub fn purge(&mut self, now: SimTime) -> Vec<NodeId> {
@@ -402,7 +393,7 @@ pub struct TwoHopTuple {
     pub via: NodeId,
     /// The 2-hop neighbor reached.
     pub two_hop: NodeId,
-    /// Expiry.
+    /// Valid until this instant.
     pub until: SimTime,
 }
 
@@ -610,7 +601,7 @@ pub struct TopologyTuple {
     pub last_hop: NodeId,
     /// ANSN carried by the TC that created this tuple.
     pub ansn: u16,
-    /// Expiry.
+    /// Valid until this instant.
     pub until: SimTime,
 }
 
@@ -734,7 +725,7 @@ pub struct DuplicateSet {
 /// covers the typical one-slot probe.
 #[derive(Debug, Clone, Copy)]
 struct DupSlot {
-    /// Expiry; zero marks the slot free.
+    /// Valid until this instant; zero marks the slot free.
     until: SimTime,
     /// `(originator << 16) | seq` — the full key, no ambiguity (the
     /// 32-bit originator id needs the u64 now that ids reach past 2¹⁶).
@@ -1070,7 +1061,6 @@ mod tests {
             until: t(6),
         });
         assert_eq!(set.symmetric_neighbors(t(1)), vec![NodeId(1)]);
-        assert_eq!(set.heard_neighbors(t(1)), vec![NodeId(1), NodeId(2)]);
         let dead = set.purge(t(6));
         assert_eq!(dead, vec![NodeId(1), NodeId(2)]);
         assert!(set.is_empty());

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use trustlink_sim::{SimDuration, SimTime};
+use trustlink_sim::SimDuration;
 
 /// A 16-bit wrapping message/packet sequence number with the comparison
 /// rule of RFC 3626 §19:
@@ -152,17 +152,6 @@ impl FisheyeRings {
         &self.rings
     }
 
-    /// Number of rings.
-    pub fn len(&self) -> usize {
-        self.rings.len()
-    }
-
-    /// `true` when the table has no rings (never: the constructor forbids
-    /// it; provided for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.rings.is_empty()
-    }
-
     /// The ring used for emission number `k` (1-based): the outermost ring
     /// whose stride divides `k`, or `None` when no ring is due (possible
     /// only when no ring has stride 1).
@@ -180,12 +169,6 @@ impl FisheyeRings {
     /// smallest stride are never further apart than that stride.
     pub fn near_stride(&self) -> u32 {
         self.rings.iter().map(|r| r.every).min().expect("ring table is never empty")
-    }
-
-    /// Worst-case number of TC opportunities between emissions that reach
-    /// a node `hops` away, or `None` when no ring reaches that far.
-    pub fn stride_covering(&self, hops: u8) -> Option<u32> {
-        self.rings.iter().filter(|r| r.ttl >= hops).map(|r| r.every).min()
     }
 }
 
@@ -232,14 +215,6 @@ impl FloodScope {
         match self {
             FloodScope::Classic => 1,
             FloodScope::Fisheye(rings) => rings.near_stride(),
-        }
-    }
-
-    /// Number of distinct rings the scope schedules (1 for classic).
-    pub fn ring_count(&self) -> usize {
-        match self {
-            FloodScope::Classic => 1,
-            FloodScope::Fisheye(rings) => rings.len(),
         }
     }
 }
@@ -325,24 +300,6 @@ impl OlsrConfig {
 impl Default for OlsrConfig {
     fn default() -> Self {
         OlsrConfig::rfc_default()
-    }
-}
-
-/// An expiring entry helper: many OLSR sets are "tuples valid until T".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Expiry(pub SimTime);
-
-impl Expiry {
-    /// `true` when the entry is still valid at `now`.
-    pub fn is_valid(self, now: SimTime) -> bool {
-        self.0 > now
-    }
-
-    /// Extends the expiry to `max(current, candidate)`.
-    pub fn extend_to(&mut self, candidate: SimTime) {
-        if candidate > self.0 {
-            self.0 = candidate;
-        }
     }
 }
 
@@ -444,25 +401,10 @@ mod tests {
     }
 
     #[test]
-    fn fisheye_stride_covering_picks_tightest_reaching_ring() {
-        let rings = FisheyeRings::default();
-        assert_eq!(rings.stride_covering(1), Some(1));
-        assert_eq!(rings.stride_covering(2), Some(1));
-        assert_eq!(rings.stride_covering(3), Some(2));
-        assert_eq!(rings.stride_covering(8), Some(2));
-        assert_eq!(rings.stride_covering(9), Some(4));
-        assert_eq!(rings.stride_covering(255), Some(4));
-        let bounded = FisheyeRings::new([(2, 1), (8, 2)]);
-        assert_eq!(bounded.stride_covering(9), None);
-    }
-
-    #[test]
     fn flood_scope_near_stride() {
         assert_eq!(FloodScope::Classic.near_stride(), 1);
         assert_eq!(FloodScope::Fisheye(FisheyeRings::default()).near_stride(), 1);
         assert_eq!(FloodScope::Fisheye(FisheyeRings::new([(4, 2), (255, 4)])).near_stride(), 2);
-        assert_eq!(FloodScope::Classic.ring_count(), 1);
-        assert_eq!(FloodScope::Fisheye(FisheyeRings::default()).ring_count(), 3);
     }
 
     #[test]
@@ -491,16 +433,5 @@ mod tests {
     #[should_panic(expected = "stride must be at least 1")]
     fn fisheye_rejects_zero_stride() {
         let _ = FisheyeRings::new([(2, 0)]);
-    }
-
-    #[test]
-    fn expiry_logic() {
-        let mut e = Expiry(SimTime::from_secs(10));
-        assert!(e.is_valid(SimTime::from_secs(9)));
-        assert!(!e.is_valid(SimTime::from_secs(10)));
-        e.extend_to(SimTime::from_secs(12));
-        assert_eq!(e.0, SimTime::from_secs(12));
-        e.extend_to(SimTime::from_secs(5)); // never shrinks
-        assert_eq!(e.0, SimTime::from_secs(12));
     }
 }

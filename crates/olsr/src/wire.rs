@@ -196,71 +196,9 @@ fn encode_tc(buf: &mut Vec<u8>, t: &TcMessage) {
     }
 }
 
-/// Recyclable buffers for message decoding.
-///
-/// [`materialize_message`] draws the group, address and network vectors of
-/// a decoded [`Message`] from the arena's free lists, and
-/// [`recycle_message`](DecodeArena::recycle_message) parks every vector of
-/// a processed message for the next reception. Payload bytes are
-/// zero-copy [`Bytes`] slices of the received frame and need no
-/// recycling. Once warm, a steady-state reception decodes without
-/// touching the allocator.
-#[derive(Debug, Default)]
-pub struct DecodeArena {
-    group_bufs: Vec<Vec<LinkGroup>>,
-    addr_bufs: Vec<Vec<NodeId>>,
-    net_bufs: Vec<Vec<(NodeId, u8)>>,
-}
-
-impl DecodeArena {
-    fn take_groups(&mut self) -> Vec<LinkGroup> {
-        self.group_bufs.pop().unwrap_or_default()
-    }
-
-    fn take_addrs(&mut self) -> Vec<NodeId> {
-        self.addr_bufs.pop().unwrap_or_default()
-    }
-
-    fn take_nets(&mut self) -> Vec<(NodeId, u8)> {
-        self.net_bufs.pop().unwrap_or_default()
-    }
-
-    /// Parks one message's vectors (cleared, capacity kept) for the next
-    /// [`materialize_message`] call.
-    pub fn recycle_message(&mut self, msg: Message) {
-        match msg.body {
-            MessageBody::Hello(h) => {
-                let mut groups = h.groups;
-                for g in groups.drain(..) {
-                    let mut addrs = g.addrs;
-                    addrs.clear();
-                    self.addr_bufs.push(addrs);
-                }
-                self.group_bufs.push(groups);
-            }
-            MessageBody::Tc(t) => {
-                let mut addrs = t.advertised;
-                addrs.clear();
-                self.addr_bufs.push(addrs);
-            }
-            MessageBody::Mid(m) => {
-                let mut addrs = m.aliases;
-                addrs.clear();
-                self.addr_bufs.push(addrs);
-            }
-            MessageBody::Hna(h) => {
-                let mut nets = h.networks;
-                nets.clear();
-                self.net_bufs.push(nets);
-            }
-            MessageBody::Data(_) => {} // payload is a zero-copy slice
-        }
-    }
-}
-
 /// Decodes a packet from bytes into owned messages: [`PacketView::parse`]
 /// followed by [`materialize_message`] for each message. Receive paths
-/// that keep an arena materialize only the messages they need instead.
+/// materialize only the messages they need instead.
 ///
 /// # Errors
 ///
@@ -268,23 +206,20 @@ impl DecodeArena {
 /// inconsistent, or a message type is unknown.
 pub fn decode_packet(bytes: Bytes) -> Result<Packet, WireError> {
     let view = PacketView::parse(&bytes)?;
-    let mut arena = DecodeArena::default();
-    let messages = view.messages().map(|mv| materialize_message(&mut arena, &bytes, &mv)).collect();
+    let messages = view.messages().map(|mv| materialize_message(&bytes, &mv)).collect();
     Ok(Packet { seq: view.seq(), messages })
 }
 
-fn decode_mid(arena: &mut DecodeArena, bytes: &mut Bytes) -> Result<MidMessage, WireError> {
-    let mut aliases = arena.take_addrs();
-    aliases.reserve(bytes.remaining() / 2);
+fn decode_mid(bytes: &mut Bytes) -> Result<MidMessage, WireError> {
+    let mut aliases = Vec::with_capacity(bytes.remaining() / 2);
     while bytes.has_remaining() {
         aliases.push(get_addr(bytes)?);
     }
     Ok(MidMessage { aliases })
 }
 
-fn decode_hna(arena: &mut DecodeArena, bytes: &mut Bytes) -> Result<HnaMessage, WireError> {
-    let mut networks = arena.take_nets();
-    networks.reserve(bytes.remaining() / 4);
+fn decode_hna(bytes: &mut Bytes) -> Result<HnaMessage, WireError> {
+    let mut networks = Vec::with_capacity(bytes.remaining() / 4);
     while bytes.has_remaining() {
         let net = get_addr(bytes)?;
         if bytes.remaining() < 2 {
@@ -297,14 +232,14 @@ fn decode_hna(arena: &mut DecodeArena, bytes: &mut Bytes) -> Result<HnaMessage, 
     Ok(HnaMessage { networks })
 }
 
-fn decode_hello(arena: &mut DecodeArena, bytes: &mut Bytes) -> Result<HelloMessage, WireError> {
+fn decode_hello(bytes: &mut Bytes) -> Result<HelloMessage, WireError> {
     if bytes.remaining() < 4 {
         return Err(WireError::Truncated);
     }
     let _reserved = bytes.get_u16();
     let _htime = bytes.get_u8();
     let willingness = Willingness::from_wire(bytes.get_u8());
-    let mut groups = arena.take_groups();
+    let mut groups = Vec::new();
     while bytes.has_remaining() {
         if bytes.remaining() < 4 {
             return Err(WireError::Truncated);
@@ -320,8 +255,7 @@ fn decode_hello(arena: &mut DecodeArena, bytes: &mut Bytes) -> Result<HelloMessa
             return Err(WireError::Truncated);
         }
         let mut group_body = bytes.split_to(addr_bytes);
-        let mut addrs = arena.take_addrs();
-        addrs.reserve(addr_bytes / 2);
+        let mut addrs = Vec::with_capacity(addr_bytes / 2);
         while group_body.has_remaining() {
             addrs.push(get_addr(&mut group_body)?);
         }
@@ -330,14 +264,13 @@ fn decode_hello(arena: &mut DecodeArena, bytes: &mut Bytes) -> Result<HelloMessa
     Ok(HelloMessage { willingness, groups })
 }
 
-fn decode_tc(arena: &mut DecodeArena, bytes: &mut Bytes) -> Result<TcMessage, WireError> {
+fn decode_tc(bytes: &mut Bytes) -> Result<TcMessage, WireError> {
     if bytes.remaining() < 4 {
         return Err(WireError::Truncated);
     }
     let ansn = bytes.get_u16();
     let _reserved = bytes.get_u16();
-    let mut advertised = arena.take_addrs();
-    advertised.reserve(bytes.remaining() / 2);
+    let mut advertised = Vec::with_capacity(bytes.remaining() / 2);
     while bytes.has_remaining() {
         advertised.push(get_addr(bytes)?);
     }
@@ -408,14 +341,14 @@ fn be16(buf: &[u8], off: usize) -> u16 {
 /// A fully validated, zero-materialization view over an encoded packet.
 ///
 /// [`PacketView::parse`] is the wire format's only structural validator:
-/// every byte string any decoder accepts has passed it. It builds nothing
-/// — no vectors, no arena traffic. [`PacketView::messages`] then yields
-/// header views, and only the messages a receiver actually needs are
-/// decoded, individually, through [`materialize_message`]. Every OLSR
-/// reception goes through it: the dominant reception at scale is a flood
-/// copy that has already been forwarded or suppressed, and its fate is
-/// decided entirely from `(originator, seq, ttl)` — header bytes —
-/// without ever decoding the body it would have thrown away.
+/// every byte string any decoder accepts has passed it. It allocates
+/// nothing. [`PacketView::messages`] then yields header views, and only
+/// the messages a receiver actually needs are decoded, individually,
+/// through [`materialize_message`]. Every OLSR reception goes through
+/// it: the dominant reception at scale is a flood copy that has already
+/// been forwarded or suppressed, and its fate is decided entirely from
+/// `(originator, seq, ttl)` — header bytes — without ever decoding the
+/// body it would have thrown away.
 #[derive(Debug, Clone, Copy)]
 pub struct PacketView<'a> {
     buf: &'a [u8],
@@ -611,30 +544,28 @@ impl Iterator for MessageViewIter<'_> {
 }
 
 /// Decodes the single message behind `view` into an owned [`Message`],
-/// drawing vectors from `arena` and sharing the frame's storage for data
-/// payloads. Return it with
-/// [`DecodeArena::recycle_message`] when done.
+/// sharing the frame's storage for data payloads.
 ///
 /// # Panics
 ///
 /// `view` must come from a successful [`PacketView::parse`] of this same
 /// `frame`; the body was then already validated, so decoding cannot fail.
 /// Panics if the contract is violated.
-pub fn materialize_message(arena: &mut DecodeArena, frame: &Bytes, view: &MessageView) -> Message {
+pub fn materialize_message(frame: &Bytes, view: &MessageView) -> Message {
     let mut body = frame.slice(view.body.0..view.body.1);
     let body = match view.kind {
         MessageType::Hello => MessageBody::Hello(
-            decode_hello(arena, &mut body).expect("body validated by PacketView::parse"),
+            decode_hello(&mut body).expect("body validated by PacketView::parse"),
         ),
-        MessageType::Tc => MessageBody::Tc(
-            decode_tc(arena, &mut body).expect("body validated by PacketView::parse"),
-        ),
-        MessageType::Mid => MessageBody::Mid(
-            decode_mid(arena, &mut body).expect("body validated by PacketView::parse"),
-        ),
-        MessageType::Hna => MessageBody::Hna(
-            decode_hna(arena, &mut body).expect("body validated by PacketView::parse"),
-        ),
+        MessageType::Tc => {
+            MessageBody::Tc(decode_tc(&mut body).expect("body validated by PacketView::parse"))
+        }
+        MessageType::Mid => {
+            MessageBody::Mid(decode_mid(&mut body).expect("body validated by PacketView::parse"))
+        }
+        MessageType::Hna => {
+            MessageBody::Hna(decode_hna(&mut body).expect("body validated by PacketView::parse"))
+        }
         MessageType::Data => {
             MessageBody::Data(decode_data(&mut body).expect("body validated by PacketView::parse"))
         }
@@ -753,40 +684,6 @@ mod tests {
         for _ in 0..3 {
             let frame = encode_packet_into(&packet, &mut scratch);
             assert_eq!(frame, reference);
-        }
-    }
-
-    #[test]
-    fn arena_decode_matches_fresh_decode_across_reuse() {
-        // One arena driven across many frames (recycling every message
-        // after use) must materialize exactly what a fresh decode produces,
-        // and reuse must not leak state between frames — nor must a
-        // rejected frame in between poison it.
-        let mut arena = DecodeArena::default();
-        let frames = [
-            encode_packet(&sample_packet()),
-            encode_packet(&Packet { seq: SequenceNumber(1), messages: vec![] }),
-            Bytes::from_static(b"\x00\x03"),
-            encode_packet(&sample_packet()),
-        ];
-        for _ in 0..3 {
-            for frame in &frames {
-                let fresh = decode_packet(frame.clone());
-                let view = match PacketView::parse(frame) {
-                    Ok(view) => view,
-                    Err(e) => {
-                        assert_eq!(fresh, Err(e));
-                        continue;
-                    }
-                };
-                let messages: Vec<Message> =
-                    view.messages().map(|mv| materialize_message(&mut arena, frame, &mv)).collect();
-                let pooled = Packet { seq: view.seq(), messages };
-                assert_eq!(Ok(&pooled), fresh.as_ref());
-                for msg in pooled.messages {
-                    arena.recycle_message(msg);
-                }
-            }
         }
     }
 

@@ -156,10 +156,10 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Attaches a per-link [`ChannelModel`] (edge overrides, Gilbert–Elliott
-    /// fading). Without one — the default — the uniform [`RadioConfig`] is
-    /// the whole medium, and runs are byte-identical to builds that predate
-    /// the channel layer: the model's per-link RNG streams are the only new
+    /// Attaches a per-link [`ChannelModel`] (Gilbert–Elliott fading).
+    /// Without one — the default — the uniform [`RadioConfig`] is the whole
+    /// medium, and runs are byte-identical to builds that predate the
+    /// channel layer: the model's per-link RNG streams are the only new
     /// randomness, and they are derived from `(link, seed)`, never drawn
     /// from the simulator's global stream.
     pub fn channel_model(mut self, model: ChannelModel) -> Self {
@@ -196,7 +196,6 @@ impl SimulatorBuilder {
             stats,
             mobility_tick: self.mobility_tick,
             mobility_scheduled: false,
-            halted: false,
             grid,
             scan_mode: self.scan_mode,
             alive_count: 0,
@@ -221,7 +220,6 @@ pub struct Simulator {
     stats: TrafficStats,
     mobility_tick: SimDuration,
     mobility_scheduled: bool,
-    halted: bool,
     grid: SpatialGrid,
     scan_mode: ScanMode,
     /// Number of alive slots, kept current so the grid path can account
@@ -241,7 +239,6 @@ impl std::fmt::Debug for Simulator {
             .field("time", &self.time)
             .field("nodes", &self.slots.len())
             .field("pending_events", &self.queue.len())
-            .field("halted", &self.halted)
             .finish()
     }
 }
@@ -338,11 +335,6 @@ impl Simulator {
         self.slots[id.index()].app.as_ref()
     }
 
-    /// Mutable access to the application installed on `id`.
-    pub fn app_mut(&mut self, id: NodeId) -> &mut dyn Application {
-        self.slots[id.index()].app.as_mut()
-    }
-
     /// Downcasts the application on `id` to its concrete type.
     pub fn app_as<T: Application>(&self, id: NodeId) -> Option<&T> {
         let any: &dyn std::any::Any = self.slots[id.index()].app.as_ref();
@@ -436,11 +428,6 @@ impl Simulator {
         }
     }
 
-    /// `true` if `id` is alive.
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        self.slots[id.index()].alive
-    }
-
     /// Injects a broadcast frame as if transmitted by `from` right now.
     /// Intended for tests and scripted scenarios.
     pub fn inject_broadcast(&mut self, from: NodeId, payload: Bytes) {
@@ -454,13 +441,11 @@ impl Simulator {
         self.queue.push(Reverse(ScheduledEvent { time: at, seq, kind }));
     }
 
-    /// Runs until the queue is exhausted, `deadline` is reached, or a
-    /// node halts the simulation. The clock always ends at `deadline`
-    /// unless halted earlier.
+    /// Runs until the queue is exhausted or `deadline` is reached. The
+    /// clock always ends at `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.ensure_mobility_tick();
-        while !self.halted {
-            let Some(Reverse(next)) = self.queue.peek() else { break };
+        while let Some(Reverse(next)) = self.queue.peek() {
             if next.time > deadline {
                 break;
             }
@@ -469,7 +454,7 @@ impl Simulator {
             self.time = ev.time;
             self.dispatch(ev.kind);
         }
-        if !self.halted && self.time < deadline {
+        if self.time < deadline {
             self.time = deadline;
         }
     }
@@ -478,11 +463,6 @@ impl Simulator {
     pub fn run_for(&mut self, span: SimDuration) {
         let deadline = self.time + span;
         self.run_until(deadline);
-    }
-
-    /// `true` once a node has called [`Context::halt`].
-    pub fn is_halted(&self) -> bool {
-        self.halted
     }
 
     fn ensure_mobility_tick(&mut self) {
@@ -575,7 +555,6 @@ impl Simulator {
                 Command::SetTimer { delay, token } => {
                     self.schedule(delay, EventKind::Timer { node, token })
                 }
-                Command::Halt => self.halted = true,
             }
         }
     }
@@ -789,7 +768,7 @@ mod tests {
         // on_timer of a dead node is suppressed entirely.
         assert_eq!(sim.log(a).len(), 0);
         sim.revive(a);
-        assert!(sim.is_alive(a));
+        assert_eq!(sim.neighbors_in_range(b), vec![a]);
     }
 
     #[test]
@@ -835,24 +814,6 @@ mod tests {
         let mut sim = SimulatorBuilder::new(1).build();
         sim.run_until(SimTime::from_secs(10));
         assert_eq!(sim.now(), SimTime::from_secs(10));
-    }
-
-    #[test]
-    fn halt_stops_everything() {
-        struct Halter;
-        impl Application for Halter {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.set_timer(SimDuration::from_secs(1), TimerToken(0));
-            }
-            fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerToken) {
-                ctx.halt();
-            }
-        }
-        let mut sim = SimulatorBuilder::new(1).build();
-        sim.add_node(Box::new(Halter), Position::new(0.0, 0.0));
-        sim.run_until(SimTime::from_secs(100));
-        assert!(sim.is_halted());
-        assert_eq!(sim.now(), SimTime::from_secs(1));
     }
 
     #[test]
@@ -1041,10 +1002,10 @@ mod tests {
         let (mut sim, a, _b) = two_node_sim(50.0, 250.0);
         sim.run_for(SimDuration::from_millis(1)); // consume Start events
                                                   // Three armed broadcast timers on `a`.
-        assert!(format!("{sim:?}").contains("pending_events: 3,"), "{sim:?}");
+        assert!(format!("{sim:?}").contains("pending_events: 3 }"), "{sim:?}");
         sim.inject_broadcast(a, Bytes::from_static(b"ghost"));
         // The injected frame is one queued delivery to `b`.
-        assert!(format!("{sim:?}").contains("pending_events: 4,"), "{sim:?}");
+        assert!(format!("{sim:?}").contains("pending_events: 4 }"), "{sim:?}");
     }
 
     #[test]

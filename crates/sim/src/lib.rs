@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::engine::{ScanMode, Simulator, SimulatorBuilder};
     pub use crate::mobility::{Arena, MobilityModel, Position};
     pub use crate::node::{Application, Context, LogBuffer, NodeId, TimerToken};
-    pub use crate::radio::{ChannelModel, ChannelState, FadingConfig, LinkOverride, RadioConfig};
+    pub use crate::radio::{ChannelModel, ChannelState, FadingConfig, RadioConfig};
     pub use crate::record::{
         FlightRecord, FlightRecorder, LogRecord, MessageKind, SuppressReason, VerdictKind,
         Willingness,
@@ -84,7 +84,7 @@ pub use engine::{ScanMode, Simulator, SimulatorBuilder};
 pub use grid::SpatialGrid;
 pub use mobility::{Arena, MobilityModel, Position};
 pub use node::{Application, CallbackClass, Context, FrameBatch, LogBuffer, NodeId, TimerToken};
-pub use radio::{ChannelModel, ChannelState, FadingConfig, LinkOverride, RadioConfig};
+pub use radio::{ChannelModel, ChannelState, FadingConfig, RadioConfig};
 pub use record::{
     parse_line, FlightRecord, FlightRecorder, LogRecord, MessageKind, ParseLogError,
     SuppressReason, VerdictKind, Willingness,

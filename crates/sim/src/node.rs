@@ -210,8 +210,6 @@ pub(crate) enum Command {
     Unicast { to: NodeId, payload: Bytes },
     /// Arm a one-shot timer.
     SetTimer { delay: SimDuration, token: TimerToken },
-    /// Stop the whole simulation at the current instant.
-    Halt,
 }
 
 /// The per-callback handle through which an application interacts with the
@@ -282,11 +280,6 @@ impl<'a> Context<'a> {
     /// detector co-located with the router tails "its" log file.
     pub fn log_buffer(&self) -> &LogBuffer {
         self.log
-    }
-
-    /// Requests the end of the whole simulation at the current instant.
-    pub fn halt(&mut self) {
-        self.commands.push(Command::Halt);
     }
 }
 
@@ -382,12 +375,10 @@ mod tests {
         ctx.send(NodeId(1), Bytes::from_static(b"b"));
         ctx.set_timer(SimDuration::from_secs(1), TimerToken(9));
         ctx.log(LogRecord::DataRx { src: NodeId(2) });
-        ctx.halt();
-        assert_eq!(commands.len(), 4);
+        assert_eq!(commands.len(), 3);
         assert!(matches!(commands[0], Command::Broadcast { .. }));
         assert!(matches!(commands[1], Command::Unicast { to: NodeId(1), .. }));
         assert!(matches!(commands[2], Command::SetTimer { token: TimerToken(9), .. }));
-        assert!(matches!(commands[3], Command::Halt));
         assert_eq!(log.len(), 1);
         assert_eq!(log.entries()[0].0, SimTime::from_secs(5));
     }

@@ -81,20 +81,6 @@ impl RadioConfig {
         };
         DeliveryOutcome::Deliver(self.base_delay + jitter)
     }
-
-    /// Decides whether a frame sent from `tx` reaches a receiver at `rx`,
-    /// and with what delay. `None` means the frame is lost.
-    pub fn sample_delivery(
-        &self,
-        tx: Position,
-        rx: Position,
-        rng: &mut StdRng,
-    ) -> Option<SimDuration> {
-        match self.judge(tx, rx, rng) {
-            DeliveryOutcome::Deliver(d) => Some(d),
-            DeliveryOutcome::OutOfRange | DeliveryOutcome::Lost => None,
-        }
-    }
 }
 
 /// The fate of one frame at one potential receiver.
@@ -161,28 +147,6 @@ impl FadingConfig {
     }
 }
 
-/// Per-edge channel override: extra latency and extra Bernoulli loss on one
-/// specific link, on top of whatever the uniform [`RadioConfig`] decides.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkOverride {
-    /// Extra independent loss probability on this edge.
-    pub loss: f64,
-    /// Extra delay added to every frame delivered over this edge.
-    pub extra_delay: SimDuration,
-    /// Upper bound of extra uniform per-frame delay in `[0, jitter]` on this
-    /// edge, drawn from the link's private RNG stream (after the loss draw,
-    /// so enabling jitter never changes which frames are lost). Zero draws
-    /// nothing: a zero-jitter override is byte-identical to one built before
-    /// this field existed.
-    pub jitter: SimDuration,
-}
-
-impl Default for LinkOverride {
-    fn default() -> Self {
-        LinkOverride { loss: 0.0, extra_delay: SimDuration::ZERO, jitter: SimDuration::ZERO }
-    }
-}
-
 /// Per-link channel model layered on top of the uniform [`RadioConfig`].
 ///
 /// The uniform radio stays the byte-identical default: a simulator built
@@ -197,11 +161,10 @@ impl Default for LinkOverride {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChannelModel {
     fading: Option<FadingConfig>,
-    overrides: BTreeMap<(u32, u32), LinkOverride>,
 }
 
 impl ChannelModel {
-    /// An empty (neutral) model: no fading, no per-edge overrides.
+    /// An empty (neutral) model: no fading.
     pub fn new() -> Self {
         ChannelModel::default()
     }
@@ -215,40 +178,10 @@ impl ChannelModel {
         self.fading = Some(f.validated());
         self
     }
-
-    /// Sets a per-edge override for the undirected link `a`–`b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `o.loss` is outside `[0, 1]`.
-    pub fn with_link(mut self, a: NodeId, b: NodeId, o: LinkOverride) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&o.loss),
-            "link override loss probability must be in [0,1], got {}",
-            o.loss
-        );
-        self.overrides.insert(link_key(a, b), o);
-        self
-    }
-
-    /// The fading profile, if enabled.
-    pub fn fading(&self) -> Option<&FadingConfig> {
-        self.fading.as_ref()
-    }
-
-    /// The override configured for the undirected link `a`–`b`, if any.
-    pub fn link(&self, a: NodeId, b: NodeId) -> Option<&LinkOverride> {
-        self.overrides.get(&link_key(a, b))
-    }
-
-    /// Whether the model changes nothing (no fading, no overrides).
-    pub fn is_neutral(&self) -> bool {
-        self.fading.is_none() && self.overrides.is_empty()
-    }
 }
 
-/// Undirected link key: fading and overrides apply to the edge, not to a
-/// direction, so both directions share one chain and one RNG stream.
+/// Undirected link key: fading applies to the edge, not to a direction,
+/// so both directions share one chain and one RNG stream.
 fn link_key(a: NodeId, b: NodeId) -> (u32, u32) {
     if a.0 <= b.0 {
         (a.0, b.0)
@@ -306,20 +239,9 @@ impl ChannelState {
         ChannelState { model, seed, links: BTreeMap::new() }
     }
 
-    /// The configuration this state runs.
-    pub fn model(&self) -> &ChannelModel {
-        &self.model
-    }
-
-    /// Whether the fading chain of the undirected link `a`–`b` is currently
-    /// in the bad (deep fade) state.
-    pub fn in_fade(&self, a: NodeId, b: NodeId) -> bool {
-        self.links.get(&link_key(a, b)).is_some_and(|l| l.bad)
-    }
-
     /// Judges one frame: the uniform radio first (drawing from the global
     /// RNG exactly as it would without a channel model), then the per-link
-    /// fading chain and edge overrides from the link's private stream.
+    /// fading chain from the link's private stream.
     pub fn judge(
         &mut self,
         radio: &RadioConfig,
@@ -330,43 +252,21 @@ impl ChannelState {
         global: &mut StdRng,
     ) -> DeliveryOutcome {
         let base = radio.judge(tx, rx, global);
-        let DeliveryOutcome::Deliver(base_delay) = base else {
+        let (DeliveryOutcome::Deliver(_), Some(f)) = (base, self.model.fading) else {
             return base;
         };
         let key = link_key(from, to);
-        let overrides = self.model.overrides.get(&key).copied();
-        let needs_state = self.model.fading.is_some()
-            || overrides.is_some_and(|o| o.loss > 0.0 || !o.jitter.is_zero());
-        let mut link_jitter = SimDuration::ZERO;
-        if needs_state {
-            let seed = self.seed;
-            let link = self.links.entry(key).or_insert_with(|| LinkFade::new(seed, key));
-            if let Some(f) = self.model.fading {
-                let flip = if link.bad { f.p_exit_bad } else { f.p_enter_bad };
-                if flip > 0.0 && link.rng.random_bool(flip) {
-                    link.bad = !link.bad;
-                }
-                let loss = if link.bad { f.loss_bad } else { f.loss_good };
-                if loss > 0.0 && link.rng.random_bool(loss) {
-                    return DeliveryOutcome::Lost;
-                }
-            }
-            if let Some(o) = overrides {
-                if o.loss > 0.0 && link.rng.random_bool(o.loss) {
-                    return DeliveryOutcome::Lost;
-                }
-                if !o.jitter.is_zero() {
-                    link_jitter =
-                        SimDuration::from_micros(link.rng.random_range(0..=o.jitter.as_micros()));
-                }
-            }
+        let seed = self.seed;
+        let link = self.links.entry(key).or_insert_with(|| LinkFade::new(seed, key));
+        let flip = if link.bad { f.p_exit_bad } else { f.p_enter_bad };
+        if flip > 0.0 && link.rng.random_bool(flip) {
+            link.bad = !link.bad;
         }
-        match overrides {
-            Some(o) if !o.extra_delay.is_zero() || !link_jitter.is_zero() => {
-                DeliveryOutcome::Deliver(base_delay + o.extra_delay + link_jitter)
-            }
-            _ => base,
+        let loss = if link.bad { f.loss_bad } else { f.loss_good };
+        if loss > 0.0 && link.rng.random_bool(loss) {
+            return DeliveryOutcome::Lost;
         }
+        base
     }
 }
 
@@ -400,9 +300,11 @@ mod tests {
         let cfg = RadioConfig::unit_disk(100.0);
         let mut r = rng();
         for _ in 0..100 {
-            let d = cfg
-                .sample_delivery(Position::new(0.0, 0.0), Position::new(50.0, 0.0), &mut r)
-                .expect("in-range lossless frame must be delivered");
+            let DeliveryOutcome::Deliver(d) =
+                cfg.judge(Position::new(0.0, 0.0), Position::new(50.0, 0.0), &mut r)
+            else {
+                panic!("in-range lossless frame must be delivered");
+            };
             assert!(d >= cfg.base_delay);
             assert!(d <= cfg.base_delay + cfg.jitter);
         }
@@ -413,9 +315,10 @@ mod tests {
         let cfg = RadioConfig::unit_disk(100.0);
         let mut r = rng();
         for _ in 0..100 {
-            assert!(cfg
-                .sample_delivery(Position::new(0.0, 0.0), Position::new(101.0, 0.0), &mut r)
-                .is_none());
+            assert_eq!(
+                cfg.judge(Position::new(0.0, 0.0), Position::new(101.0, 0.0), &mut r),
+                DeliveryOutcome::OutOfRange
+            );
         }
     }
 
@@ -425,8 +328,10 @@ mod tests {
         let mut r = rng();
         let delivered = (0..10_000)
             .filter(|_| {
-                cfg.sample_delivery(Position::new(0.0, 0.0), Position::new(10.0, 0.0), &mut r)
-                    .is_some()
+                matches!(
+                    cfg.judge(Position::new(0.0, 0.0), Position::new(10.0, 0.0), &mut r),
+                    DeliveryOutcome::Deliver(_)
+                )
             })
             .count();
         // Binomial(10_000, 0.5): ±4σ ≈ ±200.
@@ -444,9 +349,8 @@ mod tests {
         let mut cfg = RadioConfig::unit_disk(100.0);
         cfg.jitter = SimDuration::ZERO;
         let mut r = rng();
-        let d =
-            cfg.sample_delivery(Position::new(0.0, 0.0), Position::new(1.0, 0.0), &mut r).unwrap();
-        assert_eq!(d, cfg.base_delay);
+        let d = cfg.judge(Position::new(0.0, 0.0), Position::new(1.0, 0.0), &mut r);
+        assert_eq!(d, DeliveryOutcome::Deliver(cfg.base_delay));
     }
 
     #[test]
@@ -485,7 +389,6 @@ mod tests {
         let mut plain = rng();
         let mut wrapped = rng();
         let mut ch = ChannelState::new(ChannelModel::new(), 7);
-        assert!(ch.model().is_neutral());
         for _ in 0..200 {
             let a = cfg.judge(tx, rx, &mut plain);
             let b = ch.judge(&cfg, NodeId(0), NodeId(1), tx, rx, &mut wrapped);
@@ -514,7 +417,7 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_eq!(plain, wrapped);
-        assert!(!ch.in_fade(NodeId(0), NodeId(1)));
+        assert!(ch.links.values().all(|l| !l.bad));
     }
 
     #[test]
@@ -572,54 +475,8 @@ mod tests {
     }
 
     #[test]
-    fn link_override_adds_delay_and_loss() {
-        let mut cfg = RadioConfig::unit_disk(100.0);
-        cfg.jitter = SimDuration::ZERO;
-        let (tx, rx) = near();
-        let mut g = rng();
-        let slow =
-            LinkOverride { extra_delay: SimDuration::from_millis(40), ..LinkOverride::default() };
-        let model = ChannelModel::new().with_link(NodeId(0), NodeId(1), slow);
-        let mut ch = ChannelState::new(model, 7);
-        match ch.judge(&cfg, NodeId(0), NodeId(1), tx, rx, &mut g) {
-            DeliveryOutcome::Deliver(d) => {
-                assert_eq!(d, cfg.base_delay + SimDuration::from_millis(40))
-            }
-            other => panic!("expected delivery, got {other:?}"),
-        }
-        // A different edge is untouched.
-        match ch.judge(&cfg, NodeId(0), NodeId(2), tx, rx, &mut g) {
-            DeliveryOutcome::Deliver(d) => assert_eq!(d, cfg.base_delay),
-            other => panic!("expected delivery, got {other:?}"),
-        }
-        // A lossy override thins deliveries on its edge only.
-        let bad = LinkOverride { loss: 0.5, ..LinkOverride::default() };
-        let model = ChannelModel::new().with_link(NodeId(0), NodeId(1), bad);
-        let mut ch = ChannelState::new(model, 7);
-        let delivered = (0..2_000)
-            .filter(|_| {
-                matches!(
-                    ch.judge(&cfg, NodeId(0), NodeId(1), tx, rx, &mut g),
-                    DeliveryOutcome::Deliver(_)
-                )
-            })
-            .count();
-        assert!((800..=1_200).contains(&delivered), "delivered={delivered}");
-    }
-
-    #[test]
     #[should_panic(expected = "got 1.2")]
     fn bogus_fading_parameter_rejected_with_value() {
         let _ = FadingConfig::bursty(1.2, 0.5, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "got -0.1")]
-    fn bogus_link_override_rejected_with_value() {
-        let _ = ChannelModel::new().with_link(
-            NodeId(0),
-            NodeId(1),
-            LinkOverride { loss: -0.1, ..LinkOverride::default() },
-        );
     }
 }

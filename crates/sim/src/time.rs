@@ -116,13 +116,6 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Scales the span by a non-negative factor, rounding to the nearest
-    /// microsecond.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        assert!(k.is_finite() && k >= 0.0, "scale factor must be finite and non-negative");
-        SimDuration((self.0 as f64 * k).round() as u64)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -213,15 +206,6 @@ mod tests {
         assert!(SimTime::ZERO < SimTime::from_micros(1));
         assert!(SimTime::from_micros(1) < SimTime::MAX);
         assert!(SimDuration::from_millis(1) < SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn mul_f64_rounds() {
-        assert_eq!(
-            SimDuration::from_micros(10).mul_f64(0.25),
-            SimDuration::from_micros(3) // 2.5 rounds to 3 (round half away from zero)
-        );
-        assert_eq!(SimDuration::from_secs(1).mul_f64(0.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl<K: Eq + Hash + Clone> TrustStore<K> {
         }
     }
 
-    /// The update operator in force.
-    pub fn update_rule(&self) -> &TrustUpdate {
-        &self.update
-    }
-
     /// Current trust in `peer` (the initial value if never observed).
     pub fn trust_of(&self, peer: &K) -> TrustValue {
         self.trust.get(peer).copied().unwrap_or(self.initial)
@@ -73,11 +68,6 @@ impl<K: Eq + Hash + Clone> TrustStore<K> {
     pub fn record(&mut self, peer: K, evidence: EvidenceKind) {
         self.trust.entry(peer.clone()).or_insert(self.initial);
         self.pending.entry(peer).or_default().push(evidence);
-    }
-
-    /// Evidence recorded for `peer` in the still-open slot.
-    pub fn pending_for(&self, peer: &K) -> &[EvidenceKind] {
-        self.pending.get(peer).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Closes the current time slot: applies formula (5) to every peer
@@ -131,10 +121,8 @@ mod tests {
         store.record(1, EvidenceKind::FalseTestimony);
         // Nothing applied yet:
         assert_eq!(store.trust_of(&1), TrustValue::DEFAULT);
-        assert_eq!(store.pending_for(&1).len(), 1);
         store.end_slot();
         assert!(store.trust_of(&1) < TrustValue::DEFAULT);
-        assert!(store.pending_for(&1).is_empty());
         assert_eq!(store.slots_elapsed(), 1);
     }
 

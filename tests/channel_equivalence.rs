@@ -1,7 +1,6 @@
 //! Channel-model equivalence suite.
 //!
-//! The per-link [`ChannelModel`] (Gilbert–Elliott fading + per-edge
-//! overrides) must honor a strict oracle contract: a simulator built
+//! The per-link [`ChannelModel`] (Gilbert–Elliott fading) must honor a strict oracle contract: a simulator built
 //! **without** a channel model and one built with a **neutral** model are
 //! byte-identical, because link-local randomness is drawn from dedicated
 //! per-link RNG streams and the base radio consumes the global stream
@@ -11,7 +10,7 @@
 
 use trustlink_core::prelude::*;
 use trustlink_olsr::{OlsrConfig, OlsrNode};
-use trustlink_sim::{ChannelModel, FadingConfig, LinkOverride};
+use trustlink_sim::{ChannelModel, FadingConfig};
 use trustlink_tests::{assert_recordings_identical, text_fingerprint};
 
 fn olsr_boxed() -> Box<OlsrNode> {
@@ -95,85 +94,6 @@ fn bursty_fading_actually_perturbs_the_run() {
         "bursty fading should add losses: {} vs {}",
         faded.stats().lost_random,
         plain.stats().lost_random
-    );
-}
-
-#[test]
-fn degraded_edge_override_perturbs_the_run() {
-    let model = ChannelModel::new().with_link(
-        NodeId(0),
-        NodeId(1),
-        LinkOverride {
-            loss: 0.9,
-            extra_delay: SimDuration::from_millis(40),
-            jitter: SimDuration::ZERO,
-        },
-    );
-    let (plain, degraded) = mesh_pair(9, model);
-    assert_ne!(
-        text_fingerprint(&plain),
-        text_fingerprint(&degraded),
-        "a 90%-loss delayed edge should change the run"
-    );
-}
-
-#[test]
-fn zero_jitter_override_is_byte_identical_to_pre_jitter_shape() {
-    // A lossless, zero-jitter override with only a fixed extra delay must
-    // not consume a single draw from the link's private stream: the jitter
-    // field is gated exactly like the loss field, so an override written
-    // before the field existed behaves identically now.
-    let model = ChannelModel::new().with_link(
-        NodeId(0),
-        NodeId(1),
-        LinkOverride { extra_delay: SimDuration::from_millis(7), ..LinkOverride::default() },
-    );
-    let fixed_only = mesh_pair(13, model.clone()).1;
-    let again = mesh_pair(13, model).1;
-    assert_recordings_identical(
-        "zero-jitter override",
-        &fixed_only.flight_recorder(),
-        &again.flight_recorder(),
-    );
-    assert_eq!(
-        text_fingerprint(&fixed_only),
-        text_fingerprint(&again),
-        "a zero-jitter override must be deterministic across identical runs"
-    );
-}
-
-#[test]
-fn per_link_jitter_perturbs_only_with_nonzero_bound() {
-    // Same override, jitter on vs off: the jittered run must diverge (the
-    // extra delay spread reorders receptions), and two jittered runs with
-    // the same seed must still agree — the draws come from the per-link
-    // stream seeded by (link, seed), not from wall-clock or global state.
-    let quiet = ChannelModel::new().with_link(
-        NodeId(0),
-        NodeId(1),
-        LinkOverride { extra_delay: SimDuration::from_millis(7), ..LinkOverride::default() },
-    );
-    let jittery = ChannelModel::new().with_link(
-        NodeId(0),
-        NodeId(1),
-        LinkOverride {
-            extra_delay: SimDuration::from_millis(7),
-            jitter: SimDuration::from_millis(25),
-            ..LinkOverride::default()
-        },
-    );
-    let calm = mesh_pair(13, quiet).1;
-    let perturbed = mesh_pair(13, jittery.clone()).1;
-    let perturbed_again = mesh_pair(13, jittery).1;
-    assert_ne!(
-        text_fingerprint(&calm),
-        text_fingerprint(&perturbed),
-        "a 25 ms jitter bound on a live edge should change the run"
-    );
-    assert_recordings_identical(
-        "jittered run determinism",
-        &perturbed.flight_recorder(),
-        &perturbed_again.flight_recorder(),
     );
 }
 

@@ -24,148 +24,149 @@ fn spoof(fake: u32) -> LinkSpoofing {
     LinkSpoofing::permanent(SpoofVariant::AdvertiseNonExistent { fake: vec![NodeId(fake)] })
 }
 
-/// Every scenario in this suite honours `TRUSTLINK_RECOMPUTE=incremental|eager`
-/// so CI can replay the whole file under both routing-recompute schedules —
-/// failure handling must not depend on recompute cadence. Unset means the
-/// builder default (incremental).
-fn scenario(seed: u64, n: usize) -> ScenarioBuilder {
-    let builder = ScenarioBuilder::new(seed, n);
-    match std::env::var("TRUSTLINK_RECOMPUTE").as_deref() {
-        Ok("incremental") => {
-            builder.olsr(OlsrConfig::fast().with_recompute(RecomputeMode::Incremental))
-        }
-        Ok("eager") => builder.olsr(OlsrConfig::fast().with_recompute(RecomputeMode::Eager)),
-        Ok(other) => panic!("TRUSTLINK_RECOMPUTE must be incremental|eager, got `{other}`"),
-        Err(_) => builder,
-    }
+/// Failure handling must not depend on the routing-recompute schedule, so
+/// every scenario in this suite runs under both.
+const MODES: [RecomputeMode; 2] = [RecomputeMode::Incremental, RecomputeMode::Eager];
+
+fn olsr(mode: RecomputeMode) -> OlsrConfig {
+    OlsrConfig::fast().with_recompute(mode)
+}
+
+fn scenario(seed: u64, n: usize, mode: RecomputeMode) -> ScenarioBuilder {
+    ScenarioBuilder::new(seed, n).olsr(olsr(mode))
 }
 
 #[test]
 fn detection_survives_ten_percent_frame_loss() {
-    let report = scenario(301, 9)
-        .topology(Topology::Grid { cols: 3, spacing: 100.0 })
-        .radio(RadioConfig::unit_disk(150.0).with_loss(0.10))
-        .detector(fast_detector())
-        .attacker(4, spoof(55))
-        .duration(SimDuration::from_secs(180))
-        .run();
-    assert!(report.detected(NodeId(4)), "10% loss defeated detection");
-    assert!(report.false_positives().is_empty());
+    for mode in MODES {
+        let report = scenario(301, 9, mode)
+            .topology(Topology::Grid { cols: 3, spacing: 100.0 })
+            .radio(RadioConfig::unit_disk(150.0).with_loss(0.10))
+            .detector(fast_detector())
+            .attacker(4, spoof(55))
+            .duration(SimDuration::from_secs(180))
+            .run();
+        assert!(report.detected(NodeId(4)), "{mode:?}: 10% loss defeated detection");
+        assert!(report.false_positives().is_empty(), "{mode:?}");
+    }
 }
 
 #[test]
 fn detection_survives_collision_window() {
-    let report = scenario(302, 9)
-        .topology(Topology::Grid { cols: 3, spacing: 100.0 })
-        .radio(RadioConfig::unit_disk(150.0).with_collisions(SimDuration::from_micros(300)))
-        .detector(fast_detector())
-        .attacker(4, spoof(55))
-        .duration(SimDuration::from_secs(180))
-        .run();
-    assert!(report.detected(NodeId(4)), "collisions defeated detection");
+    for mode in MODES {
+        let report = scenario(302, 9, mode)
+            .topology(Topology::Grid { cols: 3, spacing: 100.0 })
+            .radio(RadioConfig::unit_disk(150.0).with_collisions(SimDuration::from_micros(300)))
+            .detector(fast_detector())
+            .attacker(4, spoof(55))
+            .duration(SimDuration::from_secs(180))
+            .run();
+        assert!(report.detected(NodeId(4)), "{mode:?}: collisions defeated detection");
+    }
 }
 
 #[test]
 fn detection_survives_unresponsive_witnesses() {
-    // Two honest witnesses never answer (answer_probability 0): their
-    // e = 0 dilutes Detect but must not flip the verdict.
-    let silent = DetectorConfig { answer_probability: 0.0, ..fast_detector() };
-    let mut builder = scenario(303, 9)
-        .topology(Topology::Grid { cols: 3, spacing: 100.0 })
-        .detector(fast_detector())
-        .attacker(4, spoof(55))
-        .duration(SimDuration::from_secs(180));
-    // Rebuild with per-node configs: use the liar hook for "never answers"
-    // — a liar policy is a per-node detector config, so emulate silence via
-    // answer_probability on two nodes by marking them liars with an honest
-    // policy but a silent config. ScenarioBuilder applies liar policies
-    // only; emulate by probabilistic liars that lie 0% of the time but we
-    // set the global answer probability low instead for everyone:
-    let _ = silent;
-    builder = builder
-        .liar(1, LiarPolicy::Probabilistic { probability: 0.0 })
-        .liar(3, LiarPolicy::Probabilistic { probability: 0.0 });
-    let report = builder.run();
-    assert!(report.detected(NodeId(4)));
+    // Two witnesses run a liar policy that lies 0% of the time (the
+    // per-node hook `ScenarioBuilder` offers): the attacker must still be
+    // convicted.
+    for mode in MODES {
+        let report = scenario(303, 9, mode)
+            .topology(Topology::Grid { cols: 3, spacing: 100.0 })
+            .detector(fast_detector())
+            .attacker(4, spoof(55))
+            .duration(SimDuration::from_secs(180))
+            .liar(1, LiarPolicy::Probabilistic { probability: 0.0 })
+            .liar(3, LiarPolicy::Probabilistic { probability: 0.0 })
+            .run();
+        assert!(report.detected(NodeId(4)), "{mode:?}");
+    }
 }
 
 #[test]
 fn global_answer_loss_dilutes_but_detects() {
     let lossy = DetectorConfig { answer_probability: 0.7, ..fast_detector() };
-    let report = scenario(304, 9)
-        .topology(Topology::Grid { cols: 3, spacing: 100.0 })
-        .detector(lossy)
-        .attacker(4, spoof(55))
-        .duration(SimDuration::from_secs(180))
-        .run();
-    assert!(report.detected(NodeId(4)));
-    let convicting: Vec<&(NodeId, trustlink_core::VerdictRecord)> =
-        report.convictions_of(NodeId(4));
-    assert!(!convicting.is_empty());
-    for (_, r) in &convicting {
-        assert!(r.detect <= -0.5, "conviction with weak Detect {}", r.detect);
+    for mode in MODES {
+        let report = scenario(304, 9, mode)
+            .topology(Topology::Grid { cols: 3, spacing: 100.0 })
+            .detector(lossy.clone())
+            .attacker(4, spoof(55))
+            .duration(SimDuration::from_secs(180))
+            .run();
+        assert!(report.detected(NodeId(4)), "{mode:?}");
+        let convicting: Vec<&(NodeId, trustlink_core::VerdictRecord)> =
+            report.convictions_of(NodeId(4));
+        assert!(!convicting.is_empty(), "{mode:?}");
+        for (_, r) in &convicting {
+            assert!(r.detect <= -0.5, "{mode:?}: conviction with weak Detect {}", r.detect);
+        }
+        // Somewhere in the run, dilution must be visible: a case where not
+        // all witnesses answered.
+        assert!(
+            report.verdicts.iter().any(|(_, r)| r.answered < r.witnesses),
+            "{mode:?}: 30% answer loss should leave silent witnesses somewhere"
+        );
     }
-    // Somewhere in the run, dilution must be visible: a case where not all
-    // witnesses answered.
-    assert!(
-        report.verdicts.iter().any(|(_, r)| r.answered < r.witnesses),
-        "30% answer loss should leave silent witnesses somewhere"
-    );
 }
 
 #[test]
 fn dead_witnesses_do_not_block_detection() {
     // Assemble the grid manually so two witnesses can be killed mid-run.
     use trustlink_core::DetectorNode;
-    use trustlink_olsr::OlsrConfig;
 
-    let mut sim = SimulatorBuilder::new(305)
-        .arena(Arena::new(100_000.0, 100_000.0))
-        .radio(RadioConfig::unit_disk(150.0))
-        .build();
-    let positions = trustlink_sim::topologies::grid(9, 3, 100.0);
-    for (i, p) in positions.iter().enumerate() {
-        if i == 4 {
-            sim.add_node(
-                Box::new(DetectorNode::with_hooks(OlsrConfig::fast(), fast_detector(), spoof(55))),
-                *p,
-            );
-        } else {
-            sim.add_node(Box::new(DetectorNode::new(OlsrConfig::fast(), fast_detector())), *p);
+    for mode in MODES {
+        let mut sim = SimulatorBuilder::new(305)
+            .arena(Arena::new(100_000.0, 100_000.0))
+            .radio(RadioConfig::unit_disk(150.0))
+            .build();
+        let positions = trustlink_sim::topologies::grid(9, 3, 100.0);
+        for (i, p) in positions.iter().enumerate() {
+            if i == 4 {
+                sim.add_node(
+                    Box::new(DetectorNode::with_hooks(olsr(mode), fast_detector(), spoof(55))),
+                    *p,
+                );
+            } else {
+                sim.add_node(Box::new(DetectorNode::new(olsr(mode), fast_detector())), *p);
+            }
         }
+        // Let the attack take hold, then crash two of the attacker's witnesses.
+        sim.run_for(SimDuration::from_secs(15));
+        sim.kill(NodeId(1));
+        sim.kill(NodeId(3));
+        sim.run_for(SimDuration::from_secs(165));
+        let convicted = sim.node_ids().any(|id| {
+            sim.app_as::<DetectorNode>(id).is_some_and(|d| d.condemned().contains(&NodeId(4)))
+        });
+        assert!(convicted, "{mode:?}: two dead witnesses should not block detection");
     }
-    // Let the attack take hold, then crash two of the attacker's witnesses.
-    sim.run_for(SimDuration::from_secs(15));
-    sim.kill(NodeId(1));
-    sim.kill(NodeId(3));
-    sim.run_for(SimDuration::from_secs(165));
-    let convicted = sim.node_ids().collect::<Vec<_>>().into_iter().any(|id| {
-        sim.app_as::<DetectorNode>(id).map(|d| d.condemned().contains(&NodeId(4))).unwrap_or(false)
-    });
-    assert!(convicted, "two dead witnesses should not block detection");
 }
 
 #[test]
 fn partitioned_network_cannot_convict_across_the_cut() {
     // Two 3-node islands far apart: detectors in one island never hear the
     // other; no cross-island verdicts of any kind should exist.
-    let report = scenario(306, 6)
-        .topology(Topology::Line { spacing: 100.0 })
-        .radio(RadioConfig::unit_disk(120.0))
-        .detector(fast_detector())
-        .duration(SimDuration::from_secs(60))
-        .run();
-    // Make the partition: nodes 0-2 and 3-5 are a contiguous line; instead
-    // verify reachability-derived sanity — verdicts only concern nodes the
-    // observer actually knows.
-    for (observer, record) in &report.verdicts {
-        let d =
-            report.sim.app_as::<trustlink_core::DetectorNode>(*observer).expect("honest detector");
-        assert!(
-            d.extractor().known_nodes().contains(&record.suspect),
-            "{observer} judged unknown node {}",
-            record.suspect
-        );
+    for mode in MODES {
+        let report = scenario(306, 6, mode)
+            .topology(Topology::Line { spacing: 100.0 })
+            .radio(RadioConfig::unit_disk(120.0))
+            .detector(fast_detector())
+            .duration(SimDuration::from_secs(60))
+            .run();
+        // Make the partition: nodes 0-2 and 3-5 are a contiguous line;
+        // instead verify reachability-derived sanity — verdicts only
+        // concern nodes the observer actually knows.
+        for (observer, record) in &report.verdicts {
+            let d = report
+                .sim
+                .app_as::<trustlink_core::DetectorNode>(*observer)
+                .expect("honest detector");
+            assert!(
+                d.extractor().known_nodes().contains(&record.suspect),
+                "{mode:?}: {observer} judged unknown node {}",
+                record.suspect
+            );
+        }
     }
 }
 
@@ -175,49 +176,50 @@ fn mobility_churn_generates_no_false_convictions() {
     // investigation must clear them. This exercises the paper's future-work
     // item on mobility.
     use trustlink_core::DetectorNode;
-    use trustlink_olsr::OlsrConfig;
 
-    let mut sim = SimulatorBuilder::new(307)
-        .arena(Arena::new(600.0, 600.0))
-        .radio(RadioConfig::unit_disk(250.0))
-        .mobility_tick(SimDuration::from_millis(500))
-        .build();
-    // A 3x3 grid of detectors, one of which wanders.
-    let positions = trustlink_sim::topologies::grid(9, 3, 150.0);
-    for (i, p) in positions.iter().enumerate() {
-        // Pedestrian speed: fast enough to cause genuine MPR churn, slow
-        // enough that link holds expire before claims go stale. (The paper
-        // defers the impact of higher mobility to future work.)
-        let mobility = if i == 4 {
-            MobilityModel::RandomWaypoint {
-                speed_min: 1.0,
-                speed_max: 2.5,
-                pause: SimDuration::from_secs(3),
-            }
-        } else {
-            MobilityModel::Stationary
-        };
-        sim.add_mobile_node(
-            Box::new(DetectorNode::new(
-                OlsrConfig::fast(),
-                DetectorConfig {
-                    analysis_interval: SimDuration::from_millis(500),
-                    warmup: SimDuration::from_secs(10),
-                    trust_slot_interval: SimDuration::from_secs(3),
-                    ..DetectorConfig::default()
-                },
-            )),
-            *p,
-            mobility,
-        );
-    }
-    sim.run_for(SimDuration::from_secs(120));
-    for id in sim.node_ids().collect::<Vec<_>>() {
-        let d = sim.app_as::<DetectorNode>(id).unwrap();
-        assert!(
-            d.condemned().is_empty(),
-            "{id} condemned {:?} in a benign mobile network",
-            d.condemned()
-        );
+    for mode in MODES {
+        let mut sim = SimulatorBuilder::new(307)
+            .arena(Arena::new(600.0, 600.0))
+            .radio(RadioConfig::unit_disk(250.0))
+            .mobility_tick(SimDuration::from_millis(500))
+            .build();
+        // A 3x3 grid of detectors, one of which wanders.
+        let positions = trustlink_sim::topologies::grid(9, 3, 150.0);
+        for (i, p) in positions.iter().enumerate() {
+            // Pedestrian speed: fast enough to cause genuine MPR churn, slow
+            // enough that link holds expire before claims go stale. (The
+            // paper defers the impact of higher mobility to future work.)
+            let mobility = if i == 4 {
+                MobilityModel::RandomWaypoint {
+                    speed_min: 1.0,
+                    speed_max: 2.5,
+                    pause: SimDuration::from_secs(3),
+                }
+            } else {
+                MobilityModel::Stationary
+            };
+            sim.add_mobile_node(
+                Box::new(DetectorNode::new(
+                    olsr(mode),
+                    DetectorConfig {
+                        analysis_interval: SimDuration::from_millis(500),
+                        warmup: SimDuration::from_secs(10),
+                        trust_slot_interval: SimDuration::from_secs(3),
+                        ..DetectorConfig::default()
+                    },
+                )),
+                *p,
+                mobility,
+            );
+        }
+        sim.run_for(SimDuration::from_secs(120));
+        for id in sim.node_ids().collect::<Vec<_>>() {
+            let d = sim.app_as::<DetectorNode>(id).unwrap();
+            assert!(
+                d.condemned().is_empty(),
+                "{mode:?}: {id} condemned {:?} in a benign mobile network",
+                d.condemned()
+            );
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Shape gates for the paper's figures: these are the assertions that
-//! define "reproduced" for this repository (see EXPERIMENTS.md). Absolute
-//! values depend on constants the paper does not publish; the *shape* —
-//! who rises, who falls, the ordering of curves, where thresholds are
-//! crossed — must hold.
+//! define "reproduced" for this repository (see the README's "Reproducing
+//! the paper's figures"). Absolute values depend on constants the paper
+//! does not publish; the *shape* — who rises, who falls, the ordering of
+//! curves, where thresholds are crossed — must hold.
 
 use trustlink_core::prelude::*;
 

@@ -19,9 +19,7 @@ use trustlink_olsr::message::{
     MidMessage, NeighborType, Packet, TcMessage,
 };
 use trustlink_olsr::types::SequenceNumber;
-use trustlink_olsr::wire::{
-    decode_packet, encode_packet, materialize_message, DecodeArena, PacketView,
-};
+use trustlink_olsr::wire::{decode_packet, encode_packet, materialize_message, PacketView};
 use trustlink_sim::record::{
     from_rlog_line, parse_line, LogRecord, MessageKind, VerdictKind, Willingness,
 };
@@ -366,15 +364,15 @@ fn every_single_byte_mutation_of_real_frames_is_handled() {
 }
 
 /// The largest single allocation `PacketView::parse` plus
-/// `materialize_message` (into a cold arena) may request for a frame of
+/// `materialize_message` may request for a frame of
 /// `len` bytes. The parse allocates nothing; each vector the decoders
 /// fill is sized from the bytes actually present, never from a declared
 /// count:
 ///
 /// * TC advertised, MID aliases and HELLO link-group addresses:
-///   `reserve(remaining / 2)` ids — one 4-byte `NodeId` per 2 wire bytes,
+///   `with_capacity(remaining / 2)` ids — one 4-byte `NodeId` per 2 wire bytes,
 ///   2 heap bytes per frame byte;
-/// * HNA networks: `reserve(remaining / 4)` entries of `(NodeId, u8)` —
+/// * HNA networks: `with_capacity(remaining / 4)` entries of `(NodeId, u8)` —
 ///   8 heap bytes per 4 wire bytes, again 2 per frame byte;
 /// * HELLO link groups: not reserved, but each group takes at least 4
 ///   wire bytes, so doubling growth stops below `2 * len / 4` entries —
@@ -404,12 +402,11 @@ fn decoding_mutated_real_frames_allocates_linearly_in_their_length() {
                 for candidate in [reseal(buf.clone()), buf] {
                     let len = candidate.len();
                     let bytes = bytes::Bytes::from(candidate);
-                    let mut arena = DecodeArena::default();
                     reset_largest_request();
                     let mut messages = 0u32;
                     if let Ok(view) = PacketView::parse(&bytes) {
                         for mv in view.messages() {
-                            drop(materialize_message(&mut arena, &bytes, &mv));
+                            drop(materialize_message(&bytes, &mv));
                             messages += 1;
                         }
                     }
