@@ -58,7 +58,7 @@ fn bench_detection_scenario(c: &mut Criterion) {
     });
 }
 
-/// Large-network OLSR convergence on the spatial-grid radio: random
+/// Large-network OLSR convergence: random
 /// geometric placements at mean degree 10, HELLO-driven neighborhood
 /// convergence (TCs mostly silenced — full TC flooding is O(n²) messages
 /// by design and would measure the protocol, not the simulator).
@@ -78,12 +78,11 @@ fn bench_olsr_scale(c: &mut Criterion) {
             refresh_interval: SimDuration::from_secs(1),
             ..OlsrConfig::fast()
         };
-        group.bench_function(format!("{n}_nodes_grid_converge_2s"), |b| {
+        group.bench_function(format!("{n}_nodes_converge_2s"), |b| {
             b.iter(|| {
                 let mut sim = SimulatorBuilder::new(7)
                     .arena(arena)
                     .radio(RadioConfig::unit_disk(range))
-                    .scan_mode(ScanMode::Grid)
                     .build();
                 for &p in &positions {
                     sim.add_node(Box::new(OlsrNode::new(cfg.clone())), p);

@@ -1,17 +1,9 @@
-//! The scaling benchmark: baseline (linear scan) vs spatial-grid radio,
-//! eager vs incremental OLSR recompute, and classic vs fisheye TC
-//! flooding, at 10²–10⁴ nodes, recorded as `BENCH_scale.json` at the
-//! repository root.
+//! The scaling benchmark: eager vs incremental OLSR recompute and classic
+//! vs fisheye TC flooding, at 10²–10⁴ nodes, recorded as
+//! `BENCH_scale.json` at the repository root.
 //!
-//! Four measurements per network size:
+//! Two measurements per network size:
 //!
-//! * **broadcast fan-out** — the radio-layer cost PR 2 attacked: time per
-//!   `inject_broadcast` into a network of no-op applications (scheduling
-//!   excluded deliveries drained outside the timed region). This is where
-//!   the O(n) → O(neighborhood) change shows directly.
-//! * **OLSR convergence (TC-silenced)** — wall time of a short HELLO-driven
-//!   convergence window over the same placement: the radio-layer speedup
-//!   as seen by the whole stack.
 //! * **full-stack recompute** — wall time of a HELLO + TC convergence
 //!   window with `RecomputeMode::Eager` (the pre-incremental *cadence*:
 //!   recompute after every state-changing packet) vs
@@ -33,9 +25,8 @@
 //!   `cargo run --release -p trustlink-bench --bin scale -- --smoke`       — small sizes, stdout only (CI)
 //!   `... -- --out <path>`                                                 — alternative output path
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trustlink_olsr::{FisheyeRings, FloodScope, OlsrConfig, OlsrNode, RecomputeMode};
@@ -50,78 +41,19 @@ const MEAN_DEGREE: f64 = 10.0;
 /// Observers sampled for the route-stretch comparison.
 const STRETCH_SAMPLE: usize = 64;
 
-/// A node that hears everything and does nothing: isolates the radio
-/// layer from protocol processing.
-struct Sink;
-impl Application for Sink {}
-
-fn placed_sim(
-    n: usize,
-    seed: u64,
-    mode: ScanMode,
-    app: impl Fn() -> Box<dyn Application>,
-) -> Simulator {
+fn placed_sim(n: usize, seed: u64, app: impl Fn() -> Box<dyn Application>) -> Simulator {
     let arena = topologies::arena_for_mean_degree(n, RANGE, MEAN_DEGREE);
     let mut rng = StdRng::seed_from_u64(seed);
     let positions = topologies::random_geometric(n, &arena, &mut rng);
     let mut sim = SimulatorBuilder::new(seed)
         .arena(arena)
         .radio(RadioConfig::unit_disk(RANGE))
-        .scan_mode(mode)
         .expected_nodes(n)
         .build();
     for &p in &positions {
         sim.add_node(app(), p);
     }
     sim
-}
-
-/// Microseconds per broadcast fan-out: the receiver scan plus delivery
-/// scheduling. Injections are timed in chunks of 100 with the delivery
-/// events drained *outside* the timed regions, so the event heap stays at
-/// its steady-state size and the measurement isolates the fan-out
-/// itself. The best chunk is reported — minimum-of-samples is the
-/// standard defence against scheduler and interrupt noise.
-fn fan_out_us(n: usize, mode: ScanMode, broadcasts: usize) -> f64 {
-    const CHUNK: usize = 100;
-    let mut sim = placed_sim(n, 1, mode, || Box::new(Sink));
-    sim.run_for(SimDuration::from_millis(1)); // consume Start events
-    let payload = Bytes::from_static(b"BENCH_FANOUT");
-    // Warm up caches and the scratch buffers.
-    for k in 0..broadcasts / 4 {
-        sim.inject_broadcast(NodeId((k % n) as u32), payload.clone());
-    }
-    sim.run_for(SimDuration::from_millis(100));
-    let mut best = Duration::MAX;
-    let mut k = 0;
-    while k < broadcasts {
-        let t0 = Instant::now();
-        for _ in 0..CHUNK {
-            sim.inject_broadcast(NodeId((k % n) as u32), payload.clone());
-            k += 1;
-        }
-        best = best.min(t0.elapsed());
-        sim.run_for(SimDuration::from_millis(50)); // drain, untimed
-    }
-    best.as_secs_f64() * 1e6 / CHUNK as f64
-}
-
-/// Wall milliseconds to simulate a `sim_secs`-second HELLO-driven
-/// convergence window (TCs mostly silenced so the measurement stays
-/// neighborhood-scale instead of O(n²) flooding).
-fn convergence_ms(n: usize, mode: ScanMode, sim_secs: u64) -> (f64, u64) {
-    let cfg = OlsrConfig {
-        // TC timers start at a random offset inside the interval, so the
-        // interval must dwarf the measured window to keep the O(n²)
-        // flood out of it.
-        tc_interval: SimDuration::from_secs(600),
-        refresh_interval: SimDuration::from_secs(1),
-        ..OlsrConfig::fast()
-    };
-    let t0 = Instant::now();
-    let mut sim = placed_sim(n, 1, mode, || Box::new(OlsrNode::new(cfg.clone())));
-    sim.run_for(SimDuration::from_secs(sim_secs));
-    (t0.elapsed().as_secs_f64() * 1e3, sim.stats().total_sent())
 }
 
 /// Per-observer `(dest, hops)` routing snapshots sampled over ≤
@@ -148,7 +80,7 @@ fn full_stack(n: usize, mode: RecomputeMode, scope: FloodScope, sim_secs: u64) -
     // measurement at 4096 nodes without changing the speedup story.
     let cfg = OlsrConfig { recompute: mode, flood_scope: scope, ..OlsrConfig::rfc_default() };
     let t0 = Instant::now();
-    let mut sim = placed_sim(n, 1, ScanMode::Grid, || Box::new(OlsrNode::new(cfg.clone())));
+    let mut sim = placed_sim(n, 1, || Box::new(OlsrNode::new(cfg.clone())));
     sim.run_for(SimDuration::from_secs(sim_secs));
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let frames = sim.stats().total_sent();
@@ -198,20 +130,6 @@ fn route_stretch(classic: &RouteSnapshot, scoped: &RouteSnapshot) -> (f64, f64, 
     (sum / count as f64, max, reached)
 }
 
-struct FanOutRow {
-    nodes: usize,
-    linear_us: f64,
-    grid_us: f64,
-}
-
-struct ConvergenceRow {
-    nodes: usize,
-    sim_secs: u64,
-    linear_ms: f64,
-    grid_ms: f64,
-    frames: u64,
-}
-
 struct RecomputeRow {
     nodes: usize,
     sim_secs: u64,
@@ -249,10 +167,6 @@ fn main() {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| format!("{}/../../BENCH_scale.json", env!("CARGO_MANIFEST_DIR")));
 
-    let (fan_sizes, broadcasts): (&[usize], usize) =
-        if smoke { (&[64, 256], 200) } else { (&[256, 1024, 4096, 10_000], 2_000) };
-    let (conv_sizes, sim_secs): (&[usize], u64) =
-        if smoke { (&[64], 1) } else { (&[256, 1024, 4096, 10_000], 2) };
     // (nodes, sim window, run the eager oracle too?). The 10k row is
     // incremental-only: the point of this pipeline is that the full stack
     // *completes* there, where per-packet recompute was unaffordable.
@@ -273,28 +187,6 @@ fn main() {
     } else {
         &[(256, 26, true), (1024, 26, true), (4096, 26, true), (10_000, 6, false)]
     };
-    let mut fan_rows = Vec::new();
-    for &n in fan_sizes {
-        let grid_us = fan_out_us(n, ScanMode::Grid, broadcasts);
-        let linear_us = fan_out_us(n, ScanMode::Linear, broadcasts);
-        eprintln!(
-            "fan-out  n={n:>6}: linear {linear_us:>8.3} µs/bcast   grid {grid_us:>8.3} µs/bcast   {:>5.1}×",
-            linear_us / grid_us
-        );
-        fan_rows.push(FanOutRow { nodes: n, linear_us, grid_us });
-    }
-
-    let mut conv_rows = Vec::new();
-    for &n in conv_sizes {
-        let (grid_ms, frames) = convergence_ms(n, ScanMode::Grid, sim_secs);
-        let (linear_ms, _) = convergence_ms(n, ScanMode::Linear, sim_secs);
-        eprintln!(
-            "converge n={n:>6}: linear {linear_ms:>9.0} ms        grid {grid_ms:>9.0} ms        {:>5.2}×  ({frames} frames)",
-            linear_ms / grid_ms
-        );
-        conv_rows.push(ConvergenceRow { nodes: n, sim_secs, linear_ms, grid_ms, frames });
-    }
-
     let mut rec_rows = Vec::new();
     // Incremental+classic runs, kept for reuse as the flood section's
     // classic baseline where the plans share (nodes, window).
@@ -381,7 +273,7 @@ fn main() {
         });
     }
 
-    let json = render_json(&fan_rows, &conv_rows, &rec_rows, &flood_rows, broadcasts);
+    let json = render_json(&rec_rows, &flood_rows);
     if smoke {
         println!("{json}");
         eprintln!("smoke mode: not writing {out_path}");
@@ -402,12 +294,6 @@ fn main() {
         "fisheye TC-forward reduction at {flood_assert_at} nodes regressed to {reduction:.2}× (< {min_reduction}×)"
     );
     if !smoke {
-        let at_1k = fan_rows.iter().find(|r| r.nodes == 1024).expect("1k row");
-        let speedup = at_1k.linear_us / at_1k.grid_us;
-        assert!(
-            speedup >= 5.0,
-            "grid fan-out speedup at 1k nodes regressed to {speedup:.1}× (< 5×)"
-        );
         let at_4k = rec_rows.iter().find(|r| r.nodes == 4096).expect("4k recompute row");
         let speedup = at_4k.eager_ms.expect("eager measured at 4k") / at_4k.incremental_ms;
         assert!(
@@ -435,48 +321,16 @@ fn main() {
     }
 }
 
-fn render_json(
-    fan: &[FanOutRow],
-    conv: &[ConvergenceRow],
-    rec: &[RecomputeRow],
-    flood: &[FloodRow],
-    broadcasts: usize,
-) -> String {
+fn render_json(rec: &[RecomputeRow], flood: &[FloodRow]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str(
-        "  \"benchmark\": \"spatial-grid radio vs linear scan; incremental vs eager OLSR recompute; fisheye vs classic TC flooding\",\n",
+        "  \"benchmark\": \"incremental vs eager OLSR recompute; fisheye vs classic TC flooding\",\n",
     );
     s.push_str("  \"command\": \"cargo run --release -p trustlink-bench --bin scale\",\n");
     s.push_str(&format!(
-        "  \"config\": {{ \"radio_range_m\": {RANGE}, \"mean_degree\": {MEAN_DEGREE}, \"placement\": \"random_geometric\", \"broadcasts_timed\": {broadcasts}, \"fisheye_rings\": [[2, 1], [8, 2], [255, 4]] }},\n"
+        "  \"config\": {{ \"radio_range_m\": {RANGE}, \"mean_degree\": {MEAN_DEGREE}, \"placement\": \"random_geometric\", \"fisheye_rings\": [[2, 1], [8, 2], [255, 4]] }},\n"
     ));
-    s.push_str("  \"broadcast_fan_out\": [\n");
-    for (i, r) in fan.iter().enumerate() {
-        let sep = if i + 1 == fan.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{ \"nodes\": {}, \"linear_us_per_broadcast\": {:.3}, \"grid_us_per_broadcast\": {:.3}, \"speedup\": {:.2} }}{sep}\n",
-            r.nodes,
-            r.linear_us,
-            r.grid_us,
-            r.linear_us / r.grid_us
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"olsr_convergence\": [\n");
-    for (i, r) in conv.iter().enumerate() {
-        let sep = if i + 1 == conv.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{ \"nodes\": {}, \"sim_secs\": {}, \"frames\": {}, \"linear_wall_ms\": {:.0}, \"grid_wall_ms\": {:.0}, \"speedup\": {:.2} }}{sep}\n",
-            r.nodes,
-            r.sim_secs,
-            r.frames,
-            r.linear_ms,
-            r.grid_ms,
-            r.linear_ms / r.grid_ms
-        ));
-    }
-    s.push_str("  ],\n");
     s.push_str("  \"full_stack_recompute\": [\n");
     for (i, r) in rec.iter().enumerate() {
         let sep = if i + 1 == rec.len() { "" } else { "," };

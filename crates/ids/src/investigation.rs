@@ -4,9 +4,13 @@
 //! investigator interrogates witnesses — the nodes `I` *claims* as
 //! symmetric neighbors — asking each: *"is the link between you and `I`
 //! real?"*. Requests and answers travel as unicast data that must route
-//! **around** `I` (and, when that fails, the paper falls back to other
-//! covering MPRs and finally any multi-hop path — our data plane's
-//! avoidance option realizes the same policy).
+//! **around** `I`. When that fails, the paper falls back to other
+//! covering MPRs and finally to any multi-hop path. This implementation
+//! has no such fallback: with no route that avoids `I`,
+//! `OlsrNode::send_data` logs `DATA_NO_ROUTE` and returns `false`, the
+//! request is never sent, and the witness is tallied as silent (`e = 0`)
+//! at the deadline. A real leaf behind `I` therefore cannot answer; the
+//! ROADMAP item "Stop convicting honest leaves" tracks the fallback.
 //!
 //! This module provides the pieces the detector composes:
 //!

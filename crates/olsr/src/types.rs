@@ -70,8 +70,7 @@ pub enum TcRedundancy {
 /// recompute-emitted audit-log lines (`LINK_LOST`, `NBR_ADD`/`NBR_LOST`,
 /// `2HOP_LOST`, `MPR_SELECTOR_LOST` on sweep, `MPR_SET`, `ROUTE_*`) —
 /// never their per-analysis-batch content. `tests/recompute_equivalence.rs`
-/// pins this contract; [`RecomputeMode::Eager`] is kept as the oracle the
-/// same way `ScanMode::Linear` backs the spatial grid.
+/// pins this contract, with [`RecomputeMode::Eager`] as its oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecomputeMode {
     /// Change-aware and debounced (the default): receptions only mark
@@ -182,9 +181,8 @@ impl Default for FisheyeRings {
 /// How far a node's TCs travel (the flooding scope). Scopes TC
 /// dissemination only — MID/HNA floods are rare and keep TTL 255.
 ///
-/// The third oracle pair of the codebase, after `ScanMode::Linear` and
-/// [`RecomputeMode::Eager`] — with one essential difference: `Fisheye` is
-/// *not* byte-identical to `Classic`. It deliberately changes what is on
+/// An oracle pair like [`RecomputeMode`], with one essential
+/// difference: `Fisheye` is *not* byte-identical to `Classic`. It deliberately changes what is on
 /// the air (fewer, scoped floods), so the pinned contract is quantitative
 /// instead: detection scenarios reach the same convictions, route stretch
 /// stays bounded, and forwarded TC frames drop by an asymptotic factor of

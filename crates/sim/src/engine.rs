@@ -12,30 +12,12 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::grid::SpatialGrid;
 use crate::mobility::{Arena, MobilityModel, MobilityState, Position};
 use crate::node::{Application, Command, Context, LogBuffer, NodeId, TimerToken};
 use crate::radio::{ChannelModel, ChannelState, DeliveryOutcome, RadioConfig};
 use crate::record::{FlightRecord, FlightRecorder};
 use crate::stats::TrafficStats;
 use crate::time::{SimDuration, SimTime};
-
-/// How the radio finds candidate receivers for a transmission.
-///
-/// Both modes are pure functions of `(seed, config)` and produce
-/// byte-identical logs and statistics for the same run — the grid only
-/// changes *which slots are inspected*, never the order of RNG draws (see
-/// [`crate::grid`]). `Linear` is kept as the reference oracle for the
-/// equivalence suite and as the baseline for scaling benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanMode {
-    /// Query the spatial grid index: O(neighborhood) per broadcast. The
-    /// default.
-    #[default]
-    Grid,
-    /// Scan every node slot: O(n) per broadcast. The pre-index behaviour.
-    Linear,
-}
 
 /// What a scheduled control event does when it fires. Frames in flight
 /// are not control events: they wait in their own heap as [`Delivery`]s.
@@ -88,7 +70,7 @@ impl<K> Ord for Scheduled<K> {
 }
 
 /// One sender's broadcast receivers, cached between changes of geometry
-/// or liveness (grid mode only).
+/// or liveness.
 #[derive(Debug, Default)]
 struct ReceiverList {
     /// The geometry epoch the list was built at; stale once the
@@ -125,7 +107,6 @@ pub struct SimulatorBuilder {
     arena: Arena,
     radio: RadioConfig,
     mobility_tick: SimDuration,
-    scan_mode: ScanMode,
     expected_nodes: usize,
     channel: Option<ChannelModel>,
 }
@@ -137,6 +118,16 @@ pub struct SimulatorBuilder {
 /// and keeps it from then on.
 const CONTROL_EVENTS_PER_NODE_HINT: usize = 4;
 
+/// Receiver-list capacity reserved when a node is added. A mean-degree-10
+/// neighbourhood fits without regrowth when the sender's first broadcast
+/// fills it. Purely a pre-allocation hint, with one measured side effect:
+/// the small lists, interleaved with the applications' allocations, stop
+/// the allocator from handing the freed tail of the heap back to the
+/// system when a simulator is dropped. Without them, glibc returned about
+/// 115 pages on every drop of a 256-node detection simulator, and building
+/// the next one faulted them back in (set-up 40–80 % slower).
+const RECEIVERS_PER_NODE_HINT: usize = 16;
+
 impl SimulatorBuilder {
     /// Starts a builder with the given RNG seed.
     pub fn new(seed: u64) -> Self {
@@ -145,7 +136,6 @@ impl SimulatorBuilder {
             arena: Arena::default(),
             radio: RadioConfig::default(),
             mobility_tick: SimDuration::from_millis(500),
-            scan_mode: ScanMode::default(),
             expected_nodes: 0,
             channel: None,
         }
@@ -174,14 +164,6 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Selects how the radio finds candidate receivers. [`ScanMode::Grid`]
-    /// (the default) is the indexed fast path; [`ScanMode::Linear`] is the
-    /// O(n)-per-broadcast reference scan, byte-identical per seed.
-    pub fn scan_mode(mut self, mode: ScanMode) -> Self {
-        self.scan_mode = mode;
-        self
-    }
-
     /// Attaches a per-link [`ChannelModel`] (Gilbert–Elliott fading).
     /// Without one — the default — the uniform [`RadioConfig`] is the whole
     /// medium, and runs are byte-identical to builds that predate the
@@ -194,10 +176,12 @@ impl SimulatorBuilder {
     }
 
     /// Declares how many nodes the scenario is about to add, so the
-    /// control-event heap, node slots, receiver-list table, traffic
-    /// counters and the per-callback command buffer are sized once up
-    /// front. Purely a capacity hint: it changes no behaviour, and
-    /// adding more (or fewer) nodes than declared stays correct.
+    /// control-event heap, node slots, the table of receiver lists (one
+    /// per node), traffic counters and the per-callback command buffer
+    /// are sized once up front. Each receiver list reserves its own
+    /// capacity when its node is added, hint or not. Purely a capacity
+    /// hint: it changes no behaviour, and adding more (or fewer) nodes
+    /// than declared stays correct.
     pub fn expected_nodes(mut self, n: usize) -> Self {
         self.expected_nodes = n.min(u32::MAX as usize);
         self
@@ -205,7 +189,6 @@ impl SimulatorBuilder {
 
     /// Finalizes the configuration into an empty simulator.
     pub fn build(self) -> Simulator {
-        let grid = SpatialGrid::new(&self.arena, self.radio.range);
         let channel = self.channel.map(|m| ChannelState::new(m, self.seed));
         let n = self.expected_nodes;
         let mut stats = TrafficStats::default();
@@ -223,8 +206,6 @@ impl SimulatorBuilder {
             stats,
             mobility_tick: self.mobility_tick,
             mobility_scheduled: false,
-            grid,
-            scan_mode: self.scan_mode,
             alive_count: 0,
             scratch_commands: Vec::with_capacity(if n > 0 { 64 } else { 0 }),
             receivers: Vec::with_capacity(n),
@@ -255,17 +236,14 @@ pub struct Simulator {
     stats: TrafficStats,
     mobility_tick: SimDuration,
     mobility_scheduled: bool,
-    grid: SpatialGrid,
-    scan_mode: ScanMode,
-    /// Number of alive slots, kept current so the grid path can account
-    /// for out-of-range receivers it never visits (stats parity with the
-    /// linear scan).
+    /// Number of alive slots, kept current so a broadcast can book every
+    /// alive node outside its sender's receiver list as out of range
+    /// without visiting it.
     alive_count: u64,
     /// Reused per-callback command buffer: the event hot path allocates
     /// nothing.
     scratch_commands: Vec<Command>,
-    /// Each sender's cached broadcast receivers, indexed by node (grid
-    /// mode only).
+    /// Each sender's cached broadcast receivers, indexed by node.
     receivers: Vec<ReceiverList>,
     /// Bumped by every change that can move a node into or out of another
     /// node's range: a node added, teleported, killed or revived, and
@@ -308,15 +286,10 @@ impl Simulator {
             alive: true,
             last_rx: None,
         });
-        self.grid.register_slot(id.0);
-        if self.scan_mode == ScanMode::Grid {
-            // In linear mode nothing ever queries the index; never
-            // inserting keeps every other grid call a no-op, so the
-            // baseline pays no maintenance cost it did not have
-            // pre-index.
-            self.grid.insert(id.0, position);
-        }
-        self.receivers.push(ReceiverList::default());
+        self.receivers.push(ReceiverList {
+            ids: Vec::with_capacity(RECEIVERS_PER_NODE_HINT),
+            ..ReceiverList::default()
+        });
         self.alive_count += 1;
         self.geometry_epoch += 1;
         self.schedule(SimDuration::ZERO, EventKind::Start { node: id });
@@ -370,7 +343,6 @@ impl Simulator {
     pub fn set_position(&mut self, id: NodeId, position: Position) {
         let position = self.arena.clamp(position);
         self.slots[id.index()].position = position;
-        self.grid.update(id.0, position);
         self.geometry_epoch += 1;
     }
 
@@ -406,11 +378,6 @@ impl Simulator {
         self.channel.as_ref()
     }
 
-    /// The receiver-scan mode in force.
-    pub fn scan_mode(&self) -> ScanMode {
-        self.scan_mode
-    }
-
     /// Ground-truth neighbors of `id`: alive nodes within the radio range.
     /// (What an omniscient observer would call the 1-hop neighborhood;
     /// protocols must *discover* this.)
@@ -425,28 +392,22 @@ impl Simulator {
     /// in-range nodes. Ground-truth sweeps (scenario health checks,
     /// benches) call this once per node per round; with a caller-kept
     /// buffer the sweep stops allocating once warm
-    /// (`tests/alloc_regression.rs` pins this). In grid mode it is also
-    /// what builds each sender's cached broadcast receiver list.
+    /// (`tests/alloc_regression.rs` pins this). It scans every slot, and
+    /// it is also the one definition of a broadcast's receivers: each
+    /// sender's cached list is rebuilt through it.
     pub fn neighbors_in_range_into(&self, id: NodeId, out: &mut Vec<u32>) {
         out.clear();
         let me_pos = self.slots[id.index()].position;
         let range = self.radio.range;
-        match self.scan_mode {
-            ScanMode::Linear => out.extend(
-                self.slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, s)| {
-                        *i != id.index() && s.alive && me_pos.distance(&s.position) <= range
-                    })
-                    .map(|(i, _)| i as u32),
-            ),
-            ScanMode::Grid => {
-                self.grid.gather_within(me_pos, range, out);
-                out.sort_unstable();
-                out.retain(|&i| i != id.0);
-            }
-        }
+        out.extend(
+            self.slots
+                .iter()
+                .enumerate()
+                .filter(|(i, s)| {
+                    *i != id.index() && s.alive && me_pos.distance(&s.position) <= range
+                })
+                .map(|(i, _)| i as u32),
+        );
     }
 
     /// Marks `id` dead: it stops transmitting and receiving (crash / power
@@ -456,7 +417,6 @@ impl Simulator {
         if slot.alive {
             slot.alive = false;
             self.alive_count -= 1;
-            self.grid.remove(id.0);
             self.geometry_epoch += 1;
         }
     }
@@ -468,10 +428,6 @@ impl Simulator {
             slot.alive = true;
             self.alive_count += 1;
             self.geometry_epoch += 1;
-            let pos = slot.position;
-            if self.scan_mode == ScanMode::Grid {
-                self.grid.insert(id.0, pos);
-            }
         }
     }
 
@@ -556,18 +512,13 @@ impl Simulator {
                 self.run_callback(node, |app, ctx| app.on_timer(ctx, token))
             }
             EventKind::MobilityTick => {
-                for i in 0..self.slots.len() {
-                    let slot = &mut self.slots[i];
-                    let next = slot.mobility.step(
+                for slot in &mut self.slots {
+                    slot.position = slot.mobility.step(
                         slot.position,
                         self.mobility_tick,
                         &self.arena,
                         &mut self.rng,
                     );
-                    slot.position = next;
-                    if self.scan_mode == ScanMode::Grid {
-                        self.grid.update(i as u32, next);
-                    }
                 }
                 self.geometry_epoch += 1;
                 self.schedule(self.mobility_tick, EventKind::MobilityTick);
@@ -640,45 +591,32 @@ impl Simulator {
             s.broadcasts_sent += 1;
             s.bytes_sent += payload.len() as u64;
         }
-        match self.scan_mode {
-            ScanMode::Linear => {
-                for i in 0..self.slots.len() {
-                    if i == from.index() || !self.slots[i].alive {
-                        continue;
-                    }
-                    self.judge_one(from, NodeId(i as u32), tx_pos, &payload);
-                }
-            }
-            ScanMode::Grid => {
-                // Receivers are every other alive node within the radio
-                // range, in ascending order, so the visit order (and
-                // therefore the RNG draw order: the radio draws only for
-                // positive-probability receivers) is the linear scan's.
-                // The list is the ground-truth neighborhood, rebuilt only
-                // when the geometry changed since the sender last used it.
-                let mut list = std::mem::take(&mut self.receivers[from.index()]);
-                if list.epoch != self.geometry_epoch {
-                    self.neighbors_in_range_into(from, &mut list.ids);
-                    list.epoch = self.geometry_epoch;
-                }
-                for &i in &list.ids {
-                    self.judge_one(from, NodeId(i), tx_pos, &payload);
-                }
-                let visited = list.ids.len() as u64;
-                self.receivers[from.index()] = list;
-                // Every alive node the cull rejected is beyond the
-                // maximum range; the linear scan would have judged (and
-                // counted) each without drawing randomness.
-                let alive_others = self.alive_count - u64::from(self.slots[from.index()].alive);
-                debug_assert!(visited <= alive_others, "grid indexed more nodes than are alive");
-                self.stats.lost_range += alive_others - visited;
-            }
+        // Receivers are every other alive node within the radio range, in
+        // ascending order: the RNG draw order (the radio draws only for
+        // positive-probability receivers) is that of judging every alive
+        // node in slot order. The list is the ground-truth neighborhood,
+        // rebuilt only when the geometry changed since the sender last
+        // used it.
+        let mut list = std::mem::take(&mut self.receivers[from.index()]);
+        if list.epoch != self.geometry_epoch {
+            self.neighbors_in_range_into(from, &mut list.ids);
+            list.epoch = self.geometry_epoch;
         }
+        for &i in &list.ids {
+            self.judge_one(from, NodeId(i), tx_pos, &payload);
+        }
+        let visited = list.ids.len() as u64;
+        self.receivers[from.index()] = list;
+        // Every alive node left off the list is beyond the radio range:
+        // judging it would have drawn no randomness and booked it as out
+        // of range, so it is booked in bulk instead.
+        let alive_others = self.alive_count - u64::from(self.slots[from.index()].alive);
+        debug_assert!(visited <= alive_others, "receiver list holds more nodes than are alive");
+        self.stats.lost_range += alive_others - visited;
     }
 
     /// Judges one broadcast receiver: schedules the delivery or books the
-    /// loss. Shared verbatim by both scan modes so their RNG consumption
-    /// and statistics cannot drift apart.
+    /// loss.
     fn judge_one(&mut self, from: NodeId, to: NodeId, tx_pos: Position, payload: &Bytes) {
         let rx_pos = self.slots[to.index()].position;
         let outcome = match self.channel.as_mut() {
@@ -913,36 +851,46 @@ mod tests {
         assert!(rx.iter().any(|(_, _, p)| p.as_ref() == b"ghost"));
     }
 
-    /// Runs `script` against two identically-configured simulators, one
-    /// per scan mode, and asserts their logs and stats are byte-identical.
-    fn assert_scan_modes_agree(seed: u64, script: impl Fn(&mut Simulator)) {
-        let fingerprint = |mode: ScanMode| {
-            let mut sim = SimulatorBuilder::new(seed)
-                .arena(Arena::new(600.0, 600.0))
-                .radio(RadioConfig::unit_disk(150.0).with_loss(0.2))
-                .mobility_tick(SimDuration::from_millis(100))
-                .scan_mode(mode)
-                .build();
-            script(&mut sim);
-            let mut out = format!("{:?}\n", sim.stats());
-            for id in sim.node_ids().collect::<Vec<_>>() {
-                for (at, line) in sim.log(id).entries() {
-                    out.push_str(&format!("{id} {at:?} {line}\n"));
-                }
-                out.push_str(&format!(
-                    "{id} rx={:?}\n",
-                    sim.app_as::<Chatter>(id).map(|c| c.received.len())
-                ));
-            }
-            out
-        };
-        assert_eq!(fingerprint(ScanMode::Grid), fingerprint(ScanMode::Linear), "seed {seed}");
+    /// FNV-1a over `bytes`: a stable digest for golden comparisons.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
     }
+
+    /// Runs `script` on a lossy 600 m arena and asserts that its stats,
+    /// logs and per-node reception counts hash to `golden`.
+    fn assert_golden(seed: u64, golden: u64, script: impl Fn(&mut Simulator)) {
+        let mut sim = SimulatorBuilder::new(seed)
+            .arena(Arena::new(600.0, 600.0))
+            .radio(RadioConfig::unit_disk(150.0).with_loss(0.2))
+            .mobility_tick(SimDuration::from_millis(100))
+            .build();
+        script(&mut sim);
+        let mut out = format!("{:?}\n", sim.stats());
+        for id in sim.node_ids().collect::<Vec<_>>() {
+            for (at, line) in sim.log(id).entries() {
+                out.push_str(&format!("{id} {at:?} {line}\n"));
+            }
+            out.push_str(&format!(
+                "{id} rx={:?}\n",
+                sim.app_as::<Chatter>(id).map(|c| c.received.len())
+            ));
+        }
+        let got = fnv1a(out.as_bytes());
+        assert_eq!(got, golden, "digest {got:#018x} for seed {seed} moved");
+    }
+
+    // The digests of these two tests were derived on the last commit that
+    // still had a spatial-grid scan beside the linear one: for every seed,
+    // both scans produced this digest.
 
     #[test]
     fn grid_matches_linear_for_stationary_mesh() {
-        for seed in [1, 2, 3] {
-            assert_scan_modes_agree(seed, |sim| {
+        for (seed, golden) in
+            [(1, 0xb70c_5dbf_52fd_fac4), (2, 0x2a4d_70e2_b988_3a96), (3, 0xe5d9_6182_7208_e2b4)]
+        {
+            assert_golden(seed, golden, |sim| {
                 for i in 0..24 {
                     let x = f64::from(i % 6) * 90.0;
                     let y = f64::from(i / 6) * 90.0;
@@ -955,8 +903,8 @@ mod tests {
 
     #[test]
     fn grid_matches_linear_under_mobility_and_churn() {
-        for seed in [7, 8] {
-            assert_scan_modes_agree(seed, |sim| {
+        for (seed, golden) in [(7, 0xb4ed_3ec4_0cd6_5d8a), (8, 0x5710_72df_94bf_1ab3)] {
+            assert_golden(seed, golden, |sim| {
                 for i in 0..16u32 {
                     sim.add_mobile_node(
                         Box::new(Chatter::new(6)),
@@ -980,9 +928,96 @@ mod tests {
     }
 
     #[test]
+    fn cached_receiver_lists_match_a_brute_force_filter() {
+        // Seeded random scripts of joins, teleports, kills, revivals and
+        // mobility ticks, with broadcasts injected from alive and dead
+        // senders alike. After each broadcast the sender's cached list must
+        // be what a scan of every slot gives, and every alive node left off
+        // it must be booked as out of range.
+        use rand::RngExt;
+        for seed in 0..40u64 {
+            let mut script = StdRng::seed_from_u64(seed);
+            let mut sim = SimulatorBuilder::new(seed)
+                .arena(Arena::new(400.0, 400.0))
+                .radio(RadioConfig::unit_disk(120.0).with_loss(0.2))
+                .mobility_tick(SimDuration::from_millis(50))
+                .build();
+            let mut broadcasts = 0;
+            for _ in 0..300 {
+                let n = sim.node_count() as u32;
+                let pick = |rng: &mut StdRng| NodeId(rng.random_range(0..n));
+                let spot = |rng: &mut StdRng| {
+                    Position::new(rng.random_range(0.0..400.0), rng.random_range(0.0..400.0))
+                };
+                match script.random_range(0..10u32) {
+                    0 if n < 40 => {
+                        let at = spot(&mut script);
+                        sim.add_node(Box::new(Chatter::new(2)), at);
+                    }
+                    1 if n < 40 => {
+                        let at = spot(&mut script);
+                        sim.add_mobile_node(
+                            Box::new(Chatter::new(2)),
+                            at,
+                            MobilityModel::RandomWaypoint {
+                                speed_min: 40.0,
+                                speed_max: 120.0,
+                                pause: SimDuration::from_millis(100),
+                            },
+                        );
+                    }
+                    2 if n > 0 => {
+                        let (id, at) = (pick(&mut script), spot(&mut script));
+                        sim.set_position(id, at);
+                    }
+                    3 if n > 0 => {
+                        let id = pick(&mut script);
+                        sim.kill(id);
+                        if script.random_bool(0.3) {
+                            sim.kill(id);
+                        }
+                    }
+                    4 if n > 0 => sim.revive(pick(&mut script)),
+                    5 => sim.run_for(SimDuration::from_millis(script.random_range(0..300))),
+                    _ if n > 0 => {
+                        let from = pick(&mut script);
+                        let lost_before = sim.stats().lost_range;
+                        sim.inject_broadcast(from, Bytes::from_static(b"probe"));
+                        broadcasts += 1;
+                        let me = sim.slots[from.index()].position;
+                        let truth: Vec<u32> = (0..n)
+                            .filter(|&i| {
+                                let s = &sim.slots[i as usize];
+                                i != from.0
+                                    && s.alive
+                                    && me.distance(&s.position) <= sim.radio.range
+                            })
+                            .collect();
+                        let list = &sim.receivers[from.index()];
+                        assert_eq!(list.ids, truth, "seed {seed}: stale list of {from}");
+                        let alive_others = sim
+                            .slots
+                            .iter()
+                            .enumerate()
+                            .filter(|&(i, s)| i != from.index() && s.alive)
+                            .count();
+                        assert_eq!(
+                            sim.stats().lost_range - lost_before,
+                            (alive_others - truth.len()) as u64,
+                            "seed {seed}: out-of-range receivers of {from} miscounted"
+                        );
+                    }
+                    _ => {}
+                }
+            }
+            assert!(broadcasts > 50, "seed {seed}: script injected only {broadcasts} broadcasts");
+        }
+    }
+
+    #[test]
     fn grid_tracks_mobile_nodes_across_cells() {
-        // A walker that crosses many cell borders must keep appearing in
-        // ground-truth neighborhoods computed through the grid.
+        // A walker that roams the whole arena must keep appearing in
+        // ground-truth neighborhoods.
         let mut sim = SimulatorBuilder::new(5)
             .arena(Arena::new(400.0, 400.0))
             .radio(RadioConfig::unit_disk(600.0)) // everyone always in range

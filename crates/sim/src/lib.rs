@@ -57,7 +57,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod grid;
 pub mod mobility;
 pub mod node;
 pub mod radio;
@@ -68,7 +67,7 @@ pub mod topologies;
 
 /// Convenient glob-import of the types needed to write and run applications.
 pub mod prelude {
-    pub use crate::engine::{ScanMode, Simulator, SimulatorBuilder};
+    pub use crate::engine::{Simulator, SimulatorBuilder};
     pub use crate::mobility::{Arena, MobilityModel, Position};
     pub use crate::node::{Application, Context, LogBuffer, NodeId, TimerToken};
     pub use crate::radio::{ChannelModel, ChannelState, FadingConfig, RadioConfig};
@@ -80,8 +79,7 @@ pub mod prelude {
     pub use crate::time::{SimDuration, SimTime};
 }
 
-pub use engine::{ScanMode, Simulator, SimulatorBuilder};
-pub use grid::SpatialGrid;
+pub use engine::{Simulator, SimulatorBuilder};
 pub use mobility::{Arena, MobilityModel, Position};
 pub use node::{Application, CallbackClass, Context, FrameBatch, LogBuffer, NodeId, TimerToken};
 pub use radio::{ChannelModel, ChannelState, FadingConfig, RadioConfig};

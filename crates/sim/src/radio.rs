@@ -225,7 +225,7 @@ impl LinkFade {
 
 /// Runtime state of a [`ChannelModel`]: the per-link chains, materialized
 /// lazily the first time a frame is judged on a link. Owned by the
-/// simulator and maintained alongside the spatial grid.
+/// simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelState {
     model: ChannelModel,

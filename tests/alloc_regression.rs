@@ -3,9 +3,10 @@
 //! Every delivered frame is one entry on the engine's in-flight heap, and
 //! delivery is built entirely from recycled storage: the in-flight and
 //! control heaps, the per-callback command buffer and each sender's cached
-//! receiver list all reach a fixed point during warm-up. After that, delivering a frame must
-//! allocate NOTHING — zero calls into the global allocator per delivered
-//! frame, not "few". A counting `#[global_allocator]` pins that: if a
+//! receiver list all reach a fixed point during warm-up. After that,
+//! delivering a frame must allocate NOTHING — zero calls into the global
+//! allocator per delivered frame, not "few". A counting
+//! `#[global_allocator]` pins that: if a
 //! future change sneaks a per-delivery `Vec`, `Box` or hash-map growth
 //! into the hot path, this test fails with the exact count.
 //!
@@ -106,7 +107,6 @@ fn steady_state_per_frame_delivery_allocates_nothing() {
     let mut sim = SimulatorBuilder::new(1)
         .arena(arena)
         .radio(RadioConfig::unit_disk(150.0))
-        .scan_mode(ScanMode::Grid)
         .expected_nodes(n)
         .build();
     for &p in &positions {
@@ -144,7 +144,6 @@ fn neighbor_queries_into_a_buffer_allocate_nothing() {
     let mut sim = SimulatorBuilder::new(2)
         .arena(arena)
         .radio(RadioConfig::unit_disk(150.0))
-        .scan_mode(ScanMode::Grid)
         .expected_nodes(n)
         .build();
     for &p in &positions {
@@ -152,8 +151,7 @@ fn neighbor_queries_into_a_buffer_allocate_nothing() {
     }
     sim.run_for(SimDuration::from_millis(10));
 
-    // Warm-up: grow the buffer and the grid's gather scratch to their
-    // working sets once.
+    // Warm-up: grow the buffer to its working set once.
     let mut buf = Vec::new();
     for i in 0..n {
         sim.neighbors_in_range_into(NodeId(i as u32), &mut buf);

@@ -1,7 +1,7 @@
 //! Fisheye-vs-classic TC flooding equivalence suite.
 //!
-//! `FloodScope::Fisheye` is the codebase's third oracle pair
-//! (`ScanMode::Linear`, `RecomputeMode::Eager`) with one essential
+//! `FloodScope::Fisheye` and `FloodScope::Classic` form an oracle pair
+//! like `RecomputeMode::{Incremental, Eager}`, with one essential
 //! difference: the optimized mode is **not** byte-identical to the
 //! oracle. Scoped flooding deliberately changes what is on the air, so
 //! the pinned contract has two tiers:
