@@ -333,7 +333,10 @@ impl EventExtractor {
                     at,
                 });
             }
-            _ => {}
+            // Addresses only: absorbed above into the known population.
+            LogRecord::RouteAdded { .. } | LogRecord::RouteChanged { .. } => {}
+            // Replay markers, never in a node's own log.
+            LogRecord::AnalysisTick | LogRecord::Verdict { .. } => {}
         }
         events
     }
@@ -430,7 +433,12 @@ impl EventExtractor {
                     add(*m);
                 }
             }
-            _ => {}
+            // MID aliases are judged against the known population in
+            // `ingest`, never added to it; a decode error is evidence
+            // against its sender, not of a node's existence.
+            LogRecord::MidRx { .. } | LogRecord::DecodeError { .. } => {}
+            // Replay markers, never in a node's own log.
+            LogRecord::AnalysisTick | LogRecord::Verdict { .. } => {}
         }
     }
 

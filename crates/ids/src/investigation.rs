@@ -7,10 +7,10 @@
 //! **around** `I`. When that fails, the paper falls back to other
 //! covering MPRs and finally to any multi-hop path. This implementation
 //! has no such fallback: with no route that avoids `I`,
-//! `OlsrNode::send_data` logs `DATA_NO_ROUTE` and returns `false`, the
-//! request is never sent, and the witness is tallied as silent (`e = 0`)
-//! at the deadline. A real leaf behind `I` therefore cannot answer; the
-//! ROADMAP item "Stop convicting honest leaves" tracks the fallback.
+//! `OlsrNode::send_data` returns `false`, the request is never sent, and
+//! the witness is tallied as silent (`e = 0`) at the deadline. A real leaf
+//! behind `I` therefore cannot answer; the ROADMAP item "Stop convicting
+//! honest leaves" tracks the fallback.
 //!
 //! This module provides the pieces the detector composes:
 //!

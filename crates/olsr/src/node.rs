@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use rand::RngExt;
-use trustlink_sim::record::{LogRecord, MessageKind, SuppressReason, Willingness};
+use trustlink_sim::record::{LogRecord, SuppressReason, Willingness};
 use trustlink_sim::{Application, Context, FloodStats, NodeId, SimDuration, SimTime, TimerToken};
 
 use crate::hooks::{NoHooks, OlsrHooks};
@@ -417,10 +417,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
             hello.willingness = w;
         }
         self.hooks.on_hello_tx(&mut hello, now);
-        ctx.log(LogRecord::HelloTx {
-            sym: hello.symmetric_neighbors(),
-            asym: hello.asymmetric_neighbors(),
-        });
         let msg = Message {
             vtime: self.config.neighbor_hold_time,
             originator: self.id,
@@ -478,7 +474,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
         }
         let mut tc = TcMessage { ansn: self.ansn, advertised };
         self.hooks.on_tc_tx(&mut tc, now);
-        ctx.log(LogRecord::TcTx { ansn: tc.ansn, advertised: tc.advertised.clone() });
         self.flood.record_originated(ring);
         let msg = Message {
             vtime,
@@ -503,8 +498,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
     /// first hop (and each forwarding hop) routes around that node — the
     /// investigation primitive of the paper's Algorithm 1.
     ///
-    /// Returns `false` (and logs `DATA_NO_ROUTE`) when no admissible route
-    /// exists.
+    /// Returns `false` when no admissible route exists.
     pub fn send_data(
         &mut self,
         ctx: &mut Context<'_>,
@@ -520,12 +514,9 @@ impl<H: OlsrHooks> OlsrNode<H> {
         // The next hop reads the materialized routing table: refresh it so
         // data-plane decisions never depend on recompute scheduling.
         self.ensure_fresh(ctx);
-        let next = self.next_hop_for(dst, avoid, now);
-        let Some(next) = next else {
-            ctx.log(LogRecord::DataNoRoute { dst });
+        let Some(next) = self.next_hop_for(dst, avoid, now) else {
             return false;
         };
-        ctx.log(LogRecord::DataTx { dst, next_hop: next });
         let msg = Message {
             vtime: self.config.neighbor_hold_time,
             originator: self.id,
@@ -632,15 +623,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
         let after = self.links.get(originator).map(|t| t.status(now));
         if before != after {
             self.flags.nbr = true;
-            match after {
-                Some(LinkStatus::Symmetric) => {
-                    ctx.log(LogRecord::LinkSymmetric { neighbor: originator })
-                }
-                Some(LinkStatus::Asymmetric) => {
-                    ctx.log(LogRecord::LinkAsymmetric { neighbor: originator })
-                }
-                _ => {}
-            }
         }
 
         // Neighbor set (symmetric only) + willingness bookkeeping.
@@ -667,11 +649,9 @@ impl<H: OlsrHooks> OlsrNode<H> {
         // MPR selector set: did they pick us? Only a HELLO that sustains a
         // live symmetric link can (re)assert selection.
         if hello.mpr_neighbors().contains(&self.id) && heard_us && !lost_us {
-            if self.selectors.upsert(originator, hold, now) {
-                ctx.log(LogRecord::MprSelectorAdded { addr: originator });
-            }
-        } else if self.selectors.remove(originator, now) {
-            ctx.log(LogRecord::MprSelectorLost { addr: originator });
+            self.selectors.upsert(originator, hold, now);
+        } else {
+            self.selectors.remove(originator, now);
         }
     }
 
@@ -721,14 +701,15 @@ impl<H: OlsrHooks> OlsrNode<H> {
         ctx: &mut Context<'_>,
         msg: &Message,
         from: NodeId,
-        kind: MessageKind,
+        kind: MessageType,
         dup_until: SimTime,
         now: SimTime,
     ) {
         if !self.hooks.should_forward(msg, from) {
-            // A drop attacker stays silent: no log line either — its own
-            // logs would incriminate it. The *absence* of forwarding is what
-            // neighbors can observe (paper evidence E2).
+            // A drop attacker stays silent. Forwarding is never logged, so
+            // its own log shows nothing either way; the *absence* of the
+            // retransmission is what neighbors can observe (paper evidence
+            // E2).
             self.duplicates.record(msg.originator, msg.seq, true, dup_until, now);
             return;
         }
@@ -737,10 +718,9 @@ impl<H: OlsrHooks> OlsrNode<H> {
         fwd.hop_count += 1;
         self.hooks.on_forward(&mut fwd, from);
         self.duplicates.record(msg.originator, msg.seq, true, dup_until, now);
-        if kind == MessageKind::Tc {
+        if kind == MessageType::Tc {
             self.flood.forwarded += 1;
         }
-        ctx.log(LogRecord::Forwarded { originator: msg.originator, kind, seq: msg.seq.0, from });
         self.transmit(ctx, vec![fwd]);
     }
 
@@ -753,7 +733,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
     ) {
         let now = ctx.now();
         if data.dst == self.id {
-            ctx.log(LogRecord::DataRx { src: data.src });
             self.inbox.push(ReceivedData { src: data.src, at: now, payload: data.payload.clone() });
             return;
         }
@@ -765,12 +744,9 @@ impl<H: OlsrHooks> OlsrNode<H> {
         }
         // Same contract as `send_data`: route from fresh state.
         self.ensure_fresh(ctx);
-        let next = self.next_hop_for(data.dst, data.avoid, now);
-        let Some(next) = next else {
-            ctx.log(LogRecord::DataNoRoute { dst: data.dst });
+        let Some(next) = self.next_hop_for(data.dst, data.avoid, now) else {
             return;
         };
-        ctx.log(LogRecord::DataForwarded { src: data.src, dst: data.dst, next_hop: next });
         let mut fwd = msg.clone();
         fwd.ttl -= 1;
         fwd.hop_count += 1;
@@ -816,7 +792,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
             if mv.originator == self.id {
                 continue; // our own flood echoed back
             }
-            let kind = match mv.kind {
+            match mv.kind {
                 MessageType::Hello => {
                     let msg = materialize_message(frame, &mv);
                     if let MessageBody::Hello(h) = &msg.body {
@@ -831,10 +807,8 @@ impl<H: OlsrHooks> OlsrNode<H> {
                     }
                     continue;
                 }
-                MessageType::Tc => MessageKind::Tc,
-                MessageType::Mid => MessageKind::Mid,
-                MessageType::Hna => MessageKind::Hna,
-            };
+                MessageType::Tc | MessageType::Mid | MessageType::Hna => {}
+            }
             // Flooded control traffic. One duplicate-set probe answers both
             // "seen before?" and "already retransmitted?", and already
             // applies the `forwarded = false` record for suppressed copies.
@@ -856,7 +830,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
                         }
                         Ok(()) => {
                             let msg = materialize_message(frame, &mv);
-                            self.forward_approved(ctx, &msg, from, kind, dup_until, now);
+                            self.forward_approved(ctx, &msg, from, mv.kind, dup_until, now);
                         }
                     }
                 }
@@ -874,12 +848,8 @@ impl<H: OlsrHooks> OlsrNode<H> {
                                 self.ifaces.upsert(alias, msg.originator, until);
                             }
                         }
-                        MessageBody::Hna(h) => {
-                            ctx.log(LogRecord::HnaRx {
-                                originator: msg.originator,
-                                networks: Box::from(&h.networks[..]),
-                            });
-                        }
+                        // Relayed like any flood, but no IDS rule reads it.
+                        MessageBody::Hna(_) => {}
                         _ => unreachable!("flooded kinds are Tc/Mid/Hna"),
                     }
                     match self.flood_gate(from, mv.ttl, now) {
@@ -887,7 +857,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
                             self.suppress_forward(reason);
                             self.duplicates.record(mv.originator, mv.seq, false, dup_until, now);
                         }
-                        Ok(()) => self.forward_approved(ctx, &msg, from, kind, dup_until, now),
+                        Ok(()) => self.forward_approved(ctx, &msg, from, mv.kind, dup_until, now),
                     }
                 }
             }
@@ -918,9 +888,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
         // Expired-tuple sweeps. Link-tuple removals cannot change the
         // symmetric set (an expired tuple was already non-symmetric); two-hop
         // and topology removals invalidate MPR/route inputs.
-        for dead in self.links.purge(now) {
-            ctx.log(LogRecord::LinkLost { neighbor: dead });
-        }
+        self.links.purge(now);
         let dead_pairs = self.two_hop.purge(now);
         if !dead_pairs.is_empty() {
             nbr_changed = true;
@@ -928,9 +896,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 ctx.log(LogRecord::TwoHopLost { via, addr });
             }
         }
-        for addr in self.selectors.purge(now) {
-            ctx.log(LogRecord::MprSelectorLost { addr });
-        }
+        self.selectors.purge(now);
         if !self.topology.purge(now).is_empty() {
             topo_changed = true;
         }
@@ -954,9 +920,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
                     ctx.log(LogRecord::NeighborLost { addr: *n });
                     self.neighbors.remove(*n);
                     self.two_hop.remove_via(*n, now);
-                    if self.selectors.remove(*n, now) {
-                        ctx.log(LogRecord::MprSelectorLost { addr: *n });
-                    }
+                    self.selectors.remove(*n, now);
                 }
             }
         }
@@ -1014,9 +978,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
                     next_hop: r.next_hop,
                     hops: r.hops,
                 });
-            }
-            for d in &diff.removed {
-                ctx.log(LogRecord::RouteLost { dest: *d });
             }
             std::mem::swap(&mut self.routes, &mut self.routes_scratch);
         }
@@ -1219,16 +1180,12 @@ mod tests {
         let log = sim.log(NodeId(1));
         let mut saw_hello_rx = false;
         let mut saw_nbr_add = false;
-        let mut saw_mpr_selector = false;
         for line in log.lines() {
             if line.starts_with("HELLO_RX") {
                 saw_hello_rx = true;
             }
             if line.starts_with("NBR_ADD") {
                 saw_nbr_add = true;
-            }
-            if line.starts_with("MPR_SELECTOR_ADD") {
-                saw_mpr_selector = true;
             }
             // Every rendered line must be parseable (external log consumers
             // depend on it).
@@ -1237,7 +1194,8 @@ mod tests {
         }
         assert!(saw_hello_rx && saw_nbr_add);
         // The middle node of a 3-line is everyone's MPR.
-        assert!(saw_mpr_selector);
+        let mid = sim.app_as::<OlsrNode>(NodeId(1)).unwrap();
+        assert_eq!(mid.mpr_selectors(sim.now()), vec![NodeId(0), NodeId(2)]);
     }
 
     #[test]
@@ -1331,11 +1289,6 @@ mod tests {
         .map(|r| after.suppressed(r) - before.suppressed(r))
     }
 
-    fn mid_lines(sim: &trustlink_sim::Simulator, prefix: &str, seq: u16) -> usize {
-        let needle = format!("seq={seq}");
-        sim.log(NodeId(1)).lines().filter(|l| l.starts_with(prefix) && l.contains(&needle)).count()
-    }
-
     #[test]
     fn forward_flooded_drops_exhausted_ttl() {
         let mut sim = converged_line_with_recorder(41);
@@ -1350,16 +1303,16 @@ mod tests {
             [0, 0, 1, 0],
             "exactly one suppression, citing the exhausted TTL"
         );
-        assert_eq!(mid_lines(&sim, "FWD ", 900), 0);
     }
 
     #[test]
     fn forward_flooded_decrements_ttl_and_increments_hop_count() {
         let mut sim = converged_line_with_recorder(43);
+        let fwd_before = sim.app_as::<OlsrNode<RecordForwards>>(NodeId(1)).unwrap().flood.forwarded;
         inject_tc(&mut sim, 901, 5, 2);
         let mid = sim.app_as::<OlsrNode<RecordForwards>>(NodeId(1)).unwrap();
         assert_eq!(mid.hooks().seen, vec![(4, 3)], "re-flood must carry ttl-1, hop_count+1");
-        assert_eq!(mid_lines(&sim, "FWD ", 901), 1);
+        assert_eq!(mid.flood.forwarded - fwd_before, 1, "the re-flood must be counted once");
         // The re-flood reaches the far end of the line (out of N0's range).
         assert!(
             sim.log(NodeId(2))
@@ -1372,12 +1325,13 @@ mod tests {
     #[test]
     fn forward_flooded_suppresses_duplicate_refloods() {
         let mut sim = converged_line_with_recorder(47);
+        let fwd_before = sim.app_as::<OlsrNode<RecordForwards>>(NodeId(1)).unwrap().flood.forwarded;
         inject_tc(&mut sim, 902, 8, 0);
         let before = sim.app_as::<OlsrNode<RecordForwards>>(NodeId(1)).unwrap().flood.clone();
         inject_tc(&mut sim, 902, 8, 0); // the same (originator, seq) again
         let mid = sim.app_as::<OlsrNode<RecordForwards>>(NodeId(1)).unwrap();
         assert_eq!(mid.hooks().seen.len(), 1, "duplicate flood was retransmitted");
-        assert_eq!(mid_lines(&sim, "FWD ", 902), 1);
+        assert_eq!(mid.flood.forwarded - fwd_before, 1, "both copies together forward once");
         assert_eq!(
             suppressed_since(&before, &mid.flood),
             [1, 0, 0, 0],

@@ -67,10 +67,10 @@ pub enum TcRedundancy {
 /// the two modes transmit byte-identical frames and reach identical
 /// routing tables, MPR sets and detection verdicts. They differ only in
 /// when the *bookkeeping* runs, which shifts the timestamps of the
-/// recompute-emitted audit-log lines (`LINK_LOST`, `NBR_ADD`/`NBR_LOST`,
-/// `2HOP_LOST`, `MPR_SELECTOR_LOST` on sweep, `MPR_SET`, `ROUTE_*`) —
-/// never their per-analysis-batch content. `tests/recompute_equivalence.rs`
-/// pins this contract, with [`RecomputeMode::Eager`] as its oracle.
+/// recompute-emitted audit-log lines (`NBR_ADD`/`NBR_LOST`, `2HOP_LOST`,
+/// `MPR_SET`, `ROUTE_ADD`/`ROUTE_CHG`) — never their per-analysis-batch
+/// content. `tests/recompute_equivalence.rs` pins this contract, with
+/// [`RecomputeMode::Eager`] as its oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecomputeMode {
     /// Change-aware and debounced (the default): receptions only mark

@@ -615,8 +615,8 @@ impl Simulator {
         self.stats.lost_range += alive_others - visited;
     }
 
-    /// Judges one broadcast receiver: schedules the delivery or books the
-    /// loss.
+    /// Judges one receiver of a broadcast or unicast: schedules the
+    /// delivery or books the loss.
     fn judge_one(&mut self, from: NodeId, to: NodeId, tx_pos: Position, payload: &Bytes) {
         let rx_pos = self.slots[to.index()].position;
         let outcome = match self.channel.as_mut() {
@@ -648,18 +648,7 @@ impl Simulator {
             self.stats.lost_range += 1;
             return;
         }
-        let rx_pos = self.slots[to.index()].position;
-        let outcome = match self.channel.as_mut() {
-            None => self.radio.judge(tx_pos, rx_pos, &mut self.rng),
-            Some(ch) => ch.judge(&self.radio, from, to, tx_pos, rx_pos, &mut self.rng),
-        };
-        match outcome {
-            DeliveryOutcome::Deliver(delay) => {
-                self.schedule_delivery(delay, Delivery { to, from, payload })
-            }
-            DeliveryOutcome::OutOfRange => self.stats.lost_range += 1,
-            DeliveryOutcome::Lost => self.stats.lost_random += 1,
-        }
+        self.judge_one(from, to, tx_pos, &payload);
     }
 }
 
@@ -689,7 +678,13 @@ mod tests {
         }
         fn on_timer(&mut self, ctx: &mut Context<'_>, t: TimerToken) {
             ctx.broadcast(Bytes::from(format!("msg-{}", t.0)));
-            ctx.log(LogRecord::TcTx { ansn: t.0 as u16, advertised: vec![] });
+            // Filler that puts each broadcast's token in the golden digests.
+            ctx.log(LogRecord::TcRx {
+                originator: ctx.id(),
+                sender: ctx.id(),
+                ansn: t.0 as u16,
+                advertised: Box::from([]),
+            });
         }
         fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
             self.received.push((ctx.now(), from, payload));
@@ -881,14 +876,17 @@ mod tests {
         assert_eq!(got, golden, "digest {got:#018x} for seed {seed} moved");
     }
 
-    // The digests of these two tests were derived on the last commit that
-    // still had a spatial-grid scan beside the linear one: for every seed,
-    // both scans produced this digest.
+    // The original digests of these two tests were derived on the last
+    // commit that still had a spatial-grid scan beside the linear one: for
+    // every seed, both scans produced the same digest. Chatter then logged
+    // a since-deleted record kind as its filler; the digests below were
+    // re-derived on the last commit that still had that kind, with the
+    // filler switched to `TcRx` there.
 
     #[test]
-    fn grid_matches_linear_for_stationary_mesh() {
+    fn stationary_chatter_mesh_matches_golden_digests() {
         for (seed, golden) in
-            [(1, 0xb70c_5dbf_52fd_fac4), (2, 0x2a4d_70e2_b988_3a96), (3, 0xe5d9_6182_7208_e2b4)]
+            [(1, 0xcca2_e196_f09d_dcac), (2, 0xc424_e3dd_3849_cfc6), (3, 0xa832_0ebb_a97b_95ac)]
         {
             assert_golden(seed, golden, |sim| {
                 for i in 0..24 {
@@ -902,8 +900,8 @@ mod tests {
     }
 
     #[test]
-    fn grid_matches_linear_under_mobility_and_churn() {
-        for (seed, golden) in [(7, 0xb4ed_3ec4_0cd6_5d8a), (8, 0x5710_72df_94bf_1ab3)] {
+    fn mobile_chatter_churn_matches_golden_digests() {
+        for (seed, golden) in [(7, 0x152d_e026_059b_b986), (8, 0xb9d7_5bcd_300e_b163)] {
             assert_golden(seed, golden, |sim| {
                 for i in 0..16u32 {
                     sim.add_mobile_node(

@@ -29,7 +29,7 @@
 //! use trustlink_sim::prelude::*;
 //! use bytes::Bytes;
 //!
-//! /// An application that says hello once and echoes everything it hears.
+//! /// An application that says hello once and logs every neighbor it hears.
 //! struct Echo;
 //! impl Application for Echo {
 //!     fn on_start(&mut self, ctx: &mut Context<'_>) {
@@ -39,7 +39,7 @@
 //!         ctx.broadcast(Bytes::from_static(b"hello"));
 //!     }
 //!     fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, _p: Bytes) {
-//!         ctx.log(LogRecord::DataRx { src: from });
+//!         ctx.log(LogRecord::NeighborAdded { addr: from });
 //!     }
 //! }
 //!
@@ -49,7 +49,7 @@
 //! let a = sim.add_node(Box::new(Echo), Position::new(0.0, 0.0));
 //! let b = sim.add_node(Box::new(Echo), Position::new(50.0, 0.0));
 //! sim.run_for(SimDuration::from_secs(1));
-//! assert!(sim.log(b).lines().any(|l| l.starts_with("DATA_RX")));
+//! assert!(sim.log(b).lines().any(|l| l.starts_with("NBR_ADD")));
 //! # let _ = a;
 //! ```
 
@@ -72,8 +72,7 @@ pub mod prelude {
     pub use crate::node::{Application, Context, LogBuffer, NodeId, TimerToken};
     pub use crate::radio::{ChannelModel, ChannelState, FadingConfig, RadioConfig};
     pub use crate::record::{
-        FlightRecord, FlightRecorder, LogRecord, MessageKind, SuppressReason, VerdictKind,
-        Willingness,
+        FlightRecord, FlightRecorder, LogRecord, SuppressReason, VerdictKind, Willingness,
     };
     pub use crate::stats::{FloodStats, TrafficStats};
     pub use crate::time::{SimDuration, SimTime};
@@ -84,8 +83,8 @@ pub use mobility::{Arena, MobilityModel, Position};
 pub use node::{Application, CallbackClass, Context, FrameBatch, LogBuffer, NodeId, TimerToken};
 pub use radio::{ChannelModel, ChannelState, FadingConfig, RadioConfig};
 pub use record::{
-    parse_line, FlightRecord, FlightRecorder, LogRecord, MessageKind, ParseLogError,
-    SuppressReason, VerdictKind, Willingness,
+    parse_line, FlightRecord, FlightRecorder, LogRecord, ParseLogError, SuppressReason,
+    VerdictKind, Willingness,
 };
 pub use stats::{FloodStats, TrafficStats};
 pub use time::{SimDuration, SimTime};

@@ -297,7 +297,7 @@ impl<'a> Context<'a> {
 /// use trustlink_sim::NodeId;
 ///
 /// let mut log = LogBuffer::default();
-/// log.push(SimTime::from_secs(1), LogRecord::DataRx { src: NodeId(2) });
+/// log.push(SimTime::from_secs(1), LogRecord::NeighborAdded { addr: NodeId(2) });
 /// let (records, cursor) = log.read_from(0);
 /// assert_eq!(records.len(), 1);
 /// let (rest, _) = log.read_from(cursor);
@@ -374,7 +374,7 @@ mod tests {
         ctx.broadcast(Bytes::from_static(b"a"));
         ctx.send(NodeId(1), Bytes::from_static(b"b"));
         ctx.set_timer(SimDuration::from_secs(1), TimerToken(9));
-        ctx.log(LogRecord::DataRx { src: NodeId(2) });
+        ctx.log(LogRecord::NeighborAdded { addr: NodeId(2) });
         assert_eq!(commands.len(), 3);
         assert!(matches!(commands[0], Command::Broadcast { .. }));
         assert!(matches!(commands[1], Command::Unicast { to: NodeId(1), .. }));
@@ -404,9 +404,9 @@ mod tests {
     fn log_lines_renders_records_at_the_edge() {
         let mut log = LogBuffer::default();
         log.push(SimTime::ZERO, LogRecord::NeighborAdded { addr: NodeId(4) });
-        log.push(SimTime::ZERO, LogRecord::RouteLost { dest: NodeId(9) });
+        log.push(SimTime::ZERO, LogRecord::TwoHopLost { via: NodeId(4), addr: NodeId(9) });
         let collected: Vec<String> = log.lines().collect();
-        assert_eq!(collected, vec!["NBR_ADD addr=N4", "ROUTE_LOST dest=N9"]);
+        assert_eq!(collected, vec!["NBR_ADD addr=N4", "2HOP_LOST via=N4 addr=N9"]);
         let rendered = log.render_lines();
         assert_eq!(rendered.len(), 2);
         assert_eq!(rendered[0], (SimTime::ZERO, "NBR_ADD addr=N4".to_string()));

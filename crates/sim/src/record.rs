@@ -77,50 +77,6 @@ impl fmt::Display for Willingness {
     }
 }
 
-/// Message kinds as they appear in forwarding-related log records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MessageKind {
-    /// HELLO message.
-    Hello,
-    /// Topology control message.
-    Tc,
-    /// Multiple interface declaration.
-    Mid,
-    /// Host and network association.
-    Hna,
-    /// Unicast data.
-    Data,
-}
-
-impl MessageKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            MessageKind::Hello => "HELLO",
-            MessageKind::Tc => "TC",
-            MessageKind::Mid => "MID",
-            MessageKind::Hna => "HNA",
-            MessageKind::Data => "DATA",
-        }
-    }
-
-    fn from_str_opt(s: &str) -> Option<Self> {
-        Some(match s {
-            "HELLO" => MessageKind::Hello,
-            "TC" => MessageKind::Tc,
-            "MID" => MessageKind::Mid,
-            "HNA" => MessageKind::Hna,
-            "DATA" => MessageKind::Data,
-            _ => return None,
-        })
-    }
-}
-
-impl fmt::Display for MessageKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Why a flooded message was not retransmitted: the key of the per-node
 /// suppression counters in [`FloodStats`](crate::stats::FloodStats).
 /// Suppressed copies are counted, not logged.
@@ -175,7 +131,15 @@ impl fmt::Display for VerdictKind {
     }
 }
 
-/// Every routing- or detection-relevant event a node records.
+/// Every event a node records: exactly what its co-located IDS reads.
+///
+/// The log is the detector's only input, so it holds only the kinds the
+/// extractor (`trustlink_ids::events::EventExtractor`) consumes: the
+/// received control messages (`HelloRx`, `TcRx`, `MidRx`), neighborhood and
+/// 2-hop changes, MPR-set changes, route additions and changes (which feed
+/// the known-population estimate) and undecodable frames. The extractor
+/// names every variant in its matches, so a kind added here without a
+/// reader there fails to compile.
 ///
 /// Field naming follows what the information *is* to the logging node:
 /// e.g. in [`LogRecord::HelloRx`], `sym` is the set of symmetric neighbors
@@ -218,28 +182,6 @@ pub enum LogRecord {
         /// Claimed alias interfaces.
         aliases: Box<[NodeId]>,
     },
-    /// An HNA was received.
-    HnaRx {
-        /// Originator (gateway).
-        originator: NodeId,
-        /// Claimed external networks `(net, prefix)`.
-        networks: Box<[(NodeId, u8)]>,
-    },
-    /// Link sensing promoted a link to symmetric.
-    LinkSymmetric {
-        /// The neighbor.
-        neighbor: NodeId,
-    },
-    /// Link sensing saw a (new or demoted) one-way link.
-    LinkAsymmetric {
-        /// The neighbor.
-        neighbor: NodeId,
-    },
-    /// A link expired or was declared lost.
-    LinkLost {
-        /// The neighbor.
-        neighbor: NodeId,
-    },
     /// A node entered the symmetric 1-hop neighborhood.
     NeighborAdded {
         /// The neighbor.
@@ -269,16 +211,6 @@ pub enum LogRecord {
         /// The new MPR set, ascending.
         mprs: Box<[NodeId]>,
     },
-    /// A neighbor started selecting us as its MPR.
-    MprSelectorAdded {
-        /// The selector.
-        addr: NodeId,
-    },
-    /// A neighbor stopped selecting us as its MPR.
-    MprSelectorLost {
-        /// The selector.
-        addr: NodeId,
-    },
     /// A route appeared.
     RouteAdded {
         /// Destination.
@@ -296,62 +228,6 @@ pub enum LogRecord {
         next_hop: NodeId,
         /// New hop count.
         hops: u32,
-    },
-    /// A destination became unreachable.
-    RouteLost {
-        /// Destination.
-        dest: NodeId,
-    },
-    /// We transmitted a HELLO advertising these links.
-    HelloTx {
-        /// Advertised symmetric neighbors.
-        sym: Vec<NodeId>,
-        /// Advertised heard-only neighbors.
-        asym: Vec<NodeId>,
-    },
-    /// We originated a TC.
-    TcTx {
-        /// Our current ANSN.
-        ansn: u16,
-        /// Our advertised MPR selectors.
-        advertised: Vec<NodeId>,
-    },
-    /// We retransmitted a flooded message.
-    Forwarded {
-        /// Original creator of the message.
-        originator: NodeId,
-        /// Message kind.
-        kind: MessageKind,
-        /// Originator-scoped sequence number.
-        seq: u16,
-        /// The neighbor we received it from.
-        from: NodeId,
-    },
-    /// Unicast data addressed to us arrived.
-    DataRx {
-        /// Source node.
-        src: NodeId,
-    },
-    /// We originated unicast data.
-    DataTx {
-        /// Destination.
-        dst: NodeId,
-        /// First hop used.
-        next_hop: NodeId,
-    },
-    /// We forwarded unicast data for someone else.
-    DataForwarded {
-        /// Source.
-        src: NodeId,
-        /// Destination.
-        dst: NodeId,
-        /// Next hop used.
-        next_hop: NodeId,
-    },
-    /// We had no route for a unicast data message.
-    DataNoRoute {
-        /// Destination we could not reach.
-        dst: NodeId,
     },
     /// A received frame failed to decode (malformed or forged).
     DecodeError {
@@ -385,11 +261,6 @@ fn fmt_list(ids: &[NodeId]) -> String {
     format!("[{}]", inner.join(","))
 }
 
-fn fmt_networks(nets: &[(NodeId, u8)]) -> String {
-    let inner: Vec<String> = nets.iter().map(|(n, p)| format!("{n}/{p}")).collect();
-    format!("[{}]", inner.join(","))
-}
-
 impl LogRecord {
     /// Renders the canonical one-line text form, e.g.
     /// `HELLO_RX from=N3 will=3 sym=[N1,N2] asym=[]`.
@@ -407,43 +278,17 @@ impl LogRecord {
             LogRecord::MidRx { originator, aliases } => {
                 format!("MID_RX orig={originator} aliases={}", fmt_list(aliases))
             }
-            LogRecord::HnaRx { originator, networks } => {
-                format!("HNA_RX orig={originator} nets={}", fmt_networks(networks))
-            }
-            LogRecord::LinkSymmetric { neighbor } => format!("LINK_SYM nbr={neighbor}"),
-            LogRecord::LinkAsymmetric { neighbor } => format!("LINK_ASYM nbr={neighbor}"),
-            LogRecord::LinkLost { neighbor } => format!("LINK_LOST nbr={neighbor}"),
             LogRecord::NeighborAdded { addr } => format!("NBR_ADD addr={addr}"),
             LogRecord::NeighborLost { addr } => format!("NBR_LOST addr={addr}"),
             LogRecord::TwoHopAdded { via, addr } => format!("2HOP_ADD via={via} addr={addr}"),
             LogRecord::TwoHopLost { via, addr } => format!("2HOP_LOST via={via} addr={addr}"),
             LogRecord::MprSet { mprs } => format!("MPR_SET mprs={}", fmt_list(mprs)),
-            LogRecord::MprSelectorAdded { addr } => format!("MPR_SELECTOR_ADD addr={addr}"),
-            LogRecord::MprSelectorLost { addr } => format!("MPR_SELECTOR_LOST addr={addr}"),
             LogRecord::RouteAdded { dest, next_hop, hops } => {
                 format!("ROUTE_ADD dest={dest} next={next_hop} hops={hops}")
             }
             LogRecord::RouteChanged { dest, next_hop, hops } => {
                 format!("ROUTE_CHG dest={dest} next={next_hop} hops={hops}")
             }
-            LogRecord::RouteLost { dest } => format!("ROUTE_LOST dest={dest}"),
-            LogRecord::HelloTx { sym, asym } => {
-                format!("HELLO_TX sym={} asym={}", fmt_list(sym), fmt_list(asym))
-            }
-            LogRecord::TcTx { ansn, advertised } => {
-                format!("TC_TX ansn={ansn} adv={}", fmt_list(advertised))
-            }
-            LogRecord::Forwarded { originator, kind, seq, from } => {
-                format!("FWD orig={originator} type={kind} seq={seq} from={from}")
-            }
-            LogRecord::DataRx { src } => format!("DATA_RX src={src}"),
-            LogRecord::DataTx { dst, next_hop } => {
-                format!("DATA_TX dst={dst} next={next_hop}")
-            }
-            LogRecord::DataForwarded { src, dst, next_hop } => {
-                format!("DATA_FWD src={src} dst={dst} next={next_hop}")
-            }
-            LogRecord::DataNoRoute { dst } => format!("DATA_NO_ROUTE dst={dst}"),
             LogRecord::DecodeError { from } => format!("DECODE_ERR from={from}"),
             LogRecord::AnalysisTick => "ANALYSIS_TICK".to_string(),
             LogRecord::Verdict { case, suspect, verdict, detect, margin, witnesses, answered } => {
@@ -538,25 +383,6 @@ impl<'a> Fields<'a> {
         let raw = self.raw(key)?;
         parse_list(raw).ok_or(ParseLogError::BadValue(key))
     }
-
-    fn networks(&self, key: &'static str) -> Result<Vec<(NodeId, u8)>, ParseLogError> {
-        let raw = self.raw(key)?;
-        let inner = raw
-            .strip_prefix('[')
-            .and_then(|s| s.strip_suffix(']'))
-            .ok_or(ParseLogError::BadValue(key))?;
-        if inner.is_empty() {
-            return Ok(Vec::new());
-        }
-        inner
-            .split(',')
-            .map(|item| {
-                let (node, prefix) = item.split_once('/')?;
-                Some((parse_node(node)?, prefix.parse().ok()?))
-            })
-            .collect::<Option<Vec<_>>>()
-            .ok_or(ParseLogError::BadValue(key))
-    }
 }
 
 fn parse_node(s: &str) -> Option<NodeId> {
@@ -600,19 +426,11 @@ pub fn parse_line(line: &str) -> Result<LogRecord, ParseLogError> {
         "MID_RX" => {
             LogRecord::MidRx { originator: f.node("orig")?, aliases: f.list("aliases")?.into() }
         }
-        "HNA_RX" => {
-            LogRecord::HnaRx { originator: f.node("orig")?, networks: f.networks("nets")?.into() }
-        }
-        "LINK_SYM" => LogRecord::LinkSymmetric { neighbor: f.node("nbr")? },
-        "LINK_ASYM" => LogRecord::LinkAsymmetric { neighbor: f.node("nbr")? },
-        "LINK_LOST" => LogRecord::LinkLost { neighbor: f.node("nbr")? },
         "NBR_ADD" => LogRecord::NeighborAdded { addr: f.node("addr")? },
         "NBR_LOST" => LogRecord::NeighborLost { addr: f.node("addr")? },
         "2HOP_ADD" => LogRecord::TwoHopAdded { via: f.node("via")?, addr: f.node("addr")? },
         "2HOP_LOST" => LogRecord::TwoHopLost { via: f.node("via")?, addr: f.node("addr")? },
         "MPR_SET" => LogRecord::MprSet { mprs: f.list("mprs")?.into() },
-        "MPR_SELECTOR_ADD" => LogRecord::MprSelectorAdded { addr: f.node("addr")? },
-        "MPR_SELECTOR_LOST" => LogRecord::MprSelectorLost { addr: f.node("addr")? },
         "ROUTE_ADD" => LogRecord::RouteAdded {
             dest: f.node("dest")?,
             next_hop: f.node("next")?,
@@ -623,24 +441,6 @@ pub fn parse_line(line: &str) -> Result<LogRecord, ParseLogError> {
             next_hop: f.node("next")?,
             hops: f.u32_field("hops")?,
         },
-        "ROUTE_LOST" => LogRecord::RouteLost { dest: f.node("dest")? },
-        "HELLO_TX" => LogRecord::HelloTx { sym: f.list("sym")?, asym: f.list("asym")? },
-        "TC_TX" => LogRecord::TcTx { ansn: f.u16_field("ansn")?, advertised: f.list("adv")? },
-        "FWD" => LogRecord::Forwarded {
-            originator: f.node("orig")?,
-            kind: MessageKind::from_str_opt(f.raw("type")?)
-                .ok_or(ParseLogError::BadValue("type"))?,
-            seq: f.u16_field("seq")?,
-            from: f.node("from")?,
-        },
-        "DATA_RX" => LogRecord::DataRx { src: f.node("src")? },
-        "DATA_TX" => LogRecord::DataTx { dst: f.node("dst")?, next_hop: f.node("next")? },
-        "DATA_FWD" => LogRecord::DataForwarded {
-            src: f.node("src")?,
-            dst: f.node("dst")?,
-            next_hop: f.node("next")?,
-        },
-        "DATA_NO_ROUTE" => LogRecord::DataNoRoute { dst: f.node("dst")? },
         "DECODE_ERR" => LogRecord::DecodeError { from: f.node("from")? },
         "ANALYSIS_TICK" => LogRecord::AnalysisTick,
         "VERDICT" => LogRecord::Verdict {
@@ -805,32 +605,13 @@ mod tests {
                 advertised: Box::from([NodeId(1), NodeId(4)]),
             },
             LogRecord::MidRx { originator: NodeId(5), aliases: Box::from([NodeId(50)]) },
-            LogRecord::HnaRx { originator: NodeId(6), networks: Box::from([(NodeId(100), 24)]) },
-            LogRecord::LinkSymmetric { neighbor: NodeId(1) },
-            LogRecord::LinkAsymmetric { neighbor: NodeId(2) },
-            LogRecord::LinkLost { neighbor: NodeId(3) },
             LogRecord::NeighborAdded { addr: NodeId(4) },
             LogRecord::NeighborLost { addr: NodeId(5) },
             LogRecord::TwoHopAdded { via: NodeId(1), addr: NodeId(10) },
             LogRecord::TwoHopLost { via: NodeId(1), addr: NodeId(10) },
             LogRecord::MprSet { mprs: Box::from([NodeId(2), NodeId(7)]) },
-            LogRecord::MprSelectorAdded { addr: NodeId(9) },
-            LogRecord::MprSelectorLost { addr: NodeId(9) },
             LogRecord::RouteAdded { dest: NodeId(9), next_hop: NodeId(2), hops: 3 },
             LogRecord::RouteChanged { dest: NodeId(9), next_hop: NodeId(7), hops: 2 },
-            LogRecord::RouteLost { dest: NodeId(9) },
-            LogRecord::HelloTx { sym: vec![NodeId(1)], asym: vec![NodeId(8)] },
-            LogRecord::TcTx { ansn: 4, advertised: vec![NodeId(1)] },
-            LogRecord::Forwarded {
-                originator: NodeId(5),
-                kind: MessageKind::Tc,
-                seq: 12,
-                from: NodeId(2),
-            },
-            LogRecord::DataRx { src: NodeId(4) },
-            LogRecord::DataTx { dst: NodeId(6), next_hop: NodeId(2) },
-            LogRecord::DataForwarded { src: NodeId(1), dst: NodeId(6), next_hop: NodeId(3) },
-            LogRecord::DataNoRoute { dst: NodeId(6) },
             LogRecord::DecodeError { from: NodeId(11) },
             LogRecord::AnalysisTick,
             LogRecord::Verdict {
@@ -916,8 +697,8 @@ mod tests {
         assert_eq!(parse_line("NBR_ADD addr=42"), Err(ParseLogError::BadValue("addr")));
         assert_eq!(parse_line("MPR_SET mprs=N1,N2"), Err(ParseLogError::BadValue("mprs")));
         assert_eq!(
-            parse_line("FWD orig=N1 type=BOGUS seq=1 from=N2"),
-            Err(ParseLogError::BadValue("type"))
+            parse_line("TC_RX orig=N1 sender=N2 ansn=70000 adv=[]"),
+            Err(ParseLogError::BadValue("ansn"))
         );
         assert_eq!(
             parse_line(
@@ -938,14 +719,6 @@ mod tests {
         assert_eq!(ParseLogError::UnknownTag("X".into()).to_string(), "unknown log tag `X`");
         assert_eq!(ParseLogError::MissingField("addr").to_string(), "missing field `addr`");
         assert_eq!(ParseLogError::BadValue("seq").to_string(), "bad value for field `seq`");
-    }
-
-    #[test]
-    fn networks_roundtrip_empty_and_multi() {
-        for nets in [vec![], vec![(NodeId(1), 8), (NodeId(2), 16)]] {
-            let rec = LogRecord::HnaRx { originator: NodeId(1), networks: nets.into() };
-            assert_eq!(parse_line(&rec.to_line()).unwrap(), rec);
-        }
     }
 
     #[test]

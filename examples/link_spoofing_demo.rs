@@ -46,9 +46,7 @@ fn main() {
     println!("--- excerpts from {observer}'s audit log ---");
     let mut shown = 0;
     for line in report.sim.log(observer).lines() {
-        let interesting = line.contains("N99")
-            || line.starts_with("MPR_SET")
-            || line.starts_with("DATA_NO_ROUTE");
+        let interesting = line.contains("N99") || line.starts_with("MPR_SET");
         if interesting && shown < 12 {
             println!("  {line}");
             shown += 1;

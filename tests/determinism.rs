@@ -10,16 +10,23 @@
 //! The suite also pins the `render_lines()` adapter itself: FNV-1a digests
 //! of the rendered fingerprints were captured *before* the log buffers
 //! became typed, so byte-for-byte compatibility with the historical text
-//! logs is a hard assertion, not a convention.
+//! logs is a hard assertion, not a convention. And it pins what the
+//! detectors extract from those logs: a digest of every node's
+//! `DetectionEvent` stream, which no change to the log's form may move.
 
 use trustlink_attacks::prelude::*;
 use trustlink_core::prelude::*;
+use trustlink_core::replay::extracted_events_of;
 use trustlink_tests::{assert_recordings_identical, fnv1a, text_fingerprint};
 
 /// A full packet-level scenario — OLSR + detectors + one attacker + one
 /// liar — exercising the radio (loss, jitter), timers and every RNG
 /// consumer in the stack.
 fn spoofing_scenario(seed: u64) -> ScenarioReport {
+    spoofing_builder(seed).run()
+}
+
+fn spoofing_builder(seed: u64) -> ScenarioBuilder {
     ScenarioBuilder::new(seed, 9)
         .topology(Topology::Grid { cols: 3, spacing: 100.0 })
         .radio(RadioConfig::unit_disk(170.0).with_loss(0.05))
@@ -29,7 +36,6 @@ fn spoofing_scenario(seed: u64) -> ScenarioReport {
         )
         .liar(5, LiarPolicy::CoverFor { accomplices: vec![NodeId(8)] })
         .duration(SimDuration::from_secs(60))
-        .run()
 }
 
 #[test]
@@ -71,18 +77,48 @@ fn render_lines_matches_pre_typed_golden_digests() {
     // The original digests (0x228f_0fd4_3f1d_475c for seed 7,
     // 0x96a4_26c3_5134_7a1c for seed 8) were captured from these exact
     // scenarios while the log buffers still stored formatted strings.
-    // Suppressed flood copies have since moved from `FWD_SUPPRESS` log lines
-    // to `FloodStats` counters; the digests below were derived on the last
-    // commit that still logged them, by rendering the same scenarios with
-    // the `FWD_SUPPRESS` lines dropped (the unfiltered renders of that run
-    // still matched the original digests). `render_lines()` must reproduce
-    // every remaining line byte for byte.
-    for (seed, golden) in [(7u64, 0xf5d1_8f47_362e_42b1_u64), (8, 0xf165_ac55_8908_ffaf)] {
+    // Suppressed flood copies then moved from log lines to `FloodStats`
+    // counters (digests 0xf5d1_8f47_362e_42b1 and 0xf165_ac55_8908_ffaf),
+    // and later every record kind the IDS does not read left the log. Each
+    // step re-derived the digests on the last commit that still logged the
+    // removed lines, by rendering the same scenarios with those lines
+    // dropped (the unfiltered renders of that commit still matched the
+    // previous digests). `render_lines()` must reproduce every remaining
+    // line byte for byte.
+    for (seed, golden) in [(7u64, 0x6bbb_8157_a809_e27e_u64), (8, 0x6367_110b_8ff0_bed9)] {
         let report = spoofing_scenario(seed);
         assert_eq!(
             fnv1a(&text_fingerprint(&report.sim)),
             golden,
             "rendered log digest for seed {seed} no longer matches the pre-typed capture"
+        );
+    }
+}
+
+#[test]
+fn detection_event_streams_match_golden_digests() {
+    // Derived before the log dropped the record kinds the IDS does not
+    // read, and unchanged by that: what the detectors extract from the
+    // log must not depend on what else the log holds. Flight recording
+    // keeps the extracted events; it changes nothing in the run.
+    for (seed, golden, count) in
+        [(7u64, 0x56da_a699_ad50_ed6e_u64, 431), (8, 0x9da8_35c7_d179_3207, 447)]
+    {
+        let report = spoofing_builder(seed)
+            .detector(DetectorConfig { flight_recording: true, ..DetectorConfig::default() })
+            .run();
+        let mut stream = String::new();
+        let mut events = 0;
+        for id in report.sim.node_ids().collect::<Vec<_>>() {
+            for event in extracted_events_of(&report.sim, id) {
+                stream.push_str(&format!("{id} {event:?}\n"));
+                events += 1;
+            }
+        }
+        assert_eq!(
+            (fnv1a(stream.as_bytes()), events),
+            (golden, count),
+            "detection-event stream (digest, count) moved for seed {seed}"
         );
     }
 }

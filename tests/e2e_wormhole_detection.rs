@@ -4,7 +4,7 @@
 //! symmetric links that do not exist on any radio.
 //!
 //! The suites are built on the typed flight recorder: the fabricated
-//! links are asserted from `LinkSymmetric`/`HelloRx` records, and the
+//! links are asserted from `NeighborAdded`/`HelloRx` records, and the
 //! detection outcome is pinned as exact (observer, suspect) conviction
 //! sets plus false-positive counts.
 
@@ -99,10 +99,10 @@ fn tunnel_fabricates_cross_cluster_symmetric_links() {
         .records()
         .iter()
         .filter_map(|r| match r.record {
-            LogRecord::LinkSymmetric { neighbor }
-                if r.node.0 >= 5 && neighbor.0 <= 2 || r.node.0 <= 2 && neighbor.0 >= 5 =>
+            LogRecord::NeighborAdded { addr }
+                if r.node.0 >= 5 && addr.0 <= 2 || r.node.0 <= 2 && addr.0 >= 5 =>
             {
-                Some((r.node, neighbor))
+                Some((r.node, addr))
             }
             _ => None,
         })

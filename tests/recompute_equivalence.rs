@@ -8,9 +8,8 @@
 //! 1. **Frames are byte-identical.** Every transmitted HELLO/TC/MID/data
 //!    frame has the same bytes at the same instant, so traffic statistics
 //!    and every reception-timed audit-log line (`HELLO_RX`, `TC_RX`,
-//!    `LINK_SYM`/`LINK_ASYM`, `2HOP_ADD`, `MPR_SELECTOR_ADD`, forwarding
-//!    and data-plane lines, `HELLO_TX`/`TC_TX`, …) match byte for byte,
-//!    timestamps included.
+//!    `MID_RX`, `2HOP_ADD`, `DECODE_ERR`) match byte for byte, timestamps
+//!    included.
 //! 2. **Derived state is identical at every query point.** Effective MPR
 //!    sets and routing tables agree at every pause point of a lockstep
 //!    run.
@@ -19,15 +18,10 @@
 //!    convictions.
 //!
 //! The *only* thing allowed to differ is the timing of the bookkeeping
-//! log lines emitted by the recompute sweep itself — `LINK_LOST`,
-//! `NBR_ADD`/`NBR_LOST`, `2HOP_LOST`, `MPR_SELECTOR_LOST`, `MPR_SET` and
-//! `ROUTE_*` — which the incremental mode may emit at a later flush point
-//! (but always within the same detector-analysis batch; that is what
-//! keeps property 3 true). Note `MPR_SELECTOR_LOST` is excluded from the
-//! byte-identical fingerprint wholesale: the line renders identically
-//! from its reception-timed site (which *is* mode-identical) and its
-//! sweep-timed site (which may not be), and the prefix filter cannot
-//! tell them apart.
+//! log lines emitted by the recompute sweep itself — `NBR_ADD`/`NBR_LOST`,
+//! `2HOP_LOST`, `MPR_SET`, `ROUTE_ADD` and `ROUTE_CHG` — which the
+//! incremental mode may emit at a later flush point (but always within
+//! the same detector-analysis batch; that is what keeps property 3 true).
 
 use trustlink_core::prelude::*;
 use trustlink_olsr::{OlsrConfig, OlsrNode, RecomputeMode};
@@ -35,17 +29,8 @@ use trustlink_tests::assert_recordings_identical;
 
 /// Log-line prefixes the recompute sweep emits: the one class whose
 /// *timing* may legitimately differ between the modes.
-const FLUSH_TIMED_PREFIXES: &[&str] = &[
-    "LINK_LOST",
-    "NBR_ADD",
-    "NBR_LOST",
-    "2HOP_LOST",
-    "MPR_SELECTOR_LOST",
-    "MPR_SET",
-    "ROUTE_ADD",
-    "ROUTE_CHG",
-    "ROUTE_LOST",
-];
+const FLUSH_TIMED_PREFIXES: &[&str] =
+    &["NBR_ADD", "NBR_LOST", "2HOP_LOST", "MPR_SET", "ROUTE_ADD", "ROUTE_CHG"];
 
 fn is_flush_timed(line: &str) -> bool {
     FLUSH_TIMED_PREFIXES.iter().any(|p| line.starts_with(p))
@@ -56,15 +41,12 @@ fn is_flush_timed(line: &str) -> bool {
 fn is_flush_timed_record(record: &LogRecord) -> bool {
     matches!(
         record,
-        LogRecord::LinkLost { .. }
-            | LogRecord::NeighborAdded { .. }
+        LogRecord::NeighborAdded { .. }
             | LogRecord::NeighborLost { .. }
             | LogRecord::TwoHopLost { .. }
-            | LogRecord::MprSelectorLost { .. }
             | LogRecord::MprSet { .. }
             | LogRecord::RouteAdded { .. }
             | LogRecord::RouteChanged { .. }
-            | LogRecord::RouteLost { .. }
     )
 }
 
