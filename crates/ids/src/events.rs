@@ -287,6 +287,11 @@ impl EventExtractor {
                 }
                 self.known.insert(*originator, Some(at));
             }
+            // The TC clock of an originator whose repeated TCs were not
+            // logged in full: only the time moves.
+            LogRecord::TcHeard { originator, heard_at } => {
+                self.known.insert(*originator, Some(*heard_at));
+            }
             LogRecord::MidRx { originator, aliases } => {
                 // MID-spoofing heuristic: claiming an alias that is already
                 // a known node's main address hijacks that identity.
@@ -437,6 +442,8 @@ impl EventExtractor {
             // `ingest`, never added to it; a decode error is evidence
             // against its sender, not of a node's existence.
             LogRecord::MidRx { .. } | LogRecord::DecodeError { .. } => {}
+            // A TC clock enters its originator, with its time, in `ingest`.
+            LogRecord::TcHeard { .. } => {}
             // Replay markers, never in a node's own log.
             LogRecord::AnalysisTick | LogRecord::Verdict { .. } => {}
         }
@@ -612,6 +619,35 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn tc_heard_advances_the_silence_clock() {
+        let silence = trustlink_sim::SimDuration::from_secs(10);
+        let is_silence = |e: &DetectionEvent| {
+            matches!(
+                e,
+                DetectionEvent::MprMisbehaving { reason: MisbehaviourReason::TcSilence, .. }
+            )
+        };
+        let mut ex = EventExtractor::new();
+        ex.ingest_record(t(0), &LogRecord::MprSet { mprs: vec![NodeId(1)].into() });
+        ex.ingest_record(
+            t(1),
+            &LogRecord::TcRx {
+                originator: NodeId(1),
+                sender: NodeId(1),
+                ansn: 1,
+                advertised: Box::from([NodeId(0)]),
+            },
+        );
+        // Logged at t(20), the clock reads the reception at t(15): quiet
+        // at t(20), silent once t(15) is more than 10 s behind.
+        let events =
+            ex.ingest_record(t(20), &LogRecord::TcHeard { originator: NodeId(1), heard_at: t(15) });
+        assert!(events.is_empty());
+        assert!(!ex.tick(t(20), silence).iter().any(is_silence));
+        assert!(ex.tick(t(26), silence).iter().any(is_silence));
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! Key material is drawn from [`RandomState`] once per process; each table
 //! derives its own function from that draw and a per-table counter, so
 //! building a table costs a few multiplies, not an operating-system draw.
-//! Only speed depends on the draw: no table that uses it is iterated in
-//! hash order, so every output is identical whichever function was drawn.
+//! Only speed depends on the draw: nothing a table that uses it yields in
+//! hash order reaches an output unsorted, so every output is identical
+//! whichever function was drawn.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher, RandomState};

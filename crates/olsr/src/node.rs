@@ -14,6 +14,7 @@ use trustlink_sim::record::{LogRecord, SuppressReason, Willingness};
 use trustlink_sim::{Application, Context, FloodStats, NodeId, SimDuration, SimTime, TimerToken};
 
 use crate::hooks::{NoHooks, OlsrHooks};
+use crate::idhash::IdHashMap;
 use crate::message::{
     DataMessage, HelloMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody, NeighborType,
     Packet, TcMessage,
@@ -21,7 +22,7 @@ use crate::message::{
 use crate::mpr::MprCandidate;
 use crate::routing::{RoutingTable, RoutingWorkspace};
 use crate::state::{
-    DupProbe, DuplicateSet, InterfaceAssociationSet, LinkSet, LinkStatus, LinkTuple,
+    DupProbe, DuplicateSet, InterfaceAssociationSet, LinkSet, LinkStatus, LinkTuple, MinExpiry,
     MprSelectorSet, NeighborSet, TopologySet, TwoHopSet,
 };
 use crate::types::{FloodScope, OlsrConfig, RecomputeMode, SequenceNumber};
@@ -103,6 +104,40 @@ struct AvoidRoutes {
     table: RoutingTable,
 }
 
+/// What this node last wrote to its audit log about each HELLO sender and
+/// each TC originator: the state that keeps a reception which would tell
+/// the IDS nothing new out of the log.
+///
+/// Every decision made from it reads validity times only (`until > now`),
+/// never whether a purge has run, so both [`RecomputeMode`]s log the same
+/// reception-timed records.
+#[derive(Debug, Default)]
+struct LogMemo {
+    /// HELLO sender → the symmetric set its last logged `HELLO_RX` claimed.
+    /// Consulted only while the sender's link tuple is live; dropped with
+    /// the tuple.
+    hellos: IdHashMap<NodeId, Vec<NodeId>>,
+    /// TC originator → its last logged TC and its reception clock.
+    tcs: IdHashMap<NodeId, TcMemo>,
+    /// Lower bound on the earliest `TcMemo::until`, gating the TC sweep.
+    tc_expiry: MinExpiry,
+}
+
+/// The log's view of one TC originator.
+#[derive(Debug)]
+struct TcMemo {
+    /// The advertised set of the last `TC_RX` logged in full.
+    advertised: Vec<NodeId>,
+    /// Validity of the latest TC heard from the originator (the validity
+    /// its topology tuples get); the entry counts only while `until > now`.
+    until: SimTime,
+    /// When the latest TC from the originator arrived.
+    heard: SimTime,
+    /// The latest reception time the log has reported, by `TC_RX` or
+    /// `TC_HEARD`.
+    logged: SimTime,
+}
+
 /// A unicast data payload delivered to this node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReceivedData {
@@ -176,6 +211,10 @@ pub struct OlsrNode<H: OlsrHooks = NoHooks> {
     routes_scratch: RoutingTable,
     /// Memoised avoid-route tables, at most [`AVOID_MEMO_SLOTS`].
     avoid_memo: Vec<AvoidRoutes>,
+    /// What the audit log last said per HELLO sender and TC originator.
+    /// Boxed and created on the first logged reception, so set-up
+    /// allocates nothing for it and the node grows by one pointer.
+    log_memo: Option<Box<LogMemo>>,
 }
 
 impl OlsrNode<NoHooks> {
@@ -224,6 +263,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
             route_ws: RoutingWorkspace::default(),
             routes_scratch: RoutingTable::default(),
             avoid_memo: Vec::new(),
+            log_memo: None,
         }
     }
 
@@ -587,19 +627,28 @@ impl<H: OlsrHooks> OlsrNode<H> {
         let hold = now + self.config.neighbor_hold_time;
         let claimed_sym = hello.symmetric_neighbors();
         let claimed_asym = hello.asymmetric_neighbors();
-        ctx.log(LogRecord::HelloRx {
-            from: originator,
-            willingness: hello.willingness,
-            sym: Box::from(&claimed_sym[..]),
-            asym: Box::from(&claimed_asym[..]),
-        });
+        // A tuple whose expiry already passed is semantically purged — its
+        // previous status is `None`, whichever mode got to the sweep first.
+        let before = self.links.get(originator).filter(|t| t.until > now).map(|t| t.status(now));
+
+        // The IDS reads a HELLO's sender and claimed symmetric set. A claim
+        // repeated over a live link changes nothing it knows, so only a new
+        // claim, or any claim after the link lapsed, is logged.
+        let hellos = &mut self.log_memo.get_or_insert_with(Box::default).hellos;
+        let last = hellos.entry(originator).or_default();
+        if before.is_none() || *last != claimed_sym {
+            last.clone_from(&claimed_sym);
+            ctx.log(LogRecord::HelloRx {
+                from: originator,
+                willingness: hello.willingness,
+                sym: Box::from(&claimed_sym[..]),
+                asym: Box::from(&claimed_asym[..]),
+            });
+        }
 
         // Link sensing: hearing them refreshes the asym validity; being
         // listed by them (heard in both directions) makes it symmetric.
-        // A tuple whose expiry already passed is semantically purged — its
-        // previous status is `None`, whichever mode got to the sweep first.
         let heard_us = claimed_sym.contains(&self.id) || claimed_asym.contains(&self.id);
-        let before = self.links.get(originator).filter(|t| t.until > now).map(|t| t.status(now));
         self.links.upsert(LinkTuple {
             neighbor: originator,
             sym_until: if heard_us { hold } else { SimTime::ZERO },
@@ -649,21 +698,43 @@ impl<H: OlsrHooks> OlsrNode<H> {
         // MPR selector set: did they pick us? Only a HELLO that sustains a
         // live symmetric link can (re)assert selection.
         if hello.mpr_neighbors().contains(&self.id) && heard_us && !lost_us {
-            self.selectors.upsert(originator, hold, now);
+            self.selectors.upsert(originator, hold);
         } else {
-            self.selectors.remove(originator, now);
+            self.selectors.remove(originator);
         }
     }
 
     fn process_tc(&mut self, ctx: &mut Context<'_>, msg: &Message, tc: &TcMessage, from: NodeId) {
         let now = ctx.now();
-        ctx.log(LogRecord::TcRx {
-            originator: msg.originator,
-            sender: from,
-            ansn: tc.ansn,
-            advertised: Box::from(&tc.advertised[..]),
-        });
         let until = now + msg.vtime;
+        // The IDS reads a TC's originator, sender and advertised set, and
+        // keeps the originator's reception clock. A TC repeating the set
+        // last logged for its originator, relayed by a live link (whose
+        // sender a logged HELLO already named), only moves the clock: that
+        // is noted here and logged as `TC_HEARD` when the clock is read.
+        let sender_live = self.links.get(from).is_some_and(|t| t.until > now);
+        let memo = self.log_memo.get_or_insert_with(Box::default);
+        memo.tc_expiry.cover(until);
+        // A new entry starts lapsed, so its first TC is logged in full.
+        let entry = memo.tcs.entry(msg.originator).or_insert_with(|| TcMemo {
+            advertised: Vec::new(),
+            until: SimTime::ZERO,
+            heard: now,
+            logged: now,
+        });
+        let repeat = entry.until > now && sender_live && entry.advertised == tc.advertised;
+        entry.until = until;
+        entry.heard = now;
+        if !repeat {
+            entry.advertised.clone_from(&tc.advertised);
+            entry.logged = now;
+            ctx.log(LogRecord::TcRx {
+                originator: msg.originator,
+                sender: from,
+                ansn: tc.ansn,
+                advertised: Box::from(&tc.advertised[..]),
+            });
+        }
         if self.topology.apply_tc(msg.originator, tc.ansn, &tc.advertised, until, now) {
             self.flags.topo = true;
         }
@@ -888,6 +959,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
         // Expired-tuple sweeps. Link-tuple removals cannot change the
         // symmetric set (an expired tuple was already non-symmetric); two-hop
         // and topology removals invalidate MPR/route inputs.
+        let links_before = self.links.len();
         self.links.purge(now);
         let dead_pairs = self.two_hop.purge(now);
         if !dead_pairs.is_empty() {
@@ -897,10 +969,39 @@ impl<H: OlsrHooks> OlsrNode<H> {
             }
         }
         self.selectors.purge(now);
-        if !self.topology.purge(now).is_empty() {
+        if self.topology.purge(now) {
             topo_changed = true;
         }
         self.ifaces.purge(now);
+        if let Some(memo) = self.log_memo.as_deref_mut() {
+            // The memo lives no longer than what it mirrors: HELLO entries
+            // go with their link tuples, TC entries when their TC lapses —
+            // after reporting a clock the log has not seen yet.
+            if self.links.len() != links_before {
+                let links = &self.links;
+                memo.hellos.retain(|n, _| links.get(*n).is_some());
+            }
+            if !memo.tc_expiry.nothing_due(now) {
+                memo.tc_expiry.reset();
+                let tc_expiry = &mut memo.tc_expiry;
+                let mut unlogged = Vec::new();
+                memo.tcs.retain(|&originator, e| {
+                    if e.until > now {
+                        tc_expiry.cover(e.until);
+                        return true;
+                    }
+                    if e.heard > e.logged {
+                        unlogged.push((originator, e.heard));
+                    }
+                    false
+                });
+                // The map iterates in its random hash order: log by id.
+                unlogged.sort_unstable();
+                for (originator, heard_at) in unlogged {
+                    ctx.log(LogRecord::TcHeard { originator, heard_at });
+                }
+            }
+        }
 
         // Symmetric-neighborhood delta (cheap: O(degree) every flush; this
         // is also what catches pure-time symmetry transitions that no
@@ -920,7 +1021,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
                     ctx.log(LogRecord::NeighborLost { addr: *n });
                     self.neighbors.remove(*n);
                     self.two_hop.remove_via(*n, now);
-                    self.selectors.remove(*n, now);
+                    self.selectors.remove(*n);
                 }
             }
         }
@@ -950,6 +1051,19 @@ impl<H: OlsrHooks> OlsrNode<H> {
             if mprs != self.mprs {
                 ctx.log(LogRecord::MprSet { mprs: Box::from(&mprs[..]) });
                 self.mprs = mprs;
+            }
+        }
+
+        // TC clocks: the IDS's TC-silence check reads those of the current
+        // MPRs, so each flush brings them up to the latest reception.
+        if let Some(memo) = self.log_memo.as_deref_mut() {
+            for &mpr in &self.mprs {
+                if let Some(e) = memo.tcs.get_mut(&mpr) {
+                    if e.heard > e.logged {
+                        e.logged = e.heard;
+                        ctx.log(LogRecord::TcHeard { originator: mpr, heard_at: e.heard });
+                    }
+                }
             }
         }
 
@@ -1196,6 +1310,59 @@ mod tests {
         // The middle node of a 3-line is everyone's MPR.
         let mid = sim.app_as::<OlsrNode>(NodeId(1)).unwrap();
         assert_eq!(mid.mpr_selectors(sim.now()), vec![NodeId(0), NodeId(2)]);
+    }
+
+    #[test]
+    fn converged_mesh_logs_only_tc_clocks() {
+        // A lossless stationary 3×3 grid: once converged, every HELLO and TC
+        // repeats what its receiver last logged, so a steady window logs no
+        // reception at all. What still moves is each MPR's TC clock, which
+        // every flush brings up to the latest reception via `TC_HEARD`.
+        let mut sim = SimulatorBuilder::new(5)
+            .radio(RadioConfig::unit_disk(150.0))
+            .arena(trustlink_sim::Arena::new(1_000.0, 1_000.0))
+            .build();
+        for p in trustlink_sim::topologies::grid(9, 3, 100.0) {
+            sim.add_node(Box::new(OlsrNode::new(OlsrConfig::fast())), p);
+        }
+        sim.run_for(SimDuration::from_secs(10));
+        let ids: Vec<NodeId> = sim.node_ids().collect();
+        let cursors: Vec<usize> = ids.iter().map(|&id| sim.log(id).len()).collect();
+        let mprs_before: Vec<Vec<NodeId>> =
+            ids.iter().map(|&id| sim.app_as::<OlsrNode>(id).unwrap().mpr_set().to_vec()).collect();
+        sim.run_for(SimDuration::from_secs(10));
+        let now = sim.now();
+        let tc_interval = OlsrConfig::fast().tc_interval;
+        let mut clocks_seen = 0;
+        for (i, &id) in ids.iter().enumerate() {
+            let node = sim.app_as::<OlsrNode>(id).unwrap();
+            assert_eq!(node.mpr_set(), &mprs_before[i][..], "{id}: MPR set moved");
+            let (window, _) = sim.log(id).read_from(cursors[i]);
+            for (at, record) in window {
+                assert!(
+                    !matches!(record, LogRecord::HelloRx { .. } | LogRecord::TcRx { .. }),
+                    "{id} logged `{record}` at {at} in a steady mesh"
+                );
+            }
+            for &mpr in node.mpr_set() {
+                let heard: Vec<SimTime> = window
+                    .iter()
+                    .filter_map(|(_, r)| match r {
+                        LogRecord::TcHeard { originator, heard_at } if *originator == mpr => {
+                            Some(*heard_at)
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                // One TC per 1.25 s: about eight over the window.
+                assert!(heard.len() >= 6, "{id}: MPR {mpr} clock moved only {heard:?}");
+                assert!(heard.windows(2).all(|w| w[0] < w[1]), "{id}: {mpr} clock {heard:?}");
+                let last = *heard.last().unwrap();
+                assert!(now.saturating_since(last) <= tc_interval * 2, "{id}: {mpr} at {last}");
+                clocks_seen += 1;
+            }
+        }
+        assert!(clocks_seen >= 8, "only {clocks_seen} MPR clocks: the grid selected no MPRs");
     }
 
     #[test]

@@ -406,13 +406,13 @@ impl RoutingTable {
         self.routes.is_empty()
     }
 
-    /// Destinations whose route changed or disappeared between `self` and
-    /// `next` — used by the node to emit `ROUTE_*` audit-log lines. A
-    /// single merge walk over the two destination-sorted tables.
+    /// Routes that appeared or changed between `self` and `next` — used by
+    /// the node to emit `ROUTE_*` audit-log lines. A single merge walk over
+    /// the two destination-sorted tables; vanished destinations are
+    /// skipped, since no record reports them.
     pub fn diff<'a>(&'a self, next: &'a RoutingTable) -> RoutingDiff {
         let mut added = Vec::new();
         let mut changed = Vec::new();
-        let mut removed = Vec::new();
         let (mut i, mut j) = (0, 0);
         while i < self.routes.len() || j < next.routes.len() {
             match (self.routes.get(i), next.routes.get(j)) {
@@ -423,18 +423,12 @@ impl RoutingTable {
                     i += 1;
                     j += 1;
                 }
-                (Some(old), Some(new)) if old.dest < new.dest => {
-                    removed.push(old.dest);
-                    i += 1;
-                }
+                (Some(old), Some(new)) if old.dest < new.dest => i += 1,
                 (Some(_), Some(new)) => {
                     added.push(*new);
                     j += 1;
                 }
-                (Some(old), None) => {
-                    removed.push(old.dest);
-                    i += 1;
-                }
+                (Some(_), None) => i += 1,
                 (None, Some(new)) => {
                     added.push(*new);
                     j += 1;
@@ -442,25 +436,23 @@ impl RoutingTable {
                 (None, None) => unreachable!("loop condition"),
             }
         }
-        RoutingDiff { added, changed, removed }
+        RoutingDiff { added, changed }
     }
 }
 
-/// The difference between two routing tables.
+/// The routes that appeared or changed between two routing tables.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoutingDiff {
     /// Routes present only in the newer table.
     pub added: Vec<Route>,
     /// Routes whose next hop or hop count changed.
     pub changed: Vec<Route>,
-    /// Destinations that became unreachable.
-    pub removed: Vec<NodeId>,
 }
 
 impl RoutingDiff {
-    /// `true` when the tables are identical.
+    /// `true` when no route appeared or changed.
     pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.changed.is_empty() && self.removed.is_empty()
+        self.added.is_empty() && self.changed.is_empty()
     }
 }
 
@@ -606,8 +598,13 @@ mod tests {
         );
         let diff = t1.diff(&t2);
         assert_eq!(diff.added.iter().map(|r| r.dest).collect::<Vec<_>>(), vec![NodeId(3)]);
-        assert_eq!(diff.removed, vec![NodeId(2)]);
+        assert!(diff.changed.is_empty());
+        // N2 became unreachable: the diff does not report it, the table
+        // itself shows it gone.
+        assert!(t1.route_to(NodeId(2)).is_some() && t2.route_to(NodeId(2)).is_none());
         assert!(t1.diff(&t1.clone()).is_empty());
+        // A table that only lost destinations has nothing to report.
+        assert!(t1.diff(&RoutingTable::default()).is_empty());
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!    ever touches tuples when something may actually have expired,
 //!    instead of scanning the whole set after every received packet.
 //!
-//! The `purge` family still removes expired entries and reports what was
-//! dropped (so the node can write the corresponding audit-log lines and
-//! invalidate recompute artifacts that depended on the dropped state).
+//! The `purge` family removes expired entries and reports only what a
+//! caller reads: the 2-hop pairs dropped (each becomes a `2HOP_LOST`
+//! audit-log line) and whether the topology lost any tuple (which
+//! invalidates the routing table).
 
 use std::collections::BTreeMap;
 
@@ -70,7 +71,7 @@ pub enum LinkStatus {
 /// purge may occasionally scan and find nothing — but a purge can never be
 /// missed. Purge passes recompute the exact minimum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MinExpiry(SimTime);
+pub(crate) struct MinExpiry(SimTime);
 
 impl Default for MinExpiry {
     fn default() -> Self {
@@ -80,16 +81,16 @@ impl Default for MinExpiry {
 
 impl MinExpiry {
     /// Lowers the bound to cover a tuple expiring at `until`.
-    fn cover(&mut self, until: SimTime) {
+    pub(crate) fn cover(&mut self, until: SimTime) {
         self.0 = self.0.min(until);
     }
 
     /// `true` when nothing can have expired yet: the purge may skip.
-    fn nothing_due(&self, now: SimTime) -> bool {
+    pub(crate) fn nothing_due(&self, now: SimTime) -> bool {
         self.0 > now
     }
 
-    fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.0 = SimTime::MAX;
     }
 }
@@ -156,22 +157,21 @@ impl LinkSet {
         );
     }
 
-    /// Removes tuples wholly expired at `now`; returns the removed
-    /// neighbors. Min-expiry gated: free while nothing can have expired.
-    pub fn purge(&mut self, now: SimTime) -> Vec<NodeId> {
+    /// Removes tuples wholly expired at `now`. Min-expiry gated: free
+    /// while nothing can have expired.
+    pub fn purge(&mut self, now: SimTime) {
         if self.min_expiry.nothing_due(now) {
-            return Vec::new();
-        }
-        let dead: Vec<NodeId> =
-            self.tuples.values().filter(|t| t.until <= now).map(|t| t.neighbor).collect();
-        for d in &dead {
-            self.tuples.remove(d);
+            return;
         }
         self.min_expiry.reset();
-        for t in self.tuples.values() {
-            self.min_expiry.cover(t.until);
-        }
-        dead
+        let min_expiry = &mut self.min_expiry;
+        self.tuples.retain(|_, t| {
+            let live = t.until > now;
+            if live {
+                min_expiry.cover(t.until);
+            }
+            live
+        });
     }
 
     /// Number of tuples (including expired-but-unpurged ones).
@@ -359,20 +359,21 @@ impl<T: RunTuple> Runs<T> {
         self.runs.values().flatten()
     }
 
-    /// Drops tuples expired at `now` and runs left empty; returns the
-    /// dropped keys, ascending. Min-expiry gated: free while nothing can
-    /// have expired.
-    fn purge(&mut self, now: SimTime) -> Vec<(NodeId, NodeId)> {
+    /// Drops tuples expired at `now` and runs left empty, handing each
+    /// dropped key to `on_drop` in ascending order; returns how many were
+    /// dropped. Min-expiry gated: free while nothing can have expired.
+    fn purge(&mut self, now: SimTime, mut on_drop: impl FnMut((NodeId, NodeId))) -> usize {
         if self.min_expiry.nothing_due(now) {
-            return Vec::new();
+            return 0;
         }
         self.min_expiry.reset();
         let min_expiry = &mut self.min_expiry;
-        let mut dead = Vec::new();
+        let mut dropped = 0;
         self.runs.retain(|_, run| {
             run.retain(|t| {
                 if t.until() <= now {
-                    dead.push(t.key());
+                    on_drop(t.key());
+                    dropped += 1;
                     false
                 } else {
                     min_expiry.cover(t.until());
@@ -381,8 +382,8 @@ impl<T: RunTuple> Runs<T> {
             });
             !run.is_empty()
         });
-        self.len -= dead.len();
-        dead
+        self.len -= dropped;
+        dropped
     }
 }
 
@@ -512,7 +513,9 @@ impl TwoHopSet {
     /// Drops expired pairs; returns the removed `(via, two_hop)` pairs,
     /// ascending. Min-expiry gated: free while nothing can have expired.
     pub fn purge(&mut self, now: SimTime) -> Vec<(NodeId, NodeId)> {
-        self.tuples.purge(now)
+        let mut dead = Vec::new();
+        self.tuples.purge(now, |key| dead.push(key));
+        dead
     }
 
     /// Iterates all live tuples at `now`, ascending by `(via, two_hop)`.
@@ -540,22 +543,17 @@ pub struct MprSelectorSet {
 }
 
 impl MprSelectorSet {
-    /// Inserts or refreshes a selector as of `now`. Returns `true` when the
-    /// selector was not previously *live* (absent, or present only as an
-    /// expired leftover) — i.e. when this is an observable addition.
-    pub fn upsert(&mut self, addr: NodeId, until: SimTime, now: SimTime) -> bool {
+    /// Inserts a selector valid until `until`, or extends a stored one
+    /// (an expired leftover is revived: validity only ever extends).
+    pub fn upsert(&mut self, addr: NodeId, until: SimTime) {
         self.min_expiry.cover(until);
-        let fresh = self.tuples.get(&addr).is_none_or(|&u| u <= now);
         let e = self.tuples.entry(addr).or_insert(until);
         *e = (*e).max(until);
-        fresh
     }
 
-    /// Removes a selector (on lost symmetry or an explicit LOST listing),
-    /// returning whether a *live* entry existed at `now` (an expired
-    /// leftover is dropped silently — it was already observably gone).
-    pub fn remove(&mut self, addr: NodeId, now: SimTime) -> bool {
-        self.tuples.remove(&addr).is_some_and(|until| until > now)
+    /// Removes a selector (on lost symmetry or an explicit LOST listing).
+    pub fn remove(&mut self, addr: NodeId) {
+        self.tuples.remove(&addr);
     }
 
     /// `true` when `addr` currently selects us at `now`.
@@ -573,22 +571,21 @@ impl MprSelectorSet {
         self.addrs(now).is_empty()
     }
 
-    /// Drops expired entries; returns the removed addresses. Min-expiry
-    /// gated: free while nothing can have expired.
-    pub fn purge(&mut self, now: SimTime) -> Vec<NodeId> {
+    /// Drops expired entries. Min-expiry gated: free while nothing can
+    /// have expired.
+    pub fn purge(&mut self, now: SimTime) {
         if self.min_expiry.nothing_due(now) {
-            return Vec::new();
-        }
-        let dead: Vec<NodeId> =
-            self.tuples.iter().filter(|(_, &until)| until <= now).map(|(&a, _)| a).collect();
-        for a in &dead {
-            self.tuples.remove(a);
+            return;
         }
         self.min_expiry.reset();
-        for &until in self.tuples.values() {
-            self.min_expiry.cover(until);
-        }
-        dead
+        let min_expiry = &mut self.min_expiry;
+        self.tuples.retain(|_, &mut until| {
+            let live = until > now;
+            if live {
+                min_expiry.cover(until);
+            }
+            live
+        });
     }
 }
 
@@ -675,12 +672,12 @@ impl TopologySet {
         self.tuples.iter().filter(move |t| t.until > now)
     }
 
-    /// Drops expired tuples; returns removed `(last_hop, dest)` pairs,
-    /// ascending. Min-expiry gated: free while nothing can have expired —
-    /// the gate that turns the former per-reception O(topology) sweep into
-    /// an occasional one.
-    pub fn purge(&mut self, now: SimTime) -> Vec<(NodeId, NodeId)> {
-        self.tuples.purge(now)
+    /// Drops expired tuples; returns `true` when any was dropped.
+    /// Min-expiry gated: free while nothing can have expired — the gate
+    /// that turns the former per-reception O(topology) sweep into an
+    /// occasional one.
+    pub fn purge(&mut self, now: SimTime) -> bool {
+        self.tuples.purge(now, |_| {}) > 0
     }
 
     /// Number of stored tuples.
@@ -1065,8 +1062,9 @@ mod tests {
             until: t(6),
         });
         assert_eq!(set.symmetric_neighbors(t(1)), vec![NodeId(1)]);
-        let dead = set.purge(t(6));
-        assert_eq!(dead, vec![NodeId(1), NodeId(2)]);
+        set.purge(t(5));
+        assert_eq!(set.len(), 2, "nothing has expired before t(6)");
+        set.purge(t(6));
         assert!(set.is_empty());
     }
 
@@ -1139,25 +1137,36 @@ mod tests {
     #[test]
     fn mpr_selector_set() {
         let mut set = MprSelectorSet::default();
-        assert!(set.upsert(NodeId(1), t(5), t(0)));
-        assert!(!set.upsert(NodeId(1), t(8), t(1))); // refresh, not fresh
+        set.upsert(NodeId(1), t(5));
+        set.upsert(NodeId(1), t(8)); // refresh extends
+        set.upsert(NodeId(2), t(3));
+        set.upsert(NodeId(2), t(2)); // never shrinks
         assert!(set.contains(NodeId(1), t(7)));
         assert!(!set.contains(NodeId(1), t(9)));
+        assert_eq!(set.addrs(t(2)), vec![NodeId(1), NodeId(2)]);
         assert!(set.is_empty(t(9)));
-        assert_eq!(set.purge(t(9)), vec![NodeId(1)]);
-        assert!(!set.remove(NodeId(1), t(9)));
+        set.purge(t(3));
+        assert_eq!(set.tuples.keys().copied().collect::<Vec<_>>(), vec![NodeId(1)]);
+        set.purge(t(9));
+        assert!(set.tuples.is_empty());
     }
 
     #[test]
     fn mpr_selector_expired_leftover_counts_as_fresh() {
         let mut set = MprSelectorSet::default();
-        assert!(set.upsert(NodeId(1), t(5), t(0)));
-        // Leftover expired at t(5) but never purged: re-adding at t(6) is
-        // observably fresh, and removing the leftover is observably a no-op.
-        assert!(set.upsert(NodeId(1), t(9), t(6)));
-        assert!(set.remove(NodeId(1), t(7)));
-        assert!(set.upsert(NodeId(1), t(12), t(8)));
-        assert!(!set.remove(NodeId(1), t(12)));
+        set.upsert(NodeId(1), t(5));
+        // Leftover expired at t(5) but never purged: re-adding at t(6)
+        // makes it live again, and removing it removes it whatever its
+        // validity.
+        set.upsert(NodeId(1), t(9));
+        assert!(set.contains(NodeId(1), t(6)));
+        set.remove(NodeId(1));
+        assert!(!set.contains(NodeId(1), t(7)));
+        assert!(set.tuples.is_empty());
+        set.upsert(NodeId(1), t(12));
+        set.remove(NodeId(1));
+        set.remove(NodeId(1)); // absent: a no-op
+        assert!(set.tuples.is_empty());
     }
 
     #[test]
@@ -1218,8 +1227,11 @@ mod tests {
         let mut set = TopologySet::default();
         set.apply_tc(NodeId(5), 1, &[NodeId(1)], t(5), t(0));
         set.apply_tc(NodeId(6), 1, &[NodeId(2)], t(50), t(0));
-        assert_eq!(set.purge(t(10)), vec![(NodeId(5), NodeId(1))]);
+        assert!(set.purge(t(10)));
         assert_eq!(set.len(), 1);
+        let left: Vec<(NodeId, NodeId)> = set.tuples.iter().map(|t| (t.last_hop, t.dest)).collect();
+        assert_eq!(left, vec![(NodeId(6), NodeId(2))]);
+        assert!(!set.purge(t(10)), "nothing left to drop");
     }
 
     #[test]
@@ -1325,16 +1337,26 @@ mod tests {
             asym_until: t(9),
             until: t(9),
         });
-        assert!(links.purge(t(4)).is_empty());
-        assert_eq!(links.purge(t(5)), vec![NodeId(1)]);
-        assert!(links.purge(t(8)).is_empty()); // bound re-tracked to t(9)
-        assert_eq!(links.purge(t(9)), vec![NodeId(2)]);
+        let neighbors = |links: &LinkSet| links.iter().map(|t| t.neighbor).collect::<Vec<_>>();
+        links.purge(t(4));
+        assert_eq!(neighbors(&links), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(links.min_expiry, MinExpiry(t(5)));
+        links.purge(t(5));
+        assert_eq!(neighbors(&links), vec![NodeId(2)]);
+        assert_eq!(links.min_expiry, MinExpiry(t(9))); // bound re-tracked
+        links.purge(t(8));
+        assert_eq!(neighbors(&links), vec![NodeId(2)]);
+        links.purge(t(9));
+        assert!(links.is_empty());
+        assert_eq!(links.min_expiry, MinExpiry::default());
 
         let mut topo = TopologySet::default();
         topo.apply_tc(NodeId(5), 1, &[NodeId(1)], t(5), t(0));
-        assert!(topo.purge(t(4)).is_empty());
-        assert_eq!(topo.purge(t(5)), vec![(NodeId(5), NodeId(1))]);
-        assert!(topo.purge(t(100)).is_empty()); // empty set: bound is +inf
+        assert!(!topo.purge(t(4)));
+        assert_eq!(topo.len(), 1);
+        assert!(topo.purge(t(5)));
+        assert!(topo.is_empty());
+        assert!(!topo.purge(t(100))); // empty set: bound is +inf
     }
 
     #[test]

@@ -68,8 +68,8 @@ pub enum TcRedundancy {
 /// routing tables, MPR sets and detection verdicts. They differ only in
 /// when the *bookkeeping* runs, which shifts the timestamps of the
 /// recompute-emitted audit-log lines (`NBR_ADD`/`NBR_LOST`, `2HOP_LOST`,
-/// `MPR_SET`, `ROUTE_ADD`/`ROUTE_CHG`) — never their per-analysis-batch
-/// content. `tests/recompute_equivalence.rs` pins this contract, with
+/// `MPR_SET`, `ROUTE_ADD`/`ROUTE_CHG`, `TC_HEARD`) — never their
+/// per-analysis-batch content. `tests/recompute_equivalence.rs` pins this contract, with
 /// [`RecomputeMode::Eager`] as its oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecomputeMode {

@@ -135,11 +135,23 @@ impl fmt::Display for VerdictKind {
 ///
 /// The log is the detector's only input, so it holds only the kinds the
 /// extractor (`trustlink_ids::events::EventExtractor`) consumes: the
-/// received control messages (`HelloRx`, `TcRx`, `MidRx`), neighborhood and
-/// 2-hop changes, MPR-set changes, route additions and changes (which feed
-/// the known-population estimate) and undecodable frames. The extractor
-/// names every variant in its matches, so a kind added here without a
-/// reader there fails to compile.
+/// received control messages (`HelloRx`, `TcRx`, `MidRx`), the TC clock of
+/// an originator (`TcHeard`), neighborhood and 2-hop changes, MPR-set
+/// changes, route additions and changes (which feed the known-population
+/// estimate) and undecodable frames. The extractor names every variant in
+/// its matches, so a kind added here without a reader there fails to
+/// compile.
+///
+/// A record is logged when it changes what the extractor knows, not once
+/// per event. A `HelloRx` is logged only when the sender's claimed
+/// symmetric set differs from the one last logged for it (or its link had
+/// lapsed); a `TcRx` only when the advertised set differs from the one last
+/// logged for its originator (or that state had lapsed, or the frame's
+/// sender has no live link). A repeat of either would trigger nothing: the
+/// extractor's known population only grows. What a repeated TC does
+/// carry, its reception time, reaches the log as a `TcHeard` when the
+/// routing node flushes, for every current MPR and for any originator
+/// whose state is about to lapse.
 ///
 /// Field naming follows what the information *is* to the logging node:
 /// e.g. in [`LogRecord::HelloRx`], `sym` is the set of symmetric neighbors
@@ -174,6 +186,16 @@ pub enum LogRecord {
         ansn: u16,
         /// Advertised selector set.
         advertised: Box<[NodeId]>,
+    },
+    /// The latest TC from `originator` arrived at `heard_at`, after the last
+    /// one the log reported. Written by the recompute flush for current
+    /// MPRs (and for originators whose TC state lapses), so the TC-silence
+    /// check reads each MPR's clock without a `TcRx` per repeated TC.
+    TcHeard {
+        /// TC originator.
+        originator: NodeId,
+        /// When its latest TC was received.
+        heard_at: SimTime,
     },
     /// A MID was received.
     MidRx {
@@ -275,6 +297,9 @@ impl LogRecord {
                 "TC_RX orig={originator} sender={sender} ansn={ansn} adv={}",
                 fmt_list(advertised)
             ),
+            LogRecord::TcHeard { originator, heard_at } => {
+                format!("TC_HEARD orig={originator} heard={}", heard_at.as_micros())
+            }
             LogRecord::MidRx { originator, aliases } => {
                 format!("MID_RX orig={originator} aliases={}", fmt_list(aliases))
             }
@@ -422,6 +447,10 @@ pub fn parse_line(line: &str) -> Result<LogRecord, ParseLogError> {
             sender: f.node("sender")?,
             ansn: f.u16_field("ansn")?,
             advertised: f.list("adv")?.into(),
+        },
+        "TC_HEARD" => LogRecord::TcHeard {
+            originator: f.node("orig")?,
+            heard_at: SimTime::from_micros(f.u64_field("heard")?),
         },
         "MID_RX" => {
             LogRecord::MidRx { originator: f.node("orig")?, aliases: f.list("aliases")?.into() }
@@ -604,6 +633,7 @@ mod tests {
                 ansn: 17,
                 advertised: Box::from([NodeId(1), NodeId(4)]),
             },
+            LogRecord::TcHeard { originator: NodeId(8), heard_at: SimTime::from_micros(2_500_017) },
             LogRecord::MidRx { originator: NodeId(5), aliases: Box::from([NodeId(50)]) },
             LogRecord::NeighborAdded { addr: NodeId(4) },
             LogRecord::NeighborLost { addr: NodeId(5) },
@@ -661,6 +691,11 @@ mod tests {
             "HELLO_RX from=N3 will=3 sym=[N1,N2] asym=[]"
         );
         assert_eq!(LogRecord::MprSet { mprs: Box::from([]) }.to_line(), "MPR_SET mprs=[]");
+        assert_eq!(
+            LogRecord::TcHeard { originator: NodeId(8), heard_at: SimTime::from_micros(2_500_017) }
+                .to_line(),
+            "TC_HEARD orig=N8 heard=2500017"
+        );
         assert_eq!(LogRecord::AnalysisTick.to_line(), "ANALYSIS_TICK");
         assert_eq!(
             LogRecord::Verdict {
@@ -700,6 +735,8 @@ mod tests {
             parse_line("TC_RX orig=N1 sender=N2 ansn=70000 adv=[]"),
             Err(ParseLogError::BadValue("ansn"))
         );
+        assert_eq!(parse_line("TC_HEARD orig=N1 heard=-5"), Err(ParseLogError::BadValue("heard")));
+        assert_eq!(parse_line("TC_HEARD heard=5"), Err(ParseLogError::MissingField("orig")));
         assert_eq!(
             parse_line(
                 "VERDICT case=1 suspect=N8 verdict=guilty detect=0 margin=0 witnesses=1 answered=1"

@@ -92,7 +92,7 @@ fn main() {
         println!("frames received by one victim in 10 s: {victim_rx}");
         let spoofed =
             sim.log(NodeId(2)).lines().filter(|l| l.starts_with("TC_RX orig=N42")).count();
-        println!("forged TCs attributed to the masqueraded N42: {spoofed}\n");
+        println!("logged TCs attributing forged claims to the masqueraded N42: {spoofed}\n");
     }
 
     println!("=== 4. Replay attack ===");

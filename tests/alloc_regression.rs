@@ -16,6 +16,10 @@
 //! A second guard pins the `neighbors_in_range_into` query: range queries
 //! into a caller-owned buffer must not allocate either.
 //!
+//! A third guard pins what one routing node costs before it runs: its size
+//! and the allocations `OlsrNode::new` makes, both of which set-up time of
+//! a large network follows.
+//!
 //! The counter is per thread: each guard measures only the allocations
 //! its own thread makes, so neither the other guard nor the test
 //! harness's threads can leak into a measurement window.
@@ -25,6 +29,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::Bytes;
+use trustlink_olsr::{OlsrConfig, OlsrNode};
 use trustlink_sim::prelude::*;
 use trustlink_sim::{topologies, Application, TimerToken};
 
@@ -173,4 +178,22 @@ fn neighbor_queries_into_a_buffer_allocate_nothing() {
         "neighbors_in_range_into allocated {during} times across {total} neighbor hits; \
          the into-buffer query must reuse the caller's storage"
     );
+}
+
+#[test]
+fn olsr_node_set_up_stays_small_and_allocation_light() {
+    // 1032 bytes is glibc's largest tcache size class. A node grown past
+    // it (two hash maps held inline took it from 944 to 1040 bytes) more
+    // than doubled perfbench olsr-256 `setup_s`, so state a node gains
+    // later lives behind a pointer that stays null until first use.
+    let size = std::mem::size_of::<OlsrNode>();
+    assert!(size <= 1032, "OlsrNode is {size} bytes, above glibc's largest tcache class");
+    // One node first, so process-wide one-time set-up (the id-hash key
+    // draw) stays out of the count.
+    drop(OlsrNode::new(OlsrConfig::fast()));
+    let before = allocs();
+    let node = OlsrNode::new(OlsrConfig::fast());
+    let during = allocs() - before;
+    drop(node);
+    assert_eq!(during, 0, "OlsrNode::new(OlsrConfig::fast()) allocated {during} times");
 }

@@ -4,6 +4,7 @@
 use trustlink_attacks::prelude::*;
 use trustlink_core::prelude::*;
 use trustlink_core::DetectorConfig;
+use trustlink_ids::events::{DetectionEvent, MisbehaviourReason};
 use trustlink_ids::investigation::InvestigationConfig;
 
 fn fast_detector() -> DetectorConfig {
@@ -283,4 +284,85 @@ fn investigation_routes_are_memoised_per_route_generation() {
     }
     assert!(lookups > 1_000, "too little investigation traffic: {lookups} avoid lookups");
     assert!(runs <= lookups / 5, "{runs} avoid BFS runs for {lookups} lookups");
+}
+
+/// A black-hole drop attacker that also stops originating TCs at
+/// `silent_from` while it keeps sending HELLOs: it stays its neighbors'
+/// MPR, so their detectors must flag TC silence.
+struct SilentMpr {
+    inner: DropAttackNode,
+    silent_from: SimTime,
+}
+
+impl Application for SilentMpr {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.inner.on_start(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
+        // Swallowing the TC timer also drops its re-arm: silent for good.
+        if timer == trustlink_olsr::node::TIMER_TC && ctx.now() >= self.silent_from {
+            return;
+        }
+        self.inner.on_timer(ctx, timer);
+    }
+
+    fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: bytes::Bytes) {
+        self.inner.on_receive(ctx, from, payload);
+    }
+}
+
+#[test]
+fn silent_mpr_is_flagged_at_pinned_instants() {
+    // A five-node line whose middle node falls silent at 15 s. Nodes 1 and
+    // 3 keep it as their only MPR; once its last TC is more than
+    // 4 × tc_interval old, every analysis pass flags it. The instants were
+    // derived while every received TC was still logged in full, so they
+    // pin that the TC clock reaches the detector unchanged.
+    let mut sim = SimulatorBuilder::new(61).radio(RadioConfig::unit_disk(150.0)).build();
+    let detector = DetectorConfig { flight_recording: true, ..fast_detector() };
+    for i in 0..5u32 {
+        let at = Position::new(f64::from(i) * 100.0, 0.0);
+        if i == 2 {
+            let attack = DropAttack::new(DropMode::BlackHole, DropScope::All, 5);
+            sim.add_node(
+                Box::new(SilentMpr {
+                    inner: drop_attack_node(OlsrConfig::fast(), attack),
+                    silent_from: SimTime::from_secs(15),
+                }),
+                at,
+            );
+        } else {
+            sim.add_node(Box::new(DetectorNode::new(OlsrConfig::fast(), detector.clone())), at);
+        }
+    }
+    sim.run_for(SimDuration::from_secs(30));
+    // Per observer: the first flag, and how many analysis passes (every
+    // 500 ms from the first on) flagged it.
+    let mut flagged: Vec<(u32, u32, u64, usize)> = Vec::new();
+    for id in sim.node_ids().collect::<Vec<_>>() {
+        let instants: Vec<(u32, u64)> = trustlink_core::replay::extracted_events_of(&sim, id)
+            .into_iter()
+            .filter_map(|event| match event {
+                DetectionEvent::MprMisbehaving {
+                    mpr,
+                    reason: MisbehaviourReason::TcSilence,
+                    at,
+                } => Some((mpr.0, at.as_micros())),
+                _ => None,
+            })
+            .collect();
+        let Some(&(mpr, first)) = instants.first() else {
+            continue;
+        };
+        for (k, &(m, at)) in instants.iter().enumerate() {
+            assert_eq!((m, at), (mpr, first + 500_000 * k as u64), "{id}: flag {k} off the beat");
+        }
+        flagged.push((id.0, mpr, first, instants.len()));
+    }
+    assert_eq!(
+        flagged,
+        vec![(1, 2, 20_060_275, 20), (3, 2, 19_994_527, 21)],
+        "TC-silence flags (observer, mpr, first µs, count) moved"
+    );
 }

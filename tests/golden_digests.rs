@@ -19,10 +19,16 @@
 //!   join, and the digests were derived where both agreed.
 //!
 //! The audit log has since dropped every record kind the IDS does not
-//! read. The digests below were re-derived on the last commit that still
-//! logged those kinds, by rendering each scenario with their lines
-//! dropped; the unfiltered render of that commit still matched the digest
-//! derived where the retired paths agreed.
+//! read, and then every `HELLO_RX`/`TC_RX` that repeats what the log
+//! already holds, adding `TC_HEARD` clocks. The first step was re-derived
+//! on the last commit that still logged those kinds, by rendering each
+//! scenario with their lines dropped. For the second, each scenario was
+//! rendered on both sides of the change: every line other than
+//! `HELLO_RX`, `TC_RX` and `TC_HEARD` (statistics included) was
+//! identical, the kept receptions were an in-order subset of the old ones,
+//! each dropped one repeated the claims last logged for its sender or
+//! originator, and each `TC_HEARD` carried the time of the latest old
+//! `TC_RX` from its originator.
 
 use trustlink_core::prelude::*;
 use trustlink_olsr::{FisheyeRings, FloodScope, OlsrConfig, OlsrNode};
@@ -51,7 +57,7 @@ fn stationary_mesh(seed: u64, radio: RadioConfig) -> Simulator {
 #[test]
 fn stationary_olsr_mesh_is_byte_identical() {
     for (seed, golden) in
-        [(1, 0xc762_8f09_ded6_7939), (7, 0x4f57_2e01_e988_85e8), (42, 0x3431_9bfe_8f28_6662)]
+        [(1, 0x60b8_c8e2_1c4e_2ee9), (7, 0x2a4e_f29f_1619_4f29), (42, 0x8c4f_e6e3_d9df_8b1f)]
     {
         let sim = stationary_mesh(seed, RadioConfig::unit_disk(160.0));
         assert_golden("stationary mesh", seed, &sim, golden);
@@ -64,7 +70,7 @@ fn lossy_stationary_olsr_mesh_is_byte_identical() {
     // log buffers still stored formatted strings (0xa8ae_275a_a425_6586),
     // and which every later change to the log vocabulary re-derived.
     for (seed, golden) in
-        [(1, 0x5a90_5a0c_9bbf_ddcf), (7, 0xed33_d5ec_e395_eb1c), (42, 0x6714_f50c_4f63_cf95)]
+        [(1, 0xc6a6_1a18_1da2_bd0d), (7, 0x2dd8_167d_b0a6_24b8), (42, 0x5b0d_58f6_63ff_4cdf)]
     {
         let sim = stationary_mesh(seed, RadioConfig::unit_disk(160.0).with_loss(0.1));
         assert_golden("lossy stationary mesh", seed, &sim, golden);
@@ -89,14 +95,14 @@ fn random_geometric_mesh(seed: u64, loss: f64) -> Simulator {
 
 #[test]
 fn lossy_mesh_is_byte_identical() {
-    for (seed, golden) in [(3, 0x3217_aaf3_2807_2b6f), (11, 0x10b1_49b7_c137_03f9)] {
+    for (seed, golden) in [(3, 0xc354_28b1_f36f_1d6e), (11, 0x4826_61b8_e43f_de70)] {
         assert_golden("lossy mesh", seed, &random_geometric_mesh(seed, 0.1), golden);
     }
 }
 
 #[test]
 fn random_geometric_mesh_is_byte_identical() {
-    for (seed, golden) in [(3, 0x45a2_6268_8eae_ba43), (11, 0x8b47_63f9_407a_2942)] {
+    for (seed, golden) in [(3, 0x40ff_cd91_abfd_041a), (11, 0x7837_66d7_4b13_e7a0)] {
         assert_golden("random geometric mesh", seed, &random_geometric_mesh(seed, 0.05), golden);
     }
 }
@@ -104,7 +110,7 @@ fn random_geometric_mesh_is_byte_identical() {
 #[test]
 fn random_waypoint_mobility_is_byte_identical() {
     for (seed, golden) in
-        [(5, 0x972d_1a57_72ba_af8b), (23, 0x7a96_0916_bdce_5ee7), (99, 0x8c2a_5737_a707_5431)]
+        [(5, 0xa917_9973_0d71_e578), (23, 0x34c1_ba12_e90f_c2dd), (99, 0xe5bc_fa93_a5ce_d172)]
     {
         let mut sim = SimulatorBuilder::new(seed)
             .arena(Arena::new(500.0, 500.0))
@@ -144,7 +150,7 @@ fn churn_kill_revive_is_byte_identical() {
     sim.run_for(SimDuration::from_secs(3));
     sim.revive(NodeId(12));
     sim.run_for(SimDuration::from_secs(3));
-    assert_golden("kill/revive churn", 13, &sim, 0xd4a0_ee43_3607_9a6d);
+    assert_golden("kill/revive churn", 13, &sim, 0x3545_ed1f_c7d8_2c83);
 }
 
 #[test]
@@ -163,7 +169,7 @@ fn teleportation_is_byte_identical() {
     sim.run_for(SimDuration::from_secs(3));
     sim.set_position(NodeId(0), Position::new(0.0, 0.0)); // rejoins
     sim.run_for(SimDuration::from_secs(3));
-    assert_golden("teleport", 31, &sim, 0x1da5_d8e8_d860_2acb);
+    assert_golden("teleport", 31, &sim, 0xe703_46d3_7627_56de);
 }
 
 #[test]
@@ -171,7 +177,7 @@ fn late_join_is_byte_identical() {
     // A node added mid-run, beside nodes whose receiver lists are already
     // built, must be heard by them from its first broadcast and hear their
     // next ones: adding a node changes every neighborhood it lands in.
-    for (seed, golden) in [(17, 0x9256_980b_5f6c_13d3), (29, 0x9a26_f731_cff7_cb43)] {
+    for (seed, golden) in [(17, 0xe1ad_b778_9948_b113), (29, 0x8735_d99a_cf58_079c)] {
         let mut sim = SimulatorBuilder::new(seed)
             .arena(Arena::new(600.0, 600.0))
             .radio(RadioConfig::unit_disk(160.0).with_loss(0.05))
@@ -199,7 +205,7 @@ fn collision_window_is_byte_identical() {
         sim.add_node(olsr_boxed(), p);
     }
     sim.run_for(SimDuration::from_secs(8));
-    assert_golden("collision window", 17, &sim, 0x40be_5f44_f363_a8aa);
+    assert_golden("collision window", 17, &sim, 0xa589_9747_4f4b_2179);
 }
 
 #[test]
@@ -207,8 +213,8 @@ fn fisheye_scoped_flooding_is_byte_identical() {
     // Scoped fisheye flooding changes *what* is transmitted, not how it is
     // delivered: each scope keeps its own digest.
     for (scope, golden) in [
-        (FloodScope::Classic, 0x5dbc_7e5d_1ec6_c0e4),
-        (FloodScope::Fisheye(FisheyeRings::default()), 0x28d5_3221_9028_82da),
+        (FloodScope::Classic, 0x74cd_22aa_4e12_7f5e),
+        (FloodScope::Fisheye(FisheyeRings::default()), 0x3d51_1584_89cc_80ad),
     ] {
         let cfg = OlsrConfig::fast().with_flood_scope(scope);
         let mut sim = SimulatorBuilder::new(21)
@@ -238,7 +244,7 @@ fn full_detection_scenario_is_byte_identical() {
         ..DetectorConfig::default()
     };
     for (seed, golden, verdicts) in
-        [(7, 0xf4b6_3822_47cf_1c7f, 96), (19, 0x68c1_ae2b_b93a_fd6f, 84)]
+        [(7, 0x279f_5e9e_4efd_2566, 96), (19, 0xd8ca_05f1_63f9_14cb, 84)]
     {
         let report = ScenarioBuilder::new(seed, 9)
             .topology(Topology::Grid { cols: 3, spacing: 100.0 })

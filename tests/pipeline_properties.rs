@@ -103,7 +103,7 @@ fn finite_f64() -> impl Strategy<Value = f64> {
     (any::<i32>(), 1u32..10_000).prop_map(|(n, d)| f64::from(n) / f64::from(d))
 }
 
-/// Every [`LogRecord`] variant — all 13 arms, with possibly-empty lists
+/// Every [`LogRecord`] variant — all 14 arms, with possibly-empty lists
 /// and sparse sets — so the round-trip properties cover the whole
 /// vocabulary, detector-plane records included.
 fn log_record() -> impl Strategy<Value = LogRecord> {
@@ -124,6 +124,10 @@ fn log_record() -> impl Strategy<Value = LogRecord> {
                 advertised: advertised.into()
             }
         ),
+        (node_id(), any::<u64>()).prop_map(|(originator, at)| LogRecord::TcHeard {
+            originator,
+            heard_at: SimTime::from_micros(at)
+        }),
         (node_id(), node_list()).prop_map(|(originator, aliases)| LogRecord::MidRx {
             originator,
             aliases: aliases.into()

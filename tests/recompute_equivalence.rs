@@ -9,7 +9,10 @@
 //!    frame has the same bytes at the same instant, so traffic statistics
 //!    and every reception-timed audit-log line (`HELLO_RX`, `TC_RX`,
 //!    `MID_RX`, `2HOP_ADD`, `DECODE_ERR`) match byte for byte, timestamps
-//!    included.
+//!    included. A HELLO or TC repeating what its receiver last logged is
+//!    not logged; that decision reads validity times only, never whether a
+//!    sweep has purged the lapsed entry, so it cannot follow the modes'
+//!    different flush points.
 //! 2. **Derived state is identical at every query point.** Effective MPR
 //!    sets and routing tables agree at every pause point of a lockstep
 //!    run.
@@ -19,9 +22,14 @@
 //!
 //! The *only* thing allowed to differ is the timing of the bookkeeping
 //! log lines emitted by the recompute sweep itself — `NBR_ADD`/`NBR_LOST`,
-//! `2HOP_LOST`, `MPR_SET`, `ROUTE_ADD` and `ROUTE_CHG` — which the
-//! incremental mode may emit at a later flush point (but always within
-//! the same detector-analysis batch; that is what keeps property 3 true).
+//! `2HOP_LOST`, `MPR_SET`, `ROUTE_ADD`, `ROUTE_CHG` and `TC_HEARD` — which
+//! the incremental mode may emit at a later flush point, or skip when a
+//! later flush supersedes them (but always within the same
+//! detector-analysis batch; that is what keeps property 3 true).
+//! `TC_HEARD` belongs here because the sweep writes it: every flush
+//! reports the TC clocks of the MPRs it leaves in place, and every purge
+//! reports the clock of an originator whose TC state lapses, so a mode
+//! that flushes more often reports more, earlier clocks.
 
 use trustlink_core::prelude::*;
 use trustlink_olsr::{OlsrConfig, OlsrNode, RecomputeMode};
@@ -30,7 +38,7 @@ use trustlink_tests::assert_recordings_identical;
 /// Log-line prefixes the recompute sweep emits: the one class whose
 /// *timing* may legitimately differ between the modes.
 const FLUSH_TIMED_PREFIXES: &[&str] =
-    &["NBR_ADD", "NBR_LOST", "2HOP_LOST", "MPR_SET", "ROUTE_ADD", "ROUTE_CHG"];
+    &["NBR_ADD", "NBR_LOST", "2HOP_LOST", "MPR_SET", "ROUTE_ADD", "ROUTE_CHG", "TC_HEARD"];
 
 fn is_flush_timed(line: &str) -> bool {
     FLUSH_TIMED_PREFIXES.iter().any(|p| line.starts_with(p))
@@ -47,6 +55,7 @@ fn is_flush_timed_record(record: &LogRecord) -> bool {
             | LogRecord::MprSet { .. }
             | LogRecord::RouteAdded { .. }
             | LogRecord::RouteChanged { .. }
+            | LogRecord::TcHeard { .. }
     )
 }
 
@@ -255,6 +264,38 @@ fn churn_kill_revive_is_equivalent() {
             }
         },
     );
+}
+
+#[test]
+fn links_lapsing_between_flushes_are_equivalent() {
+    // Hold times barely above the emission intervals, a lossy radio and a
+    // slow refresh timer: one lost HELLO lets a link tuple lapse and one
+    // lost TC lets an originator's topology lapse, and the next copy
+    // revives it, often before one mode has flushed while the other has.
+    // Whether a reception is logged must follow validity alone, never
+    // whether the lapsed entry was already purged.
+    for seed in [2, 9] {
+        assert_modes_equivalent(
+            "lapsing links",
+            seed,
+            6,
+            SimDuration::from_millis(1500),
+            |seed, mut cfg| {
+                cfg.neighbor_hold_time = SimDuration::from_millis(700);
+                cfg.topology_hold_time = SimDuration::from_millis(1500);
+                cfg.refresh_interval = SimDuration::from_secs(2);
+                let mut sim = SimulatorBuilder::new(seed)
+                    .arena(Arena::new(900.0, 900.0))
+                    .radio(RadioConfig::unit_disk(160.0).with_loss(0.2))
+                    .build();
+                for p in trustlink_sim::topologies::grid(16, 4, 110.0) {
+                    sim.add_node(Box::new(OlsrNode::new(cfg.clone())), p);
+                }
+                sim
+            },
+            |_, _| {},
+        );
+    }
 }
 
 #[test]
