@@ -27,7 +27,7 @@ pub enum DropMode {
 /// Which plane the dropping applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropScope {
-    /// Flooded control messages only (TC/MID/HNA).
+    /// Flooded control messages only (TC).
     ControlOnly,
     /// Unicast data only.
     DataOnly,

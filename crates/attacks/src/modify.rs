@@ -169,7 +169,10 @@ mod tests {
     fn tc_tamper_ignores_non_tc() {
         let mut hooks = TcTamper::new(vec![NodeId(9)], vec![]);
         let mut msg = Message {
-            body: MessageBody::Mid(trustlink_olsr::message::MidMessage { aliases: vec![] }),
+            body: MessageBody::Hello(trustlink_olsr::message::HelloMessage {
+                willingness: Willingness::Default,
+                groups: vec![],
+            }),
             ..tc_msg(1, 1, &[])
         };
         let before = msg.clone();

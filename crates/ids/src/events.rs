@@ -101,10 +101,6 @@ pub enum MisbehaviourReason {
     TcSilence,
     /// A frame from the MPR failed to decode (forged/corrupt).
     MalformedTraffic,
-    /// A MID claimed an alias that is another known node's main address
-    /// (MID spoofing, §II: "a node that holds several interfaces ...
-    /// should be distinguished" from identity theft).
-    HijackedAlias(NodeId),
 }
 
 impl DetectionEvent {
@@ -292,19 +288,6 @@ impl EventExtractor {
             LogRecord::TcHeard { originator, heard_at } => {
                 self.known.insert(*originator, Some(*heard_at));
             }
-            LogRecord::MidRx { originator, aliases } => {
-                // MID-spoofing heuristic: claiming an alias that is already
-                // a known node's main address hijacks that identity.
-                for alias in aliases {
-                    if self.known.contains_key(alias) && *alias != *originator {
-                        events.push(DetectionEvent::MprMisbehaving {
-                            mpr: *originator,
-                            reason: MisbehaviourReason::HijackedAlias(*alias),
-                            at,
-                        });
-                    }
-                }
-            }
             LogRecord::NeighborAdded { addr } => {
                 self.neighbors.insert(*addr);
                 let hist = self.stability.entry(*addr).or_default();
@@ -438,10 +421,9 @@ impl EventExtractor {
                     add(*m);
                 }
             }
-            // MID aliases are judged against the known population in
-            // `ingest`, never added to it; a decode error is evidence
-            // against its sender, not of a node's existence.
-            LogRecord::MidRx { .. } | LogRecord::DecodeError { .. } => {}
+            // A decode error is evidence against its sender, not of a
+            // node's existence.
+            LogRecord::DecodeError { .. } => {}
             // A TC clock enters its originator, with its time, in `ingest`.
             LogRecord::TcHeard { .. } => {}
             // Replay markers, never in a node's own log.
@@ -683,31 +665,6 @@ mod tests {
             },
         );
         assert!(again.is_empty());
-    }
-
-    #[test]
-    fn mid_hijacking_known_address_flagged() {
-        let mut ex = EventExtractor::new();
-        ex.ingest_record(t(0), &LogRecord::NeighborAdded { addr: NodeId(7) });
-        // N5 claims N7 (a known main address) as its alias: hijack.
-        let events = ex.ingest_record(
-            t(1),
-            &LogRecord::MidRx { originator: NodeId(5), aliases: vec![NodeId(7)].into() },
-        );
-        assert!(matches!(
-            events[0],
-            DetectionEvent::MprMisbehaving {
-                mpr: NodeId(5),
-                reason: MisbehaviourReason::HijackedAlias(NodeId(7)),
-                ..
-            }
-        ));
-        // A fresh, unknown alias is legitimate MID usage: no event.
-        let ok = ex.ingest_record(
-            t(2),
-            &LogRecord::MidRx { originator: NodeId(6), aliases: vec![NodeId(60)].into() },
-        );
-        assert!(ok.is_empty());
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   (§6–§8), with the mantissa/exponent vtime encoding (§18.3) and the
 //!   wrap-aware sequence-number arithmetic (§19);
 //! * MPR selection (§8.3.1) and MPR-selector tracking;
-//! * TC origination with ANSN handling, MID and HNA processing, and the
-//!   default forwarding algorithm (§3.4) that floods through MPRs only;
+//! * TC origination with ANSN handling and the default forwarding
+//!   algorithm (§3.4) that floods through MPRs only;
 //! * routing-table calculation (§10), plus route computation that *avoids*
 //!   a chosen node — the primitive behind the paper's investigation rule
 //!   that requests "should not go through … the suspicious MPR";

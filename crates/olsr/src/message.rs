@@ -1,4 +1,4 @@
-//! OLSR message types (RFC 3626 §3, §6, §9, §12, §5.1 MID, §12 HNA) plus
+//! OLSR message types (RFC 3626 §3 framing, §6 HELLO, §9 TC) plus
 //! the non-RFC `Data` message that carries the detector's investigation
 //! traffic (documented substitution: the paper runs its investigation
 //! request/answer exchange over whatever transport the MANET offers; we
@@ -141,19 +141,6 @@ impl HelloMessage {
         v.dedup();
         v
     }
-
-    /// Addresses advertised as MPR (the sender elected them to relay).
-    pub fn mpr_neighbors(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .groups
-            .iter()
-            .filter(|g| g.code.neighbor == NeighborType::Mpr)
-            .flat_map(|g| g.addrs.iter().copied())
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
 }
 
 /// A Topology Control message (RFC 3626 §9.1): an MPR advertises the set of
@@ -165,24 +152,6 @@ pub struct TcMessage {
     pub ansn: u16,
     /// The MPR-selector addresses being advertised.
     pub advertised: Vec<NodeId>,
-}
-
-/// A Multiple Interface Declaration (RFC 3626 §5.1): maps alias interface
-/// addresses to the originator's main address.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MidMessage {
-    /// Alias addresses of the originator.
-    pub aliases: Vec<NodeId>,
-}
-
-/// A Host and Network Association message (RFC 3626 §12.1): external
-/// networks reachable through the originator (acting as a gateway). The
-/// network is identified by an id and a prefix length (a simplification of
-/// the RFC's address/mask pairs, sufficient for spoofing experiments).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HnaMessage {
-    /// `(network id, prefix length)` pairs.
-    pub networks: Vec<(NodeId, u8)>,
 }
 
 /// The unicast data-plane message (non-RFC, see module docs): investigation
@@ -207,10 +176,6 @@ pub enum MessageBody {
     Hello(HelloMessage),
     /// TC (type 2).
     Tc(TcMessage),
-    /// MID (type 3).
-    Mid(MidMessage),
-    /// HNA (type 4).
-    Hna(HnaMessage),
     /// Unicast data (type 200, outside the RFC-reserved range).
     Data(DataMessage),
 }
@@ -221,8 +186,6 @@ impl MessageBody {
         match self {
             MessageBody::Hello(_) => 1,
             MessageBody::Tc(_) => 2,
-            MessageBody::Mid(_) => 3,
-            MessageBody::Hna(_) => 4,
             MessageBody::Data(_) => 200,
         }
     }
@@ -332,7 +295,6 @@ mod tests {
         let h = hello_fixture();
         assert_eq!(h.symmetric_neighbors(), vec![NodeId(1), NodeId(2), NodeId(3)]);
         assert_eq!(h.asymmetric_neighbors(), vec![NodeId(4)]);
-        assert_eq!(h.mpr_neighbors(), vec![NodeId(3)]);
     }
 
     #[test]
@@ -358,8 +320,6 @@ mod tests {
         let bodies = [
             MessageBody::Hello(hello_fixture()),
             MessageBody::Tc(TcMessage { ansn: 0, advertised: vec![] }),
-            MessageBody::Mid(MidMessage { aliases: vec![] }),
-            MessageBody::Hna(HnaMessage { networks: vec![] }),
             MessageBody::Data(DataMessage {
                 src: NodeId(0),
                 dst: NodeId(1),

@@ -22,8 +22,8 @@ use crate::message::{
 use crate::mpr::MprCandidate;
 use crate::routing::{RoutingTable, RoutingWorkspace};
 use crate::state::{
-    DupProbe, DuplicateSet, InterfaceAssociationSet, LinkSet, LinkStatus, LinkTuple, MinExpiry,
-    MprSelectorSet, NeighborSet, TopologySet, TwoHopSet,
+    DupProbe, DuplicateSet, LinkSet, LinkStatus, LinkTuple, MinExpiry, MprSelectorSet, NeighborSet,
+    TopologySet, TwoHopSet,
 };
 use crate::types::{FloodScope, OlsrConfig, RecomputeMode, SequenceNumber};
 use crate::wire::{encode_packet_into, materialize_message, MessageType, PacketView};
@@ -174,7 +174,6 @@ pub struct OlsrNode<H: OlsrHooks = NoHooks> {
     selectors: MprSelectorSet,
     topology: TopologySet,
     duplicates: DuplicateSet,
-    ifaces: InterfaceAssociationSet,
     routes: RoutingTable,
     prev_sym: Vec<NodeId>,
     ansn: u16,
@@ -243,7 +242,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
             selectors: MprSelectorSet::default(),
             topology: TopologySet::default(),
             duplicates: DuplicateSet::default(),
-            ifaces: InterfaceAssociationSet::default(),
             routes: RoutingTable::default(),
             prev_sym: Vec::new(),
             ansn: 0,
@@ -626,7 +624,14 @@ impl<H: OlsrHooks> OlsrNode<H> {
         let now = ctx.now();
         let hold = now + self.config.neighbor_hold_time;
         let claimed_sym = hello.symmetric_neighbors();
-        let claimed_asym = hello.asymmetric_neighbors();
+        // How the sender lists us, in one pass: heard (any symmetric or
+        // ASYM code), declared LOST, and selected as its MPR.
+        let (mut heard_us, mut lost_us, mut selected_us) = (false, false, false);
+        for g in hello.groups.iter().filter(|g| g.addrs.contains(&self.id)) {
+            heard_us |= g.code.is_symmetric() || g.code.link == LinkType::Asym;
+            lost_us |= g.code.link == LinkType::Lost;
+            selected_us |= g.code.neighbor == NeighborType::Mpr;
+        }
         // A tuple whose expiry already passed is semantically purged — its
         // previous status is `None`, whichever mode got to the sweep first.
         let before = self.links.get(originator).filter(|t| t.until > now).map(|t| t.status(now));
@@ -642,13 +647,12 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 from: originator,
                 willingness: hello.willingness,
                 sym: Box::from(&claimed_sym[..]),
-                asym: Box::from(&claimed_asym[..]),
+                asym: hello.asymmetric_neighbors().into_boxed_slice(),
             });
         }
 
         // Link sensing: hearing them refreshes the asym validity; being
         // listed by them (heard in both directions) makes it symmetric.
-        let heard_us = claimed_sym.contains(&self.id) || claimed_asym.contains(&self.id);
         self.links.upsert(LinkTuple {
             neighbor: originator,
             sym_until: if heard_us { hold } else { SimTime::ZERO },
@@ -656,10 +660,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
             until: hold,
         });
         // An explicit LOST listing tears the symmetry down immediately.
-        let lost_us = hello
-            .groups
-            .iter()
-            .any(|g| g.code.link == LinkType::Lost && g.addrs.contains(&self.id));
         if lost_us {
             self.links.declare_lost(originator, now);
             // Losing the link voids the sender's 2-hop contributions and
@@ -697,7 +697,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
 
         // MPR selector set: did they pick us? Only a HELLO that sustains a
         // live symmetric link can (re)assert selection.
-        if hello.mpr_neighbors().contains(&self.id) && heard_us && !lost_us {
+        if selected_us && heard_us && !lost_us {
             self.selectors.upsert(originator, hold);
         } else {
             self.selectors.remove(originator);
@@ -746,13 +746,12 @@ impl<H: OlsrHooks> OlsrNode<H> {
         if ttl <= 1 {
             return Err(SuppressReason::TtlExpired);
         }
-        let sender_main = self.ifaces.main_of(from, now);
-        if !self.links.is_symmetric(sender_main, now) {
+        if !self.links.is_symmetric(from, now) {
             return Err(SuppressReason::UnknownSender);
         }
         // Default forwarding algorithm: retransmit only if the sender
         // selected us as its MPR.
-        if !self.selectors.contains(sender_main, now) {
+        if !self.selectors.contains(from, now) {
             return Err(SuppressReason::NotMprSelector);
         }
         Ok(())
@@ -878,7 +877,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
                     }
                     continue;
                 }
-                MessageType::Tc | MessageType::Mid | MessageType::Hna => {}
+                MessageType::Tc => {}
             }
             // Flooded control traffic. One duplicate-set probe answers both
             // "seen before?" and "already retransmitted?", and already
@@ -907,22 +906,10 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 }
                 DupProbe::New => {
                     let msg = materialize_message(frame, &mv);
-                    match &msg.body {
-                        MessageBody::Tc(t) => self.process_tc(ctx, &msg, t, from),
-                        MessageBody::Mid(m) => {
-                            ctx.log(LogRecord::MidRx {
-                                originator: msg.originator,
-                                aliases: Box::from(&m.aliases[..]),
-                            });
-                            let until = now + msg.vtime;
-                            for &alias in &m.aliases {
-                                self.ifaces.upsert(alias, msg.originator, until);
-                            }
-                        }
-                        // Relayed like any flood, but no IDS rule reads it.
-                        MessageBody::Hna(_) => {}
-                        _ => unreachable!("flooded kinds are Tc/Mid/Hna"),
-                    }
+                    let MessageBody::Tc(t) = &msg.body else {
+                        unreachable!("TC is the only flooded kind")
+                    };
+                    self.process_tc(ctx, &msg, t, from);
                     match self.flood_gate(from, mv.ttl, now) {
                         Err(reason) => {
                             self.suppress_forward(reason);
@@ -972,7 +959,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
         if self.topology.purge(now) {
             topo_changed = true;
         }
-        self.ifaces.purge(now);
         if let Some(memo) = self.log_memo.as_deref_mut() {
             // The memo lives no longer than what it mirrors: HELLO entries
             // go with their link tuples, TC entries when their TC lapses —
@@ -1504,6 +1490,43 @@ mod tests {
             [1, 0, 0, 0],
             "second copy must be suppressed, once, as a duplicate"
         );
+    }
+
+    #[test]
+    fn unspoken_message_types_are_rejected_whole_and_never_relayed() {
+        // RFC 3626 MID (3) and HNA (4) are not part of this implementation:
+        // a frame carrying either takes the unknown-type path. A TC that N1
+        // would re-flood, with only its type byte patched, must be logged
+        // once as undecodable and go no further.
+        let mut sim = converged_line_with_recorder(61);
+        for (seq, msg_type) in [(910u16, 3u8), (911, 4)] {
+            let msg = Message {
+                vtime: SimDuration::from_secs(6),
+                originator: NodeId(0),
+                ttl: 8,
+                hop_count: 0,
+                seq: SequenceNumber(seq),
+                body: MessageBody::Tc(TcMessage { ansn: seq, advertised: vec![NodeId(1)] }),
+            };
+            let mut frame =
+                encode_packet(&Packet { seq: SequenceNumber(seq), messages: vec![msg] }).to_vec();
+            frame[4] = msg_type; // the first message's type byte
+            let decode_errors = |sim: &trustlink_sim::Simulator| {
+                sim.log(NodeId(1)).lines().filter(|l| *l == "DECODE_ERR from=N0").count()
+            };
+            let errors_before = decode_errors(&sim);
+            let before = sim.app_as::<OlsrNode<RecordForwards>>(NodeId(1)).unwrap().flood.clone();
+            sim.inject_broadcast(NodeId(0), Bytes::from(frame));
+            sim.run_for(SimDuration::from_millis(200));
+            let mid = sim.app_as::<OlsrNode<RecordForwards>>(NodeId(1)).unwrap();
+            assert_eq!(decode_errors(&sim) - errors_before, 1, "type {msg_type}");
+            assert!(mid.hooks().seen.is_empty(), "type {msg_type} frame was relayed");
+            assert_eq!(mid.flood, before, "type {msg_type} frame moved a flood counter");
+            assert!(
+                !sim.log(NodeId(2)).lines().any(|l| l.contains(&format!("ansn={seq}"))),
+                "type {msg_type} frame reached the 2-hop node"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The OLSR information repositories (RFC 3626 §4.2–§4.4): link set,
-//! neighbor set, 2-hop neighbor set, MPR selector set, topology set,
-//! duplicate set and the MID interface-association set.
+//! neighbor set, 2-hop neighbor set, MPR selector set, topology set and
+//! duplicate set.
 //!
 //! Every repository is a collection of *tuples valid until a time*. Two
 //! invariants make the incremental recompute pipeline possible:
@@ -959,54 +959,6 @@ impl DuplicateSet {
     }
 }
 
-/// The MID interface-association set (RFC 3626 §5.4): alias → main address.
-#[derive(Debug, Clone, Default)]
-pub struct InterfaceAssociationSet {
-    tuples: BTreeMap<NodeId, (NodeId, SimTime)>, // alias -> (main, until)
-    min_expiry: MinExpiry,
-}
-
-impl InterfaceAssociationSet {
-    /// Records that `alias` belongs to `main`.
-    pub fn upsert(&mut self, alias: NodeId, main: NodeId, until: SimTime) {
-        self.min_expiry.cover(until);
-        let e = self.tuples.entry(alias).or_insert((main, until));
-        e.0 = main;
-        e.1 = e.1.max(until);
-    }
-
-    /// Resolves an address to its main address (identity if no MID entry).
-    pub fn main_of(&self, addr: NodeId, now: SimTime) -> NodeId {
-        match self.tuples.get(&addr) {
-            Some(&(main, until)) if until > now => main,
-            _ => addr,
-        }
-    }
-
-    /// Drops expired associations. Min-expiry gated: free while nothing
-    /// can have expired.
-    pub fn purge(&mut self, now: SimTime) {
-        if self.min_expiry.nothing_due(now) {
-            return;
-        }
-        self.tuples.retain(|_, (_, until)| *until > now);
-        self.min_expiry.reset();
-        for (_, until) in self.tuples.values() {
-            self.min_expiry.cover(*until);
-        }
-    }
-
-    /// Number of live+stale associations stored.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1357,16 +1309,5 @@ mod tests {
         assert!(topo.purge(t(5)));
         assert!(topo.is_empty());
         assert!(!topo.purge(t(100))); // empty set: bound is +inf
-    }
-
-    #[test]
-    fn interface_associations_resolve() {
-        let mut set = InterfaceAssociationSet::default();
-        set.upsert(NodeId(50), NodeId(5), t(10));
-        assert_eq!(set.main_of(NodeId(50), t(5)), NodeId(5));
-        assert_eq!(set.main_of(NodeId(50), t(10)), NodeId(50)); // expired
-        assert_eq!(set.main_of(NodeId(7), t(5)), NodeId(7)); // identity
-        set.purge(t(10));
-        assert!(set.is_empty());
     }
 }

@@ -178,8 +178,8 @@ impl Default for FisheyeRings {
     }
 }
 
-/// How far a node's TCs travel (the flooding scope). Scopes TC
-/// dissemination only — MID/HNA floods are rare and keep TTL 255.
+/// How far a node's TCs travel (the flooding scope), the only flooded
+/// message kind.
 ///
 /// An oracle pair like [`RecomputeMode`], with one essential
 /// difference: `Fisheye` is *not* byte-identical to `Classic`. It deliberately changes what is on

@@ -17,8 +17,8 @@ use trustlink_sim::record::Willingness;
 use trustlink_sim::NodeId;
 
 use crate::message::{
-    decode_vtime, encode_vtime, DataMessage, HelloMessage, HnaMessage, LinkCode, LinkGroup,
-    Message, MessageBody, MidMessage, Packet, TcMessage,
+    decode_vtime, encode_vtime, DataMessage, HelloMessage, LinkCode, LinkGroup, Message,
+    MessageBody, Packet, TcMessage,
 };
 use crate::types::SequenceNumber;
 
@@ -96,8 +96,6 @@ fn skip_addr(buf: &[u8], off: usize) -> Option<usize> {
 
 const MSG_HELLO: u8 = 1;
 const MSG_TC: u8 = 2;
-const MSG_MID: u8 = 3;
-const MSG_HNA: u8 = 4;
 const MSG_DATA: u8 = 200;
 
 /// Encodes a packet to bytes.
@@ -147,18 +145,6 @@ fn encode_message(buf: &mut Vec<u8>, msg: &Message) {
     match &msg.body {
         MessageBody::Hello(h) => encode_hello(buf, h),
         MessageBody::Tc(t) => encode_tc(buf, t),
-        MessageBody::Mid(m) => {
-            for a in &m.aliases {
-                a.put(buf);
-            }
-        }
-        MessageBody::Hna(h) => {
-            for (net, prefix) in &h.networks {
-                net.put(buf);
-                buf.put_u8(*prefix);
-                buf.put_u8(0);
-            }
-        }
         MessageBody::Data(d) => {
             d.src.put(buf);
             d.dst.put(buf);
@@ -208,28 +194,6 @@ pub fn decode_packet(bytes: Bytes) -> Result<Packet, WireError> {
     let view = PacketView::parse(&bytes)?;
     let messages = view.messages().map(|mv| materialize_message(&bytes, &mv)).collect();
     Ok(Packet { seq: view.seq(), messages })
-}
-
-fn decode_mid(bytes: &mut Bytes) -> Result<MidMessage, WireError> {
-    let mut aliases = Vec::with_capacity(bytes.remaining() / 2);
-    while bytes.has_remaining() {
-        aliases.push(get_addr(bytes)?);
-    }
-    Ok(MidMessage { aliases })
-}
-
-fn decode_hna(bytes: &mut Bytes) -> Result<HnaMessage, WireError> {
-    let mut networks = Vec::with_capacity(bytes.remaining() / 4);
-    while bytes.has_remaining() {
-        let net = get_addr(bytes)?;
-        if bytes.remaining() < 2 {
-            return Err(WireError::Truncated);
-        }
-        let prefix = bytes.get_u8();
-        let _reserved = bytes.get_u8();
-        networks.push((net, prefix));
-    }
-    Ok(HnaMessage { networks })
 }
 
 fn decode_hello(bytes: &mut Bytes) -> Result<HelloMessage, WireError> {
@@ -306,10 +270,6 @@ pub enum MessageType {
     Hello,
     /// TC (topology control, §9).
     Tc,
-    /// MID (interface association, §5).
-    Mid,
-    /// HNA (host and network association, §12).
-    Hna,
     /// Unicast data-plane message (this reproduction's addition).
     Data,
 }
@@ -405,13 +365,7 @@ impl<'a> PacketView<'a> {
                     if body.len() < 4 {
                         return Err(WireError::Truncated);
                     }
-                    validate_addr_run(body, 4, body.len(), 0)?;
-                }
-                MSG_MID => {
-                    validate_addr_run(body, 0, body.len(), 0)?;
-                }
-                MSG_HNA => {
-                    validate_addr_run(body, 0, body.len(), 2)?;
+                    validate_addr_run(body, 4, body.len())?;
                 }
                 MSG_DATA => validate_data(body)?,
                 other => return Err(WireError::UnknownMessageType(other)),
@@ -448,21 +402,20 @@ fn validate_hello(body: &[u8]) -> Result<(), WireError> {
         if size > body.len() - off {
             return Err(WireError::Truncated);
         }
-        validate_addr_run(body, off + 4, off + size, 0)?;
+        validate_addr_run(body, off + 4, off + size)?;
         off += size;
     }
     Ok(())
 }
 
 /// Validates that `body[from..to]` is exactly a run of escape-encoded
-/// addresses, each followed by `trailer` fixed bytes (HNA's prefix and
-/// reserved byte), mirroring the decoders' bounded reads.
-fn validate_addr_run(body: &[u8], from: usize, to: usize, trailer: usize) -> Result<(), WireError> {
+/// addresses, mirroring the decoders' bounded reads.
+fn validate_addr_run(body: &[u8], from: usize, to: usize) -> Result<(), WireError> {
     let mut off = from;
     while off < to {
         match skip_addr(&body[..to], off) {
-            Some(next) if to - next >= trailer => off = next + trailer,
-            _ => return Err(WireError::Truncated),
+            Some(next) => off = next,
+            None => return Err(WireError::Truncated),
         }
     }
     Ok(())
@@ -522,8 +475,6 @@ impl Iterator for MessageViewIter<'_> {
         let kind = match buf[o] {
             MSG_HELLO => MessageType::Hello,
             MSG_TC => MessageType::Tc,
-            MSG_MID => MessageType::Mid,
-            MSG_HNA => MessageType::Hna,
             MSG_DATA => MessageType::Data,
             other => unreachable!("type {other} survived PacketView::parse"),
         };
@@ -559,12 +510,6 @@ pub fn materialize_message(frame: &Bytes, view: &MessageView) -> Message {
         ),
         MessageType::Tc => {
             MessageBody::Tc(decode_tc(&mut body).expect("body validated by PacketView::parse"))
-        }
-        MessageType::Mid => {
-            MessageBody::Mid(decode_mid(&mut body).expect("body validated by PacketView::parse"))
-        }
-        MessageType::Hna => {
-            MessageBody::Hna(decode_hna(&mut body).expect("body validated by PacketView::parse"))
         }
         MessageType::Data => {
             MessageBody::Data(decode_data(&mut body).expect("body validated by PacketView::parse"))
@@ -620,24 +565,6 @@ mod tests {
                     body: MessageBody::Tc(TcMessage {
                         ansn: 100,
                         advertised: vec![NodeId(1), NodeId(4)],
-                    }),
-                },
-                Message {
-                    vtime: SimDuration::from_secs(15),
-                    originator: NodeId(5),
-                    ttl: 255,
-                    hop_count: 0,
-                    seq: SequenceNumber(9),
-                    body: MessageBody::Mid(MidMessage { aliases: vec![NodeId(50), NodeId(51)] }),
-                },
-                Message {
-                    vtime: SimDuration::from_secs(15),
-                    originator: NodeId(6),
-                    ttl: 255,
-                    hop_count: 0,
-                    seq: SequenceNumber(10),
-                    body: MessageBody::Hna(HnaMessage {
-                        networks: vec![(NodeId(100), 24), (NodeId(200), 16)],
                     }),
                 },
                 Message {

@@ -135,7 +135,7 @@ impl fmt::Display for VerdictKind {
 ///
 /// The log is the detector's only input, so it holds only the kinds the
 /// extractor (`trustlink_ids::events::EventExtractor`) consumes: the
-/// received control messages (`HelloRx`, `TcRx`, `MidRx`), the TC clock of
+/// received control messages (`HelloRx`, `TcRx`), the TC clock of
 /// an originator (`TcHeard`), neighborhood and 2-hop changes, MPR-set
 /// changes, route additions and changes (which feed the known-population
 /// estimate) and undecodable frames. The extractor names every variant in
@@ -196,13 +196,6 @@ pub enum LogRecord {
         originator: NodeId,
         /// When its latest TC was received.
         heard_at: SimTime,
-    },
-    /// A MID was received.
-    MidRx {
-        /// Originator main address.
-        originator: NodeId,
-        /// Claimed alias interfaces.
-        aliases: Box<[NodeId]>,
     },
     /// A node entered the symmetric 1-hop neighborhood.
     NeighborAdded {
@@ -299,9 +292,6 @@ impl LogRecord {
             ),
             LogRecord::TcHeard { originator, heard_at } => {
                 format!("TC_HEARD orig={originator} heard={}", heard_at.as_micros())
-            }
-            LogRecord::MidRx { originator, aliases } => {
-                format!("MID_RX orig={originator} aliases={}", fmt_list(aliases))
             }
             LogRecord::NeighborAdded { addr } => format!("NBR_ADD addr={addr}"),
             LogRecord::NeighborLost { addr } => format!("NBR_LOST addr={addr}"),
@@ -452,9 +442,6 @@ pub fn parse_line(line: &str) -> Result<LogRecord, ParseLogError> {
             originator: f.node("orig")?,
             heard_at: SimTime::from_micros(f.u64_field("heard")?),
         },
-        "MID_RX" => {
-            LogRecord::MidRx { originator: f.node("orig")?, aliases: f.list("aliases")?.into() }
-        }
         "NBR_ADD" => LogRecord::NeighborAdded { addr: f.node("addr")? },
         "NBR_LOST" => LogRecord::NeighborLost { addr: f.node("addr")? },
         "2HOP_ADD" => LogRecord::TwoHopAdded { via: f.node("via")?, addr: f.node("addr")? },
@@ -634,7 +621,6 @@ mod tests {
                 advertised: Box::from([NodeId(1), NodeId(4)]),
             },
             LogRecord::TcHeard { originator: NodeId(8), heard_at: SimTime::from_micros(2_500_017) },
-            LogRecord::MidRx { originator: NodeId(5), aliases: Box::from([NodeId(50)]) },
             LogRecord::NeighborAdded { addr: NodeId(4) },
             LogRecord::NeighborLost { addr: NodeId(5) },
             LogRecord::TwoHopAdded { via: NodeId(1), addr: NodeId(10) },

@@ -15,11 +15,13 @@ use proptest::prelude::*;
 use trustlink_core::gossip::TrustGossip;
 use trustlink_ids::investigation::InvestigationMessage;
 use trustlink_olsr::message::{
-    DataMessage, HelloMessage, HnaMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody,
-    MidMessage, NeighborType, Packet, TcMessage,
+    DataMessage, HelloMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody, NeighborType,
+    Packet, TcMessage,
 };
 use trustlink_olsr::types::SequenceNumber;
-use trustlink_olsr::wire::{decode_packet, encode_packet, materialize_message, PacketView};
+use trustlink_olsr::wire::{
+    decode_packet, encode_packet, materialize_message, PacketView, WireError,
+};
 use trustlink_sim::record::{from_rlog_line, parse_line, LogRecord, VerdictKind, Willingness};
 use trustlink_sim::{NodeId, SimDuration, SimTime};
 use trustlink_trust::value::TrustValue;
@@ -103,7 +105,7 @@ fn finite_f64() -> impl Strategy<Value = f64> {
     (any::<i32>(), 1u32..10_000).prop_map(|(n, d)| f64::from(n) / f64::from(d))
 }
 
-/// Every [`LogRecord`] variant — all 14 arms, with possibly-empty lists
+/// Every [`LogRecord`] variant — all 13 arms, with possibly-empty lists
 /// and sparse sets — so the round-trip properties cover the whole
 /// vocabulary, detector-plane records included.
 fn log_record() -> impl Strategy<Value = LogRecord> {
@@ -127,10 +129,6 @@ fn log_record() -> impl Strategy<Value = LogRecord> {
         (node_id(), any::<u64>()).prop_map(|(originator, at)| LogRecord::TcHeard {
             originator,
             heard_at: SimTime::from_micros(at)
-        }),
-        (node_id(), node_list()).prop_map(|(originator, aliases)| LogRecord::MidRx {
-            originator,
-            aliases: aliases.into()
         }),
         node_id().prop_map(|addr| LogRecord::NeighborAdded { addr }),
         node_id().prop_map(|addr| LogRecord::NeighborLost { addr }),
@@ -210,8 +208,8 @@ fn packet_of(originator: u32, body: MessageBody) -> Packet {
 
 /// Real encoded frames of every message type, the starting points of the
 /// byte-mutation properties: wide (escaped) ids such as 999 999 in every
-/// address position, a Data `avoid` escape, and one frame carrying
-/// several messages.
+/// address position, a Data `avoid` escape, one frame carrying several
+/// messages, and the two [`unspoken_type_frames`].
 fn seed_frames() -> Vec<bytes::Bytes> {
     let wide = NodeId(999_999);
     let hello = MessageBody::Hello(HelloMessage {
@@ -228,8 +226,6 @@ fn seed_frames() -> Vec<bytes::Bytes> {
         ],
     });
     let tc = MessageBody::Tc(TcMessage { ansn: 300, advertised: vec![NodeId(2), wide, NodeId(4)] });
-    let mid = MessageBody::Mid(MidMessage { aliases: vec![wide, NodeId(51)] });
-    let hna = MessageBody::Hna(HnaMessage { networks: vec![(NodeId(100), 24), (wide, 16)] });
     let data = |avoid| {
         MessageBody::Data(DataMessage {
             src: NodeId(3),
@@ -241,8 +237,6 @@ fn seed_frames() -> Vec<bytes::Bytes> {
     let mut frames: Vec<_> = [
         packet_of(3, hello.clone()),
         packet_of(999_999, tc.clone()),
-        packet_of(5, mid),
-        packet_of(6, hna),
         packet_of(0, data(Some(NodeId(0xFFFE)))),
         packet_of(0, data(Some(wide))),
         packet_of(0, data(None)),
@@ -253,7 +247,39 @@ fn seed_frames() -> Vec<bytes::Bytes> {
     let mut mixed = packet_of(3, hello);
     mixed.messages.extend(packet_of(12, tc).messages);
     frames.push(encode_packet(&mixed));
+    frames.extend(unspoken_type_frames().map(|(_, frame)| frame));
     frames
+}
+
+/// Raw frames carrying RFC 3626 message types 3 (MID) and 4 (HNA), which
+/// this implementation does not speak: a real TC and a real HELLO frame
+/// with the first message's type byte patched. Paired with that type.
+fn unspoken_type_frames() -> [(u8, bytes::Bytes); 2] {
+    let tc = MessageBody::Tc(TcMessage { ansn: 7, advertised: vec![NodeId(50), NodeId(999_999)] });
+    let hello = MessageBody::Hello(HelloMessage {
+        willingness: Willingness::Default,
+        groups: vec![LinkGroup {
+            code: LinkCode::new(LinkType::Sym, NeighborType::Sym),
+            addrs: vec![NodeId(100), NodeId(999_999)],
+        }],
+    });
+    [(3, packet_of(5, tc)), (4, packet_of(6, hello))].map(|(msg_type, packet)| {
+        let mut buf = encode_packet(&packet).to_vec();
+        buf[4] = msg_type; // the first message's type byte
+        (msg_type, bytes::Bytes::from(buf))
+    })
+}
+
+#[test]
+fn unspoken_message_types_fail_validation() {
+    for (msg_type, frame) in unspoken_type_frames() {
+        assert_eq!(
+            PacketView::parse(&frame).err(),
+            Some(WireError::UnknownMessageType(msg_type)),
+            "type {msg_type}"
+        );
+        assert_eq!(decode_packet(frame).err(), Some(WireError::UnknownMessageType(msg_type)));
+    }
 }
 
 /// One byte-level edit of a frame, with positions taken modulo the
@@ -336,11 +362,9 @@ fn every_single_byte_mutation_of_real_frames_is_handled() {
 /// fill is sized from the bytes actually present, never from a declared
 /// count:
 ///
-/// * TC advertised, MID aliases and HELLO link-group addresses:
+/// * TC advertised and HELLO link-group addresses:
 ///   `with_capacity(remaining / 2)` ids — one 4-byte `NodeId` per 2 wire bytes,
 ///   2 heap bytes per frame byte;
-/// * HNA networks: `with_capacity(remaining / 4)` entries of `(NodeId, u8)` —
-///   8 heap bytes per 4 wire bytes, again 2 per frame byte;
 /// * HELLO link groups: not reserved, but each group takes at least 4
 ///   wire bytes, so doubling growth stops below `2 * len / 4` entries —
 ///   `size_of::<LinkGroup>() / 2` heap bytes per frame byte (16 with a
@@ -349,9 +373,8 @@ fn every_single_byte_mutation_of_real_frames_is_handled() {
 /// A vector's first growth allocates at least 4 entries, hence the floor.
 fn decode_allocation_bound(len: usize) -> usize {
     let ids = (len / 2).max(4) * std::mem::size_of::<NodeId>();
-    let networks = (len / 4).max(4) * std::mem::size_of::<(NodeId, u8)>();
     let groups = (len / 2).max(4) * std::mem::size_of::<LinkGroup>();
-    ids.max(networks).max(groups)
+    ids.max(groups)
 }
 
 #[test]
@@ -522,7 +545,7 @@ fn gossip_count_beyond_its_body_is_rejected_within_the_reservation_cap() {
 proptest! {
     #[test]
     fn mutated_real_payloads_never_panic_and_accepted_ones_roundtrip(
-        seed in 0usize..7,
+        seed in 0..seed_payloads().len(),
         edits in proptest::collection::vec((0u8..4, any::<u16>(), any::<u8>()), 1..6),
     ) {
         let seed = &seed_payloads()[seed];
@@ -537,7 +560,7 @@ proptest! {
 
     #[test]
     fn mutated_real_frames_never_panic_and_accepted_ones_roundtrip(
-        frame in 0usize..8,
+        frame in 0..seed_frames().len(),
         edits in proptest::collection::vec((0u8..4, any::<u16>(), any::<u8>()), 1..6),
     ) {
         let mut buf = seed_frames()[frame].to_vec();

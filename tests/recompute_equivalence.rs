@@ -5,10 +5,10 @@
 //! optimization over the per-packet oracle (`RecomputeMode::Eager`). The
 //! pinned contract, for any `(seed, configuration)`:
 //!
-//! 1. **Frames are byte-identical.** Every transmitted HELLO/TC/MID/data
+//! 1. **Frames are byte-identical.** Every transmitted HELLO/TC/data
 //!    frame has the same bytes at the same instant, so traffic statistics
 //!    and every reception-timed audit-log line (`HELLO_RX`, `TC_RX`,
-//!    `MID_RX`, `2HOP_ADD`, `DECODE_ERR`) match byte for byte, timestamps
+//!    `2HOP_ADD`, `DECODE_ERR`) match byte for byte, timestamps
 //!    included. A HELLO or TC repeating what its receiver last logged is
 //!    not logged; that decision reads validity times only, never whether a
 //!    sweep has purged the lapsed entry, so it cannot follow the modes'
