@@ -58,8 +58,9 @@ struct Cell {
     honest_false_positives: usize,
 }
 
-/// The mobility-tuned detector with stability weighting on: the
-/// configuration this harness characterizes.
+/// The mobility-tuned detector this harness characterizes: half-second
+/// analysis passes, a 3 s investigation timeout and a 10 s warmup, with
+/// the detector's stability-weighted evidence.
 fn robust_detector() -> DetectorConfig {
     DetectorConfig {
         analysis_interval: SimDuration::from_millis(500),
@@ -69,7 +70,6 @@ fn robust_detector() -> DetectorConfig {
         },
         warmup: SimDuration::from_secs(10),
         trust_slot_interval: SimDuration::from_secs(3),
-        stability_weighting: true,
         ..DetectorConfig::default()
     }
 }

@@ -10,8 +10,10 @@
 //!    event (E1/E2) incriminates an MPR: witnesses are interrogated over
 //!    the data plane, routing around the suspect;
 //! 4. the **trust system** of §IV: answers are aggregated with formula (8),
-//!    bounded by the confidence interval of formula (9), decided with rule
-//!    (10), and every outcome feeds the formula (5) trust update;
+//!    each weighted by the witness's trust and by the stability of the link
+//!    it answers over, bounded by the confidence interval of formula (9),
+//!    decided with rule (10), and every outcome feeds the formula (5) trust
+//!    update;
 //! 5. the **answering side**: every node (honest or lying, per
 //!    [`LiarPolicy`]) answers link-verification requests about its own
 //!    links.
@@ -67,23 +69,6 @@ pub struct DetectorConfig {
     /// Probability an answer is actually produced (models application-level
     /// unreliability on top of radio loss; the paper's missing evidence).
     pub answer_probability: f64,
-    /// Ablation: when `false`, formula (8) is replaced by an unweighted
-    /// average (the "no trust system" baseline).
-    pub trust_weighting: bool,
-    /// When `true`, every piece of evidence is additionally scaled by the
-    /// *stability* of the link it was sourced over — the symmetric-link age
-    /// and flap history the extractor reads from the typed audit log.
-    /// Young or flapping links dilute their evidence toward zero (like
-    /// partial non-answers), so mobility churn degrades detection
-    /// gracefully instead of convicting honest nodes whose links dissolved
-    /// mid-advertisement. Mature stable links weigh exactly `1.0`: a
-    /// flap-free run is bit-identical with the knob on or off (pinned by
-    /// `tests/stability_equivalence.rs`), which is why the mobile suites
-    /// can enable it while the stationary golden digests stay untouched.
-    /// Off by default, like the other behaviour-changing knob
-    /// (`FloodScope::Fisheye`); only meaningful while `trust_weighting` is
-    /// on — the unweighted ablation baseline ignores it.
-    pub stability_weighting: bool,
     /// Grace period after start-up during which no investigation is opened
     /// and no "never heard of it" denial is issued: the routing protocol
     /// needs time to converge before absence of knowledge means anything.
@@ -113,8 +98,6 @@ impl Default for DetectorConfig {
             investigation: InvestigationConfig::default(),
             liar_policy: LiarPolicy::Honest,
             answer_probability: 1.0,
-            trust_weighting: true,
-            stability_weighting: false,
             warmup: SimDuration::from_secs(15),
             trust_slot_interval: SimDuration::from_secs(10),
             gossip_interval: None,
@@ -437,24 +420,20 @@ impl<H: OlsrHooks> DetectorNode<H> {
     }
 
     /// Whether this node's own adjacency to `peer` flapped within the
-    /// configured flap memory. Only meaningful with stability weighting on;
-    /// always `false` otherwise so the legacy answer path is untouched.
+    /// flap memory.
     fn recently_flapped(&self, peer: NodeId, now: SimTime) -> bool {
-        self.cfg.stability_weighting
-            && self
-                .extractor
-                .link_stability(peer)
-                .secs_since_flap(now)
-                .is_some_and(|s| s < StabilityParams::default().flap_memory_secs)
+        self.extractor
+            .link_stability(peer)
+            .secs_since_flap(now)
+            .is_some_and(|s| s < StabilityParams::default().flap_memory_secs)
     }
 
     /// Whether this node logged the 2-hop pair `addr`-via-`via` as lost
-    /// within the flap memory. Gated like [`Self::recently_flapped`].
+    /// within the flap memory.
     fn recently_lost_two_hop(&self, via: NodeId, addr: NodeId, now: SimTime) -> bool {
-        self.cfg.stability_weighting
-            && self.extractor.last_two_hop_loss(via, addr).is_some_and(|at| {
-                now.saturating_since(at).as_secs_f64() < StabilityParams::default().flap_memory_secs
-            })
+        self.extractor.last_two_hop_loss(via, addr).is_some_and(|at| {
+            now.saturating_since(at).as_secs_f64() < StabilityParams::default().flap_memory_secs
+        })
     }
 
     fn maybe_open_case(&mut self, ctx: &mut Context<'_>, suspect: NodeId, hint: Option<NodeId>) {
@@ -495,22 +474,17 @@ impl<H: OlsrHooks> DetectorNode<H> {
         }
         *rounds += 1;
         self.next_case += 1;
-        let mut case = Investigation::open(
+        // Snapshot how stable each witness link looks *now*: churn false
+        // positives are triggered by a link dissolving, and the instability
+        // is most visible at trigger time.
+        let case = Investigation::open(
             self.next_case,
             suspect,
             contested,
-            witnesses.iter().copied(),
+            witnesses.iter().map(|&w| (w, self.stability_of(w, ctx.now()))),
             ctx.now(),
             self.cfg.investigation.timeout,
         );
-        if self.cfg.stability_weighting {
-            // Snapshot how stable each witness link looks *now*: churn
-            // false positives are triggered by a link dissolving, and the
-            // instability is most visible at trigger time.
-            let snapshot =
-                witnesses.iter().map(|&w| self.stability_of(w, ctx.now())).collect::<Vec<_>>();
-            case = case.with_witness_stability(snapshot);
-        }
         let req = InvestigationMessage::VerifyLinkRequest { case: case.case, suspect, contested };
         for &w in &witnesses {
             // Route around the suspect, per Algorithm 1.
@@ -522,37 +496,28 @@ impl<H: OlsrHooks> DetectorNode<H> {
     fn finalize_case(&mut self, ctx: &mut Context<'_>, case: Investigation) {
         let now = ctx.now();
         let suspect = case.suspect;
-        let mut pairs: Vec<(NodeId, Answer)> = Vec::new();
-        for (w, a) in case.answers() {
+        let n = case.witness_count();
+        let mut pairs: Vec<(NodeId, Answer)> = Vec::with_capacity(n);
+        // One more row for the investigator's own observation.
+        let mut pool: Vec<Evidence> = Vec::with_capacity(n + 1);
+        for &(w, a, opened) in case.answers() {
             let answer = match a {
                 WitnessAnswer::Pending => Answer::NoAnswer,
                 WitnessAnswer::Confirmed => Answer::Confirm,
                 WitnessAnswer::Denied => Answer::Deny,
             };
-            pairs.push((*w, answer));
-        }
-        // One evidence row per witness. Without trust weighting every row
-        // weighs 1.0; stability is weighed only on top of trust weighting
-        // (the unweighted ablation ignores it) and is otherwise 1.0.
-        let weigh_stability = self.cfg.trust_weighting && self.cfg.stability_weighting;
-        let weight =
-            |trust: TrustValue| if self.cfg.trust_weighting { trust.weight() } else { 1.0 };
-        let mut pool: Vec<Evidence> = pairs
-            .iter()
-            .map(|&(w, answer)| Evidence {
-                weight: weight(self.trust.trust_of(&w)),
-                // The *least* stable view of the witness's link — the
-                // case-open snapshot or the current one. A link that flapped
-                // right before the trigger, or that dissolved while the case
-                // ran, counts for less either way.
-                stability: if weigh_stability {
-                    case.witness_stability(w).min(self.stability_of(w, now))
-                } else {
-                    1.0
-                },
+            pairs.push((w, answer));
+            // One evidence row per witness: its trust weight, scaled by the
+            // *least* stable view of its link — the case-open snapshot or
+            // the current one. A link that flapped right before the trigger,
+            // or that dissolved while the case ran, counts for less either
+            // way.
+            pool.push(Evidence {
+                weight: self.trust.trust_of(&w).weight(),
+                stability: opened.min(self.stability_of(w, now)),
                 answer,
-            })
-            .collect();
+            });
+        }
         // Property 5: the investigator's own first-hand observation of the
         // contested link joins the evidence pool. It carries the weight of
         // one default-trust witness — privileged in that it cannot lie to
@@ -561,14 +526,12 @@ impl<H: OlsrHooks> DetectorNode<H> {
         // the investigator simply lacks corroborating state).
         if let Some(link_ok) = self.verify_link(suspect, case.contested, now) {
             pool.push(Evidence {
-                weight: weight(TrustValue::DEFAULT),
+                weight: TrustValue::DEFAULT.weight(),
                 // First-hand observation of the contested link is only as
                 // fresh as our links to the two nodes it connects.
-                stability: if weigh_stability {
-                    self.stability_of(suspect, now).min(self.stability_of(case.contested, now))
-                } else {
-                    1.0
-                },
+                stability: self
+                    .stability_of(suspect, now)
+                    .min(self.stability_of(case.contested, now)),
                 answer: Answer::from_verification(link_ok),
             });
         }
@@ -717,12 +680,12 @@ impl<H: OlsrHooks> DetectorNode<H> {
     /// * `None` — I know the contested node exists but cannot see the link:
     ///   abstain rather than guess.
     ///
-    /// With stability weighting on, a *denial* from either direct-knowledge
-    /// branch additionally requires the denied link not to have been seen
-    /// alive within the flap memory: a link the witness watched dissolve
-    /// moments ago is indistinguishable from benign churn, so it abstains
-    /// rather than feeding rule (10) a truthful-but-misleading `Deny`. A
-    /// phantom link was never seen alive, so spoof denials stay crisp.
+    /// A *denial* from either direct-knowledge branch additionally requires
+    /// the denied link not to have been seen alive within the flap memory: a
+    /// link the witness watched dissolve moments ago is indistinguishable
+    /// from benign churn, so it abstains rather than feeding rule (10) a
+    /// truthful-but-misleading `Deny`. A phantom link was never seen alive,
+    /// so spoof denials stay crisp.
     fn verify_link(&self, suspect: NodeId, contested: NodeId, now: SimTime) -> Option<bool> {
         let me = self.olsr.id();
         if contested == me {
@@ -897,6 +860,61 @@ mod tests {
         // Unknown target: maximal uncertainty.
         assert_eq!(d.indirect_trust_of(NodeId(42)), TrustValue::ZERO);
         assert_eq!(d.recommender_count(), 2);
+    }
+
+    /// A triangle of detectors: N1 and N2 100 m from N0 along either axis,
+    /// all within range, run until warmed up.
+    fn triangle() -> trustlink_sim::Simulator {
+        use trustlink_sim::{Arena, Position, RadioConfig, SimulatorBuilder};
+        let mut sim = SimulatorBuilder::new(5)
+            .arena(Arena::new(1000.0, 1000.0))
+            .radio(RadioConfig::unit_disk(170.0))
+            .build();
+        for (x, y) in [(200.0, 200.0), (300.0, 200.0), (200.0, 300.0)] {
+            let d = DetectorNode::new(OlsrConfig::fast(), DetectorConfig::default());
+            sim.add_node(Box::new(d), Position::new(x, y));
+        }
+        sim.run_for(SimDuration::from_secs(20));
+        sim
+    }
+
+    /// N0's answer about the link `suspect`–`contested`, as of now.
+    fn verify_at_n0(sim: &trustlink_sim::Simulator, suspect: u32, contested: u32) -> Option<bool> {
+        let d = sim.app_as::<DetectorNode>(NodeId(0)).expect("detector");
+        d.verify_link(NodeId(suspect), NodeId(contested), sim.now())
+    }
+
+    #[test]
+    fn verify_link_abstains_on_a_recent_two_hop_loss() {
+        let mut sim = triangle();
+        assert_eq!(verify_at_n0(&sim, 1, 2), Some(true), "N2 claims N1");
+        // N1 steps out of N2's range but stays in N0's: N2 stops claiming
+        // N1, and N0 logs the 2-hop pair as lost.
+        sim.set_position(NodeId(1), trustlink_sim::Position::new(300.0, 100.0));
+        sim.run_for(SimDuration::from_secs(5));
+        let d = sim.app_as::<DetectorNode>(NodeId(0)).expect("detector");
+        assert!(d.extractor().last_two_hop_loss(NodeId(2), NodeId(1)).is_some());
+        assert!(d.olsr().is_symmetric_neighbor(NodeId(1), sim.now()));
+        assert_eq!(verify_at_n0(&sim, 1, 2), None, "a link seen dying is churn");
+        assert_eq!(verify_at_n0(&sim, 1, 99), Some(false), "a phantom is still denied");
+        // Past the flap memory the loss is old news: deny.
+        sim.run_for(SimDuration::from_secs(30));
+        assert_eq!(verify_at_n0(&sim, 1, 2), Some(false));
+    }
+
+    #[test]
+    fn verify_link_abstains_on_a_recent_neighbor_loss() {
+        let mut sim = triangle();
+        assert_eq!(verify_at_n0(&sim, 1, 0), Some(true), "N0 holds the link to N1");
+        // N1 leaves everyone's range: N0 logs NBR_LOST for it.
+        sim.set_position(NodeId(1), trustlink_sim::Position::new(900.0, 900.0));
+        sim.run_for(SimDuration::from_secs(5));
+        let d = sim.app_as::<DetectorNode>(NodeId(0)).expect("detector");
+        assert!(!d.olsr().is_symmetric_neighbor(NodeId(1), sim.now()));
+        assert_eq!(verify_at_n0(&sim, 1, 0), None, "my own link just died: churn");
+        assert_eq!(verify_at_n0(&sim, 1, 99), Some(false), "a phantom is still denied");
+        sim.run_for(SimDuration::from_secs(30));
+        assert_eq!(verify_at_n0(&sim, 1, 0), Some(false));
     }
 
     #[test]

@@ -150,6 +150,12 @@ pub enum WitnessAnswer {
 
 /// One open investigation case: the link `suspect`–`contested` is disputed
 /// and the witnesses are being polled about it.
+///
+/// Each witness carries the stability weight of the link its evidence rides
+/// over, captured when the case opened. Churn false positives are triggered
+/// by a link dissolving, so the snapshot preserves how unstable the
+/// neighborhood looked at trigger time even if links settle before the
+/// deadline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Investigation {
     /// Case identifier.
@@ -158,13 +164,9 @@ pub struct Investigation {
     pub suspect: NodeId,
     /// The advertised link peer under dispute.
     pub contested: NodeId,
-    /// The witnesses polled, with their answers.
-    witnesses: Vec<(NodeId, WitnessAnswer)>,
-    /// Stability weight of the link each witness's evidence rides over,
-    /// captured when the case opened (parallel to `witnesses`). Empty when
-    /// the investigator does not weight by stability — every witness then
-    /// reads as `1.0`.
-    stability: Vec<f64>,
+    /// The witnesses polled, with their answers and case-open stability
+    /// weights.
+    witnesses: Vec<(NodeId, WitnessAnswer, f64)>,
     /// When the case was opened.
     pub opened_at: SimTime,
     /// When pending answers are written off as `e = 0`.
@@ -173,12 +175,13 @@ pub struct Investigation {
 
 impl Investigation {
     /// Opens a case interrogating `witnesses` about the link
-    /// `suspect`–`contested`.
+    /// `suspect`–`contested`. Each witness comes with the stability weight
+    /// of the link toward it at the moment the case opens.
     pub fn open(
         case: u64,
         suspect: NodeId,
         contested: NodeId,
-        witnesses: impl IntoIterator<Item = NodeId>,
+        witnesses: impl IntoIterator<Item = (NodeId, f64)>,
         opened_at: SimTime,
         timeout: SimDuration,
     ) -> Self {
@@ -186,48 +189,19 @@ impl Investigation {
             case,
             suspect,
             contested,
-            witnesses: witnesses.into_iter().map(|w| (w, WitnessAnswer::Pending)).collect(),
-            stability: Vec::new(),
+            witnesses: witnesses
+                .into_iter()
+                .map(|(w, stability)| (w, WitnessAnswer::Pending, stability))
+                .collect(),
             opened_at,
             deadline: opened_at + timeout,
         }
     }
 
-    /// Attaches the case-open stability snapshot: `weights[i]` is the
-    /// stability weight of the link toward the `i`-th witness *at the
-    /// moment the case opened*. Churn false positives are triggered by a
-    /// link dissolving — capturing the weights here preserves how unstable
-    /// the neighborhood looked at trigger time even if links settle before
-    /// the deadline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is not parallel to the witness list.
-    pub fn with_witness_stability(mut self, weights: Vec<f64>) -> Self {
-        assert_eq!(
-            weights.len(),
-            self.witnesses.len(),
-            "stability snapshot must be parallel to the witness list"
-        );
-        self.stability = weights;
-        self
-    }
-
-    /// The case-open stability weight recorded for `witness`; `1.0` for
-    /// unknown witnesses or when no snapshot was attached.
-    pub fn witness_stability(&self, witness: NodeId) -> f64 {
-        self.witnesses
-            .iter()
-            .position(|(w, _)| *w == witness)
-            .and_then(|i| self.stability.get(i))
-            .copied()
-            .unwrap_or(1.0)
-    }
-
     /// Records an answer. Returns `false` for unknown witnesses or
     /// duplicate answers (first answer wins — later ones may be forged).
     pub fn record_answer(&mut self, witness: NodeId, link_exists: bool) -> bool {
-        for (w, a) in &mut self.witnesses {
+        for (w, a, _) in &mut self.witnesses {
             if *w == witness && *a == WitnessAnswer::Pending {
                 *a = if link_exists { WitnessAnswer::Confirmed } else { WitnessAnswer::Denied };
                 return true;
@@ -236,14 +210,14 @@ impl Investigation {
         false
     }
 
-    /// All `(witness, answer)` pairs.
-    pub fn answers(&self) -> &[(NodeId, WitnessAnswer)] {
+    /// All `(witness, answer, case-open stability)` triples.
+    pub fn answers(&self) -> &[(NodeId, WitnessAnswer, f64)] {
         &self.witnesses
     }
 
     /// `true` once every witness answered or the deadline passed.
     pub fn is_complete(&self, now: SimTime) -> bool {
-        now >= self.deadline || !self.witnesses.iter().any(|(_, a)| *a == WitnessAnswer::Pending)
+        now >= self.deadline || !self.witnesses.iter().any(|(_, a, _)| *a == WitnessAnswer::Pending)
     }
 
     /// Number of interrogated witnesses.
@@ -349,7 +323,7 @@ mod tests {
             1,
             NodeId(3),
             NodeId(99),
-            [NodeId(5), NodeId(6), NodeId(7)],
+            [(NodeId(5), 1.0), (NodeId(6), 0.5), (NodeId(7), 0.0)],
             t(10),
             SimDuration::from_secs(5),
         );
@@ -364,9 +338,9 @@ mod tests {
         assert_eq!(
             inv.answers(),
             [
-                (NodeId(5), WitnessAnswer::Denied),
-                (NodeId(6), WitnessAnswer::Confirmed),
-                (NodeId(7), WitnessAnswer::Pending),
+                (NodeId(5), WitnessAnswer::Denied, 1.0),
+                (NodeId(6), WitnessAnswer::Confirmed, 0.5),
+                (NodeId(7), WitnessAnswer::Pending, 0.0),
             ]
         );
         assert!(!inv.is_complete(t(12)));

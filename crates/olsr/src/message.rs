@@ -117,15 +117,23 @@ impl HelloMessage {
     /// type or `SYM` link type) — the `NS'` set of the paper's Expressions
     /// (1)–(3).
     pub fn symmetric_neighbors(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .groups
-            .iter()
-            .filter(|g| g.code.is_symmetric())
-            .flat_map(|g| g.addrs.iter().copied())
-            .collect();
-        v.sort_unstable();
-        v.dedup();
+        let mut v = Vec::new();
+        self.symmetric_neighbors_into(&mut v);
         v
+    }
+
+    /// [`symmetric_neighbors`](Self::symmetric_neighbors) into a reused
+    /// buffer, cleared first.
+    pub(crate) fn symmetric_neighbors_into(&self, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.extend(
+            self.groups
+                .iter()
+                .filter(|g| g.code.is_symmetric())
+                .flat_map(|g| g.addrs.iter().copied()),
+        );
+        out.sort_unstable();
+        out.dedup();
     }
 
     /// Addresses advertised with the ASYM link type (heard but not yet

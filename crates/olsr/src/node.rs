@@ -202,7 +202,8 @@ pub struct OlsrNode<H: OlsrHooks = NoHooks> {
     wire_scratch: Vec<u8>,
     /// Reused 2-hop target buffer for MPR selection.
     targets_scratch: Vec<NodeId>,
-    /// Reused symmetric-neighbor buffer, swapped with `prev_sym` on flush.
+    /// Reused symmetric-neighbor buffer: swapped with `prev_sym` on flush,
+    /// and holds a received HELLO's claimed symmetric set meanwhile.
     sym_scratch: Vec<NodeId>,
     /// Reused route-calculation scratch (see [`RoutingWorkspace`]).
     route_ws: RoutingWorkspace,
@@ -467,12 +468,12 @@ impl<H: OlsrHooks> OlsrNode<H> {
     }
 
     fn emit_tc(&mut self, ctx: &mut Context<'_>) {
-        // TC content reads the selector sweep state and (for the richer
-        // redundancy levels) the materialized MPR set: refresh first.
+        // TC content reads the selector sweep state: refresh first.
         self.ensure_fresh(ctx);
         let now = ctx.now();
-        let selectors = self.selectors.addrs(now);
-        if selectors.is_empty() && self.last_advertised.is_empty() {
+        // TCs advertise the selector set only (RFC 3626 TC_REDUNDANCY 0).
+        let advertised = self.selectors.addrs(now);
+        if advertised.is_empty() && self.last_advertised.is_empty() {
             return; // not an MPR: no TC duty
         }
         // An emission opportunity with TC duty: consume one schedule slot.
@@ -494,18 +495,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 }
             }
         };
-        let mut advertised = selectors;
-        match self.config.tc_redundancy {
-            crate::types::TcRedundancy::MprSelectors => {}
-            crate::types::TcRedundancy::SelectorsAndMprs => {
-                advertised.extend(self.mprs.iter().copied());
-            }
-            crate::types::TcRedundancy::FullNeighborSet => {
-                advertised.extend(self.links.symmetric_neighbors(now));
-            }
-        }
-        advertised.sort_unstable();
-        advertised.dedup();
         if advertised != self.last_advertised {
             self.ansn = self.ansn.wrapping_add(1);
             self.last_advertised = advertised.clone();
@@ -623,7 +612,8 @@ impl<H: OlsrHooks> OlsrNode<H> {
     fn process_hello(&mut self, ctx: &mut Context<'_>, originator: NodeId, hello: &HelloMessage) {
         let now = ctx.now();
         let hold = now + self.config.neighbor_hold_time;
-        let claimed_sym = hello.symmetric_neighbors();
+        let mut claimed_sym = std::mem::take(&mut self.sym_scratch);
+        hello.symmetric_neighbors_into(&mut claimed_sym);
         // How the sender lists us, in one pass: heard (any symmetric or
         // ASYM code), declared LOST, and selected as its MPR.
         let (mut heard_us, mut lost_us, mut selected_us) = (false, false, false);
@@ -702,6 +692,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
         } else {
             self.selectors.remove(originator);
         }
+        self.sym_scratch = claimed_sym; // recycle the allocation
     }
 
     fn process_tc(&mut self, ctx: &mut Context<'_>, msg: &Message, tc: &TcMessage, from: NodeId) {

@@ -40,23 +40,6 @@ impl fmt::Display for SequenceNumber {
     }
 }
 
-/// How much a node advertises in its TCs (RFC 3626 §15.1 TC_REDUNDANCY).
-///
-/// Richer advertisement yields a denser topology set at every node, which
-/// gives the paper's investigation more alternative paths around a
-/// suspicious MPR — one of the ablation axes in `trustlink-bench`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TcRedundancy {
-    /// Advertise the MPR selector set only (TC_REDUNDANCY = 0, default).
-    #[default]
-    MprSelectors,
-    /// Advertise MPR selectors plus the node's own MPR set
-    /// (TC_REDUNDANCY = 1).
-    SelectorsAndMprs,
-    /// Advertise the full symmetric neighbor set (TC_REDUNDANCY = 2).
-    FullNeighborSet,
-}
-
 /// How a node schedules the expensive parts of state maintenance (expiry
 /// sweeps, MPR selection, routing calculation) relative to the packets
 /// that invalidate them.
@@ -232,8 +215,6 @@ pub struct OlsrConfig {
     pub duplicate_hold_time: SimDuration,
     /// Interval between expiry sweeps / state refreshes (default 1 s).
     pub refresh_interval: SimDuration,
-    /// TC advertisement richness (RFC 3626 §15.1).
-    pub tc_redundancy: TcRedundancy,
     /// How recomputation is scheduled (see [`RecomputeMode`]).
     pub recompute: RecomputeMode,
     /// How far TCs flood (see [`FloodScope`]).
@@ -252,7 +233,6 @@ impl OlsrConfig {
             topology_hold_time: tc * 3,
             duplicate_hold_time: SimDuration::from_secs(30),
             refresh_interval: SimDuration::from_secs(1),
-            tc_redundancy: TcRedundancy::default(),
             recompute: RecomputeMode::default(),
             flood_scope: FloodScope::default(),
         }
@@ -270,7 +250,6 @@ impl OlsrConfig {
             topology_hold_time: tc * 3,
             duplicate_hold_time: SimDuration::from_secs(8),
             refresh_interval: SimDuration::from_millis(250),
-            tc_redundancy: TcRedundancy::default(),
             recompute: RecomputeMode::default(),
             flood_scope: FloodScope::default(),
         }
@@ -279,12 +258,6 @@ impl OlsrConfig {
     /// Replaces the recompute scheduling mode.
     pub fn with_recompute(mut self, mode: RecomputeMode) -> Self {
         self.recompute = mode;
-        self
-    }
-
-    /// Replaces the TC advertisement richness.
-    pub fn with_tc_redundancy(mut self, r: TcRedundancy) -> Self {
-        self.tc_redundancy = r;
         self
     }
 

@@ -11,11 +11,11 @@
 //! so that an answer counts in proportion to the answerer's trust. A result
 //! near `-1` means "the advertised link is almost certainly spoofed".
 //!
-//! Every variant the detectors run — trust-weighted, stability-diluted and
-//! the unweighted ablation — is this one formula over one pool of
-//! [`Evidence`] rows: a detector that does not weight by trust gives every
-//! row weight `1.0`, and one that does not weight by stability gives every
-//! row stability `1.0`. Both are exact in IEEE arithmetic (`1.0 · x == x`,
+//! Every variant in the workspace is this one formula over one pool of
+//! [`Evidence`] rows. The packet-level detector weights each row by trust
+//! and by link stability. The abstract round engine gives every row
+//! stability `1.0`, and its unweighted ablation also gives every row
+//! weight `1.0`. Both are exact in IEEE arithmetic (`1.0 · x == x`,
 //! `Σ 1.0 == n`), so each variant computes bit for bit what a dedicated
 //! formula would.
 

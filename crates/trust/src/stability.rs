@@ -18,6 +18,12 @@
 //! noise therefore degrades detection gracefully — it can delay a verdict,
 //! never manufacture one — while mature stable links carry weight `1.0`
 //! and reproduce the stationary results bit for bit.
+//!
+//! The packet-level detector (`trustlink_core::DetectorNode`) weighs every
+//! evidence row this way; it has no unweighted recipe. With the same flap
+//! memory, its witnesses abstain rather than deny a link they watched die.
+//! The abstract round engine models no links and gives every row
+//! stability `1.0`.
 
 /// Tunable knobs of the stability weighting.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -236,6 +236,47 @@ proptest! {
         prop_assert_eq!(evidence_samples(&pool), weighted);
     }
 
+    /// The detector's rows — trust weight times link stability — are
+    /// formula (8) over stability-scaled evidence: `Σ w⁺·s·e / Σ w⁺`, with
+    /// the stability left out of the normalizer. Dilution never pushes
+    /// `|Detect|` past the weighted mean stability, and never past the
+    /// same rows at stability `1.0` while every answer shares one sign.
+    #[test]
+    fn stability_rows_are_the_diluted_trust_weighted_mean(
+        rows in proptest::collection::vec((-1.0f64..=1.0, 0.0f64..=1.0, answer()), 0..16),
+        deny_only in any::<bool>(),
+    ) {
+        let rows: Vec<(f64, f64, Answer)> = rows
+            .into_iter()
+            .map(|(t, s, a)| (t, s, if deny_only && a == Answer::Confirm { Answer::Deny } else { a }))
+            .collect();
+        let pool: Vec<Evidence> = rows
+            .iter()
+            .map(|&(t, s, a)| Evidence { stability: s, ..trusted(t, a) })
+            .collect();
+        let (num, denom, stable) = rows.iter().fold((0.0, 0.0, 0.0), |(num, denom, stable), &(t, s, a)| {
+            let w = TrustValue::new(t).weight();
+            (num + w * (s * a.as_f64()), denom + w, stable + w * s)
+        });
+        let mean = if denom <= 0.0 { 0.0 } else { num / denom };
+        let detect = detection_value(&pool);
+        prop_assert_eq!(detect.to_bits(), mean.to_bits());
+        let weighted: Vec<f64> = rows
+            .iter()
+            .map(|&(t, s, a)| (TrustValue::new(t).weight(), s, a))
+            .filter(|&(w, _, a)| a != Answer::NoAnswer && w > 0.0)
+            .map(|(w, s, a)| w * (s * a.as_f64()))
+            .collect();
+        prop_assert_eq!(evidence_samples(&pool), weighted);
+        if denom > 0.0 {
+            prop_assert!(detect.abs() <= stable / denom + 1e-12);
+        }
+        if deny_only {
+            let full: Vec<Evidence> = rows.iter().map(|&(t, _, a)| trusted(t, a)).collect();
+            prop_assert!(detect.abs() <= detection_value(&full).abs() + 1e-12);
+        }
+    }
+
     // ---- confidence (9) -------------------------------------------------
 
     #[test]

@@ -140,13 +140,12 @@ fn benign_slow_churn_false_positives_stay_rare() {
 
 /// The brisk all-honest scenario behind the stability-weighting work: nine
 /// honest walkers at 2–8 m/s for 120 s, nobody spoofing anything.
-fn brisk_honest_scenario(stability_weighting: bool) -> ScenarioReport {
-    let detector = DetectorConfig { stability_weighting, ..mobile_detector() };
+fn brisk_honest_scenario() -> ScenarioReport {
     ScenarioBuilder::new(331, 9)
         .topology(Topology::Grid { cols: 3, spacing: 100.0 })
         .arena_size(320.0, 320.0)
         .radio(RadioConfig::unit_disk(170.0))
-        .detector(detector)
+        .detector(mobile_detector())
         .mobility(walkers(2.0, 8.0))
         .mobility_tick(SimDuration::from_millis(250))
         .duration(SimDuration::from_secs(120))
@@ -161,7 +160,7 @@ fn benign_brisk_churn_is_bounded_with_stability_weighting() {
     // Stability weighting exists to close exactly this hole — the evidence
     // of those denials rides over links that just flapped, so it is diluted
     // below the conviction threshold. Hard bound, not characterization.
-    let report = brisk_honest_scenario(true);
+    let report = brisk_honest_scenario();
     let fps = report.false_positives().len();
     println!(
         "brisk-churn false convictions with stability weighting (9 honest walkers, 120 s): {fps}"
@@ -174,34 +173,16 @@ fn benign_brisk_churn_is_bounded_with_stability_weighting() {
 }
 
 #[test]
-fn benign_brisk_churn_false_positive_characterization() {
-    // The legacy behaviour stays pinned with stability weighting off: the
-    // false convictions are a genuine limitation of the stationary-tuned
-    // detector, and the bound documents that verdicts stay *bounded* (the
-    // trust system must not cascade into condemning the whole mesh).
-    let report = brisk_honest_scenario(false);
-    let fps = report.false_positives().len();
-    println!("brisk-churn false convictions without stability weighting: {fps}");
-    assert!(
-        fps <= 4,
-        "brisk churn convicted most of the mesh ({fps} false positives): {:?}",
-        report.false_positives()
-    );
-}
-
-#[test]
 fn stability_weighting_does_not_blind_detection_under_churn() {
     // The flip side of the brisk-churn bound: diluting flap-tainted
     // evidence must not let a *real* spoofer hide behind mobility. Same
-    // walker profile as `walking_spoofer_is_convicted`, stability
-    // weighting on.
+    // walker profile as `walking_spoofer_is_convicted`.
     for seed in [301, 302] {
-        let detector = DetectorConfig { stability_weighting: true, ..mobile_detector() };
         let report = ScenarioBuilder::new(seed, 9)
             .topology(Topology::Grid { cols: 3, spacing: 100.0 })
             .arena_size(320.0, 320.0)
             .radio(RadioConfig::unit_disk(170.0))
-            .detector(detector)
+            .detector(mobile_detector())
             .attacker(4, spoof_phantom(55))
             .mobility(walkers(2.0, 8.0))
             .mobility_tick(SimDuration::from_millis(250))

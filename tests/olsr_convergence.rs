@@ -177,30 +177,3 @@ fn every_log_line_from_every_node_parses() {
         assert!(tags.contains(tag), "no {tag} line in any log: {tags:?}");
     }
 }
-
-#[test]
-fn tc_redundancy_enriches_topology() {
-    use trustlink_olsr::types::TcRedundancy;
-    let positions = topologies::grid(9, 3, 100.0);
-    let run = |redundancy: TcRedundancy| {
-        let mut sim = SimulatorBuilder::new(107)
-            .arena(Arena::new(100_000.0, 100_000.0))
-            .radio(RadioConfig::unit_disk(120.0))
-            .build();
-        for p in &positions {
-            sim.add_node(
-                Box::new(OlsrNode::new(OlsrConfig::fast().with_tc_redundancy(redundancy))),
-                *p,
-            );
-        }
-        sim.run_for(SimDuration::from_secs(30));
-        let node = sim.app_as::<OlsrNode>(NodeId(0)).unwrap();
-        node.topology_set().iter(sim.now()).count()
-    };
-    let selectors_only = run(TcRedundancy::MprSelectors);
-    let full = run(TcRedundancy::FullNeighborSet);
-    assert!(
-        full > selectors_only,
-        "full neighbor advertisement should yield a denser topology: {full} vs {selectors_only}"
-    );
-}
