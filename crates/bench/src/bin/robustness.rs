@@ -153,7 +153,7 @@ fn render_json(cells: &[Cell], seeds: &[u64], secs: u64) -> String {
     );
     s.push_str("  \"command\": \"cargo run --release -p trustlink-bench --bin robustness\",\n");
     s.push_str(&format!(
-        "  \"config\": {{ \"nodes\": 9, \"radio_range_m\": 170.0, \"sim_secs\": {secs}, \"seeds\": {}, \"detector\": \"stability_weighting on, 500ms analysis, 10s warmup\", \"fading\": \"gilbert-elliott p_enter=0.02 p_exit=0.2 loss_bad=0.9\" }},\n",
+        "  \"config\": {{ \"nodes\": 9, \"radio_range_m\": 170.0, \"sim_secs\": {secs}, \"seeds\": {}, \"detector\": \"trust x stability evidence, 500ms analysis, 10s warmup\", \"fading\": \"gilbert-elliott p_enter=0.02 p_exit=0.2 loss_bad=0.9\" }},\n",
         seeds.len()
     ));
     s.push_str("  \"cells\": [\n");

@@ -35,15 +35,12 @@ use trustlink_sim::{Application, Context, NodeId, SimDuration, SimTime, TimerTok
 use trustlink_trust::aggregate::{detection_value, evidence_samples, Answer, Evidence};
 use trustlink_trust::confidence::{margin_of_error, CONFIDENCE_LEVEL};
 use trustlink_trust::decision::{DecisionRule, Verdict};
-use trustlink_trust::propagation::{multipath, Recommendation};
 use trustlink_trust::stability::{stability_weight, StabilityParams};
 use trustlink_trust::store::TrustStore;
 use trustlink_trust::value::{EvidenceKind, TrustValue};
 
 /// Timer token for the periodic log-analysis pass.
 pub const TIMER_ANALYSIS: TimerToken = TimerToken(2000);
-/// Timer token for the periodic trust-recommendation exchange.
-pub const TIMER_GOSSIP: TimerToken = TimerToken(2001);
 
 /// Window of the partially-ordered signature matcher.
 const SIGNATURE_WINDOW: SimDuration = SimDuration::from_secs(120);
@@ -78,11 +75,6 @@ pub struct DetectorConfig {
     /// rounds (the paper's Δt *is* the round); this interval only paces
     /// background relaying evidence in quiet periods.
     pub trust_slot_interval: SimDuration,
-    /// When set, this node periodically sends its trust ledger to its
-    /// symmetric neighbors and merges theirs as *recommendations*
-    /// (formulas 6/7; see [`DetectorNode::indirect_trust_of`]). `None`
-    /// disables the exchange.
-    pub gossip_interval: Option<SimDuration>,
     /// Keep flight-recorder side history: when each analysis pass sampled
     /// the log ([`DetectorNode::analysis_ticks`]) and every detection event
     /// it extracted ([`DetectorNode::extracted_events`]). Off by default —
@@ -100,7 +92,6 @@ impl Default for DetectorConfig {
             answer_probability: 1.0,
             warmup: SimDuration::from_secs(15),
             trust_slot_interval: SimDuration::from_secs(10),
-            gossip_interval: None,
             flight_recording: false,
         }
     }
@@ -148,8 +139,6 @@ pub struct DetectorNode<H: OlsrHooks = NoHooks> {
     next_case: u64,
     started_at: SimTime,
     last_slot: SimTime,
-    /// Latest trust digest received from each recommender.
-    recommendations: BTreeMap<NodeId, Vec<(NodeId, TrustValue)>>,
     /// Suspicious triggers observed during warmup, investigated once the
     /// routing view has converged. Maps suspect to the contested-link hint.
     pending_suspects: BTreeMap<NodeId, Option<NodeId>>,
@@ -194,7 +183,6 @@ impl<H: OlsrHooks> DetectorNode<H> {
             next_case: 0,
             started_at: SimTime::ZERO,
             last_slot: SimTime::ZERO,
-            recommendations: BTreeMap::new(),
             pending_suspects: BTreeMap::new(),
             analysis_ticks: Vec::new(),
             extracted_events: Vec::new(),
@@ -260,27 +248,6 @@ impl<H: OlsrHooks> DetectorNode<H> {
     /// order. Empty unless [`DetectorConfig::flight_recording`] is on.
     pub fn extracted_events(&self) -> &[DetectionEvent] {
         &self.extracted_events
-    }
-
-    /// Trust in `target` propagated from the neighbors' recommendations:
-    /// formula (7) multipath merge, each recommendation discounted by the
-    /// recommender's own trustworthiness (formula 6 via
-    /// [`Recommendation::from_trust`]). Returns [`TrustValue::ZERO`]
-    /// (maximal uncertainty) when no usable recommendation exists.
-    ///
-    /// Requires [`DetectorConfig::gossip_interval`] to be set on the
-    /// recommending neighbors.
-    pub fn indirect_trust_of(&self, target: NodeId) -> TrustValue {
-        let pairs = self.recommendations.iter().filter_map(|(source, entries)| {
-            let t_source_target = entries.iter().find(|(n, _)| *n == target).map(|(_, t)| *t)?;
-            Some((Recommendation::from_trust(self.trust.trust_of(source)), t_source_target))
-        });
-        multipath(pairs)
-    }
-
-    /// Number of neighbors whose recommendations are currently held.
-    pub fn recommender_count(&self) -> usize {
-        self.recommendations.len()
     }
 
     // ---- analysis pass ----------------------------------------------------
@@ -616,29 +583,9 @@ impl<H: OlsrHooks> DetectorNode<H> {
         });
     }
 
-    fn send_gossip(&mut self, ctx: &mut Context<'_>) {
-        let now = ctx.now();
-        let digest = crate::gossip::TrustGossip::digest(&self.trust);
-        if digest.entries.is_empty() {
-            return;
-        }
-        let payload = digest.encode();
-        for n in self.olsr.symmetric_neighbors(now) {
-            self.olsr.send_data(ctx, n, payload.clone(), None);
-        }
-    }
-
     fn handle_data(&mut self, ctx: &mut Context<'_>, src: NodeId, payload: Bytes) {
-        if let Ok(gossip) = crate::gossip::TrustGossip::decode(payload.clone()) {
-            // Recommendations about the recommender itself are ignored.
-            let me = ctx.id();
-            let entries: Vec<(NodeId, TrustValue)> =
-                gossip.entries.into_iter().filter(|(n, _)| *n != src && *n != me).collect();
-            self.recommendations.insert(src, entries);
-            return;
-        }
         let Ok(msg) = InvestigationMessage::decode(payload) else {
-            return; // neither investigation traffic nor gossip
+            return; // not investigation traffic
         };
         let now = ctx.now();
         match msg {
@@ -735,20 +682,12 @@ impl<H: OlsrHooks> Application for DetectorNode<H> {
             ctx.rng().random_range(0..self.cfg.analysis_interval.as_micros().max(1)),
         );
         ctx.set_timer(self.cfg.analysis_interval + stagger, TIMER_ANALYSIS);
-        if let Some(interval) = self.cfg.gossip_interval {
-            ctx.set_timer(interval + stagger, TIMER_GOSSIP);
-        }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
         if timer == TIMER_ANALYSIS {
             self.run_analysis(ctx);
             ctx.set_timer(self.cfg.analysis_interval, TIMER_ANALYSIS);
-        } else if timer == TIMER_GOSSIP {
-            self.send_gossip(ctx);
-            if let Some(interval) = self.cfg.gossip_interval {
-                ctx.set_timer(interval, TIMER_GOSSIP);
-            }
         } else {
             self.olsr.on_timer(ctx, timer);
         }
@@ -844,24 +783,6 @@ mod tests {
         assert!(d.warmed_up(t(15)));
     }
 
-    #[test]
-    fn indirect_trust_merges_recommendations() {
-        let mut d = detector();
-        // Two neighbors recommend about N9: one trusted, one distrusted.
-        d.trust.set_trust(NodeId(1), TrustValue::new(0.8));
-        d.trust.set_trust(NodeId(2), TrustValue::new(-0.5)); // ignored: weight 0
-        d.recommendations.insert(NodeId(1), vec![(NodeId(9), TrustValue::new(-0.9))]);
-        d.recommendations.insert(NodeId(2), vec![(NodeId(9), TrustValue::new(1.0))]);
-        let indirect = d.indirect_trust_of(NodeId(9));
-        assert!(
-            (indirect.get() - (-0.9)).abs() < 1e-9,
-            "distrusted recommender must not count: {indirect}"
-        );
-        // Unknown target: maximal uncertainty.
-        assert_eq!(d.indirect_trust_of(NodeId(42)), TrustValue::ZERO);
-        assert_eq!(d.recommender_count(), 2);
-    }
-
     /// A triangle of detectors: N1 and N2 100 m from N0 along either axis,
     /// all within range, run until warmed up.
     fn triangle() -> trustlink_sim::Simulator {
@@ -925,6 +846,5 @@ mod tests {
         assert!((0.0..=1.0).contains(&cfg.answer_probability));
         assert!(TESTIMONY_THRESHOLD < gamma);
         assert!(cfg.warmup > cfg.analysis_interval);
-        assert!(cfg.gossip_interval.is_none());
     }
 }

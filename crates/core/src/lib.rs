@@ -40,7 +40,6 @@ pub mod chart;
 pub mod csv;
 pub mod detector;
 pub mod experiments;
-pub mod gossip;
 pub mod replay;
 pub mod rounds;
 pub mod scenario;
@@ -52,7 +51,6 @@ pub mod prelude {
         ablations, confidence_sweep, fig1_trustworthiness, fig2_forgetting, fig3_liar_impact,
         fig3_liar_impact_banded, liar_coalition_sweep, paper_liar_counts, Figure, Series,
     };
-    pub use crate::gossip::TrustGossip;
     pub use crate::replay::{record_scenario, replay_recording, ReplayReport};
     pub use crate::rounds::{
         InitialTrust, RoleKind, RoundConfig, RoundEngine, RoundTrace, WitnessTrace,

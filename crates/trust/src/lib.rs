@@ -4,15 +4,13 @@
 //! in MANET"* (Alattar, Sailhan, Bourgeois — ICDCS WWASN 2012), as a pure,
 //! simulator-independent library.
 //!
-//! The paper secures a distributed intrusion detector with five pieces of
-//! mathematics, all implemented here:
+//! The paper secures a distributed intrusion detector with trust
+//! mathematics; the pieces the detector uses are implemented here:
 //!
 //! | Paper | Module | What it does |
 //! |-------|--------|--------------|
 //! | Formula (5) | [`update`] | evidence-weighted trust update with gravity factors `α` and forgetting factor `β` |
 //! | §IV entropy | [`entropy`] | the information-theoretic trust ↔ probability mapping of Sun et al. |
-//! | Formula (6) | [`propagation`] | concatenated trust propagation through a third party |
-//! | Formula (7) | [`propagation`] | multipath propagation over several recommenders |
 //! | Formula (8) | [`aggregate`] | trust-weighted aggregation of investigation answers into a detection value |
 //! | Formula (9) | [`confidence`] | confidence interval over partial evidence (probit, margin of error) |
 //! | Rule (10) | [`decision`] | the three-way verdict: well-behaving / intruder / unrecognized |
@@ -20,6 +18,13 @@
 //! [`store`] ties (5) into a per-neighbor bookkeeping structure with
 //! time-slot semantics, and [`value`] defines the bounded [`TrustValue`]
 //! domain and the evidence catalogue (Properties 1–5 of §IV-A).
+//!
+//! The paper's formulas (6) and (7), trust propagated through
+//! recommendations, are not implemented. Every decision here reads
+//! first-hand trust only: a prototype that gave witnesses without it
+//! their formula (7) trust from gossip moved no conviction and under 1 %
+//! of decisive verdicts, while the gossip traffic added 1–5 % air frames
+//! and an air-reachable map of recommendations in every node.
 //!
 //! ## Example: one investigation round
 //!
@@ -53,7 +58,6 @@ pub mod aggregate;
 pub mod confidence;
 pub mod decision;
 pub mod entropy;
-pub mod propagation;
 pub mod stability;
 pub mod store;
 pub mod update;
@@ -65,7 +69,6 @@ pub mod prelude {
     pub use crate::confidence::{margin_of_error, probit, ConfidenceInterval};
     pub use crate::decision::{DecisionRule, Verdict};
     pub use crate::entropy::{binary_entropy, probability_from_trust, trust_from_probability};
-    pub use crate::propagation::{concatenated, multipath, Recommendation};
     pub use crate::stability::{stability_weight, StabilityParams};
     pub use crate::store::TrustStore;
     pub use crate::update::TrustUpdate;
@@ -75,7 +78,6 @@ pub mod prelude {
 pub use aggregate::{detection_value, evidence_samples, Answer, Evidence};
 pub use confidence::{margin_of_error, probit, ConfidenceInterval};
 pub use decision::{DecisionRule, Verdict};
-pub use propagation::Recommendation;
 pub use stability::{stability_weight, StabilityParams};
 pub use store::TrustStore;
 pub use update::TrustUpdate;

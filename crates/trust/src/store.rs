@@ -32,7 +32,6 @@ pub struct TrustStore<K> {
     initial: TrustValue,
     trust: HashMap<K, TrustValue>,
     pending: HashMap<K, Vec<EvidenceKind>>,
-    slots_elapsed: u64,
 }
 
 impl<K: Eq + Hash + Clone> TrustStore<K> {
@@ -44,13 +43,7 @@ impl<K: Eq + Hash + Clone> TrustStore<K> {
 
     /// Builds a store with an explicit update operator.
     pub fn with_update(initial: TrustValue, update: TrustUpdate) -> Self {
-        TrustStore {
-            update,
-            initial,
-            trust: HashMap::new(),
-            pending: HashMap::new(),
-            slots_elapsed: 0,
-        }
+        TrustStore { update, initial, trust: HashMap::new(), pending: HashMap::new() }
     }
 
     /// Current trust in `peer` (the initial value if never observed).
@@ -80,12 +73,6 @@ impl<K: Eq + Hash + Clone> TrustStore<K> {
             let prev = self.trust_of(&k);
             self.trust.insert(k, self.update.step(prev, &ev));
         }
-        self.slots_elapsed += 1;
-    }
-
-    /// Number of closed slots so far.
-    pub fn slots_elapsed(&self) -> u64 {
-        self.slots_elapsed
     }
 
     /// All peers with an explicit trust value, in unspecified order.
@@ -123,7 +110,6 @@ mod tests {
         assert_eq!(store.trust_of(&1), TrustValue::DEFAULT);
         store.end_slot();
         assert!(store.trust_of(&1) < TrustValue::DEFAULT);
-        assert_eq!(store.slots_elapsed(), 1);
     }
 
     #[test]

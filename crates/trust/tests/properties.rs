@@ -121,43 +121,6 @@ proptest! {
         prop_assert!(trust_from_probability(lo) <= trust_from_probability(hi));
     }
 
-    // ---- propagation (6), (7) -----------------------------------------
-
-    #[test]
-    fn concatenated_bounded_and_discounting(
-        r in 0.0f64..=1.0,
-        t in trust_value(),
-    ) {
-        let out = concatenated(Recommendation::new(r), t);
-        prop_assert!(out.get().abs() <= t.get().abs() + 1e-12);
-        prop_assert!((-1.0..=1.0).contains(&out.get()));
-    }
-
-    #[test]
-    fn multipath_bounded_by_extremes(
-        recs in proptest::collection::vec((0.0f64..=1.0, -1.0f64..=1.0), 0..12),
-    ) {
-        let pairs: Vec<(Recommendation, TrustValue)> = recs
-            .iter()
-            .map(|&(r, t)| (Recommendation::new(r), TrustValue::new(t)))
-            .collect();
-        let out = multipath(pairs.clone()).get();
-        prop_assert!((-1.0..=1.0).contains(&out));
-        // Weighted average over inputs with positive mass stays within their range.
-        let used: Vec<f64> = pairs
-            .iter()
-            .filter(|(r, _)| r.get() > 0.0)
-            .map(|(_, t)| t.get())
-            .collect();
-        if !used.is_empty() {
-            let lo = used.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = used.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(out >= lo - 1e-9 && out <= hi + 1e-9);
-        } else {
-            prop_assert_eq!(out, 0.0);
-        }
-    }
-
     // ---- aggregation (8) ------------------------------------------------
 
     #[test]

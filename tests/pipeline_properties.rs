@@ -1,6 +1,6 @@
 //! Cross-crate property tests: the log pipeline (render → parse → extract)
-//! and the wire pipelines (encode → decode) — OLSR frames, investigation
-//! messages and trust gossip — under adversarial inputs.
+//! and the wire pipelines (encode → decode) — OLSR frames and
+//! investigation messages — under adversarial inputs.
 //!
 //! A pass-through global allocator remembers the largest single request
 //! made on each thread, so a decoder's reservation on a hostile length
@@ -12,7 +12,6 @@ use std::cell::Cell;
 
 use proptest::prelude::*;
 
-use trustlink_core::gossip::TrustGossip;
 use trustlink_ids::investigation::InvestigationMessage;
 use trustlink_olsr::message::{
     DataMessage, HelloMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody, NeighborType,
@@ -415,14 +414,13 @@ fn decoding_mutated_real_frames_allocates_linearly_in_their_length() {
     assert!(materialized > 100, "only {materialized} messages reached the decoders");
 }
 
-/// Real encoded investigation messages and trust gossip, the starting
-/// points of the payload mutation properties: both message kinds, extreme
-/// case numbers, narrow, boundary and escaped (wide) ids, both answers,
-/// and gossip from empty to several entries at the trust extremes.
-fn seed_payloads() -> Vec<Payload> {
+/// Real encoded investigation messages, the starting points of the
+/// payload mutation properties: both message kinds, extreme case numbers,
+/// narrow, boundary and escaped (wide) ids, and both answers.
+fn seed_payloads() -> Vec<InvestigationMessage> {
     let wide = NodeId(999_999);
     let edge = NodeId(0xFFFE); // the largest id that still fits two bytes
-    let mut out: Vec<Payload> = [
+    vec![
         InvestigationMessage::VerifyLinkRequest { case: 7, suspect: NodeId(4), contested: wide },
         InvestigationMessage::VerifyLinkRequest {
             case: u64::MAX,
@@ -442,57 +440,15 @@ fn seed_payloads() -> Vec<Payload> {
             link_exists: false,
         },
     ]
-    .into_iter()
-    .map(Payload::Investigation)
-    .collect();
-    for entries in [
-        vec![],
-        vec![(NodeId(1), TrustValue::new(0.4))],
-        vec![
-            (wide, TrustValue::new(-1.0)),
-            (edge, TrustValue::new(1.0)),
-            (NodeId(3), TrustValue::new(0.0)),
-        ],
-    ] {
-        out.push(Payload::Gossip(TrustGossip { entries }));
-    }
-    out
 }
 
-/// A seed payload of either data-plane message type.
-#[derive(Debug, Clone, PartialEq)]
-enum Payload {
-    Investigation(InvestigationMessage),
-    Gossip(TrustGossip),
-}
-
-impl Payload {
-    fn encode(&self) -> bytes::Bytes {
-        match self {
-            Payload::Investigation(m) => m.encode(),
-            Payload::Gossip(g) => g.encode(),
-        }
-    }
-
-    /// Decodes `bytes` as the same message type as `self`.
-    fn decode_like(&self, bytes: bytes::Bytes) -> Option<Payload> {
-        match self {
-            Payload::Investigation(_) => {
-                InvestigationMessage::decode(bytes).ok().map(Payload::Investigation)
-            }
-            Payload::Gossip(_) => TrustGossip::decode(bytes).ok().map(Payload::Gossip),
-        }
-    }
-}
-
-/// The payload decoders' contract on a mutant of `seed`: they return
-/// instead of panicking, and whatever they accept re-encodes to bytes that
-/// decode back to the same message. Returns whether the mutant was
-/// accepted.
-fn check_payload_decoder_on(seed: &Payload, buf: Vec<u8>) -> Result<bool, String> {
-    let Some(msg) = seed.decode_like(bytes::Bytes::from(buf)) else { return Ok(false) };
-    match seed.decode_like(msg.encode()) {
-        Some(again) if again == msg => Ok(true),
+/// The payload decoder's contract on a mutant: it returns instead of
+/// panicking, and whatever it accepts re-encodes to bytes that decode
+/// back to the same message. Returns whether the mutant was accepted.
+fn check_payload_decoder_on(buf: Vec<u8>) -> Result<bool, String> {
+    let Ok(msg) = InvestigationMessage::decode(bytes::Bytes::from(buf)) else { return Ok(false) };
+    match InvestigationMessage::decode(msg.encode()) {
+        Ok(again) if again == msg => Ok(true),
         other => Err(format!("accepted {msg:?} but its re-encoding decodes to {other:?}")),
     }
 }
@@ -500,16 +456,20 @@ fn check_payload_decoder_on(seed: &Payload, buf: Vec<u8>) -> Result<bool, String
 #[test]
 fn every_single_byte_mutation_of_real_payloads_is_handled() {
     // The frame sweep's edits, applied to every position of every seed
-    // investigation message and gossip payload.
+    // investigation message.
     let (mut accepted, mut rejected) = (0u32, 0u32);
     for seed in seed_payloads() {
         let encoded = seed.encode();
-        assert_eq!(seed.decode_like(encoded.clone()).as_ref(), Some(&seed), "seed must decode");
+        assert_eq!(
+            InvestigationMessage::decode(encoded.clone()).ok(),
+            Some(seed),
+            "seed must decode"
+        );
         for pos in 0..=encoded.len() as u16 {
             for (op, byte) in [(0, 0x01), (0, 0x80), (0, 0xFF), (1, 0xFF), (2, 0), (3, 0)] {
                 let mut buf = encoded.to_vec();
                 mutate(&mut buf, op, pos, byte);
-                match check_payload_decoder_on(&seed, buf) {
+                match check_payload_decoder_on(buf) {
                     Ok(true) => accepted += 1,
                     Ok(false) => rejected += 1,
                     Err(e) => panic!("{seed:?}, op {op} at {pos}: {e}"),
@@ -522,10 +482,11 @@ fn every_single_byte_mutation_of_real_payloads_is_handled() {
 }
 
 #[test]
-fn gossip_count_beyond_its_body_is_rejected_within_the_reservation_cap() {
-    // A header declaring 65 535 entries over a body of zero, one or a few
-    // entries: the decoder must reject it, reserving at most the 1 024
-    // entries it caps a declared count at (not 65 535 entries' worth).
+fn former_gossip_frames_are_rejected_within_the_reservation_cap() {
+    // The retired trust-gossip format (tag 3, a 65 535-entry count over a
+    // body of zero, one or a few entries) is no investigation message: the
+    // decoder must reject it, reserving no more than the 1 024 entries the
+    // gossip decoder capped a declared count at.
     let cap = 1024 * std::mem::size_of::<(NodeId, TrustValue)>();
     for body_entries in [0usize, 1, 3] {
         let mut buf = vec![3u8, 0xFF, 0xFF];
@@ -535,7 +496,7 @@ fn gossip_count_beyond_its_body_is_rejected_within_the_reservation_cap() {
         }
         let bytes = bytes::Bytes::from(buf);
         reset_largest_request();
-        let got = TrustGossip::decode(bytes);
+        let got = InvestigationMessage::decode(bytes);
         let largest = largest_request();
         assert!(got.is_err(), "{body_entries} entries under a 65 535 count were accepted");
         assert!(largest <= cap, "decoding reserved {largest} bytes at once; the cap allows {cap}");
@@ -553,7 +514,7 @@ proptest! {
         for &(op, pos, byte) in &edits {
             mutate(&mut buf, op, pos, byte);
         }
-        if let Err(e) = check_payload_decoder_on(seed, buf) {
+        if let Err(e) = check_payload_decoder_on(buf) {
             panic!("{seed:?} after {edits:?}: {e}");
         }
     }
