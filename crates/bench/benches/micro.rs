@@ -10,7 +10,7 @@ use trustlink_olsr::message::{
     TcMessage,
 };
 use trustlink_olsr::mpr::{select_mprs, MprCandidate};
-use trustlink_olsr::routing::RoutingTable;
+use trustlink_olsr::routing::{RoutingTable, RoutingWorkspace, TreeRoute};
 use trustlink_olsr::state::{TopologySet, TwoHopSet};
 use trustlink_olsr::types::SequenceNumber;
 use trustlink_olsr::wire::{decode_packet, encode_packet};
@@ -66,6 +66,55 @@ fn bench_routing(c: &mut Criterion) {
                 SimTime::ZERO,
                 Some(NodeId(7)),
             ))
+        })
+    });
+    // One avoid-routed lookup each way on the same ring, from a workspace
+    // holding the stamped main graph: the main tree reaches 2 without 7,
+    // so it answers; 14 lies behind 7, so the masked BFS runs.
+    let mut ws = RoutingWorkspace::default();
+    let mut main = RoutingTable::default();
+    RoutingTable::compute_avoiding_into(
+        &mut ws,
+        &mut main,
+        NodeId(0),
+        &sym,
+        &two_hop,
+        &topo,
+        SimTime::ZERO,
+        None,
+    );
+    ws.stamp(1);
+    assert_eq!(ws.tree_route(1, NodeId(2), NodeId(7)), TreeRoute::Avoids);
+    assert_eq!(ws.tree_route(1, NodeId(14), NodeId(7)), TreeRoute::Passes);
+    c.bench_function("avoid_lookup_50_nodes_tree", |b| {
+        b.iter(|| {
+            let dst = black_box(NodeId(2));
+            match ws.tree_route(1, dst, black_box(NodeId(7))) {
+                TreeRoute::Avoids => black_box(main.next_hop(dst)),
+                _ => unreachable!("the tree answers"),
+            }
+        })
+    });
+    let mut around = RoutingTable::default();
+    c.bench_function("avoid_lookup_50_nodes_masked_bfs", |b| {
+        b.iter(|| {
+            let dst = black_box(NodeId(14));
+            match ws.tree_route(1, dst, black_box(NodeId(7))) {
+                TreeRoute::Passes => {}
+                _ => unreachable!("the tree cannot answer"),
+            }
+            RoutingTable::reroute_avoiding_into(
+                &mut ws,
+                &mut around,
+                1,
+                NodeId(0),
+                &sym,
+                &two_hop,
+                &topo,
+                SimTime::ZERO,
+                NodeId(7),
+            );
+            black_box(around.next_hop(dst))
         })
     });
     // The same ring plus one phantom 2-hop neighbor at id 999 999: route

@@ -695,9 +695,13 @@ impl<H: OlsrHooks> Application for DetectorNode<H> {
 
     fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
         self.olsr.on_receive(ctx, from, payload);
-        for data in self.olsr.take_inbox() {
+        // A payload `handle_data` sends to this node lands in the node's
+        // fresh inbox and waits for the next reception.
+        let mut inbox = self.olsr.take_inbox();
+        for data in inbox.drain(..) {
             self.handle_data(ctx, data.src, data.payload);
         }
+        self.olsr.recycle_inbox(inbox);
     }
 }
 

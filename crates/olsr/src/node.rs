@@ -20,7 +20,7 @@ use crate::message::{
     Packet, TcMessage,
 };
 use crate::mpr::MprCandidate;
-use crate::routing::{RoutingTable, RoutingWorkspace};
+use crate::routing::{RoutingTable, RoutingWorkspace, TreeRoute};
 use crate::state::{
     DupProbe, DuplicateSet, LinkSet, LinkStatus, LinkTuple, MinExpiry, MprSelectorSet, NeighborSet,
     TopologySet, TwoHopSet,
@@ -83,9 +83,13 @@ pub struct RecomputeStats {
     /// generation that stamps memoised avoid-route tables.
     pub route_runs: u64,
     /// Avoid-routed next-hop lookups (investigation traffic sent or
-    /// forwarded around a suspect).
+    /// forwarded around a suspect), however they were answered.
     pub avoid_lookups: u64,
-    /// Avoid-route BFS runs: lookups that missed the memo.
+    /// Avoid-routed lookups answered from the main routing table, because
+    /// the main BFS tree reaches the destination without the suspect.
+    pub avoid_tree_hits: u64,
+    /// Masked avoid-route BFS runs: lookups the tree could not answer that
+    /// also missed the memo. The remaining lookups were memo hits.
     pub avoid_runs: u64,
 }
 
@@ -96,7 +100,9 @@ const AVOID_MEMO_SLOTS: usize = 4;
 /// `generation` equals the node's `route_runs`: the avoid BFS reads the
 /// same inputs as the main BFS, and every change to those inputs reaches
 /// a route run before any data-plane lookup (both lookup sites call
-/// [`OlsrNode::ensure_fresh`] first).
+/// [`OlsrNode::ensure_fresh`] first). Only destinations behind `avoided`
+/// in the main BFS tree are looked up here; the main table answers the
+/// rest.
 #[derive(Debug, Clone)]
 struct AvoidRoutes {
     avoided: NodeId,
@@ -322,6 +328,17 @@ impl<H: OlsrHooks> OlsrNode<H> {
     /// Drains data payloads addressed to this node.
     pub fn take_inbox(&mut self) -> Vec<ReceivedData> {
         std::mem::take(&mut self.inbox)
+    }
+
+    /// Hands back a buffer [`take_inbox`](Self::take_inbox) returned, so
+    /// the next payload delivered here reuses its allocation. It is
+    /// emptied first, and dropped instead if a payload arrived since the
+    /// take: that one stays queued.
+    pub fn recycle_inbox(&mut self, mut spent: Vec<ReceivedData>) {
+        if self.inbox.is_empty() {
+            spent.clear();
+            self.inbox = spent;
+        }
     }
 
     /// Bars `addr` from this node's MPR selection (it is treated as
@@ -557,14 +574,27 @@ impl<H: OlsrHooks> OlsrNode<H> {
     }
 
     /// The next hop toward `dst`, routing around `avoid` when set. Callers
-    /// must [`ensure_fresh`](Self::ensure_fresh) first: the avoid memo is
-    /// keyed on the route generation that call settles.
+    /// must [`ensure_fresh`](Self::ensure_fresh) first: the BFS tree and
+    /// the avoid memo are keyed on the route generation that call settles.
+    ///
+    /// When the main BFS tree reaches `dst` without passing `avoid`, the
+    /// main route is also the route around it
+    /// ([`RoutingWorkspace::tree_route`]); only destinations behind the
+    /// avoided node take the memoised masked BFS. The first avoid-routed
+    /// lookup makes this and every later route run record its tree.
     fn next_hop_for(&mut self, dst: NodeId, avoid: Option<NodeId>, now: SimTime) -> Option<NodeId> {
-        match avoid {
-            None => self.routes.next_hop(dst),
-            Some(avoided) if dst == avoided => None,
-            Some(avoided) => self.avoid_routes(avoided, now).next_hop(dst),
+        let Some(avoided) = avoid else {
+            return self.routes.next_hop(dst);
+        };
+        if dst == avoided {
+            return None;
         }
+        self.stats.avoid_lookups += 1;
+        if self.route_ws.tree_route(self.stats.route_runs, dst, avoided) == TreeRoute::Avoids {
+            self.stats.avoid_tree_hits += 1;
+            return self.routes.next_hop(dst);
+        }
+        self.avoid_routes(avoided, now).next_hop(dst)
     }
 
     /// The routing table around `avoided` for the current route
@@ -572,7 +602,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
     /// allocation. A miss re-runs only the BFS over the adjacency the
     /// generation's main route run left in `route_ws`.
     fn avoid_routes(&mut self, avoided: NodeId, now: SimTime) -> &RoutingTable {
-        self.stats.avoid_lookups += 1;
         let generation = self.stats.route_runs;
         let memo = &mut self.avoid_memo;
         if let Some(i) =
@@ -1265,6 +1294,27 @@ mod tests {
     }
 
     #[test]
+    fn recycled_inbox_keeps_its_allocation_and_every_payload() {
+        let mut node = OlsrNode::new(OlsrConfig::fast());
+        let data = |payload: &'static [u8]| ReceivedData {
+            src: NodeId(1),
+            at: SimTime::ZERO,
+            payload: Bytes::from_static(payload),
+        };
+        node.inbox.push(data(b"a"));
+        let spent = node.take_inbox();
+        let buffer = spent.as_ptr();
+        node.recycle_inbox(spent);
+        assert!(node.inbox.is_empty());
+        assert_eq!(node.inbox.as_ptr(), buffer, "the allocation came back");
+        // A payload delivered between the take and the recycle stays.
+        let spent = node.take_inbox();
+        node.inbox.push(data(b"b"));
+        node.recycle_inbox(spent);
+        assert_eq!(node.take_inbox(), vec![data(b"b")]);
+    }
+
+    #[test]
     fn audit_log_records_neighborhood_events() {
         let mut sim = line_sim(3, 100.0, 150.0, 23);
         sim.run_for(SimDuration::from_secs(10));
@@ -1755,6 +1805,7 @@ mod tests {
             let s = probe.node.recompute_stats();
             stats.route_runs += s.route_runs;
             stats.avoid_lookups += s.avoid_lookups;
+            stats.avoid_tree_hits += s.avoid_tree_hits;
             stats.avoid_runs += s.avoid_runs;
         }
         assert!(saw_injected, "the forged TC never reached a topology set");
@@ -1763,5 +1814,9 @@ mod tests {
         // after every route run.
         assert!(stats.avoid_runs > stats.route_runs, "{stats:?}");
         assert!(stats.avoid_runs < stats.avoid_lookups, "{stats:?}");
+        // So did the tree answers, and memo hits remain among the rest.
+        let memo_hits = stats.avoid_lookups - stats.avoid_tree_hits - stats.avoid_runs;
+        assert!(stats.avoid_tree_hits > 0, "{stats:?}");
+        assert!(memo_hits > 0, "{stats:?}");
     }
 }

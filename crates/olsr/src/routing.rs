@@ -7,6 +7,9 @@
 //! [`RoutingTable::compute_avoiding`] additionally excludes one node from
 //! the graph — the primitive the paper's investigation uses so that
 //! requests/answers "should not go through … the suspicious MPR".
+//! [`RoutingWorkspace::tree_route`] tells when the main route already
+//! avoids that node, so the avoid computation runs only for destinations
+//! behind it.
 
 use trustlink_sim::{NodeId, SimTime};
 
@@ -41,7 +44,10 @@ const MIN_TABLE: usize = 64;
 /// After a main (`avoid = None`) computation the adjacency stays in place.
 /// Once [`stamp`](Self::stamp)ed with a route generation, it serves
 /// [`RoutingTable::reroute_avoiding_into`] for that generation without
-/// being rebuilt.
+/// being rebuilt, and [`tree_route`](Self::tree_route) tells from its BFS
+/// tree which routes around a node are the main routes themselves. The
+/// tree costs one parent slot per interned id, recorded only from the
+/// first such query on.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingWorkspace {
     /// Open-addressing id→slot table of `(id, slot)` entries, [`FREE`]
@@ -59,16 +65,38 @@ pub struct RoutingWorkspace {
     /// tie-breaks independently of id values. Emptied (capacity kept) at
     /// the start of each computation.
     adj: Vec<Vec<u32>>,
-    /// BFS hop counts per slot, [`UNVISITED`] when unreached.
-    dist: Vec<u32>,
-    /// First-hop slot toward each reached slot.
-    first_hop: Vec<u32>,
+    /// Per slot, the BFS hop count ([`UNVISITED`] when unreached) and the
+    /// first-hop slot toward it.
+    reach: Vec<(u32, u32)>,
     /// BFS visit order; the frontier is `queue[head..]`.
     queue: Vec<u32>,
+    /// The main computation's BFS parent of each slot, [`UNVISITED`] for
+    /// `me` and unreached slots; empty unless that computation recorded it.
+    /// Masked searches leave it alone.
+    parent: Vec<u32>,
+    /// Whether main computations record `parent`: set by the first
+    /// [`tree_route`](Self::tree_route) query.
+    record_parents: bool,
     /// `(me, me's slot)` while `adj` holds the graph of a main computation.
     main: Option<(NodeId, u32)>,
     /// The route generation [`stamp`](Self::stamp) gave that graph.
     generation: Option<u64>,
+}
+
+/// How the main BFS tree's route to a destination stands toward a node to
+/// be avoided: the answer of [`RoutingWorkspace::tree_route`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TreeRoute {
+    /// The main route to the destination does not pass the avoided node,
+    /// or there is none: the route around that node is the main route, or
+    /// equally absent.
+    Avoids,
+    /// The main route to the destination passes the avoided node, or ends
+    /// at it.
+    Passes,
+    /// The workspace holds no main graph stamped with the asked
+    /// generation.
+    Unknown,
 }
 
 impl RoutingWorkspace {
@@ -98,6 +126,107 @@ impl RoutingWorkspace {
     /// (`avoid = None`) one; otherwise the workspace stays unstamped.
     pub fn stamp(&mut self, generation: u64) {
         self.generation = self.main.map(|_| generation);
+    }
+
+    /// Whether the main route to `dst` in the BFS tree of the main graph
+    /// stamped with `generation` passes `avoided`, found by walking BFS
+    /// parents from `dst` toward `me` (at most the route's hop count).
+    ///
+    /// Main computations record no tree until the first query: it reruns
+    /// the stamped graph's BFS to record one, and every later main
+    /// computation records its own. A workspace never asked pays nothing.
+    ///
+    /// [`TreeRoute::Avoids`] is exact: masking a vertex only delays its
+    /// descendants in the BFS queue, since adjacency order is fixed, so
+    /// every vertex outside its subtree keeps its distance, its first
+    /// discoverer and its first hop, and an unreached one stays unreached.
+    /// The route [`RoutingTable::compute_avoiding`] gives around `avoided`
+    /// is then the main route to `dst`, or equally absent. Avoiding `me`
+    /// removes nothing, and a reached `dst` equal to `avoided` passes.
+    ///
+    /// [`TreeRoute::Unknown`] when the workspace is unstamped or stamped
+    /// with another generation.
+    pub fn tree_route(&mut self, generation: u64, dst: NodeId, avoided: NodeId) -> TreeRoute {
+        let Some((_, me_slot)) = self.main else {
+            return TreeRoute::Unknown;
+        };
+        if self.generation != Some(generation) {
+            return TreeRoute::Unknown;
+        }
+        if self.parent.is_empty() {
+            self.record_parents = true;
+            self.parent.resize(self.ids.len(), UNVISITED);
+            self.search(me_slot, None, true);
+        }
+        let (Some(mut v), Some(avoided)) = (self.find(dst), self.find(avoided)) else {
+            return TreeRoute::Avoids;
+        };
+        loop {
+            let up = self.parent[v as usize];
+            // Reached `me`, or `dst` is unreached.
+            if v == me_slot || up == UNVISITED {
+                return TreeRoute::Avoids;
+            }
+            if v == avoided {
+                return TreeRoute::Passes;
+            }
+            v = up;
+        }
+    }
+
+    /// BFS from `me_slot` over `adj`, never entering `masked`. With
+    /// `record`, each reached slot's parent goes into `parent`, sized by
+    /// the caller.
+    fn search(&mut self, me_slot: u32, masked: Option<u32>, record: bool) {
+        let RoutingWorkspace { ids, adj, reach, queue, parent, .. } = self;
+        reach.clear();
+        reach.resize(ids.len(), (UNVISITED, me_slot));
+        queue.clear();
+        // A masked slot looks visited, so no edge leads into it.
+        if let Some(m) = masked {
+            reach[m as usize].0 = 0;
+        }
+        reach[me_slot as usize].0 = 0;
+        queue.push(me_slot);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let (du, hop) = reach[u as usize];
+            for &v in &adj[u as usize] {
+                let r = &mut reach[v as usize];
+                if r.0 != UNVISITED {
+                    continue;
+                }
+                *r = (du + 1, if u == me_slot { v } else { hop });
+                if record {
+                    parent[v as usize] = u;
+                }
+                queue.push(v);
+            }
+        }
+        if let Some(m) = masked {
+            reach[m as usize].0 = UNVISITED;
+        }
+    }
+
+    /// The slots the last search reached, `me_slot` aside, written into
+    /// `out` in id order.
+    fn emit(&mut self, out: &mut RoutingTable, me_slot: u32) {
+        let RoutingWorkspace { ids, by_id, reach, .. } = self;
+        let n = ids.len();
+        if by_id.len() != n {
+            by_id.clear();
+            by_id.extend(0..n as u32);
+            by_id.sort_unstable_by_key(|&s| ids[s as usize]);
+        }
+        out.routes.clear();
+        for &s in by_id.iter() {
+            let (hops, hop) = reach[s as usize];
+            if hops != UNVISITED && s != me_slot {
+                let next_hop = ids[hop as usize];
+                out.routes.push(Route { dest: ids[s as usize], next_hop, hops });
+            }
+        }
     }
 
     /// The slot of `id` if it is interned.
@@ -282,7 +411,13 @@ impl RoutingTable {
 
         ws.main = avoid.is_none().then_some((me, me_slot));
         ws.generation = None;
-        Self::search_into(ws, out, me_slot, None);
+        ws.parent.clear();
+        let record = ws.main.is_some() && ws.record_parents;
+        if record {
+            ws.parent.resize(ws.ids.len(), UNVISITED);
+        }
+        ws.search(me_slot, None, record);
+        ws.emit(out, me_slot);
     }
 
     /// The table around `avoided` for route generation `generation`, written
@@ -312,7 +447,8 @@ impl RoutingTable {
             Some((main_me, me_slot)) if main_me == me && ws.generation == Some(generation) => {
                 // Avoiding `me` removes no edge: `me` has no in-edges.
                 let masked = if avoided == me { None } else { ws.find(avoided) };
-                Self::search_into(ws, out, me_slot, masked);
+                ws.search(me_slot, masked, false);
+                ws.emit(out, me_slot);
             }
             _ => Self::compute_avoiding_into(
                 ws,
@@ -324,60 +460,6 @@ impl RoutingTable {
                 now,
                 Some(avoided),
             ),
-        }
-    }
-
-    /// BFS from `me_slot` over `ws.adj`, never entering `masked`, then the
-    /// reached slots emitted into `out` in id order.
-    fn search_into(
-        ws: &mut RoutingWorkspace,
-        out: &mut RoutingTable,
-        me_slot: u32,
-        masked: Option<u32>,
-    ) {
-        let n = ws.ids.len();
-        let RoutingWorkspace { ids, by_id, adj, dist, first_hop, queue, .. } = ws;
-        dist.clear();
-        dist.resize(n, UNVISITED);
-        first_hop.clear();
-        first_hop.resize(n, me_slot);
-        queue.clear();
-        // A masked slot looks visited, so no edge leads into it.
-        if let Some(m) = masked {
-            dist[m as usize] = 0;
-        }
-        dist[me_slot as usize] = 0;
-        queue.push(me_slot);
-        let mut head = 0;
-        while let Some(&u) = queue.get(head) {
-            head += 1;
-            let du = dist[u as usize];
-            for &v in &adj[u as usize] {
-                if dist[v as usize] != UNVISITED {
-                    continue;
-                }
-                dist[v as usize] = du + 1;
-                first_hop[v as usize] = if u == me_slot { v } else { first_hop[u as usize] };
-                queue.push(v);
-            }
-        }
-        if let Some(m) = masked {
-            dist[m as usize] = UNVISITED;
-        }
-
-        // Emit the reached slots in id order.
-        if by_id.len() != n {
-            by_id.clear();
-            by_id.extend(0..n as u32);
-            by_id.sort_unstable_by_key(|&s| ids[s as usize]);
-        }
-        out.routes.clear();
-        for &s in by_id.iter() {
-            let hops = dist[s as usize];
-            if hops != UNVISITED && s != me_slot {
-                let next_hop = ids[first_hop[s as usize] as usize];
-                out.routes.push(Route { dest: ids[s as usize], next_hop, hops });
-            }
         }
     }
 
@@ -695,6 +777,45 @@ mod tests {
     }
 
     #[test]
+    fn tree_is_recorded_only_once_asked() {
+        // 0 - 1 - 3 and 0 - 2 - 4 (with 4 - 3): 3 is behind 1, 4 behind 2.
+        let topo = topo_multi(&[(1, &[3]), (2, &[4]), (4, &[3])]);
+        let sym = [NodeId(1), NodeId(2)];
+        let mut ws = RoutingWorkspace::default();
+        let mut main = RoutingTable::default();
+        let mut compute = |ws: &mut RoutingWorkspace| {
+            RoutingTable::compute_avoiding_into(
+                ws,
+                &mut main,
+                NodeId(0),
+                &sym,
+                &no2h(),
+                &topo,
+                now(),
+                None,
+            );
+        };
+        compute(&mut ws);
+        ws.stamp(1);
+        assert!(ws.parent.is_empty(), "nobody asked yet");
+        let tree = |ws: &mut RoutingWorkspace, generation, dst, avoided| {
+            ws.tree_route(generation, NodeId(dst), NodeId(avoided))
+        };
+        assert_eq!(tree(&mut ws, 1, 3, 1), TreeRoute::Passes);
+        assert_eq!(tree(&mut ws, 1, 3, 2), TreeRoute::Avoids);
+        assert_eq!(tree(&mut ws, 1, 4, 2), TreeRoute::Passes);
+        assert_eq!(tree(&mut ws, 1, 2, 2), TreeRoute::Passes, "the destination itself");
+        assert_eq!(tree(&mut ws, 1, 4, 0), TreeRoute::Avoids, "me");
+        assert_eq!(tree(&mut ws, 1, 9, 1), TreeRoute::Avoids, "absent destination");
+        assert_eq!(tree(&mut ws, 1, 3, 9), TreeRoute::Avoids, "absent avoided node");
+        assert_eq!(tree(&mut ws, 2, 3, 2), TreeRoute::Unknown, "another generation");
+        // Asked once, every later main computation records its tree.
+        compute(&mut ws);
+        assert_eq!(ws.parent.len(), ws.ids.len());
+        assert_eq!(tree(&mut ws, 1, 3, 2), TreeRoute::Unknown, "unstamped");
+    }
+
+    #[test]
     fn max_id_tuples_cost_one_slot() {
         // A 2-hop tuple and a TC tuple naming the largest id: the old dense
         // buffers were sized `id + 1` and would abort on it.
@@ -720,7 +841,7 @@ mod tests {
         assert_eq!((r.next_hop, r.hops), (NodeId(1), 2));
         // Scratch holds the five ids met, not the largest id's worth.
         assert_eq!(ws.ids.len(), 5);
-        assert_eq!(ws.dist.len(), 5);
+        assert_eq!(ws.reach.len(), 5);
         assert_eq!(ws.table.len(), MIN_TABLE);
     }
 

@@ -1,7 +1,8 @@
 //! Property-based tests for the OLSR substrate: the MPR coverage
 //! invariant, routing loop-freedom, sequence-number arithmetic and the
 //! vtime codec, plus model oracles for the fast bookkeeping paths (masked
-//! avoid-route BFS, lazy duplicate reclaim, per-originator TC replacement,
+//! avoid-route BFS, avoid routes answered from the main BFS tree, lazy
+//! duplicate reclaim, per-originator TC replacement,
 //! per-via 2-hop runs).
 
 use std::collections::BTreeMap;
@@ -10,7 +11,7 @@ use proptest::prelude::*;
 
 use trustlink_olsr::message::{decode_vtime, encode_vtime};
 use trustlink_olsr::mpr::{select_mprs, uncovered_targets, MprCandidate};
-use trustlink_olsr::routing::{RoutingTable, RoutingWorkspace};
+use trustlink_olsr::routing::{RoutingTable, RoutingWorkspace, TreeRoute};
 use trustlink_olsr::state::{DupProbe, DuplicateSet, TopologySet, TwoHopSet};
 use trustlink_olsr::types::SequenceNumber;
 use trustlink_sim::record::Willingness;
@@ -568,6 +569,94 @@ impl TwoHopModel {
     }
 }
 
+/// The graph both avoid-route oracles search. `me` is 0; ids 1..8 may be
+/// sym neighbors, 2-hop entries reach into 0..24, TC tuples into 0..32
+/// (24..32 only ever appear in TCs), and `wide` relabels 31 to the largest
+/// id. Half the tuples are expired at [`AVOID_NOW`].
+struct AvoidGraph {
+    wide: bool,
+    sym: Vec<NodeId>,
+    two_hop: TwoHopSet,
+    topo: TopologySet,
+}
+
+const AVOID_ME: NodeId = NodeId(0);
+const AVOID_NOW: SimTime = SimTime::from_secs(10);
+
+impl AvoidGraph {
+    fn new(
+        sym: Vec<u32>,
+        pairs: &[(u32, u32, bool)],
+        edges: &[(u32, u32, bool)],
+        wide: bool,
+    ) -> Self {
+        let id = |i: u32| Self::relabel(wide, i);
+        let until = |live: bool| SimTime::from_secs(if live { 1_000 } else { 5 });
+        let mut sym: Vec<NodeId> = sym.into_iter().map(NodeId).collect();
+        sym.sort_unstable();
+        sym.dedup();
+        let mut two_hop = TwoHopSet::default();
+        for &(via, th, live) in pairs {
+            two_hop.upsert(NodeId(via), id(th), until(live), SimTime::ZERO);
+        }
+        let mut by_origin: BTreeMap<(u32, bool), Vec<NodeId>> = BTreeMap::new();
+        for &(a, b, live) in edges {
+            by_origin.entry((a, live)).or_default().push(id(b));
+        }
+        let mut topo = TopologySet::default();
+        for (&(a, live), dests) in &by_origin {
+            topo.apply_tc(id(a), u16::from(live), dests, until(live), SimTime::ZERO);
+        }
+        AvoidGraph { wide, sym, two_hop, topo }
+    }
+
+    fn relabel(wide: bool, i: u32) -> NodeId {
+        if wide && i == 31 {
+            NodeId(u32::MAX)
+        } else {
+            NodeId(i)
+        }
+    }
+
+    /// Every sym neighbor, 2-hop-only and TC-only id, `me`, and absent ids.
+    fn probes(&self) -> Vec<NodeId> {
+        let wide = self.wide;
+        (0..34)
+            .map(|i| Self::relabel(wide, i))
+            .chain([NodeId(u32::MAX), NodeId(u32::MAX - 1)])
+            .collect()
+    }
+
+    fn main_into(&self, ws: &mut RoutingWorkspace, out: &mut RoutingTable) {
+        let AvoidGraph { sym, two_hop, topo, .. } = self;
+        RoutingTable::compute_avoiding_into(ws, out, AVOID_ME, sym, two_hop, topo, AVOID_NOW, None);
+    }
+
+    fn reroute_into(
+        &self,
+        ws: &mut RoutingWorkspace,
+        out: &mut RoutingTable,
+        generation: u64,
+        x: NodeId,
+    ) {
+        let AvoidGraph { sym, two_hop, topo, .. } = self;
+        RoutingTable::reroute_avoiding_into(
+            ws, out, generation, AVOID_ME, sym, two_hop, topo, AVOID_NOW, x,
+        );
+    }
+
+    fn around(&self, x: NodeId) -> RoutingTable {
+        RoutingTable::compute_avoiding(
+            AVOID_ME,
+            &self.sym,
+            &self.two_hop,
+            &self.topo,
+            AVOID_NOW,
+            Some(x),
+        )
+    }
+}
+
 proptest! {
     #[test]
     fn reroute_avoiding_matches_compute_avoiding(
@@ -576,52 +665,79 @@ proptest! {
         edges in proptest::collection::vec((0u32..32, 0u32..32, any::<bool>()), 0..60),
         wide in any::<bool>(),
     ) {
-        // me = 0; ids 1..8 may be sym neighbors, 2-hop entries reach into
-        // 0..24, TC tuples into 0..32 (24..32 only ever appear in TCs), and
-        // `wide` relabels 31 to the largest id. Half the tuples are expired.
-        let me = NodeId(0);
-        let now = SimTime::from_secs(10);
-        let id = |i: u32| if wide && i == 31 { NodeId(u32::MAX) } else { NodeId(i) };
-        let until = |live: bool| SimTime::from_secs(if live { 1_000 } else { 5 });
-        let mut sym: Vec<NodeId> = sym.into_iter().map(NodeId).collect();
-        sym.sort_unstable();
-        sym.dedup();
-        let mut two_hop = TwoHopSet::default();
-        for &(via, th, live) in &pairs {
-            two_hop.upsert(NodeId(via), id(th), until(live), SimTime::ZERO);
-        }
-        let mut by_origin: BTreeMap<(u32, bool), Vec<NodeId>> = BTreeMap::new();
-        for &(a, b, live) in &edges {
-            by_origin.entry((a, live)).or_default().push(id(b));
-        }
-        let mut topo = TopologySet::default();
-        for (&(a, live), dests) in &by_origin {
-            topo.apply_tc(id(a), u16::from(live), dests, until(live), SimTime::ZERO);
-        }
-
+        let graph = AvoidGraph::new(sym, &pairs, &edges, wide);
         let mut ws = RoutingWorkspace::default();
         let mut main = RoutingTable::default();
-        RoutingTable::compute_avoiding_into(&mut ws, &mut main, me, &sym, &two_hop, &topo, now, None);
+        graph.main_into(&mut ws, &mut main);
         ws.stamp(7);
         let mut stale = ws.clone();
         let mut out = RoutingTable::default();
-        // Every sym neighbor, 2-hop-only and TC-only id, `me`, and absent ids.
-        let avoided = (0..34).map(id).chain([NodeId(u32::MAX), NodeId(u32::MAX - 1)]);
-        for x in avoided {
-            let want = RoutingTable::compute_avoiding(me, &sym, &two_hop, &topo, now, Some(x));
-            RoutingTable::reroute_avoiding_into(
-                &mut ws, &mut out, 7, me, &sym, &two_hop, &topo, now, x,
-            );
+        for x in graph.probes() {
+            let want = graph.around(x);
+            graph.reroute_into(&mut ws, &mut out, 7, x);
             prop_assert_eq!(&out, &want, "avoiding {}", x);
             // Another generation's stamp falls back to the full computation.
-            RoutingTable::reroute_avoiding_into(
-                &mut stale, &mut out, 8, me, &sym, &two_hop, &topo, now, x,
-            );
+            graph.reroute_into(&mut stale, &mut out, 8, x);
             prop_assert_eq!(&out, &want, "avoiding {} unstamped", x);
         }
         // The reroutes left the main graph intact.
-        RoutingTable::compute_avoiding_into(&mut ws, &mut out, me, &sym, &two_hop, &topo, now, None);
+        graph.main_into(&mut ws, &mut out);
         prop_assert_eq!(&out, &main);
+    }
+
+    #[test]
+    fn tree_answers_match_compute_avoiding(
+        sym in proptest::collection::vec(1u32..8, 0..6),
+        pairs in proptest::collection::vec((1u32..8, 0u32..24, any::<bool>()), 0..30),
+        edges in proptest::collection::vec((0u32..32, 0u32..32, any::<bool>()), 0..60),
+        wide in any::<bool>(),
+    ) {
+        let graph = AvoidGraph::new(sym, &pairs, &edges, wide);
+        // Where the main BFS tree says a route avoids a node, the main
+        // route (next hop and hops, or absence) is the route around it.
+        // The first pass reads the tree the first query records, the
+        // second the one a later main computation records itself.
+        let mut ws = RoutingWorkspace::default();
+        let mut main = RoutingTable::default();
+        graph.main_into(&mut ws, &mut main);
+        prop_assert_eq!(ws.tree_route(7, AVOID_ME, AVOID_ME), TreeRoute::Unknown, "unstamped");
+        let probes = graph.probes();
+        let around: Vec<RoutingTable> = probes.iter().map(|&x| graph.around(x)).collect();
+        for generation in [7, 9] {
+            if generation == 9 {
+                graph.main_into(&mut ws, &mut main);
+            }
+            ws.stamp(generation);
+            let stale = ws.tree_route(generation + 1, AVOID_ME, AVOID_ME);
+            prop_assert_eq!(stale, TreeRoute::Unknown, "another generation");
+            let mut avoids = 0;
+            for (&x, around) in probes.iter().zip(&around) {
+                for &dst in &probes {
+                    let answer = ws.tree_route(generation, dst, x);
+                    let route = main.route_to(dst);
+                    match answer {
+                        TreeRoute::Avoids => {
+                            avoids += 1;
+                            prop_assert_eq!(route, around.route_to(dst), "{} avoiding {}", dst, x);
+                        }
+                        TreeRoute::Passes => {
+                            // `x` lies on the route to `dst`: it is routed,
+                            // shares the first hop and is no farther.
+                            let (r, via) = (route, main.route_to(x));
+                            prop_assert!(r.is_some() && via.is_some(), "{} via {}", dst, x);
+                            let (r, via) = (r.unwrap(), via.unwrap());
+                            prop_assert_eq!(r.next_hop, via.next_hop, "{} via {}", dst, x);
+                            prop_assert!(r.hops > via.hops || dst == x, "{} via {}", dst, x);
+                        }
+                        TreeRoute::Unknown => prop_assert!(false, "{} avoiding {} unknown", dst, x),
+                    }
+                    if route.is_some_and(|r| r.next_hop == x) {
+                        prop_assert_eq!(answer, TreeRoute::Passes, "{} through next hop {}", dst, x);
+                    }
+                }
+            }
+            prop_assert!(avoids > 0);
+        }
     }
 
     #[test]

@@ -235,8 +235,9 @@ fn ceasing_attack_lets_trust_recover_directionally() {
 #[test]
 fn investigation_routes_are_memoised_per_route_generation() {
     // Witness requests and answers route around the suspect at every hop.
-    // Each node memoises its avoid-route tables until its next route run,
-    // so on the 64-node scenario most lookups must be memo hits.
+    // The main BFS tree answers every destination not behind the suspect,
+    // and each node memoises its avoid-route tables for the rest until its
+    // next route run, so on the 64-node scenario few lookups run a BFS.
     let report = ScenarioBuilder::new(501, 64)
         .topology(Topology::Grid { cols: 8, spacing: 100.0 })
         .radio(RadioConfig::unit_disk(150.0))
@@ -245,16 +246,18 @@ fn investigation_routes_are_memoised_per_route_generation() {
         .duration(SimDuration::from_secs(40))
         .run();
     assert!(report.detected(NodeId(27)));
-    let (mut lookups, mut runs) = (0, 0);
+    let (mut lookups, mut tree_hits, mut runs) = (0, 0, 0);
     for id in report.sim.node_ids() {
         if let Some(node) = report.sim.app_as::<DetectorNode>(id) {
             let stats = node.olsr().recompute_stats();
             lookups += stats.avoid_lookups;
+            tree_hits += stats.avoid_tree_hits;
             runs += stats.avoid_runs;
         }
     }
     assert!(lookups > 1_000, "too little investigation traffic: {lookups} avoid lookups");
-    assert!(runs <= lookups / 5, "{runs} avoid BFS runs for {lookups} lookups");
+    assert!(tree_hits >= lookups / 2, "{tree_hits} tree answers for {lookups} lookups");
+    assert!(runs <= lookups / 10, "{runs} avoid BFS runs for {lookups} lookups");
 }
 
 /// A black-hole drop attacker that also stops originating TCs at
