@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the hot primitives: MPR selection, route
-//! calculation, wire codec, log parsing, signature matching, trust update,
-//! detection aggregation and the probit.
+//! calculation, wire codec, a repeated TC's reception, log parsing,
+//! signature matching, trust update, detection aggregation and the probit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -14,9 +14,10 @@ use trustlink_olsr::routing::{RoutingTable, RoutingWorkspace, TreeRoute};
 use trustlink_olsr::state::{TopologySet, TwoHopSet};
 use trustlink_olsr::types::SequenceNumber;
 use trustlink_olsr::wire::{decode_packet, encode_packet};
+use trustlink_olsr::{OlsrConfig, OlsrNode};
 use trustlink_sim::record::Willingness;
 use trustlink_sim::record::{from_rlog_line, parse_line, LogRecord};
-use trustlink_sim::{NodeId, SimDuration, SimTime};
+use trustlink_sim::{Arena, NodeId, Position, RadioConfig, SimDuration, SimTime, SimulatorBuilder};
 use trustlink_trust::prelude::*;
 
 fn bench_mpr_selection(c: &mut Criterion) {
@@ -174,6 +175,51 @@ fn bench_wire(c: &mut Criterion) {
     });
 }
 
+fn bench_olsr_receive(c: &mut Criterion) {
+    // A warm node N1 of a converged 2-node line hears TCs from the phantom
+    // originator N7, relayed by N0: eight advertised ids, the same ANSN
+    // every time, a fresh sequence number per frame. After the first, each
+    // is a repeat N1 does not forward. One iteration delivers one frame
+    // (1 ms radio delay): the time includes the engine's delivery and,
+    // once every ~15 iterations, a HELLO, TC or refresh timer.
+    let mut sim = SimulatorBuilder::new(5)
+        .radio(RadioConfig::unit_disk(150.0))
+        .arena(Arena::new(1_000.0, 1_000.0))
+        .build();
+    for x in [0.0, 100.0] {
+        sim.add_node(Box::new(OlsrNode::new(OlsrConfig::fast())), Position::new(x, 0.0));
+    }
+    sim.run_for(SimDuration::from_secs(5));
+    // 10 000 frames at 5 ms each span 50 s, beyond the 8 s the duplicate
+    // set holds a sequence number: a frame comes back as a new TC.
+    let frames: Vec<_> = (0..10_000u16)
+        .map(|k| {
+            let msg = Message {
+                vtime: SimDuration::from_secs(60),
+                originator: NodeId(7),
+                ttl: 8,
+                hop_count: 1,
+                seq: SequenceNumber(k),
+                body: MessageBody::Tc(TcMessage {
+                    ansn: 1,
+                    advertised: (10..18).map(NodeId).collect(),
+                }),
+            };
+            encode_packet(&Packet { seq: SequenceNumber(k), messages: vec![msg] })
+        })
+        .collect();
+    let mut next = frames.iter().cycle();
+    c.bench_function("olsr_repeat_tc_receive", |b| {
+        b.iter(|| {
+            let frame = next.next().expect("cycled");
+            sim.inject_broadcast(NodeId(0), black_box(frame.clone()));
+            sim.run_for(SimDuration::from_millis(5));
+        })
+    });
+    let logged = sim.log(NodeId(1)).lines().filter(|l| l.starts_with("TC_RX orig=N7")).count();
+    assert_eq!(logged, 1, "only the first TC from N7 is news: the rest must be repeats");
+}
+
 fn bench_log_pipeline(c: &mut Criterion) {
     let record = LogRecord::HelloRx {
         from: NodeId(3),
@@ -257,7 +303,7 @@ fn bench_trust_primitives(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(50);
-    targets = bench_mpr_selection, bench_routing, bench_wire, bench_log_pipeline,
-              bench_signature_engine, bench_trust_primitives
+    targets = bench_mpr_selection, bench_routing, bench_wire, bench_olsr_receive,
+              bench_log_pipeline, bench_signature_engine, bench_trust_primitives
 }
 criterion_main!(micro);

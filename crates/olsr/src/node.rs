@@ -17,16 +17,18 @@ use crate::hooks::{NoHooks, OlsrHooks};
 use crate::idhash::IdHashMap;
 use crate::message::{
     DataMessage, HelloMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody, NeighborType,
-    Packet, TcMessage,
+    TcMessage,
 };
 use crate::mpr::MprCandidate;
 use crate::routing::{RoutingTable, RoutingWorkspace, TreeRoute};
 use crate::state::{
-    DupProbe, DuplicateSet, LinkSet, LinkStatus, LinkTuple, MinExpiry, MprSelectorSet, NeighborSet,
+    boxed_ids, DupProbe, DuplicateSet, LinkSet, LinkStatus, LinkTuple, MprSelectorSet, NeighborSet,
     TopologySet, TwoHopSet,
 };
 use crate::types::{FloodScope, OlsrConfig, RecomputeMode, SequenceNumber};
-use crate::wire::{encode_packet_into, materialize_message, MessageType, PacketView};
+use crate::wire::{
+    encode_messages_into, materialize_message, MessageType, MessageView, PacketView, TcView,
+};
 
 /// Timer tokens used by the OLSR state machine. Wrappers layering their own
 /// timers on top must use tokens ≥ [`TIMER_USER_BASE`].
@@ -110,9 +112,10 @@ struct AvoidRoutes {
     table: RoutingTable,
 }
 
-/// What this node last wrote to its audit log about each HELLO sender and
-/// each TC originator: the state that keeps a reception which would tell
-/// the IDS nothing new out of the log.
+/// What this node last wrote to its audit log about each HELLO sender:
+/// the state that keeps a HELLO which would tell the IDS nothing new out
+/// of the log. Its TC counterpart lives in each originator's
+/// [`TopologySet`] record, beside the tuples it mirrors.
 ///
 /// Every decision made from it reads validity times only (`until > now`),
 /// never whether a purge has run, so both [`RecomputeMode`]s log the same
@@ -123,25 +126,6 @@ struct LogMemo {
     /// Consulted only while the sender's link tuple is live; dropped with
     /// the tuple.
     hellos: IdHashMap<NodeId, Vec<NodeId>>,
-    /// TC originator → its last logged TC and its reception clock.
-    tcs: IdHashMap<NodeId, TcMemo>,
-    /// Lower bound on the earliest `TcMemo::until`, gating the TC sweep.
-    tc_expiry: MinExpiry,
-}
-
-/// The log's view of one TC originator.
-#[derive(Debug)]
-struct TcMemo {
-    /// The advertised set of the last `TC_RX` logged in full.
-    advertised: Vec<NodeId>,
-    /// Validity of the latest TC heard from the originator (the validity
-    /// its topology tuples get); the entry counts only while `until > now`.
-    until: SimTime,
-    /// When the latest TC from the originator arrived.
-    heard: SimTime,
-    /// The latest reception time the log has reported, by `TC_RX` or
-    /// `TC_HEARD`.
-    logged: SimTime,
 }
 
 /// A unicast data payload delivered to this node.
@@ -217,9 +201,9 @@ pub struct OlsrNode<H: OlsrHooks = NoHooks> {
     routes_scratch: RoutingTable,
     /// Memoised avoid-route tables, at most [`AVOID_MEMO_SLOTS`].
     avoid_memo: Vec<AvoidRoutes>,
-    /// What the audit log last said per HELLO sender and TC originator.
-    /// Boxed and created on the first logged reception, so set-up
-    /// allocates nothing for it and the node grows by one pointer.
+    /// What the audit log last said per HELLO sender. Boxed and created on
+    /// the first HELLO, so set-up allocates nothing for it and the node
+    /// grows by one pointer.
     log_memo: Option<Box<LogMemo>>,
 }
 
@@ -397,16 +381,20 @@ impl<H: OlsrHooks> OlsrNode<H> {
         self.msg_seq
     }
 
-    fn transmit(&mut self, ctx: &mut Context<'_>, messages: Vec<Message>) {
+    /// Broadcasts `msg` as a packet of its own.
+    fn transmit(&mut self, ctx: &mut Context<'_>, msg: &Message) {
         self.pkt_seq = self.pkt_seq.next();
-        let packet = Packet { seq: self.pkt_seq, messages };
-        ctx.broadcast(encode_packet_into(&packet, &mut self.wire_scratch));
+        let frame =
+            encode_messages_into(self.pkt_seq, std::slice::from_ref(msg), &mut self.wire_scratch);
+        ctx.broadcast(frame);
     }
 
-    fn unicast(&mut self, ctx: &mut Context<'_>, to: NodeId, messages: Vec<Message>) {
+    /// Sends `msg` to the neighbor `to` as a packet of its own.
+    fn unicast(&mut self, ctx: &mut Context<'_>, to: NodeId, msg: &Message) {
         self.pkt_seq = self.pkt_seq.next();
-        let packet = Packet { seq: self.pkt_seq, messages };
-        ctx.send(to, encode_packet_into(&packet, &mut self.wire_scratch));
+        let frame =
+            encode_messages_into(self.pkt_seq, std::slice::from_ref(msg), &mut self.wire_scratch);
+        ctx.send(to, frame);
     }
 
     /// Builds the HELLO this node would send at `now` (before hooks).
@@ -481,7 +469,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
             seq: self.next_msg_seq(),
             body: MessageBody::Hello(hello),
         };
-        self.transmit(ctx, vec![msg]);
+        self.transmit(ctx, &msg);
     }
 
     fn emit_tc(&mut self, ctx: &mut Context<'_>) {
@@ -535,7 +523,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
             now + self.config.duplicate_hold_time,
             now,
         );
-        self.transmit(ctx, vec![msg]);
+        self.transmit(ctx, &msg);
     }
 
     /// Sends `payload` to `dst` over the data plane. When `avoid` is set the
@@ -569,7 +557,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
             seq: self.next_msg_seq(),
             body: MessageBody::Data(DataMessage { src: self.id, dst, avoid, payload }),
         };
-        self.unicast(ctx, next, vec![msg]);
+        self.unicast(ctx, next, &msg);
         true
     }
 
@@ -706,12 +694,13 @@ impl<H: OlsrHooks> OlsrNode<H> {
         // every 2-hop tuple's validity bounded by its `via`'s symmetric
         // validity, which is what makes the expiry sweeps pure GC.
         if heard_us && !lost_us {
-            for &th in &claimed_sym {
-                if th != self.id && self.two_hop.upsert(originator, th, hold, now) {
-                    self.flags.nbr = true;
-                    ctx.log(LogRecord::TwoHopAdded { via: originator, addr: th });
-                }
-            }
+            let me = self.id;
+            let flags = &mut self.flags;
+            let claimed = claimed_sym.iter().copied().filter(|&th| th != me);
+            self.two_hop.upsert_via(originator, claimed, hold, now, |th| {
+                flags.nbr = true;
+                ctx.log(LogRecord::TwoHopAdded { via: originator, addr: th });
+            });
         }
 
         // MPR selector set: did they pick us? Only a HELLO that sustains a
@@ -724,49 +713,58 @@ impl<H: OlsrHooks> OlsrNode<H> {
         self.sym_scratch = claimed_sym; // recycle the allocation
     }
 
-    fn process_tc(&mut self, ctx: &mut Context<'_>, msg: &Message, tc: &TcMessage, from: NodeId) {
+    /// Processes a new TC straight off the wire. The IDS reads a TC's
+    /// originator, sender and advertised set, and keeps the originator's
+    /// reception clock. A TC repeating the set last logged for its
+    /// originator, relayed by a live link (whose sender a logged HELLO
+    /// already named), only moves the clock: the originator's topology
+    /// record notes it, and the flush logs it as `TC_HEARD` when the clock
+    /// is read.
+    fn process_tc(
+        &mut self,
+        ctx: &mut Context<'_>,
+        mv: &MessageView,
+        tc: &TcView<'_>,
+        from: NodeId,
+        sender_live: bool,
+    ) {
         let now = ctx.now();
-        let until = now + msg.vtime;
-        // The IDS reads a TC's originator, sender and advertised set, and
-        // keeps the originator's reception clock. A TC repeating the set
-        // last logged for its originator, relayed by a live link (whose
-        // sender a logged HELLO already named), only moves the clock: that
-        // is noted here and logged as `TC_HEARD` when the clock is read.
-        let sender_live = self.links.get(from).is_some_and(|t| t.until > now);
-        let memo = self.log_memo.get_or_insert_with(Box::default);
-        memo.tc_expiry.cover(until);
-        // A new entry starts lapsed, so its first TC is logged in full.
-        let entry = memo.tcs.entry(msg.originator).or_insert_with(|| TcMemo {
-            advertised: Vec::new(),
-            until: SimTime::ZERO,
-            heard: now,
-            logged: now,
-        });
-        let repeat = entry.until > now && sender_live && entry.advertised == tc.advertised;
-        entry.until = until;
-        entry.heard = now;
-        if !repeat {
-            entry.advertised.clone_from(&tc.advertised);
-            entry.logged = now;
+        let until = now + mv.vtime;
+        let receipt = self.topology.receive_tc(
+            mv.originator,
+            tc.ansn,
+            tc.advertised(),
+            sender_live,
+            until,
+            now,
+        );
+        if receipt.log {
             ctx.log(LogRecord::TcRx {
-                originator: msg.originator,
+                originator: mv.originator,
                 sender: from,
                 ansn: tc.ansn,
-                advertised: Box::from(&tc.advertised[..]),
+                advertised: boxed_ids(tc.advertised()),
             });
         }
-        if self.topology.apply_tc(msg.originator, tc.ansn, &tc.advertised, until, now) {
+        if receipt.changed {
             self.flags.topo = true;
         }
     }
 
     /// The header-only forwarding gates of the default forwarding
-    /// algorithm (§3.4), after the duplicate check.
-    fn flood_gate(&mut self, from: NodeId, ttl: u8, now: SimTime) -> Result<(), SuppressReason> {
+    /// algorithm (§3.4), after the duplicate check. `link` is the
+    /// sender's link tuple, if any.
+    fn flood_gate(
+        &self,
+        from: NodeId,
+        link: Option<&LinkTuple>,
+        ttl: u8,
+        now: SimTime,
+    ) -> Result<(), SuppressReason> {
         if ttl <= 1 {
             return Err(SuppressReason::TtlExpired);
         }
-        if !self.links.is_symmetric(from, now) {
+        if !link.is_some_and(|t| t.status(now) == LinkStatus::Symmetric) {
             return Err(SuppressReason::UnknownSender);
         }
         // Default forwarding algorithm: retransmit only if the sender
@@ -784,43 +782,39 @@ impl<H: OlsrHooks> OlsrNode<H> {
         self.flood.record_suppressed(reason);
     }
 
-    /// Retransmits a message that passed every gate — or lets a drop
-    /// attacker swallow it.
+    /// Retransmits a TC that passed every gate — or lets a drop attacker
+    /// swallow it.
     fn forward_approved(
         &mut self,
         ctx: &mut Context<'_>,
-        msg: &Message,
+        mut msg: Message,
         from: NodeId,
-        kind: MessageType,
         dup_until: SimTime,
         now: SimTime,
     ) {
-        if !self.hooks.should_forward(msg, from) {
+        // The duplicate set keys the copy as received, whatever a hook
+        // rewrites below.
+        let (originator, seq) = (msg.originator, msg.seq);
+        if !self.hooks.should_forward(&msg, from) {
             // A drop attacker stays silent. Forwarding is never logged, so
             // its own log shows nothing either way; the *absence* of the
             // retransmission is what neighbors can observe (paper evidence
             // E2).
-            self.duplicates.record(msg.originator, msg.seq, true, dup_until, now);
+            self.duplicates.record(originator, seq, true, dup_until, now);
             return;
         }
-        let mut fwd = msg.clone();
-        fwd.ttl -= 1;
-        fwd.hop_count += 1;
-        self.hooks.on_forward(&mut fwd, from);
-        self.duplicates.record(msg.originator, msg.seq, true, dup_until, now);
-        if kind == MessageType::Tc {
-            self.flood.forwarded += 1;
-        }
-        self.transmit(ctx, vec![fwd]);
+        msg.ttl -= 1;
+        msg.hop_count += 1;
+        self.hooks.on_forward(&mut msg, from);
+        self.duplicates.record(originator, seq, true, dup_until, now);
+        self.flood.forwarded += 1;
+        self.transmit(ctx, &msg);
     }
 
-    fn process_data(
-        &mut self,
-        ctx: &mut Context<'_>,
-        msg: &Message,
-        data: &DataMessage,
-        from: NodeId,
-    ) {
+    fn process_data(&mut self, ctx: &mut Context<'_>, mut msg: Message, from: NodeId) {
+        let MessageBody::Data(data) = &msg.body else {
+            return;
+        };
         let now = ctx.now();
         if data.dst == self.id {
             self.inbox.push(ReceivedData { src: data.src, at: now, payload: data.payload.clone() });
@@ -832,15 +826,15 @@ impl<H: OlsrHooks> OlsrNode<H> {
         if !self.hooks.should_forward_data(data, from) {
             return; // black hole: swallowed without trace
         }
+        let (dst, avoid) = (data.dst, data.avoid);
         // Same contract as `send_data`: route from fresh state.
         self.ensure_fresh(ctx);
-        let Some(next) = self.next_hop_for(data.dst, data.avoid, now) else {
+        let Some(next) = self.next_hop_for(dst, avoid, now) else {
             return;
         };
-        let mut fwd = msg.clone();
-        fwd.ttl -= 1;
-        fwd.hop_count += 1;
-        self.unicast(ctx, next, vec![fwd]);
+        msg.ttl -= 1;
+        msg.hop_count += 1;
+        self.unicast(ctx, next, &msg);
     }
 
     /// The decision-point trailer every received frame pays.
@@ -868,7 +862,8 @@ impl<H: OlsrHooks> OlsrNode<H> {
     /// bodies only when they will actually be processed or retransmitted.
     /// A malformed frame is rejected whole, before any of its messages is
     /// acted on. Duplicate flood copies are suppressed from the message
-    /// header alone; their bodies are never decoded.
+    /// header alone; their bodies are never decoded. A new TC is processed
+    /// straight off the wire and materialized only to be retransmitted.
     fn handle_frame_view(&mut self, ctx: &mut Context<'_>, from: NodeId, frame: &Bytes) {
         let view = match PacketView::parse(frame) {
             Ok(v) => v,
@@ -891,52 +886,39 @@ impl<H: OlsrHooks> OlsrNode<H> {
                     continue;
                 }
                 MessageType::Data => {
-                    let msg = materialize_message(frame, &mv);
-                    if let MessageBody::Data(d) = &msg.body {
-                        self.process_data(ctx, &msg, d, from);
-                    }
+                    self.process_data(ctx, materialize_message(frame, &mv), from);
                     continue;
                 }
                 MessageType::Tc => {}
             }
             // Flooded control traffic. One duplicate-set probe answers both
             // "seen before?" and "already retransmitted?", and already
-            // applies the `forwarded = false` record for suppressed copies.
+            // records the copy as not retransmitted: only a forward records
+            // it again.
             let dup_until = now + self.config.duplicate_hold_time;
-            match self.duplicates.probe_flood(mv.originator, mv.seq, dup_until, now) {
-                DupProbe::Retransmitted => {
-                    // Already retransmitted once: suppressed on the header
-                    // alone, body never materialized.
-                    self.suppress_forward(SuppressReason::Duplicate);
-                }
-                DupProbe::SeenFresh => {
-                    // Seen but not yet forwarded: processing is skipped, but
-                    // the forwarding decision is still live. Materialize only
-                    // if the gates approve.
-                    match self.flood_gate(from, mv.ttl, now) {
-                        Err(reason) => {
-                            self.suppress_forward(reason);
-                            self.duplicates.record(mv.originator, mv.seq, false, dup_until, now);
-                        }
-                        Ok(()) => {
-                            let msg = materialize_message(frame, &mv);
-                            self.forward_approved(ctx, &msg, from, mv.kind, dup_until, now);
-                        }
-                    }
-                }
-                DupProbe::New => {
+            let probe = self.duplicates.probe_flood(mv.originator, mv.seq, dup_until, now);
+            if probe == DupProbe::Retransmitted {
+                // Already retransmitted once: suppressed on the header
+                // alone, body never materialized.
+                self.suppress_forward(SuppressReason::Duplicate);
+                continue;
+            }
+            // One lookup of the sender's link serves the log decision and
+            // the forwarding gates; processing a TC does not touch it.
+            let link = self.links.get(from).copied();
+            if probe == DupProbe::New {
+                let tc = mv.tc(frame).expect("a TC view has a TC body");
+                let sender_live = link.is_some_and(|t| t.until > now);
+                self.process_tc(ctx, &mv, &tc, from, sender_live);
+            }
+            // A new TC, or a copy seen but not yet forwarded (processing
+            // skipped): the forwarding decision is live. Materialize only
+            // if the gates approve.
+            match self.flood_gate(from, link.as_ref(), mv.ttl, now) {
+                Err(reason) => self.suppress_forward(reason),
+                Ok(()) => {
                     let msg = materialize_message(frame, &mv);
-                    let MessageBody::Tc(t) = &msg.body else {
-                        unreachable!("TC is the only flooded kind")
-                    };
-                    self.process_tc(ctx, &msg, t, from);
-                    match self.flood_gate(from, mv.ttl, now) {
-                        Err(reason) => {
-                            self.suppress_forward(reason);
-                            self.duplicates.record(mv.originator, mv.seq, false, dup_until, now);
-                        }
-                        Ok(()) => self.forward_approved(ctx, &msg, from, mv.kind, dup_until, now),
-                    }
+                    self.forward_approved(ctx, msg, from, dup_until, now);
                 }
             }
         }
@@ -976,36 +958,17 @@ impl<H: OlsrHooks> OlsrNode<H> {
             }
         }
         self.selectors.purge(now);
-        if self.topology.purge(now) {
+        // A TC originator's reception state lapses with its latest TC,
+        // after reporting a clock the log has not seen yet.
+        let lapsed = |originator, heard_at| ctx.log(LogRecord::TcHeard { originator, heard_at });
+        if self.topology.purge_reporting(now, lapsed) {
             topo_changed = true;
         }
+        // The HELLO memo lives no longer than the link tuples it mirrors.
         if let Some(memo) = self.log_memo.as_deref_mut() {
-            // The memo lives no longer than what it mirrors: HELLO entries
-            // go with their link tuples, TC entries when their TC lapses —
-            // after reporting a clock the log has not seen yet.
             if self.links.len() != links_before {
                 let links = &self.links;
                 memo.hellos.retain(|n, _| links.get(*n).is_some());
-            }
-            if !memo.tc_expiry.nothing_due(now) {
-                memo.tc_expiry.reset();
-                let tc_expiry = &mut memo.tc_expiry;
-                let mut unlogged = Vec::new();
-                memo.tcs.retain(|&originator, e| {
-                    if e.until > now {
-                        tc_expiry.cover(e.until);
-                        return true;
-                    }
-                    if e.heard > e.logged {
-                        unlogged.push((originator, e.heard));
-                    }
-                    false
-                });
-                // The map iterates in its random hash order: log by id.
-                unlogged.sort_unstable();
-                for (originator, heard_at) in unlogged {
-                    ctx.log(LogRecord::TcHeard { originator, heard_at });
-                }
             }
         }
 
@@ -1062,14 +1025,9 @@ impl<H: OlsrHooks> OlsrNode<H> {
 
         // TC clocks: the IDS's TC-silence check reads those of the current
         // MPRs, so each flush brings them up to the latest reception.
-        if let Some(memo) = self.log_memo.as_deref_mut() {
-            for &mpr in &self.mprs {
-                if let Some(e) = memo.tcs.get_mut(&mpr) {
-                    if e.heard > e.logged {
-                        e.logged = e.heard;
-                        ctx.log(LogRecord::TcHeard { originator: mpr, heard_at: e.heard });
-                    }
-                }
+        for &mpr in &self.mprs {
+            if let Some(heard_at) = self.topology.take_heard(mpr) {
+                ctx.log(LogRecord::TcHeard { originator: mpr, heard_at });
             }
         }
 
@@ -1199,6 +1157,7 @@ fn mpr_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Packet;
     use crate::wire::encode_packet;
     use trustlink_sim::{Position, RadioConfig, SimDuration, SimulatorBuilder};
 
@@ -1390,6 +1349,142 @@ mod tests {
             }
         }
         assert!(clocks_seen >= 8, "only {clocks_seen} MPR clocks: the grid selected no MPRs");
+    }
+
+    /// A converged 2-node line whose N1 hears TCs from the phantom
+    /// originator N7, relayed by N0 over a live symmetric link. N0 selects
+    /// no MPR, so N1 never forwards them.
+    fn phantom_tc_listener(seed: u64) -> trustlink_sim::Simulator {
+        let mut sim = line_sim(2, 100.0, 150.0, seed);
+        sim.run_for(SimDuration::from_secs(5));
+        assert!(sim
+            .app_as::<OlsrNode>(NodeId(1))
+            .unwrap()
+            .is_symmetric_neighbor(NodeId(0), sim.now()));
+        sim
+    }
+
+    /// Relays a TC from N7 carrying `ansn` and `advertised` (wire order),
+    /// valid `vtime_s`, through N0; returns the advertised sets of the
+    /// `TC_RX` lines N1 wrote for it.
+    fn relay_phantom_tc(
+        sim: &mut trustlink_sim::Simulator,
+        seq: u16,
+        ansn: u16,
+        advertised: &[u32],
+        vtime_s: u64,
+    ) -> Vec<Vec<NodeId>> {
+        let cursor = sim.log(NodeId(1)).len();
+        let msg = Message {
+            vtime: SimDuration::from_secs(vtime_s),
+            originator: NodeId(7),
+            ttl: 8,
+            hop_count: 1,
+            seq: SequenceNumber(seq),
+            body: MessageBody::Tc(TcMessage {
+                ansn,
+                advertised: advertised.iter().copied().map(NodeId).collect(),
+            }),
+        };
+        let packet = Packet { seq: SequenceNumber(seq), messages: vec![msg] };
+        sim.inject_broadcast(NodeId(0), encode_packet(&packet));
+        sim.run_for(SimDuration::from_millis(100));
+        let (window, _) = sim.log(NodeId(1)).read_from(cursor);
+        window
+            .iter()
+            .filter_map(|(_, r)| match r {
+                LogRecord::TcRx { originator: NodeId(7), advertised, .. } => {
+                    Some(advertised.to_vec())
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// N1's live tuples from N7 as `(dest, ansn)`, ascending.
+    fn phantom_run(sim: &trustlink_sim::Simulator) -> Vec<(u32, u16)> {
+        let node = sim.app_as::<OlsrNode>(NodeId(1)).unwrap();
+        let now = sim.now();
+        node.topology_set()
+            .iter(now)
+            .filter(|t| t.last_hop == NodeId(7))
+            .map(|t| (t.dest.0, t.ansn))
+            .collect()
+    }
+
+    fn ids(raw: &[u32]) -> Vec<NodeId> {
+        raw.iter().copied().map(NodeId).collect()
+    }
+
+    #[test]
+    fn stale_ansn_tc_is_logged_but_not_applied() {
+        let mut sim = phantom_tc_listener(71);
+        assert_eq!(relay_phantom_tc(&mut sim, 100, 10, &[2], 6), vec![ids(&[2])]);
+        // A stale ANSN with a new set: the IDS hears it, the topology not.
+        assert_eq!(relay_phantom_tc(&mut sim, 101, 9, &[3], 6), vec![ids(&[3])]);
+        assert_eq!(phantom_run(&sim), vec![(2, 10)]);
+        // The last logged set is now the stale one, so the run's own set
+        // is news again, although the topology does not move.
+        assert_eq!(relay_phantom_tc(&mut sim, 102, 10, &[2], 6), vec![ids(&[2])]);
+        // A stale ANSN repeating the logged set is a repeat all the same.
+        assert!(relay_phantom_tc(&mut sim, 103, 9, &[2], 6).is_empty());
+        assert_eq!(phantom_run(&sim), vec![(2, 10)]);
+    }
+
+    #[test]
+    fn same_ansn_tc_with_another_set_merges_into_the_run() {
+        let mut sim = phantom_tc_listener(73);
+        assert_eq!(relay_phantom_tc(&mut sim, 100, 10, &[2], 6), vec![ids(&[2])]);
+        assert_eq!(relay_phantom_tc(&mut sim, 101, 10, &[3], 6), vec![ids(&[3])]);
+        assert_eq!(phantom_run(&sim), vec![(2, 10), (3, 10)]);
+        // Repeating the logged set is a repeat, though the run holds more.
+        assert!(relay_phantom_tc(&mut sim, 102, 10, &[3], 6).is_empty());
+        // The run's whole set differs from the logged one.
+        assert_eq!(relay_phantom_tc(&mut sim, 103, 10, &[2, 3], 6), vec![ids(&[2, 3])]);
+        assert!(relay_phantom_tc(&mut sim, 104, 10, &[2, 3], 6).is_empty());
+        assert_eq!(phantom_run(&sim), vec![(2, 10), (3, 10)]);
+    }
+
+    #[test]
+    fn wire_order_and_repeated_ids_belong_to_the_logged_set() {
+        let mut sim = phantom_tc_listener(79);
+        assert_eq!(relay_phantom_tc(&mut sim, 100, 10, &[3, 2], 6), vec![ids(&[3, 2])]);
+        assert_eq!(phantom_run(&sim), vec![(2, 10), (3, 10)]);
+        assert!(relay_phantom_tc(&mut sim, 101, 10, &[3, 2], 6).is_empty());
+        // The same run in another wire order, or with an id twice, is a
+        // different claim on the air: logged as such.
+        assert_eq!(relay_phantom_tc(&mut sim, 102, 10, &[2, 3], 6), vec![ids(&[2, 3])]);
+        assert_eq!(relay_phantom_tc(&mut sim, 103, 10, &[2, 2, 3], 6), vec![ids(&[2, 2, 3])]);
+        assert!(relay_phantom_tc(&mut sim, 104, 10, &[2, 2, 3], 6).is_empty());
+        assert_eq!(relay_phantom_tc(&mut sim, 105, 10, &[2, 3], 6), vec![ids(&[2, 3])]);
+        assert_eq!(phantom_run(&sim), vec![(2, 10), (3, 10)]);
+    }
+
+    #[test]
+    fn reception_state_and_tuples_expire_independently() {
+        // The reception state outlives the tuples: a stale repeat extends
+        // the state, not the tuples, which expire and are purged while
+        // the logged set stays live.
+        let mut sim = phantom_tc_listener(83);
+        assert_eq!(relay_phantom_tc(&mut sim, 100, 10, &[2], 2), vec![ids(&[2])]);
+        sim.run_for(SimDuration::from_millis(900));
+        assert!(relay_phantom_tc(&mut sim, 101, 9, &[2], 6).is_empty());
+        sim.run_for(SimDuration::from_millis(1_500));
+        assert!(phantom_run(&sim).is_empty(), "N7's tuple outlived its 2 s validity");
+        // With no live tuple ANSN 9 applies; the set repeats the live
+        // logged one, so the log stays quiet.
+        assert!(relay_phantom_tc(&mut sim, 102, 9, &[2], 6).is_empty());
+        assert_eq!(phantom_run(&sim), vec![(2, 9)]);
+
+        // The tuples outlive the reception state: a short-lived same-ANSN
+        // TC merges into a longer-lived run, and once the state lapses the
+        // same set is logged again while one tuple is still live.
+        assert_eq!(relay_phantom_tc(&mut sim, 103, 11, &[2, 3], 6), vec![ids(&[2, 3])]);
+        assert_eq!(relay_phantom_tc(&mut sim, 104, 11, &[2], 1), vec![ids(&[2])]);
+        sim.run_for(SimDuration::from_millis(1_500));
+        assert_eq!(phantom_run(&sim), vec![(3, 11)]);
+        assert_eq!(relay_phantom_tc(&mut sim, 105, 11, &[2], 6), vec![ids(&[2])]);
+        assert_eq!(phantom_run(&sim), vec![(2, 11), (3, 11)]);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!
 //! The `purge` family removes expired entries and reports only what a
 //! caller reads: the 2-hop pairs dropped (each becomes a `2HOP_LOST`
-//! audit-log line) and whether the topology lost any tuple (which
-//! invalidates the routing table).
+//! audit-log line), whether the topology lost any tuple (which
+//! invalidates the routing table), and the TC reception clocks that lapse
+//! before the log reported them (each becomes a `TC_HEARD` line).
 
 use std::collections::BTreeMap;
 
@@ -259,134 +260,6 @@ impl NeighborSet {
     }
 }
 
-/// A tuple kept in [`Runs`]: the run it lives in, its place there, and
-/// its expiry.
-trait RunTuple: Copy {
-    /// `(first, second)`: the run's id and the tuple's sort key inside it.
-    fn key(&self) -> (NodeId, NodeId);
-    fn until(&self) -> SimTime;
-}
-
-/// Tuples keyed by `(first, second)`, kept as one run per first id, each
-/// run sorted by the second id. A refresh costs one map lookup plus a
-/// binary search in a contiguous run, and dropping every tuple of one first
-/// id empties one run — where a map keyed by the pair descends once per
-/// tuple. Iteration and purge output follow ascending `(first, second)`
-/// order, exactly as a pair-keyed map would.
-#[derive(Debug, Clone)]
-struct Runs<T> {
-    runs: BTreeMap<NodeId, Vec<T>>,
-    /// Stored tuples over all runs, live or not.
-    len: usize,
-    min_expiry: MinExpiry,
-}
-
-impl<T> Default for Runs<T> {
-    fn default() -> Self {
-        Runs { runs: BTreeMap::new(), len: 0, min_expiry: MinExpiry::default() }
-    }
-}
-
-impl<T: RunTuple> Runs<T> {
-    /// The run of `first`, ascending by second id (empty if none).
-    fn run(&self, first: NodeId) -> &[T] {
-        self.runs.get(&first).map_or(&[], Vec::as_slice)
-    }
-
-    /// The stored tuple keyed `(first, second)`, live or not.
-    fn get(&self, first: NodeId, second: NodeId) -> Option<&T> {
-        let run = self.run(first);
-        run.binary_search_by_key(&second, |t| t.key().1).ok().map(|i| &run[i])
-    }
-
-    /// Upserts `tuples`, all keyed under `first`, through one map lookup.
-    /// A tuple with a new key is inserted in order; an existing one is
-    /// handed to `update(stored, tuple)`. Returns `true` when any tuple was
-    /// inserted or any `update` returned `true`.
-    fn upsert(
-        &mut self,
-        first: NodeId,
-        tuples: impl ExactSizeIterator<Item = T>,
-        mut update: impl FnMut(&mut T, T) -> bool,
-    ) -> bool {
-        if tuples.len() == 0 {
-            return false;
-        }
-        let run = self.runs.entry(first).or_default();
-        let mut changed = false;
-        for t in tuples {
-            self.min_expiry.cover(t.until());
-            match run.binary_search_by_key(&t.key().1, |s| s.key().1) {
-                Ok(i) => changed |= update(&mut run[i], t),
-                Err(i) => {
-                    run.insert(i, t);
-                    self.len += 1;
-                    changed = true;
-                }
-            }
-        }
-        changed
-    }
-
-    /// Empties the run of `first`; returns how many of its tuples were
-    /// live at `now`. The run keeps its storage for the next upsert under
-    /// `first`; a purge drops runs that stay empty.
-    fn clear_run(&mut self, first: NodeId, now: SimTime) -> usize {
-        let Some(run) = self.runs.get_mut(&first) else {
-            return 0;
-        };
-        let live = run.iter().filter(|t| t.until() > now).count();
-        self.len -= run.len();
-        run.clear();
-        live
-    }
-
-    /// Removes the tuple keyed `(first, second)`; returns whether it existed.
-    fn remove(&mut self, first: NodeId, second: NodeId) -> bool {
-        let Some(run) = self.runs.get_mut(&first) else {
-            return false;
-        };
-        let Ok(i) = run.binary_search_by_key(&second, |t| t.key().1) else {
-            return false;
-        };
-        run.remove(i);
-        self.len -= 1;
-        true
-    }
-
-    /// Every stored tuple, live or not, ascending by `(first, second)`.
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        self.runs.values().flatten()
-    }
-
-    /// Drops tuples expired at `now` and runs left empty, handing each
-    /// dropped key to `on_drop` in ascending order; returns how many were
-    /// dropped. Min-expiry gated: free while nothing can have expired.
-    fn purge(&mut self, now: SimTime, mut on_drop: impl FnMut((NodeId, NodeId))) -> usize {
-        if self.min_expiry.nothing_due(now) {
-            return 0;
-        }
-        self.min_expiry.reset();
-        let min_expiry = &mut self.min_expiry;
-        let mut dropped = 0;
-        self.runs.retain(|_, run| {
-            run.retain(|t| {
-                if t.until() <= now {
-                    on_drop(t.key());
-                    dropped += 1;
-                    false
-                } else {
-                    min_expiry.cover(t.until());
-                    true
-                }
-            });
-            !run.is_empty()
-        });
-        self.len -= dropped;
-        dropped
-    }
-}
-
 /// A 2-hop neighbor entry (RFC 3626 §4.3.2): reachable `two_hop` via the
 /// symmetric 1-hop neighbor `via`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -399,48 +272,101 @@ pub struct TwoHopTuple {
     pub until: SimTime,
 }
 
-impl RunTuple for TwoHopTuple {
-    fn key(&self) -> (NodeId, NodeId) {
-        (self.via, self.two_hop)
-    }
-
-    fn until(&self) -> SimTime {
-        self.until
-    }
-}
-
-/// The 2-hop neighbor set, one run per `via`.
+/// The 2-hop neighbor set, kept as one run per `via`, each sorted by the
+/// 2-hop address. A HELLO refreshes its sender's pairs through one map
+/// lookup plus a binary search per pair in a contiguous run, and dropping
+/// every pair of one `via` empties one run, where a map keyed by the pair
+/// descends once per pair. Iteration and purge output follow ascending
+/// `(via, two_hop)` order, exactly as a pair-keyed map would.
 #[derive(Debug, Clone, Default)]
 pub struct TwoHopSet {
-    tuples: Runs<TwoHopTuple>,
+    runs: BTreeMap<NodeId, Vec<TwoHopTuple>>,
+    /// Stored pairs over all runs, live or not.
+    len: usize,
+    min_expiry: MinExpiry,
 }
 
 impl TwoHopSet {
+    /// The run of `via`, ascending by 2-hop address (empty if none).
+    fn run(&self, via: NodeId) -> &[TwoHopTuple] {
+        self.runs.get(&via).map_or(&[], Vec::as_slice)
+    }
+
     /// Inserts or refreshes the pair `(via, two_hop)` as of `now`. Returns
     /// `true` when the live content changed: the pair is new, or it existed
     /// only as an expired leftover. A pure refresh of a live pair returns
     /// `false` — it cannot alter MPR selection or routing.
     pub fn upsert(&mut self, via: NodeId, two_hop: NodeId, until: SimTime, now: SimTime) -> bool {
-        let tuple = TwoHopTuple { via, two_hop, until };
-        self.tuples.upsert(via, std::iter::once(tuple), |t, new| {
-            let was_live = t.until > now;
-            t.until = t.until.max(new.until);
-            !was_live
-        })
+        let mut changed = false;
+        self.upsert_via(via, [two_hop], until, now, |_| changed = true);
+        changed
+    }
+
+    /// [`upsert`](Self::upsert)s `(via, t)` for each `t` of `two_hops`, in
+    /// order, through one lookup of `via`'s run: a HELLO's claimed
+    /// symmetric set in one call. `on_live(t)` is called for each pair
+    /// whose `upsert` would return `true`, in the same order.
+    pub fn upsert_via(
+        &mut self,
+        via: NodeId,
+        two_hops: impl IntoIterator<Item = NodeId>,
+        until: SimTime,
+        now: SimTime,
+        mut on_live: impl FnMut(NodeId),
+    ) {
+        let mut two_hops = two_hops.into_iter().peekable();
+        if two_hops.peek().is_none() {
+            return;
+        }
+        self.min_expiry.cover(until);
+        let run = self.runs.entry(via).or_default();
+        for two_hop in two_hops {
+            match run.binary_search_by_key(&two_hop, |t| t.two_hop) {
+                Ok(i) => {
+                    let t = &mut run[i];
+                    let was_live = t.until > now;
+                    t.until = t.until.max(until);
+                    if !was_live {
+                        on_live(two_hop);
+                    }
+                }
+                Err(i) => {
+                    run.insert(i, TwoHopTuple { via, two_hop, until });
+                    self.len += 1;
+                    on_live(two_hop);
+                }
+            }
+        }
     }
 
     /// Removes every pair advertised through `via` (when a HELLO from `via`
     /// declares the link lost, or the neighbor drops out of the symmetric
     /// set). Returns how many removed pairs were still live at `now` — with
     /// the `via`-bounded validity invariant the reception path maintains,
-    /// sweep-time calls always find 0 live pairs (pure GC).
+    /// sweep-time calls always find 0 live pairs (pure GC). The run keeps
+    /// its storage for the next upsert through `via`; a purge drops runs
+    /// that stay empty.
     pub fn remove_via(&mut self, via: NodeId, now: SimTime) -> usize {
-        self.tuples.clear_run(via, now)
+        let Some(run) = self.runs.get_mut(&via) else {
+            return 0;
+        };
+        let live = run.iter().filter(|t| t.until > now).count();
+        self.len -= run.len();
+        run.clear();
+        live
     }
 
     /// Removes one specific pair.
     pub fn remove(&mut self, via: NodeId, two_hop: NodeId) -> bool {
-        self.tuples.remove(via, two_hop)
+        let Some(run) = self.runs.get_mut(&via) else {
+            return false;
+        };
+        let Ok(i) = run.binary_search_by_key(&two_hop, |t| t.two_hop) else {
+            return false;
+        };
+        run.remove(i);
+        self.len -= 1;
+        true
     }
 
     /// All distinct 2-hop addresses at `now`, ascending, excluding `me` and
@@ -482,13 +408,14 @@ impl TwoHopSet {
     /// Iterates the 2-hop addresses reachable via `via` at `now` without
     /// allocating (ascending: `via`'s run in order).
     pub fn iter_via(&self, via: NodeId, now: SimTime) -> impl Iterator<Item = NodeId> + '_ {
-        self.tuples.run(via).iter().filter(move |t| t.until > now).map(|t| t.two_hop)
+        self.run(via).iter().filter(move |t| t.until > now).map(|t| t.two_hop)
     }
 
     /// `true` when the pair `(via, two_hop)` is live at `now`: the point
     /// form of [`TwoHopSet::reachable_via`]`.contains(…)`.
     pub fn contains(&self, via: NodeId, two_hop: NodeId, now: SimTime) -> bool {
-        self.tuples.get(via, two_hop).is_some_and(|t| t.until > now)
+        let run = self.run(via);
+        run.binary_search_by_key(&two_hop, |t| t.two_hop).is_ok_and(|i| run[i].until > now)
     }
 
     /// The 1-hop neighbors through which `two_hop` is reachable at `now`.
@@ -504,33 +431,51 @@ impl TwoHopSet {
         two_hop: NodeId,
         now: SimTime,
     ) -> impl Iterator<Item = NodeId> + '_ {
-        self.tuples.runs.iter().filter_map(move |(&via, run)| {
+        self.runs.iter().filter_map(move |(&via, run)| {
             let i = run.binary_search_by_key(&two_hop, |t| t.two_hop).ok()?;
             (run[i].until > now).then_some(via)
         })
     }
 
-    /// Drops expired pairs; returns the removed `(via, two_hop)` pairs,
-    /// ascending. Min-expiry gated: free while nothing can have expired.
+    /// Drops expired pairs and runs left empty; returns the removed
+    /// `(via, two_hop)` pairs, ascending. Min-expiry gated: free while
+    /// nothing can have expired.
     pub fn purge(&mut self, now: SimTime) -> Vec<(NodeId, NodeId)> {
         let mut dead = Vec::new();
-        self.tuples.purge(now, |key| dead.push(key));
+        if self.min_expiry.nothing_due(now) {
+            return dead;
+        }
+        self.min_expiry.reset();
+        let min_expiry = &mut self.min_expiry;
+        self.runs.retain(|&via, run| {
+            run.retain(|t| {
+                if t.until <= now {
+                    dead.push((via, t.two_hop));
+                    false
+                } else {
+                    min_expiry.cover(t.until);
+                    true
+                }
+            });
+            !run.is_empty()
+        });
+        self.len -= dead.len();
         dead
     }
 
     /// Iterates all live tuples at `now`, ascending by `(via, two_hop)`.
     pub fn iter(&self, now: SimTime) -> impl Iterator<Item = TwoHopTuple> + '_ {
-        self.tuples.iter().filter(move |t| t.until > now).copied()
+        self.runs.values().flatten().filter(move |t| t.until > now).copied()
     }
 
     /// Number of stored pairs (live or not).
     pub fn len(&self) -> usize {
-        self.tuples.len
+        self.len
     }
 
     /// `true` when the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.tuples.len == 0
+        self.len == 0
     }
 }
 
@@ -603,21 +548,153 @@ pub struct TopologyTuple {
     pub until: SimTime,
 }
 
-impl RunTuple for TopologyTuple {
-    fn key(&self) -> (NodeId, NodeId) {
-        (self.last_hop, self.dest)
+/// Everything a node holds about one TC originator: the topology tuples
+/// its advertisements created, and the reception state of its TCs that
+/// the audit log mirrors. The two expire independently: the tuples with
+/// the TC that last refreshed each, the reception state with the latest TC
+/// heard, applied or not.
+#[derive(Debug, Clone, Default)]
+struct TcRecord {
+    /// The originator's tuples, live or not, ascending by destination.
+    /// Every live one carries the ANSN of the last TC applied.
+    tuples: Vec<TopologyTuple>,
+    /// The advertised set of the last `TC_RX` logged in full, in wire
+    /// order, stored only when it differs from the destinations of
+    /// `tuples` (expired ones included): `None` means it equals them. It
+    /// differs after a stale ANSN (logged, not applied), a same-ANSN
+    /// merge, a wire order other than ascending or a repeated address,
+    /// and once a purge drops tuples the reception state outlives (the
+    /// purge stores it first). Meaningless once the reception state
+    /// lapsed.
+    logged_set: Option<Box<[NodeId]>>,
+    /// Validity of the latest TC heard: the reception state counts only
+    /// while `until > now`.
+    until: SimTime,
+    /// When the latest TC arrived.
+    heard: SimTime,
+    /// The latest reception time the log has reported, by `TC_RX` or
+    /// `TC_HEARD`.
+    logged: SimTime,
+}
+
+impl TcRecord {
+    fn dests(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.tuples.iter().map(|t| t.dest)
     }
 
-    fn until(&self) -> SimTime {
-        self.until
+    /// ANSN of the first live tuple: every live tuple carries the same.
+    fn live_ansn(&self, now: SimTime) -> Option<u16> {
+        self.tuples.iter().find(|t| t.until > now).map(|t| t.ansn)
+    }
+
+    /// `true` when the last logged set is `advertised`, in wire order.
+    fn logged_set_is(&self, advertised: impl Iterator<Item = NodeId>) -> bool {
+        match &self.logged_set {
+            Some(set) => set.iter().copied().eq(advertised),
+            None => self.dests().eq(advertised),
+        }
+    }
+
+    /// `true` when a TC carrying `ansn` and `advertised` only refreshes
+    /// this record's tuples: every stored tuple is live under `ansn`, and
+    /// their destinations are `advertised` in wire order.
+    fn is_pure_refresh(
+        &self,
+        ansn: u16,
+        advertised: impl Iterator<Item = NodeId>,
+        now: SimTime,
+    ) -> bool {
+        let mut tuples = self.tuples.iter();
+        for dest in advertised {
+            match tuples.next() {
+                Some(t) if t.dest == dest && t.ansn == ansn && t.until > now => {}
+                _ => return false,
+            }
+        }
+        tuples.next().is_none()
+    }
+
+    /// Applies a TC from `last_hop` to the tuples (RFC 3626 §9.5), keeping
+    /// `len` (stored tuples over all records) in step: a stale ANSN is
+    /// ignored, a newer one replaces every tuple. Returns `true` if the
+    /// *live* content changed.
+    fn apply(
+        &mut self,
+        last_hop: NodeId,
+        ansn: u16,
+        dests: impl Iterator<Item = NodeId>,
+        until: SimTime,
+        now: SimTime,
+        len: &mut usize,
+    ) -> bool {
+        let mut changed = false;
+        if let Some(existing) = self.live_ansn(now) {
+            let newer = SequenceNumber(ansn).is_newer_than(SequenceNumber(existing));
+            if existing != ansn && !newer {
+                return false; // stale information
+            }
+            if newer {
+                // Dropping a *live* tuple is a topology change in itself —
+                // a TC that withdraws links (down to an empty advertised
+                // set) must re-trigger route calculation even when it
+                // inserts nothing.
+                changed = true;
+                *len -= self.tuples.len();
+                self.tuples.clear();
+            }
+        }
+        for dest in dests {
+            let fresh = TopologyTuple { dest, last_hop, ansn, until };
+            match self.tuples.binary_search_by_key(&dest, |t| t.dest) {
+                Ok(i) => {
+                    // A same-ANSN copy of a live tuple is a pure refresh,
+                    // not a topology change.
+                    let old = &mut self.tuples[i];
+                    changed |= !(old.ansn == ansn && old.until > now);
+                    *old = fresh;
+                }
+                Err(i) => {
+                    self.tuples.insert(i, fresh);
+                    *len += 1;
+                    changed = true;
+                }
+            }
+        }
+        changed
     }
 }
 
-/// The topology set built from received TCs, one run per originator
-/// (`last_hop`).
+/// `ids` as an exactly sized boxed slice, in one allocation (collecting
+/// an iterator without an exact length may allocate twice).
+pub(crate) fn boxed_ids(ids: impl Iterator<Item = NodeId> + Clone) -> Box<[NodeId]> {
+    let mut out = Vec::with_capacity(ids.clone().count());
+    out.extend(ids);
+    out.into_boxed_slice()
+}
+
+/// What [`TopologySet::receive_tc`] decided about one TC.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TcReceipt {
+    /// The TC tells the audit log something new: log it as `TC_RX`.
+    pub log: bool,
+    /// The live topology changed, as [`TopologySet::apply_tc`] reports.
+    pub changed: bool,
+}
+
+/// The topology set built from received TCs: one record per originator
+/// (`last_hop`) holding its tuples, sorted by destination, and the
+/// reception state of its TCs that keeps a repeated TC out of the audit
+/// log. A TC is decided through one lookup of its originator's record
+/// ([`receive_tc`](Self::receive_tc)). Iteration and purges follow
+/// ascending `(last_hop, dest)` order, exactly as a pair-keyed map would.
 #[derive(Debug, Clone, Default)]
 pub struct TopologySet {
-    tuples: Runs<TopologyTuple>,
+    records: BTreeMap<NodeId, TcRecord>,
+    /// Stored tuples over all records, live or not.
+    len: usize,
+    /// Lower bound on the earliest tuple expiry and reception-state
+    /// validity.
+    min_expiry: MinExpiry,
 }
 
 impl TopologySet {
@@ -627,13 +704,15 @@ impl TopologySet {
     /// exactly as if the leftovers had already been garbage-collected —
     /// this keeps the ANSN staleness check independent of purge timing.
     pub fn ansn_of(&self, last_hop: NodeId, now: SimTime) -> Option<u16> {
-        self.tuples.run(last_hop).iter().find(|t| t.until > now).map(|t| t.ansn)
+        self.records.get(&last_hop)?.live_ansn(now)
     }
 
     /// Applies a TC from `last_hop` carrying `ansn` and `dests`
     /// (RFC 3626 §9.5): stale-ANSN TCs are ignored; newer ANSNs replace all
     /// tuples of that originator. Returns `true` if the *live* content
-    /// changed (a pure refresh of live tuples returns `false`).
+    /// changed (a pure refresh of live tuples returns `false`). The
+    /// originator's reception state does not move: a node receives TCs
+    /// through [`receive_tc`](Self::receive_tc).
     pub fn apply_tc(
         &mut self,
         last_hop: NodeId,
@@ -642,52 +721,158 @@ impl TopologySet {
         until: SimTime,
         now: SimTime,
     ) -> bool {
-        let mut changed = false;
-        if let Some(existing) = self.ansn_of(last_hop, now) {
-            let newer = SequenceNumber(ansn).is_newer_than(SequenceNumber(existing));
-            if existing != ansn && !newer {
-                return false; // stale information
-            }
-            if newer {
-                // Dropping a *live* tuple is a topology change in itself —
-                // a TC that withdraws links (down to an empty advertised
-                // set) must re-trigger route calculation even when it
-                // inserts nothing. Only this originator's run is emptied.
-                changed = self.tuples.clear_run(last_hop, now) > 0;
-            }
+        self.min_expiry.cover(until);
+        let record = self.records.entry(last_hop).or_default();
+        if record.logged_set.is_none() && record.until > now {
+            // The tuples are about to move: store the logged set they
+            // stand for.
+            record.logged_set = Some(record.dests().collect());
         }
-        let fresh = dests.iter().map(|&dest| TopologyTuple { dest, last_hop, ansn, until });
-        changed |= self.tuples.upsert(last_hop, fresh, |old, t| {
-            // A same-ANSN copy of a live tuple is a pure refresh, not a
-            // topology change.
-            let refresh = old.ansn == ansn && old.until > now;
-            *old = t;
-            !refresh
-        });
-        changed
+        record.apply(last_hop, ansn, dests.iter().copied(), until, now, &mut self.len)
+    }
+
+    /// Receives a TC (one not already in the duplicate set) from
+    /// `originator` carrying `ansn` and `advertised` in wire order, valid
+    /// until `until`, relayed by a sender whose link is live at `now` or
+    /// not (`sender_live`). One lookup of the originator's record decides
+    /// both what the TC tells the audit log and what it does to the
+    /// topology:
+    ///
+    /// - [`TcReceipt::log`] unless the TC repeats the set last logged for
+    ///   the originator, in wire order, while the originator's reception
+    ///   state is live and the sender's link is too. A repeat only moves
+    ///   the reception clock, which [`take_heard`](Self::take_heard) and
+    ///   [`purge_reporting`](Self::purge_reporting) report later.
+    /// - [`TcReceipt::changed`] exactly as [`apply_tc`](Self::apply_tc)
+    ///   would return it.
+    ///
+    /// A TC that refreshes its originator's live tuples and nothing else,
+    /// the common case in a converged network, rewrites their expiries in
+    /// one pass: no per-destination search and no copy of its set.
+    pub fn receive_tc<I>(
+        &mut self,
+        originator: NodeId,
+        ansn: u16,
+        advertised: I,
+        sender_live: bool,
+        until: SimTime,
+        now: SimTime,
+    ) -> TcReceipt
+    where
+        I: Iterator<Item = NodeId> + Clone,
+    {
+        self.min_expiry.cover(until);
+        // A new record's reception state starts lapsed, so its first TC
+        // is logged in full.
+        let record = self.records.entry(originator).or_default();
+        let state_live = record.until > now && sender_live;
+        let (repeat, changed) = if record.is_pure_refresh(ansn, advertised.clone(), now) {
+            let repeat = state_live
+                && record
+                    .logged_set
+                    .as_deref()
+                    .is_none_or(|set| set.iter().copied().eq(advertised.clone()));
+            for t in &mut record.tuples {
+                t.until = until;
+            }
+            record.logged_set = None;
+            (repeat, false)
+        } else {
+            let repeat = state_live && record.logged_set_is(advertised.clone());
+            let changed =
+                record.apply(originator, ansn, advertised.clone(), until, now, &mut self.len);
+            // Repeated or logged now, the last logged set is `advertised`.
+            if record.dests().eq(advertised.clone()) {
+                record.logged_set = None;
+            } else if !(repeat && record.logged_set.is_some()) {
+                record.logged_set = Some(boxed_ids(advertised));
+            }
+            (repeat, changed)
+        };
+        record.until = until;
+        record.heard = now;
+        if !repeat {
+            record.logged = now;
+        }
+        TcReceipt { log: !repeat, changed }
+    }
+
+    /// The latest reception time of a TC from `originator` when the log
+    /// has not reported it yet, which it then counts as reported. The
+    /// IDS's TC-silence check reads the clocks of a node's current MPRs.
+    pub fn take_heard(&mut self, originator: NodeId) -> Option<SimTime> {
+        let record = self.records.get_mut(&originator)?;
+        (record.heard > record.logged).then(|| {
+            record.logged = record.heard;
+            record.heard
+        })
     }
 
     /// All live tuples at `now`, ascending by `(last_hop, dest)`.
     pub fn iter(&self, now: SimTime) -> impl Iterator<Item = &TopologyTuple> {
-        self.tuples.iter().filter(move |t| t.until > now)
+        self.records.values().flat_map(|r| &r.tuples).filter(move |t| t.until > now)
     }
 
-    /// Drops expired tuples; returns `true` when any was dropped.
+    /// Drops expired tuples, lapsed reception states and records left with
+    /// neither; returns `true` when any tuple was dropped. A lapsing
+    /// reception state whose clock the log has not reported yet goes to
+    /// `on_lapse(originator, heard)` first, ascending by originator.
     /// Min-expiry gated: free while nothing can have expired — the gate
     /// that turns the former per-reception O(topology) sweep into an
     /// occasional one.
+    pub fn purge_reporting(
+        &mut self,
+        now: SimTime,
+        mut on_lapse: impl FnMut(NodeId, SimTime),
+    ) -> bool {
+        if self.min_expiry.nothing_due(now) {
+            return false;
+        }
+        self.min_expiry.reset();
+        let min_expiry = &mut self.min_expiry;
+        let mut dropped = 0;
+        self.records.retain(|&originator, record| {
+            let state_live = record.until > now;
+            if record.tuples.iter().any(|t| t.until <= now) {
+                if state_live && record.logged_set.is_none() {
+                    record.logged_set = Some(record.dests().collect());
+                }
+                let stored = record.tuples.len();
+                record.tuples.retain(|t| t.until > now);
+                dropped += stored - record.tuples.len();
+            }
+            for t in &record.tuples {
+                min_expiry.cover(t.until);
+            }
+            if state_live {
+                min_expiry.cover(record.until);
+            } else {
+                if record.heard > record.logged {
+                    on_lapse(originator, record.heard);
+                    record.logged = record.heard;
+                }
+                record.logged_set = None;
+            }
+            state_live || !record.tuples.is_empty()
+        });
+        self.len -= dropped;
+        dropped > 0
+    }
+
+    /// [`purge_reporting`](Self::purge_reporting) with the unreported
+    /// clocks of lapsing reception states dropped silently.
     pub fn purge(&mut self, now: SimTime) -> bool {
-        self.tuples.purge(now, |_| {}) > 0
+        self.purge_reporting(now, |_, _| {})
     }
 
     /// Number of stored tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len
+        self.len
     }
 
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
-        self.tuples.len == 0
+        self.len == 0
     }
 }
 
@@ -752,8 +937,7 @@ pub enum DupProbe {
     /// Seen and fresh, but not yet retransmitted: skip processing, run
     /// the forwarding gates on this copy.
     SeenFresh,
-    /// Seen, fresh and already retransmitted: suppress outright — the
-    /// expiry extension has already been applied by the probe.
+    /// Seen, fresh and already retransmitted: suppress outright.
     Retransmitted,
 }
 
@@ -890,15 +1074,12 @@ impl DuplicateSet {
         self.min_expiry.cover(until);
     }
 
-    /// One-probe flood triage for the receive path: a single map
-    /// access answers what [`seen`](Self::seen) and
-    /// [`retransmitted`](Self::retransmitted) would answer separately,
-    /// and for the dominant already-retransmitted copy it applies — in
-    /// place — exactly the state [`record`](Self::record)`(…, false,
-    /// dup_until, now)` would leave behind when the copy is suppressed
-    /// (expiry extension; the flag stays set). For the other two verdicts
-    /// the set is not touched: the caller's forwarding gates decide and
-    /// record as usual.
+    /// One-probe flood triage for the receive path: a single map access
+    /// answers what [`seen`](Self::seen) and
+    /// [`retransmitted`](Self::retransmitted) would answer separately, and
+    /// leaves exactly the state [`record`](Self::record)`(…, false,
+    /// dup_until, now)` would. That record is what every copy gets, unless
+    /// the caller retransmits it and records it again as retransmitted.
     pub fn probe_flood(
         &mut self,
         originator: NodeId,
@@ -906,21 +1087,33 @@ impl DuplicateSet {
         dup_until: SimTime,
         now: SimTime,
     ) -> DupProbe {
-        match self.find(dup_key(originator, seq)) {
+        let key = dup_key(originator, seq);
+        let probe = match self.find(key) {
             Some(i) if self.slots[i].until > now => {
                 let s = &mut self.slots[i];
+                s.until = s.until.max(dup_until);
                 if s.retransmitted {
-                    self.min_expiry.cover(dup_until);
-                    s.until = s.until.max(dup_until);
                     DupProbe::Retransmitted
                 } else {
                     DupProbe::SeenFresh
                 }
             }
-            // Absent, or an expired leftover from a wrapped sequence
-            // number: semantically a brand-new message either way.
-            _ => DupProbe::New,
-        }
+            // An expired leftover from a wrapped sequence number is
+            // semantically a brand-new message: overwritten, as `record`
+            // does.
+            Some(i) => {
+                self.slots[i] = DupSlot { until: dup_until, key, retransmitted: false };
+                DupProbe::New
+            }
+            None => {
+                self.make_room(now);
+                self.insert_new(DupSlot { until: dup_until, key, retransmitted: false });
+                DupProbe::New
+            }
+        };
+        // After `make_room`, whose reclaim recomputes the bound.
+        self.min_expiry.cover(dup_until);
+        probe
     }
 
     /// Reclaims every expired slot in place. Never needed for correctness
@@ -1181,7 +1374,8 @@ mod tests {
         set.apply_tc(NodeId(6), 1, &[NodeId(2)], t(50), t(0));
         assert!(set.purge(t(10)));
         assert_eq!(set.len(), 1);
-        let left: Vec<(NodeId, NodeId)> = set.tuples.iter().map(|t| (t.last_hop, t.dest)).collect();
+        let left: Vec<(NodeId, NodeId)> =
+            set.records.values().flat_map(|r| &r.tuples).map(|t| (t.last_hop, t.dest)).collect();
         assert_eq!(left, vec![(NodeId(6), NodeId(2))]);
         assert!(!set.purge(t(10)), "nothing left to drop");
     }

@@ -122,10 +122,26 @@ pub fn encode_packet(packet: &Packet) -> Bytes {
 ///
 /// Same contract as [`encode_packet`].
 pub fn encode_packet_into(packet: &Packet, scratch: &mut Vec<u8>) -> Bytes {
+    encode_messages_into(packet.seq, &packet.messages, scratch)
+}
+
+/// Encodes a packet numbered `seq` that carries `messages`, through a
+/// caller-owned scratch buffer: [`encode_packet_into`] for messages the
+/// caller holds outside a [`Packet`], such as the single message of every
+/// transmission an [`OlsrNode`](crate::node::OlsrNode) makes.
+///
+/// # Panics
+///
+/// Same contract as [`encode_packet`].
+pub fn encode_messages_into(
+    seq: SequenceNumber,
+    messages: &[Message],
+    scratch: &mut Vec<u8>,
+) -> Bytes {
     scratch.clear();
     scratch.put_u16(0); // length placeholder
-    scratch.put_u16(packet.seq.0);
-    for msg in &packet.messages {
+    scratch.put_u16(seq.0);
+    for msg in messages {
         encode_message(scratch, msg);
     }
     let len = u16::try_from(scratch.len()).expect("packet too large");
@@ -292,6 +308,59 @@ pub struct MessageView {
     pub seq: SequenceNumber,
     /// Body byte range within the frame the view was parsed from.
     body: (usize, usize),
+}
+
+impl MessageView {
+    /// The TC body behind this view, read in place from `frame`: its ANSN
+    /// and its advertised addresses, without materializing the message.
+    /// `None` when the message is not a TC.
+    ///
+    /// # Panics
+    ///
+    /// `frame` must be the buffer this view was parsed from (the same
+    /// contract as [`materialize_message`]); a shorter one panics.
+    pub fn tc<'a>(&self, frame: &'a [u8]) -> Option<TcView<'a>> {
+        if self.kind != MessageType::Tc {
+            return None;
+        }
+        let body = &frame[self.body.0..self.body.1];
+        Some(TcView { ansn: be16(body, 0), advertised: AddrRun { buf: &body[4..] } })
+    }
+}
+
+/// A TC body read in place from a validated frame ([`MessageView::tc`]).
+#[derive(Debug, Clone)]
+pub struct TcView<'a> {
+    /// Advertised neighbor sequence number.
+    pub ansn: u16,
+    advertised: AddrRun<'a>,
+}
+
+impl<'a> TcView<'a> {
+    /// The advertised addresses in wire order, decoded as they are read.
+    pub fn advertised(&self) -> AddrRun<'a> {
+        self.advertised.clone()
+    }
+}
+
+/// Iterator over a validated run of escape-encoded addresses, decoding
+/// each as it is read. A clone walks the remaining addresses on its own.
+#[derive(Debug, Clone)]
+pub struct AddrRun<'a> {
+    buf: &'a [u8],
+}
+
+impl Iterator for AddrRun<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        if self.buf.is_empty() {
+            return None;
+        }
+        let (id, n) = NodeId::read_at(self.buf, 0).expect("address run validated by PacketView");
+        self.buf = &self.buf[n..];
+        Some(id)
+    }
 }
 
 fn be16(buf: &[u8], off: usize) -> u16 {

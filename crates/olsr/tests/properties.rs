@@ -2,8 +2,9 @@
 //! invariant, routing loop-freedom, sequence-number arithmetic and the
 //! vtime codec, plus model oracles for the fast bookkeeping paths (masked
 //! avoid-route BFS, avoid routes answered from the main BFS tree, lazy
-//! duplicate reclaim, per-originator TC replacement,
-//! per-via 2-hop runs).
+//! duplicate reclaim, per-originator TC replacement, the merged
+//! per-originator TC record that decides a TC's log line and topology
+//! change in one lookup, per-via 2-hop runs and their batch refresh).
 
 use std::collections::BTreeMap;
 
@@ -446,15 +447,16 @@ impl DupModel {
         self.0.insert(key, next);
     }
 
+    /// The verdict, then the `forwarded = false` record every probed copy
+    /// gets.
     fn probe(&mut self, key: (u32, u16), until: SimTime, now: SimTime) -> DupProbe {
-        match self.live(key, now) {
-            Some((old, true)) => {
-                self.0.insert(key, (old.max(until), true));
-                DupProbe::Retransmitted
-            }
+        let probe = match self.live(key, now) {
+            Some((_, true)) => DupProbe::Retransmitted,
             Some((_, false)) => DupProbe::SeenFresh,
             None => DupProbe::New,
-        }
+        };
+        self.record(key, false, until, now);
+        probe
     }
 }
 
@@ -516,23 +518,183 @@ fn topo_live(set: &TopologySet, now: SimTime) -> Vec<(NodeId, NodeId, u16, SimTi
     set.iter(now).map(|t| (t.last_hop, t.dest, t.ansn, t.until)).collect()
 }
 
+/// A TC-related audit-log line: `TC_RX` (originator, ANSN, advertised set
+/// in wire order) or `TC_HEARD` (originator, reception time).
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum TcLine {
+    Rx(NodeId, u16, Vec<NodeId>),
+    Heard(NodeId, SimTime),
+}
+
+/// What a node's log memo kept per TC originator beside its topology
+/// tuples, before the two merged into one record.
+struct TcMemoModel {
+    advertised: Vec<NodeId>,
+    until: SimTime,
+    heard: SimTime,
+    logged: SimTime,
+}
+
+/// A receiver's two former per-originator structures: the topology as a
+/// plain pair-keyed map and the log memo beside it, swept on every flush.
+#[derive(Default)]
+struct TcReceiverModel {
+    topo: TopoModel,
+    memo: BTreeMap<NodeId, TcMemoModel>,
+}
+
+impl TcReceiverModel {
+    /// A new TC: logged unless it repeats the memo's set over a live
+    /// link while the memo is live; then applied to the topology.
+    #[allow(clippy::too_many_arguments)]
+    fn receive(
+        &mut self,
+        orig: NodeId,
+        ansn: u16,
+        advertised: &[NodeId],
+        sender_live: bool,
+        until: SimTime,
+        now: SimTime,
+        log: &mut Vec<TcLine>,
+    ) -> bool {
+        let e = self.memo.entry(orig).or_insert_with(|| TcMemoModel {
+            advertised: Vec::new(),
+            until: SimTime::ZERO,
+            heard: now,
+            logged: now,
+        });
+        let repeat = e.until > now && sender_live && e.advertised == advertised;
+        e.until = until;
+        e.heard = now;
+        if !repeat {
+            e.advertised = advertised.to_vec();
+            e.logged = now;
+            log.push(TcLine::Rx(orig, ansn, advertised.to_vec()));
+        }
+        self.topo.apply_tc(orig, ansn, advertised, until, now)
+    }
+
+    /// A recompute flush: the topology purge, the memo sweep reporting
+    /// unlogged clocks of lapsed entries by id, then the clocks of the
+    /// current MPRs. Returns whether a tuple was dropped.
+    fn flush(&mut self, mprs: &[NodeId], now: SimTime, log: &mut Vec<TcLine>) -> bool {
+        let stored = self.topo.0.len();
+        self.topo.0.retain(|_, &mut (_, u)| u > now);
+        self.memo.retain(|&orig, e| {
+            if e.until > now {
+                return true;
+            }
+            if e.heard > e.logged {
+                log.push(TcLine::Heard(orig, e.heard));
+            }
+            false
+        });
+        for &mpr in mprs {
+            if let Some(e) = self.memo.get_mut(&mpr) {
+                if e.heard > e.logged {
+                    e.logged = e.heard;
+                    log.push(TcLine::Heard(mpr, e.heard));
+                }
+            }
+        }
+        self.topo.0.len() != stored
+    }
+}
+
+/// The same flush through the merged records.
+fn flush_records(
+    set: &mut TopologySet,
+    mprs: &[NodeId],
+    now: SimTime,
+    log: &mut Vec<TcLine>,
+) -> bool {
+    let dropped = set.purge_reporting(now, |orig, heard| log.push(TcLine::Heard(orig, heard)));
+    for &mpr in mprs {
+        if let Some(heard) = set.take_heard(mpr) {
+            log.push(TcLine::Heard(mpr, heard));
+        }
+    }
+    dropped
+}
+
+/// One step of a TC stream at one receiver: `kind` picks a fresh TC
+/// (0..3), a repeat of the originator's last one (3..6), that one
+/// reversed (6), with its first id doubled (7) or one ANSN older (8..10),
+/// or a flush (10..13) with the MPR set `mprs` (a bit mask over ids 0..4).
+/// Senders are live three times in four.
+#[derive(Debug, Clone)]
+struct TcStep {
+    dt_ms: u64,
+    kind: u8,
+    orig: u32,
+    ansn: u16,
+    wrap: bool,
+    advertised: Vec<u32>,
+    sender_live: bool,
+    vtime_s: u64,
+    mprs: u8,
+}
+
+fn tc_steps() -> impl Strategy<Value = Vec<TcStep>> {
+    let step = (
+        0u64..2_500,
+        0u8..13,
+        0u32..3,
+        (0u16..4, any::<bool>()),
+        proptest::collection::vec(0u32..6, 0..5),
+        0u8..4,
+        1u64..8,
+        0u8..16,
+    )
+        .prop_map(|(dt_ms, kind, orig, (ansn, wrap), advertised, live, vtime_s, mprs)| TcStep {
+            dt_ms,
+            kind,
+            orig,
+            ansn,
+            wrap,
+            advertised,
+            sender_live: live != 0,
+            vtime_s,
+            mprs,
+        });
+    proptest::collection::vec(step, 0..150)
+}
+
 /// One mutating operation on a 2-hop set.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum TwoHopOp {
-    Upsert { via: u32, th: u32, hold: u64 },
-    Remove { via: u32, th: u32 },
-    RemoveVia { via: u32 },
+    Upsert {
+        via: u32,
+        th: u32,
+        hold: u64,
+    },
+    /// A HELLO's claimed set through one call, repeats included.
+    UpsertVia {
+        via: u32,
+        ths: Vec<u32>,
+        hold: u64,
+    },
+    Remove {
+        via: u32,
+        th: u32,
+    },
+    RemoveVia {
+        via: u32,
+    },
     Purge,
 }
 
 fn two_hop_ops() -> impl Strategy<Value = Vec<(u64, TwoHopOp)>> {
-    // Upserts four times as often as each other operation.
-    let op = (0u8..7, 0u32..6, 0u32..10, 1u64..8).prop_map(|(k, via, th, hold)| match k {
-        0 => TwoHopOp::Remove { via, th },
-        1 => TwoHopOp::RemoveVia { via },
-        2 => TwoHopOp::Purge,
-        _ => TwoHopOp::Upsert { via, th, hold },
-    });
+    // Single upserts four times and batches twice as often as each other
+    // operation.
+    let op = (0u8..9, 0u32..6, 0u32..10, 1u64..8, proptest::collection::vec(0u32..10, 0..6))
+        .prop_map(|(k, via, th, hold, ths)| match k {
+            0 => TwoHopOp::Remove { via, th },
+            1 => TwoHopOp::RemoveVia { via },
+            2 => TwoHopOp::Purge,
+            3 | 4 => TwoHopOp::UpsertVia { via, ths, hold },
+            _ => TwoHopOp::Upsert { via, th, hold },
+        });
     // (clock advance in s, operation)
     proptest::collection::vec((0u64..3, op), 0..120)
 }
@@ -820,6 +982,75 @@ proptest! {
     }
 
     #[test]
+    fn tc_records_match_memo_beside_pair_keyed_map(steps in tc_steps()) {
+        // ANSNs near 0 or near the wrap, stale ANSNs, permuted and
+        // doubled lists, live and lapsed senders, and clock steps past
+        // `vtime`: the merged records must write the same `TC_RX` and
+        // `TC_HEARD` lines, report the same topology changes and hold the
+        // same tuples as the memo and the map they replaced.
+        let mut set = TopologySet::default();
+        let mut model = TcReceiverModel::default();
+        let (mut got_log, mut want_log) = (Vec::new(), Vec::new());
+        let mut last: BTreeMap<u32, (u16, Vec<NodeId>)> = BTreeMap::new();
+        let mut now = SimTime::ZERO;
+        for (i, step) in steps.into_iter().enumerate() {
+            now += SimDuration::from_millis(step.dt_ms);
+            if step.kind >= 10 {
+                let mprs: Vec<NodeId> =
+                    (0..4).filter(|b| step.mprs & (1 << b) != 0).map(NodeId).collect();
+                let got = flush_records(&mut set, &mprs, now, &mut got_log);
+                let want = model.flush(&mprs, now, &mut want_log);
+                prop_assert_eq!(got, want, "purge result at step {}", i);
+            } else {
+                let fresh = || {
+                    let ansn = if step.wrap { step.ansn.wrapping_sub(2) } else { step.ansn };
+                    (ansn, step.advertised.iter().copied().map(NodeId).collect::<Vec<_>>())
+                };
+                let (ansn, advertised) = match (step.kind, last.get(&step.orig)) {
+                    (3..=5, Some(prev)) => prev.clone(),
+                    (6, Some((a, list))) => (*a, list.iter().rev().copied().collect()),
+                    (7, Some((a, list))) => {
+                        (*a, list.first().into_iter().chain(list).copied().collect())
+                    }
+                    (8 | 9, Some((a, list))) => (a.wrapping_sub(1), list.clone()),
+                    _ => fresh(),
+                };
+                last.insert(step.orig, (ansn, advertised.clone()));
+                let orig = NodeId(step.orig);
+                let until = now + SimDuration::from_secs(step.vtime_s);
+                let receipt = set.receive_tc(
+                    orig,
+                    ansn,
+                    advertised.iter().copied(),
+                    step.sender_live,
+                    until,
+                    now,
+                );
+                if receipt.log {
+                    got_log.push(TcLine::Rx(orig, ansn, advertised.clone()));
+                }
+                let want = model.receive(
+                    orig,
+                    ansn,
+                    &advertised,
+                    step.sender_live,
+                    until,
+                    now,
+                    &mut want_log,
+                );
+                prop_assert_eq!(receipt.changed, want, "changed flag at step {}", i);
+            }
+            prop_assert_eq!(&got_log, &want_log, "log lines after step {}", i);
+            prop_assert_eq!(topo_live(&set, now), model.topo.live(now), "step {}", i);
+            prop_assert_eq!(set.len(), model.topo.0.len(), "stored tuples at step {}", i);
+            for o in 0..4 {
+                let want = model.topo.live(now).iter().find(|t| t.0 == NodeId(o)).map(|t| t.2);
+                prop_assert_eq!(set.ansn_of(NodeId(o), now), want, "step {}", i);
+            }
+        }
+    }
+
+    #[test]
     fn two_hop_set_matches_pair_keyed_map(ops in two_hop_ops()) {
         let mut set = TwoHopSet::default();
         let mut model = TwoHopModel::default();
@@ -832,6 +1063,16 @@ proptest! {
                     let until = now + SimDuration::from_secs(hold);
                     let want = model.upsert(via, th, until, now);
                     prop_assert_eq!(set.upsert(via, th, until, now), want, "step {}", step);
+                }
+                TwoHopOp::UpsertVia { via, ths, hold } => {
+                    let via = NodeId(via);
+                    let until = now + SimDuration::from_secs(hold);
+                    let ths: Vec<NodeId> = ths.into_iter().map(NodeId).collect();
+                    let want: Vec<NodeId> =
+                        ths.iter().copied().filter(|&th| model.upsert(via, th, until, now)).collect();
+                    let mut got = Vec::new();
+                    set.upsert_via(via, ths, until, now, |th| got.push(th));
+                    prop_assert_eq!(got, want, "step {}", step);
                 }
                 TwoHopOp::Remove { via, th } => {
                     let (via, th) = (NodeId(via), NodeId(th));

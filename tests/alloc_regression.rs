@@ -20,6 +20,11 @@
 //! and the allocations `OlsrNode::new` makes, both of which set-up time of
 //! a large network follows.
 //!
+//! A fourth guard pins the protocol's commonest reception: a TC that
+//! repeats its originator's last one, at a node that does not forward it.
+//! Deciding it reads the frame in place and refreshes the originator's
+//! record, so its delivery must not allocate either.
+//!
 //! The counter is per thread: each guard measures only the allocations
 //! its own thread makes, so neither the other guard nor the test
 //! harness's threads can leak into a measurement window.
@@ -29,8 +34,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::Bytes;
+use trustlink_olsr::message::{Message, MessageBody, Packet, TcMessage};
+use trustlink_olsr::types::SequenceNumber;
+use trustlink_olsr::wire::encode_packet;
 use trustlink_olsr::{OlsrConfig, OlsrNode};
 use trustlink_sim::prelude::*;
+use trustlink_sim::record::LogRecord;
 use trustlink_sim::{topologies, Application, TimerToken};
 
 struct Counting;
@@ -196,4 +205,96 @@ fn olsr_node_set_up_stays_small_and_allocation_light() {
     let during = allocs() - before;
     drop(node);
     assert_eq!(during, 0, "OlsrNode::new(OlsrConfig::fast()) allocated {during} times");
+}
+
+/// An [`OlsrNode`] that counts the allocator calls made while it receives
+/// any of the `watched` frames.
+struct WatchedReceiver {
+    node: OlsrNode,
+    watched: Vec<Bytes>,
+    deliveries: u64,
+    allocs: u64,
+}
+
+impl Application for WatchedReceiver {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.node.on_start(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
+        self.node.on_timer(ctx, timer);
+    }
+
+    fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
+        let watched = self.watched.contains(&payload);
+        let before = allocs();
+        self.node.on_receive(ctx, from, payload);
+        if watched {
+            self.allocs += allocs() - before;
+            self.deliveries += 1;
+        }
+    }
+}
+
+#[test]
+fn repeated_tc_at_a_non_forwarding_node_allocates_nothing() {
+    // A converged 3-node line: both ends select the middle N1 as MPR and
+    // hear its TCs; N1 selects nobody, so neither end forwards them.
+    let mut sim = SimulatorBuilder::new(3)
+        .radio(RadioConfig::unit_disk(150.0))
+        .arena(Arena::new(1_000.0, 1_000.0))
+        .build();
+    for i in 0..3 {
+        let node = OlsrNode::new(OlsrConfig::fast());
+        let app: Box<dyn Application> = if i == 2 {
+            Box::new(WatchedReceiver { node, watched: Vec::new(), deliveries: 0, allocs: 0 })
+        } else {
+            Box::new(node)
+        };
+        sim.add_node(app, Position::new(f64::from(i) * 100.0, 0.0));
+    }
+    sim.run_for(SimDuration::from_secs(10));
+
+    // Repeats of N1's own TC as N2 holds it: same ANSN and set, each with
+    // a fresh message sequence number, so each is new to the duplicate set.
+    let now = sim.now();
+    let end = sim.app_as::<WatchedReceiver>(NodeId(2)).unwrap();
+    let run: Vec<_> =
+        end.node.topology_set().iter(now).filter(|t| t.last_hop == NodeId(1)).collect();
+    assert_eq!(run.iter().map(|t| t.dest).collect::<Vec<_>>(), [NodeId(0), NodeId(2)]);
+    let ansn = run[0].ansn;
+    let frames: Vec<Bytes> = (0..20u16)
+        .map(|k| {
+            let seq = SequenceNumber(30_000 + k);
+            let tc = TcMessage { ansn, advertised: vec![NodeId(0), NodeId(2)] };
+            let msg = Message {
+                vtime: OlsrConfig::fast().topology_hold_time,
+                originator: NodeId(1),
+                ttl: 255,
+                hop_count: 0,
+                seq,
+                body: MessageBody::Tc(tc),
+            };
+            encode_packet(&Packet { seq, messages: vec![msg] })
+        })
+        .collect();
+    sim.app_as_mut::<WatchedReceiver>(NodeId(2)).unwrap().watched = frames.clone();
+    let cursor = sim.log(NodeId(2)).len();
+    for frame in frames {
+        sim.inject_broadcast(NodeId(1), frame);
+        sim.run_for(SimDuration::from_millis(20));
+    }
+
+    let end = sim.app_as::<WatchedReceiver>(NodeId(2)).unwrap();
+    assert_eq!(end.deliveries, 20, "every injected repeat must reach N2");
+    let (window, _) = sim.log(NodeId(2)).read_from(cursor);
+    assert!(
+        !window.iter().any(|(_, r)| matches!(r, LogRecord::TcRx { .. })),
+        "an injected TC was not a repeat: {window:?}"
+    );
+    assert_eq!(
+        end.allocs, 0,
+        "receiving 20 repeated, unforwarded TCs allocated {} times",
+        end.allocs
+    );
 }

@@ -355,6 +355,41 @@ fn every_single_byte_mutation_of_real_frames_is_handled() {
     assert!(rejected > 100, "only {rejected} mutants were rejected");
 }
 
+#[test]
+fn tc_views_read_what_materialization_decodes() {
+    // The receive path decides a new TC from its in-place view and
+    // materializes it only to forward it: on every mutant that validates,
+    // the view must read the ANSN and advertised ids the decoder yields,
+    // and exist for TCs only.
+    let mut tcs = 0u32;
+    for frame in seed_frames() {
+        for pos in 0..=frame.len() as u16 {
+            for (op, byte) in [(0, 0x01), (0, 0x80), (0, 0xFF), (1, 0xFF), (2, 0), (3, 0)] {
+                let mut buf = frame.to_vec();
+                mutate(&mut buf, op, pos, byte);
+                for candidate in [reseal(buf.clone()), buf] {
+                    let bytes = bytes::Bytes::from(candidate);
+                    let Ok(view) = PacketView::parse(&bytes) else { continue };
+                    for mv in view.messages() {
+                        match (mv.tc(&bytes), materialize_message(&bytes, &mv).body) {
+                            (Some(v), MessageBody::Tc(tc)) => {
+                                assert_eq!(v.ansn, tc.ansn, "op {op} at {pos}");
+                                let read: Vec<NodeId> = v.advertised().collect();
+                                assert_eq!(read, tc.advertised, "op {op} at {pos}");
+                                tcs += 1;
+                            }
+                            (None, MessageBody::Tc(_)) => panic!("op {op} at {pos}: no TC view"),
+                            (Some(_), body) => panic!("op {op} at {pos}: TC view of {body:?}"),
+                            (None, _) => {}
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(tcs > 100, "only {tcs} mutated TCs got past validation");
+}
+
 /// The largest single allocation `PacketView::parse` plus
 /// `materialize_message` may request for a frame of
 /// `len` bytes. The parse allocates nothing; each vector the decoders
