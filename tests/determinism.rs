@@ -140,3 +140,57 @@ fn round_engine_replays_identically() {
     assert_eq!(a, b, "the abstract round engine must be a pure function of its seed");
     assert_ne!(run(42).detect, run(43).detect);
 }
+
+/// FNV-1a over every float of a round trace, bit for bit: each round's
+/// `detect`, margin and verdict, then every witness's trust trajectory.
+fn round_trace_digest(trace: &RoundTrace) -> u64 {
+    let mut bytes = Vec::new();
+    for ((d, m), v) in trace.detect.iter().zip(&trace.margins).zip(&trace.verdicts) {
+        bytes.extend_from_slice(&d.to_bits().to_le_bytes());
+        bytes.extend_from_slice(&m.to_bits().to_le_bytes());
+        bytes.push(match v {
+            Verdict::WellBehaving => 0,
+            Verdict::Intruder => 1,
+            Verdict::Unrecognized => 2,
+        });
+    }
+    for w in &trace.witnesses {
+        bytes.extend_from_slice(&w.initial_trust.to_bits().to_le_bytes());
+        for t in &w.trust {
+            bytes.extend_from_slice(&t.to_bits().to_le_bytes());
+        }
+    }
+    fnv1a(&bytes)
+}
+
+#[test]
+fn round_engine_matches_golden_digests() {
+    // The §V round model behind Figures 1–3, pinned bit for bit so that a
+    // reordered float sum in formulas (5) or (8)–(10) cannot pass unseen.
+    // The configurations cover the headline run, the unweighted ablation,
+    // an attack window that closes mid-run (the evidence set is dropped
+    // in peace) and a lossy answer channel. Derived before the round
+    // engine and the packet detector shared one dispute core.
+    let cases = [
+        ("default", RoundConfig::default(), 0x19af_bdfc_d8d0_4ad1_u64),
+        (
+            "unweighted, 6 liars",
+            RoundConfig { trust_weighting: false, n_liars: 6, ..RoundConfig::default() },
+            0x56c4_8c83_edb6_9be7,
+        ),
+        (
+            "attack ends at round 10",
+            RoundConfig { attack_rounds: 0..10, ..RoundConfig::default() },
+            0x9bb5_bcde_fe07_8be9,
+        ),
+        (
+            "answer probability 0.5",
+            RoundConfig { answer_probability: 0.5, ..RoundConfig::default() },
+            0xc942_4168_fbb5_1ec5,
+        ),
+    ];
+    for (name, cfg, golden) in cases {
+        let digest = round_trace_digest(&RoundEngine::new(cfg).run(25));
+        assert_eq!(digest, golden, "round trace digest moved for {name}");
+    }
+}
