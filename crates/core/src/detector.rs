@@ -13,7 +13,9 @@
 //!    each weighted by the witness's trust and by the stability of the link
 //!    it answers over, bounded by the confidence interval of formula (9),
 //!    decided with rule (10), and every outcome feeds the formula (5) trust
-//!    update;
+//!    update — all through the case's
+//!    [`Dispute`](trustlink_trust::dispute::Dispute), the judge the §V
+//!    round model ([`crate::rounds`]) uses too;
 //! 5. the **answering side**: every node (honest or lying, per
 //!    [`LiarPolicy`]) answers link-verification requests about its own
 //!    links.
@@ -25,16 +27,16 @@ use rand::RngExt;
 use trustlink_attacks::liar::LiarPolicy;
 use trustlink_ids::events::{DetectionEvent, EventExtractor, MisbehaviourReason};
 use trustlink_ids::investigation::{
-    plan_witnesses, Investigation, InvestigationConfig, InvestigationMessage, WitnessAnswer,
+    plan_witnesses, Investigation, InvestigationConfig, InvestigationMessage,
 };
 use trustlink_ids::signature::{SignatureEngine, SignatureMatch};
 use trustlink_olsr::hooks::{NoHooks, OlsrHooks};
 use trustlink_olsr::node::OlsrNode;
 use trustlink_olsr::types::OlsrConfig;
 use trustlink_sim::{Application, Context, NodeId, SimDuration, SimTime, TimerToken};
-use trustlink_trust::aggregate::{detection_value, evidence_samples, Answer, Evidence};
-use trustlink_trust::confidence::{margin_of_error, CONFIDENCE_LEVEL};
-use trustlink_trust::decision::{DecisionRule, Verdict};
+use trustlink_trust::aggregate::{Answer, Evidence};
+use trustlink_trust::decision::Verdict;
+use trustlink_trust::dispute::Judgement;
 use trustlink_trust::stability::{stability_weight, StabilityParams};
 use trustlink_trust::store::TrustStore;
 use trustlink_trust::value::{EvidenceKind, TrustValue};
@@ -460,51 +462,29 @@ impl<H: OlsrHooks> DetectorNode<H> {
         self.cases.push(case);
     }
 
-    fn finalize_case(&mut self, ctx: &mut Context<'_>, case: Investigation) {
+    fn finalize_case(&mut self, ctx: &mut Context<'_>, mut case: Investigation) {
         let now = ctx.now();
         let suspect = case.suspect;
-        let n = case.witness_count();
-        let mut pairs: Vec<(NodeId, Answer)> = Vec::with_capacity(n);
-        // One more row for the investigator's own observation.
-        let mut pool: Vec<Evidence> = Vec::with_capacity(n + 1);
-        for &(w, a, opened) in case.answers() {
-            let answer = match a {
-                WitnessAnswer::Pending => Answer::NoAnswer,
-                WitnessAnswer::Confirmed => Answer::Confirm,
-                WitnessAnswer::Denied => Answer::Deny,
-            };
-            pairs.push((w, answer));
-            // One evidence row per witness: its trust weight, scaled by the
-            // *least* stable view of its link — the case-open snapshot or
-            // the current one. A link that flapped right before the trigger,
-            // or that dissolved while the case ran, counts for less either
-            // way.
-            pool.push(Evidence {
-                weight: self.trust.trust_of(&w).weight(),
-                stability: opened.min(self.stability_of(w, now)),
-                answer,
-            });
-        }
+        // Each witness row is scaled by the *least* stable view of its link
+        // — the case-open snapshot or the current one. A link that flapped
+        // right before the trigger, or that dissolved while the case ran,
+        // counts for less either way.
+        case.dispute.cap_stability(|w| self.stability_of(w, now));
         // Property 5: the investigator's own first-hand observation of the
         // contested link joins the evidence pool. It carries the weight of
         // one default-trust witness — privileged in that it cannot lie to
         // us, but not strong enough to overrule several trusted witnesses
         // (a full-weight self-vote can start a false-positive spiral when
         // the investigator simply lacks corroborating state).
-        if let Some(link_ok) = self.verify_link(suspect, case.contested, now) {
-            pool.push(Evidence {
-                weight: TrustValue::DEFAULT.weight(),
-                // First-hand observation of the contested link is only as
-                // fresh as our links to the two nodes it connects.
-                stability: self
-                    .stability_of(suspect, now)
-                    .min(self.stability_of(case.contested, now)),
-                answer: Answer::from_verification(link_ok),
-            });
-        }
-        let detect = detection_value(&pool);
-        let margin = margin_of_error(&evidence_samples(&pool), CONFIDENCE_LEVEL);
-        let verdict = DecisionRule::default().decide(detect, margin);
+        let own = self.verify_link(suspect, case.contested, now).map(|link_ok| Evidence {
+            weight: TrustValue::DEFAULT.weight(),
+            // First-hand observation of the contested link is only as
+            // fresh as our links to the two nodes it connects.
+            stability: self.stability_of(suspect, now).min(self.stability_of(case.contested, now)),
+            answer: Answer::from_verification(link_ok),
+        });
+        let Judgement { detect, margin, verdict, answered } =
+            case.dispute.judge(|w| self.trust.trust_of(&w).weight(), own);
 
         // Testimony evidence, keyed to the sign of the aggregate (§IV-B:
         // "this result is used to update the trust related to I and S_i").
@@ -517,22 +497,13 @@ impl<H: OlsrHooks> DetectorNode<H> {
             None
         };
         if let Some(truthful) = truthful {
-            for &(w, a) in &pairs {
-                if self.condemned.contains(&w) {
-                    continue;
+            for (w, kind) in case.dispute.testimony(truthful) {
+                if !self.condemned.contains(&w) {
+                    self.trust.record(w, kind);
                 }
-                let kind = if a == Answer::NoAnswer {
-                    EvidenceKind::Unresponsive
-                } else if a == truthful {
-                    EvidenceKind::TruthfulTestimony
-                } else {
-                    EvidenceKind::FalseTestimony
-                };
-                self.trust.record(w, kind);
             }
         }
 
-        let answered = pairs.iter().filter(|(_, a)| *a != Answer::NoAnswer).count();
         match verdict {
             Verdict::Intruder => {
                 self.condemned.insert(suspect);
@@ -543,14 +514,14 @@ impl<H: OlsrHooks> DetectorNode<H> {
                 // (the CAP-OLSR-style exclusion of the paper's related work).
                 self.olsr.exclude_from_mprs(suspect);
                 // E4/E5 evidence completes the link-spoofing signature.
-                for (w, a) in &pairs {
+                for (w, a) in case.dispute.answers() {
                     let ev = match a {
                         Answer::Deny => {
-                            DetectionEvent::NotCovering { mpr: suspect, neighbor: *w, at: now }
+                            DetectionEvent::NotCovering { mpr: suspect, neighbor: w, at: now }
                         }
                         Answer::NoAnswer => DetectionEvent::CoveringNonNeighbor {
                             mpr: suspect,
-                            claimed: *w,
+                            claimed: w,
                             at: now,
                         },
                         Answer::Confirm => continue,
@@ -577,7 +548,7 @@ impl<H: OlsrHooks> DetectorNode<H> {
             verdict,
             detect,
             margin,
-            witnesses: case.witness_count(),
+            witnesses: case.dispute.answers().len(),
             answered,
             at: now,
         });
@@ -610,7 +581,7 @@ impl<H: OlsrHooks> DetectorNode<H> {
             }
             InvestigationMessage::VerifyLinkResponse { case, witness, link_exists, .. } => {
                 if let Some(c) = self.cases.iter_mut().find(|c| c.case == case) {
-                    c.record_answer(witness, link_exists);
+                    c.dispute.record_answer(witness, link_exists);
                 }
             }
         }
@@ -721,6 +692,7 @@ mod tests {
     use super::*;
     use trustlink_sim::record::LogRecord;
     use trustlink_sim::record::Willingness;
+    use trustlink_trust::decision::DecisionRule;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)

@@ -19,13 +19,17 @@
 //!
 //! This module runs that loop without the packet simulator, which is what
 //! Figures 1–3 plot; the packet-level path (see [`crate::scenario`])
-//! validates that the same dynamics emerge end-to-end.
+//! validates that the same dynamics emerge end-to-end. Both judge through
+//! one [`Dispute`]: the round engine keeps its dispute across rounds, the
+//! packet detector opens one per case. The figures therefore exercise the
+//! formulas (8)–(10) and the testimony scoring that convict in the packet
+//! simulation.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use trustlink_trust::aggregate::{detection_value, evidence_samples, Answer, Evidence};
-use trustlink_trust::confidence::{margin_of_error, CONFIDENCE_LEVEL};
-use trustlink_trust::decision::{DecisionRule, Verdict};
+use trustlink_trust::aggregate::Answer;
+use trustlink_trust::decision::Verdict;
+use trustlink_trust::dispute::{Dispute, Judgement};
 use trustlink_trust::store::TrustStore;
 use trustlink_trust::update::TrustUpdate;
 use trustlink_trust::value::{EvidenceKind, GravityCatalogue, TrustValue};
@@ -162,9 +166,10 @@ pub struct RoundEngine {
     trust: TrustStore<usize>,
     roles: Vec<RoleKind>,
     round: u32,
-    /// Every `(witness, answer)` collected since the investigation opened;
-    /// cleared when the attack window closes (the investigation ends).
-    history: Vec<(usize, Answer)>,
+    /// Every answer collected since the investigation opened, one round of
+    /// rows per step; cleared when the attack window closes (the
+    /// investigation ends).
+    dispute: Dispute<usize>,
 }
 
 impl RoundEngine {
@@ -191,12 +196,7 @@ impl RoundEngine {
             trust.set_trust(i, TrustValue::new(value));
             roles.push(if i < cfg.n_liars { RoleKind::Liar } else { RoleKind::Honest });
         }
-        RoundEngine { cfg, rng, trust, roles, round: 0, history: Vec::new() }
-    }
-
-    /// Number of witnesses.
-    pub fn witness_count(&self) -> usize {
-        self.roles.len()
+        RoundEngine { cfg, rng, trust, roles, round: 0, dispute: Dispute::default() }
     }
 
     /// Current trust of witness `i`.
@@ -216,7 +216,7 @@ impl RoundEngine {
         if !active {
             // Peace: background good behaviour only (Figure 2's regime).
             // Any open investigation is over; its evidence set is dropped.
-            self.history.clear();
+            self.dispute = Dispute::default();
             for i in 0..self.roles.len() {
                 self.trust.record(i, EvidenceKind::NormalRelaying);
             }
@@ -224,61 +224,36 @@ impl RoundEngine {
             return (0.0, f64::INFINITY, Verdict::Unrecognized);
         }
 
-        // Collect answers.
-        let mut pairs: Vec<(usize, Answer)> = Vec::with_capacity(self.roles.len());
+        // Interrogate every witness: liars cover the attacker, honest
+        // witnesses deny the spoofed link when their answer arrives.
+        self.dispute.open_round((0..self.roles.len()).map(|i| (i, 1.0)));
         for (i, role) in self.roles.iter().enumerate() {
-            let answer = match role {
-                RoleKind::Liar => Answer::Confirm, // cover the attacker
+            match role {
+                RoleKind::Liar => {
+                    self.dispute.record_answer(i, true);
+                }
                 RoleKind::Honest => {
                     if self.rng.random_bool(self.cfg.answer_probability) {
-                        Answer::Deny
-                    } else {
-                        Answer::NoAnswer
+                        self.dispute.record_answer(i, false);
                     }
                 }
-            };
-            pairs.push((i, answer));
+            }
         }
 
         // Formula (8) (or the unweighted ablation) over the whole
         // investigation so far, re-weighted by the witnesses' current trust:
         // once a liar is distrusted, its earlier confirmations stop counting.
-        self.history.extend(pairs.iter().copied());
-        let pool: Vec<Evidence> = self
-            .history
-            .iter()
-            .map(|&(i, answer)| Evidence {
-                weight: if self.cfg.trust_weighting {
-                    self.trust.trust_of(&i).weight()
-                } else {
-                    1.0
-                },
-                stability: 1.0,
-                answer,
-            })
-            .collect();
-        let detect = detection_value(&pool);
-        let margin = margin_of_error(&evidence_samples(&pool), CONFIDENCE_LEVEL);
-        let verdict = DecisionRule::default().decide(detect, margin);
+        let trust = &self.trust;
+        let weighted = self.cfg.trust_weighting;
+        let Judgement { detect, margin, verdict, .. } =
+            self.dispute.judge(|i| if weighted { trust.trust_of(&i).weight() } else { 1.0 }, None);
 
-        // Formula (5) evidence assignment. The investigator is the attacked
-        // node and the contested link is its own, so it knows the ground
-        // truth: denying the spoofed link is truthful, confirming it covers
-        // the attacker. (Keying this to the aggregate's sign instead is
-        // unstable: with ~43% well-trusted liars a slightly positive first
-        // round rewards the liars, and the feedback loop convicts the honest
-        // majority — the opposite of the paper's Figure 3. The packet-level
-        // detector deliberately keeps threshold-gated sign keying: it
-        // investigates *third-party* links, where no local ground truth
-        // exists.)
-        for (i, a) in &pairs {
-            let kind = match a {
-                Answer::NoAnswer => EvidenceKind::Unresponsive,
-                Answer::Deny => EvidenceKind::TruthfulTestimony,
-                Answer::Confirm => EvidenceKind::FalseTestimony,
-            };
-            self.trust.record(*i, kind);
-            self.trust.record(*i, EvidenceKind::NormalRelaying);
+        // Formula (5) evidence for this round's answers. The investigator
+        // is the attacked node and owns the contested link, so it scores
+        // testimony against the ground truth: the link is spoofed.
+        for (i, kind) in self.dispute.testimony(Answer::Deny) {
+            self.trust.record(i, kind);
+            self.trust.record(i, EvidenceKind::NormalRelaying);
         }
         self.trust.end_slot();
         (detect, margin, verdict)

@@ -15,11 +15,15 @@
 //! This module provides the pieces the detector composes:
 //!
 //! * [`InvestigationMessage`] — the request/answer wire format;
-//! * [`Investigation`] — one open case: witnesses, answers, deadline;
+//! * [`Investigation`] — one open case: its [`Dispute`] (witnesses and
+//!   answers, judged by the same formulas (8)–(10) as the §V round model
+//!   behind the figures) and its deadline;
 //! * [`plan_witnesses`] — Algorithm 1 lines 2–4 (who to interrogate).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use trustlink_sim::{NodeId, SimDuration, SimTime};
+use trustlink_trust::aggregate::Answer;
+use trustlink_trust::dispute::Dispute;
 
 use crate::events::EventExtractor;
 
@@ -137,24 +141,13 @@ impl InvestigationMessage {
     }
 }
 
-/// The answer state of one witness in an open case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WitnessAnswer {
-    /// No answer yet (becomes `e = 0` at the deadline).
-    Pending,
-    /// The witness confirmed the link (`e = +1` toward "no attack").
-    Confirmed,
-    /// The witness denied the link (`e = -1`: spoofing evidence).
-    Denied,
-}
-
 /// One open investigation case: the link `suspect`–`contested` is disputed
 /// and the witnesses are being polled about it.
 ///
-/// Each witness carries the stability weight of the link its evidence rides
-/// over, captured when the case opened. Churn false positives are triggered
-/// by a link dissolving, so the snapshot preserves how unstable the
-/// neighborhood looked at trigger time even if links settle before the
+/// Each witness row carries the stability weight of the link its evidence
+/// rides over, captured when the case opened. Churn false positives are
+/// triggered by a link dissolving, so the snapshot preserves how unstable
+/// the neighborhood looked at trigger time even if links settle before the
 /// deadline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Investigation {
@@ -165,16 +158,14 @@ pub struct Investigation {
     /// The advertised link peer under dispute.
     pub contested: NodeId,
     /// The witnesses polled, with their answers and case-open stability
-    /// weights.
-    witnesses: Vec<(NodeId, WitnessAnswer, f64)>,
-    /// When the case was opened.
-    pub opened_at: SimTime,
+    /// weights; judged at the deadline.
+    pub dispute: Dispute<NodeId>,
     /// When pending answers are written off as `e = 0`.
     pub deadline: SimTime,
 }
 
 impl Investigation {
-    /// Opens a case interrogating `witnesses` about the link
+    /// Opens a case at `now` interrogating `witnesses` about the link
     /// `suspect`–`contested`. Each witness comes with the stability weight
     /// of the link toward it at the moment the case opens.
     pub fn open(
@@ -182,47 +173,17 @@ impl Investigation {
         suspect: NodeId,
         contested: NodeId,
         witnesses: impl IntoIterator<Item = (NodeId, f64)>,
-        opened_at: SimTime,
+        now: SimTime,
         timeout: SimDuration,
     ) -> Self {
-        Investigation {
-            case,
-            suspect,
-            contested,
-            witnesses: witnesses
-                .into_iter()
-                .map(|(w, stability)| (w, WitnessAnswer::Pending, stability))
-                .collect(),
-            opened_at,
-            deadline: opened_at + timeout,
-        }
-    }
-
-    /// Records an answer. Returns `false` for unknown witnesses or
-    /// duplicate answers (first answer wins — later ones may be forged).
-    pub fn record_answer(&mut self, witness: NodeId, link_exists: bool) -> bool {
-        for (w, a, _) in &mut self.witnesses {
-            if *w == witness && *a == WitnessAnswer::Pending {
-                *a = if link_exists { WitnessAnswer::Confirmed } else { WitnessAnswer::Denied };
-                return true;
-            }
-        }
-        false
-    }
-
-    /// All `(witness, answer, case-open stability)` triples.
-    pub fn answers(&self) -> &[(NodeId, WitnessAnswer, f64)] {
-        &self.witnesses
+        let mut dispute = Dispute::default();
+        dispute.open_round(witnesses);
+        Investigation { case, suspect, contested, dispute, deadline: now + timeout }
     }
 
     /// `true` once every witness answered or the deadline passed.
     pub fn is_complete(&self, now: SimTime) -> bool {
-        now >= self.deadline || !self.witnesses.iter().any(|(_, a, _)| *a == WitnessAnswer::Pending)
-    }
-
-    /// Number of interrogated witnesses.
-    pub fn witness_count(&self) -> usize {
-        self.witnesses.len()
+        now >= self.deadline || self.dispute.answers().all(|(_, a)| a != Answer::NoAnswer)
     }
 }
 
@@ -328,26 +289,15 @@ mod tests {
             SimDuration::from_secs(5),
         );
         assert_eq!(inv.contested, NodeId(99));
-        assert_eq!(inv.witness_count(), 3);
+        assert_eq!(inv.dispute.answers().len(), 3);
         assert!(!inv.is_complete(t(10)));
-        assert!(inv.record_answer(NodeId(5), false));
-        assert!(inv.record_answer(NodeId(6), true));
-        // Unknown witness and duplicate answers rejected.
-        assert!(!inv.record_answer(NodeId(99), true));
-        assert!(!inv.record_answer(NodeId(5), true));
-        assert_eq!(
-            inv.answers(),
-            [
-                (NodeId(5), WitnessAnswer::Denied, 1.0),
-                (NodeId(6), WitnessAnswer::Confirmed, 0.5),
-                (NodeId(7), WitnessAnswer::Pending, 0.0),
-            ]
-        );
+        assert!(inv.dispute.record_answer(NodeId(5), false));
+        assert!(inv.dispute.record_answer(NodeId(6), true));
         assert!(!inv.is_complete(t(12)));
         // Deadline forces completion with a pending witness.
         assert!(inv.is_complete(t(15)));
         // All-answered also completes, before the deadline.
-        assert!(inv.record_answer(NodeId(7), false));
+        assert!(inv.dispute.record_answer(NodeId(7), false));
         assert!(inv.is_complete(t(12)));
     }
 

@@ -22,7 +22,9 @@
 //! 4. **Investigation** — [`investigation`] implements Algorithm 1:
 //!    selecting witnesses from the suspect's claimed neighborhood,
 //!    request/answer messages routed around the suspect, timeouts, and the
-//!    agree/disagree tally the trust system (in `trustlink-trust`) weighs.
+//!    answers, held in a `trustlink_trust::Dispute`: the same judge of
+//!    formulas (8)–(10) that the round model behind the paper's figures
+//!    uses.
 //!
 //! ```
 //! use trustlink_ids::prelude::*;
@@ -43,8 +45,13 @@
 //! for ev in extractor.tick(SimTime::from_secs(2), SimDuration::from_secs(600)) {
 //!     engine.observe(&ev);
 //! }
-//! // The replacement leaves N3 as a partial link-spoofing suspect:
-//! assert_eq!(engine.partial_suspects("link-spoofing"), vec![NodeId(3)]);
+//! // The replacement leaves N3 a partial link-spoofing suspect. An E4 from
+//! // its investigation (witness N7 denies N3's link) completes the match:
+//! let t3 = SimTime::from_secs(3);
+//! let e4 = DetectionEvent::NotCovering { mpr: NodeId(3), neighbor: NodeId(7), at: t3 };
+//! let matches = engine.observe(&e4);
+//! assert_eq!(matches.len(), 1);
+//! assert_eq!((matches[0].signature.as_str(), matches[0].suspect), ("link-spoofing", NodeId(3)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -60,13 +67,11 @@ pub mod prelude {
         Criticality, DetectionEvent, EventExtractor, LinkStability, MisbehaviourReason,
     };
     pub use crate::investigation::{
-        plan_witnesses, Investigation, InvestigationConfig, InvestigationMessage, WitnessAnswer,
+        plan_witnesses, Investigation, InvestigationConfig, InvestigationMessage,
     };
     pub use crate::signature::{EventPattern, Signature, SignatureEngine, SignatureMatch, Stage};
 }
 
 pub use events::{Criticality, DetectionEvent, EventExtractor, LinkStability, MisbehaviourReason};
-pub use investigation::{
-    plan_witnesses, Investigation, InvestigationConfig, InvestigationMessage, WitnessAnswer,
-};
+pub use investigation::{plan_witnesses, Investigation, InvestigationConfig, InvestigationMessage};
 pub use signature::{EventPattern, Signature, SignatureEngine, SignatureMatch};

@@ -218,20 +218,6 @@ impl SignatureEngine {
         matches
     }
 
-    /// Suspects currently holding a partial match of `signature_name` (the
-    /// paper's "preliminary sign of suspicious activity" — these are the
-    /// nodes worth investigating).
-    pub fn partial_suspects(&self, signature_name: &str) -> Vec<NodeId> {
-        self.signatures
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.name == signature_name)
-            .flat_map(|(idx, _)| {
-                self.partial.keys().filter(move |(sig, _)| *sig == idx).map(|(_, suspect)| *suspect)
-            })
-            .collect()
-    }
-
     /// Clears the partial progress of `suspect` on every signature (after
     /// an investigation exonerates it).
     pub fn clear_suspect(&mut self, suspect: NodeId) {
@@ -267,18 +253,23 @@ mod tests {
         SignatureEngine::new(vec![Signature::link_spoofing(SimDuration::from_secs(60))])
     }
 
+    /// Suspects holding partial progress in a one-signature engine.
+    fn suspects(eng: &SignatureEngine) -> Vec<NodeId> {
+        eng.partial.keys().map(|&(_, suspect)| suspect).collect()
+    }
+
     #[test]
     fn two_stage_match_completes() {
         let mut eng = engine();
         assert!(eng.observe(&e1(3, 1)).is_empty());
-        assert_eq!(eng.partial_suspects("link-spoofing"), vec![NodeId(3)]);
+        assert_eq!(suspects(&eng), vec![NodeId(3)]);
         let matches = eng.observe(&e4(3, 2));
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].suspect, NodeId(3));
         assert_eq!(matches[0].signature, "link-spoofing");
         assert_eq!(matches[0].stage_times, vec![t(1), t(2)]);
         // Progress consumed.
-        assert!(eng.partial_suspects("link-spoofing").is_empty());
+        assert!(suspects(&eng).is_empty());
     }
 
     #[test]
@@ -292,7 +283,7 @@ mod tests {
     fn confirmation_without_trigger_is_ignored() {
         let mut eng = engine();
         assert!(eng.observe(&e4(3, 1)).is_empty());
-        assert!(eng.partial_suspects("link-spoofing").is_empty());
+        assert!(suspects(&eng).is_empty());
     }
 
     #[test]
@@ -304,7 +295,7 @@ mod tests {
         let matches = eng.observe(&e4(4, 2));
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].suspect, NodeId(4));
-        assert_eq!(eng.partial_suspects("link-spoofing"), vec![NodeId(3)]);
+        assert_eq!(suspects(&eng), vec![NodeId(3)]);
     }
 
     #[test]
@@ -314,7 +305,7 @@ mod tests {
         // 120 s later the trigger has gone stale: E4 alone cannot complete,
         // and the stale progress is cleared.
         assert!(eng.observe(&e4(3, 121)).is_empty());
-        assert!(eng.partial_suspects("link-spoofing").is_empty());
+        assert!(suspects(&eng).is_empty());
     }
 
     #[test]
@@ -356,14 +347,14 @@ mod tests {
             at: t(1),
         };
         eng.observe(&ev);
-        assert!(eng.partial_suspects("drop-attack").is_empty());
+        assert!(suspects(&eng).is_empty());
         let silent = DetectionEvent::MprMisbehaving {
             mpr: NodeId(2),
             reason: MisbehaviourReason::TcSilence,
             at: t(2),
         };
         eng.observe(&silent);
-        assert_eq!(eng.partial_suspects("drop-attack"), vec![NodeId(2)]);
+        assert_eq!(suspects(&eng), vec![NodeId(2)]);
         assert_eq!(eng.observe(&e4(2, 3)).len(), 1);
     }
 
@@ -412,7 +403,7 @@ mod tests {
             at: t(1),
         };
         eng.observe(&ev);
-        let mut suspects = eng.partial_suspects("link-spoofing");
+        let mut suspects = suspects(&eng);
         suspects.sort_unstable();
         assert_eq!(suspects, vec![NodeId(3), NodeId(4)]);
     }

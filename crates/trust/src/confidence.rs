@@ -10,8 +10,6 @@
 //! quantile for the configured confidence level (e.g. `z ≈ 1.96` at 95 %).
 //! A wide interval says "collect more evidence before deciding".
 
-use std::fmt;
-
 /// The inverse standard-normal CDF (the *probit* function), computed with
 /// Acklam's rational approximation (absolute error < 1.15e-9 over the whole
 /// domain).
@@ -106,7 +104,7 @@ pub fn sample_std_dev(samples: &[f64]) -> f64 {
 }
 
 /// The confidence level the paper evaluates formula (9) at (95 %, so
-/// `z ≈ 1.96`); both the packet-level detector and the round engine use it.
+/// `z ≈ 1.96`); every [`Dispute`](crate::dispute::Dispute) is judged at it.
 pub const CONFIDENCE_LEVEL: f64 = 0.95;
 
 /// Formula (9): the margin of error `ε = z·σ/√n` of the evidence sample at
@@ -122,53 +120,6 @@ pub fn margin_of_error(samples: &[f64], confidence_level: f64) -> f64 {
     }
     let z = z_for_confidence_level(confidence_level);
     z * sample_std_dev(samples) / (samples.len() as f64).sqrt()
-}
-
-/// A confidence interval `[center - margin, center + margin]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConfidenceInterval {
-    /// The point estimate (the mean detection value).
-    pub center: f64,
-    /// The margin of error ε.
-    pub margin: f64,
-}
-
-impl ConfidenceInterval {
-    /// Builds the interval around the sample mean of `samples`.
-    pub fn from_samples(samples: &[f64], confidence_level: f64) -> Self {
-        let center = if samples.is_empty() {
-            0.0
-        } else {
-            samples.iter().sum::<f64>() / samples.len() as f64
-        };
-        ConfidenceInterval { center, margin: margin_of_error(samples, confidence_level) }
-    }
-
-    /// Lower bound of the interval.
-    pub fn lower(&self) -> f64 {
-        self.center - self.margin
-    }
-
-    /// Upper bound of the interval.
-    pub fn upper(&self) -> f64 {
-        self.center + self.margin
-    }
-
-    /// Interval width `2ε`.
-    pub fn width(&self) -> f64 {
-        2.0 * self.margin
-    }
-
-    /// `true` when `x` lies inside the interval.
-    pub fn contains(&self, x: f64) -> bool {
-        x >= self.lower() && x <= self.upper()
-    }
-}
-
-impl fmt::Display for ConfidenceInterval {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3} ± {:.3}", self.center, self.margin)
-    }
 }
 
 #[cfg(test)]
@@ -256,27 +207,5 @@ mod tests {
     fn unanimous_sample_has_zero_margin() {
         // σ = 0: everyone agrees, so the interval collapses to a point.
         assert_eq!(margin_of_error(&[-1.0, -1.0, -1.0, -1.0], 0.95), 0.0);
-    }
-
-    #[test]
-    fn interval_accessors() {
-        let ci = ConfidenceInterval { center: -0.6, margin: 0.2 };
-        assert!((ci.lower() - (-0.8)).abs() < 1e-12);
-        assert!((ci.upper() - (-0.4)).abs() < 1e-12);
-        assert!((ci.width() - 0.4).abs() < 1e-12);
-        assert!(ci.contains(-0.6));
-        assert!(ci.contains(-0.8));
-        assert!(!ci.contains(-0.39));
-        assert_eq!(ci.to_string(), "-0.600 ± 0.200");
-    }
-
-    #[test]
-    fn interval_from_samples() {
-        let ci = ConfidenceInterval::from_samples(&[-1.0, -1.0, -1.0, 1.0], 0.95);
-        assert_eq!(ci.center, -0.5);
-        assert!(ci.margin > 0.0 && ci.margin.is_finite());
-        let empty = ConfidenceInterval::from_samples(&[], 0.95);
-        assert_eq!(empty.center, 0.0);
-        assert_eq!(empty.margin, f64::INFINITY);
     }
 }

@@ -14,6 +14,7 @@
 //! | Formula (8) | [`aggregate`] | trust-weighted aggregation of investigation answers into a detection value |
 //! | Formula (9) | [`confidence`] | confidence interval over partial evidence (probit, margin of error) |
 //! | Rule (10) | [`decision`] | the three-way verdict: well-behaving / intruder / unrecognized |
+//! | (8)–(10), (5) | [`dispute`] | one dispute's witness rows judged by (8)–(10), and the testimony evidence (5) they earn; both investigation engines judge through it |
 //!
 //! [`store`] ties (5) into a per-neighbor bookkeeping structure with
 //! time-slot semantics, and [`value`] defines the bounded [`TrustValue`]
@@ -57,6 +58,7 @@
 pub mod aggregate;
 pub mod confidence;
 pub mod decision;
+pub mod dispute;
 pub mod entropy;
 pub mod stability;
 pub mod store;
@@ -66,8 +68,9 @@ pub mod value;
 /// Glob-import of the commonly used types and functions.
 pub mod prelude {
     pub use crate::aggregate::{detection_value, evidence_samples, Answer, Evidence};
-    pub use crate::confidence::{margin_of_error, probit, ConfidenceInterval};
+    pub use crate::confidence::{margin_of_error, probit};
     pub use crate::decision::{DecisionRule, Verdict};
+    pub use crate::dispute::{Dispute, Judgement};
     pub use crate::entropy::{binary_entropy, probability_from_trust, trust_from_probability};
     pub use crate::stability::{stability_weight, StabilityParams};
     pub use crate::store::TrustStore;
@@ -76,8 +79,9 @@ pub mod prelude {
 }
 
 pub use aggregate::{detection_value, evidence_samples, Answer, Evidence};
-pub use confidence::{margin_of_error, probit, ConfidenceInterval};
+pub use confidence::{margin_of_error, probit};
 pub use decision::{DecisionRule, Verdict};
+pub use dispute::{Dispute, Judgement};
 pub use stability::{stability_weight, StabilityParams};
 pub use store::TrustStore;
 pub use update::TrustUpdate;

@@ -5,7 +5,7 @@
 //! interval on empty and single-evidence samples, and rule (10) verdicts
 //! exactly on the γ boundaries.
 
-use trustlink_trust::confidence::{margin_of_error, sample_std_dev, ConfidenceInterval};
+use trustlink_trust::confidence::{margin_of_error, sample_std_dev};
 use trustlink_trust::prelude::*;
 
 // ---- TrustValue clamping at the ±1 domain edges ------------------------
@@ -80,14 +80,15 @@ fn std_dev_degenerate_sample_sizes() {
 
 #[test]
 fn interval_from_degenerate_samples_never_decides() {
-    // An unbounded interval must force rule (10) to withhold judgement,
-    // whatever the point estimate says.
+    // An unbounded formula (9) interval must force rule (10) to withhold
+    // judgement, whatever the point estimate says.
     let rule = DecisionRule::default();
     for samples in [&[][..], &[-1.0][..]] {
-        let ci = ConfidenceInterval::from_samples(samples, 0.95);
-        assert_eq!(ci.margin, f64::INFINITY);
-        assert!(ci.contains(0.0) && ci.contains(-1.0) && ci.contains(1.0));
-        assert_eq!(rule.decide(ci.center, ci.margin), Verdict::Unrecognized);
+        let margin = margin_of_error(samples, 0.95);
+        assert_eq!(margin, f64::INFINITY);
+        for detect in [-1.0, 0.0, 1.0] {
+            assert_eq!(rule.decide(detect, margin), Verdict::Unrecognized);
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use trustlink_trust::confidence::{sample_std_dev, z_for_confidence_level};
+use trustlink_trust::confidence::{sample_std_dev, z_for_confidence_level, CONFIDENCE_LEVEL};
 use trustlink_trust::entropy::{binary_entropy, probability_from_trust, trust_from_probability};
 use trustlink_trust::prelude::*;
 
@@ -25,6 +25,27 @@ fn trusted(t: f64, answer: Answer) -> Evidence {
 /// A row of the unweighted ablation.
 fn unit(answer: Answer) -> Evidence {
     Evidence { weight: 1.0, stability: 1.0, answer }
+}
+
+/// Dispute rounds: per round, each witness's `(answer, stability)`. The
+/// witness id is its index in the round, so ids recur across rounds as in
+/// the round model.
+fn dispute_rounds() -> impl Strategy<Value = Vec<Vec<(Answer, f64)>>> {
+    proptest::collection::vec(proptest::collection::vec((answer(), 0.0f64..=1.0), 0..8), 1..4)
+}
+
+/// The dispute holding `rounds`, answered through `record_answer`.
+fn dispute_of(rounds: &[Vec<(Answer, f64)>]) -> Dispute<usize> {
+    let mut dispute = Dispute::default();
+    for round in rounds {
+        dispute.open_round(round.iter().enumerate().map(|(w, &(_, s))| (w, s)));
+        for (w, &(a, _)) in round.iter().enumerate() {
+            if a != Answer::NoAnswer {
+                assert!(dispute.record_answer(w, a == Answer::Confirm));
+            }
+        }
+    }
+    dispute
 }
 
 fn evidence_kind() -> impl Strategy<Value = EvidenceKind> {
@@ -344,5 +365,59 @@ proptest! {
         for (_, t) in store.peers() {
             prop_assert!((-1.0..=1.0).contains(&t.get()));
         }
+    }
+
+    // ---- one dispute: (8)–(10) and the formula (5) testimony -------------
+
+    #[test]
+    fn dispute_judges_like_the_formulas_composed(
+        rounds in dispute_rounds(),
+        trust in proptest::collection::vec(-1.0f64..=1.0, 8),
+        unweighted in any::<bool>(),
+        extra in (any::<bool>(), -1.0f64..=1.0, 0.0f64..=1.0, answer()),
+    ) {
+        let weight = |w: usize| if unweighted { 1.0 } else { TrustValue::new(trust[w]).weight() };
+        let (has_extra, t, stability, a) = extra;
+        let extra = has_extra.then(|| Evidence { stability, ..trusted(t, a) });
+        // Every row of every round in roster order, then the extra row.
+        let mut pool: Vec<Evidence> = rounds
+            .iter()
+            .flat_map(|round| round.iter().enumerate())
+            .map(|(w, &(answer, stability))| Evidence { weight: weight(w), stability, answer })
+            .collect();
+        let answered = pool.iter().filter(|row| row.answer != Answer::NoAnswer).count();
+        pool.extend(extra);
+        let detect = detection_value(&pool);
+        let margin = margin_of_error(&evidence_samples(&pool), CONFIDENCE_LEVEL);
+        let verdict = DecisionRule::default().decide(detect, margin);
+
+        let got = dispute_of(&rounds).judge(weight, extra);
+        prop_assert_eq!(got.detect.to_bits(), detect.to_bits());
+        prop_assert_eq!(got.margin.to_bits(), margin.to_bits());
+        prop_assert_eq!(got.verdict, verdict);
+        prop_assert_eq!(got.answered, answered);
+    }
+
+    #[test]
+    fn dispute_testimony_scores_the_current_round_only(
+        rounds in dispute_rounds(),
+        truthful in answer(),
+    ) {
+        // Rows of earlier rounds yield nothing.
+        let last = rounds.last().expect("at least one round");
+        let expected: Vec<(usize, EvidenceKind)> = last
+            .iter()
+            .enumerate()
+            .map(|(w, &(a, _))| {
+                let kind = match a {
+                    Answer::NoAnswer => EvidenceKind::Unresponsive,
+                    a if a == truthful => EvidenceKind::TruthfulTestimony,
+                    _ => EvidenceKind::FalseTestimony,
+                };
+                (w, kind)
+            })
+            .collect();
+        let got: Vec<_> = dispute_of(&rounds).testimony(truthful).collect();
+        prop_assert_eq!(got, expected);
     }
 }
