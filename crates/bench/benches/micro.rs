@@ -1,8 +1,12 @@
-//! Micro-benchmarks of the hot primitives: MPR selection, route
-//! calculation, wire codec, a repeated TC's reception, log parsing,
-//! signature matching, trust update, detection aggregation and the probit.
+//! Micro-benchmarks of the hot primitives: the engine's frame fan-out and
+//! delivery, MPR selection, route calculation, wire codec, a repeated TC's
+//! reception, log parsing, signature matching, trust update, detection
+//! aggregation and the probit.
 
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 use trustlink_olsr::message::{
@@ -17,8 +21,54 @@ use trustlink_olsr::wire::{decode_packet, encode_packet};
 use trustlink_olsr::{OlsrConfig, OlsrNode};
 use trustlink_sim::record::Willingness;
 use trustlink_sim::record::{from_rlog_line, parse_line, LogRecord};
-use trustlink_sim::{Arena, NodeId, Position, RadioConfig, SimDuration, SimTime, SimulatorBuilder};
+use trustlink_sim::{
+    topologies, Application, Arena, Context, NodeId, Position, RadioConfig, SimDuration, SimTime,
+    SimulatorBuilder, TimerToken,
+};
 use trustlink_trust::prelude::*;
+
+/// Broadcasts one shared frame every 100 ms, starts staggered by id, and
+/// receives through the default `on_receive`: an application that costs
+/// next to nothing, so a run times the engine.
+struct Beacon {
+    payload: Bytes,
+}
+
+impl Application for Beacon {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(SimDuration::from_micros(u64::from(ctx.id().0) * 397), TimerToken(0));
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
+        ctx.broadcast(self.payload.clone());
+        ctx.set_timer(SimDuration::from_millis(100), token);
+    }
+}
+
+fn bench_engine(c: &mut Criterion) {
+    // 256 beacons on a mean-degree-10 random geometric graph, default
+    // radio delays. One iteration is 100 ms of simulated time: every node
+    // broadcasts once, and the engine fans each frame out to its
+    // receivers and delivers it through the in-flight ring.
+    let n = 256;
+    let arena = topologies::arena_for_mean_degree(n, 150.0, 10.0);
+    let positions = topologies::random_geometric(n, &arena, &mut StdRng::seed_from_u64(7));
+    let mut sim = SimulatorBuilder::new(1)
+        .arena(arena)
+        .radio(RadioConfig::unit_disk(150.0))
+        .expected_nodes(n)
+        .build();
+    let payload = Bytes::from_static(&[0u8; 64]);
+    for p in positions {
+        sim.add_node(Box::new(Beacon { payload: payload.clone() }), p);
+    }
+    sim.run_for(SimDuration::from_secs(1));
+    c.bench_function("engine_flood_256", |b| {
+        b.iter(|| sim.run_for(SimDuration::from_millis(100)));
+    });
+    let delivered: u64 = sim.node_ids().map(|id| sim.stats().node(id).received).sum();
+    assert!(delivered > 10_000, "the flood delivered only {delivered} frames");
+}
 
 fn bench_mpr_selection(c: &mut Criterion) {
     // 20 candidates covering 60 two-hop targets with overlap.
@@ -303,7 +353,7 @@ fn bench_trust_primitives(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(50);
-    targets = bench_mpr_selection, bench_routing, bench_wire, bench_olsr_receive,
+    targets = bench_engine, bench_mpr_selection, bench_routing, bench_wire, bench_olsr_receive,
               bench_log_pipeline, bench_signature_engine, bench_trust_primitives
 }
 criterion_main!(micro);

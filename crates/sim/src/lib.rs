@@ -61,6 +61,7 @@ pub mod mobility;
 pub mod node;
 pub mod radio;
 pub mod record;
+mod ring;
 pub mod stats;
 pub mod time;
 pub mod topologies;

@@ -1,9 +1,10 @@
 //! Allocation-regression guard for the frame delivery path.
 //!
-//! Every delivered frame is one entry on the engine's in-flight heap, and
-//! delivery is built entirely from recycled storage: the in-flight and
-//! control heaps, the per-callback command buffer and each sender's cached
-//! receiver list all reach a fixed point during warm-up. After that,
+//! Every delivered frame is one entry in the engine's in-flight calendar
+//! ring, and delivery is built entirely from recycled storage: the ring's
+//! buckets and its entry slab (whose freed slots are reused), the control
+//! heap, the per-callback command buffer and each sender's cached receiver
+//! list all reach a fixed point during warm-up. After that,
 //! delivering a frame must allocate NOTHING — zero calls into the global
 //! allocator per delivered frame, not "few". A counting
 //! `#[global_allocator]` pins that: if a
@@ -98,7 +99,7 @@ struct Beacon {
 impl Application for Beacon {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         // Stagger starts so deliveries spread across distinct instants and
-        // the in-flight heap warms to its true working-set size.
+        // the in-flight ring's slab warms to its true working-set size.
         let off = SimDuration::from_micros(u64::from(ctx.id().0) * 397);
         ctx.set_timer(off, TICK);
     }
@@ -127,8 +128,8 @@ fn steady_state_per_frame_delivery_allocates_nothing() {
         sim.add_node(Box::new(Beacon { payload: payload.clone() }), p);
     }
 
-    // Warm-up: grow both event heaps, every receiver list and the command
-    // buffer to their working sets.
+    // Warm-up: grow the control heap, the in-flight ring, every receiver
+    // list and the command buffer to their working sets.
     sim.run_for(SimDuration::from_secs(5));
     let delivered_before: u64 = (0..n).map(|i| sim.stats().node(NodeId(i as u32)).received).sum();
 
