@@ -14,11 +14,11 @@ use trustlink_olsr::message::{
     TcMessage,
 };
 use trustlink_olsr::mpr::{select_mprs, MprCandidate};
-use trustlink_olsr::routing::{RoutingTable, RoutingWorkspace, TreeRoute};
+use trustlink_olsr::routing::{RoutingGraph, RoutingTable, TreeRoute};
 use trustlink_olsr::state::{TopologySet, TwoHopSet};
 use trustlink_olsr::types::SequenceNumber;
 use trustlink_olsr::wire::{decode_packet, encode_packet};
-use trustlink_olsr::{OlsrConfig, OlsrNode};
+use trustlink_olsr::{FisheyeRings, FloodScope, OlsrConfig, OlsrNode};
 use trustlink_sim::record::Willingness;
 use trustlink_sim::record::{from_rlog_line, parse_line, LogRecord};
 use trustlink_sim::{
@@ -87,7 +87,8 @@ fn bench_mpr_selection(c: &mut Criterion) {
 }
 
 fn bench_routing(c: &mut Criterion) {
-    // A 50-node topology ring with chords.
+    // A 50-node topology ring with chords, routed by a kept graph: with no
+    // pair changed since the last run, a run is the BFS and the emit step.
     let mut topo = TopologySet::default();
     let until = SimTime::from_secs(1_000);
     for i in 0..50u32 {
@@ -95,52 +96,43 @@ fn bench_routing(c: &mut Criterion) {
         topo.apply_tc(NodeId(i), 1, &dests, until, SimTime::ZERO);
     }
     let sym = vec![NodeId(1), NodeId(49), NodeId(7)];
-    let two_hop = TwoHopSet::default();
+    let mut two_hop = TwoHopSet::default();
+    let mut graph = RoutingGraph::new(NodeId(0));
+    let mut main = RoutingTable::default();
+    graph.run(&mut main, 1, &sym, &mut two_hop, &mut topo);
+    let mut table = RoutingTable::default();
     c.bench_function("routing_table_50_nodes", |b| {
         b.iter(|| {
-            black_box(RoutingTable::compute(
-                NodeId(0),
-                black_box(&sym),
-                &two_hop,
-                black_box(&topo),
-                SimTime::ZERO,
-            ))
+            graph.run(&mut table, 1, black_box(&sym), &mut two_hop, &mut topo);
+            black_box(table.len())
         })
     });
+    assert_eq!(table, main);
+    // The whole table around 7: the masked BFS over the same graph.
     c.bench_function("routing_table_50_nodes_avoiding", |b| {
         b.iter(|| {
-            black_box(RoutingTable::compute_avoiding(
-                NodeId(0),
-                black_box(&sym),
-                &two_hop,
-                black_box(&topo),
-                SimTime::ZERO,
-                Some(NodeId(7)),
-            ))
+            graph.reroute(&mut table, black_box(NodeId(7)));
+            black_box(table.len())
         })
     });
-    // One avoid-routed lookup each way on the same ring, from a workspace
-    // holding the stamped main graph: the main tree reaches 2 without 7,
-    // so it answers; 14 lies behind 7, so the masked BFS runs.
-    let mut ws = RoutingWorkspace::default();
-    let mut main = RoutingTable::default();
-    RoutingTable::compute_avoiding_into(
-        &mut ws,
-        &mut main,
+    let want = RoutingTable::compute_avoiding(
         NodeId(0),
         &sym,
         &two_hop,
         &topo,
         SimTime::ZERO,
-        None,
+        Some(NodeId(7)),
     );
-    ws.stamp(1);
-    assert_eq!(ws.tree_route(1, NodeId(2), NodeId(7)), TreeRoute::Avoids);
-    assert_eq!(ws.tree_route(1, NodeId(14), NodeId(7)), TreeRoute::Passes);
+    assert_eq!(table, want);
+    // One avoid-routed lookup each way on the same ring: the main tree
+    // reaches 2 without 7, so it answers; 14 lies behind 7, so the masked
+    // BFS runs.
+    assert_eq!(graph.tree_route(1, NodeId(2), NodeId(7)), TreeRoute::Avoids);
+    assert_eq!(graph.tree_route(1, NodeId(14), NodeId(7)), TreeRoute::Passes);
     c.bench_function("avoid_lookup_50_nodes_tree", |b| {
         b.iter(|| {
             let dst = black_box(NodeId(2));
-            match ws.tree_route(1, dst, black_box(NodeId(7))) {
+            match graph.tree_route(1, dst, black_box(NodeId(7))) {
                 TreeRoute::Avoids => black_box(main.next_hop(dst)),
                 _ => unreachable!("the tree answers"),
             }
@@ -150,21 +142,11 @@ fn bench_routing(c: &mut Criterion) {
     c.bench_function("avoid_lookup_50_nodes_masked_bfs", |b| {
         b.iter(|| {
             let dst = black_box(NodeId(14));
-            match ws.tree_route(1, dst, black_box(NodeId(7))) {
+            match graph.tree_route(1, dst, black_box(NodeId(7))) {
                 TreeRoute::Passes => {}
                 _ => unreachable!("the tree cannot answer"),
             }
-            RoutingTable::reroute_avoiding_into(
-                &mut ws,
-                &mut around,
-                1,
-                NodeId(0),
-                &sym,
-                &two_hop,
-                &topo,
-                SimTime::ZERO,
-                NodeId(7),
-            );
+            graph.reroute(&mut around, NodeId(7));
             black_box(around.next_hop(dst))
         })
     });
@@ -172,15 +154,82 @@ fn bench_routing(c: &mut Criterion) {
     // cost follows the ids heard, not the largest one.
     let mut hostile = TwoHopSet::default();
     hostile.upsert(NodeId(1), NodeId(999_999), until, SimTime::ZERO);
+    let mut graph = RoutingGraph::new(NodeId(0));
     c.bench_function("routing_table_50_nodes_hostile_id", |b| {
         b.iter(|| {
-            black_box(RoutingTable::compute(
-                NodeId(0),
-                black_box(&sym),
-                black_box(&hostile),
-                black_box(&topo),
-                SimTime::ZERO,
-            ))
+            graph.run(&mut table, 1, black_box(&sym), &mut hostile, &mut topo);
+            black_box(table.len())
+        })
+    });
+    assert_eq!(table.route_to(NodeId(999_999)).map(|r| r.hops), Some(2));
+}
+
+fn bench_route_run(c: &mut Criterion) {
+    // The perfbench recipe's 256-node network (placement seed 11, mean
+    // degree 10, fisheye TCs), converged for 12 simulated seconds. One
+    // node's 2-hop and topology sets are copied out and followed by a kept
+    // graph. An iteration applies one changed TC, a newer ANSN that drops
+    // or restores one of its originator's advertised links, then runs the
+    // routes: the kept graph replays the two or three pair changes,
+    // where the one-shot calculation rebuilds from every live pair.
+    let n = 256;
+    let arena = topologies::arena_for_mean_degree(n, 150.0, 10.0);
+    let positions = topologies::random_geometric(
+        n,
+        &arena,
+        &mut StdRng::seed_from_u64(11u64.wrapping_add(0x9E37)),
+    );
+    let mut sim = SimulatorBuilder::new(1)
+        .arena(arena)
+        .radio(RadioConfig::unit_disk(150.0))
+        .expected_nodes(n)
+        .build();
+    let config = OlsrConfig::fast().with_flood_scope(FloodScope::Fisheye(FisheyeRings::default()));
+    for p in positions {
+        sim.add_node(Box::new(OlsrNode::new(config.clone())), p);
+    }
+    sim.run_for(SimDuration::from_secs(12));
+    let now = sim.now();
+    let me = NodeId(0);
+    let node = sim.app_as::<OlsrNode>(me).expect("an OLSR node");
+    let sym = node.symmetric_neighbors(now);
+    let mut two_hop = node.two_hop_set().clone();
+    let mut topo = node.topology_set().clone();
+    two_hop.purge(now);
+    topo.purge(now);
+    // The originator advertising the most links, and its advertisement.
+    let mut by_origin: std::collections::BTreeMap<NodeId, Vec<NodeId>> = Default::default();
+    for t in topo.iter(now) {
+        by_origin.entry(t.last_hop).or_default().push(t.dest);
+    }
+    let (&origin, full) = by_origin.iter().max_by_key(|(_, d)| d.len()).expect("a converged node");
+    let full = full.clone();
+    let short = &full[..full.len() - 1];
+    let mut ansn = topo.ansn_of(origin, now).expect("a live originator");
+    let until = now + SimDuration::from_secs(1_000);
+    let mut graph = RoutingGraph::new(me);
+    let mut table = RoutingTable::default();
+    graph.run(&mut table, 0, &sym, &mut two_hop, &mut topo);
+    assert!(table.len() > n / 2, "a converged node routes to most of the network");
+    let mut generation = 0;
+    c.bench_function("route_run_256", |b| {
+        b.iter(|| {
+            ansn = ansn.wrapping_add(1);
+            generation += 1;
+            let dests = if generation % 2 == 1 { short } else { &full[..] };
+            topo.apply_tc(origin, ansn, dests, until, now);
+            graph.run(&mut table, generation, black_box(&sym), &mut two_hop, &mut topo);
+            black_box(table.len())
+        })
+    });
+    assert_eq!(table, RoutingTable::compute(me, &sym, &two_hop, &topo, now));
+    c.bench_function("route_rebuild_256", |b| {
+        b.iter(|| {
+            ansn = ansn.wrapping_add(1);
+            generation += 1;
+            let dests = if generation % 2 == 1 { short } else { &full[..] };
+            topo.apply_tc(origin, ansn, dests, until, now);
+            black_box(RoutingTable::compute(me, black_box(&sym), &two_hop, &topo, now).len())
         })
     });
 }
@@ -353,7 +402,8 @@ fn bench_trust_primitives(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(50);
-    targets = bench_engine, bench_mpr_selection, bench_routing, bench_wire, bench_olsr_receive,
+    targets = bench_engine, bench_mpr_selection, bench_routing, bench_route_run, bench_wire,
+              bench_olsr_receive,
               bench_log_pipeline, bench_signature_engine, bench_trust_primitives
 }
 criterion_main!(micro);

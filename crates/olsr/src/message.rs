@@ -247,12 +247,23 @@ pub fn encode_vtime(d: SimDuration) -> u8 {
     ((a as u8) << 4) | (b as u8)
 }
 
-/// Decodes an RFC 3626 §18.3 vtime byte.
+/// Every vtime byte's value in microseconds: `C·(1 + a/16)·2^b` s is
+/// `(16 + a)·2^b / 256` s, rounded to the nearest microsecond (halves up).
+const VTIME_MICROS: [u64; 256] = {
+    let mut table = [0; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let (a, b) = (byte as u64 >> 4, byte as u64 & 0x0F);
+        table[byte] = ((((16 + a) * 1_000_000) << b) + 128) >> 8;
+        byte += 1;
+    }
+    table
+};
+
+/// Decodes an RFC 3626 §18.3 vtime byte: a lookup, since a byte has only
+/// 256 values and every message header carries one.
 pub fn decode_vtime(byte: u8) -> SimDuration {
-    const C: f64 = 0.0625;
-    let a = f64::from(byte >> 4);
-    let b = i32::from(byte & 0x0F);
-    SimDuration::from_secs_f64(C * (1.0 + a / 16.0) * 2f64.powi(b))
+    SimDuration::from_micros(VTIME_MICROS[usize::from(byte)])
 }
 
 #[cfg(test)]
@@ -348,6 +359,15 @@ mod tests {
             let decoded = decode_vtime(encode_vtime(d)).as_secs_f64();
             let rel = (decoded - secs).abs() / secs;
             assert!(rel < 0.07, "vtime {secs}s decoded as {decoded}s (rel err {rel})");
+        }
+    }
+
+    #[test]
+    fn vtime_table_matches_the_formula() {
+        for byte in 0..=u8::MAX {
+            let (a, b) = (f64::from(byte >> 4), i32::from(byte & 0x0F));
+            let want = SimDuration::from_secs_f64(0.0625 * (1.0 + a / 16.0) * 2f64.powi(b));
+            assert_eq!(decode_vtime(byte), want, "vtime byte {byte:#04x}");
         }
     }
 

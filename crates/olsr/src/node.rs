@@ -20,7 +20,7 @@ use crate::message::{
     TcMessage,
 };
 use crate::mpr::MprCandidate;
-use crate::routing::{RoutingTable, RoutingWorkspace, TreeRoute};
+use crate::routing::{RoutingGraph, RoutingTable, TreeRoute};
 use crate::state::{
     boxed_ids, DupProbe, DuplicateSet, LinkSet, LinkStatus, LinkTuple, MprSelectorSet, NeighborSet,
     TopologySet, TwoHopSet,
@@ -195,8 +195,11 @@ pub struct OlsrNode<H: OlsrHooks = NoHooks> {
     /// Reused symmetric-neighbor buffer: swapped with `prev_sym` on flush,
     /// and holds a received HELLO's claimed symmetric set meanwhile.
     sym_scratch: Vec<NodeId>,
-    /// Reused route-calculation scratch (see [`RoutingWorkspace`]).
-    route_ws: RoutingWorkspace,
+    /// The routing graph, kept in step with the 2-hop and topology sets
+    /// from route run to route run (see [`RoutingGraph`]). Boxed and
+    /// created by the first route run, so set-up allocates nothing for it
+    /// and the node grows by one pointer.
+    graph: Option<Box<RoutingGraph>>,
     /// Reused routing-table double buffer, swapped with `routes` on change.
     routes_scratch: RoutingTable,
     /// Memoised avoid-route tables, at most [`AVOID_MEMO_SLOTS`].
@@ -249,7 +252,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
             wire_scratch: Vec::new(),
             targets_scratch: Vec::new(),
             sym_scratch: Vec::new(),
-            route_ws: RoutingWorkspace::default(),
+            graph: None,
             routes_scratch: RoutingTable::default(),
             avoid_memo: Vec::new(),
             log_memo: None,
@@ -546,7 +549,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
         // The next hop reads the materialized routing table: refresh it so
         // data-plane decisions never depend on recompute scheduling.
         self.ensure_fresh(ctx);
-        let Some(next) = self.next_hop_for(dst, avoid, now) else {
+        let Some(next) = self.next_hop_for(dst, avoid) else {
             return false;
         };
         let msg = Message {
@@ -567,10 +570,10 @@ impl<H: OlsrHooks> OlsrNode<H> {
     ///
     /// When the main BFS tree reaches `dst` without passing `avoid`, the
     /// main route is also the route around it
-    /// ([`RoutingWorkspace::tree_route`]); only destinations behind the
+    /// ([`RoutingGraph::tree_route`]); only destinations behind the
     /// avoided node take the memoised masked BFS. The first avoid-routed
     /// lookup makes this and every later route run record its tree.
-    fn next_hop_for(&mut self, dst: NodeId, avoid: Option<NodeId>, now: SimTime) -> Option<NodeId> {
+    fn next_hop_for(&mut self, dst: NodeId, avoid: Option<NodeId>) -> Option<NodeId> {
         let Some(avoided) = avoid else {
             return self.routes.next_hop(dst);
         };
@@ -578,18 +581,20 @@ impl<H: OlsrHooks> OlsrNode<H> {
             return None;
         }
         self.stats.avoid_lookups += 1;
-        if self.route_ws.tree_route(self.stats.route_runs, dst, avoided) == TreeRoute::Avoids {
+        let generation = self.stats.route_runs;
+        let tree = self.graph.as_mut().map(|g| g.tree_route(generation, dst, avoided));
+        if tree == Some(TreeRoute::Avoids) {
             self.stats.avoid_tree_hits += 1;
             return self.routes.next_hop(dst);
         }
-        self.avoid_routes(avoided, now).next_hop(dst)
+        self.avoid_routes(avoided).next_hop(dst)
     }
 
     /// The routing table around `avoided` for the current route
     /// generation, from the memo or freshly computed into a stale entry's
-    /// allocation. A miss re-runs only the BFS over the adjacency the
-    /// generation's main route run left in `route_ws`.
-    fn avoid_routes(&mut self, avoided: NodeId, now: SimTime) -> &RoutingTable {
+    /// allocation. A miss re-runs only the BFS, masked, over the graph the
+    /// generation's route run searched.
+    fn avoid_routes(&mut self, avoided: NodeId) -> &RoutingTable {
         let generation = self.stats.route_runs;
         let memo = &mut self.avoid_memo;
         if let Some(i) =
@@ -610,17 +615,9 @@ impl<H: OlsrHooks> OlsrNode<H> {
         let entry = &mut memo[i];
         entry.avoided = avoided;
         entry.generation = generation;
-        RoutingTable::reroute_avoiding_into(
-            &mut self.route_ws,
-            &mut entry.table,
-            generation,
-            self.id,
-            &self.prev_sym,
-            &self.two_hop,
-            &self.topology,
-            now,
-            avoided,
-        );
+        let id = self.id;
+        let graph = self.graph.get_or_insert_with(|| Box::new(RoutingGraph::new(id)));
+        graph.reroute(&mut entry.table, avoided);
         &entry.table
     }
 
@@ -829,7 +826,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
         let (dst, avoid) = (data.dst, data.avoid);
         // Same contract as `send_data`: route from fresh state.
         self.ensure_fresh(ctx);
-        let Some(next) = self.next_hop_for(dst, avoid, now) else {
+        let Some(next) = self.next_hop_for(dst, avoid) else {
             return;
         };
         msg.ttl -= 1;
@@ -1032,25 +1029,23 @@ impl<H: OlsrHooks> OlsrNode<H> {
         }
 
         // Routing table: only when the neighborhood or the topology
-        // changed (same exactness argument).
+        // changed (same exactness argument). The sweeps above leave only
+        // live pairs stored, which is what the graph routes over; it takes
+        // the pairs inserted and removed since its last run.
         if nbr_changed || topo_changed {
             self.stats.route_runs += 1;
-            RoutingTable::compute_avoiding_into(
-                &mut self.route_ws,
+            let id = self.id;
+            self.graph.get_or_insert_with(|| Box::new(RoutingGraph::new(id))).run(
                 &mut self.routes_scratch,
-                self.id,
+                self.stats.route_runs,
                 &self.prev_sym,
-                &self.two_hop,
-                &self.topology,
-                now,
-                None,
+                &mut self.two_hop,
+                &mut self.topology,
             );
-            self.route_ws.stamp(self.stats.route_runs);
-            let diff = self.routes.diff(&self.routes_scratch);
-            for r in &diff.added {
+            for r in self.routes.added(&self.routes_scratch) {
                 ctx.log(LogRecord::RouteAdded { dest: r.dest, next_hop: r.next_hop, hops: r.hops });
             }
-            for r in &diff.changed {
+            for r in self.routes.changed(&self.routes_scratch) {
                 ctx.log(LogRecord::RouteChanged {
                     dest: r.dest,
                     next_hop: r.next_hop,
@@ -1759,9 +1754,9 @@ mod tests {
         let a = sim.app_as_mut::<OlsrNode>(NodeId(0)).unwrap();
         let sym = a.symmetric_neighbors(now);
         assert_eq!(sym, vec![NodeId(1), NodeId(2)]);
-        let next = a.next_hop_for(NodeId(3), Some(NodeId(1)), now);
+        let next = a.next_hop_for(NodeId(3), Some(NodeId(1)));
         assert_eq!(next, Some(NodeId(2)));
-        let next_none = a.next_hop_for(NodeId(1), Some(NodeId(1)), now);
+        let next_none = a.next_hop_for(NodeId(1), Some(NodeId(1)));
         assert_eq!(next_none, None, "cannot route to the avoided node");
     }
 
@@ -1816,7 +1811,7 @@ mod tests {
             for (xi, di) in pairs {
                 let (x, dst) = (self.ids[xi], self.ids[di]);
                 let want = if dst == x { None } else { oracles[xi].next_hop(dst) };
-                let got = self.node.next_hop_for(dst, Some(x), now);
+                let got = self.node.next_hop_for(dst, Some(x));
                 self.checks += 1;
                 if got != want {
                     self.mismatches.push(format!(

@@ -2,19 +2,27 @@
 //!
 //! Routes are shortest paths (hop count) over the union of:
 //! * this node's symmetric 1-hop links, and
-//! * the topology tuples learned from TCs (`last_hop → dest` edges).
+//! * the learned links: the 2-hop pairs heard in HELLOs and the topology
+//!   tuples learned from TCs (`last_hop → dest` edges), each usable both
+//!   ways.
 //!
-//! [`RoutingTable::compute_avoiding`] additionally excludes one node from
-//! the graph — the primitive the paper's investigation uses so that
-//! requests/answers "should not go through … the suspicious MPR".
-//! [`RoutingWorkspace::tree_route`] tells when the main route already
-//! avoids that node, so the avoid computation runs only for destinations
-//! behind it.
+//! A node keeps its [`RoutingGraph`] for good and changes only the edges
+//! whose pairs changed since its last route run, so a run is the BFS, not a
+//! rebuild. [`RoutingTable::compute_avoiding`] is the one-shot calculation
+//! from the sets, which additionally excludes one node from the graph —
+//! the primitive the paper's investigation uses so that requests/answers
+//! "should not go through … the suspicious MPR". The graph answers it for
+//! its last run with a masked BFS ([`RoutingGraph::reroute`]), and
+//! [`RoutingGraph::tree_route`] tells when the main route already avoids
+//! that node, so the masked BFS runs only for destinations behind it.
+
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use trustlink_sim::{NodeId, SimTime};
 
 use crate::idhash::IdHash;
-use crate::state::{TopologySet, TwoHopSet};
+use crate::state::{PairLog, TopologySet, TwoHopSet};
 
 /// Unvisited marker in the BFS distance array.
 const UNVISITED: u32 = u32::MAX;
@@ -26,65 +34,90 @@ const FREE: u32 = u32::MAX;
 /// Smallest id→slot table, in entries (a power of two).
 const MIN_TABLE: usize = 64;
 
-/// Reusable scratch state for [`RoutingTable::compute_avoiding_into`].
+/// Adjacency-entry flag: the entry comes from a topology tuple, not from a
+/// 2-hop pair.
+const TOPO: u32 = 1 << 30;
+
+/// Adjacency-entry flag: the vertex holding the entry is the second id of
+/// the pair that produced it.
+const SECOND: u32 = 1 << 31;
+
+/// The slot bits of an adjacency entry.
+const SLOT: u32 = TOPO - 1;
+
+/// One node's routing graph, kept from route run to route run.
 ///
-/// The workspace interns the node ids it meets into compact slots through
-/// an open-addressing id→slot table, keeps one adjacency list per slot
-/// and runs the BFS over slots. Time and memory therefore scale with the
-/// edges the node has heard, never with the numeric size of an id: a
-/// forged `NodeId(u32::MAX)` costs one slot like any other.
+/// The graph interns the node ids it meets into compact slots through an
+/// open-addressing id→slot table, keeps one adjacency list per slot and
+/// runs the BFS over slots. Time and memory therefore scale with the edges
+/// the node has heard, never with the numeric size of an id: a forged
+/// `NodeId(u32::MAX)` costs one slot like any other.
 ///
-/// The interner persists across computations, so a steady neighborhood
-/// re-uses its slots and its id-sorted slot order (the routes come out
-/// sorted by destination without a per-run sort). Once the ids interned
-/// outnumber about twice those the last computation still met, it starts
-/// over, so ids that are no longer heard do not pile up. Every buffer
-/// keeps its capacity, so the steady-state path allocates nothing.
+/// Each [`run`](Self::run) first applies the stored-pair insertions and
+/// removals the 2-hop and topology sets recorded since the last run, then
+/// rebuilds `me`'s out-edges from its symmetric neighbors. Every list then
+/// equals what a rebuild from the stored pairs would push, in the same
+/// order, duplicates included: `me`'s list is the symmetric neighbors in
+/// the order given; any other vertex's list is its 2-hop entries, then its
+/// topology entries, each group ascending by the `(a, b)` pair that
+/// produced the entry. BFS tie-breaks depend only on that order, so the
+/// routes equal [`RoutingTable::compute`] on the sets, whatever slot each
+/// id holds. Pairs that touch `me`, and self-loops, add no edge.
 ///
-/// After a main (`avoid = None`) computation the adjacency stays in place.
-/// Once [`stamp`](Self::stamp)ed with a route generation, it serves
-/// [`RoutingTable::reroute_avoiding_into`] for that generation without
-/// being rebuilt, and [`tree_route`](Self::tree_route) tells from its BFS
-/// tree which routes around a node are the main routes themselves. The
-/// tree costs one parent slot per interned id, recorded only from the
-/// first such query on.
-#[derive(Debug, Clone, Default)]
-pub struct RoutingWorkspace {
+/// Between runs the graph stays the one the last run searched: the sets
+/// hold the changes until the next run takes them. [`reroute`](Self::reroute)
+/// masks one vertex out of that graph, and [`tree_route`](Self::tree_route)
+/// tells from its BFS tree, for the route generation the last run was
+/// given, which routes around a node are the main routes themselves. The
+/// tree costs one parent slot per slot, recorded only from the first such
+/// query on.
+///
+/// A slot whose last edge goes is freed and reused, smallest first, so ids
+/// that are no longer heard do not pile up. Every buffer keeps its
+/// capacity, so a run in steady state allocates nothing.
+#[derive(Debug, Clone)]
+pub struct RoutingGraph {
+    /// The node whose routes the graph computes; its slot is [`ME`].
+    me: NodeId,
     /// Open-addressing id→slot table of `(id, slot)` entries, [`FREE`]
     /// slot when unused; a power of two at most half full.
     table: Vec<(u32, u32)>,
-    /// The table's hash function, drawn at random when the workspace
-    /// first builds its table: ids arrive off the air, and a fixed
-    /// function would let a sender pick ids that all share one probe run.
+    /// The table's hash function, drawn at random with the graph: ids
+    /// arrive off the air, and a fixed function would let a sender pick ids
+    /// that all share one probe run.
     hash: IdHash,
-    /// Slot → id.
+    /// Slot → id; stale for a free slot.
     ids: Vec<NodeId>,
-    /// Every slot, ascending by id; rebuilt when new ids were interned.
+    /// Every interned slot, ascending by id.
     by_id: Vec<u32>,
-    /// Out-edges per slot in insertion order, which is what fixes the BFS
-    /// tie-breaks independently of id values. Emptied (capacity kept) at
-    /// the start of each computation.
+    /// Out-edges per slot: for [`ME`], the slots of its symmetric
+    /// neighbors; for any other slot, entries of [`SLOT`] bits plus the
+    /// [`TOPO`] and [`SECOND`] flags, in the order described above.
     adj: Vec<Vec<u32>>,
+    /// Free slots below `ids.len()`, smallest first.
+    free: BinaryHeap<Reverse<u32>>,
     /// Per slot, the BFS hop count ([`UNVISITED`] when unreached) and the
     /// first-hop slot toward it.
     reach: Vec<(u32, u32)>,
     /// BFS visit order; the frontier is `queue[head..]`.
     queue: Vec<u32>,
-    /// The main computation's BFS parent of each slot, [`UNVISITED`] for
-    /// `me` and unreached slots; empty unless that computation recorded it.
-    /// Masked searches leave it alone.
+    /// The last run's BFS parent of each slot, [`UNVISITED`] for `me` and
+    /// unreached slots; empty unless that run recorded it. Masked searches
+    /// leave it alone.
     parent: Vec<u32>,
-    /// Whether main computations record `parent`: set by the first
+    /// Whether runs record `parent`: set by the first
     /// [`tree_route`](Self::tree_route) query.
     record_parents: bool,
-    /// `(me, me's slot)` while `adj` holds the graph of a main computation.
-    main: Option<(NodeId, u32)>,
-    /// The route generation [`stamp`](Self::stamp) gave that graph.
+    /// The route generation the last run was given; `None` before the
+    /// first run.
     generation: Option<u64>,
 }
 
+/// `me`'s slot: interned first, and never freed.
+const ME: u32 = 0;
+
 /// How the main BFS tree's route to a destination stands toward a node to
-/// be avoided: the answer of [`RoutingWorkspace::tree_route`].
+/// be avoided: the answer of [`RoutingGraph::tree_route`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TreeRoute {
     /// The main route to the destination does not pass the avoided node,
@@ -94,69 +127,118 @@ pub enum TreeRoute {
     /// The main route to the destination passes the avoided node, or ends
     /// at it.
     Passes,
-    /// The workspace holds no main graph stamped with the asked
-    /// generation.
+    /// The graph's last run was not given the asked generation.
     Unknown,
 }
 
-impl RoutingWorkspace {
-    /// Empties the adjacency lists for a new computation. The interner
-    /// starts over when it holds more than about twice the ids the
-    /// previous computation met (slots with out-edges, plus the sym
-    /// neighbors and `me`, which may have none).
-    fn begin(&mut self, sym: usize) {
-        let mut live = sym + 1;
-        for list in &mut self.adj {
-            live += usize::from(!list.is_empty());
-            list.clear();
-        }
-        if self.table.is_empty() || self.ids.len() > 2 * live + MIN_TABLE {
-            let len = (live * 2).next_power_of_two().max(MIN_TABLE);
-            self.table.clear();
-            self.table.resize(len, (0, FREE));
-            self.hash = IdHash::random();
-            self.ids.clear();
-            self.by_id.clear();
-            self.adj.truncate(live);
-        }
+impl RoutingGraph {
+    /// An empty graph for the node `me`.
+    pub fn new(me: NodeId) -> Self {
+        let mut graph = RoutingGraph {
+            me,
+            table: vec![(0, FREE); MIN_TABLE],
+            hash: IdHash::random(),
+            ids: Vec::new(),
+            by_id: Vec::new(),
+            adj: Vec::new(),
+            free: BinaryHeap::new(),
+            reach: Vec::new(),
+            queue: Vec::new(),
+            parent: Vec::new(),
+            record_parents: false,
+            generation: None,
+        };
+        let me_slot = graph.slot(me);
+        debug_assert_eq!(me_slot, ME);
+        graph
     }
 
-    /// Stamps the adjacency the last computation built with the route
-    /// generation `generation`, when that computation was a main
-    /// (`avoid = None`) one; otherwise the workspace stays unstamped.
-    pub fn stamp(&mut self, generation: u64) {
-        self.generation = self.main.map(|_| generation);
-    }
-
-    /// Whether the main route to `dst` in the BFS tree of the main graph
-    /// stamped with `generation` passes `avoided`, found by walking BFS
-    /// parents from `dst` toward `me` (at most the route's hop count).
+    /// The main route run: brings the graph in step with the stored pairs
+    /// of `two_hop` and `topology`, links `me` to `sym`, and writes the
+    /// routes into `out` (cleared first, capacity kept). The graph is then
+    /// the one of route generation `generation`.
     ///
-    /// Main computations record no tree until the first query: it reruns
-    /// the stamped graph's BFS to record one, and every later main
-    /// computation records its own. A workspace never asked pays nothing.
+    /// The graph routes over the *stored* pairs, so the caller purges both
+    /// sets at the current instant first; the routes then equal
+    /// [`RoutingTable::compute`] on the sets. A graph follows one pair of
+    /// sets: the first run loads them whole, and later runs apply only the
+    /// changes they recorded since.
+    pub fn run(
+        &mut self,
+        out: &mut RoutingTable,
+        generation: u64,
+        sym: &[NodeId],
+        two_hop: &mut TwoHopSet,
+        topology: &mut TopologySet,
+    ) {
+        if self.generation.is_none() {
+            two_hop.pairs.unfollow();
+            topology.pairs.unfollow();
+        }
+        if two_hop.pairs.followed() {
+            self.replay(0, &mut two_hop.pairs);
+        } else {
+            self.load(0, two_hop.stored_pairs());
+            two_hop.pairs.follow();
+        }
+        if topology.pairs.followed() {
+            self.replay(TOPO, &mut topology.pairs);
+        } else {
+            self.load(TOPO, topology.stored_pairs());
+            topology.pairs.follow();
+        }
+        self.link_first_hops(sym);
+        self.trim();
+        self.generation = Some(generation);
+        self.parent.clear();
+        if self.record_parents {
+            self.parent.resize(self.ids.len(), UNVISITED);
+        }
+        self.search(None, self.record_parents);
+        self.emit(out);
+    }
+
+    /// The routes around `avoided` in the graph the last run searched,
+    /// written into `out`: the BFS over that graph with `avoided` masked
+    /// out. They equal [`RoutingTable::compute_avoiding`] on the sets that
+    /// run read: the avoid graph is the main graph minus one vertex, every
+    /// vertex keeps its remaining out-edges in the same order, so the BFS
+    /// breaks every tie the same way. Before the first run the graph holds
+    /// `me` alone, and `out` ends empty.
+    pub fn reroute(&mut self, out: &mut RoutingTable, avoided: NodeId) {
+        // Avoiding `me` removes no edge: `me` has no in-edges.
+        let masked = if avoided == self.me { None } else { self.find(avoided) };
+        self.search(masked, false);
+        self.emit(out);
+    }
+
+    /// Whether the main route to `dst` in the BFS tree of the last run,
+    /// given route generation `generation`, passes `avoided`, found by
+    /// walking BFS parents from `dst` toward `me` (at most the route's hop
+    /// count).
+    ///
+    /// Runs record no tree until the first query: it reruns the last run's
+    /// BFS to record one, and every later run records its own. A graph
+    /// never asked pays nothing.
     ///
     /// [`TreeRoute::Avoids`] is exact: masking a vertex only delays its
     /// descendants in the BFS queue, since adjacency order is fixed, so
     /// every vertex outside its subtree keeps its distance, its first
     /// discoverer and its first hop, and an unreached one stays unreached.
-    /// The route [`RoutingTable::compute_avoiding`] gives around `avoided`
-    /// is then the main route to `dst`, or equally absent. Avoiding `me`
-    /// removes nothing, and a reached `dst` equal to `avoided` passes.
+    /// The route [`reroute`](Self::reroute) gives around `avoided` is then
+    /// the main route to `dst`, or equally absent. Avoiding `me` removes
+    /// nothing, and a reached `dst` equal to `avoided` passes.
     ///
-    /// [`TreeRoute::Unknown`] when the workspace is unstamped or stamped
-    /// with another generation.
+    /// [`TreeRoute::Unknown`] when the last run was given another
+    /// generation, or no run happened yet.
     pub fn tree_route(&mut self, generation: u64, dst: NodeId, avoided: NodeId) -> TreeRoute {
-        let Some((_, me_slot)) = self.main else {
-            return TreeRoute::Unknown;
-        };
         if self.generation != Some(generation) {
             return TreeRoute::Unknown;
         }
         if self.parent.is_empty() {
             self.record_parents = true;
             self.parent.resize(self.ids.len(), UNVISITED);
-            self.search(me_slot, None, true);
+            self.search(None, true);
         }
         let (Some(mut v), Some(avoided)) = (self.find(dst), self.find(avoided)) else {
             return TreeRoute::Avoids;
@@ -164,7 +246,7 @@ impl RoutingWorkspace {
         loop {
             let up = self.parent[v as usize];
             // Reached `me`, or `dst` is unreached.
-            if v == me_slot || up == UNVISITED {
+            if v == ME || up == UNVISITED {
                 return TreeRoute::Avoids;
             }
             if v == avoided {
@@ -174,30 +256,149 @@ impl RoutingWorkspace {
         }
     }
 
-    /// BFS from `me_slot` over `adj`, never entering `masked`. With
-    /// `record`, each reached slot's parent goes into `parent`, sized by
-    /// the caller.
-    fn search(&mut self, me_slot: u32, masked: Option<u32>, record: bool) {
-        let RoutingWorkspace { ids, adj, reach, queue, parent, .. } = self;
+    /// Applies the pairs `log` recorded since the last run to the edges of
+    /// one kind: `0` for 2-hop pairs, [`TOPO`] for topology tuples.
+    fn replay(&mut self, kind: u32, log: &mut PairLog) {
+        log.drain(|a, b| self.toggle(kind, a, b));
+    }
+
+    /// Replaces every edge of one kind with those of the `stored` pairs:
+    /// how a run takes a set that recorded no changes for it.
+    #[cold]
+    fn load(&mut self, kind: u32, stored: impl Iterator<Item = (NodeId, NodeId)>) {
+        for s in 0..self.adj.len() as u32 {
+            if s != ME && !self.adj[s as usize].is_empty() {
+                self.adj[s as usize].retain(|&e| e & TOPO != kind);
+                self.release_if_unused(s);
+            }
+        }
+        for (a, b) in stored {
+            self.toggle(kind, a, b);
+        }
+    }
+
+    /// Inserts the edges `a → b` and `b → a` of the stored pair `(a, b)` of
+    /// `kind`, or removes them when the graph holds them. Pairs touching
+    /// `me`, and self-loops, have none.
+    fn toggle(&mut self, kind: u32, a: NodeId, b: NodeId) {
+        if a == self.me || b == self.me || a == b {
+            return;
+        }
+        let key = (kind, a, b);
+        if let (Some(sa), Some(sb)) = (self.find(a), self.find(b)) {
+            if let (i, true) = self.position(sa, key) {
+                self.adj[sa as usize].remove(i);
+                let (j, _) = self.position(sb, key);
+                self.adj[sb as usize].remove(j);
+                self.release_if_unused(sa);
+                self.release_if_unused(sb);
+                return;
+            }
+        }
+        let (sa, sb) = (self.slot(a), self.slot(b));
+        let (i, _) = self.position(sa, key);
+        self.adj[sa as usize].insert(i, sb | kind);
+        let (j, _) = self.position(sb, key);
+        self.adj[sb as usize].insert(j, sa | kind | SECOND);
+    }
+
+    /// Where `key` stands among `v`'s entries, and whether the entry there
+    /// is its own.
+    fn position(&self, v: u32, key: (u32, NodeId, NodeId)) -> (usize, bool) {
+        let (ids, list) = (&self.ids, &self.adj[v as usize]);
+        let own = ids[v as usize];
+        let key_of = |e: u32| {
+            let other = ids[(e & SLOT) as usize];
+            let (a, b) = if e & SECOND != 0 { (other, own) } else { (own, other) };
+            (e & TOPO, a, b)
+        };
+        let i = list.partition_point(|&e| key_of(e) < key);
+        (i, list.get(i).is_some_and(|&e| key_of(e) == key))
+    }
+
+    /// Rebuilds `me`'s out-edges from `sym`, in its order, and frees the
+    /// slots of former neighbors left with no edge. The old edges wait in
+    /// the BFS queue's storage meanwhile.
+    fn link_first_hops(&mut self, sym: &[NodeId]) {
+        let mut old = std::mem::take(&mut self.queue);
+        old.clear();
+        std::mem::swap(&mut old, &mut self.adj[ME as usize]);
+        for &n in sym {
+            if n != self.me {
+                let s = self.slot(n);
+                self.adj[ME as usize].push(s);
+            }
+        }
+        for &s in &old {
+            self.release_if_unused(s);
+        }
+        self.queue = old;
+    }
+
+    /// Frees slot `s` when it holds no edge, is not `me` and is not one of
+    /// `me`'s neighbors: its id is forgotten, and the slot is reused.
+    fn release_if_unused(&mut self, s: u32) {
+        if s == ME || !self.adj[s as usize].is_empty() {
+            return;
+        }
+        let id = self.ids[s as usize];
+        // Already freed (a slot can appear twice among `me`'s old edges),
+        // or still one of `me`'s neighbors.
+        if self.find(id) != Some(s) || self.adj[ME as usize].contains(&s) {
+            return;
+        }
+        self.unmap(id);
+        let i = self.by_id.partition_point(|&t| self.ids[t as usize] < id);
+        self.by_id.remove(i);
+        self.free.push(Reverse(s));
+    }
+
+    /// Drops the free slots at the top of the slot range, and halves the
+    /// id table while it is less than an eighth full.
+    fn trim(&mut self) {
+        let live = self.by_id.len();
+        let slots = self.ids.len();
+        while self.ids.len() > live {
+            let top = self.ids.len() - 1;
+            if self.find(self.ids[top]) == Some(top as u32) {
+                break;
+            }
+            self.ids.pop();
+            self.adj.pop();
+        }
+        if self.ids.len() < slots {
+            let n = self.ids.len() as u32;
+            self.free.retain(|&Reverse(s)| s < n);
+        }
+        if self.table.len() > MIN_TABLE && live * 8 < self.table.len() {
+            self.rehash((live * 2).next_power_of_two().max(MIN_TABLE));
+        }
+    }
+
+    /// BFS from `me` over `adj`, never entering `masked`. With `record`,
+    /// each reached slot's parent goes into `parent`, sized by the caller.
+    fn search(&mut self, masked: Option<u32>, record: bool) {
+        let RoutingGraph { ids, adj, reach, queue, parent, .. } = self;
         reach.clear();
-        reach.resize(ids.len(), (UNVISITED, me_slot));
+        reach.resize(ids.len(), (UNVISITED, ME));
         queue.clear();
         // A masked slot looks visited, so no edge leads into it.
         if let Some(m) = masked {
             reach[m as usize].0 = 0;
         }
-        reach[me_slot as usize].0 = 0;
-        queue.push(me_slot);
+        reach[ME as usize].0 = 0;
+        queue.push(ME);
         let mut head = 0;
         while let Some(&u) = queue.get(head) {
             head += 1;
             let (du, hop) = reach[u as usize];
-            for &v in &adj[u as usize] {
+            for &e in &adj[u as usize] {
+                let v = e & SLOT;
                 let r = &mut reach[v as usize];
                 if r.0 != UNVISITED {
                     continue;
                 }
-                *r = (du + 1, if u == me_slot { v } else { hop });
+                *r = (du + 1, if u == ME { v } else { hop });
                 if record {
                     parent[v as usize] = u;
                 }
@@ -209,97 +410,110 @@ impl RoutingWorkspace {
         }
     }
 
-    /// The slots the last search reached, `me_slot` aside, written into
-    /// `out` in id order.
-    fn emit(&mut self, out: &mut RoutingTable, me_slot: u32) {
-        let RoutingWorkspace { ids, by_id, reach, .. } = self;
-        let n = ids.len();
-        if by_id.len() != n {
-            by_id.clear();
-            by_id.extend(0..n as u32);
-            by_id.sort_unstable_by_key(|&s| ids[s as usize]);
-        }
+    /// The slots the last search reached, `me` aside, written into `out`
+    /// in id order.
+    fn emit(&self, out: &mut RoutingTable) {
+        let RoutingGraph { ids, by_id, reach, .. } = self;
         out.routes.clear();
-        for &s in by_id.iter() {
+        for &s in by_id {
             let (hops, hop) = reach[s as usize];
-            if hops != UNVISITED && s != me_slot {
+            if hops != UNVISITED && s != ME {
                 let next_hop = ids[hop as usize];
                 out.routes.push(Route { dest: ids[s as usize], next_hop, hops });
             }
         }
     }
 
-    /// The slot of `id` if it is interned.
-    fn find(&self, id: NodeId) -> Option<u32> {
-        let mask = self.table.len().checked_sub(1)?;
-        let mut i = self.hash.bucket(u64::from(id.0), self.table.len());
-        loop {
-            let (key, slot) = self.table[i];
-            if slot == FREE {
-                return None;
-            }
-            if key == id.0 {
-                return Some(slot);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// The slot of `id`, interning it on first sight.
-    fn slot(&mut self, id: NodeId) -> u32 {
+    /// The table entry holding `id`, or the free entry ending its probe
+    /// run.
+    fn probe(&self, id: NodeId) -> usize {
         let mask = self.table.len() - 1;
         let mut i = self.hash.bucket(u64::from(id.0), self.table.len());
         loop {
             let (key, slot) = self.table[i];
-            if slot == FREE {
-                return self.intern(i, id);
-            }
-            if key == id.0 {
-                return slot;
+            if slot == FREE || key == id.0 {
+                return i;
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Interns `id` into the free table entry `i`, doubling the table when
-    /// it passes half full.
+    /// The slot of `id` if it is interned.
+    fn find(&self, id: NodeId) -> Option<u32> {
+        let slot = self.table[self.probe(id)].1;
+        (slot != FREE).then_some(slot)
+    }
+
+    /// The slot of `id`, interning it on first sight.
+    fn slot(&mut self, id: NodeId) -> u32 {
+        let i = self.probe(id);
+        match self.table[i].1 {
+            FREE => self.intern(i, id),
+            slot => slot,
+        }
+    }
+
+    /// Interns `id` into the free table entry `i`, in the smallest free
+    /// slot, doubling the table when it passes half full.
     #[cold]
     fn intern(&mut self, i: usize, id: NodeId) -> u32 {
-        let slot = self.ids.len() as u32;
-        self.table[i] = (id.0, slot);
-        self.ids.push(id);
-        if self.adj.len() < self.ids.len() {
-            self.adj.push(Vec::new());
-        }
-        if self.ids.len() * 2 > self.table.len() {
-            let len = self.table.len() * 2;
-            self.table.clear();
-            self.table.resize(len, (0, FREE));
-            for (slot, &id) in self.ids.iter().enumerate() {
-                let mut i = self.hash.bucket(u64::from(id.0), len);
-                while self.table[i].1 != FREE {
-                    i = (i + 1) & (len - 1);
-                }
-                self.table[i] = (id.0, slot as u32);
+        let slot = match self.free.pop() {
+            Some(Reverse(s)) => {
+                self.ids[s as usize] = id;
+                s
             }
+            None => {
+                self.ids.push(id);
+                self.adj.push(Vec::new());
+                self.ids.len() as u32 - 1
+            }
+        };
+        assert!(slot < SLOT, "slot numbers are below 2^30");
+        self.table[i] = (id.0, slot);
+        let at = self.by_id.partition_point(|&t| self.ids[t as usize] < id);
+        self.by_id.insert(at, slot);
+        if self.by_id.len() * 2 > self.table.len() {
+            self.rehash(self.table.len() * 2);
         }
         slot
     }
 
-    /// Adds the learned (non-link-sensed) link `a – b` as the edges
-    /// `a → b` then `b → a`, filtering anything touching `me` and
-    /// self-loops. `last` caches the previous `a`'s slot: both sets
-    /// iterate grouped by their first id.
-    fn push_relayed(&mut self, me: NodeId, last: &mut (NodeId, u32), a: NodeId, b: NodeId) {
-        if a == me || b == me || a == b {
-            return;
+    /// Rebuilds the id table at `len` entries from the interned slots.
+    fn rehash(&mut self, len: usize) {
+        self.table.clear();
+        self.table.resize(len, (0, FREE));
+        for &s in &self.by_id {
+            let id = self.ids[s as usize];
+            let mut i = self.hash.bucket(u64::from(id.0), len);
+            while self.table[i].1 != FREE {
+                i = (i + 1) & (len - 1);
+            }
+            self.table[i] = (id.0, s);
         }
-        if last.0 != a {
-            *last = (a, self.slot(a));
+    }
+
+    /// Removes interned `id` from the table by backward-shift deletion
+    /// (Knuth's Algorithm R for linear probing): every later entry of the
+    /// probe run whose home bucket does not lie cyclically in `(hole, j]`
+    /// moves back into the hole, so each stays reachable from its home.
+    fn unmap(&mut self, id: NodeId) {
+        let len = self.table.len();
+        let mut hole = self.probe(id);
+        let mut j = hole;
+        loop {
+            j = (j + 1) & (len - 1);
+            let (key, slot) = self.table[j];
+            if slot == FREE {
+                break;
+            }
+            let home = self.hash.bucket(u64::from(key), len);
+            let stays = if hole <= j { hole < home && home <= j } else { hole < home || home <= j };
+            if !stays {
+                self.table[hole] = self.table[j];
+                hole = j;
+            }
         }
-        let (a, b) = (last.1, self.slot(b));
-        self.adj[a as usize].push(b);
-        self.adj[b as usize].push(a);
+        self.table[hole] = (0, FREE);
     }
 }
 
@@ -317,9 +531,9 @@ pub struct Route {
 /// A freshly computed routing table.
 ///
 /// Backed by a `Vec<Route>` sorted by destination: lookups are binary
-/// searches, iteration is a slice walk, and a table can be recomputed
-/// *into* an existing allocation ([`RoutingTable::compute_avoiding_into`])
-/// so the steady-state recompute path allocates nothing once warm.
+/// searches, iteration is a slice walk, and a [`RoutingGraph`] run writes
+/// a table *into* an existing allocation, so the node's route runs
+/// allocate nothing once warm.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoutingTable {
     routes: Vec<Route>, // sorted ascending by dest
@@ -342,6 +556,13 @@ impl RoutingTable {
 
     /// Like [`RoutingTable::compute`] but treats `avoid` as nonexistent:
     /// no route will traverse or terminate at it.
+    ///
+    /// The one-shot calculation from the live pairs at `now`, kept plain:
+    /// it is the reference every [`RoutingGraph`] answer must equal. Each
+    /// vertex's out-edges go in the order the BFS breaks ties by: `me`'s
+    /// are `symmetric_neighbors` in order, the others' follow the live
+    /// 2-hop pairs, then the live topology tuples, each ascending, each
+    /// pair linking its ids both ways.
     pub fn compute_avoiding(
         me: NodeId,
         symmetric_neighbors: &[NodeId],
@@ -350,117 +571,41 @@ impl RoutingTable {
         now: SimTime,
         avoid: Option<NodeId>,
     ) -> Self {
-        let mut out = RoutingTable::default();
-        Self::compute_avoiding_into(
-            &mut RoutingWorkspace::default(),
-            &mut out,
-            me,
-            symmetric_neighbors,
-            two_hop,
-            topology,
-            now,
-            avoid,
-        );
-        out
-    }
-
-    /// Fully allocation-free form: the scratch state lives in `ws` and the
-    /// result is written into `out` (cleared first, capacity kept).
-    /// Results are identical to [`RoutingTable::compute_avoiding`] for
-    /// every input.
-    #[allow(clippy::too_many_arguments)]
-    pub fn compute_avoiding_into(
-        ws: &mut RoutingWorkspace,
-        out: &mut RoutingTable,
-        me: NodeId,
-        symmetric_neighbors: &[NodeId],
-        two_hop: &TwoHopSet,
-        topology: &TopologySet,
-        now: SimTime,
-        avoid: Option<NodeId>,
-    ) {
-        // Build adjacency: me -> neighbors, neighbor -> claimed 2-hop,
-        // plus TC-learned topology edges. Edges *out of* `me` come only
-        // from link sensing: a forged TC or HELLO mentioning this node must
-        // never add a first hop that is not a verified symmetric neighbor
-        // (the RFC's iterative calculation has the same property).
-        ws.begin(symmetric_neighbors.len());
-        let me_slot = ws.slot(me);
-        for &n in symmetric_neighbors {
-            if Some(n) != avoid && n != me {
-                let n = ws.slot(n);
-                ws.adj[me_slot as usize].push(n);
+        let usable = |n: NodeId| n != me && Some(n) != avoid;
+        // Edges *out of* `me` come only from link sensing: a forged TC or
+        // HELLO mentioning this node must never add a first hop that is not
+        // a verified symmetric neighbor (the RFC's iterative calculation
+        // has the same property).
+        let mut adj: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+        adj.insert(me, symmetric_neighbors.iter().copied().filter(|&n| usable(n)).collect());
+        // TC edges are advertised by the MPR (last_hop); the RFC treats
+        // them as usable in both directions for route calculation because
+        // MPR selection requires a symmetric link.
+        let learned = two_hop
+            .iter(now)
+            .map(|p| (p.via, p.two_hop))
+            .chain(topology.iter(now).map(|t| (t.last_hop, t.dest)));
+        for (a, b) in learned {
+            if usable(a) && usable(b) && a != b {
+                adj.entry(a).or_default().push(b);
+                adj.entry(b).or_default().push(a);
             }
         }
-        let mut last = (me, me_slot);
-        for pair in two_hop.iter(now) {
-            if Some(pair.via) == avoid || Some(pair.two_hop) == avoid {
-                continue;
+        // dest -> (hops, next hop)
+        let mut reach: BTreeMap<NodeId, (u32, NodeId)> = BTreeMap::new();
+        let mut queue = VecDeque::from([(me, 0, me)]);
+        while let Some((u, hops, hop)) = queue.pop_front() {
+            for &v in adj.get(&u).into_iter().flatten() {
+                if v != me && !reach.contains_key(&v) {
+                    let next_hop = if u == me { v } else { hop };
+                    reach.insert(v, (hops + 1, next_hop));
+                    queue.push_back((v, hops + 1, next_hop));
+                }
             }
-            ws.push_relayed(me, &mut last, pair.via, pair.two_hop);
         }
-        for t in topology.iter(now) {
-            if Some(t.last_hop) == avoid || Some(t.dest) == avoid {
-                continue;
-            }
-            // TC edges are advertised by the MPR (last_hop); the RFC treats
-            // them as usable in both directions for route calculation
-            // because MPR selection requires a symmetric link.
-            ws.push_relayed(me, &mut last, t.last_hop, t.dest);
-        }
-
-        ws.main = avoid.is_none().then_some((me, me_slot));
-        ws.generation = None;
-        ws.parent.clear();
-        let record = ws.main.is_some() && ws.record_parents;
-        if record {
-            ws.parent.resize(ws.ids.len(), UNVISITED);
-        }
-        ws.search(me_slot, None, record);
-        ws.emit(out, me_slot);
-    }
-
-    /// The table around `avoided` for route generation `generation`, written
-    /// into `out`. When `ws` holds the main graph of `me` stamped with
-    /// `generation`, only the BFS and the emit step run, over that graph
-    /// with `avoided` masked out; otherwise this is
-    /// [`compute_avoiding_into`](Self::compute_avoiding_into) with
-    /// `Some(avoided)`. The caller must pass the inputs the stamped main
-    /// computation read. Either way the result equals
-    /// [`compute_avoiding`](Self::compute_avoiding): the avoid graph is the
-    /// main graph minus one vertex, every vertex keeps its remaining
-    /// out-edges in the same order, so the BFS breaks every tie the same
-    /// way.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reroute_avoiding_into(
-        ws: &mut RoutingWorkspace,
-        out: &mut RoutingTable,
-        generation: u64,
-        me: NodeId,
-        symmetric_neighbors: &[NodeId],
-        two_hop: &TwoHopSet,
-        topology: &TopologySet,
-        now: SimTime,
-        avoided: NodeId,
-    ) {
-        match ws.main {
-            Some((main_me, me_slot)) if main_me == me && ws.generation == Some(generation) => {
-                // Avoiding `me` removes no edge: `me` has no in-edges.
-                let masked = if avoided == me { None } else { ws.find(avoided) };
-                ws.search(me_slot, masked, false);
-                ws.emit(out, me_slot);
-            }
-            _ => Self::compute_avoiding_into(
-                ws,
-                out,
-                me,
-                symmetric_neighbors,
-                two_hop,
-                topology,
-                now,
-                Some(avoided),
-            ),
-        }
+        let routes =
+            reach.into_iter().map(|(dest, (hops, next_hop))| Route { dest, next_hop, hops });
+        RoutingTable { routes: routes.collect() }
     }
 
     /// The route to `dest`, if any.
@@ -488,53 +633,31 @@ impl RoutingTable {
         self.routes.is_empty()
     }
 
-    /// Routes that appeared or changed between `self` and `next` — used by
-    /// the node to emit `ROUTE_*` audit-log lines. A single merge walk over
-    /// the two destination-sorted tables; vanished destinations are
-    /// skipped, since no record reports them.
-    pub fn diff<'a>(&'a self, next: &'a RoutingTable) -> RoutingDiff {
-        let mut added = Vec::new();
-        let mut changed = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.routes.len() || j < next.routes.len() {
-            match (self.routes.get(i), next.routes.get(j)) {
-                (Some(old), Some(new)) if old.dest == new.dest => {
-                    if old != new {
-                        changed.push(*new);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                (Some(old), Some(new)) if old.dest < new.dest => i += 1,
-                (Some(_), Some(new)) => {
-                    added.push(*new);
-                    j += 1;
-                }
-                (Some(_), None) => i += 1,
-                (None, Some(new)) => {
-                    added.push(*new);
-                    j += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
-            }
-        }
-        RoutingDiff { added, changed }
+    /// The routes of `next` whose destination `self` has no route to,
+    /// ascending by destination — what the node logs as `ROUTE_ADD`.
+    pub fn added<'a>(&'a self, next: &'a RoutingTable) -> impl Iterator<Item = &'a Route> + 'a {
+        self.against(next).filter_map(|(old, new)| old.is_none().then_some(new))
     }
-}
 
-/// The routes that appeared or changed between two routing tables.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RoutingDiff {
-    /// Routes present only in the newer table.
-    pub added: Vec<Route>,
-    /// Routes whose next hop or hop count changed.
-    pub changed: Vec<Route>,
-}
+    /// The routes of `next` whose next hop or hop count differs from
+    /// `self`'s route to the same destination, ascending by destination —
+    /// what the node logs as `ROUTE_CHG`. Destinations only `self` routes
+    /// to are in neither list, since no record reports them.
+    pub fn changed<'a>(&'a self, next: &'a RoutingTable) -> impl Iterator<Item = &'a Route> + 'a {
+        self.against(next).filter_map(|(old, new)| old.is_some_and(|o| o != new).then_some(new))
+    }
 
-impl RoutingDiff {
-    /// `true` when no route appeared or changed.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.changed.is_empty()
+    /// Each route of `next` beside `self`'s route to the same destination:
+    /// one merge walk over the two destination-sorted tables.
+    fn against<'a>(
+        &'a self,
+        next: &'a RoutingTable,
+    ) -> impl Iterator<Item = (Option<&'a Route>, &'a Route)> + 'a {
+        let mut old = self.routes.iter().peekable();
+        next.routes.iter().map(move |new| {
+            while old.next_if(|o| o.dest < new.dest).is_some() {}
+            (old.next_if(|o| o.dest == new.dest), new)
+        })
     }
 }
 
@@ -678,141 +801,175 @@ mod tests {
             &TopologySet::default(),
             now(),
         );
-        let diff = t1.diff(&t2);
-        assert_eq!(diff.added.iter().map(|r| r.dest).collect::<Vec<_>>(), vec![NodeId(3)]);
-        assert!(diff.changed.is_empty());
-        // N2 became unreachable: the diff does not report it, the table
-        // itself shows it gone.
+        let dests = |it: &mut dyn Iterator<Item = &Route>| it.map(|r| r.dest).collect::<Vec<_>>();
+        assert_eq!(dests(&mut t1.added(&t2)), vec![NodeId(3)]);
+        assert_eq!(t1.changed(&t2).count(), 0);
+        // N2 became unreachable: neither list reports it, the table itself
+        // shows it gone.
         assert!(t1.route_to(NodeId(2)).is_some() && t2.route_to(NodeId(2)).is_none());
-        assert!(t1.diff(&t1.clone()).is_empty());
+        assert_eq!(t1.added(&t1).count() + t1.changed(&t1).count(), 0);
         // A table that only lost destinations has nothing to report.
-        assert!(t1.diff(&RoutingTable::default()).is_empty());
+        let empty = RoutingTable::default();
+        assert_eq!(t1.added(&empty).count() + t1.changed(&empty).count(), 0);
+        // A new next hop is a change, not an addition.
+        let t3 =
+            RoutingTable::compute(NodeId(0), &[NodeId(1), NodeId(2)], &no2h(), &topo(&[]), now());
+        assert_eq!(dests(&mut t1.changed(&t3)), vec![NodeId(2)]);
+        assert_eq!(t1.added(&t3).count(), 0);
+    }
+
+    /// One main run of `graph` over the sets, checked against the one-shot
+    /// calculation.
+    fn run(
+        graph: &mut RoutingGraph,
+        generation: u64,
+        sym: &[NodeId],
+        two_hop: &mut TwoHopSet,
+        topo: &mut TopologySet,
+    ) -> RoutingTable {
+        let mut out = RoutingTable::default();
+        graph.run(&mut out, generation, sym, two_hop, topo);
+        assert_eq!(out, RoutingTable::compute(NodeId(0), sym, two_hop, topo, now()));
+        out
     }
 
     #[test]
     fn workspace_reuse_matches_fresh_computation() {
-        // One workspace driven across different graphs (shrinking and
-        // growing, with and without avoidance) must match the one-shot
-        // API every time.
-        let mut ws = RoutingWorkspace::default();
-        let mut reused = RoutingTable::default();
-        let big = topo_multi(&[(1, &[2, 3]), (2, &[4]), (4, &[3, 5]), (5, &[6])]);
-        let small = topo(&[(1, 2)]);
-        let sym_big = vec![NodeId(1), NodeId(2)];
-        let sym_small = vec![NodeId(1)];
-        let runs: Vec<(&[NodeId], &TopologySet, Option<NodeId>)> = vec![
-            (&sym_big, &big, None),
-            (&sym_small, &small, None),
-            (&sym_big, &big, Some(NodeId(2))),
-            (&sym_big, &big, None),
-            (&sym_small, &small, Some(NodeId(1))),
-        ];
-        for (sym, topo, avoid) in runs {
-            RoutingTable::compute_avoiding_into(
-                &mut ws,
-                &mut reused,
-                NodeId(0),
-                sym,
-                &no2h(),
-                topo,
-                now(),
-                avoid,
-            );
-            let fresh = RoutingTable::compute_avoiding(NodeId(0), sym, &no2h(), topo, now(), avoid);
-            assert_eq!(reused, fresh, "avoid={avoid:?}");
+        // One graph following one pair of sets as they grow, shrink and
+        // swap edges between the two kinds must match the one-shot
+        // calculation at every run, main and masked.
+        let until = SimTime::from_secs(1_000);
+        let mut graph = RoutingGraph::new(NodeId(0));
+        let mut two_hop = TwoHopSet::default();
+        let mut topo = TopologySet::default();
+        let big = [NodeId(1), NodeId(2)];
+        let small = [NodeId(1)];
+        fn check(
+            graph: &mut RoutingGraph,
+            sym: &[NodeId],
+            two_hop: &TwoHopSet,
+            topo: &TopologySet,
+        ) {
+            let mut around = RoutingTable::default();
+            for x in 0..8 {
+                graph.reroute(&mut around, NodeId(x));
+                let want = RoutingTable::compute_avoiding(
+                    NodeId(0),
+                    sym,
+                    two_hop,
+                    topo,
+                    now(),
+                    Some(NodeId(x)),
+                );
+                assert_eq!(around, want, "avoiding {x}");
+            }
         }
+        let tc = |topo: &mut TopologySet, from: u32, ansn: u16, dests: &[u32]| {
+            let dests: Vec<NodeId> = dests.iter().map(|&d| NodeId(d)).collect();
+            topo.apply_tc(NodeId(from), ansn, &dests, until, now());
+        };
+        tc(&mut topo, 1, 1, &[2, 3]);
+        tc(&mut topo, 2, 1, &[4]);
+        tc(&mut topo, 4, 1, &[3, 5]);
+        tc(&mut topo, 5, 1, &[6]);
+        run(&mut graph, 1, &big, &mut two_hop, &mut topo);
+        check(&mut graph, &big, &two_hop, &topo);
+        // Shrink: 4 withdraws its links, 5 goes silent, 2 leaves.
+        tc(&mut topo, 4, 2, &[]);
+        tc(&mut topo, 5, 2, &[]);
+        run(&mut graph, 2, &small, &mut two_hop, &mut topo);
+        check(&mut graph, &small, &two_hop, &topo);
+        // Grow again, the 2-hop set now carrying what TCs carried.
+        two_hop.upsert(NodeId(1), NodeId(4), until, now());
+        two_hop.upsert(NodeId(2), NodeId(4), until, now());
+        tc(&mut topo, 4, 3, &[1, 5, 7]);
+        run(&mut graph, 3, &big, &mut two_hop, &mut topo);
+        check(&mut graph, &big, &two_hop, &topo);
+        two_hop.remove_via(NodeId(1), now());
+        run(&mut graph, 4, &big, &mut two_hop, &mut topo);
+        check(&mut graph, &big, &two_hop, &topo);
     }
 
     #[test]
     fn reroute_reuses_only_a_stamped_main_graph() {
-        let topo = topo_multi(&[(1, &[3]), (2, &[4]), (4, &[3])]);
+        // The masked BFS reads the graph of the last run, which stays as it
+        // was until the next run takes the sets' changes.
+        let until = SimTime::from_secs(1_000);
+        let mut topo = topo_multi(&[(1, &[3]), (2, &[4]), (4, &[3])]);
+        let mut two_hop = no2h();
         let sym = [NodeId(1), NodeId(2)];
-        let want =
-            RoutingTable::compute_avoiding(NodeId(0), &sym, &no2h(), &topo, now(), Some(NodeId(1)));
-        let mut ws = RoutingWorkspace::default();
-        let mut main = RoutingTable::default();
+        let mut graph = RoutingGraph::new(NodeId(0));
         let mut out = RoutingTable::default();
-        let mut compute = |ws: &mut RoutingWorkspace, avoid| {
-            RoutingTable::compute_avoiding_into(
-                ws,
-                &mut main,
+        graph.reroute(&mut out, NodeId(1));
+        assert!(out.is_empty(), "no run yet: an empty graph");
+        assert_eq!(graph.tree_route(0, NodeId(3), NodeId(1)), TreeRoute::Unknown);
+        run(&mut graph, 1, &sym, &mut two_hop, &mut topo);
+        let want = RoutingTable::compute_avoiding(
+            NodeId(0),
+            &sym,
+            &two_hop,
+            &topo,
+            now(),
+            Some(NodeId(1)),
+        );
+        // A change after the run: 4 withdraws its link to 3.
+        let before = topo.clone();
+        topo.apply_tc(NodeId(4), 2, &[], until, now());
+        graph.reroute(&mut out, NodeId(1));
+        assert_eq!(out, want, "the run's graph, not the changed sets");
+        assert_eq!(graph.tree_route(1, NodeId(3), NodeId(1)), TreeRoute::Passes);
+        assert_eq!(graph.tree_route(2, NodeId(3), NodeId(1)), TreeRoute::Unknown);
+        // The next run takes the change.
+        run(&mut graph, 2, &sym, &mut two_hop, &mut topo);
+        graph.reroute(&mut out, NodeId(1));
+        let after = RoutingTable::compute_avoiding(
+            NodeId(0),
+            &sym,
+            &two_hop,
+            &topo,
+            now(),
+            Some(NodeId(1)),
+        );
+        assert_eq!(out, after);
+        assert_ne!(
+            after,
+            RoutingTable::compute_avoiding(
                 NodeId(0),
                 &sym,
-                &no2h(),
-                &topo,
+                &two_hop,
+                &before,
                 now(),
-                avoid,
-            );
-        };
-        let mut reroute = |ws: &mut RoutingWorkspace, generation| {
-            RoutingTable::reroute_avoiding_into(
-                ws,
-                &mut out,
-                generation,
-                NodeId(0),
-                &sym,
-                &no2h(),
-                &topo,
-                now(),
-                NodeId(1),
-            );
-            assert_eq!(out, want);
-        };
-        // A main graph nobody stamped: full computation, which replaces it.
-        compute(&mut ws, None);
-        reroute(&mut ws, 1);
-        assert_eq!((ws.main, ws.generation), (None, None));
-        // Stamped: the BFS alone runs and the main graph stays.
-        compute(&mut ws, None);
-        ws.stamp(1);
-        reroute(&mut ws, 1);
-        assert_eq!((ws.main, ws.generation), (Some((NodeId(0), 0)), Some(1)));
-        // Another generation falls back.
-        reroute(&mut ws, 2);
-        assert_eq!((ws.main, ws.generation), (None, None));
-        // An avoid computation cannot be stamped.
-        compute(&mut ws, Some(NodeId(2)));
-        ws.stamp(3);
-        assert_eq!(ws.generation, None);
+                Some(NodeId(1))
+            )
+        );
+        assert_eq!(graph.tree_route(1, NodeId(3), NodeId(1)), TreeRoute::Unknown);
     }
 
     #[test]
     fn tree_is_recorded_only_once_asked() {
         // 0 - 1 - 3 and 0 - 2 - 4 (with 4 - 3): 3 is behind 1, 4 behind 2.
-        let topo = topo_multi(&[(1, &[3]), (2, &[4]), (4, &[3])]);
+        let mut topo = topo_multi(&[(1, &[3]), (2, &[4]), (4, &[3])]);
+        let mut two_hop = no2h();
         let sym = [NodeId(1), NodeId(2)];
-        let mut ws = RoutingWorkspace::default();
-        let mut main = RoutingTable::default();
-        let mut compute = |ws: &mut RoutingWorkspace| {
-            RoutingTable::compute_avoiding_into(
-                ws,
-                &mut main,
-                NodeId(0),
-                &sym,
-                &no2h(),
-                &topo,
-                now(),
-                None,
-            );
+        let mut graph = RoutingGraph::new(NodeId(0));
+        run(&mut graph, 1, &sym, &mut two_hop, &mut topo);
+        assert!(graph.parent.is_empty(), "nobody asked yet");
+        let tree = |graph: &mut RoutingGraph, generation, dst, avoided| {
+            graph.tree_route(generation, NodeId(dst), NodeId(avoided))
         };
-        compute(&mut ws);
-        ws.stamp(1);
-        assert!(ws.parent.is_empty(), "nobody asked yet");
-        let tree = |ws: &mut RoutingWorkspace, generation, dst, avoided| {
-            ws.tree_route(generation, NodeId(dst), NodeId(avoided))
-        };
-        assert_eq!(tree(&mut ws, 1, 3, 1), TreeRoute::Passes);
-        assert_eq!(tree(&mut ws, 1, 3, 2), TreeRoute::Avoids);
-        assert_eq!(tree(&mut ws, 1, 4, 2), TreeRoute::Passes);
-        assert_eq!(tree(&mut ws, 1, 2, 2), TreeRoute::Passes, "the destination itself");
-        assert_eq!(tree(&mut ws, 1, 4, 0), TreeRoute::Avoids, "me");
-        assert_eq!(tree(&mut ws, 1, 9, 1), TreeRoute::Avoids, "absent destination");
-        assert_eq!(tree(&mut ws, 1, 3, 9), TreeRoute::Avoids, "absent avoided node");
-        assert_eq!(tree(&mut ws, 2, 3, 2), TreeRoute::Unknown, "another generation");
-        // Asked once, every later main computation records its tree.
-        compute(&mut ws);
-        assert_eq!(ws.parent.len(), ws.ids.len());
-        assert_eq!(tree(&mut ws, 1, 3, 2), TreeRoute::Unknown, "unstamped");
+        assert_eq!(tree(&mut graph, 1, 3, 1), TreeRoute::Passes);
+        assert_eq!(tree(&mut graph, 1, 3, 2), TreeRoute::Avoids);
+        assert_eq!(tree(&mut graph, 1, 4, 2), TreeRoute::Passes);
+        assert_eq!(tree(&mut graph, 1, 2, 2), TreeRoute::Passes, "the destination itself");
+        assert_eq!(tree(&mut graph, 1, 4, 0), TreeRoute::Avoids, "me");
+        assert_eq!(tree(&mut graph, 1, 9, 1), TreeRoute::Avoids, "absent destination");
+        assert_eq!(tree(&mut graph, 1, 3, 9), TreeRoute::Avoids, "absent avoided node");
+        assert_eq!(tree(&mut graph, 2, 3, 2), TreeRoute::Unknown, "another generation");
+        // Asked once, every later run records its tree.
+        run(&mut graph, 2, &sym, &mut two_hop, &mut topo);
+        assert_eq!(graph.parent.len(), graph.ids.len());
+        assert_eq!(tree(&mut graph, 1, 3, 2), TreeRoute::Unknown, "an older generation");
+        assert_eq!(tree(&mut graph, 2, 3, 2), TreeRoute::Avoids);
     }
 
     #[test]
@@ -822,65 +979,43 @@ mod tests {
         let far = NodeId(u32::MAX);
         let mut two_hop = TwoHopSet::default();
         two_hop.upsert(NodeId(1), far, SimTime::from_secs(1_000), now());
-        let topo = topo_multi(&[(2, &[u32::MAX, 3])]);
-        let mut ws = RoutingWorkspace::default();
-        let mut table = RoutingTable::default();
-        RoutingTable::compute_avoiding_into(
-            &mut ws,
-            &mut table,
-            NodeId(0),
-            &[NodeId(1), NodeId(2)],
-            &two_hop,
-            &topo,
-            now(),
-            None,
-        );
+        let mut topo = topo_multi(&[(2, &[u32::MAX, 3])]);
+        let mut graph = RoutingGraph::new(NodeId(0));
+        let table = run(&mut graph, 1, &[NodeId(1), NodeId(2)], &mut two_hop, &mut topo);
         let dests: Vec<NodeId> = table.iter().map(|r| r.dest).collect();
         assert_eq!(dests, vec![NodeId(1), NodeId(2), NodeId(3), far]);
         let r = table.route_to(far).unwrap();
         assert_eq!((r.next_hop, r.hops), (NodeId(1), 2));
         // Scratch holds the five ids met, not the largest id's worth.
-        assert_eq!(ws.ids.len(), 5);
-        assert_eq!(ws.reach.len(), 5);
-        assert_eq!(ws.table.len(), MIN_TABLE);
+        assert_eq!(graph.ids.len(), 5);
+        assert_eq!(graph.reach.len(), 5);
+        assert_eq!(graph.table.len(), MIN_TABLE);
     }
 
     #[test]
     fn interner_forgets_ids_no_longer_heard() {
-        // 300 sparse ids force several table doublings. The interner keeps
-        // them while they are heard; once a computation meets only a few,
-        // the next one starts over at the minimum size. Routes match the
-        // one-shot computation throughout.
-        let dests: Vec<u32> = (1..=300u32).map(|i| i * 14_000_000).collect();
-        let wide = topo_multi(&[(1, &dests)]);
-        let small = topo(&[(1, 2)]);
-        let mut ws = RoutingWorkspace::default();
-        let mut table = RoutingTable::default();
+        // 300 sparse ids force several table doublings. Once a newer TC
+        // withdraws them, their slots are freed, the graph shrinks back to
+        // the few ids still heard, and a later wide TC reuses the slots.
+        // Routes match the one-shot computation throughout.
+        let until = SimTime::from_secs(1_000);
+        let wide: Vec<NodeId> = (1..=300u32).map(|i| NodeId(i * 14_000_000)).collect();
+        let mut topo = TopologySet::default();
+        let mut two_hop = no2h();
+        let mut graph = RoutingGraph::new(NodeId(0));
         let sym = [NodeId(1)];
-        let mut run = |ws: &mut RoutingWorkspace, topo: &TopologySet| {
-            RoutingTable::compute_avoiding_into(
-                ws,
-                &mut table,
-                NodeId(0),
-                &sym,
-                &no2h(),
-                topo,
-                now(),
-                None,
-            );
-            assert_eq!(table, RoutingTable::compute(NodeId(0), &sym, &no2h(), topo, now()));
-            table.len()
-        };
-        assert_eq!(run(&mut ws, &wide), 301);
-        assert_eq!(run(&mut ws, &wide), 301);
-        assert_eq!(ws.ids.len(), 302);
-        assert!(ws.table.len() >= 2 * ws.ids.len());
-        assert_eq!(run(&mut ws, &small), 2);
-        assert_eq!(ws.ids.len(), 303, "kept: the previous run met every id");
-        assert_eq!(run(&mut ws, &small), 2);
-        assert_eq!((ws.ids.len(), ws.table.len()), (3, MIN_TABLE));
-        assert!(ws.adj.len() < 8, "{} adjacency lists kept", ws.adj.len());
-        assert_eq!(run(&mut ws, &wide), 301);
+        topo.apply_tc(NodeId(1), 1, &wide, until, now());
+        assert_eq!(run(&mut graph, 1, &sym, &mut two_hop, &mut topo).len(), 301);
+        assert_eq!(graph.ids.len(), 302);
+        assert!(graph.table.len() >= 2 * graph.ids.len());
+        topo.apply_tc(NodeId(1), 2, &[NodeId(2)], until, now());
+        assert_eq!(run(&mut graph, 2, &sym, &mut two_hop, &mut topo).len(), 2);
+        assert_eq!((graph.ids.len(), graph.by_id.len()), (3, 3), "slots of me, 1 and 2");
+        assert_eq!(graph.table.len(), MIN_TABLE);
+        assert!(graph.adj.len() < 8, "{} adjacency lists kept", graph.adj.len());
+        topo.apply_tc(NodeId(1), 3, &wide, until, now());
+        assert_eq!(run(&mut graph, 3, &sym, &mut two_hop, &mut topo).len(), 301);
+        assert_eq!(graph.ids.len(), 302, "freed slots reused, none added past the live ids");
     }
 
     #[test]
@@ -895,26 +1030,97 @@ mod tests {
         }
         assert_eq!(FIB.wrapping_mul(inv), 1);
         let crafted: Vec<u32> = (1..=2000u32).map(|j| j.wrapping_mul(inv)).collect();
-        let mut ws = RoutingWorkspace::default();
+        let mut graph = RoutingGraph::new(NodeId(0));
         let mut table = RoutingTable::default();
-        RoutingTable::compute_avoiding_into(
-            &mut ws,
-            &mut table,
-            NodeId(0),
-            &[NodeId(1)],
-            &no2h(),
-            &topo_multi(&[(1, &crafted)]),
-            now(),
-            None,
-        );
+        graph.run(&mut table, 1, &[NodeId(1)], &mut no2h(), &mut topo_multi(&[(1, &crafted)]));
         assert_eq!(table.len(), 2001);
         let mut longest = 0;
         let mut run = 0;
-        for &(_, slot) in ws.table.iter().chain(ws.table.iter()) {
+        for &(_, slot) in graph.table.iter().chain(graph.table.iter()) {
             run = if slot == FREE { 0 } else { run + 1 };
             longest = longest.max(run);
         }
         assert!(longest < 200, "a probe run of {longest} entries");
+    }
+
+    #[test]
+    fn lists_keep_rebuild_order_through_changes() {
+        // Both kinds name the same links, both ways round, so vertices
+        // hold duplicate entries whose order is the whole point; removals
+        // and re-insertions land each entry where a rebuild would push it.
+        let until = SimTime::from_secs(1_000);
+        let mut graph = RoutingGraph::new(NodeId(0));
+        let mut two_hop = no2h();
+        let mut topo = TopologySet::default();
+        let sym = [NodeId(5), NodeId(1), NodeId(3)];
+        for (i, &(a, b)) in [(1, 7), (3, 7), (5, 7), (7, 9), (9, 3)].iter().enumerate() {
+            topo.apply_tc(NodeId(a), i as u16, &[NodeId(b)], until, now());
+            two_hop.upsert(NodeId(b), NodeId(a), until, now());
+        }
+        let rebuilt =
+            |graph: &RoutingGraph, sym: &[NodeId], two_hop: &TwoHopSet, topo: &TopologySet| {
+                let mut fresh = RoutingGraph::new(NodeId(0));
+                fresh.run(
+                    &mut RoutingTable::default(),
+                    0,
+                    sym,
+                    &mut two_hop.clone(),
+                    &mut topo.clone(),
+                );
+                let lists = |g: &RoutingGraph| -> BTreeMap<NodeId, Vec<(NodeId, u32)>> {
+                    g.by_id
+                        .iter()
+                        .map(|&s| {
+                            let list = g.adj[s as usize].iter();
+                            let list =
+                                list.map(|&e| (g.ids[(e & SLOT) as usize], e & !SLOT)).collect();
+                            (g.ids[s as usize], list)
+                        })
+                        .collect()
+                };
+                assert_eq!(lists(graph), lists(&fresh));
+            };
+        run(&mut graph, 1, &sym, &mut two_hop, &mut topo);
+        rebuilt(&graph, &sym, &two_hop, &topo);
+        two_hop.remove(NodeId(7), NodeId(3));
+        topo.apply_tc(NodeId(7), 9, &[NodeId(9), NodeId(1)], until, now());
+        topo.apply_tc(NodeId(3), 9, &[], until, now());
+        run(&mut graph, 2, &sym, &mut two_hop, &mut topo);
+        rebuilt(&graph, &sym, &two_hop, &topo);
+        two_hop.upsert(NodeId(7), NodeId(3), until, now());
+        topo.apply_tc(NodeId(3), 10, &[NodeId(7)], until, now());
+        run(&mut graph, 3, &sym[1..], &mut two_hop, &mut topo);
+        rebuilt(&graph, &sym[1..], &two_hop, &topo);
+    }
+
+    #[test]
+    fn a_log_that_overflowed_reloads_its_set() {
+        // More changes between two runs than replaying them is worth: the
+        // set stops recording, and the next run loads it whole. A new graph
+        // meeting copies of followed sets loads them too. The routes stay
+        // exact throughout.
+        let until = SimTime::from_secs(1_000);
+        let mut graph = RoutingGraph::new(NodeId(0));
+        let mut two_hop = no2h();
+        let mut topo = topo_multi(&[(1, &[2]), (2, &[3])]);
+        let sym = [NodeId(1)];
+        run(&mut graph, 1, &sym, &mut two_hop, &mut topo);
+        assert!(topo.pairs.followed());
+        for ansn in 2..200u16 {
+            let dests: Vec<NodeId> =
+                (0..u32::from(ansn % 5)).map(|d| NodeId(10 + u32::from(ansn) + d)).collect();
+            topo.apply_tc(NodeId(2), ansn, &dests, until, now());
+        }
+        assert!(!topo.pairs.followed(), "the log gave up");
+        run(&mut graph, 2, &sym, &mut two_hop, &mut topo);
+        assert!(topo.pairs.followed());
+        topo.apply_tc(NodeId(2), 300, &[NodeId(3)], until, now());
+        // Copies carry the log the first graph follows; a new graph loads
+        // them whole.
+        let (mut two_hop_copy, mut topo_copy) = (two_hop.clone(), topo.clone());
+        run(&mut RoutingGraph::new(NodeId(0)), 1, &sym, &mut two_hop_copy, &mut topo_copy);
+        topo.apply_tc(NodeId(2), 301, &[NodeId(4)], until, now());
+        run(&mut graph, 3, &sym, &mut two_hop, &mut topo);
     }
 
     #[test]

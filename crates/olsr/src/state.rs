@@ -96,6 +96,81 @@ impl MinExpiry {
     }
 }
 
+/// The stored pairs of a 2-hop or topology set as a routing graph follows
+/// them: how many there are, and the pairs inserted or removed since the
+/// graph last took them, in order.
+///
+/// A change is recorded as its pair alone: the pairs stored at the graph's
+/// last run are in the graph, so each recorded pair toggles it, in turn,
+/// from its state there. A set records changes only while a graph follows
+/// it: from the graph's first run, which loads every stored pair, until
+/// more changes pile up than replaying them is worth. The log then drops
+/// them, and the graph's next run loads the set again. A set no graph
+/// follows records nothing, so the log never grows without bound.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PairLog {
+    /// Stored pairs, live or not.
+    len: usize,
+    /// `(a, b)` of each pair inserted or removed: a 2-hop pair's
+    /// `(via, two_hop)`, a topology tuple's `(last_hop, dest)`.
+    changes: Vec<(NodeId, NodeId)>,
+    followed: bool,
+}
+
+impl PairLog {
+    /// A log drained with more room than this gives it back: a burst of
+    /// changes while the network converges does not stay resident.
+    const KEPT: usize = 16;
+
+    fn record(&mut self, a: NodeId, b: NodeId, inserted: bool) {
+        if inserted {
+            self.len += 1;
+        } else {
+            self.len -= 1;
+        }
+        if !self.followed {
+            return;
+        }
+        // Past this many, loading the set costs about what replaying the
+        // changes does.
+        if self.changes.len() > 2 * self.len + 64 {
+            self.unfollow();
+        } else {
+            self.changes.push((a, b));
+        }
+    }
+
+    /// Whether a graph follows the set: the changes since its last run are
+    /// all here.
+    pub(crate) fn followed(&self) -> bool {
+        self.followed
+    }
+
+    /// Hands each recorded pair to `toggle`, oldest first, and empties the
+    /// log.
+    pub(crate) fn drain(&mut self, mut toggle: impl FnMut(NodeId, NodeId)) {
+        for &(a, b) in &self.changes {
+            toggle(a, b);
+        }
+        self.changes.clear();
+        if self.changes.capacity() > Self::KEPT {
+            self.changes.shrink_to(Self::KEPT);
+        }
+    }
+
+    /// Starts recording afresh: a graph just loaded every stored pair.
+    pub(crate) fn follow(&mut self) {
+        self.followed = true;
+        self.changes.clear();
+    }
+
+    /// Stops recording: the next graph run loads every stored pair.
+    pub(crate) fn unfollow(&mut self) {
+        self.followed = false;
+        self.changes = Vec::new();
+    }
+}
+
 /// The link set: every link this node has sensed recently.
 #[derive(Debug, Clone, Default)]
 pub struct LinkSet {
@@ -281,8 +356,8 @@ pub struct TwoHopTuple {
 #[derive(Debug, Clone, Default)]
 pub struct TwoHopSet {
     runs: BTreeMap<NodeId, Vec<TwoHopTuple>>,
-    /// Stored pairs over all runs, live or not.
-    len: usize,
+    /// Stored pairs over all runs, and their changes for a routing graph.
+    pub(crate) pairs: PairLog,
     min_expiry: MinExpiry,
 }
 
@@ -332,7 +407,7 @@ impl TwoHopSet {
                 }
                 Err(i) => {
                     run.insert(i, TwoHopTuple { via, two_hop, until });
-                    self.len += 1;
+                    self.pairs.record(via, two_hop, true);
                     on_live(two_hop);
                 }
             }
@@ -351,8 +426,9 @@ impl TwoHopSet {
             return 0;
         };
         let live = run.iter().filter(|t| t.until > now).count();
-        self.len -= run.len();
-        run.clear();
+        for t in run.drain(..) {
+            self.pairs.record(via, t.two_hop, false);
+        }
         live
     }
 
@@ -365,7 +441,7 @@ impl TwoHopSet {
             return false;
         };
         run.remove(i);
-        self.len -= 1;
+        self.pairs.record(via, two_hop, false);
         true
     }
 
@@ -446,11 +522,12 @@ impl TwoHopSet {
             return dead;
         }
         self.min_expiry.reset();
-        let min_expiry = &mut self.min_expiry;
+        let (min_expiry, pairs) = (&mut self.min_expiry, &mut self.pairs);
         self.runs.retain(|&via, run| {
             run.retain(|t| {
                 if t.until <= now {
                     dead.push((via, t.two_hop));
+                    pairs.record(via, t.two_hop, false);
                     false
                 } else {
                     min_expiry.cover(t.until);
@@ -459,7 +536,6 @@ impl TwoHopSet {
             });
             !run.is_empty()
         });
-        self.len -= dead.len();
         dead
     }
 
@@ -468,14 +544,19 @@ impl TwoHopSet {
         self.runs.values().flatten().filter(move |t| t.until > now).copied()
     }
 
+    /// Every stored pair `(via, two_hop)`, live or not, ascending.
+    pub(crate) fn stored_pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.runs.values().flatten().map(|t| (t.via, t.two_hop))
+    }
+
     /// Number of stored pairs (live or not).
     pub fn len(&self) -> usize {
-        self.len
+        self.pairs.len
     }
 
     /// `true` when the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.pairs.len == 0
     }
 }
 
@@ -614,18 +695,18 @@ impl TcRecord {
         tuples.next().is_none()
     }
 
-    /// Applies a TC from `last_hop` to the tuples (RFC 3626 §9.5), keeping
-    /// `len` (stored tuples over all records) in step: a stale ANSN is
+    /// Applies a TC from `last_hop` to the tuples (RFC 3626 §9.5), recording
+    /// every stored tuple it inserts or removes in `pairs`: a stale ANSN is
     /// ignored, a newer one replaces every tuple. Returns `true` if the
     /// *live* content changed.
     fn apply(
         &mut self,
         last_hop: NodeId,
         ansn: u16,
-        dests: impl Iterator<Item = NodeId>,
+        dests: impl Iterator<Item = NodeId> + Clone,
         until: SimTime,
         now: SimTime,
-        len: &mut usize,
+        pairs: &mut PairLog,
     ) -> bool {
         let mut changed = false;
         if let Some(existing) = self.live_ansn(now) {
@@ -639,8 +720,26 @@ impl TcRecord {
                 // set) must re-trigger route calculation even when it
                 // inserts nothing.
                 changed = true;
-                *len -= self.tuples.len();
-                self.tuples.clear();
+                // Only the tuples the TC does not advertise again go: the
+                // others are overwritten below, so the stored pairs change
+                // only where the links do, and withdrawn links leave before
+                // new ones arrive. A zero expiry (a received tuple's is
+                // positive) marks the withdrawn ones meanwhile.
+                for t in &mut self.tuples {
+                    t.until = SimTime::ZERO;
+                }
+                for dest in dests.clone() {
+                    if let Ok(i) = self.tuples.binary_search_by_key(&dest, |t| t.dest) {
+                        self.tuples[i].until = until;
+                    }
+                }
+                self.tuples.retain(|t| {
+                    let withdrawn = t.until == SimTime::ZERO;
+                    if withdrawn {
+                        pairs.record(last_hop, t.dest, false);
+                    }
+                    !withdrawn
+                });
             }
         }
         for dest in dests {
@@ -655,7 +754,7 @@ impl TcRecord {
                 }
                 Err(i) => {
                     self.tuples.insert(i, fresh);
-                    *len += 1;
+                    pairs.record(last_hop, dest, true);
                     changed = true;
                 }
             }
@@ -690,8 +789,9 @@ pub struct TcReceipt {
 #[derive(Debug, Clone, Default)]
 pub struct TopologySet {
     records: BTreeMap<NodeId, TcRecord>,
-    /// Stored tuples over all records, live or not.
-    len: usize,
+    /// Stored tuples over all records, and their changes for a routing
+    /// graph.
+    pub(crate) pairs: PairLog,
     /// Lower bound on the earliest tuple expiry and reception-state
     /// validity.
     min_expiry: MinExpiry,
@@ -728,7 +828,7 @@ impl TopologySet {
             // stand for.
             record.logged_set = Some(record.dests().collect());
         }
-        record.apply(last_hop, ansn, dests.iter().copied(), until, now, &mut self.len)
+        record.apply(last_hop, ansn, dests.iter().copied(), until, now, &mut self.pairs)
     }
 
     /// Receives a TC (one not already in the duplicate set) from
@@ -780,7 +880,7 @@ impl TopologySet {
         } else {
             let repeat = state_live && record.logged_set_is(advertised.clone());
             let changed =
-                record.apply(originator, ansn, advertised.clone(), until, now, &mut self.len);
+                record.apply(originator, ansn, advertised.clone(), until, now, &mut self.pairs);
             // Repeated or logged now, the last logged set is `advertised`.
             if record.dests().eq(advertised.clone()) {
                 record.logged_set = None;
@@ -829,17 +929,22 @@ impl TopologySet {
             return false;
         }
         self.min_expiry.reset();
-        let min_expiry = &mut self.min_expiry;
-        let mut dropped = 0;
+        let (min_expiry, pairs) = (&mut self.min_expiry, &mut self.pairs);
+        let mut dropped = false;
         self.records.retain(|&originator, record| {
             let state_live = record.until > now;
             if record.tuples.iter().any(|t| t.until <= now) {
                 if state_live && record.logged_set.is_none() {
                     record.logged_set = Some(record.dests().collect());
                 }
-                let stored = record.tuples.len();
-                record.tuples.retain(|t| t.until > now);
-                dropped += stored - record.tuples.len();
+                record.tuples.retain(|t| {
+                    let live = t.until > now;
+                    if !live {
+                        pairs.record(originator, t.dest, false);
+                    }
+                    live
+                });
+                dropped = true;
             }
             for t in &record.tuples {
                 min_expiry.cover(t.until);
@@ -855,8 +960,7 @@ impl TopologySet {
             }
             state_live || !record.tuples.is_empty()
         });
-        self.len -= dropped;
-        dropped > 0
+        dropped
     }
 
     /// [`purge_reporting`](Self::purge_reporting) with the unreported
@@ -865,14 +969,19 @@ impl TopologySet {
         self.purge_reporting(now, |_, _| {})
     }
 
+    /// Every stored tuple as `(last_hop, dest)`, live or not, ascending.
+    pub(crate) fn stored_pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.records.values().flat_map(|r| &r.tuples).map(|t| (t.last_hop, t.dest))
+    }
+
     /// Number of stored tuples.
     pub fn len(&self) -> usize {
-        self.len
+        self.pairs.len
     }
 
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.pairs.len == 0
     }
 }
 

@@ -4,7 +4,8 @@
 //! avoid-route BFS, avoid routes answered from the main BFS tree, lazy
 //! duplicate reclaim, per-originator TC replacement, the merged
 //! per-originator TC record that decides a TC's log line and topology
-//! change in one lookup, per-via 2-hop runs and their batch refresh).
+//! change in one lookup, per-via 2-hop runs and their batch refresh, and
+//! the routing graph a node keeps in step with its 2-hop and topology sets).
 
 use std::collections::BTreeMap;
 
@@ -12,7 +13,7 @@ use proptest::prelude::*;
 
 use trustlink_olsr::message::{decode_vtime, encode_vtime};
 use trustlink_olsr::mpr::{select_mprs, uncovered_targets, MprCandidate};
-use trustlink_olsr::routing::{RoutingTable, RoutingWorkspace, TreeRoute};
+use trustlink_olsr::routing::{RoutingGraph, RoutingTable, TreeRoute};
 use trustlink_olsr::state::{DupProbe, DuplicateSet, TopologySet, TwoHopSet};
 use trustlink_olsr::types::SequenceNumber;
 use trustlink_sim::record::Willingness;
@@ -789,22 +790,13 @@ impl AvoidGraph {
             .collect()
     }
 
-    fn main_into(&self, ws: &mut RoutingWorkspace, out: &mut RoutingTable) {
+    /// The main route run of `graph`, given `generation`, after purging
+    /// the expired tuples: the graph routes over the stored ones.
+    fn main_into(&mut self, graph: &mut RoutingGraph, out: &mut RoutingTable, generation: u64) {
         let AvoidGraph { sym, two_hop, topo, .. } = self;
-        RoutingTable::compute_avoiding_into(ws, out, AVOID_ME, sym, two_hop, topo, AVOID_NOW, None);
-    }
-
-    fn reroute_into(
-        &self,
-        ws: &mut RoutingWorkspace,
-        out: &mut RoutingTable,
-        generation: u64,
-        x: NodeId,
-    ) {
-        let AvoidGraph { sym, two_hop, topo, .. } = self;
-        RoutingTable::reroute_avoiding_into(
-            ws, out, generation, AVOID_ME, sym, two_hop, topo, AVOID_NOW, x,
-        );
+        two_hop.purge(AVOID_NOW);
+        topo.purge(AVOID_NOW);
+        graph.run(out, generation, sym, two_hop, topo);
     }
 
     fn around(&self, x: NodeId) -> RoutingTable {
@@ -827,23 +819,18 @@ proptest! {
         edges in proptest::collection::vec((0u32..32, 0u32..32, any::<bool>()), 0..60),
         wide in any::<bool>(),
     ) {
-        let graph = AvoidGraph::new(sym, &pairs, &edges, wide);
-        let mut ws = RoutingWorkspace::default();
+        let mut graph = AvoidGraph::new(sym, &pairs, &edges, wide);
+        let mut routing = RoutingGraph::new(AVOID_ME);
         let mut main = RoutingTable::default();
-        graph.main_into(&mut ws, &mut main);
-        ws.stamp(7);
-        let mut stale = ws.clone();
+        graph.main_into(&mut routing, &mut main, 7);
+        prop_assert_eq!(&main, &graph.around(AVOID_ME));
         let mut out = RoutingTable::default();
         for x in graph.probes() {
-            let want = graph.around(x);
-            graph.reroute_into(&mut ws, &mut out, 7, x);
-            prop_assert_eq!(&out, &want, "avoiding {}", x);
-            // Another generation's stamp falls back to the full computation.
-            graph.reroute_into(&mut stale, &mut out, 8, x);
-            prop_assert_eq!(&out, &want, "avoiding {} unstamped", x);
+            routing.reroute(&mut out, x);
+            prop_assert_eq!(&out, &graph.around(x), "avoiding {}", x);
         }
         // The reroutes left the main graph intact.
-        graph.main_into(&mut ws, &mut out);
+        graph.main_into(&mut routing, &mut out, 8);
         prop_assert_eq!(&out, &main);
     }
 
@@ -854,28 +841,27 @@ proptest! {
         edges in proptest::collection::vec((0u32..32, 0u32..32, any::<bool>()), 0..60),
         wide in any::<bool>(),
     ) {
-        let graph = AvoidGraph::new(sym, &pairs, &edges, wide);
+        let mut graph = AvoidGraph::new(sym, &pairs, &edges, wide);
         // Where the main BFS tree says a route avoids a node, the main
         // route (next hop and hops, or absence) is the route around it.
         // The first pass reads the tree the first query records, the
-        // second the one a later main computation records itself.
-        let mut ws = RoutingWorkspace::default();
+        // second the one a later run records itself.
+        let mut routing = RoutingGraph::new(AVOID_ME);
         let mut main = RoutingTable::default();
-        graph.main_into(&mut ws, &mut main);
-        prop_assert_eq!(ws.tree_route(7, AVOID_ME, AVOID_ME), TreeRoute::Unknown, "unstamped");
+        prop_assert_eq!(routing.tree_route(7, AVOID_ME, AVOID_ME), TreeRoute::Unknown, "no run");
+        graph.main_into(&mut routing, &mut main, 7);
         let probes = graph.probes();
         let around: Vec<RoutingTable> = probes.iter().map(|&x| graph.around(x)).collect();
         for generation in [7, 9] {
             if generation == 9 {
-                graph.main_into(&mut ws, &mut main);
+                graph.main_into(&mut routing, &mut main, 9);
             }
-            ws.stamp(generation);
-            let stale = ws.tree_route(generation + 1, AVOID_ME, AVOID_ME);
+            let stale = routing.tree_route(generation + 1, AVOID_ME, AVOID_ME);
             prop_assert_eq!(stale, TreeRoute::Unknown, "another generation");
             let mut avoids = 0;
             for (&x, around) in probes.iter().zip(&around) {
                 for &dst in &probes {
-                    let answer = ws.tree_route(generation, dst, x);
+                    let answer = routing.tree_route(generation, dst, x);
                     let route = main.route_to(dst);
                     match answer {
                         TreeRoute::Avoids => {
@@ -1100,6 +1086,162 @@ proptest! {
                     prop_assert_eq!(set.contains(via, th, now), want, "step {}", step);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn kept_graph_routes_like_a_rebuild(ops in graph_ops()) {
+        let mut node = GraphNode::default();
+        // The sets, neighbors and instant of the last route run.
+        let mut last: Option<(TwoHopSet, TopologySet, Vec<NodeId>, SimTime)> = None;
+        let mut out = RoutingTable::default();
+        for (step, (dt, op)) in ops.into_iter().enumerate() {
+            node.now += SimDuration::from_secs(dt);
+            let now = node.now;
+            match op {
+                GraphOp::Hello { via, claims, hold } => {
+                    let until = now + SimDuration::from_secs(hold);
+                    let claims = claims.into_iter().map(graph_id);
+                    node.two_hop.upsert_via(graph_id(via), claims, until, now, |_| {});
+                }
+                GraphOp::Lost { via } => {
+                    node.two_hop.remove_via(graph_id(via), now);
+                }
+                GraphOp::Tc { origin, ansn, dests, hold } => {
+                    let origin = graph_id(origin);
+                    let current = node.ansns.entry(origin).or_insert(0);
+                    *current = current.wrapping_add(ansn);
+                    let until = now + SimDuration::from_secs(hold);
+                    let dests = dests.iter().map(|&d| graph_id(d));
+                    node.topo.receive_tc(origin, *current, dests, true, until, now);
+                }
+                GraphOp::Sym { ids } => {
+                    let mut sym: Vec<NodeId> = ids.into_iter().map(graph_id).collect();
+                    sym.sort_unstable();
+                    sym.dedup();
+                    // A neighbor that leaves takes its 2-hop pairs along.
+                    for &n in node.sym.iter().filter(|n| !sym.contains(n)) {
+                        node.two_hop.remove_via(n, now);
+                    }
+                    node.sym = sym;
+                }
+                GraphOp::Purge => {
+                    node.two_hop.purge(now);
+                    node.topo.purge(now);
+                }
+                GraphOp::Run => {
+                    node.two_hop.purge(now);
+                    node.topo.purge(now);
+                    node.generation += 1;
+                    let GraphNode { graph, two_hop, topo, sym, generation, .. } = &mut node;
+                    graph.run(&mut out, *generation, sym, two_hop, topo);
+                    let want = RoutingTable::compute(GRAPH_ME, sym, two_hop, topo, now);
+                    prop_assert_eq!(&out, &want, "route run at step {}", step);
+                    last = Some((two_hop.clone(), topo.clone(), sym.clone(), now));
+                }
+                GraphOp::Reroute { avoided } => {
+                    let avoided = graph_id(avoided);
+                    node.graph.reroute(&mut out, avoided);
+                    let Some((two_hop, topo, sym, at)) = &last else {
+                        prop_assert!(out.is_empty(), "no run yet, step {}", step);
+                        continue;
+                    };
+                    let want = RoutingTable::compute_avoiding(
+                        GRAPH_ME, sym, two_hop, topo, *at, Some(avoided),
+                    );
+                    prop_assert_eq!(&out, &want, "avoiding {} at step {}", avoided, step);
+                    let main = RoutingTable::compute(GRAPH_ME, sym, two_hop, topo, *at);
+                    for dst in (0..GRAPH_IDS).map(graph_id) {
+                        if node.graph.tree_route(node.generation, dst, avoided) == TreeRoute::Avoids {
+                            prop_assert_eq!(main.route_to(dst), want.route_to(dst), "step {}", step);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `me` of [`GraphNode`].
+const GRAPH_ME: NodeId = NodeId(0);
+
+/// Ids `0..GRAPH_IDS` appear in the graph oracle's operations; the last
+/// one stands for the largest id.
+const GRAPH_IDS: u32 = 14;
+
+fn graph_id(i: u32) -> NodeId {
+    if i == GRAPH_IDS - 1 {
+        NodeId(u32::MAX)
+    } else {
+        NodeId(i)
+    }
+}
+
+/// What a node does to the inputs of its route runs, as the graph oracle
+/// drives it.
+#[derive(Debug, Clone)]
+enum GraphOp {
+    /// A HELLO from `via` claiming `claims` as its symmetric neighbors.
+    Hello { via: u32, claims: Vec<u32>, hold: u64 },
+    /// A HELLO from `via` listing this node LOST: every pair through `via`
+    /// goes, possibly only expired ones.
+    Lost { via: u32 },
+    /// A TC from `origin` whose ANSN moves by `ansn` (0: the same ANSN, a
+    /// merge or a refresh; 65 535: a stale one).
+    Tc { origin: u32, ansn: u16, dests: Vec<u32>, hold: u64 },
+    /// The symmetric neighbors become `ids`.
+    Sym { ids: Vec<u32> },
+    /// Both sets purged at a random instant.
+    Purge,
+    /// A route run, after the purges the node makes before it.
+    Run,
+    /// A masked reroute over the last run's graph.
+    Reroute { avoided: u32 },
+}
+
+fn graph_ops() -> impl Strategy<Value = Vec<(u64, GraphOp)>> {
+    let ids = || proptest::collection::vec(0u32..GRAPH_IDS, 0..6);
+    let op = (
+        0u8..14,
+        0u32..GRAPH_IDS,
+        1u64..8,
+        ids(),
+        prop_oneof![Just(0u16), Just(1), Just(u16::MAX)],
+    )
+        .prop_map(|(k, id, hold, list, ansn)| match k {
+            0..=2 => GraphOp::Hello { via: 1 + id % 6, claims: list, hold },
+            3 => GraphOp::Lost { via: 1 + id % 6 },
+            4..=6 => GraphOp::Tc { origin: id, ansn, dests: list, hold },
+            7 => GraphOp::Sym { ids: list.into_iter().filter(|&i| i != 0).collect() },
+            8 => GraphOp::Purge,
+            9 | 10 => GraphOp::Run,
+            _ => GraphOp::Reroute { avoided: id },
+        });
+    // (clock advance in s, operation)
+    proptest::collection::vec((0u64..3, op), 0..120)
+}
+
+/// The route-run inputs of one node and the graph it keeps.
+struct GraphNode {
+    graph: RoutingGraph,
+    two_hop: TwoHopSet,
+    topo: TopologySet,
+    sym: Vec<NodeId>,
+    ansns: BTreeMap<NodeId, u16>,
+    generation: u64,
+    now: SimTime,
+}
+
+impl Default for GraphNode {
+    fn default() -> Self {
+        GraphNode {
+            graph: RoutingGraph::new(GRAPH_ME),
+            two_hop: TwoHopSet::default(),
+            topo: TopologySet::default(),
+            sym: Vec::new(),
+            ansns: BTreeMap::new(),
+            generation: 0,
+            now: SimTime::ZERO,
         }
     }
 }

@@ -26,6 +26,10 @@
 //! Deciding it reads the frame in place and refreshes the originator's
 //! record, so its delivery must not allocate either.
 //!
+//! A fifth guard pins the route run after a TC that changed the topology:
+//! the node's routing graph replays the pairs the TC inserted and removed,
+//! frees and reuses slots and runs the BFS in storage it already holds.
+//!
 //! The counter is per thread: each guard measures only the allocations
 //! its own thread makes, so neither the other guard nor the test
 //! harness's threads can leak into a measurement window.
@@ -36,6 +40,7 @@ use std::cell::Cell;
 
 use bytes::Bytes;
 use trustlink_olsr::message::{Message, MessageBody, Packet, TcMessage};
+use trustlink_olsr::node::{TIMER_RECOMPUTE, TIMER_REFRESH};
 use trustlink_olsr::types::SequenceNumber;
 use trustlink_olsr::wire::encode_packet;
 use trustlink_olsr::{OlsrConfig, OlsrNode};
@@ -298,4 +303,90 @@ fn repeated_tc_at_a_non_forwarding_node_allocates_nothing() {
         "receiving 20 repeated, unforwarded TCs allocated {} times",
         end.allocs
     );
+}
+
+/// An [`OlsrNode`] that counts the allocator calls made by the route runs
+/// its debounced recompute and refresh timers trigger while `watching`:
+/// the two timers that only bring the node up to date.
+struct RouteRunWatch {
+    node: OlsrNode,
+    watching: bool,
+    runs: u64,
+    allocs: u64,
+}
+
+impl Application for RouteRunWatch {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.node.on_start(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
+        let runs = self.node.recompute_stats().route_runs;
+        let before = allocs();
+        self.node.on_timer(ctx, timer);
+        let ran = self.node.recompute_stats().route_runs > runs;
+        if self.watching && matches!(timer, TIMER_RECOMPUTE | TIMER_REFRESH) && ran {
+            self.allocs += allocs() - before;
+            self.runs += 1;
+        }
+    }
+
+    fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
+        self.node.on_receive(ctx, from, payload);
+    }
+}
+
+#[test]
+fn route_run_after_a_changed_tc_allocates_nothing() {
+    // A converged 2-node line. N1 hears TCs from a phantom originator N7,
+    // relayed by N0, each with a newer ANSN and the set {10, 11} or
+    // {10, 12} in turn: every one removes one topology tuple and inserts
+    // another, and the id it drops loses its graph slot to the id it adds.
+    // N7 links to nothing N1 reaches, so the routes, and the log, stay as
+    // they are: the count is the route run's own work.
+    let mut sim = SimulatorBuilder::new(9)
+        .radio(RadioConfig::unit_disk(150.0))
+        .arena(Arena::new(1_000.0, 1_000.0))
+        .build();
+    sim.add_node(Box::new(OlsrNode::new(OlsrConfig::fast())), Position::new(0.0, 0.0));
+    let node = OlsrNode::new(OlsrConfig::fast());
+    let watch = RouteRunWatch { node, watching: false, runs: 0, allocs: 0 };
+    sim.add_node(Box::new(watch), Position::new(100.0, 0.0));
+    sim.run_for(SimDuration::from_secs(10));
+
+    let frame = |k: u16| {
+        let seq = SequenceNumber(40_000 + k);
+        let last = if k.is_multiple_of(2) { 11 } else { 12 };
+        let tc = TcMessage { ansn: k, advertised: vec![NodeId(10), NodeId(last)] };
+        let msg = Message {
+            vtime: SimDuration::from_secs(60),
+            originator: NodeId(7),
+            ttl: 8,
+            hop_count: 1,
+            seq,
+            body: MessageBody::Tc(tc),
+        };
+        encode_packet(&Packet { seq, messages: vec![msg] })
+    };
+    // Warm-up, then the watched changes, each given time for its run.
+    for k in 0..40u16 {
+        if k == 10 {
+            sim.app_as_mut::<RouteRunWatch>(NodeId(1)).unwrap().watching = true;
+        }
+        sim.inject_broadcast(NodeId(0), frame(k));
+        sim.run_for(SimDuration::from_millis(150));
+    }
+
+    let now = sim.now();
+    let end = sim.app_as::<RouteRunWatch>(NodeId(1)).unwrap();
+    let heard: Vec<NodeId> = end
+        .node
+        .topology_set()
+        .iter(now)
+        .filter(|t| t.last_hop == NodeId(7))
+        .map(|t| t.dest)
+        .collect();
+    assert_eq!(heard, [NodeId(10), NodeId(12)], "the last TC was applied");
+    assert!(end.runs >= 20, "only {} of 30 changes ran routes on a watched timer", end.runs);
+    assert_eq!(end.allocs, 0, "{} route runs allocated {} times", end.runs, end.allocs);
 }
