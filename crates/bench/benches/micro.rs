@@ -342,10 +342,10 @@ fn bench_log_pipeline(c: &mut Criterion) {
 
 fn bench_signature_engine(c: &mut Criterion) {
     use trustlink_ids::events::DetectionEvent;
-    use trustlink_ids::SignatureEngine;
+    use trustlink_ids::Progress;
     c.bench_function("signature_trigger_confirm_pair", |b| {
         b.iter(|| {
-            let mut engine = SignatureEngine::with_builtin(SimDuration::from_secs(60));
+            let mut progress = Progress::default();
             let e1 = DetectionEvent::MprReplaced {
                 replaced: vec![NodeId(9)],
                 replacing: vec![NodeId(3)],
@@ -356,8 +356,8 @@ fn bench_signature_engine(c: &mut Criterion) {
                 neighbor: NodeId(7),
                 at: SimTime::from_secs(2),
             };
-            engine.observe(&e1);
-            black_box(engine.observe(&e4))
+            progress.observe(NodeId(3), &e1);
+            black_box(progress.observe(NodeId(3), &e4))
         })
     });
 }

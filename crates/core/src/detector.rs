@@ -5,10 +5,13 @@
 //! 1. the OLSR routing daemon (`trustlink-olsr`), untouched;
 //! 2. a periodic **log analysis** pass that tails the node's own audit log
 //!    (nothing else — the paper's architectural constraint), extracts
-//!    detection events and feeds the signature engine;
-//! 3. the **cooperative investigation** of Algorithm 1 when a suspicious
-//!    event (E1/E2) incriminates an MPR: witnesses are interrogated over
-//!    the data plane, routing around the suspect;
+//!    detection events and feeds each to the signature progress of the
+//!    suspects it names;
+//! 3. the **cooperative investigation** of Algorithm 1, opened by the
+//!    partial signature match: an event that satisfies the first stage of
+//!    a built-in signature (E1, or E2 of any kind) opens a case on each
+//!    MPR it incriminates. Witnesses are interrogated over the data plane,
+//!    routing around the suspect;
 //! 4. the **trust system** of §IV: answers are aggregated with formula (8),
 //!    each weighted by the witness's trust and by the stability of the link
 //!    it answers over, bounded by the confidence interval of formula (9),
@@ -19,8 +22,14 @@
 //! 5. the **answering side**: every node (honest or lying, per
 //!    [`LiarPolicy`]) answers link-verification requests about its own
 //!    links.
+//!
+//! Everything the detector holds about one suspect sits in that suspect's
+//! file, one entry of one map: its signature progress, a trigger held back
+//! during warm-up, the open case, the round count, the MPRs it replaced and
+//! whether it stands condemned. Only an event that opens a case creates a
+//! file.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use rand::RngExt;
@@ -29,7 +38,7 @@ use trustlink_ids::events::{DetectionEvent, EventExtractor, MisbehaviourReason};
 use trustlink_ids::investigation::{
     plan_witnesses, Investigation, InvestigationConfig, InvestigationMessage,
 };
-use trustlink_ids::signature::{SignatureEngine, SignatureMatch};
+use trustlink_ids::signature::{opens_case, Progress, SignatureMatch};
 use trustlink_olsr::hooks::{NoHooks, OlsrHooks};
 use trustlink_olsr::node::OlsrNode;
 use trustlink_olsr::types::OlsrConfig;
@@ -44,8 +53,6 @@ use trustlink_trust::value::{EvidenceKind, TrustValue};
 /// Timer token for the periodic log-analysis pass.
 pub const TIMER_ANALYSIS: TimerToken = TimerToken(2000);
 
-/// Window of the partially-ordered signature matcher.
-const SIGNATURE_WINDOW: SimDuration = SimDuration::from_secs(120);
 /// Maximum investigation rounds per suspect before giving up.
 const MAX_ROUNDS_PER_SUSPECT: u32 = 25;
 /// |Detect| needed before testimony evidence is assigned to witnesses
@@ -120,6 +127,27 @@ pub struct VerdictRecord {
     pub at: SimTime,
 }
 
+/// Everything a detector holds about one suspect.
+#[derive(Debug, Default)]
+struct SuspectFile {
+    /// Progress through the built-in signatures.
+    progress: Progress,
+    /// A trigger seen during warm-up, held until the routing view has
+    /// converged, with the first contested-link hint such a trigger gave.
+    held: Option<Option<NodeId>>,
+    /// The open investigation, if any. Boxed, like `replaced`, because a
+    /// file stays for good and most never see a case or an E1: every
+    /// suspect named by a trigger gets one.
+    case: Option<Box<Investigation>>,
+    /// Investigation rounds opened so far.
+    rounds: u32,
+    /// The MPRs the suspect replaced in the latest E1 naming it (narrows
+    /// witness selection).
+    replaced: Box<[NodeId]>,
+    /// Rule (10) convicted the suspect.
+    condemned: bool,
+}
+
 /// The trust-enabled intrusion-detecting OLSR node.
 ///
 /// Generic over [`OlsrHooks`] so an *attacker* can also run a detector
@@ -128,22 +156,14 @@ pub struct DetectorNode<H: OlsrHooks = NoHooks> {
     olsr: OlsrNode<H>,
     cfg: DetectorConfig,
     extractor: EventExtractor,
-    engine: SignatureEngine,
     trust: TrustStore<NodeId>,
     cursor: usize,
-    cases: Vec<Investigation>,
-    /// Replaced MPRs remembered per suspect (narrows witness selection).
-    old_mprs: BTreeMap<NodeId, Vec<NodeId>>,
-    rounds: BTreeMap<NodeId, u32>,
-    condemned: BTreeSet<NodeId>,
+    files: BTreeMap<NodeId, SuspectFile>,
     verdicts: Vec<VerdictRecord>,
     matches: Vec<SignatureMatch>,
     next_case: u64,
     started_at: SimTime,
     last_slot: SimTime,
-    /// Suspicious triggers observed during warmup, investigated once the
-    /// routing view has converged. Maps suspect to the contested-link hint.
-    pending_suspects: BTreeMap<NodeId, Option<NodeId>>,
     /// `(when, log cursor after the pass)` per analysis pass; only kept
     /// when [`DetectorConfig::flight_recording`] is on.
     analysis_ticks: Vec<(SimTime, usize)>,
@@ -171,21 +191,16 @@ impl<H: OlsrHooks> DetectorNode<H> {
     pub fn with_hooks(olsr: OlsrConfig, cfg: DetectorConfig, hooks: H) -> Self {
         DetectorNode {
             olsr: OlsrNode::with_hooks(olsr, hooks),
-            engine: SignatureEngine::with_builtin(SIGNATURE_WINDOW),
             trust: TrustStore::new(TrustValue::DEFAULT),
             cfg,
             extractor: EventExtractor::new(),
             cursor: 0,
-            cases: Vec::new(),
-            old_mprs: BTreeMap::new(),
-            rounds: BTreeMap::new(),
-            condemned: BTreeSet::new(),
+            files: BTreeMap::new(),
             verdicts: Vec::new(),
             matches: Vec::new(),
             next_case: 0,
             started_at: SimTime::ZERO,
             last_slot: SimTime::ZERO,
-            pending_suspects: BTreeMap::new(),
             analysis_ticks: Vec::new(),
             extracted_events: Vec::new(),
         }
@@ -225,9 +240,13 @@ impl<H: OlsrHooks> DetectorNode<H> {
         v
     }
 
-    /// Nodes this detector has condemned as intruders.
+    /// Nodes this detector has condemned as intruders, ascending.
     pub fn condemned(&self) -> Vec<NodeId> {
-        self.condemned.iter().copied().collect()
+        self.files.iter().filter(|(_, f)| f.condemned).map(|(&s, _)| s).collect()
+    }
+
+    fn is_condemned(&self, node: NodeId) -> bool {
+        self.files.get(&node).is_some_and(|f| f.condemned)
     }
 
     /// The log-derived view (for tests and tooling).
@@ -237,7 +256,7 @@ impl<H: OlsrHooks> DetectorNode<H> {
 
     /// Number of investigations still waiting for answers.
     pub fn open_cases(&self) -> usize {
-        self.cases.len()
+        self.files.values().filter(|f| f.case.is_some()).count()
     }
 
     /// When each analysis pass sampled the log, with the log cursor after
@@ -291,61 +310,70 @@ impl<H: OlsrHooks> DetectorNode<H> {
             self.extracted_events.extend(events.iter().cloned());
         }
 
-        // 3. Feed the signature engine; open investigations on suspicion.
+        // 3. Feed each event to the files of the suspects it names. An
+        // event that satisfies the first stage of a built-in signature (the
+        // partial match) opens a case on each of them, creating the file;
+        // any other event only advances files that exist.
         let me = ctx.id();
+        let warm = self.warmed_up(now);
         for ev in &events {
-            for m in self.engine.observe(ev) {
-                self.matches.push(m);
-            }
-            if ev.criticality() == trustlink_ids::events::Criticality::Suspicious {
-                if let DetectionEvent::MprReplaced { replaced, replacing, .. } = ev {
-                    for s in replacing {
-                        self.old_mprs.insert(*s, replaced.clone());
-                    }
-                }
-                // An unknown-claim event names the disputed link directly.
-                let hint = match ev {
-                    DetectionEvent::MprMisbehaving {
-                        reason: MisbehaviourReason::UnknownClaimedNeighbor(x),
-                        ..
-                    } => Some(*x),
-                    _ => None,
+            let opens = opens_case(ev);
+            // An unknown-claim event names the disputed link directly.
+            let hint = match ev {
+                DetectionEvent::MprMisbehaving {
+                    reason: MisbehaviourReason::UnknownClaimedNeighbor(x),
+                    ..
+                } => Some(*x),
+                _ => None,
+            };
+            for suspect in ev.suspects() {
+                let file = match self.files.get_mut(&suspect) {
+                    Some(file) => file,
+                    None if opens => self.files.entry(suspect).or_default(),
+                    None => continue,
                 };
-                for suspect in ev.suspects() {
-                    if suspect == me {
-                        continue;
-                    }
-                    if self.warmed_up(ctx.now()) {
-                        self.maybe_open_case(ctx, suspect, hint);
-                    } else {
-                        // Remember the trigger; investigate after warmup.
-                        let entry = self.pending_suspects.entry(suspect).or_insert(hint);
-                        if entry.is_none() {
-                            *entry = hint;
-                        }
-                    }
+                self.matches.extend(file.progress.observe(suspect, ev));
+                if !opens {
+                    continue;
+                }
+                if let DetectionEvent::MprReplaced { replaced, .. } = ev {
+                    file.replaced = replaced.as_slice().into();
+                }
+                if suspect == me {
+                    continue;
+                }
+                if warm {
+                    self.maybe_open_case(ctx, suspect, hint);
+                } else {
+                    // Remember the trigger; investigate after warmup.
+                    file.held = Some(file.held.flatten().or(hint));
                 }
             }
         }
         // Triggers held back during warmup become cases now.
-        if self.warmed_up(ctx.now()) && !self.pending_suspects.is_empty() {
-            let pending = std::mem::take(&mut self.pending_suspects);
-            for (suspect, hint) in pending {
+        if warm {
+            let held: Vec<(NodeId, Option<NodeId>)> =
+                self.files.iter_mut().filter_map(|(&s, f)| Some((s, f.held.take()?))).collect();
+            for (suspect, hint) in held {
                 self.maybe_open_case(ctx, suspect, hint);
             }
         }
 
-        // 4. Finalize due cases.
-        let now = ctx.now();
-        let due: Vec<Investigation> = {
-            let (done, open): (Vec<_>, Vec<_>) =
-                std::mem::take(&mut self.cases).into_iter().partition(|c| c.is_complete(now));
-            self.cases = open;
-            done
-        };
+        // 4. Finalize due cases in the order they opened. A case reopened
+        // here waits for the next pass.
+        let mut due: Vec<(u64, NodeId)> = self
+            .files
+            .iter()
+            .filter_map(|(&s, f)| {
+                f.case.as_ref().filter(|c| c.is_complete(now)).map(|c| (c.case, s))
+            })
+            .collect();
+        due.sort_unstable();
         let finalized_any = !due.is_empty();
-        for case in due {
-            self.finalize_case(ctx, case);
+        for (_, suspect) in due {
+            if let Some(case) = self.files.get_mut(&suspect).and_then(|f| f.case.take()) {
+                self.finalize_case(ctx, *case);
+            }
         }
 
         // 5. Close the trust slot. The slot is the investigation round when
@@ -356,7 +384,7 @@ impl<H: OlsrHooks> DetectorNode<H> {
             // Background relaying evidence for current symmetric neighbors
             // (Property 1's beneficial activity).
             for n in self.olsr.symmetric_neighbors(now) {
-                if !self.condemned.contains(&n) {
+                if !self.is_condemned(n) {
                     self.trust.record(n, EvidenceKind::NormalRelaying);
                 }
             }
@@ -409,10 +437,10 @@ impl<H: OlsrHooks> DetectorNode<H> {
         if !self.warmed_up(ctx.now()) {
             return; // the routing view is still converging
         }
-        if self.condemned.contains(&suspect) {
+        let Some(file) = self.files.get(&suspect) else {
             return;
-        }
-        if self.cases.iter().any(|c| c.suspect == suspect) {
+        };
+        if file.condemned || file.case.is_some() || file.rounds >= MAX_ROUNDS_PER_SUSPECT {
             return;
         }
         let me = ctx.id();
@@ -426,22 +454,16 @@ impl<H: OlsrHooks> DetectorNode<H> {
         let Some(contested) = hint.or_else(|| self.pick_contested(me, suspect)) else {
             return; // every advertised link is corroborated: nothing to dispute
         };
-        let rounds = self.rounds.entry(suspect).or_insert(0);
-        if *rounds >= MAX_ROUNDS_PER_SUSPECT {
-            return;
-        }
-        let old = self.old_mprs.get(&suspect).cloned().unwrap_or_default();
         let witnesses = plan_witnesses(
             &self.extractor,
             me,
             suspect,
-            &old,
+            &file.replaced,
             self.cfg.investigation.max_witnesses,
         );
         if witnesses.len() < 2 {
             return; // a single witness can never clear the margin of error
         }
-        *rounds += 1;
         self.next_case += 1;
         // Snapshot how stable each witness link looks *now*: churn false
         // positives are triggered by a link dissolving, and the instability
@@ -459,7 +481,10 @@ impl<H: OlsrHooks> DetectorNode<H> {
             // Route around the suspect, per Algorithm 1.
             self.olsr.send_data(ctx, w, req.encode(), Some(suspect));
         }
-        self.cases.push(case);
+        if let Some(file) = self.files.get_mut(&suspect) {
+            file.rounds += 1;
+            file.case = Some(Box::new(case));
+        }
     }
 
     fn finalize_case(&mut self, ctx: &mut Context<'_>, mut case: Investigation) {
@@ -498,15 +523,16 @@ impl<H: OlsrHooks> DetectorNode<H> {
         };
         if let Some(truthful) = truthful {
             for (w, kind) in case.dispute.testimony(truthful) {
-                if !self.condemned.contains(&w) {
+                if !self.is_condemned(w) {
                     self.trust.record(w, kind);
                 }
             }
         }
 
+        let file = self.files.entry(suspect).or_default();
         match verdict {
             Verdict::Intruder => {
-                self.condemned.insert(suspect);
+                file.condemned = true;
                 // Property 3: a confirmed intrusion collapses trust outright.
                 self.trust.record(suspect, EvidenceKind::ForgedRouting);
                 self.trust.set_trust(suspect, TrustValue::MIN);
@@ -526,14 +552,10 @@ impl<H: OlsrHooks> DetectorNode<H> {
                         },
                         Answer::Confirm => continue,
                     };
-                    for m in self.engine.observe(&ev) {
-                        self.matches.push(m);
-                    }
+                    self.matches.extend(file.progress.observe(suspect, &ev));
                 }
             }
-            Verdict::WellBehaving => {
-                self.engine.clear_suspect(suspect);
-            }
+            Verdict::WellBehaving => file.progress.clear(),
             Verdict::Unrecognized => {
                 // "more evidences should be collected": reopen immediately,
                 // bounded by MAX_ROUNDS_PER_SUSPECT. The contested link is
@@ -580,7 +602,8 @@ impl<H: OlsrHooks> DetectorNode<H> {
                 self.olsr.send_data(ctx, src, resp.encode(), Some(suspect));
             }
             InvestigationMessage::VerifyLinkResponse { case, witness, link_exists, .. } => {
-                if let Some(c) = self.cases.iter_mut().find(|c| c.case == case) {
+                let mut open = self.files.values_mut().filter_map(|f| f.case.as_mut());
+                if let Some(c) = open.find(|c| c.case == case) {
                     c.dispute.record_answer(witness, link_exists);
                 }
             }
@@ -680,9 +703,9 @@ impl<H: OlsrHooks> std::fmt::Debug for DetectorNode<H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DetectorNode")
             .field("olsr", &self.olsr)
-            .field("open_cases", &self.cases.len())
+            .field("open_cases", &self.open_cases())
             .field("verdicts", &self.verdicts.len())
-            .field("condemned", &self.condemned)
+            .field("condemned", &self.condemned())
             .finish()
     }
 }
@@ -812,6 +835,146 @@ mod tests {
         assert_eq!(verify_at_n0(&sim, 1, 99), Some(false), "a phantom is still denied");
         sim.run_for(SimDuration::from_secs(30));
         assert_eq!(verify_at_n0(&sim, 1, 0), Some(false));
+    }
+
+    /// A detector whose audit log also receives scripted records, each at
+    /// the first analysis pass at or after its time.
+    struct Scripted {
+        det: DetectorNode,
+        script: Vec<(SimTime, LogRecord)>,
+    }
+
+    impl Application for Scripted {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.det.on_start(ctx);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
+            if timer == TIMER_ANALYSIS {
+                let due = self.script.iter().take_while(|(at, _)| *at <= ctx.now()).count();
+                for (_, record) in self.script.drain(..due) {
+                    ctx.log(record);
+                }
+            }
+            self.det.on_timer(ctx, timer);
+        }
+
+        fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
+            self.det.on_receive(ctx, from, payload);
+        }
+    }
+
+    /// A lone detector N0 fed `script`, with the given warm-up.
+    fn scripted(warmup: u64, script: Vec<(SimTime, LogRecord)>) -> trustlink_sim::Simulator {
+        use trustlink_sim::{Position, SimulatorBuilder};
+        let cfg = DetectorConfig {
+            warmup: SimDuration::from_secs(warmup),
+            flight_recording: true,
+            ..DetectorConfig::default()
+        };
+        let det = DetectorNode::new(OlsrConfig::fast(), cfg);
+        let mut sim = SimulatorBuilder::new(7).build();
+        sim.add_node(Box::new(Scripted { det, script }), Position::new(0.0, 0.0));
+        sim
+    }
+
+    fn files(sim: &trustlink_sim::Simulator) -> &BTreeMap<NodeId, SuspectFile> {
+        &sim.app_as::<Scripted>(NodeId(0)).expect("scripted detector").det.files
+    }
+
+    fn hello_rx(from: u32, sym: &[u32]) -> LogRecord {
+        LogRecord::HelloRx {
+            from: NodeId(from),
+            willingness: Willingness::Default,
+            sym: sym.iter().map(|&n| NodeId(n)).collect(),
+            asym: Box::from([]),
+        }
+    }
+
+    #[test]
+    fn a_repeat_trigger_at_stage_one_still_opens_a_case() {
+        // N4 first claims only the unknown N99: one witness, so the case is
+        // refused. Its next unknown claim finds the file at stage 1 already,
+        // and now with enough witnesses it must open the case.
+        let sim = &mut scripted(
+            0,
+            vec![
+                (t(1), hello_rx(1, &[])),
+                (t(1), hello_rx(2, &[])),
+                (t(1), hello_rx(4, &[99])),
+                (t(5), hello_rx(4, &[1, 2, 99, 98])),
+            ],
+        );
+        sim.run_until(t(3));
+        let file = &files(sim)[&NodeId(4)];
+        assert_eq!(file.progress.stages(), [1, 0]);
+        assert!(file.case.is_none());
+        assert_eq!(file.rounds, 0);
+        sim.run_until(t(7));
+        let file = &files(sim)[&NodeId(4)];
+        assert_eq!(file.progress.stages(), [1, 0], "the repeat trigger advanced nothing");
+        let case = file.case.as_ref().expect("the repeat trigger opened a case");
+        assert_eq!((case.case, case.contested, file.rounds), (1, NodeId(98), 1));
+    }
+
+    #[test]
+    fn warmup_triggers_open_in_ascending_suspect_order_with_the_first_hint() {
+        // During warm-up N7 triggers first, then N5 three times: without a
+        // hint, then with N50, then with N51.
+        let sim = &mut scripted(
+            10,
+            vec![
+                (t(1), hello_rx(1, &[])),
+                (t(1), hello_rx(2, &[])),
+                (t(2), hello_rx(7, &[1, 2, 70])),
+                (t(3), hello_rx(5, &[1, 2])),
+                (t(3), LogRecord::DecodeError { from: NodeId(5) }),
+                (t(4), hello_rx(5, &[1, 2, 50])),
+                (t(5), hello_rx(5, &[1, 2, 50, 51])),
+            ],
+        );
+        sim.run_until(t(9));
+        let held: Vec<_> = files(sim).iter().map(|(&s, f)| (s, f.held, f.case.is_some())).collect();
+        assert_eq!(
+            held,
+            vec![
+                (NodeId(5), Some(Some(NodeId(50))), false),
+                (NodeId(7), Some(Some(NodeId(70))), false)
+            ]
+        );
+        sim.run_until(t(12));
+        let opened: Vec<_> = files(sim)
+            .iter()
+            .map(|(&s, f)| {
+                let case = f.case.as_ref().expect("held trigger opened a case");
+                (s, case.case, case.contested, f.held)
+            })
+            .collect();
+        assert_eq!(
+            opened,
+            vec![(NodeId(5), 1, NodeId(50), None), (NodeId(7), 2, NodeId(70), None)]
+        );
+    }
+
+    #[test]
+    fn events_that_open_no_case_create_no_file() {
+        // 1 000 MPRs, each the only via to its own 2-hop node: every pass
+        // extracts 1 000 E3 events naming distinct ids.
+        let mut script =
+            vec![(t(1), LogRecord::MprSet { mprs: (1_000..2_000).map(NodeId).collect() })];
+        script.extend((0..1_000).map(|i| {
+            (t(1), LogRecord::TwoHopAdded { via: NodeId(1_000 + i), addr: NodeId(5_000 + i) })
+        }));
+        let sim = &mut scripted(0, script);
+        sim.run_until(t(4));
+        let det = &sim.app_as::<Scripted>(NodeId(0)).expect("scripted detector").det;
+        let e3 = det
+            .extracted_events()
+            .iter()
+            .filter(|ev| matches!(ev, DetectionEvent::SoleConnectivity { .. }))
+            .count();
+        assert!(e3 >= 1_000, "{e3} E3 events");
+        assert!(det.files.is_empty(), "{} files", det.files.len());
     }
 
     #[test]

@@ -24,17 +24,6 @@ use trustlink_olsr::idhash::IdHashMap;
 use trustlink_sim::record::LogRecord;
 use trustlink_sim::{NodeId, SimTime};
 
-/// How urgently an event calls for action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Criticality {
-    /// Bookkeeping only.
-    Informational,
-    /// Warrants a cooperative investigation (the paper's E1/E2 triggers).
-    Suspicious,
-    /// Direct evidence of an attack (confirmed E4/E5).
-    Critical,
-}
-
 /// A detection-relevant observation about one suspect.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DetectionEvent {
@@ -132,20 +121,6 @@ impl DetectionEvent {
             | DetectionEvent::SoleConnectivity { at, .. }
             | DetectionEvent::NotCovering { at, .. }
             | DetectionEvent::CoveringNonNeighbor { at, .. } => *at,
-        }
-    }
-
-    /// The criticality class of the event (drives whether an investigation
-    /// is launched — the paper's "depending on their level of criticality").
-    pub fn criticality(&self) -> Criticality {
-        match self {
-            DetectionEvent::MprReplaced { .. } | DetectionEvent::MprMisbehaving { .. } => {
-                Criticality::Suspicious
-            }
-            DetectionEvent::SoleConnectivity { .. } => Criticality::Informational,
-            DetectionEvent::NotCovering { .. } | DetectionEvent::CoveringNonNeighbor { .. } => {
-                Criticality::Critical
-            }
         }
     }
 }
@@ -510,7 +485,7 @@ mod tests {
             }
             other => panic!("wrong event {other:?}"),
         }
-        assert_eq!(events[0].criticality(), Criticality::Suspicious);
+        assert!(crate::signature::opens_case(&events[0]));
         assert_eq!(events[0].suspect(), Some(NodeId(3)));
     }
 
@@ -568,7 +543,7 @@ mod tests {
             })
             .collect();
         assert_eq!(e3, vec![(NodeId(1), vec![NodeId(10)])]);
-        assert_eq!(events[0].criticality(), Criticality::Informational);
+        assert!(!crate::signature::opens_case(&events[0]));
     }
 
     #[test]

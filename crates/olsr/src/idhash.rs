@@ -4,9 +4,9 @@
 //! transmits the frame. A table hashed by a fixed public function lets a
 //! hostile sender pick keys that all share one home bucket, so every later
 //! probe walks one long run: resource use controlled from the air. Every
-//! such table in the stack hashes with [`IdHash`], a multiply-add function
-//! whose multiplier and addend are secret and random, so no sender can
-//! predict which keys collide.
+//! such table in the stack hashes with [`IdHash`]: a multiply-add whose
+//! multiplier and addend are secret and random, passed through a fixed
+//! finalizer, so no sender can predict which keys collide.
 //!
 //! Key material is drawn from [`RandomState`] once per process; each table
 //! derives its own function from that draw and a per-table counter, so
@@ -20,15 +20,20 @@ use std::hash::{BuildHasher, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// A multiply-add hash of integer keys: `mul · key + add` modulo 2⁶⁴ for a
-/// random odd `mul` and a random `add`.
+/// A keyed hash of integer keys: `mix(mul · key + add)`, with the
+/// multiply-add modulo 2⁶⁴ for a random odd `mul` and a random `add`, and
+/// `mix` the splitmix64 finalizer.
 ///
-/// For keys of `w` bits, any window of `l` result bits that starts at bit
-/// `w - 1` or above is a strongly universal hash (Dietzfelbinger's
-/// multiply-add-shift), so two distinct keys share a bucket with
-/// probability about `2⁻ˡ` whatever keys a sender chooses.
-/// [`bucket`](Self::bucket) takes the top bits; [`IdHasher`] the bits from
-/// 32 up, which covers the 32-bit node ids std maps are keyed by.
+/// The multiply-add alone is only 2-independent (Dietzfelbinger's
+/// multiply-add-shift): two chosen keys share a bucket with probability
+/// about `2⁻ˡ`, but linear probing needs more than pairwise independence.
+/// It maps an arithmetic progression of keys to a progression of hashes,
+/// whose top bits cluster into one long probe run whenever the random step
+/// lands near a multiple of the bucket width (Pătraşcu and Thorup, ICALP
+/// 2010). The finalizer scatters such progressions. It is a fixed
+/// bijection, so no bound is proven for the result; the tests pin crafted
+/// progressions, including a key of the bare multiply-add that clusters
+/// them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IdHash {
     mul: u64,
@@ -61,7 +66,7 @@ impl IdHash {
     /// The full 64-bit hash of `key`.
     #[inline]
     fn hash(self, key: u64) -> u64 {
-        self.mul.wrapping_mul(key).wrapping_add(self.add)
+        mix(self.mul.wrapping_mul(key).wrapping_add(self.add))
     }
 
     /// The home bucket of `key` in a table of `len` buckets, a power of two
@@ -93,7 +98,7 @@ impl BuildHasher for IdBuildHasher {
 
 /// The [`Hasher`] of an [`IdBuildHasher`]. Built for keys that hash as one
 /// integer (a `NodeId` is one `u32`); other keys are folded in one integer
-/// at a time, which stays correct but loses the universality bound.
+/// at a time, which stays correct.
 #[derive(Debug, Clone, Copy)]
 pub struct IdHasher {
     key: IdHash,
@@ -115,10 +120,8 @@ impl Hasher for IdHasher {
         self.state = self.key.hash(self.state ^ n);
     }
 
-    /// Std maps pick buckets from the low bits, so the hash is rotated to
-    /// put its universal bits (32 and up) there.
     fn finish(&self) -> u64 {
-        self.state.rotate_left(32)
+        self.state
     }
 }
 
@@ -130,6 +133,13 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use trustlink_sim::NodeId;
+
+    impl IdHash {
+        /// The function with the given multiplier (made odd) and addend.
+        pub(crate) fn with_keys(mul: u64, add: u64) -> Self {
+            IdHash { mul: mul | 1, add }
+        }
+    }
 
     #[test]
     fn each_table_gets_its_own_odd_multiplier() {

@@ -1576,6 +1576,35 @@ mod tests {
     }
 
     #[test]
+    fn a_clustering_multiply_add_key_leaves_no_long_probe_run() {
+        // The crafted flood keys are an arithmetic progression. Under this
+        // multiplier and addend the bare multiply-add maps them to a
+        // progression whose top bits cluster: a probe run of 1 613 entries
+        // in the 8 192-slot table. The finalizer must scatter them.
+        const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+        const KEY_BITS: u64 = (1 << 48) - 1;
+        let mut inv = FIB;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(FIB.wrapping_mul(inv)));
+        }
+        let hash = IdHash::with_keys(0x8BE2_1A46_552E_CEE3, 0x0270_6427_41C1_E534);
+        // A table already allocated keeps its function through every growth.
+        let mut set = DuplicateSet { slots: vec![DUP_EMPTY; 64], hash, ..DuplicateSet::default() };
+        for r in 1..=4096u64 {
+            let key = r.wrapping_mul(inv) & KEY_BITS;
+            set.record(NodeId((key >> 16) as u32), SequenceNumber(key as u16), false, t(30), t(0));
+        }
+        assert_eq!((set.len(), set.slots.len()), (4096, 8192));
+        let mut longest = 0;
+        let mut run = 0;
+        for s in set.slots.iter().chain(set.slots.iter()) {
+            run = if s.until == SimTime::ZERO { 0 } else { run + 1 };
+            longest = longest.max(run);
+        }
+        assert!(longest < 256, "a probe run of {longest} entries");
+    }
+
+    #[test]
     fn purges_are_min_expiry_gated() {
         // A purge before the earliest expiry must remove nothing; at the
         // expiry it removes exactly the due tuples and re-tracks the rest.

@@ -676,36 +676,146 @@ proptest! {
 
     #[test]
     fn signature_engine_never_panics(
-        suspects in proptest::collection::vec(0u32..8, 0..64),
-        kinds in proptest::collection::vec(0u8..4, 0..64),
+        steps in proptest::collection::vec((0u8..8, 0u32..6, 0u32..6, 0usize..5), 0..96),
     ) {
+        use std::collections::BTreeMap;
         use trustlink_ids::events::{DetectionEvent, MisbehaviourReason};
-        use trustlink_ids::SignatureEngine;
-        let mut engine = SignatureEngine::with_builtin(SimDuration::from_secs(30));
-        for (i, (&s, &k)) in suspects.iter().zip(kinds.iter()).enumerate() {
-            let at = SimTime::from_secs(i as u64);
-            let suspect = NodeId(s);
-            let ev = match k {
+        use trustlink_ids::{opens_case, Progress};
+        // Gaps between events: none, short, long, exactly one window, and
+        // just past it.
+        const GAPS: [u64; 5] = [0, 1_000_000, 40_000_000, 120_000_000, 121_000_000];
+        let mut model = signature_model::Engine::default();
+        // Files as the detector keeps them: created by an event that opens
+        // a case, otherwise only advanced.
+        let mut files: BTreeMap<NodeId, Progress> = BTreeMap::new();
+        let mut micros = 0;
+        for &(kind, a, b, gap) in &steps {
+            micros += GAPS[gap];
+            let at = SimTime::from_micros(micros);
+            let (sa, sb) = (NodeId(a), NodeId(b));
+            let misbehaving = |reason| DetectionEvent::MprMisbehaving { mpr: sa, reason, at };
+            let ev = match kind {
                 0 => DetectionEvent::MprReplaced {
                     replaced: vec![NodeId(99)],
-                    replacing: vec![suspect],
+                    replacing: if a == b { vec![sa] } else { vec![sa, sb] },
                     at,
                 },
-                1 => DetectionEvent::MprMisbehaving {
-                    mpr: suspect,
-                    reason: MisbehaviourReason::TcSilence,
-                    at,
-                },
-                2 => DetectionEvent::NotCovering { mpr: suspect, neighbor: NodeId(7), at },
-                _ => DetectionEvent::CoveringNonNeighbor {
-                    mpr: suspect,
-                    claimed: NodeId(9),
-                    at,
-                },
+                1 => misbehaving(MisbehaviourReason::UnknownClaimedNeighbor(sb)),
+                2 => misbehaving(MisbehaviourReason::TcSilence),
+                3 => misbehaving(MisbehaviourReason::MalformedTraffic),
+                4 => DetectionEvent::SoleConnectivity { mpr: sa, only_via: vec![sb], at },
+                5 => DetectionEvent::NotCovering { mpr: sa, neighbor: sb, at },
+                6 => DetectionEvent::CoveringNonNeighbor { mpr: sa, claimed: sb, at },
+                _ => {
+                    // A well-behaving verdict clears the suspect.
+                    model.clear_suspect(sa);
+                    if let Some(progress) = files.get_mut(&sa) {
+                        progress.clear();
+                    }
+                    continue;
+                }
             };
-            for m in engine.observe(&ev) {
-                prop_assert_eq!(m.suspect, suspect);
+            prop_assert_eq!(
+                opens_case(&ev),
+                matches!(ev, DetectionEvent::MprReplaced { .. } | DetectionEvent::MprMisbehaving { .. })
+            );
+            let expected = model.observe(&ev);
+            let mut got = Vec::new();
+            for suspect in ev.suspects() {
+                let progress = match files.get_mut(&suspect) {
+                    Some(progress) => progress,
+                    None if opens_case(&ev) => files.entry(suspect).or_default(),
+                    None => continue,
+                };
+                got.extend(
+                    progress.observe(suspect, &ev).into_iter().map(|m| (m.signature, m.suspect, m.stage_times)),
+                );
             }
+            prop_assert_eq!(&got, &expected, "after {:?}", ev);
+            // Every suspect the model tracks has a file.
+            for suspect in model.suspects() {
+                prop_assert!(files.contains_key(&suspect), "no file for {:?}", suspect);
+            }
+        }
+    }
+}
+
+/// The reference for the signature matcher: the per-`(signature, suspect)`
+/// engine the detector ran beside its decisions before each suspect had a
+/// file, with the built-in signatures written out as predicates.
+mod signature_model {
+    use std::collections::BTreeMap;
+
+    use trustlink_ids::events::{DetectionEvent, MisbehaviourReason};
+    use trustlink_sim::{NodeId, SimDuration, SimTime};
+
+    type Pattern = fn(&DetectionEvent) -> bool;
+
+    fn e1_or_e2(ev: &DetectionEvent) -> bool {
+        matches!(ev, DetectionEvent::MprReplaced { .. } | DetectionEvent::MprMisbehaving { .. })
+    }
+
+    fn tc_silence(ev: &DetectionEvent) -> bool {
+        matches!(ev, DetectionEvent::MprMisbehaving { reason: MisbehaviourReason::TcSilence, .. })
+    }
+
+    fn e4_or_e5(ev: &DetectionEvent) -> bool {
+        matches!(
+            ev,
+            DetectionEvent::NotCovering { .. } | DetectionEvent::CoveringNonNeighbor { .. }
+        )
+    }
+
+    fn e4(ev: &DetectionEvent) -> bool {
+        matches!(ev, DetectionEvent::NotCovering { .. })
+    }
+
+    const SIGNATURES: [(&str, [Pattern; 2]); 2] =
+        [("link-spoofing", [e1_or_e2, e4_or_e5]), ("drop-attack", [tc_silence, e4])];
+    const WINDOW: SimDuration = SimDuration::from_secs(120);
+
+    /// A completed match: signature, suspect, stage times.
+    pub type Match = (&'static str, NodeId, Vec<SimTime>);
+
+    #[derive(Default)]
+    pub struct Engine {
+        /// Stage times per `(signature, suspect)`, kept only past stage 0.
+        partial: BTreeMap<(usize, NodeId), Vec<SimTime>>,
+    }
+
+    impl Engine {
+        pub fn observe(&mut self, ev: &DetectionEvent) -> Vec<Match> {
+            let mut matches = Vec::new();
+            let at = ev.at();
+            for suspect in ev.suspects() {
+                for (i, (name, stages)) in SIGNATURES.iter().enumerate() {
+                    let key = (i, suspect);
+                    let mut times = self
+                        .partial
+                        .remove(&key)
+                        .filter(|times| at.saturating_since(times[0]) <= WINDOW)
+                        .unwrap_or_default();
+                    if stages[times.len()](ev) {
+                        times.push(at);
+                        if times.len() == stages.len() {
+                            matches.push((*name, suspect, times));
+                            continue;
+                        }
+                    }
+                    if !times.is_empty() {
+                        self.partial.insert(key, times);
+                    }
+                }
+            }
+            matches
+        }
+
+        pub fn clear_suspect(&mut self, suspect: NodeId) {
+            self.partial.retain(|(_, s), _| *s != suspect);
+        }
+
+        pub fn suspects(&self) -> Vec<NodeId> {
+            self.partial.keys().map(|&(_, s)| s).collect()
         }
     }
 }
