@@ -194,3 +194,99 @@ fn round_engine_matches_golden_digests() {
         assert_eq!(digest, golden, "round trace digest moved for {name}");
     }
 }
+
+/// The layered benchmark's `hostile-id-64` recipe, shortened: 64 detectors
+/// placed by the recipe's scenario seed 11 on a random-geometric arena
+/// sized for mean degree 10 under a 150 m unit-disk radio, fisheye
+/// flooding on `OlsrConfig::fast`, and node 32 spoofing a link to phantom
+/// 999999. Returns the verdict stream's FNV-1a (the benchmark's
+/// `verdict_digest`, same field order), the frames put on the air, the
+/// audit-log record count and the verdict count.
+fn benchmark_recipe(seed: u64, span: SimDuration) -> (u64, u64, u64, usize) {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use trustlink_ids::investigation::InvestigationConfig;
+    use trustlink_sim::topologies;
+
+    const NODES: usize = 64;
+    const RANGE_M: f64 = 150.0;
+    let mut rng = StdRng::seed_from_u64(11u64.wrapping_add(0x9E37));
+    let arena = topologies::arena_for_mean_degree(NODES, RANGE_M, 10.0);
+    let positions = topologies::random_geometric(NODES, &arena, &mut rng);
+    let mut sim = SimulatorBuilder::new(seed)
+        .radio(RadioConfig::unit_disk(RANGE_M))
+        .arena(arena)
+        .expected_nodes(NODES)
+        .build();
+    let olsr = || OlsrConfig::fast().with_flood_scope(FloodScope::Fisheye(FisheyeRings::default()));
+    let detector = DetectorConfig {
+        analysis_interval: SimDuration::from_millis(500),
+        investigation: InvestigationConfig {
+            timeout: SimDuration::from_secs(3),
+            max_witnesses: 16,
+        },
+        warmup: SimDuration::from_secs(10),
+        trust_slot_interval: SimDuration::from_secs(3),
+        ..DetectorConfig::default()
+    };
+    for (i, pos) in positions.into_iter().enumerate() {
+        let app: Box<dyn Application> = if i == NODES / 2 {
+            let spoof = LinkSpoofing::permanent(SpoofVariant::AdvertiseNonExistent {
+                fake: vec![NodeId(999_999)],
+            });
+            Box::new(DetectorNode::with_hooks(olsr(), detector.clone(), spoof))
+        } else {
+            Box::new(DetectorNode::new(olsr(), detector.clone()))
+        };
+        sim.add_node(app, pos);
+    }
+    sim.run_for(span);
+
+    let mut bytes = Vec::new();
+    let mut verdicts = 0;
+    for id in sim.node_ids().collect::<Vec<_>>() {
+        let records = match sim.app_as::<DetectorNode>(id) {
+            Some(d) => d.verdicts(),
+            None => sim.app_as::<DetectorNode<LinkSpoofing>>(id).expect("a detector").verdicts(),
+        };
+        for v in records {
+            let verdict = match v.verdict {
+                Verdict::WellBehaving => 0u64,
+                Verdict::Intruder => 1,
+                Verdict::Unrecognized => 2,
+            };
+            for x in [
+                u64::from(id.0),
+                v.case,
+                u64::from(v.suspect.0),
+                verdict,
+                v.detect.to_bits(),
+                v.margin.to_bits(),
+                v.witnesses as u64,
+                v.answered as u64,
+                v.at.as_micros(),
+            ] {
+                bytes.extend_from_slice(&x.to_le_bytes());
+            }
+            verdicts += 1;
+        }
+    }
+    let records = sim.node_ids().map(|id| sim.log(id).len() as u64).sum();
+    (fnv1a(&bytes), sim.stats().total_sent(), records, verdicts)
+}
+
+#[test]
+fn benchmark_recipe_matches_golden() {
+    // Pins the per-frame path the layered benchmark times, so that a
+    // change meant to be byte-identical there (inlining, a cheaper
+    // lookup) is checked by `cargo test` and not only by the benchmark.
+    // The full 30 s span at simulator seed 1 is exactly the benchmark's
+    // `hostile-id-64 --seed 1` run, whose output reports the same verdict
+    // digest, air frames and log records. Derived on the last commit
+    // before the per-frame helpers were marked `#[inline]`.
+    assert_eq!(
+        benchmark_recipe(1, SimDuration::from_secs(30)),
+        (0xfacd_de68_4c0b_7021, 47_349, 19_100, 1_087),
+        "benchmark recipe (verdict digest, air frames, log records, verdicts) moved"
+    );
+}
