@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the hot primitives: the engine's frame fan-out and
-//! delivery, MPR selection, route calculation, wire codec, a repeated TC's
-//! reception, log parsing, signature matching, trust update, detection
-//! aggregation and the probit.
+//! delivery, MPR selection, route calculation, wire codec, the reception of
+//! a repeated TC and of an already retransmitted TC copy, log parsing,
+//! signature matching, trust update, detection aggregation and the probit.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -9,6 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
+use trustlink_olsr::hooks::OlsrHooks;
 use trustlink_olsr::message::{
     HelloMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody, NeighborType, Packet,
     TcMessage,
@@ -23,7 +24,7 @@ use trustlink_sim::record::Willingness;
 use trustlink_sim::record::{from_rlog_line, parse_line, LogRecord};
 use trustlink_sim::{
     topologies, Application, Arena, Context, NodeId, Position, RadioConfig, SimDuration, SimTime,
-    SimulatorBuilder, TimerToken,
+    SimulatorBuilder, SuppressReason, TimerToken,
 };
 use trustlink_trust::prelude::*;
 
@@ -319,6 +320,73 @@ fn bench_olsr_receive(c: &mut Criterion) {
     assert_eq!(logged, 1, "only the first TC from N7 is news: the rest must be repeats");
 }
 
+/// Faithful forwarding that counts the retransmissions of one
+/// originator's messages.
+struct ForwardCount {
+    originator: NodeId,
+    forwards: u64,
+}
+
+impl OlsrHooks for ForwardCount {
+    fn on_forward(&mut self, msg: &mut Message, _from: NodeId) {
+        if msg.originator == self.originator {
+            self.forwards += 1;
+        }
+    }
+}
+
+fn bench_olsr_retransmitted_receive(c: &mut Criterion) {
+    // The most common reception at scale: a TC copy the node already
+    // retransmitted, suppressed on its header alone (about half of all TC
+    // receptions in a 256-node fisheye network). N1, the middle of a
+    // converged 3-node line, is N0's MPR; N0 relays one TC from the phantom
+    // originator N7 over and over. N1 retransmits the first copy, and
+    // every later one is a duplicate. One iteration delivers one frame, as
+    // in `olsr_repeat_tc_receive`.
+    let mut sim = SimulatorBuilder::new(5)
+        .radio(RadioConfig::unit_disk(150.0))
+        .arena(Arena::new(1_000.0, 1_000.0))
+        .build();
+    for x in [0.0, 100.0, 200.0] {
+        let hooks = ForwardCount { originator: NodeId(7), forwards: 0 };
+        let node = OlsrNode::with_hooks(OlsrConfig::fast(), hooks);
+        sim.add_node(Box::new(node), Position::new(x, 0.0));
+    }
+    sim.run_for(SimDuration::from_secs(10));
+    let msg = Message {
+        vtime: SimDuration::from_secs(60),
+        originator: NodeId(7),
+        ttl: 8,
+        hop_count: 1,
+        seq: SequenceNumber(1),
+        body: MessageBody::Tc(TcMessage { ansn: 1, advertised: (10..18).map(NodeId).collect() }),
+    };
+    let frame = encode_packet(&Packet { seq: SequenceNumber(1), messages: vec![msg] });
+    let relay = |sim: &trustlink_sim::Simulator| {
+        let node = sim.app_as::<OlsrNode<ForwardCount>>(NodeId(1)).expect("N1 is an OLSR node");
+        (node.hooks().forwards, node.flood_stats().suppressed(SuppressReason::Duplicate))
+    };
+    sim.inject_broadcast(NodeId(0), frame.clone());
+    sim.run_for(SimDuration::from_millis(5));
+    let (forwards, duplicates) = relay(&sim);
+    assert_eq!(forwards, 1, "N1 retransmits the first copy: it is N0's MPR");
+    let mut copies = 0;
+    c.bench_function("olsr_retransmitted_tc_receive", |b| {
+        b.iter(|| {
+            copies += 1;
+            sim.inject_broadcast(NodeId(0), black_box(frame.clone()));
+            sim.run_for(SimDuration::from_millis(5));
+        })
+    });
+    let (forwards_after, duplicates_after) = relay(&sim);
+    assert_eq!(forwards_after, 1, "a copy N1 already retransmitted was forwarded again");
+    assert_eq!(
+        duplicates_after - duplicates,
+        copies,
+        "every later copy is suppressed as a duplicate of a retransmitted TC"
+    );
+}
+
 fn bench_log_pipeline(c: &mut Criterion) {
     let record = LogRecord::HelloRx {
         from: NodeId(3),
@@ -403,7 +471,7 @@ criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(50);
     targets = bench_engine, bench_mpr_selection, bench_routing, bench_route_run, bench_wire,
-              bench_olsr_receive,
+              bench_olsr_receive, bench_olsr_retransmitted_receive,
               bench_log_pipeline, bench_signature_engine, bench_trust_primitives
 }
 criterion_main!(micro);

@@ -326,7 +326,7 @@ impl<H: OlsrHooks> DetectorNode<H> {
                 } => Some(*x),
                 _ => None,
             };
-            for suspect in ev.suspects() {
+            for &suspect in ev.suspects() {
                 let file = match self.files.get_mut(&suspect) {
                     Some(file) => file,
                     None if opens => self.files.entry(suspect).or_default(),

@@ -105,11 +105,15 @@ impl DetectionEvent {
         }
     }
 
-    /// All suspects named by the event.
-    pub fn suspects(&self) -> Vec<NodeId> {
+    /// All suspects named by the event, borrowed from it: the replacing
+    /// MPRs of an E1, the one MPR of any other kind.
+    pub fn suspects(&self) -> &[NodeId] {
         match self {
-            DetectionEvent::MprReplaced { replacing, .. } => replacing.clone(),
-            other => other.suspect().into_iter().collect(),
+            DetectionEvent::MprReplaced { replacing, .. } => replacing,
+            DetectionEvent::MprMisbehaving { mpr, .. }
+            | DetectionEvent::SoleConnectivity { mpr, .. }
+            | DetectionEvent::NotCovering { mpr, .. }
+            | DetectionEvent::CoveringNonNeighbor { mpr, .. } => std::slice::from_ref(mpr),
         }
     }
 

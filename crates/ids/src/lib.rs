@@ -46,7 +46,7 @@
 //! let events = extractor.tick(SimTime::from_secs(2), SimDuration::from_secs(600));
 //! // The replacement names N3: it opens N3's case and leaves N3 a partial
 //! // link-spoofing suspect.
-//! assert_eq!(events[0].suspects(), vec![NodeId(3)]);
+//! assert_eq!(events[0].suspects(), [NodeId(3)]);
 //! assert!(opens_case(&events[0]));
 //! assert!(progress.observe(NodeId(3), &events[0]).is_empty());
 //! // An E4 from its investigation (witness N7 denies N3's link) completes

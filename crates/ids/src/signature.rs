@@ -188,7 +188,7 @@ mod tests {
     impl Files {
         fn observe(&mut self, ev: &DetectionEvent) -> Vec<SignatureMatch> {
             let mut matches = Vec::new();
-            for s in ev.suspects() {
+            for &s in ev.suspects() {
                 let progress = if opens_case(ev) {
                     Some(self.0.entry(s).or_default())
                 } else {

@@ -41,6 +41,7 @@ pub struct IdHash {
 }
 
 /// The splitmix64 finalizer: turns a counter into well-spread key bits.
+#[inline]
 fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -91,6 +92,7 @@ impl Default for IdBuildHasher {
 impl BuildHasher for IdBuildHasher {
     type Hasher = IdHasher;
 
+    #[inline]
     fn build_hasher(&self) -> IdHasher {
         IdHasher { key: self.0, state: 0 }
     }
@@ -112,14 +114,17 @@ impl Hasher for IdHasher {
         }
     }
 
+    #[inline]
     fn write_u32(&mut self, n: u32) {
         self.write_u64(u64::from(n));
     }
 
+    #[inline]
     fn write_u64(&mut self, n: u64) {
         self.state = self.key.hash(self.state ^ n);
     }
 
+    #[inline]
     fn finish(&self) -> u64 {
         self.state
     }

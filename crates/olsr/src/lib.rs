@@ -32,6 +32,18 @@
 //! * a minimal unicast data plane ([`node::OlsrNode::send_data`]) carries
 //!   investigation traffic with optional node avoidance.
 //!
+//! ## Inlining
+//!
+//! [`OlsrNode<H>`](node::OlsrNode) is generic, so its receive path is
+//! compiled in the crate that names `H`, and without link-time
+//! optimization a non-generic function of this crate stays an out-of-line
+//! call from there. The rule: a non-generic helper that generic node code
+//! calls once per frame, per message or per flush (the repository lookups
+//! in [`state`], the header walk in [`wire`], the sequence-number and
+//! link-code arithmetic, [`idhash`]) carries `#[inline]`. A rare path
+//! (the duplicate set's reclaim and growth) sits in a `#[cold]` helper, so
+//! the common path stays small.
+//!
 //! ## Quick example
 //!
 //! ```

@@ -25,6 +25,7 @@ pub enum LinkType {
 
 impl LinkType {
     /// Decodes the two low bits of a link code.
+    #[inline]
     pub fn from_bits(b: u8) -> LinkType {
         match b & 0b11 {
             0 => LinkType::Unspec,
@@ -49,6 +50,7 @@ pub enum NeighborType {
 
 impl NeighborType {
     /// Decodes bits 2-3 of a link code.
+    #[inline]
     pub fn from_bits(b: u8) -> NeighborType {
         match b & 0b11 {
             0 => NeighborType::Not,
@@ -80,12 +82,14 @@ impl LinkCode {
 
     /// Wire decoding (never fails: unknown bits collapse to the nearest
     /// defined value).
+    #[inline]
     pub fn from_wire(b: u8) -> Self {
         LinkCode { link: LinkType::from_bits(b), neighbor: NeighborType::from_bits(b >> 2) }
     }
 
     /// `true` when the code advertises a symmetric relationship — the part
     /// of a HELLO a link-spoofing attacker falsifies.
+    #[inline]
     pub fn is_symmetric(self) -> bool {
         self.link == LinkType::Sym || self.neighbor != NeighborType::Not
     }
@@ -124,6 +128,7 @@ impl HelloMessage {
 
     /// [`symmetric_neighbors`](Self::symmetric_neighbors) into a reused
     /// buffer, cleared first.
+    #[inline]
     pub(crate) fn symmetric_neighbors_into(&self, out: &mut Vec<NodeId>) {
         out.clear();
         out.extend(
@@ -262,6 +267,7 @@ const VTIME_MICROS: [u64; 256] = {
 
 /// Decodes an RFC 3626 §18.3 vtime byte: a lookup, since a byte has only
 /// 256 values and every message header carries one.
+#[inline]
 pub fn decode_vtime(byte: u8) -> SimDuration {
     SimDuration::from_micros(VTIME_MICROS[usize::from(byte)])
 }

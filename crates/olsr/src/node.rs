@@ -180,6 +180,9 @@ pub struct OlsrNode<H: OlsrHooks = NoHooks> {
     flags: ChangeFlags,
     /// `true` while a [`TIMER_RECOMPUTE`] is pending (incremental mode).
     debounce_armed: bool,
+    /// A TC from a current MPR arrived since the last flush scanned the
+    /// MPRs' TC clocks (see [`ensure_fresh`](Self::ensure_fresh)).
+    mpr_tc_heard: bool,
     stats: RecomputeStats,
     /// Neighbors barred from MPR selection (treated as `WILL_NEVER`),
     /// regardless of their advertised willingness. The trust-enabled
@@ -247,6 +250,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
             flood: FloodStats::default(),
             flags: ChangeFlags::default(),
             debounce_armed: false,
+            mpr_tc_heard: false,
             stats: RecomputeStats::default(),
             excluded_mprs: std::collections::BTreeSet::new(),
             wire_scratch: Vec::new(),
@@ -746,6 +750,9 @@ impl<H: OlsrHooks> OlsrNode<H> {
         if receipt.changed {
             self.flags.topo = true;
         }
+        if self.mprs.contains(&mv.originator) {
+            self.mpr_tc_heard = true;
+        }
     }
 
     /// The header-only forwarding gates of the default forwarding
@@ -997,6 +1004,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
         // MPR selection: only when the 1/2-hop neighborhood changed. The
         // selection is a pure function of its inputs, so skipping it on
         // unchanged inputs is exact, not an approximation.
+        let mut mprs_changed = false;
         if nbr_changed {
             self.stats.mpr_runs += 1;
             self.two_hop.two_hop_addrs_into(
@@ -1017,14 +1025,22 @@ impl<H: OlsrHooks> OlsrNode<H> {
             if mprs != self.mprs {
                 ctx.log(LogRecord::MprSet { mprs: Box::from(&mprs[..]) });
                 self.mprs = mprs;
+                mprs_changed = true;
             }
         }
 
         // TC clocks: the IDS's TC-silence check reads those of the current
-        // MPRs, so each flush brings them up to the latest reception.
-        for &mpr in &self.mprs {
-            if let Some(heard_at) = self.topology.take_heard(mpr) {
-                ctx.log(LogRecord::TcHeard { originator: mpr, heard_at });
+        // MPRs, so each flush brings them up to the latest reception. A scan
+        // leaves every current MPR's clock reported (`heard <= logged`).
+        // Only a TC from the originator moves `heard`, and a purge only
+        // reports a clock or drops it. So while no TC from a current MPR
+        // arrived since the last scan and the MPR set stands, every MPR
+        // still has `heard <= logged`, and the scan would log nothing.
+        if mprs_changed || std::mem::take(&mut self.mpr_tc_heard) {
+            for &mpr in &self.mprs {
+                if let Some(heard_at) = self.topology.take_heard(mpr) {
+                    ctx.log(LogRecord::TcHeard { originator: mpr, heard_at });
+                }
             }
         }
 

@@ -45,6 +45,7 @@ pub struct LinkTuple {
 
 impl LinkTuple {
     /// Link status at `now`: symmetric beats asymmetric beats lost.
+    #[inline]
     pub fn status(&self, now: SimTime) -> LinkStatus {
         if self.sym_until > now {
             LinkStatus::Symmetric
@@ -82,15 +83,18 @@ impl Default for MinExpiry {
 
 impl MinExpiry {
     /// Lowers the bound to cover a tuple expiring at `until`.
+    #[inline]
     pub(crate) fn cover(&mut self, until: SimTime) {
         self.0 = self.0.min(until);
     }
 
     /// `true` when nothing can have expired yet: the purge may skip.
+    #[inline]
     pub(crate) fn nothing_due(&self, now: SimTime) -> bool {
         self.0 > now
     }
 
+    #[inline]
     pub(crate) fn reset(&mut self) {
         self.0 = SimTime::MAX;
     }
@@ -122,6 +126,7 @@ impl PairLog {
     /// changes while the network converges does not stay resident.
     const KEPT: usize = 16;
 
+    #[inline]
     fn record(&mut self, a: NodeId, b: NodeId, inserted: bool) {
         if inserted {
             self.len += 1;
@@ -180,12 +185,14 @@ pub struct LinkSet {
 
 impl LinkSet {
     /// Looks up the tuple for `neighbor`.
+    #[inline]
     pub fn get(&self, neighbor: NodeId) -> Option<&LinkTuple> {
         self.tuples.get(&neighbor)
     }
 
     /// Inserts or updates the tuple for `neighbor`, merging expiry times
     /// (times only ever extend; purging is how they shrink).
+    #[inline]
     pub fn upsert(&mut self, tuple: LinkTuple) {
         self.min_expiry.cover(tuple.until);
         self.tuples
@@ -200,6 +207,7 @@ impl LinkSet {
 
     /// Forces the symmetric validity of `neighbor` to expire immediately
     /// (used when a HELLO explicitly declares the link `LOST`).
+    #[inline]
     pub fn declare_lost(&mut self, neighbor: NodeId, now: SimTime) {
         if let Some(t) = self.tuples.get_mut(&neighbor) {
             t.sym_until = now;
@@ -217,12 +225,14 @@ impl LinkSet {
     /// allocation-free membership form of
     /// [`LinkSet::symmetric_neighbors`]`.contains(…)`, for per-message
     /// forwarding gates.
+    #[inline]
     pub fn is_symmetric(&self, neighbor: NodeId, now: SimTime) -> bool {
         self.tuples.get(&neighbor).is_some_and(|t| t.status(now) == LinkStatus::Symmetric)
     }
 
     /// Allocation-free form of [`LinkSet::symmetric_neighbors`]: `out` is
     /// cleared and refilled (ascending).
+    #[inline]
     pub fn symmetric_neighbors_into(&self, now: SimTime, out: &mut Vec<NodeId>) {
         out.clear();
         out.extend(
@@ -235,6 +245,7 @@ impl LinkSet {
 
     /// Removes tuples wholly expired at `now`. Min-expiry gated: free
     /// while nothing can have expired.
+    #[inline]
     pub fn purge(&mut self, now: SimTime) {
         if self.min_expiry.nothing_due(now) {
             return;
@@ -251,6 +262,7 @@ impl LinkSet {
     }
 
     /// Number of tuples (including expired-but-unpurged ones).
+    #[inline]
     pub fn len(&self) -> usize {
         self.tuples.len()
     }
@@ -285,6 +297,7 @@ impl NeighborSet {
     /// Inserts or updates a neighbor. Returns `true` when the entry is new
     /// or its willingness actually changed — the only neighbor-set updates
     /// that can alter MPR selection.
+    #[inline]
     pub fn upsert(&mut self, addr: NodeId, willingness: Willingness) -> bool {
         match self.tuples.entry(addr) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
@@ -300,6 +313,7 @@ impl NeighborSet {
     }
 
     /// Removes a neighbor, returning whether it existed.
+    #[inline]
     pub fn remove(&mut self, addr: NodeId) -> bool {
         self.tuples.remove(&addr).is_some()
     }
@@ -310,6 +324,7 @@ impl NeighborSet {
     }
 
     /// `true` when `addr` is currently a neighbor.
+    #[inline]
     pub fn contains(&self, addr: NodeId) -> bool {
         self.tuples.contains_key(&addr)
     }
@@ -363,6 +378,7 @@ pub struct TwoHopSet {
 
 impl TwoHopSet {
     /// The run of `via`, ascending by 2-hop address (empty if none).
+    #[inline]
     fn run(&self, via: NodeId) -> &[TwoHopTuple] {
         self.runs.get(&via).map_or(&[], Vec::as_slice)
     }
@@ -421,6 +437,7 @@ impl TwoHopSet {
     /// sweep-time calls always find 0 live pairs (pure GC). The run keeps
     /// its storage for the next upsert through `via`; a purge drops runs
     /// that stay empty.
+    #[inline]
     pub fn remove_via(&mut self, via: NodeId, now: SimTime) -> usize {
         let Some(run) = self.runs.get_mut(&via) else {
             return 0;
@@ -489,6 +506,7 @@ impl TwoHopSet {
 
     /// `true` when the pair `(via, two_hop)` is live at `now`: the point
     /// form of [`TwoHopSet::reachable_via`]`.contains(…)`.
+    #[inline]
     pub fn contains(&self, via: NodeId, two_hop: NodeId, now: SimTime) -> bool {
         let run = self.run(via);
         run.binary_search_by_key(&two_hop, |t| t.two_hop).is_ok_and(|i| run[i].until > now)
@@ -516,6 +534,7 @@ impl TwoHopSet {
     /// Drops expired pairs and runs left empty; returns the removed
     /// `(via, two_hop)` pairs, ascending. Min-expiry gated: free while
     /// nothing can have expired.
+    #[inline]
     pub fn purge(&mut self, now: SimTime) -> Vec<(NodeId, NodeId)> {
         let mut dead = Vec::new();
         if self.min_expiry.nothing_due(now) {
@@ -571,6 +590,7 @@ pub struct MprSelectorSet {
 impl MprSelectorSet {
     /// Inserts a selector valid until `until`, or extends a stored one
     /// (an expired leftover is revived: validity only ever extends).
+    #[inline]
     pub fn upsert(&mut self, addr: NodeId, until: SimTime) {
         self.min_expiry.cover(until);
         let e = self.tuples.entry(addr).or_insert(until);
@@ -578,11 +598,13 @@ impl MprSelectorSet {
     }
 
     /// Removes a selector (on lost symmetry or an explicit LOST listing).
+    #[inline]
     pub fn remove(&mut self, addr: NodeId) {
         self.tuples.remove(&addr);
     }
 
     /// `true` when `addr` currently selects us at `now`.
+    #[inline]
     pub fn contains(&self, addr: NodeId, now: SimTime) -> bool {
         self.tuples.get(&addr).is_some_and(|&until| until > now)
     }
@@ -599,6 +621,7 @@ impl MprSelectorSet {
 
     /// Drops expired entries. Min-expiry gated: free while nothing can
     /// have expired.
+    #[inline]
     pub fn purge(&mut self, now: SimTime) {
         if self.min_expiry.nothing_due(now) {
             return;
@@ -664,6 +687,7 @@ impl TcRecord {
     }
 
     /// ANSN of the first live tuple: every live tuple carries the same.
+    #[inline]
     fn live_ansn(&self, now: SimTime) -> Option<u16> {
         self.tuples.iter().find(|t| t.until > now).map(|t| t.ansn)
     }
@@ -900,6 +924,7 @@ impl TopologySet {
     /// The latest reception time of a TC from `originator` when the log
     /// has not reported it yet, which it then counts as reported. The
     /// IDS's TC-silence check reads the clocks of a node's current MPRs.
+    #[inline]
     pub fn take_heard(&mut self, originator: NodeId) -> Option<SimTime> {
         let record = self.records.get_mut(&originator)?;
         (record.heard > record.logged).then(|| {
@@ -1033,6 +1058,7 @@ struct DupSlot {
 
 const DUP_EMPTY: DupSlot = DupSlot { until: SimTime::ZERO, key: 0, retransmitted: false };
 
+#[inline]
 fn dup_key(originator: NodeId, seq: SequenceNumber) -> u64 {
     (u64::from(originator.0) << 16) | u64::from(seq.0)
 }
@@ -1056,6 +1082,7 @@ impl DuplicateSet {
     const INITIAL_SLOTS: usize = 64;
 
     /// Index of the slot holding `key`, if present (live or expired).
+    #[inline]
     fn find(&self, key: u64) -> Option<usize> {
         if self.slots.is_empty() {
             return None;
@@ -1087,17 +1114,36 @@ impl DuplicateSet {
         self.live += 1;
     }
 
-    /// Makes room for one more entry as of `now`. While occupancy stays
-    /// within 70% nothing happens. Past that, expired slots are reclaimed
-    /// first; the table doubles (or is first allocated) only when more than
-    /// 65% of it is still occupied afterwards, so each reclaim is followed
-    /// by at least a twentieth of the table's worth of inserts before the
-    /// next.
+    /// Stores `slot` as a message never seen as of `now`: over the expired
+    /// leftover `found` holding its key (a wrapped-around sequence number,
+    /// semantically a different message), or as a new entry. A new entry
+    /// just goes in while occupancy stays within 70%; past that,
+    /// [`make_room`](Self::make_room) runs first. Not inlined: a new
+    /// message is the minority of flood copies, so
+    /// [`probe_flood`](Self::probe_flood) and [`record`](Self::record)
+    /// keep only the lookup of a known copy inline.
+    fn store_new(&mut self, found: Option<usize>, slot: DupSlot, now: SimTime) {
+        if let Some(i) = found {
+            self.slots[i] = slot;
+        } else {
+            let cap = self.slots.len();
+            if cap == 0 || (self.live + 1) * 10 > cap * 7 {
+                self.make_room(now);
+            }
+            self.insert_new(slot);
+        }
+        // After `make_room`, whose reclaim recomputes the bound.
+        self.min_expiry.cover(slot.until);
+    }
+
+    /// Makes room for one more entry as of `now`, once occupancy passed
+    /// 70%: expired slots are reclaimed first; the table doubles (or is
+    /// first allocated) only when more than 65% of it is still occupied
+    /// afterwards, so each reclaim is followed by at least a twentieth of
+    /// the table's worth of inserts before the next. Cold for that reason.
+    #[cold]
     fn make_room(&mut self, now: SimTime) {
         let cap = self.slots.len();
-        if cap > 0 && (self.live + 1) * 10 <= cap * 7 {
-            return;
-        }
         self.purge(now);
         if cap > 0 && (self.live + 1) * 20 <= cap * 13 {
             return;
@@ -1157,6 +1203,7 @@ impl DuplicateSet {
     /// overwritten outright rather than merged: it is semantically a
     /// different message, and overwriting keeps the set's behaviour
     /// independent of when the leftover is garbage-collected.
+    #[inline]
     pub fn record(
         &mut self,
         originator: NodeId,
@@ -1166,21 +1213,17 @@ impl DuplicateSet {
         now: SimTime,
     ) {
         let key = dup_key(originator, seq);
-        if let Some(i) = self.find(key) {
+        let found = self.find(key);
+        if let Some(i) = found {
             let s = &mut self.slots[i];
-            if s.until <= now {
-                s.retransmitted = retransmitted;
-                s.until = until;
-            } else {
+            if s.until > now {
                 s.retransmitted |= retransmitted;
                 s.until = s.until.max(until);
+                self.min_expiry.cover(until);
+                return;
             }
-        } else {
-            self.make_room(now);
-            self.insert_new(DupSlot { until, key, retransmitted });
         }
-        // After `make_room`, whose reclaim recomputes the bound.
-        self.min_expiry.cover(until);
+        self.store_new(found, DupSlot { until, key, retransmitted }, now);
     }
 
     /// One-probe flood triage for the receive path: a single map access
@@ -1189,6 +1232,7 @@ impl DuplicateSet {
     /// leaves exactly the state [`record`](Self::record)`(…, false,
     /// dup_until, now)` would. That record is what every copy gets, unless
     /// the caller retransmits it and records it again as retransmitted.
+    #[inline]
     pub fn probe_flood(
         &mut self,
         originator: NodeId,
@@ -1197,32 +1241,17 @@ impl DuplicateSet {
         now: SimTime,
     ) -> DupProbe {
         let key = dup_key(originator, seq);
-        let probe = match self.find(key) {
-            Some(i) if self.slots[i].until > now => {
-                let s = &mut self.slots[i];
+        let found = self.find(key);
+        if let Some(i) = found {
+            let s = &mut self.slots[i];
+            if s.until > now {
                 s.until = s.until.max(dup_until);
-                if s.retransmitted {
-                    DupProbe::Retransmitted
-                } else {
-                    DupProbe::SeenFresh
-                }
+                self.min_expiry.cover(dup_until);
+                return if s.retransmitted { DupProbe::Retransmitted } else { DupProbe::SeenFresh };
             }
-            // An expired leftover from a wrapped sequence number is
-            // semantically a brand-new message: overwritten, as `record`
-            // does.
-            Some(i) => {
-                self.slots[i] = DupSlot { until: dup_until, key, retransmitted: false };
-                DupProbe::New
-            }
-            None => {
-                self.make_room(now);
-                self.insert_new(DupSlot { until: dup_until, key, retransmitted: false });
-                DupProbe::New
-            }
-        };
-        // After `make_room`, whose reclaim recomputes the bound.
-        self.min_expiry.cover(dup_until);
-        probe
+        }
+        self.store_new(found, DupSlot { until: dup_until, key, retransmitted: false }, now);
+        DupProbe::New
     }
 
     /// Reclaims every expired slot in place. Never needed for correctness

@@ -21,12 +21,14 @@ pub struct SequenceNumber(pub u16);
 impl SequenceNumber {
     /// The successor, wrapping at 2^16.
     #[must_use]
+    #[inline]
     pub fn next(self) -> SequenceNumber {
         SequenceNumber(self.0.wrapping_add(1))
     }
 
     /// RFC 3626 §19 "newer than" comparison (a strict partial order on the
     /// circle; antisymmetric except at the antipode).
+    #[inline]
     pub fn is_newer_than(self, other: SequenceNumber) -> bool {
         let (s1, s2) = (self.0, other.0);
         const HALF: u16 = u16::MAX / 2;

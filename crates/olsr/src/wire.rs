@@ -84,12 +84,14 @@ fn get_avoid(bytes: &mut Bytes) -> Result<Option<NodeId>, WireError> {
     }
 }
 
+#[inline]
 fn get_addr(bytes: &mut Bytes) -> Result<NodeId, WireError> {
     NodeId::get(bytes).ok_or(WireError::Truncated)
 }
 
 /// Walks one escape-encoded address in a raw slice during structural
 /// validation; `None` when the slice ends inside the address.
+#[inline]
 fn skip_addr(buf: &[u8], off: usize) -> Option<usize> {
     NodeId::read_at(buf, off).map(|(_, n)| off + n)
 }
@@ -244,6 +246,7 @@ fn decode_hello(bytes: &mut Bytes) -> Result<HelloMessage, WireError> {
     Ok(HelloMessage { willingness, groups })
 }
 
+#[inline]
 fn decode_tc(bytes: &mut Bytes) -> Result<TcMessage, WireError> {
     if bytes.remaining() < 4 {
         return Err(WireError::Truncated);
@@ -319,6 +322,7 @@ impl MessageView {
     ///
     /// `frame` must be the buffer this view was parsed from (the same
     /// contract as [`materialize_message`]); a shorter one panics.
+    #[inline]
     pub fn tc<'a>(&self, frame: &'a [u8]) -> Option<TcView<'a>> {
         if self.kind != MessageType::Tc {
             return None;
@@ -338,6 +342,7 @@ pub struct TcView<'a> {
 
 impl<'a> TcView<'a> {
     /// The advertised addresses in wire order, decoded as they are read.
+    #[inline]
     pub fn advertised(&self) -> AddrRun<'a> {
         self.advertised.clone()
     }
@@ -353,6 +358,7 @@ pub struct AddrRun<'a> {
 impl Iterator for AddrRun<'_> {
     type Item = NodeId;
 
+    #[inline]
     fn next(&mut self) -> Option<NodeId> {
         if self.buf.is_empty() {
             return None;
@@ -363,6 +369,7 @@ impl Iterator for AddrRun<'_> {
     }
 }
 
+#[inline]
 fn be16(buf: &[u8], off: usize) -> u16 {
     u16::from_be_bytes([buf[off], buf[off + 1]])
 }
@@ -392,6 +399,7 @@ impl<'a> PacketView<'a> {
     /// address or a declared length; [`WireError::BadLength`] when a
     /// length field is inconsistent with its content;
     /// [`WireError::UnknownMessageType`] for an unknown message type.
+    #[inline]
     pub fn parse(buf: &'a [u8]) -> Result<Self, WireError> {
         if buf.len() < PACKET_HEADER_LEN {
             return Err(WireError::Truncated);
@@ -445,11 +453,13 @@ impl<'a> PacketView<'a> {
     }
 
     /// The packet sequence number.
+    #[inline]
     pub fn seq(&self) -> SequenceNumber {
         SequenceNumber(be16(self.buf, 2))
     }
 
     /// Header views of the packet's messages, in wire order.
+    #[inline]
     pub fn messages(&self) -> MessageViewIter<'a> {
         MessageViewIter { buf: self.buf, off: PACKET_HEADER_LEN }
     }
@@ -479,6 +489,7 @@ fn validate_hello(body: &[u8]) -> Result<(), WireError> {
 
 /// Validates that `body[from..to]` is exactly a run of escape-encoded
 /// addresses, mirroring the decoders' bounded reads.
+#[inline]
 fn validate_addr_run(body: &[u8], from: usize, to: usize) -> Result<(), WireError> {
     let mut off = from;
     while off < to {
@@ -535,6 +546,7 @@ pub struct MessageViewIter<'a> {
 impl Iterator for MessageViewIter<'_> {
     type Item = MessageView;
 
+    #[inline]
     fn next(&mut self) -> Option<MessageView> {
         if self.off >= self.buf.len() {
             return None;
@@ -571,6 +583,7 @@ impl Iterator for MessageViewIter<'_> {
 /// `view` must come from a successful [`PacketView::parse`] of this same
 /// `frame`; the body was then already validated, so decoding cannot fail.
 /// Panics if the contract is violated.
+#[inline]
 pub fn materialize_message(frame: &Bytes, view: &MessageView) -> Message {
     let mut body = frame.slice(view.body.0..view.body.1);
     let body = match view.kind {

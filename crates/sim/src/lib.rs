@@ -23,6 +23,17 @@
 //!    run can be captured into a [`record::FlightRecorder`] and replayed
 //!    from its rlog serialization.
 //!
+//! ## Inlining
+//!
+//! Applications are generic over their behaviour, so their callbacks are
+//! compiled in the crate that builds them, and without link-time
+//! optimization a non-generic function of this crate stays an out-of-line
+//! call from there. The rule: what a callback calls once per frame or per
+//! message ([`Context`]'s methods, [`NodeId`]'s wire reads,
+//! [`node::LogBuffer::push`], the [`time`] arithmetic, the flood counters
+//! in [`stats`]) and what the engine calls per delivery (the radio's
+//! judgement, the in-flight ring) carries `#[inline]`.
+//!
 //! ## Quick example
 //!
 //! ```

@@ -42,6 +42,7 @@ impl NodeId {
     pub const WIRE_ESCAPE: u16 = u16::MAX;
 
     /// Number of bytes [`NodeId::put`] writes for this address.
+    #[inline]
     pub const fn wire_len(self) -> usize {
         if self.0 < Self::WIRE_ESCAPE as u32 {
             2
@@ -51,6 +52,7 @@ impl NodeId {
     }
 
     /// Appends the escape-encoded address to `buf`.
+    #[inline]
     pub fn put(self, buf: &mut impl bytes::BufMut) {
         if self.0 < u32::from(Self::WIRE_ESCAPE) {
             buf.put_u16(self.0 as u16);
@@ -62,6 +64,7 @@ impl NodeId {
 
     /// Reads one escape-encoded address from `buf`, or `None` when the
     /// buffer is too short.
+    #[inline]
     pub fn get(buf: &mut impl bytes::Buf) -> Option<NodeId> {
         if buf.remaining() < 2 {
             return None;
@@ -80,6 +83,7 @@ impl NodeId {
     /// address and the number of bytes it occupied. `None` when the slice
     /// is too short. Slice-based twin of [`NodeId::get`] for validated
     /// zero-copy views.
+    #[inline]
     pub fn read_at(buf: &[u8], off: usize) -> Option<(NodeId, usize)> {
         let hi = *buf.get(off)?;
         let lo = *buf.get(off + 1)?;
@@ -237,21 +241,25 @@ impl<'a> Context<'a> {
     }
 
     /// The identity of the node this callback runs on.
+    #[inline]
     pub fn id(&self) -> NodeId {
         self.node
     }
 
     /// The current simulation instant.
+    #[inline]
     pub fn now(&self) -> SimTime {
         self.now
     }
 
     /// The simulation-wide deterministic random number generator.
+    #[inline]
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
     }
 
     /// Queues a broadcast frame for transmission on the shared medium.
+    #[inline]
     pub fn broadcast(&mut self, payload: Bytes) {
         self.commands.push(Command::Broadcast { payload });
     }
@@ -260,11 +268,13 @@ impl<'a> Context<'a> {
     ///
     /// Delivery is subject to the same range and loss rules as a broadcast;
     /// the frame is simply ignored by every other node.
+    #[inline]
     pub fn send(&mut self, to: NodeId, payload: Bytes) {
         self.commands.push(Command::Unicast { to, payload });
     }
 
     /// Arms a one-shot timer that will fire `delay` from now with `token`.
+    #[inline]
     pub fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
         self.commands.push(Command::SetTimer { delay, token });
     }
@@ -272,12 +282,14 @@ impl<'a> Context<'a> {
     /// Appends a typed record to this node's audit log, stamped with the
     /// current simulation time. Rendering to text happens at the edges
     /// ([`LogBuffer::render_lines`]), never on this hot path.
+    #[inline]
     pub fn log(&mut self, record: LogRecord) {
         self.log.push(self.now, record);
     }
 
     /// Read access to this node's own audit log — how a log-based intrusion
     /// detector co-located with the router tails "its" log file.
+    #[inline]
     pub fn log_buffer(&self) -> &LogBuffer {
         self.log
     }
@@ -310,11 +322,13 @@ pub struct LogBuffer {
 
 impl LogBuffer {
     /// Appends one record stamped `at`.
+    #[inline]
     pub fn push(&mut self, at: SimTime, record: LogRecord) {
         self.entries.push((at, record));
     }
 
     /// Number of records logged so far.
+    #[inline]
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -345,6 +359,7 @@ impl LogBuffer {
     /// Returns the entries appended at or after position `cursor`, plus the
     /// next cursor value. Feeding the returned cursor back yields only new
     /// entries — the idiom for periodic log analysis.
+    #[inline]
     pub fn read_from(&self, cursor: usize) -> (&[(SimTime, LogRecord)], usize) {
         let start = cursor.min(self.entries.len());
         (&self.entries[start..], self.entries.len())

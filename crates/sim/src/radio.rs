@@ -67,6 +67,7 @@ impl RadioConfig {
     }
 
     /// Decides the fate of a frame sent from `tx` toward a receiver at `rx`.
+    #[inline]
     pub fn judge(&self, tx: Position, rx: Position, rng: &mut StdRng) -> DeliveryOutcome {
         if tx.distance(&rx) > self.range {
             return DeliveryOutcome::OutOfRange;
@@ -242,6 +243,7 @@ impl ChannelState {
     /// Judges one frame: the uniform radio first (drawing from the global
     /// RNG exactly as it would without a channel model), then the per-link
     /// fading chain from the link's private stream.
+    #[inline]
     pub fn judge(
         &mut self,
         radio: &RadioConfig,

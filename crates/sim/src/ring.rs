@@ -110,6 +110,7 @@ impl<T> CalendarRing<T> {
     /// # Panics
     ///
     /// Panics if `delay` exceeds the ring's maximum delay.
+    #[inline]
     pub(crate) fn push(&mut self, now: SimTime, delay: SimDuration, seq: u64, item: T) {
         assert!(delay <= self.max_delay, "delay {delay:?} beyond the ring's {:?}", self.max_delay);
         if self.buckets.is_empty() {
@@ -154,6 +155,7 @@ impl<T> CalendarRing<T> {
     }
 
     /// The `(time, seq)` stamp of the next item due.
+    #[inline]
     pub(crate) fn peek(&mut self) -> Option<(SimTime, u64)> {
         if self.len == 0 {
             return None;
@@ -164,6 +166,7 @@ impl<T> CalendarRing<T> {
     }
 
     /// Removes the next item due.
+    #[inline]
     pub(crate) fn pop(&mut self) -> Option<T> {
         if self.len == 0 {
             return None;
@@ -188,6 +191,7 @@ impl<T> CalendarRing<T> {
     /// The ring must not be empty. Every pending entry lies less than one
     /// lap past the cursor, so the first occupied bucket found scanning one
     /// lap forward holds the earliest entries.
+    #[inline]
     fn seek(&mut self) -> usize {
         let start = (self.cursor & self.mask) as usize;
         let (w0, bit) = (start / 64, start % 64);
@@ -210,6 +214,7 @@ impl<T> CalendarRing<T> {
 
     /// Stores `entry` in a free slab slot, growing the slab only when none
     /// is free.
+    #[inline]
     fn alloc(&mut self, entry: Entry<T>) -> u32 {
         if self.free == NIL {
             let idx = u32::try_from(self.slab.len()).ok().filter(|&i| i != NIL);

@@ -34,6 +34,7 @@ pub struct TrafficStats {
 }
 
 impl TrafficStats {
+    #[inline]
     pub(crate) fn ensure_node(&mut self, id: NodeId) {
         if self.per_node.len() <= id.index() {
             self.per_node.resize(id.index() + 1, NodeStats::default());
@@ -47,6 +48,7 @@ impl TrafficStats {
         self.per_node.reserve(n.saturating_sub(self.per_node.len()));
     }
 
+    #[inline]
     pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut NodeStats {
         self.ensure_node(id);
         &mut self.per_node[id.index()]
@@ -98,6 +100,7 @@ pub struct FloodStats {
 
 impl FloodStats {
     /// Counts one originated flood frame in `ring`.
+    #[inline]
     pub fn record_originated(&mut self, ring: usize) {
         if self.originated_per_ring.len() <= ring {
             self.originated_per_ring.resize(ring + 1, 0);
@@ -111,6 +114,7 @@ impl FloodStats {
     }
 
     /// Counts one flood copy suppressed for `reason`, of any message kind.
+    #[inline]
     pub fn record_suppressed(&mut self, reason: SuppressReason) {
         self.suppressed[reason as usize] += 1;
     }

@@ -63,11 +63,13 @@ impl SimTime {
     ///
     /// Returns [`SimDuration::ZERO`] when `earlier` is in the future, which
     /// makes elapsed-time arithmetic total.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// Checked addition, `None` on overflow.
+    #[inline]
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
     }
@@ -120,12 +122,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -133,6 +137,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
@@ -140,6 +145,7 @@ impl Sub<SimDuration> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 + rhs.0)
     }
@@ -147,6 +153,7 @@ impl Add for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }

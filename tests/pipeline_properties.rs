@@ -721,7 +721,7 @@ proptest! {
             );
             let expected = model.observe(&ev);
             let mut got = Vec::new();
-            for suspect in ev.suspects() {
+            for &suspect in ev.suspects() {
                 let progress = match files.get_mut(&suspect) {
                     Some(progress) => progress,
                     None if opens_case(&ev) => files.entry(suspect).or_default(),
@@ -787,7 +787,7 @@ mod signature_model {
         pub fn observe(&mut self, ev: &DetectionEvent) -> Vec<Match> {
             let mut matches = Vec::new();
             let at = ev.at();
-            for suspect in ev.suspects() {
+            for &suspect in ev.suspects() {
                 for (i, (name, stages)) in SIGNATURES.iter().enumerate() {
                     let key = (i, suspect);
                     let mut times = self
