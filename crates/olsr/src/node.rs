@@ -1036,7 +1036,8 @@ impl<H: OlsrHooks> OlsrNode<H> {
         // reports a clock or drops it. So while no TC from a current MPR
         // arrived since the last scan and the MPR set stands, every MPR
         // still has `heard <= logged`, and the scan would log nothing.
-        if mprs_changed || std::mem::take(&mut self.mpr_tc_heard) {
+        let mpr_tc_heard = std::mem::take(&mut self.mpr_tc_heard);
+        if mprs_changed || mpr_tc_heard {
             for &mpr in &self.mprs {
                 if let Some(heard_at) = self.topology.take_heard(mpr) {
                     ctx.log(LogRecord::TcHeard { originator: mpr, heard_at });
