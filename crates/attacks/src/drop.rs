@@ -7,9 +7,10 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use trustlink_olsr::hooks::OlsrHooks;
-use trustlink_olsr::message::{DataMessage, Message};
+use trustlink_olsr::message::DataMessage;
 use trustlink_olsr::node::OlsrNode;
 use trustlink_olsr::types::OlsrConfig;
+use trustlink_olsr::wire::MessageView;
 use trustlink_sim::NodeId;
 
 /// How aggressively traffic is dropped.
@@ -69,7 +70,8 @@ impl DropAttack {
 }
 
 impl OlsrHooks for DropAttack {
-    fn should_forward(&mut self, _msg: &Message, _from: NodeId) -> bool {
+    /// Reads nothing of the message: the decision is the attack's own.
+    fn should_forward(&mut self, _header: &MessageView, _from: NodeId) -> bool {
         match self.scope {
             DropScope::ControlOnly | DropScope::All => !self.should_drop(),
             DropScope::DataOnly => true,
@@ -96,12 +98,13 @@ pub fn drop_attack_node(config: OlsrConfig, attack: DropAttack) -> DropAttackNod
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use trustlink_olsr::message::MessageBody;
+    use trustlink_olsr::message::{Message, MessageBody, Packet};
     use trustlink_olsr::types::SequenceNumber;
+    use trustlink_olsr::wire::{encode_packet, PacketView};
     use trustlink_sim::SimDuration;
 
-    fn dummy_msg() -> Message {
-        Message {
+    fn dummy_header() -> MessageView {
+        let msg = Message {
             vtime: SimDuration::from_secs(1),
             originator: NodeId(1),
             ttl: 10,
@@ -111,7 +114,9 @@ mod tests {
                 ansn: 0,
                 advertised: vec![],
             }),
-        }
+        };
+        let frame = encode_packet(&Packet { seq: SequenceNumber(1), messages: vec![msg] });
+        PacketView::parse(&frame).unwrap().messages().next().unwrap()
     }
 
     fn dummy_data() -> DataMessage {
@@ -122,7 +127,7 @@ mod tests {
     fn black_hole_drops_everything() {
         let mut attack = DropAttack::new(DropMode::BlackHole, DropScope::All, 1);
         for _ in 0..10 {
-            assert!(!attack.should_forward(&dummy_msg(), NodeId(0)));
+            assert!(!attack.should_forward(&dummy_header(), NodeId(0)));
             assert!(!attack.should_forward_data(&dummy_data(), NodeId(0)));
         }
         assert_eq!(attack.dropped, 20);
@@ -131,11 +136,11 @@ mod tests {
     #[test]
     fn scope_restricts_plane() {
         let mut control = DropAttack::new(DropMode::BlackHole, DropScope::ControlOnly, 1);
-        assert!(!control.should_forward(&dummy_msg(), NodeId(0)));
+        assert!(!control.should_forward(&dummy_header(), NodeId(0)));
         assert!(control.should_forward_data(&dummy_data(), NodeId(0)));
 
         let mut data = DropAttack::new(DropMode::BlackHole, DropScope::DataOnly, 1);
-        assert!(data.should_forward(&dummy_msg(), NodeId(0)));
+        assert!(data.should_forward(&dummy_header(), NodeId(0)));
         assert!(!data.should_forward_data(&dummy_data(), NodeId(0)));
     }
 
@@ -144,7 +149,7 @@ mod tests {
         let mut attack =
             DropAttack::new(DropMode::GrayHole { probability: 0.5 }, DropScope::All, 42);
         let forwarded =
-            (0..10_000).filter(|_| attack.should_forward(&dummy_msg(), NodeId(0))).count();
+            (0..10_000).filter(|_| attack.should_forward(&dummy_header(), NodeId(0))).count();
         assert!((4300..=5700).contains(&forwarded), "forwarded={forwarded}");
     }
 
@@ -159,7 +164,7 @@ mod tests {
         let run = |seed| {
             let mut a =
                 DropAttack::new(DropMode::GrayHole { probability: 0.3 }, DropScope::All, seed);
-            (0..100).map(|_| a.should_forward(&dummy_msg(), NodeId(0))).collect::<Vec<_>>()
+            (0..100).map(|_| a.should_forward(&dummy_header(), NodeId(0))).collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));

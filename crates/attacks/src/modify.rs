@@ -7,11 +7,15 @@
 //!   transit;
 //! * [`WillingnessManipulation`] — a node lies about its own willingness
 //!   (`WILL_ALWAYS` forces MPR selection; `WILL_NEVER` evades relay duty).
+//!
+//! The two relay attacks ask for the decoded message
+//! ([`Relay::message_mut`]); the node then re-encodes what they leave.
 
-use trustlink_olsr::hooks::OlsrHooks;
-use trustlink_olsr::message::{Message, MessageBody};
+use trustlink_olsr::hooks::{OlsrHooks, Relay};
+use trustlink_olsr::message::MessageBody;
 use trustlink_olsr::node::OlsrNode;
 use trustlink_olsr::types::{OlsrConfig, SequenceNumber};
+use trustlink_olsr::wire::MessageType;
 use trustlink_sim::record::Willingness;
 use trustlink_sim::NodeId;
 
@@ -32,7 +36,8 @@ impl SequenceInflation {
 }
 
 impl OlsrHooks for SequenceInflation {
-    fn on_forward(&mut self, msg: &mut Message, _from: NodeId) {
+    fn on_forward(&mut self, relay: &mut Relay<'_>, _from: NodeId) {
+        let msg = relay.message_mut();
         msg.seq = SequenceNumber(msg.seq.0.wrapping_add(self.offset));
         if let MessageBody::Tc(tc) = &mut msg.body {
             tc.ansn = tc.ansn.wrapping_add(self.offset);
@@ -60,8 +65,11 @@ impl TcTamper {
 }
 
 impl OlsrHooks for TcTamper {
-    fn on_forward(&mut self, msg: &mut Message, _from: NodeId) {
-        if let MessageBody::Tc(tc) = &mut msg.body {
+    fn on_forward(&mut self, relay: &mut Relay<'_>, _from: NodeId) {
+        if relay.header().kind != MessageType::Tc {
+            return; // nothing to tamper with: relayed as received
+        }
+        if let MessageBody::Tc(tc) = &mut relay.message_mut().body {
             tc.advertised.retain(|a| !self.erase.contains(a));
             for &a in &self.inject {
                 if !tc.advertised.contains(&a) {
@@ -113,8 +121,19 @@ pub fn willingness_node(config: OlsrConfig, claimed: Willingness) -> Willingness
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trustlink_olsr::message::TcMessage;
+    use trustlink_olsr::message::{Message, Packet, TcMessage};
+    use trustlink_olsr::wire::{encode_packet, PacketView};
     use trustlink_sim::SimDuration;
+
+    /// Relays `msg` through `hooks`: the message the node would encode, if
+    /// the hook asked for it.
+    fn forward(hooks: &mut impl OlsrHooks, msg: &Message) -> Option<Message> {
+        let frame = encode_packet(&Packet { seq: SequenceNumber(0), messages: vec![msg.clone()] });
+        let header = PacketView::parse(&frame).unwrap().messages().next().unwrap();
+        let mut relay = Relay::new(&frame, &header);
+        hooks.on_forward(&mut relay, NodeId(0));
+        relay.into_message()
+    }
 
     fn tc_msg(seq: u16, ansn: u16, advertised: &[u32]) -> Message {
         Message {
@@ -133,9 +152,10 @@ mod tests {
     #[test]
     fn sequence_inflation_bumps_seq_and_ansn() {
         let mut hooks = SequenceInflation::new(100);
-        let mut msg = tc_msg(7, 3, &[1]);
-        hooks.on_forward(&mut msg, NodeId(0));
+        let msg = forward(&mut hooks, &tc_msg(7, 3, &[1])).expect("the hook decodes");
         assert_eq!(msg.seq, SequenceNumber(107));
+        // The decoded relay already has TTL and hop count advanced.
+        assert_eq!((msg.ttl, msg.hop_count), (9, 2));
         match &msg.body {
             MessageBody::Tc(tc) => assert_eq!(tc.ansn, 103),
             _ => unreachable!(),
@@ -146,16 +166,14 @@ mod tests {
     #[test]
     fn sequence_inflation_wraps() {
         let mut hooks = SequenceInflation::new(10);
-        let mut msg = tc_msg(u16::MAX, 0, &[]);
-        hooks.on_forward(&mut msg, NodeId(0));
+        let msg = forward(&mut hooks, &tc_msg(u16::MAX, 0, &[])).expect("the hook decodes");
         assert_eq!(msg.seq, SequenceNumber(9));
     }
 
     #[test]
     fn tc_tamper_injects_and_erases() {
         let mut hooks = TcTamper::new(vec![NodeId(9)], vec![NodeId(1)]);
-        let mut msg = tc_msg(1, 5, &[1, 2]);
-        hooks.on_forward(&mut msg, NodeId(0));
+        let msg = forward(&mut hooks, &tc_msg(1, 5, &[1, 2])).expect("the hook decodes");
         match &msg.body {
             MessageBody::Tc(tc) => {
                 assert_eq!(tc.advertised, vec![NodeId(2), NodeId(9)]);
@@ -168,16 +186,14 @@ mod tests {
     #[test]
     fn tc_tamper_ignores_non_tc() {
         let mut hooks = TcTamper::new(vec![NodeId(9)], vec![]);
-        let mut msg = Message {
+        let msg = Message {
             body: MessageBody::Hello(trustlink_olsr::message::HelloMessage {
                 willingness: Willingness::Default,
                 groups: vec![],
             }),
             ..tc_msg(1, 1, &[])
         };
-        let before = msg.clone();
-        hooks.on_forward(&mut msg, NodeId(0));
-        assert_eq!(msg, before);
+        assert_eq!(forward(&mut hooks, &msg), None, "a non-TC is relayed as received");
         assert_eq!(hooks.tampered, 0);
     }
 

@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the hot primitives: the engine's frame fan-out and
 //! delivery, MPR selection, route calculation, wire codec, the reception of
-//! a repeated TC and of an already retransmitted TC copy, log parsing,
-//! signature matching, trust update, detection aggregation and the probit.
+//! a repeated TC, of an already retransmitted TC copy and of a TC copy the
+//! node relays, log parsing, signature matching, trust update, detection
+//! aggregation and the probit.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -9,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-use trustlink_olsr::hooks::OlsrHooks;
+use trustlink_olsr::hooks::{OlsrHooks, Relay};
 use trustlink_olsr::message::{
     HelloMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody, NeighborType, Packet,
     TcMessage,
@@ -18,7 +19,7 @@ use trustlink_olsr::mpr::{select_mprs, MprCandidate};
 use trustlink_olsr::routing::{RoutingGraph, RoutingTable, TreeRoute};
 use trustlink_olsr::state::{TopologySet, TwoHopSet};
 use trustlink_olsr::types::SequenceNumber;
-use trustlink_olsr::wire::{decode_packet, encode_packet};
+use trustlink_olsr::wire::{decode_packet, encode_messages_into, encode_packet, PacketView};
 use trustlink_olsr::{FisheyeRings, FloodScope, OlsrConfig, OlsrNode};
 use trustlink_sim::record::Willingness;
 use trustlink_sim::record::{from_rlog_line, parse_line, LogRecord};
@@ -321,15 +322,16 @@ fn bench_olsr_receive(c: &mut Criterion) {
 }
 
 /// Faithful forwarding that counts the retransmissions of one
-/// originator's messages.
+/// originator's messages. It reads the relay's header only, so every relay
+/// is sent as received.
 struct ForwardCount {
     originator: NodeId,
     forwards: u64,
 }
 
 impl OlsrHooks for ForwardCount {
-    fn on_forward(&mut self, msg: &mut Message, _from: NodeId) {
-        if msg.originator == self.originator {
+    fn on_forward(&mut self, relay: &mut Relay<'_>, _from: NodeId) {
+        if relay.header().originator == self.originator {
             self.forwards += 1;
         }
     }
@@ -385,6 +387,87 @@ fn bench_olsr_retransmitted_receive(c: &mut Criterion) {
         copies,
         "every later copy is suppressed as a duplicate of a retransmitted TC"
     );
+}
+
+/// An [`OlsrNode`] that keeps the last frame it heard carrying a message
+/// of `originator`.
+struct Tap {
+    node: OlsrNode,
+    originator: NodeId,
+    last: Option<Bytes>,
+}
+
+impl Application for Tap {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.node.on_start(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
+        self.node.on_timer(ctx, timer);
+    }
+
+    fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
+        let carries = |v: PacketView<'_>| v.messages().any(|m| m.originator == self.originator);
+        if PacketView::parse(&payload).is_ok_and(carries) {
+            self.last = Some(payload.clone());
+        }
+        self.node.on_receive(ctx, from, payload);
+    }
+}
+
+fn bench_olsr_tc_relay(c: &mut Criterion) {
+    // A TC copy the node retransmits: the same converged 3-node line as
+    // `olsr_retransmitted_tc_receive`, N1 N0's MPR, and N0 relays TCs from
+    // the phantom N7, each with a fresh sequence number and the content of
+    // the last. N1 processes each as a repeat and relays it; N2 keeps the
+    // last relayed frame. 10 000 frames at 5 ms each span 50 s, beyond the
+    // 8 s the duplicate set holds a sequence number, so a cycled frame is
+    // new again. One iteration delivers one frame, as in the other two.
+    let mut sim = SimulatorBuilder::new(5)
+        .radio(RadioConfig::unit_disk(150.0))
+        .arena(Arena::new(1_000.0, 1_000.0))
+        .build();
+    sim.add_node(Box::new(OlsrNode::new(OlsrConfig::fast())), Position::new(0.0, 0.0));
+    let hooks = ForwardCount { originator: NodeId(7), forwards: 0 };
+    let mid = OlsrNode::with_hooks(OlsrConfig::fast(), hooks);
+    sim.add_node(Box::new(mid), Position::new(100.0, 0.0));
+    let tap = Tap { node: OlsrNode::new(OlsrConfig::fast()), originator: NodeId(7), last: None };
+    sim.add_node(Box::new(tap), Position::new(200.0, 0.0));
+    sim.run_for(SimDuration::from_secs(10));
+    let message = |k: u16| Message {
+        vtime: SimDuration::from_secs(60),
+        originator: NodeId(7),
+        ttl: 8,
+        hop_count: 1,
+        seq: SequenceNumber(k),
+        body: MessageBody::Tc(TcMessage { ansn: 1, advertised: (10..18).map(NodeId).collect() }),
+    };
+    let frames: Vec<_> = (0..10_000u16)
+        .map(|k| encode_packet(&Packet { seq: SequenceNumber(k), messages: vec![message(k)] }))
+        .collect();
+    let forwards = |sim: &trustlink_sim::Simulator| {
+        sim.app_as::<OlsrNode<ForwardCount>>(NodeId(1)).expect("N1").hooks().forwards
+    };
+    let mut next = frames.iter().enumerate().cycle();
+    let mut last = 0;
+    let mut copies = 0;
+    c.bench_function("olsr_tc_relay", |b| {
+        b.iter(|| {
+            let (k, frame) = next.next().expect("cycled");
+            last = k;
+            copies += 1;
+            sim.inject_broadcast(NodeId(0), black_box(frame.clone()));
+            sim.run_for(SimDuration::from_millis(5));
+        })
+    });
+    assert_eq!(forwards(&sim), copies, "N1 relays every copy exactly once: it is N0's MPR");
+    // N1 relayed the last copy as received, TTL and hop count advanced:
+    // the bytes of re-encoding the message so advanced.
+    let relayed = sim.app_as::<Tap>(NodeId(2)).expect("N2 taps").last.clone().expect("a relay");
+    let seq = PacketView::parse(&relayed).expect("a valid relay").seq();
+    let advanced = Message { ttl: 7, hop_count: 2, ..message(last as u16) };
+    let reencoded = encode_messages_into(seq, &[advanced], &mut Vec::new());
+    assert_eq!(relayed, reencoded, "the relay differs from the re-encoded message");
 }
 
 fn bench_log_pipeline(c: &mut Criterion) {
@@ -471,7 +554,7 @@ criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(50);
     targets = bench_engine, bench_mpr_selection, bench_routing, bench_route_run, bench_wire,
-              bench_olsr_receive, bench_olsr_retransmitted_receive,
+              bench_olsr_receive, bench_olsr_retransmitted_receive, bench_olsr_tc_relay,
               bench_log_pipeline, bench_signature_engine, bench_trust_primitives
 }
 criterion_main!(micro);

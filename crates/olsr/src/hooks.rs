@@ -13,10 +13,20 @@
 //!   messages.
 //!
 //! A default no-op implementation ([`NoHooks`]) produces a faithful node.
+//!
+//! A node relays a flooded message as it received it, with only TTL and
+//! hop count advanced ([`relay_message_into`](crate::wire::relay_message_into)).
+//! The forwarding hooks therefore see the header first: a drop decision
+//! reads a [`MessageView`], and [`OlsrHooks::on_forward`] gets a [`Relay`]
+//! that decodes the message only when the hook asks for it with
+//! [`Relay::message_mut`]. A relay a hook asked for is re-encoded from the
+//! message the hook left behind.
 
+use bytes::Bytes;
 use trustlink_sim::{NodeId, SimTime};
 
 use crate::message::{DataMessage, HelloMessage, Message, TcMessage};
+use crate::wire::{materialize_message, MessageView};
 use trustlink_sim::record::Willingness;
 
 /// Extension points applied by [`crate::node::OlsrNode`] at well-defined
@@ -37,20 +47,71 @@ pub trait OlsrHooks: Send + 'static {
     }
 
     /// Decides whether a flooded control message that the default
-    /// forwarding algorithm *would* retransmit is actually sent. Returning
-    /// `false` implements control-plane dropping.
-    fn should_forward(&mut self, _msg: &Message, _from: NodeId) -> bool {
+    /// forwarding algorithm *would* retransmit is actually sent, from its
+    /// header as received. Returning `false` implements control-plane
+    /// dropping.
+    fn should_forward(&mut self, _header: &MessageView, _from: NodeId) -> bool {
         true
     }
 
-    /// Mutates a flooded message just before retransmission (the
-    /// modify-and-forward attack class, e.g. sequence-number inflation).
-    fn on_forward(&mut self, _msg: &mut Message, _from: NodeId) {}
+    /// Sees a flooded message just before retransmission, and may mutate
+    /// it through [`Relay::message_mut`] (the modify-and-forward attack
+    /// class, e.g. sequence-number inflation). A hook that only reads
+    /// [`Relay::header`] leaves the received bytes to be relayed.
+    fn on_forward(&mut self, _relay: &mut Relay<'_>, _from: NodeId) {}
 
     /// Decides whether a unicast data message is forwarded. Returning
     /// `false` implements the black-hole / gray-hole data drop.
     fn should_forward_data(&mut self, _data: &DataMessage, _from: NodeId) -> bool {
         true
+    }
+}
+
+/// A flooded message a node is about to retransmit, as
+/// [`OlsrHooks::on_forward`] sees it.
+///
+/// The message stays encoded in the frame it arrived in until a hook calls
+/// [`message_mut`](Self::message_mut); a relay no hook asked for is sent
+/// as the received bytes with TTL and hop count advanced.
+#[derive(Debug)]
+pub struct Relay<'a> {
+    frame: &'a Bytes,
+    header: MessageView,
+    message: Option<Message>,
+}
+
+impl<'a> Relay<'a> {
+    /// The relay of the message behind `received`, a view parsed from
+    /// `frame`. Its TTL must be at least 1, as that of every message the
+    /// forwarding gates pass is.
+    #[inline]
+    pub fn new(frame: &'a Bytes, received: &MessageView) -> Self {
+        let mut header = *received;
+        header.ttl -= 1;
+        header.hop_count = header.hop_count.wrapping_add(1);
+        Relay { frame, header, message: None }
+    }
+
+    /// The relayed message's header: as received, with TTL decremented and
+    /// hop count incremented. It does not show a hook's rewrite.
+    #[inline]
+    pub fn header(&self) -> &MessageView {
+        &self.header
+    }
+
+    /// The relayed message, decoded on the first call, with TTL and hop
+    /// count already advanced. Whatever it holds when the hooks return is
+    /// what the node encodes and sends.
+    pub fn message_mut(&mut self) -> &mut Message {
+        let (frame, header) = (self.frame, &self.header);
+        self.message.get_or_insert_with(|| materialize_message(frame, header))
+    }
+
+    /// The message a hook asked for, as the hook left it; `None` when no
+    /// hook called [`message_mut`](Self::message_mut).
+    #[inline]
+    pub fn into_message(self) -> Option<Message> {
+        self.message
     }
 }
 

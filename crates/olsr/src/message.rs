@@ -93,6 +93,27 @@ impl LinkCode {
     pub fn is_symmetric(self) -> bool {
         self.link == LinkType::Sym || self.neighbor != NeighborType::Not
     }
+
+    /// `true` when the code lists a neighbor heard but not yet verified
+    /// bidirectional: the ASYM link type without a symmetric neighbor type.
+    ///
+    /// With [`is_symmetric`](Self::is_symmetric), the one definition of
+    /// both sets that [`HelloMessage`] and
+    /// [`HelloView`](crate::wire::HelloView) read.
+    #[inline]
+    pub fn is_asymmetric(self) -> bool {
+        !self.is_symmetric() && self.link == LinkType::Asym
+    }
+}
+
+/// Collects `ids` into `out` (cleared first), ascending and without
+/// repeats: the form of a HELLO's symmetric and asymmetric sets.
+#[inline]
+pub(crate) fn sorted_ids_into(ids: impl Iterator<Item = NodeId>, out: &mut Vec<NodeId>) {
+    out.clear();
+    out.extend(ids);
+    out.sort_unstable();
+    out.dedup();
 }
 
 /// One link group inside a HELLO: a link code and the neighbor addresses it
@@ -121,37 +142,19 @@ impl HelloMessage {
     /// type or `SYM` link type) — the `NS'` set of the paper's Expressions
     /// (1)–(3).
     pub fn symmetric_neighbors(&self) -> Vec<NodeId> {
-        let mut v = Vec::new();
-        self.symmetric_neighbors_into(&mut v);
-        v
-    }
-
-    /// [`symmetric_neighbors`](Self::symmetric_neighbors) into a reused
-    /// buffer, cleared first.
-    #[inline]
-    pub(crate) fn symmetric_neighbors_into(&self, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend(
-            self.groups
-                .iter()
-                .filter(|g| g.code.is_symmetric())
-                .flat_map(|g| g.addrs.iter().copied()),
-        );
-        out.sort_unstable();
-        out.dedup();
+        self.neighbors_where(LinkCode::is_symmetric)
     }
 
     /// Addresses advertised with the ASYM link type (heard but not yet
     /// verified bidirectional).
     pub fn asymmetric_neighbors(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .groups
-            .iter()
-            .filter(|g| !g.code.is_symmetric() && g.code.link == LinkType::Asym)
-            .flat_map(|g| g.addrs.iter().copied())
-            .collect();
-        v.sort_unstable();
-        v.dedup();
+        self.neighbors_where(LinkCode::is_asymmetric)
+    }
+
+    fn neighbors_where(&self, code: fn(LinkCode) -> bool) -> Vec<NodeId> {
+        let mut v = Vec::new();
+        let groups = self.groups.iter().filter(|g| code(g.code));
+        sorted_ids_into(groups.flat_map(|g| g.addrs.iter().copied()), &mut v);
         v
     }
 }
@@ -374,6 +377,16 @@ mod tests {
             let (a, b) = (f64::from(byte >> 4), i32::from(byte & 0x0F));
             let want = SimDuration::from_secs_f64(0.0625 * (1.0 + a / 16.0) * 2f64.powi(b));
             assert_eq!(decode_vtime(byte), want, "vtime byte {byte:#04x}");
+        }
+    }
+
+    #[test]
+    fn every_vtime_byte_reencodes_to_itself() {
+        // A relay copies the vtime byte it received instead of re-encoding
+        // the decoded duration; for the two to agree on every frame the
+        // encoder produces, each byte must survive the round trip.
+        for byte in 0..=u8::MAX {
+            assert_eq!(encode_vtime(decode_vtime(byte)), byte, "vtime byte {byte:#04x}");
         }
     }
 

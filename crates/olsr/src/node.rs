@@ -13,7 +13,7 @@ use rand::RngExt;
 use trustlink_sim::record::{LogRecord, SuppressReason, Willingness};
 use trustlink_sim::{Application, Context, FloodStats, NodeId, SimDuration, SimTime, TimerToken};
 
-use crate::hooks::{NoHooks, OlsrHooks};
+use crate::hooks::{NoHooks, OlsrHooks, Relay};
 use crate::idhash::IdHashMap;
 use crate::message::{
     DataMessage, HelloMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody, NeighborType,
@@ -27,7 +27,8 @@ use crate::state::{
 };
 use crate::types::{FloodScope, OlsrConfig, RecomputeMode, SequenceNumber};
 use crate::wire::{
-    encode_messages_into, materialize_message, MessageType, MessageView, PacketView, TcView,
+    encode_messages_into, materialize_message, relay_message_into, HelloView, MessageType,
+    MessageView, PacketView, TcView,
 };
 
 /// Timer tokens used by the OLSR state machine. Wrappers layering their own
@@ -388,7 +389,8 @@ impl<H: OlsrHooks> OlsrNode<H> {
         self.msg_seq
     }
 
-    /// Broadcasts `msg` as a packet of its own.
+    /// Broadcasts `msg`, which this node originates or a hook rewrote, as
+    /// a packet of its own.
     fn transmit(&mut self, ctx: &mut Context<'_>, msg: &Message) {
         self.pkt_seq = self.pkt_seq.next();
         let frame =
@@ -402,6 +404,13 @@ impl<H: OlsrHooks> OlsrNode<H> {
         let frame =
             encode_messages_into(self.pkt_seq, std::slice::from_ref(msg), &mut self.wire_scratch);
         ctx.send(to, frame);
+    }
+
+    /// The received message behind `mv` as a packet of its own, ready to
+    /// relay: its bytes as received, TTL and hop count advanced.
+    fn relay_frame(&mut self, frame: &[u8], mv: &MessageView) -> Bytes {
+        self.pkt_seq = self.pkt_seq.next();
+        relay_message_into(self.pkt_seq, frame, mv, &mut self.wire_scratch)
     }
 
     /// Builds the HELLO this node would send at `now` (before hooks).
@@ -627,7 +636,9 @@ impl<H: OlsrHooks> OlsrNode<H> {
 
     // ---- reception ------------------------------------------------------
 
-    fn process_hello(&mut self, ctx: &mut Context<'_>, originator: NodeId, hello: &HelloMessage) {
+    /// Processes a HELLO straight off the wire: only a logged reception
+    /// reads its ASYM set, and nothing is decoded into owned groups.
+    fn process_hello(&mut self, ctx: &mut Context<'_>, originator: NodeId, hello: &HelloView<'_>) {
         let now = ctx.now();
         let hold = now + self.config.neighbor_hold_time;
         let mut claimed_sym = std::mem::take(&mut self.sym_scratch);
@@ -635,10 +646,13 @@ impl<H: OlsrHooks> OlsrNode<H> {
         // How the sender lists us, in one pass: heard (any symmetric or
         // ASYM code), declared LOST, and selected as its MPR.
         let (mut heard_us, mut lost_us, mut selected_us) = (false, false, false);
-        for g in hello.groups.iter().filter(|g| g.addrs.contains(&self.id)) {
-            heard_us |= g.code.is_symmetric() || g.code.link == LinkType::Asym;
-            lost_us |= g.code.link == LinkType::Lost;
-            selected_us |= g.code.neighbor == NeighborType::Mpr;
+        let me = self.id;
+        for (code, mut addrs) in hello.groups() {
+            if addrs.any(|a| a == me) {
+                heard_us |= code.is_symmetric() || code.link == LinkType::Asym;
+                lost_us |= code.link == LinkType::Lost;
+                selected_us |= code.neighbor == NeighborType::Mpr;
+            }
         }
         // A tuple whose expiry already passed is semantically purged — its
         // previous status is `None`, whichever mode got to the sweep first.
@@ -786,36 +800,51 @@ impl<H: OlsrHooks> OlsrNode<H> {
         self.flood.record_suppressed(reason);
     }
 
-    /// Retransmits a TC that passed every gate — or lets a drop attacker
-    /// swallow it.
+    /// Retransmits the TC behind `mv`, which passed every gate, as
+    /// received with TTL and hop count advanced — or lets a drop attacker
+    /// swallow it. The message is decoded and re-encoded only when a hook
+    /// asked for it.
     fn forward_approved(
         &mut self,
         ctx: &mut Context<'_>,
-        mut msg: Message,
+        frame: &Bytes,
+        mv: &MessageView,
         from: NodeId,
         dup_until: SimTime,
         now: SimTime,
     ) {
         // The duplicate set keys the copy as received, whatever a hook
         // rewrites below.
-        let (originator, seq) = (msg.originator, msg.seq);
-        if !self.hooks.should_forward(&msg, from) {
+        self.duplicates.record(mv.originator, mv.seq, true, dup_until, now);
+        if !self.hooks.should_forward(mv, from) {
             // A drop attacker stays silent. Forwarding is never logged, so
             // its own log shows nothing either way; the *absence* of the
             // retransmission is what neighbors can observe (paper evidence
             // E2).
-            self.duplicates.record(originator, seq, true, dup_until, now);
             return;
         }
-        msg.ttl -= 1;
-        msg.hop_count += 1;
-        self.hooks.on_forward(&mut msg, from);
-        self.duplicates.record(originator, seq, true, dup_until, now);
+        let mut relay = Relay::new(frame, mv);
+        self.hooks.on_forward(&mut relay, from);
         self.flood.forwarded += 1;
-        self.transmit(ctx, &msg);
+        match relay.into_message() {
+            Some(rewritten) => self.transmit(ctx, &rewritten),
+            None => {
+                let out = self.relay_frame(frame, mv);
+                ctx.broadcast(out);
+            }
+        }
     }
 
-    fn process_data(&mut self, ctx: &mut Context<'_>, mut msg: Message, from: NodeId) {
+    /// Delivers or forwards the data message behind `mv`. A forward relays
+    /// the received bytes, TTL and hop count advanced.
+    fn process_data(
+        &mut self,
+        ctx: &mut Context<'_>,
+        frame: &Bytes,
+        mv: &MessageView,
+        from: NodeId,
+    ) {
+        let msg = materialize_message(frame, mv);
         let MessageBody::Data(data) = &msg.body else {
             return;
         };
@@ -836,9 +865,8 @@ impl<H: OlsrHooks> OlsrNode<H> {
         let Some(next) = self.next_hop_for(dst, avoid) else {
             return;
         };
-        msg.ttl -= 1;
-        msg.hop_count += 1;
-        self.unicast(ctx, next, &msg);
+        let out = self.relay_frame(frame, mv);
+        ctx.send(next, out);
     }
 
     /// The decision-point trailer every received frame pays.
@@ -862,12 +890,13 @@ impl<H: OlsrHooks> OlsrNode<H> {
     }
 
     /// The one receive path: validates `frame` through a [`PacketView`]
-    /// (validation without materialization) and materializes message
-    /// bodies only when they will actually be processed or retransmitted.
-    /// A malformed frame is rejected whole, before any of its messages is
-    /// acted on. Duplicate flood copies are suppressed from the message
-    /// header alone; their bodies are never decoded. A new TC is processed
-    /// straight off the wire and materialized only to be retransmitted.
+    /// (validation without materialization) and acts on each message in
+    /// place. A malformed frame is rejected whole, before any of its
+    /// messages is acted on. Duplicate flood copies are suppressed from
+    /// the message header alone. HELLOs and new TCs are processed straight
+    /// off the wire, and a relay retransmits the received bytes: a HELLO or
+    /// TC body is decoded into an owned message only when a forwarding
+    /// hook asks for one.
     fn handle_frame_view(&mut self, ctx: &mut Context<'_>, from: NodeId, frame: &Bytes) {
         let view = match PacketView::parse(frame) {
             Ok(v) => v,
@@ -883,14 +912,12 @@ impl<H: OlsrHooks> OlsrNode<H> {
             }
             match mv.kind {
                 MessageType::Hello => {
-                    let msg = materialize_message(frame, &mv);
-                    if let MessageBody::Hello(h) = &msg.body {
-                        self.process_hello(ctx, msg.originator, h);
-                    }
+                    let hello = mv.hello(frame).expect("a HELLO view has a HELLO body");
+                    self.process_hello(ctx, mv.originator, &hello);
                     continue;
                 }
                 MessageType::Data => {
-                    self.process_data(ctx, materialize_message(frame, &mv), from);
+                    self.process_data(ctx, frame, &mv, from);
                     continue;
                 }
                 MessageType::Tc => {}
@@ -916,14 +943,10 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 self.process_tc(ctx, &mv, &tc, from, sender_live);
             }
             // A new TC, or a copy seen but not yet forwarded (processing
-            // skipped): the forwarding decision is live. Materialize only
-            // if the gates approve.
+            // skipped): the forwarding decision is live.
             match self.flood_gate(from, link.as_ref(), mv.ttl, now) {
                 Err(reason) => self.suppress_forward(reason),
-                Ok(()) => {
-                    let msg = materialize_message(frame, &mv);
-                    self.forward_approved(ctx, msg, from, dup_until, now);
-                }
+                Ok(()) => self.forward_approved(ctx, frame, &mv, from, dup_until, now),
             }
         }
         self.after_packet_recompute(ctx);
@@ -1526,15 +1549,15 @@ mod tests {
     }
 
     /// Records `(ttl, hop_count)` of every message this node re-floods,
-    /// as mutated just before retransmission.
+    /// as advanced just before retransmission.
     #[derive(Default)]
     struct RecordForwards {
         seen: Vec<(u8, u8)>,
     }
 
     impl crate::hooks::OlsrHooks for RecordForwards {
-        fn on_forward(&mut self, msg: &mut Message, _from: NodeId) {
-            self.seen.push((msg.ttl, msg.hop_count));
+        fn on_forward(&mut self, relay: &mut Relay<'_>, _from: NodeId) {
+            self.seen.push((relay.header().ttl, relay.header().hop_count));
         }
     }
 
@@ -1638,6 +1661,90 @@ mod tests {
             [1, 0, 0, 0],
             "second copy must be suppressed, once, as a duplicate"
         );
+    }
+
+    /// An [`OlsrNode`] that keeps every frame it receives.
+    struct Sniffer {
+        node: OlsrNode,
+        heard: Vec<Bytes>,
+    }
+
+    impl Application for Sniffer {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.node.on_start(ctx);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
+            self.node.on_timer(ctx, timer);
+        }
+
+        fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
+            self.heard.push(payload.clone());
+            self.node.on_receive(ctx, from, payload);
+        }
+    }
+
+    #[test]
+    fn crafted_tc_is_relayed_byte_for_byte() {
+        // RFC 3626 §3.4.1: a relayed message is retransmitted as received,
+        // except that TTL is decremented and hop count incremented. The
+        // parser accepts TCs the encoder never writes: here a non-zero
+        // reserved field and the narrow id N2 in the escaped six-byte form.
+        // N1, N0's MPR on a converged 3-node line, relays those bytes, not
+        // a re-encoding of what they decode to.
+        let mut sim = SimulatorBuilder::new(67)
+            .radio(RadioConfig::unit_disk(150.0))
+            .arena(trustlink_sim::Arena::new(10_000.0, 10_000.0))
+            .build();
+        sim.add_node(Box::new(OlsrNode::new(OlsrConfig::fast())), Position::new(0.0, 0.0));
+        sim.add_node(Box::new(OlsrNode::new(OlsrConfig::fast())), Position::new(100.0, 0.0));
+        let sniffer = Sniffer { node: OlsrNode::new(OlsrConfig::fast()), heard: Vec::new() };
+        sim.add_node(Box::new(sniffer), Position::new(200.0, 0.0));
+        sim.run_for(SimDuration::from_secs(10));
+        let mid = sim.app_as::<OlsrNode>(NodeId(1)).unwrap();
+        assert!(mid.mpr_selectors(sim.now()).contains(&NodeId(0)), "N1 must be N0's MPR");
+
+        #[rustfmt::skip]
+        let message: Vec<u8> = vec![
+            2, crate::message::encode_vtime(SimDuration::from_secs(6)), 0, 22, // TC, size 22
+            0, 0, 5, 2, 0x03, 0x98,       // originator N0, TTL 5, hop count 2, seq 920
+            0, 9, 0xBE, 0xEF,             // ANSN 9, reserved 0xBEEF
+            0xFF, 0xFF, 0, 0, 0, 2,       // N2, escaped
+            0, 1,                         // N1
+        ];
+        let mut frame = vec![0, 26, 0, 1];
+        frame.extend_from_slice(&message);
+        let frame = Bytes::from(frame);
+        let view = PacketView::parse(&frame).expect("the parser accepts the crafted TC");
+        let mv = view.messages().next().unwrap();
+        let tc = mv.tc(&frame).unwrap();
+        assert_eq!((tc.ansn, tc.advertised().collect::<Vec<_>>()), (9, ids(&[2, 1])));
+
+        let heard_before = sim.app_as::<Sniffer>(NodeId(2)).unwrap().heard.len();
+        sim.inject_broadcast(NodeId(0), frame.clone());
+        sim.run_for(SimDuration::from_millis(200));
+        let sniffer = sim.app_as::<Sniffer>(NodeId(2)).unwrap();
+        let relays: Vec<&Bytes> = sniffer.heard[heard_before..]
+            .iter()
+            .filter(|f| {
+                let view = PacketView::parse(f).unwrap();
+                view.messages().any(|m| m.originator == NodeId(0) && m.seq == SequenceNumber(920))
+            })
+            .collect();
+        assert_eq!(relays.len(), 1, "N1 relays the crafted TC once");
+        let relayed = relays[0];
+        let mut want = message.clone();
+        want[6] = 4; // TTL - 1
+        want[7] = 3; // hop count + 1
+        assert_eq!(&relayed[..2], &[0, 26], "packet length");
+        assert_eq!(&relayed[4..], &want[..], "the relay must be the received message");
+        // Re-encoding would have dropped the reserved bits and narrowed N2.
+        let mut advanced = materialize_message(&frame, &mv);
+        (advanced.ttl, advanced.hop_count) = (4, 3);
+        let seq = PacketView::parse(relayed).unwrap().seq();
+        let reencoded = encode_messages_into(seq, &[advanced], &mut Vec::new());
+        assert_ne!(&reencoded, relayed);
+        assert_eq!(reencoded.len(), relayed.len() - 4);
     }
 
     #[test]

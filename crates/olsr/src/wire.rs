@@ -11,14 +11,25 @@
 //!
 //! Decoding is total: malformed input yields a [`WireError`], never a panic,
 //! so forged packets from attack nodes can be thrown at the parser safely.
+//!
+//! Receivers read messages in place: [`PacketView::parse`] validates a
+//! frame once, and [`HelloView`] and [`TcView`] read a body straight off
+//! the validated bytes. Each body kind has that one reader; the owned
+//! [`Message`] types are built from it ([`materialize_message`]) only
+//! where something needs to own or change a message. A relay keeps the
+//! received bytes: [`relay_message_into`] copies the message behind a new
+//! packet header and changes only TTL and hop count, as RFC 3626 §3.4.1
+//! retransmits it. A modify-and-forward hook decodes the message on
+//! demand ([`Relay::message_mut`](crate::hooks::Relay::message_mut)), and
+//! only then is the relay re-encoded.
 
 use bytes::{Buf, BufMut, Bytes};
 use trustlink_sim::record::Willingness;
 use trustlink_sim::NodeId;
 
 use crate::message::{
-    decode_vtime, encode_vtime, DataMessage, HelloMessage, LinkCode, LinkGroup, Message,
-    MessageBody, Packet, TcMessage,
+    decode_vtime, encode_vtime, sorted_ids_into, DataMessage, HelloMessage, LinkCode, LinkGroup,
+    Message, MessageBody, Packet, TcMessage,
 };
 use crate::types::SequenceNumber;
 
@@ -130,7 +141,9 @@ pub fn encode_packet_into(packet: &Packet, scratch: &mut Vec<u8>) -> Bytes {
 /// Encodes a packet numbered `seq` that carries `messages`, through a
 /// caller-owned scratch buffer: [`encode_packet_into`] for messages the
 /// caller holds outside a [`Packet`], such as the single message of every
-/// transmission an [`OlsrNode`](crate::node::OlsrNode) makes.
+/// transmission an [`OlsrNode`](crate::node::OlsrNode) originates. A
+/// node relays a received message with [`relay_message_into`] instead,
+/// unless a hook rewrote it.
 ///
 /// # Panics
 ///
@@ -214,50 +227,14 @@ pub fn decode_packet(bytes: Bytes) -> Result<Packet, WireError> {
     Ok(Packet { seq: view.seq(), messages })
 }
 
-fn decode_hello(bytes: &mut Bytes) -> Result<HelloMessage, WireError> {
-    if bytes.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    let _reserved = bytes.get_u16();
-    let _htime = bytes.get_u8();
-    let willingness = Willingness::from_wire(bytes.get_u8());
-    let mut groups = Vec::new();
-    while bytes.has_remaining() {
-        if bytes.remaining() < 4 {
-            return Err(WireError::Truncated);
-        }
-        let code = LinkCode::from_wire(bytes.get_u8());
-        let _reserved = bytes.get_u8();
-        let size = bytes.get_u16() as usize;
-        if size < 4 {
-            return Err(WireError::BadLength);
-        }
-        let addr_bytes = size - 4;
-        if bytes.remaining() < addr_bytes {
-            return Err(WireError::Truncated);
-        }
-        let mut group_body = bytes.split_to(addr_bytes);
-        let mut addrs = Vec::with_capacity(addr_bytes / 2);
-        while group_body.has_remaining() {
-            addrs.push(get_addr(&mut group_body)?);
-        }
-        groups.push(LinkGroup { code, addrs });
-    }
-    Ok(HelloMessage { willingness, groups })
+fn decode_hello(hello: &HelloView<'_>) -> HelloMessage {
+    let groups = hello.groups().map(|(code, addrs)| LinkGroup { code, addrs: addrs.to_vec() });
+    HelloMessage { willingness: hello.willingness, groups: groups.collect() }
 }
 
 #[inline]
-fn decode_tc(bytes: &mut Bytes) -> Result<TcMessage, WireError> {
-    if bytes.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    let ansn = bytes.get_u16();
-    let _reserved = bytes.get_u16();
-    let mut advertised = Vec::with_capacity(bytes.remaining() / 2);
-    while bytes.has_remaining() {
-        advertised.push(get_addr(bytes)?);
-    }
-    Ok(TcMessage { ansn, advertised })
+fn decode_tc(tc: &TcView<'_>) -> TcMessage {
+    TcMessage { ansn: tc.ansn, advertised: tc.advertised.to_vec() }
 }
 
 fn decode_data(bytes: &mut Bytes) -> Result<DataMessage, WireError> {
@@ -293,8 +270,8 @@ pub enum MessageType {
     Data,
 }
 
-/// One message's header fields plus the location of its still-encoded body,
-/// yielded by [`PacketView::messages`].
+/// One message's header fields plus the location of its still-encoded
+/// bytes, yielded by [`PacketView::messages`].
 #[derive(Debug, Clone, Copy)]
 pub struct MessageView {
     /// Message discriminant.
@@ -309,7 +286,10 @@ pub struct MessageView {
     pub hop_count: u8,
     /// Message sequence number.
     pub seq: SequenceNumber,
-    /// Body byte range within the frame the view was parsed from.
+    /// Offset of the message's first byte within the frame the view was
+    /// parsed from.
+    start: usize,
+    /// Body byte range within that frame; the message ends with its body.
     body: (usize, usize),
 }
 
@@ -329,6 +309,83 @@ impl MessageView {
         }
         let body = &frame[self.body.0..self.body.1];
         Some(TcView { ansn: be16(body, 0), advertised: AddrRun { buf: &body[4..] } })
+    }
+
+    /// The HELLO body behind this view, read in place from `frame`: its
+    /// willingness and its link groups, without materializing the message.
+    /// `None` when the message is not a HELLO.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`MessageView::tc`].
+    #[inline]
+    pub fn hello<'a>(&self, frame: &'a [u8]) -> Option<HelloView<'a>> {
+        if self.kind != MessageType::Hello {
+            return None;
+        }
+        let body = &frame[self.body.0..self.body.1];
+        // Reserved (2 bytes) and htime (1) are unused by receivers here.
+        Some(HelloView { willingness: Willingness::from_wire(body[3]), groups: &body[4..] })
+    }
+}
+
+/// A HELLO body read in place from a validated frame ([`MessageView::hello`]).
+#[derive(Debug, Clone)]
+pub struct HelloView<'a> {
+    /// Advertised willingness to carry traffic.
+    pub willingness: Willingness,
+    groups: &'a [u8],
+}
+
+impl<'a> HelloView<'a> {
+    /// The link groups in wire order: each group's link code and its
+    /// addresses, decoded as they are read.
+    #[inline]
+    pub fn groups(&self) -> HelloGroups<'a> {
+        HelloGroups { buf: self.groups }
+    }
+
+    /// The addresses advertised with a symmetric code, ascending and
+    /// without repeats, into `out` (cleared first): the owned form is
+    /// [`HelloMessage::symmetric_neighbors`].
+    #[inline]
+    pub(crate) fn symmetric_neighbors_into(&self, out: &mut Vec<NodeId>) {
+        let groups = self.groups().filter(|(code, _)| code.is_symmetric());
+        sorted_ids_into(groups.flat_map(|(_, addrs)| addrs), out);
+    }
+
+    /// The addresses advertised with the ASYM link type, ascending and
+    /// without repeats: [`HelloMessage::asymmetric_neighbors`] read in
+    /// place.
+    pub(crate) fn asymmetric_neighbors(&self) -> Vec<NodeId> {
+        let mut v = Vec::new();
+        let groups = self.groups().filter(|(code, _)| code.is_asymmetric());
+        sorted_ids_into(groups.flat_map(|(_, addrs)| addrs), &mut v);
+        v
+    }
+}
+
+/// Iterator over a validated HELLO's link groups ([`HelloView::groups`]).
+#[derive(Debug, Clone)]
+pub struct HelloGroups<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Iterator for HelloGroups<'a> {
+    type Item = (LinkCode, AddrRun<'a>);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.buf.is_empty() {
+            return None;
+        }
+        // Link code, reserved byte, then the group size, its own four
+        // bytes included.
+        let size = be16(self.buf, 2) as usize;
+        let addrs = AddrRun { buf: &self.buf[4..size] };
+        let code = LinkCode::from_wire(self.buf[0]);
+        self.buf = &self.buf[size..];
+        Some((code, addrs))
     }
 }
 
@@ -353,6 +410,16 @@ impl<'a> TcView<'a> {
 #[derive(Debug, Clone)]
 pub struct AddrRun<'a> {
     buf: &'a [u8],
+}
+
+impl AddrRun<'_> {
+    /// The remaining addresses, owned; allocated once, for the most the
+    /// run can hold (every address in the narrow two-byte form).
+    fn to_vec(&self) -> Vec<NodeId> {
+        let mut out = Vec::with_capacity(self.buf.len() / 2);
+        out.extend(self.clone());
+        out
+    }
 }
 
 impl Iterator for AddrRun<'_> {
@@ -384,7 +451,10 @@ fn be16(buf: &[u8], off: usize) -> u16 {
 /// it: the dominant reception at scale is a flood copy that has already
 /// been forwarded or suppressed, and its fate is decided entirely from
 /// `(originator, seq, ttl)` — header bytes — without ever decoding the
-/// body it would have thrown away.
+/// body it would have thrown away. An [`OlsrNode`](crate::node::OlsrNode)
+/// materializes no HELLO or TC it receives: it reads them through
+/// [`MessageView::hello`] and [`MessageView::tc`], and relays with
+/// [`relay_message_into`].
 #[derive(Debug, Clone, Copy)]
 pub struct PacketView<'a> {
     buf: &'a [u8],
@@ -564,6 +634,7 @@ impl Iterator for MessageViewIter<'_> {
         let (originator, alen) =
             NodeId::read_at(buf, o + 4).expect("originator survived PacketView::parse");
         Some(MessageView {
+            start: o,
             kind,
             vtime: decode_vtime(buf[o + 1]),
             originator,
@@ -585,15 +656,13 @@ impl Iterator for MessageViewIter<'_> {
 /// Panics if the contract is violated.
 #[inline]
 pub fn materialize_message(frame: &Bytes, view: &MessageView) -> Message {
-    let mut body = frame.slice(view.body.0..view.body.1);
     let body = match view.kind {
-        MessageType::Hello => MessageBody::Hello(
-            decode_hello(&mut body).expect("body validated by PacketView::parse"),
-        ),
-        MessageType::Tc => {
-            MessageBody::Tc(decode_tc(&mut body).expect("body validated by PacketView::parse"))
+        MessageType::Hello => {
+            MessageBody::Hello(decode_hello(&view.hello(frame).expect("a HELLO view")))
         }
+        MessageType::Tc => MessageBody::Tc(decode_tc(&view.tc(frame).expect("a TC view"))),
         MessageType::Data => {
+            let mut body = frame.slice(view.body.0..view.body.1);
             MessageBody::Data(decode_data(&mut body).expect("body validated by PacketView::parse"))
         }
     };
@@ -605,6 +674,43 @@ pub fn materialize_message(frame: &Bytes, view: &MessageView) -> Message {
         seq: view.seq,
         body,
     }
+}
+
+/// Relays the message behind `view` as the only message of a packet
+/// numbered `seq`, through a caller-owned scratch buffer: the message's
+/// bytes as received, behind a new packet header, with TTL decremented and
+/// hop count incremented in place (RFC 3626 §3.4.1). The frame is the only
+/// allocation.
+///
+/// For every message [`encode_messages_into`] produces, the result equals
+/// re-encoding the materialized message with the two fields advanced. A
+/// crafted frame the parser accepts but the encoder would not write (a
+/// narrow address in the wide escaped form, a non-zero reserved field) is
+/// relayed as received.
+///
+/// # Panics
+///
+/// `view` must come from a successful [`PacketView::parse`] of this same
+/// `frame`, and its TTL must be at least 1.
+#[inline]
+pub fn relay_message_into(
+    seq: SequenceNumber,
+    frame: &[u8],
+    view: &MessageView,
+    scratch: &mut Vec<u8>,
+) -> Bytes {
+    let message = &frame[view.start..view.body.1];
+    let len = u16::try_from(PACKET_HEADER_LEN + message.len()).expect("a frame's message fits");
+    scratch.clear();
+    scratch.put_u16(len);
+    scratch.put_u16(seq.0);
+    scratch.put_slice(message);
+    // TTL and hop count sit just before the two-byte message sequence
+    // number that ends the header.
+    let ttl = PACKET_HEADER_LEN + (view.body.0 - view.start) - 4;
+    scratch[ttl] -= 1;
+    scratch[ttl + 1] = scratch[ttl + 1].wrapping_add(1);
+    Bytes::copy_from_slice(scratch)
 }
 
 #[cfg(test)]

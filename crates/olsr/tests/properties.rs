@@ -4,18 +4,25 @@
 //! avoid-route BFS, avoid routes answered from the main BFS tree, lazy
 //! duplicate reclaim, per-originator TC replacement, the merged
 //! per-originator TC record that decides a TC's log line and topology
-//! change in one lookup, per-via 2-hop runs and their batch refresh, and
-//! the routing graph a node keeps in step with its 2-hop and topology sets).
+//! change in one lookup, per-via 2-hop runs and their batch refresh, the
+//! routing graph a node keeps in step with its 2-hop and topology sets, and
+//! the in-place relay of a received message).
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use trustlink_olsr::message::{decode_vtime, encode_vtime};
+use trustlink_olsr::hooks::Relay;
+use trustlink_olsr::message::{
+    decode_vtime, encode_vtime, DataMessage, Message, MessageBody, Packet, TcMessage,
+};
 use trustlink_olsr::mpr::{select_mprs, uncovered_targets, MprCandidate};
 use trustlink_olsr::routing::{RoutingGraph, RoutingTable, TreeRoute};
 use trustlink_olsr::state::{DupProbe, DuplicateSet, TopologySet, TwoHopSet};
 use trustlink_olsr::types::SequenceNumber;
+use trustlink_olsr::wire::{
+    encode_messages_into, encode_packet, materialize_message, relay_message_into, PacketView,
+};
 use trustlink_sim::record::Willingness;
 use trustlink_sim::{NodeId, SimDuration, SimTime};
 
@@ -60,6 +67,35 @@ fn candidates_with_duplicates() -> impl Strategy<Value = Vec<MprCandidate>> {
                 covers: covers.into_iter().map(NodeId).collect(),
             })
             .collect()
+    })
+}
+
+/// A main address in either wire form: below the escape marker (two
+/// bytes) or at or above it (six).
+fn wire_id() -> impl Strategy<Value = NodeId> {
+    prop_oneof![0u32..0xFFFF, 0xFFFFu32..=u32::MAX].prop_map(NodeId)
+}
+
+/// A TC or data message with a header a relay accepts (TTL of at least 2),
+/// any vtime byte and any hop count.
+fn relayable_message() -> impl Strategy<Value = Message> {
+    let header = (any::<u8>(), wire_id(), 2u8..=u8::MAX, any::<u8>(), any::<u16>());
+    let tc = (any::<u16>(), proptest::collection::vec(wire_id(), 0..10))
+        .prop_map(|(ansn, advertised)| MessageBody::Tc(TcMessage { ansn, advertised }));
+    let avoid = prop_oneof![Just(None), wire_id().prop_map(Some)];
+    let data = (wire_id(), wire_id(), avoid, proptest::collection::vec(any::<u8>(), 0..24))
+        .prop_map(|(src, dst, avoid, payload)| {
+            MessageBody::Data(DataMessage { src, dst, avoid, payload: payload.into() })
+        });
+    (header, prop_oneof![tc, data]).prop_map(|((vtime, originator, ttl, hop_count, seq), body)| {
+        Message {
+            vtime: decode_vtime(vtime),
+            originator,
+            ttl,
+            hop_count,
+            seq: SequenceNumber(seq),
+            body,
+        }
     })
 }
 
@@ -281,6 +317,33 @@ proptest! {
         let s = SequenceNumber(a);
         prop_assert!(s.next().is_newer_than(s));
         prop_assert!(!s.is_newer_than(s.next()));
+    }
+
+    // ---- in-place relay ----------------------------------------------------
+
+    #[test]
+    fn relaying_in_place_equals_reencoding_the_advanced_message(
+        messages in proptest::collection::vec(relayable_message(), 1..4),
+        seq in any::<u16>(),
+        relay_seq in any::<u16>(),
+    ) {
+        // Every message of an encoder-produced packet, wherever it sits,
+        // relays as the encoding of its materialized self with TTL - 1 and
+        // hop count + 1; `Relay` decodes it so advanced.
+        let frame = encode_packet(&Packet { seq: SequenceNumber(seq), messages });
+        let view = PacketView::parse(&frame).expect("encoder output parses");
+        let relay_seq = SequenceNumber(relay_seq);
+        for mv in view.messages() {
+            let mut advanced = materialize_message(&frame, &mv);
+            advanced.ttl -= 1;
+            advanced.hop_count = advanced.hop_count.wrapping_add(1);
+            let want = encode_messages_into(relay_seq, std::slice::from_ref(&advanced), &mut Vec::new());
+            let got = relay_message_into(relay_seq, &frame, &mv, &mut Vec::new());
+            prop_assert_eq!(&got, &want);
+            let mut relay = Relay::new(&frame, &mv);
+            prop_assert_eq!(relay.message_mut(), &advanced);
+            prop_assert_eq!((relay.header().ttl, relay.header().hop_count), (advanced.ttl, advanced.hop_count));
+        }
     }
 
     // ---- vtime codec -------------------------------------------------------

@@ -30,6 +30,12 @@
 //! the node's routing graph replays the pairs the TC inserted and removed,
 //! frees and reuses slots and runs the BFS in storage it already holds.
 //!
+//! Two more pin the rest of a reception read in place. A HELLO that claims
+//! what its sender claimed before is read off the wire into storage the
+//! node holds, so it allocates nothing. A TC the node relays is sent as
+//! the received bytes with TTL and hop count advanced, so the relayed
+//! frame is its one allocation.
+//!
 //! The counter is per thread: each guard measures only the allocations
 //! its own thread makes, so neither the other guard nor the test
 //! harness's threads can leak into a measurement window.
@@ -42,7 +48,7 @@ use bytes::Bytes;
 use trustlink_olsr::message::{Message, MessageBody, Packet, TcMessage};
 use trustlink_olsr::node::{TIMER_RECOMPUTE, TIMER_REFRESH};
 use trustlink_olsr::types::SequenceNumber;
-use trustlink_olsr::wire::encode_packet;
+use trustlink_olsr::wire::{encode_packet, MessageType, PacketView};
 use trustlink_olsr::{OlsrConfig, OlsrNode};
 use trustlink_sim::prelude::*;
 use trustlink_sim::record::LogRecord;
@@ -214,12 +220,24 @@ fn olsr_node_set_up_stays_small_and_allocation_light() {
 }
 
 /// An [`OlsrNode`] that counts the allocator calls made while it receives
-/// any of the `watched` frames.
+/// a frame `watched` picks.
 struct WatchedReceiver {
     node: OlsrNode,
-    watched: Vec<Bytes>,
+    watched: Box<dyn Fn(&Bytes) -> bool + Send>,
     deliveries: u64,
     allocs: u64,
+}
+
+impl WatchedReceiver {
+    fn new(node: OlsrNode) -> Self {
+        WatchedReceiver { node, watched: Box::new(|_| false), deliveries: 0, allocs: 0 }
+    }
+}
+
+/// A received frame's first message kind and originator.
+fn first_message(frame: &[u8]) -> (MessageType, NodeId) {
+    let mv = PacketView::parse(frame).unwrap().messages().next().unwrap();
+    (mv.kind, mv.originator)
 }
 
 impl Application for WatchedReceiver {
@@ -232,7 +250,7 @@ impl Application for WatchedReceiver {
     }
 
     fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
-        let watched = self.watched.contains(&payload);
+        let watched = (self.watched)(&payload);
         let before = allocs();
         self.node.on_receive(ctx, from, payload);
         if watched {
@@ -252,11 +270,8 @@ fn repeated_tc_at_a_non_forwarding_node_allocates_nothing() {
         .build();
     for i in 0..3 {
         let node = OlsrNode::new(OlsrConfig::fast());
-        let app: Box<dyn Application> = if i == 2 {
-            Box::new(WatchedReceiver { node, watched: Vec::new(), deliveries: 0, allocs: 0 })
-        } else {
-            Box::new(node)
-        };
+        let app: Box<dyn Application> =
+            if i == 2 { Box::new(WatchedReceiver::new(node)) } else { Box::new(node) };
         sim.add_node(app, Position::new(f64::from(i) * 100.0, 0.0));
     }
     sim.run_for(SimDuration::from_secs(10));
@@ -284,7 +299,9 @@ fn repeated_tc_at_a_non_forwarding_node_allocates_nothing() {
             encode_packet(&Packet { seq, messages: vec![msg] })
         })
         .collect();
-    sim.app_as_mut::<WatchedReceiver>(NodeId(2)).unwrap().watched = frames.clone();
+    let watched = frames.clone();
+    sim.app_as_mut::<WatchedReceiver>(NodeId(2)).unwrap().watched =
+        Box::new(move |f| watched.contains(f));
     let cursor = sim.log(NodeId(2)).len();
     for frame in frames {
         sim.inject_broadcast(NodeId(1), frame);
@@ -302,6 +319,105 @@ fn repeated_tc_at_a_non_forwarding_node_allocates_nothing() {
         end.allocs, 0,
         "receiving 20 repeated, unforwarded TCs allocated {} times",
         end.allocs
+    );
+}
+
+#[test]
+fn hello_repeating_its_claim_allocates_nothing() {
+    // A converged 3-node line: every HELLO N1 sends claims the same
+    // symmetric set, so N2 reads it, refreshes the link and its 2-hop
+    // tuples, and logs nothing.
+    let mut sim = SimulatorBuilder::new(3)
+        .radio(RadioConfig::unit_disk(150.0))
+        .arena(Arena::new(1_000.0, 1_000.0))
+        .build();
+    for i in 0..3 {
+        let node = OlsrNode::new(OlsrConfig::fast());
+        let app: Box<dyn Application> =
+            if i == 2 { Box::new(WatchedReceiver::new(node)) } else { Box::new(node) };
+        sim.add_node(app, Position::new(f64::from(i) * 100.0, 0.0));
+    }
+    sim.run_for(SimDuration::from_secs(10));
+    sim.app_as_mut::<WatchedReceiver>(NodeId(2)).unwrap().watched =
+        Box::new(|f| first_message(f) == (MessageType::Hello, NodeId(1)));
+    let cursor = sim.log(NodeId(2)).len();
+    sim.run_for(SimDuration::from_secs(10));
+
+    let end = sim.app_as::<WatchedReceiver>(NodeId(2)).unwrap();
+    assert!(end.deliveries >= 10, "only {} HELLOs from N1 in 10 s", end.deliveries);
+    let (window, _) = sim.log(NodeId(2)).read_from(cursor);
+    assert!(
+        !window.iter().any(|(_, r)| matches!(r, LogRecord::HelloRx { .. })),
+        "N1 changed its claim: {window:?}"
+    );
+    assert_eq!(
+        end.allocs, 0,
+        "receiving {} HELLOs repeating their claim allocated {} times",
+        end.deliveries, end.allocs
+    );
+}
+
+#[test]
+fn relaying_a_repeated_tc_allocates_only_the_frame() {
+    // A converged 3-node line whose middle N1 is N0's MPR. N0 relays TCs
+    // from the phantom N7 with the same ANSN and set and a fresh sequence
+    // number each: after the first, each is a repeat N1 does not log, and
+    // N1 relays every one.
+    let mut sim = SimulatorBuilder::new(5)
+        .radio(RadioConfig::unit_disk(150.0))
+        .arena(Arena::new(1_000.0, 1_000.0))
+        .build();
+    for i in 0..3 {
+        let node = OlsrNode::new(OlsrConfig::fast());
+        let app: Box<dyn Application> =
+            if i == 1 { Box::new(WatchedReceiver::new(node)) } else { Box::new(node) };
+        sim.add_node(app, Position::new(f64::from(i) * 100.0, 0.0));
+    }
+    sim.run_for(SimDuration::from_secs(10));
+    let mid = &sim.app_as::<WatchedReceiver>(NodeId(1)).unwrap().node;
+    assert!(mid.mpr_selectors(sim.now()).contains(&NodeId(0)), "N1 must be N0's MPR");
+
+    let frame = |k: u16| {
+        let seq = SequenceNumber(50_000 + k);
+        let tc = TcMessage { ansn: 1, advertised: (10..18).map(NodeId).collect() };
+        let msg = Message {
+            vtime: SimDuration::from_secs(60),
+            originator: NodeId(7),
+            ttl: 8,
+            hop_count: 1,
+            seq,
+            body: MessageBody::Tc(tc),
+        };
+        encode_packet(&Packet { seq, messages: vec![msg] })
+    };
+    // Warm-up: the first TC is news, the next few grow what a relay
+    // reuses.
+    for k in 0..5 {
+        sim.inject_broadcast(NodeId(0), frame(k));
+        sim.run_for(SimDuration::from_millis(20));
+    }
+    let forwarded_before =
+        sim.app_as::<WatchedReceiver>(NodeId(1)).unwrap().node.flood_stats().forwarded;
+    sim.app_as_mut::<WatchedReceiver>(NodeId(1)).unwrap().watched =
+        Box::new(|f| first_message(f) == (MessageType::Tc, NodeId(7)));
+    let cursor = sim.log(NodeId(1)).len();
+    for k in 5..25 {
+        sim.inject_broadcast(NodeId(0), frame(k));
+        sim.run_for(SimDuration::from_millis(20));
+    }
+
+    let mid = sim.app_as::<WatchedReceiver>(NodeId(1)).unwrap();
+    assert_eq!(mid.deliveries, 20, "every injected TC must reach N1");
+    assert_eq!(mid.node.flood_stats().forwarded - forwarded_before, 20, "N1 relays every TC");
+    let (window, _) = sim.log(NodeId(1)).read_from(cursor);
+    assert!(
+        !window.iter().any(|(_, r)| matches!(r, LogRecord::TcRx { .. })),
+        "an injected TC was not a repeat: {window:?}"
+    );
+    assert_eq!(
+        mid.allocs, mid.deliveries,
+        "relaying {} repeated TCs allocated {} times, not once each for the frame",
+        mid.deliveries, mid.allocs
     );
 }
 
