@@ -89,8 +89,10 @@ fn bench_mpr_selection(c: &mut Criterion) {
 }
 
 fn bench_routing(c: &mut Criterion) {
-    // A 50-node topology ring with chords, routed by a kept graph: with no
-    // pair changed since the last run, a run is the BFS and the emit step.
+    // A 50-node topology ring with chords, routed by a kept graph. No pair
+    // changes between runs, but each run lists `me`'s neighbors in the
+    // other of two orders, so it searches the whole graph afresh: a run is
+    // the full BFS and the emit step.
     let mut topo = TopologySet::default();
     let until = SimTime::from_secs(1_000);
     for i in 0..50u32 {
@@ -98,17 +100,23 @@ fn bench_routing(c: &mut Criterion) {
         topo.apply_tc(NodeId(i), 1, &dests, until, SimTime::ZERO);
     }
     let sym = vec![NodeId(1), NodeId(49), NodeId(7)];
+    let orders = [sym.clone(), vec![NodeId(7), NodeId(1), NodeId(49)]];
     let mut two_hop = TwoHopSet::default();
     let mut graph = RoutingGraph::new(NodeId(0));
     let mut main = RoutingTable::default();
     graph.run(&mut main, 1, &sym, &mut two_hop, &mut topo);
     let mut table = RoutingTable::default();
+    let mut turn = 0;
     c.bench_function("routing_table_50_nodes", |b| {
         b.iter(|| {
-            graph.run(&mut table, 1, black_box(&sym), &mut two_hop, &mut topo);
+            turn += 1;
+            let sym = black_box(&orders[turn % 2]);
+            assert!(graph.run(&mut table, 1, sym, &mut two_hop, &mut topo));
             black_box(table.len())
         })
     });
+    // Back to `sym`: a run, or none if the last iteration used it.
+    graph.run(&mut table, 1, &sym, &mut two_hop, &mut topo);
     assert_eq!(table, main);
     // The whole table around 7: the masked BFS over the same graph.
     c.bench_function("routing_table_50_nodes_avoiding", |b| {
@@ -159,7 +167,9 @@ fn bench_routing(c: &mut Criterion) {
     let mut graph = RoutingGraph::new(NodeId(0));
     c.bench_function("routing_table_50_nodes_hostile_id", |b| {
         b.iter(|| {
-            graph.run(&mut table, 1, black_box(&sym), &mut hostile, &mut topo);
+            turn += 1;
+            let sym = black_box(&orders[turn % 2]);
+            assert!(graph.run(&mut table, 1, sym, &mut hostile, &mut topo));
             black_box(table.len())
         })
     });
@@ -170,10 +180,15 @@ fn bench_route_run(c: &mut Criterion) {
     // The perfbench recipe's 256-node network (placement seed 11, mean
     // degree 10, fisheye TCs), converged for 12 simulated seconds. One
     // node's 2-hop and topology sets are copied out and followed by a kept
-    // graph. An iteration applies one changed TC, a newer ANSN that drops
-    // or restores one of its originator's advertised links, then runs the
-    // routes: the kept graph replays the two or three pair changes,
-    // where the one-shot calculation rebuilds from every live pair.
+    // graph, which resumes each BFS at the first dequeue a change can
+    // alter. `route_run_256` applies one changed TC per iteration, a newer
+    // ANSN that drops or restores one of its originator's advertised
+    // links, then runs the routes: the kept graph replays the two or three
+    // pair changes, none of which moves the search, so it searches nothing,
+    // where the one-shot calculation (`route_rebuild_256`) rebuilds from
+    // every live pair. `route_run_256_near` instead adds or drops a 2-hop
+    // pair from `me`'s first neighbor to a phantom id, which moves dequeue
+    // 1: the search reruns almost whole. The two span the resume range.
     let n = 256;
     let arena = topologies::arena_for_mean_degree(n, 150.0, 10.0);
     let positions = topologies::random_geometric(
@@ -213,11 +228,20 @@ fn bench_route_run(c: &mut Criterion) {
     let mut table = RoutingTable::default();
     graph.run(&mut table, 0, &sym, &mut two_hop, &mut topo);
     assert!(table.len() > n / 2, "a converged node routes to most of the network");
+    let whole = graph.stats().scanned;
     let mut generation = 0;
+    // Adjacency entries scanned per run of the bench named.
+    let scanned_per_run = |graph: &RoutingGraph, name: &str, runs: u64, before: u64| {
+        let per_run = (graph.stats().scanned - before) / runs.max(1);
+        eprintln!("{name}: {per_run} of {whole} adjacency entries scanned per run");
+        per_run
+    };
+    let (before, mut runs) = (graph.stats().scanned, 0);
     c.bench_function("route_run_256", |b| {
         b.iter(|| {
             ansn = ansn.wrapping_add(1);
             generation += 1;
+            runs += 1;
             let dests = if generation % 2 == 1 { short } else { &full[..] };
             topo.apply_tc(origin, ansn, dests, until, now);
             graph.run(&mut table, generation, black_box(&sym), &mut two_hop, &mut topo);
@@ -225,6 +249,27 @@ fn bench_route_run(c: &mut Criterion) {
         })
     });
     assert_eq!(table, RoutingTable::compute(me, &sym, &two_hop, &topo, now));
+    let far = scanned_per_run(&graph, "route_run_256", runs, before);
+    let phantom = NodeId(999_999);
+    let (before, mut runs, mut held) = (graph.stats().scanned, 0, false);
+    c.bench_function("route_run_256_near", |b| {
+        b.iter(|| {
+            generation += 1;
+            runs += 1;
+            held = !held;
+            if held {
+                two_hop.upsert(sym[0], phantom, until, now);
+            } else {
+                two_hop.remove(sym[0], phantom);
+            }
+            graph.run(&mut table, generation, black_box(&sym), &mut two_hop, &mut topo);
+            black_box(table.len())
+        })
+    });
+    assert_eq!(table, RoutingTable::compute(me, &sym, &two_hop, &topo, now));
+    let near = scanned_per_run(&graph, "route_run_256_near", runs, before);
+    assert!(near + sym.len() as u64 + 2 >= whole, "the near change reruns the whole search");
+    assert!(far < near, "the far change resumes later than the near one");
     c.bench_function("route_rebuild_256", |b| {
         b.iter(|| {
             ansn = ansn.wrapping_add(1);
@@ -460,6 +505,9 @@ fn bench_olsr_tc_relay(c: &mut Criterion) {
             sim.run_for(SimDuration::from_millis(5));
         })
     });
+    // The relay of the last copy takes two radio hops of up to 1 ms delay
+    // and 2 ms jitter each, more than an iteration's 5 ms: let it land.
+    sim.run_for(SimDuration::from_millis(10));
     assert_eq!(forwards(&sim), copies, "N1 relays every copy exactly once: it is N0's MPR");
     // N1 relayed the last copy as received, TTL and hop count advanced:
     // the bytes of re-encoding the message so advanced.

@@ -129,7 +129,7 @@ pub struct LinkGroup {
 /// A HELLO message (RFC 3626 §6.1): the local link/neighbor view a node
 /// advertises to its 1-hop neighborhood. This is the message the paper's
 /// link-spoofing attacker tampers with.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HelloMessage {
     /// Advertised willingness to carry traffic.
     pub willingness: Willingness,

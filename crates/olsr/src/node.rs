@@ -20,7 +20,7 @@ use crate::message::{
     TcMessage,
 };
 use crate::mpr::MprCandidate;
-use crate::routing::{RoutingGraph, RoutingTable, TreeRoute};
+use crate::routing::{RoutingGraph, RoutingTable, SearchStats, TreeRoute};
 use crate::state::{
     boxed_ids, DupProbe, DuplicateSet, LinkSet, LinkStatus, LinkTuple, MprSelectorSet, NeighborSet,
     TopologySet, TwoHopSet,
@@ -82,8 +82,10 @@ pub struct RecomputeStats {
     pub flushes: u64,
     /// Times MPR selection actually executed.
     pub mpr_runs: u64,
-    /// Times the routing BFS actually executed. Doubles as the route
-    /// generation that stamps memoised avoid-route tables.
+    /// Route runs: times the routing graph took the changed pairs, whether
+    /// its BFS then searched all, part or none of the graph (see
+    /// [`OlsrNode::route_search_stats`]). Doubles as the route generation
+    /// that stamps memoised avoid-route tables.
     pub route_runs: u64,
     /// Avoid-routed next-hop lookups (investigation traffic sent or
     /// forwarded around a suspect), however they were answered.
@@ -212,6 +214,10 @@ pub struct OlsrNode<H: OlsrHooks = NoHooks> {
     /// the first HELLO, so set-up allocates nothing for it and the node
     /// grows by one pointer.
     log_memo: Option<Box<LogMemo>>,
+    /// The last HELLO sent, whose vectors the next one reuses. Boxed and
+    /// created by the first HELLO, so set-up allocates nothing for it and
+    /// the node grows by one pointer.
+    hello: Option<Box<HelloMessage>>,
 }
 
 impl OlsrNode<NoHooks> {
@@ -261,6 +267,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
             routes_scratch: RoutingTable::default(),
             avoid_memo: Vec::new(),
             log_memo: None,
+            hello: None,
         }
     }
 
@@ -351,6 +358,13 @@ impl<H: OlsrHooks> OlsrNode<H> {
         self.stats
     }
 
+    /// What the main route searches did: dequeues, adjacency entries
+    /// scanned and route runs that searched nothing. Zero before the first
+    /// route run.
+    pub fn route_search_stats(&self) -> SearchStats {
+        self.graph.as_ref().map_or_else(SearchStats::default, |g| g.stats())
+    }
+
     /// Flood-frame accounting: TCs originated per [`FloodScope`] ring and
     /// TCs this node re-flooded for others — the quantity fisheye scoping
     /// attacks (classic flooding books everything into ring 0) — and the
@@ -413,12 +427,26 @@ impl<H: OlsrHooks> OlsrNode<H> {
         relay_message_into(self.pkt_seq, frame, mv, &mut self.wire_scratch)
     }
 
-    /// Builds the HELLO this node would send at `now` (before hooks).
-    pub fn build_hello(&self, now: SimTime) -> HelloMessage {
-        let mut sym = Vec::new();
-        let mut sym_mpr = Vec::new();
-        let mut asym = Vec::new();
-        let mut lost = Vec::new();
+    /// Writes the HELLO this node would send at `now` (before hooks) into
+    /// `hello`, reusing its storage: each link code's group keeps the
+    /// address vector it had, so a HELLO like the last allocates nothing.
+    pub fn build_hello_into(&self, now: SimTime, hello: &mut HelloMessage) {
+        const CODES: [LinkCode; 4] = [
+            LinkCode::new(LinkType::Sym, NeighborType::Sym),
+            LinkCode::new(LinkType::Sym, NeighborType::Mpr),
+            LinkCode::new(LinkType::Asym, NeighborType::Not),
+            LinkCode::new(LinkType::Lost, NeighborType::Not),
+        ];
+        hello.willingness = Willingness::Default;
+        let groups = &mut hello.groups;
+        for (i, code) in CODES.into_iter().enumerate() {
+            match groups[i..].iter().position(|g| g.code == code) {
+                Some(j) => groups.swap(i, i + j),
+                None => groups.insert(i, LinkGroup { code, addrs: Vec::new() }),
+            }
+            groups[i].addrs.clear();
+        }
+        groups.truncate(CODES.len());
         for tuple in self.links.iter() {
             if tuple.until <= now {
                 // A wholly expired tuple is semantically purged, whether or
@@ -426,44 +454,15 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 // it would make HELLO content depend on purge timing.
                 continue;
             }
-            match tuple.status(now) {
-                LinkStatus::Symmetric => {
-                    if self.mprs.contains(&tuple.neighbor) {
-                        sym_mpr.push(tuple.neighbor);
-                    } else {
-                        sym.push(tuple.neighbor);
-                    }
-                }
-                LinkStatus::Asymmetric => asym.push(tuple.neighbor),
-                LinkStatus::Lost => lost.push(tuple.neighbor),
-            }
+            let group = match tuple.status(now) {
+                LinkStatus::Symmetric if self.mprs.contains(&tuple.neighbor) => 1,
+                LinkStatus::Symmetric => 0,
+                LinkStatus::Asymmetric => 2,
+                LinkStatus::Lost => 3,
+            };
+            groups[group].addrs.push(tuple.neighbor);
         }
-        let mut groups = Vec::new();
-        if !sym.is_empty() {
-            groups.push(LinkGroup {
-                code: LinkCode::new(LinkType::Sym, NeighborType::Sym),
-                addrs: sym,
-            });
-        }
-        if !sym_mpr.is_empty() {
-            groups.push(LinkGroup {
-                code: LinkCode::new(LinkType::Sym, NeighborType::Mpr),
-                addrs: sym_mpr,
-            });
-        }
-        if !asym.is_empty() {
-            groups.push(LinkGroup {
-                code: LinkCode::new(LinkType::Asym, NeighborType::Not),
-                addrs: asym,
-            });
-        }
-        if !lost.is_empty() {
-            groups.push(LinkGroup {
-                code: LinkCode::new(LinkType::Lost, NeighborType::Not),
-                addrs: lost,
-            });
-        }
-        HelloMessage { willingness: Willingness::Default, groups }
+        groups.retain(|g| !g.addrs.is_empty());
     }
 
     fn emit_hello(&mut self, ctx: &mut Context<'_>) {
@@ -472,7 +471,9 @@ impl<H: OlsrHooks> OlsrNode<H> {
         // scheduling (both modes materialize here, at the same instant).
         self.ensure_fresh(ctx);
         let now = ctx.now();
-        let mut hello = self.build_hello(now);
+        let mut kept = self.hello.take().unwrap_or_default();
+        let mut hello = std::mem::take(&mut *kept);
+        self.build_hello_into(now, &mut hello);
         if let Some(w) = self.hooks.willingness_override() {
             hello.willingness = w;
         }
@@ -486,6 +487,10 @@ impl<H: OlsrHooks> OlsrNode<H> {
             body: MessageBody::Hello(hello),
         };
         self.transmit(ctx, &msg);
+        if let MessageBody::Hello(hello) = msg.body {
+            *kept = hello;
+        }
+        self.hello = Some(kept);
     }
 
     fn emit_tc(&mut self, ctx: &mut Context<'_>) {
@@ -584,8 +589,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
     /// When the main BFS tree reaches `dst` without passing `avoid`, the
     /// main route is also the route around it
     /// ([`RoutingGraph::tree_route`]); only destinations behind the
-    /// avoided node take the memoised masked BFS. The first avoid-routed
-    /// lookup makes this and every later route run record its tree.
+    /// avoided node take the memoised masked BFS.
     fn next_hop_for(&mut self, dst: NodeId, avoid: Option<NodeId>) -> Option<NodeId> {
         let Some(avoided) = avoid else {
             return self.routes.next_hop(dst);
@@ -595,7 +599,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
         }
         self.stats.avoid_lookups += 1;
         let generation = self.stats.route_runs;
-        let tree = self.graph.as_mut().map(|g| g.tree_route(generation, dst, avoided));
+        let tree = self.graph.as_ref().map(|g| g.tree_route(generation, dst, avoided));
         if tree == Some(TreeRoute::Avoids) {
             self.stats.avoid_tree_hits += 1;
             return self.routes.next_hop(dst);
@@ -1071,17 +1075,21 @@ impl<H: OlsrHooks> OlsrNode<H> {
         // Routing table: only when the neighborhood or the topology
         // changed (same exactness argument). The sweeps above leave only
         // live pairs stored, which is what the graph routes over; it takes
-        // the pairs inserted and removed since its last run.
+        // the pairs inserted and removed since its last run, and when none
+        // of them can move its search, the routes stand as they are.
         if nbr_changed || topo_changed {
             self.stats.route_runs += 1;
             let id = self.id;
-            self.graph.get_or_insert_with(|| Box::new(RoutingGraph::new(id))).run(
+            let searched = self.graph.get_or_insert_with(|| Box::new(RoutingGraph::new(id))).run(
                 &mut self.routes_scratch,
                 self.stats.route_runs,
                 &self.prev_sym,
                 &mut self.two_hop,
                 &mut self.topology,
             );
+            if !searched {
+                return;
+            }
             for r in self.routes.added(&self.routes_scratch) {
                 ctx.log(LogRecord::RouteAdded { dest: r.dest, next_hop: r.next_hop, hops: r.hops });
             }

@@ -8,7 +8,8 @@
 //!
 //! A node keeps its [`RoutingGraph`] for good and changes only the edges
 //! whose pairs changed since its last route run, so a run is the BFS, not a
-//! rebuild. [`RoutingTable::compute_avoiding`] is the one-shot calculation
+//! rebuild, and the BFS itself resumes where those changes can first move
+//! it. [`RoutingTable::compute_avoiding`] is the one-shot calculation
 //! from the sets, which additionally excludes one node from the graph —
 //! the primitive the paper's investigation uses so that requests/answers
 //! "should not go through … the suspicious MPR". The graph answers it for
@@ -24,7 +25,8 @@ use trustlink_sim::{NodeId, SimTime};
 use crate::idhash::IdHash;
 use crate::state::{PairLog, TopologySet, TwoHopSet};
 
-/// Unvisited marker in the BFS distance array.
+/// Unvisited marker in the BFS distance, position and parent arrays; as a
+/// resume point, no dequeue to resume at.
 const UNVISITED: u32 = u32::MAX;
 
 /// Free-entry marker in the slot half of an id→slot table entry: ids span
@@ -64,13 +66,41 @@ const SLOT: u32 = TOPO - 1;
 /// routes equal [`RoutingTable::compute`] on the sets, whatever slot each
 /// id holds. Pairs that touch `me`, and self-loops, add no edge.
 ///
-/// Between runs the graph stays the one the last run searched: the sets
-/// hold the changes until the next run takes them. [`reroute`](Self::reroute)
-/// masks one vertex out of that graph, and [`tree_route`](Self::tree_route)
-/// tells from its BFS tree, for the route generation the last run was
-/// given, which routes around a node are the main routes themselves. The
-/// tree costs one parent slot per slot, recorded only from the first such
-/// query on.
+/// The graph also keeps its last main search: the visit order, each slot's
+/// position in it, hop count, first hop and BFS parent. A run resumes that
+/// search at the first dequeue a replayed change can alter, rather than at
+/// `me`. Before a run applies a pair `(a, b)`, it judges the pair against
+/// the kept search, `l` being the endpoint visited first and `u` the
+/// other. The pair leaves every dequeue alone when neither endpoint was
+/// reached (no scanned list holds either), when both share a level, or
+/// when `u` is one level deeper and its BFS parent came before `l`. In
+/// each of those cases the other end is already visited when either list
+/// is scanned, so the entry appends nothing, whether it comes or goes. The
+/// pair can alter dequeue `pos(l)` and later ones when one endpoint alone
+/// was reached, when the levels are two or more apart, or when a vertex
+/// after `l` discovered `u`. An edge from `l` to its own BFS child moves
+/// something only when it becomes or stops being the child's first entry
+/// in `l`'s list, so such a pair marks `l` for a rescan instead: before the
+/// search resumes, the run walks `l`'s list as it now stands and resumes
+/// at dequeue `pos(l)` only if that list would append other children, or
+/// the same ones in another order. Freeing a reached slot is judged at its
+/// parent's position, and the slot forgets its position, so a reuse
+/// within the same replay counts as unreached.
+///
+/// Once `k` is the earliest dequeue so judged, each of the first `k`
+/// dequeues appends exactly what it appended before. The run keeps the
+/// order up to the vertices they found (those whose parent comes before
+/// `k`), resets the rest and continues the BFS at dequeue `k`, so the
+/// routes and the tree are what a full search builds. When no pair can
+/// alter any dequeue, no search runs at all and the last routes stand. A
+/// change to `me`'s own list, the reload of a set whose log overflowed,
+/// the first run and any masked search force a full search.
+///
+/// [`reroute`](Self::reroute) masks one vertex out of the graph the last
+/// run searched (the sets hold later changes until the next run takes
+/// them), and [`tree_route`](Self::tree_route) tells from the kept BFS
+/// tree, for the route generation the last run was given, which routes
+/// around a node are the main routes themselves.
 ///
 /// A slot whose last edge goes is freed and reused, smallest first, so ids
 /// that are no longer heard do not pile up. Every buffer keeps its
@@ -97,20 +127,43 @@ pub struct RoutingGraph {
     /// Free slots below `ids.len()`, smallest first.
     free: BinaryHeap<Reverse<u32>>,
     /// Per slot, the BFS hop count ([`UNVISITED`] when unreached) and the
-    /// first-hop slot toward it.
+    /// first-hop slot toward it, as the last search, main or masked, left
+    /// them.
     reach: Vec<(u32, u32)>,
-    /// BFS visit order; the frontier is `queue[head..]`.
+    /// The last search's visit order; the frontier is `queue[head..]`.
     queue: Vec<u32>,
-    /// The last run's BFS parent of each slot, [`UNVISITED`] for `me` and
-    /// unreached slots; empty unless that run recorded it. Masked searches
-    /// leave it alone.
+    /// Per slot, its position in the last main search's visit order,
+    /// [`UNVISITED`] when unreached or freed since. Masked searches leave
+    /// it alone.
+    pos: Vec<u32>,
+    /// The last main search's BFS parent of each slot, [`UNVISITED`] for
+    /// `me` and unreached slots. Masked searches leave it alone.
     parent: Vec<u32>,
-    /// Whether runs record `parent`: set by the first
-    /// [`tree_route`](Self::tree_route) query.
-    record_parents: bool,
+    /// The first dequeue of the kept main search that a change since can
+    /// alter: `0` searches afresh, [`UNVISITED`] searches nothing.
+    resume: u32,
+    /// Slots whose list gained or lost an entry toward one of their BFS
+    /// children since the kept search: each may or may not move it, so
+    /// the next run rescans the list before it resumes.
+    recheck: Vec<u32>,
     /// The route generation the last run was given; `None` before the
     /// first run.
     generation: Option<u64>,
+    /// What the main searches did.
+    stats: SearchStats,
+}
+
+/// What the main searches of a [`RoutingGraph`] did, over its lifetime:
+/// deterministic counts that show what resuming saves.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// Vertices the main searches dequeued.
+    pub dequeues: u64,
+    /// Adjacency entries the main searches scanned.
+    pub scanned: u64,
+    /// Runs that searched nothing: no change since the last search could
+    /// alter it.
+    pub skipped: u64,
 }
 
 /// `me`'s slot: interned first, and never freed.
@@ -144,9 +197,12 @@ impl RoutingGraph {
             free: BinaryHeap::new(),
             reach: Vec::new(),
             queue: Vec::new(),
+            pos: Vec::new(),
             parent: Vec::new(),
-            record_parents: false,
+            resume: 0,
+            recheck: Vec::new(),
             generation: None,
+            stats: SearchStats::default(),
         };
         let me_slot = graph.slot(me);
         debug_assert_eq!(me_slot, ME);
@@ -157,6 +213,10 @@ impl RoutingGraph {
     /// of `two_hop` and `topology`, links `me` to `sym`, and writes the
     /// routes into `out` (cleared first, capacity kept). The graph is then
     /// the one of route generation `generation`.
+    ///
+    /// Returns `false`, leaving `out` as it was, when no change since the
+    /// last main search can alter it: the routes are then that search's,
+    /// the ones the last run that returned `true` wrote.
     ///
     /// The graph routes over the *stored* pairs, so the caller purges both
     /// sets at the current instant first; the routes then equal
@@ -170,7 +230,7 @@ impl RoutingGraph {
         sym: &[NodeId],
         two_hop: &mut TwoHopSet,
         topology: &mut TopologySet,
-    ) {
+    ) -> bool {
         if self.generation.is_none() {
             two_hop.pairs.unfollow();
             topology.pairs.unfollow();
@@ -190,12 +250,11 @@ impl RoutingGraph {
         self.link_first_hops(sym);
         self.trim();
         self.generation = Some(generation);
-        self.parent.clear();
-        if self.record_parents {
-            self.parent.resize(self.ids.len(), UNVISITED);
+        let searched = self.search_main();
+        if searched {
+            self.emit(out);
         }
-        self.search(None, self.record_parents);
-        self.emit(out);
+        searched
     }
 
     /// The routes around `avoided` in the graph the last run searched,
@@ -205,21 +264,39 @@ impl RoutingGraph {
     /// vertex keeps its remaining out-edges in the same order, so the BFS
     /// breaks every tie the same way. Before the first run the graph holds
     /// `me` alone, and `out` ends empty.
+    ///
+    /// The masked BFS shares the main search's hop counts and visit order,
+    /// so the next run searches afresh; the kept tree stays.
     pub fn reroute(&mut self, out: &mut RoutingTable, avoided: NodeId) {
         // Avoiding `me` removes no edge: `me` has no in-edges.
         let masked = if avoided == self.me { None } else { self.find(avoided) };
-        self.search(masked, false);
+        self.resume = 0;
+        let RoutingGraph { ids, reach, queue, .. } = self;
+        reach.clear();
+        reach.resize(ids.len(), (UNVISITED, ME));
+        queue.clear();
+        queue.push(ME);
+        // A masked slot looks visited, so no edge leads into it.
+        if let Some(m) = masked {
+            reach[m as usize].0 = 0;
+        }
+        reach[ME as usize].0 = 0;
+        self.bfs::<false>(0);
+        if let Some(m) = masked {
+            self.reach[m as usize].0 = UNVISITED;
+        }
         self.emit(out);
+    }
+
+    /// What the main searches did so far.
+    pub fn stats(&self) -> SearchStats {
+        self.stats
     }
 
     /// Whether the main route to `dst` in the BFS tree of the last run,
     /// given route generation `generation`, passes `avoided`, found by
     /// walking BFS parents from `dst` toward `me` (at most the route's hop
     /// count).
-    ///
-    /// Runs record no tree until the first query: it reruns the last run's
-    /// BFS to record one, and every later run records its own. A graph
-    /// never asked pays nothing.
     ///
     /// [`TreeRoute::Avoids`] is exact: masking a vertex only delays its
     /// descendants in the BFS queue, since adjacency order is fixed, so
@@ -231,14 +308,9 @@ impl RoutingGraph {
     ///
     /// [`TreeRoute::Unknown`] when the last run was given another
     /// generation, or no run happened yet.
-    pub fn tree_route(&mut self, generation: u64, dst: NodeId, avoided: NodeId) -> TreeRoute {
+    pub fn tree_route(&self, generation: u64, dst: NodeId, avoided: NodeId) -> TreeRoute {
         if self.generation != Some(generation) {
             return TreeRoute::Unknown;
-        }
-        if self.parent.is_empty() {
-            self.record_parents = true;
-            self.parent.resize(self.ids.len(), UNVISITED);
-            self.search(None, true);
         }
         let (Some(mut v), Some(avoided)) = (self.find(dst), self.find(avoided)) else {
             return TreeRoute::Avoids;
@@ -266,6 +338,7 @@ impl RoutingGraph {
     /// how a run takes a set that recorded no changes for it.
     #[cold]
     fn load(&mut self, kind: u32, stored: impl Iterator<Item = (NodeId, NodeId)>) {
+        self.resume = 0;
         for s in 0..self.adj.len() as u32 {
             if s != ME && !self.adj[s as usize].is_empty() {
                 self.adj[s as usize].retain(|&e| e & TOPO != kind);
@@ -278,28 +351,109 @@ impl RoutingGraph {
     }
 
     /// Inserts the edges `a → b` and `b → a` of the stored pair `(a, b)` of
-    /// `kind`, or removes them when the graph holds them. Pairs touching
-    /// `me`, and self-loops, have none.
+    /// `kind`, or removes them when the graph holds them, after judging
+    /// the change against the kept search. Pairs touching `me`, and
+    /// self-loops, have none.
     fn toggle(&mut self, kind: u32, a: NodeId, b: NodeId) {
         if a == self.me || b == self.me || a == b {
             return;
         }
         let key = (kind, a, b);
-        if let (Some(sa), Some(sb)) = (self.find(a), self.find(b)) {
-            if let (i, true) = self.position(sa, key) {
-                self.adj[sa as usize].remove(i);
-                let (j, _) = self.position(sb, key);
-                self.adj[sb as usize].remove(j);
-                self.release_if_unused(sa);
-                self.release_if_unused(sb);
+        let (sa, sb) = (self.slot(a), self.slot(b));
+        self.judge(sa, sb);
+        let (i, held) = self.position(sa, key);
+        let (j, _) = self.position(sb, key);
+        if held {
+            self.adj[sa as usize].remove(i);
+            self.adj[sb as usize].remove(j);
+            self.release_if_unused(sa);
+            self.release_if_unused(sb);
+        } else {
+            self.adj[sa as usize].insert(i, sb | kind);
+            self.adj[sb as usize].insert(j, sa | kind | SECOND);
+        }
+    }
+
+    /// Lowers the resume point to the first dequeue of the kept search
+    /// that inserting or removing an edge between `a` and `b` can alter
+    /// (see the type docs for the rule).
+    fn judge(&mut self, a: u32, b: u32) {
+        let (pa, pb) = (self.pos_of(a), self.pos_of(b));
+        let first = pa.min(pb);
+        // Neither endpoint reached, or an earlier dequeue is already due.
+        // A resume point of 0 also covers a masked search's hop counts.
+        if first >= self.resume {
+            return;
+        }
+        if pa != UNVISITED && pb != UNVISITED {
+            let (l, u) = if pa < pb { (a, b) } else { (b, a) };
+            let (dl, du) = (self.reach[l as usize].0, self.reach[u as usize].0);
+            if du == dl || (du == dl + 1 && self.pos_of(self.parent[u as usize]) < first) {
+                return;
+            }
+            // An entry of `l` toward its own child moves the child only if
+            // it becomes or stops being the child's first entry there.
+            if du == dl + 1 && self.parent[u as usize] == l {
+                self.recheck.push(l);
                 return;
             }
         }
-        let (sa, sb) = (self.slot(a), self.slot(b));
-        let (i, _) = self.position(sa, key);
-        self.adj[sa as usize].insert(i, sb | kind);
-        let (j, _) = self.position(sb, key);
-        self.adj[sb as usize].insert(j, sa | kind | SECOND);
+        self.resume = first;
+    }
+
+    /// The resume point once every slot in `recheck` before it has been
+    /// rescanned: the first one whose dequeue would append other children
+    /// than before, if any comes before the point the judged pairs set.
+    fn settle_resume(&mut self) -> u32 {
+        let mut k = std::mem::replace(&mut self.resume, UNVISITED);
+        let mut recheck = std::mem::take(&mut self.recheck);
+        if k != 0 {
+            recheck.sort_unstable_by_key(|&l| self.pos_of(l));
+            recheck.dedup();
+            for &l in &recheck {
+                let at = self.pos_of(l);
+                if at >= k {
+                    break;
+                }
+                if !self.appends_as_before(l, at) {
+                    k = at;
+                }
+            }
+        }
+        recheck.clear();
+        self.recheck = recheck;
+        k
+    }
+
+    /// Whether dequeue `at` of the kept search, that of slot `l`, appends
+    /// the children it appended before when it scans `l`'s list as it is
+    /// now, all dequeues before it unchanged: an entry appends when no
+    /// earlier dequeue found its vertex and no earlier entry of the list
+    /// appended it.
+    fn appends_as_before(&self, l: u32, at: u32) -> bool {
+        let RoutingGraph { adj, queue, parent, .. } = self;
+        let found_by = |v: u32| self.pos_of(parent[v as usize]);
+        // `l`'s children, contiguous in the order.
+        let children = 1 + queue[1..].partition_point(|&v| found_by(v) < at);
+        let mut next = children;
+        for &e in &adj[l as usize] {
+            let v = e & SLOT;
+            let p = self.pos_of(v);
+            if p != UNVISITED && (found_by(v) < at || (children..next).contains(&(p as usize))) {
+                continue;
+            }
+            if queue.get(next) != Some(&v) {
+                return false;
+            }
+            next += 1;
+        }
+        queue.get(next).is_none_or(|&v| found_by(v) != at)
+    }
+
+    /// Slot `s`'s position in the kept search, [`UNVISITED`] when it was
+    /// not reached there (or did not exist yet).
+    fn pos_of(&self, s: u32) -> u32 {
+        self.pos.get(s as usize).copied().unwrap_or(UNVISITED)
     }
 
     /// Where `key` stands among `v`'s entries, and whether the entry there
@@ -317,9 +471,15 @@ impl RoutingGraph {
     }
 
     /// Rebuilds `me`'s out-edges from `sym`, in its order, and frees the
-    /// slots of former neighbors left with no edge. The old edges wait in
-    /// the BFS queue's storage meanwhile.
+    /// slots of former neighbors left with no edge. A change searches
+    /// afresh, so the old edges wait in the BFS queue's storage meanwhile.
     fn link_first_hops(&mut self, sym: &[NodeId]) {
+        let (me, ids) = (self.me, &self.ids);
+        let now = sym.iter().filter(|&&n| n != me);
+        if self.adj[ME as usize].iter().map(|&s| ids[s as usize]).eq(now.copied()) {
+            return;
+        }
+        self.resume = 0;
         let mut old = std::mem::take(&mut self.queue);
         old.clear();
         std::mem::swap(&mut old, &mut self.adj[ME as usize]);
@@ -336,7 +496,8 @@ impl RoutingGraph {
     }
 
     /// Frees slot `s` when it holds no edge, is not `me` and is not one of
-    /// `me`'s neighbors: its id is forgotten, and the slot is reused.
+    /// `me`'s neighbors: its id and its place in the kept search are
+    /// forgotten, and the slot is reused.
     fn release_if_unused(&mut self, s: u32) {
         if s == ME || !self.adj[s as usize].is_empty() {
             return;
@@ -351,6 +512,12 @@ impl RoutingGraph {
         let i = self.by_id.partition_point(|&t| self.ids[t as usize] < id);
         self.by_id.remove(i);
         self.free.push(Reverse(s));
+        // The dequeue that found a reached slot is the first to change.
+        if self.pos.get(s as usize).is_some_and(|&p| p != UNVISITED) {
+            self.pos[s as usize] = UNVISITED;
+            let found_at = self.pos[self.parent[s as usize] as usize];
+            self.resume = self.resume.min(found_at);
+        }
     }
 
     /// Drops the free slots at the top of the slot range, and halves the
@@ -375,38 +542,73 @@ impl RoutingGraph {
         }
     }
 
-    /// BFS from `me` over `adj`, never entering `masked`. With `record`,
-    /// each reached slot's parent goes into `parent`, sized by the caller.
-    fn search(&mut self, masked: Option<u32>, record: bool) {
-        let RoutingGraph { ids, adj, reach, queue, parent, .. } = self;
-        reach.clear();
-        reach.resize(ids.len(), (UNVISITED, ME));
-        queue.clear();
-        // A masked slot looks visited, so no edge leads into it.
-        if let Some(m) = masked {
-            reach[m as usize].0 = 0;
+    /// The main search: the BFS from `me`, resumed at dequeue `resume` of
+    /// the kept one. Returns `false`, searching nothing, when no change
+    /// since can alter the kept search.
+    fn search_main(&mut self) -> bool {
+        let k = self.settle_resume();
+        let n = self.ids.len();
+        let RoutingGraph { reach, queue, pos, parent, .. } = self;
+        if k == 0 {
+            reach.clear();
+            pos.clear();
+            parent.clear();
+            queue.clear();
+            queue.push(ME);
+        } else if k != UNVISITED {
+            // The first `k` dequeues find what they found before: the
+            // vertices whose parent comes before dequeue `k`, a prefix of
+            // the order. Every freed slot lies past it.
+            let cut = 1 + queue[1..].partition_point(|&v| pos[parent[v as usize] as usize] < k);
+            for &v in &queue[cut..] {
+                reach[v as usize] = (UNVISITED, ME);
+                pos[v as usize] = UNVISITED;
+                parent[v as usize] = UNVISITED;
+            }
+            queue.truncate(cut);
         }
-        reach[ME as usize].0 = 0;
-        queue.push(ME);
-        let mut head = 0;
+        // Slots interned since are unreached; the slots trimmed were free.
+        reach.resize(n, (UNVISITED, ME));
+        pos.resize(n, UNVISITED);
+        parent.resize(n, UNVISITED);
+        if k == UNVISITED {
+            self.stats.skipped += 1;
+            return false;
+        }
+        if k == 0 {
+            reach[ME as usize] = (0, ME);
+            pos[ME as usize] = 0;
+        }
+        self.bfs::<true>(k as usize);
+        self.stats.dequeues += (self.queue.len() - k as usize) as u64;
+        true
+    }
+
+    /// Runs the BFS over `adj` from dequeue `head` of the queue on. A
+    /// `MAIN` search records each reached slot's position and parent and
+    /// counts the entries it scans.
+    fn bfs<const MAIN: bool>(&mut self, mut head: usize) {
+        let RoutingGraph { adj, reach, queue, pos, parent, stats, .. } = self;
         while let Some(&u) = queue.get(head) {
             head += 1;
             let (du, hop) = reach[u as usize];
-            for &e in &adj[u as usize] {
+            let list = &adj[u as usize];
+            if MAIN {
+                stats.scanned += list.len() as u64;
+            }
+            for &e in list {
                 let v = e & SLOT;
                 let r = &mut reach[v as usize];
                 if r.0 != UNVISITED {
                     continue;
                 }
                 *r = (du + 1, if u == ME { v } else { hop });
-                if record {
+                if MAIN {
+                    pos[v as usize] = queue.len() as u32;
                     parent[v as usize] = u;
                 }
                 queue.push(v);
             }
-        }
-        if let Some(m) = masked {
-            reach[m as usize].0 = UNVISITED;
         }
     }
 
@@ -819,7 +1021,7 @@ mod tests {
     }
 
     /// One main run of `graph` over the sets, checked against the one-shot
-    /// calculation.
+    /// calculation, its kept search against a full one.
     fn run(
         graph: &mut RoutingGraph,
         generation: u64,
@@ -828,9 +1030,24 @@ mod tests {
         topo: &mut TopologySet,
     ) -> RoutingTable {
         let mut out = RoutingTable::default();
-        graph.run(&mut out, generation, sym, two_hop, topo);
+        if !graph.run(&mut out, generation, sym, two_hop, topo) {
+            // Nothing searched: the kept search holds the last routes.
+            graph.emit(&mut out);
+        }
+        assert_kept_search_is_fresh(graph);
         assert_eq!(out, RoutingTable::compute(NodeId(0), sym, two_hop, topo, now()));
         out
+    }
+
+    /// The kept search of `graph` (order, positions, hop counts, first
+    /// hops and parents) equals the one a full search builds.
+    fn assert_kept_search_is_fresh(graph: &RoutingGraph) {
+        let mut fresh = graph.clone();
+        fresh.resume = 0;
+        assert!(fresh.search_main());
+        let kept = |g: &RoutingGraph| (g.queue.clone(), g.pos.clone(), g.reach.clone());
+        assert_eq!(kept(graph), kept(&fresh), "order, positions, reach");
+        assert_eq!(graph.parent, fresh.parent, "parents");
     }
 
     #[test]
@@ -946,30 +1163,161 @@ mod tests {
     }
 
     #[test]
-    fn tree_is_recorded_only_once_asked() {
+    fn tree_is_kept_by_every_run() {
         // 0 - 1 - 3 and 0 - 2 - 4 (with 4 - 3): 3 is behind 1, 4 behind 2.
+        let until = SimTime::from_secs(1_000);
         let mut topo = topo_multi(&[(1, &[3]), (2, &[4]), (4, &[3])]);
         let mut two_hop = no2h();
         let sym = [NodeId(1), NodeId(2)];
         let mut graph = RoutingGraph::new(NodeId(0));
         run(&mut graph, 1, &sym, &mut two_hop, &mut topo);
-        assert!(graph.parent.is_empty(), "nobody asked yet");
-        let tree = |graph: &mut RoutingGraph, generation, dst, avoided| {
+        assert_eq!(graph.parent.len(), graph.ids.len(), "the first run keeps its tree");
+        let tree = |graph: &RoutingGraph, generation, dst, avoided| {
             graph.tree_route(generation, NodeId(dst), NodeId(avoided))
         };
-        assert_eq!(tree(&mut graph, 1, 3, 1), TreeRoute::Passes);
-        assert_eq!(tree(&mut graph, 1, 3, 2), TreeRoute::Avoids);
-        assert_eq!(tree(&mut graph, 1, 4, 2), TreeRoute::Passes);
-        assert_eq!(tree(&mut graph, 1, 2, 2), TreeRoute::Passes, "the destination itself");
-        assert_eq!(tree(&mut graph, 1, 4, 0), TreeRoute::Avoids, "me");
-        assert_eq!(tree(&mut graph, 1, 9, 1), TreeRoute::Avoids, "absent destination");
-        assert_eq!(tree(&mut graph, 1, 3, 9), TreeRoute::Avoids, "absent avoided node");
-        assert_eq!(tree(&mut graph, 2, 3, 2), TreeRoute::Unknown, "another generation");
-        // Asked once, every later run records its tree.
+        assert_eq!(tree(&graph, 1, 3, 1), TreeRoute::Passes);
+        assert_eq!(tree(&graph, 1, 3, 2), TreeRoute::Avoids);
+        assert_eq!(tree(&graph, 1, 4, 2), TreeRoute::Passes);
+        assert_eq!(tree(&graph, 1, 2, 2), TreeRoute::Passes, "the destination itself");
+        assert_eq!(tree(&graph, 1, 4, 0), TreeRoute::Avoids, "me");
+        assert_eq!(tree(&graph, 1, 9, 1), TreeRoute::Avoids, "absent destination");
+        assert_eq!(tree(&graph, 1, 3, 9), TreeRoute::Avoids, "absent avoided node");
+        assert_eq!(tree(&graph, 2, 3, 2), TreeRoute::Unknown, "another generation");
+        // A masked search leaves the tree, and a run that searches nothing
+        // keeps it for its own generation.
+        graph.reroute(&mut RoutingTable::default(), NodeId(1));
+        assert_eq!(tree(&graph, 1, 3, 1), TreeRoute::Passes);
         run(&mut graph, 2, &sym, &mut two_hop, &mut topo);
-        assert_eq!(graph.parent.len(), graph.ids.len());
-        assert_eq!(tree(&mut graph, 1, 3, 2), TreeRoute::Unknown, "an older generation");
-        assert_eq!(tree(&mut graph, 2, 3, 2), TreeRoute::Avoids);
+        assert_eq!(tree(&graph, 1, 3, 2), TreeRoute::Unknown, "an older generation");
+        assert_eq!(tree(&graph, 2, 3, 2), TreeRoute::Avoids);
+        assert_eq!(graph.stats().skipped, 0, "the reroute forced a full search");
+        run(&mut graph, 3, &sym, &mut two_hop, &mut topo);
+        assert_eq!(graph.stats().skipped, 1, "nothing changed");
+        assert_eq!(tree(&graph, 3, 3, 1), TreeRoute::Passes);
+        // 2 now reaches 3 directly: an edge between levels 1 and 2 that
+        // follows 3's parent 1 moves nothing either.
+        topo.apply_tc(NodeId(2), 2, &[NodeId(4), NodeId(3)], until, now());
+        run(&mut graph, 4, &sym, &mut two_hop, &mut topo);
+        assert_eq!(graph.stats().skipped, 2);
+        // Once 1 drops 3, the tree edge goes and 3 hangs off 2.
+        topo.apply_tc(NodeId(1), 2, &[], until, now());
+        run(&mut graph, 5, &sym, &mut two_hop, &mut topo);
+        assert_eq!(graph.stats().skipped, 2);
+        assert_eq!(tree(&graph, 5, 3, 1), TreeRoute::Avoids);
+        assert_eq!(tree(&graph, 5, 3, 2), TreeRoute::Passes);
+    }
+
+    #[test]
+    fn runs_resume_at_the_first_dequeue_a_change_can_alter() {
+        // A line 0 - 1 - 2 - … - 9 of TC links: dequeue i scans vertex i.
+        let until = SimTime::from_secs(1_000);
+        let mut topo = TopologySet::default();
+        for i in 1..9u32 {
+            topo.apply_tc(NodeId(i), 1, &[NodeId(i + 1)], until, now());
+        }
+        let mut two_hop = no2h();
+        let sym = [NodeId(1)];
+        let mut graph = RoutingGraph::new(NodeId(0));
+        run(&mut graph, 1, &sym, &mut two_hop, &mut topo);
+        let scanned = |graph: &RoutingGraph| graph.stats().scanned;
+        assert_eq!(scanned(&graph), 1 + 1 + 2 * 7 + 1, "a full search scans every entry");
+        // A new vertex hung off 8: only dequeue 8 and later ones rerun.
+        let before = scanned(&graph);
+        topo.apply_tc(NodeId(8), 2, &[NodeId(9), NodeId(20)], until, now());
+        run(&mut graph, 2, &sym, &mut two_hop, &mut topo);
+        assert_eq!(scanned(&graph) - before, 3 + 1 + 1, "vertices 8, 9 and 20");
+        // A shortcut from 2 to 7 moves 7 and everything after it: the
+        // search resumes at dequeue 2, which scans the shortcut's entry too.
+        let before = scanned(&graph);
+        two_hop.upsert(NodeId(2), NodeId(7), until, now());
+        run(&mut graph, 3, &sym, &mut two_hop, &mut topo);
+        assert_eq!(scanned(&graph) - before, 21 - 2, "all but the lists of 0 and 1");
+        // Withdrawn again, the shortcut was a tree edge: dequeue 2 reruns.
+        let before = scanned(&graph);
+        two_hop.remove(NodeId(2), NodeId(7));
+        run(&mut graph, 4, &sym, &mut two_hop, &mut topo);
+        assert_eq!(scanned(&graph) - before, 19 - 2);
+        // A 2-hop pair between two ids nobody reaches, and a link between
+        // 9 and 20, both on level 9: nothing to search.
+        let skipped = graph.stats().skipped;
+        two_hop.upsert(NodeId(30), NodeId(31), until, now());
+        topo.apply_tc(NodeId(9), 1, &[NodeId(20)], until, now());
+        run(&mut graph, 5, &sym, &mut two_hop, &mut topo);
+        assert_eq!(graph.stats().skipped, skipped + 1);
+        // `me`'s neighbors change: a full search.
+        let before = scanned(&graph);
+        run(&mut graph, 6, &[NodeId(1), NodeId(9)], &mut two_hop, &mut topo);
+        assert_eq!(scanned(&graph) - before, 2 + 1 + 2 * 6 + 3 + 2 + 2);
+    }
+
+    /// A change to the inputs of a route run, as the white-box oracle
+    /// below drives them.
+    #[derive(Debug, Clone)]
+    enum Change {
+        /// A TC from `origin` advertising `dests`, replacing its last set.
+        Tc { origin: u32, dests: Vec<u32> },
+        /// The 2-hop pair `(via, two_hop)` heard, or gone.
+        TwoHop { via: u32, two_hop: u32, heard: bool },
+        /// The symmetric neighbors become `ids`, in that order.
+        Sym { ids: Vec<u32> },
+        /// A masked search around `avoided`.
+        Reroute { avoided: u32 },
+        /// A route run.
+        Run,
+    }
+
+    fn changes() -> impl proptest::strategy::Strategy<Value = Vec<Change>> {
+        use proptest::prelude::*;
+        let ids = || proptest::collection::vec(1u32..12, 0..5);
+        let change = (0u8..10, 1u32..12, 1u32..12, ids(), any::<bool>()).prop_map(
+            |(k, a, b, list, heard)| match k {
+                0..=2 => Change::Tc { origin: a, dests: list },
+                3..=5 => Change::TwoHop { via: a, two_hop: b, heard },
+                6 => Change::Sym { ids: list },
+                7 => Change::Reroute { avoided: a },
+                _ => Change::Run,
+            },
+        );
+        proptest::collection::vec(change, 0..80)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn kept_search_equals_a_full_one_after_every_run(changes in changes()) {
+            // `run` checks the routes against the one-shot calculation and
+            // the kept order, positions, reach and parents against a full
+            // search, whether the run resumed, started over or searched
+            // nothing.
+            let until = SimTime::from_secs(1_000);
+            let mut graph = RoutingGraph::new(NodeId(0));
+            let (mut two_hop, mut topo) = (no2h(), TopologySet::default());
+            let mut sym = vec![NodeId(1), NodeId(2)];
+            let mut ansn = 0u16;
+            let mut generation = 0;
+            for change in changes {
+                match change {
+                    Change::Tc { origin, dests } => {
+                        ansn += 1;
+                        let dests: Vec<NodeId> = dests.into_iter().map(NodeId).collect();
+                        topo.apply_tc(NodeId(origin), ansn, &dests, until, now());
+                    }
+                    Change::TwoHop { via, two_hop: th, heard: true } => {
+                        two_hop.upsert(NodeId(via), NodeId(th), until, now());
+                    }
+                    Change::TwoHop { via, two_hop: th, heard: false } => {
+                        two_hop.remove(NodeId(via), NodeId(th));
+                    }
+                    Change::Sym { ids } => sym = ids.into_iter().map(NodeId).collect(),
+                    Change::Reroute { avoided } => {
+                        graph.reroute(&mut RoutingTable::default(), NodeId(avoided));
+                    }
+                    Change::Run => {
+                        generation += 1;
+                        run(&mut graph, generation, &sym, &mut two_hop, &mut topo);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1157,7 +1157,8 @@ proptest! {
         let mut node = GraphNode::default();
         // The sets, neighbors and instant of the last route run.
         let mut last: Option<(TwoHopSet, TopologySet, Vec<NodeId>, SimTime)> = None;
-        let mut out = RoutingTable::default();
+        // The routes of the last run that searched, and a reroute's.
+        let (mut main, mut out) = (RoutingTable::default(), RoutingTable::default());
         for (step, (dt, op)) in ops.into_iter().enumerate() {
             node.now += SimDuration::from_secs(dt);
             let now = node.now;
@@ -1171,12 +1172,11 @@ proptest! {
                     node.two_hop.remove_via(graph_id(via), now);
                 }
                 GraphOp::Tc { origin, ansn, dests, hold } => {
-                    let origin = graph_id(origin);
-                    let current = node.ansns.entry(origin).or_insert(0);
-                    *current = current.wrapping_add(ansn);
-                    let until = now + SimDuration::from_secs(hold);
-                    let dests = dests.iter().map(|&d| graph_id(d));
-                    node.topo.receive_tc(origin, *current, dests, true, until, now);
+                    let dests: Vec<NodeId> = dests.into_iter().map(graph_id).collect();
+                    node.tc(graph_id(origin), ansn, &dests, hold);
+                }
+                GraphOp::Leaf { origin, leaf } => {
+                    node.tc(graph_id(origin), 1, &[NodeId(GRAPH_LEAF + leaf)], 8);
                 }
                 GraphOp::Sym { ids } => {
                     let mut sym: Vec<NodeId> = ids.into_iter().map(graph_id).collect();
@@ -1197,14 +1197,17 @@ proptest! {
                     node.topo.purge(now);
                     node.generation += 1;
                     let GraphNode { graph, two_hop, topo, sym, generation, .. } = &mut node;
-                    graph.run(&mut out, *generation, sym, two_hop, topo);
+                    let searched = graph.run(&mut main, *generation, sym, two_hop, topo);
                     let want = RoutingTable::compute(GRAPH_ME, sym, two_hop, topo, now);
-                    prop_assert_eq!(&out, &want, "route run at step {}", step);
+                    prop_assert_eq!(&main, &want, "route run at step {} (searched {})", step, searched);
                     last = Some((two_hop.clone(), topo.clone(), sym.clone(), now));
                 }
-                GraphOp::Reroute { avoided } => {
+                GraphOp::Reroute { avoided } | GraphOp::Tree { avoided } => {
                     let avoided = graph_id(avoided);
-                    node.graph.reroute(&mut out, avoided);
+                    let rerouted = matches!(op, GraphOp::Reroute { .. });
+                    if rerouted {
+                        node.graph.reroute(&mut out, avoided);
+                    }
                     let Some((two_hop, topo, sym, at)) = &last else {
                         prop_assert!(out.is_empty(), "no run yet, step {}", step);
                         continue;
@@ -1212,8 +1215,9 @@ proptest! {
                     let want = RoutingTable::compute_avoiding(
                         GRAPH_ME, sym, two_hop, topo, *at, Some(avoided),
                     );
-                    prop_assert_eq!(&out, &want, "avoiding {} at step {}", avoided, step);
-                    let main = RoutingTable::compute(GRAPH_ME, sym, two_hop, topo, *at);
+                    if rerouted {
+                        prop_assert_eq!(&out, &want, "avoiding {} at step {}", avoided, step);
+                    }
                     for dst in (0..GRAPH_IDS).map(graph_id) {
                         if node.graph.tree_route(node.generation, dst, avoided) == TreeRoute::Avoids {
                             prop_assert_eq!(main.route_to(dst), want.route_to(dst), "step {}", step);
@@ -1231,6 +1235,9 @@ const GRAPH_ME: NodeId = NodeId(0);
 /// Ids `0..GRAPH_IDS` appear in the graph oracle's operations; the last
 /// one stands for the largest id.
 const GRAPH_IDS: u32 = 14;
+
+/// The first of the leaf ids, which only [`GraphOp::Leaf`] advertises.
+const GRAPH_LEAF: u32 = 100;
 
 fn graph_id(i: u32) -> NodeId {
     if i == GRAPH_IDS - 1 {
@@ -1260,12 +1267,19 @@ enum GraphOp {
     Run,
     /// A masked reroute over the last run's graph.
     Reroute { avoided: u32 },
+    /// The main tree's answers around `avoided`, without a reroute.
+    Tree { avoided: u32 },
+    /// A TC from `origin` with the next ANSN advertising one of four leaf
+    /// ids alone: the leaf it advertised before loses its last edge when
+    /// no other TC names it, and its slot goes to the new leaf within the
+    /// same replay.
+    Leaf { origin: u32, leaf: u32 },
 }
 
 fn graph_ops() -> impl Strategy<Value = Vec<(u64, GraphOp)>> {
     let ids = || proptest::collection::vec(0u32..GRAPH_IDS, 0..6);
     let op = (
-        0u8..14,
+        0u8..16,
         0u32..GRAPH_IDS,
         1u64..8,
         ids(),
@@ -1278,7 +1292,9 @@ fn graph_ops() -> impl Strategy<Value = Vec<(u64, GraphOp)>> {
             7 => GraphOp::Sym { ids: list.into_iter().filter(|&i| i != 0).collect() },
             8 => GraphOp::Purge,
             9 | 10 => GraphOp::Run,
-            _ => GraphOp::Reroute { avoided: id },
+            11 => GraphOp::Reroute { avoided: id },
+            12 => GraphOp::Tree { avoided: id },
+            _ => GraphOp::Leaf { origin: id, leaf: hold as u32 % 4 },
         });
     // (clock advance in s, operation)
     proptest::collection::vec((0u64..3, op), 0..120)
@@ -1293,6 +1309,16 @@ struct GraphNode {
     ansns: BTreeMap<NodeId, u16>,
     generation: u64,
     now: SimTime,
+}
+
+impl GraphNode {
+    /// A TC from `origin` whose ANSN moves by `ansn`, held `hold` seconds.
+    fn tc(&mut self, origin: NodeId, ansn: u16, dests: &[NodeId], hold: u64) {
+        let current = self.ansns.entry(origin).or_insert(0);
+        *current = current.wrapping_add(ansn);
+        let until = self.now + SimDuration::from_secs(hold);
+        self.topo.receive_tc(origin, *current, dests.iter().copied(), true, until, self.now);
+    }
 }
 
 impl Default for GraphNode {

@@ -30,6 +30,10 @@
 //! the node's routing graph replays the pairs the TC inserted and removed,
 //! frees and reuses slots and runs the BFS in storage it already holds.
 //!
+//! Another pins HELLO emission: a node's HELLO reuses the vectors of the
+//! last one, so once its neighborhood settles, the frame is all it
+//! allocates.
+//!
 //! Two more pin the rest of a reception read in place. A HELLO that claims
 //! what its sender claimed before is read off the wire into storage the
 //! node holds, so it allocates nothing. A TC the node relays is sent as
@@ -46,7 +50,7 @@ use std::cell::Cell;
 
 use bytes::Bytes;
 use trustlink_olsr::message::{Message, MessageBody, Packet, TcMessage};
-use trustlink_olsr::node::{TIMER_RECOMPUTE, TIMER_REFRESH};
+use trustlink_olsr::node::{TIMER_HELLO, TIMER_RECOMPUTE, TIMER_REFRESH};
 use trustlink_olsr::types::SequenceNumber;
 use trustlink_olsr::wire::{encode_packet, MessageType, PacketView};
 use trustlink_olsr::{OlsrConfig, OlsrNode};
@@ -505,4 +509,69 @@ fn route_run_after_a_changed_tc_allocates_nothing() {
     assert_eq!(heard, [NodeId(10), NodeId(12)], "the last TC was applied");
     assert!(end.runs >= 20, "only {} of 30 changes ran routes on a watched timer", end.runs);
     assert_eq!(end.allocs, 0, "{} route runs allocated {} times", end.runs, end.allocs);
+}
+
+/// An [`OlsrNode`] that counts the allocator calls its HELLO timer makes
+/// while `watching`.
+struct HelloWatch {
+    node: OlsrNode,
+    watching: bool,
+    hellos: u64,
+    allocs: u64,
+}
+
+impl Application for HelloWatch {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.node.on_start(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
+        let before = allocs();
+        self.node.on_timer(ctx, timer);
+        if self.watching && timer == TIMER_HELLO {
+            self.allocs += allocs() - before;
+            self.hellos += 1;
+        }
+    }
+
+    fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
+        self.node.on_receive(ctx, from, payload);
+    }
+}
+
+#[test]
+fn hello_emission_allocates_only_its_frame() {
+    // A converged 3-node line: the middle N1 advertises both ends, one of
+    // them its MPR, in every HELLO. Each HELLO fills the groups of the
+    // last one and encodes them into the frame.
+    let mut sim = SimulatorBuilder::new(3)
+        .radio(RadioConfig::unit_disk(150.0))
+        .arena(Arena::new(1_000.0, 1_000.0))
+        .build();
+    for i in 0..3 {
+        let node = OlsrNode::new(OlsrConfig::fast());
+        let app: Box<dyn Application> = if i == 1 {
+            Box::new(HelloWatch { node, watching: false, hellos: 0, allocs: 0 })
+        } else {
+            Box::new(node)
+        };
+        sim.add_node(app, Position::new(f64::from(i) * 100.0, 0.0));
+    }
+    sim.run_for(SimDuration::from_secs(10));
+    sim.app_as_mut::<HelloWatch>(NodeId(1)).unwrap().watching = true;
+    let cursor = sim.log(NodeId(1)).len();
+    sim.run_for(SimDuration::from_secs(10));
+
+    let mid = sim.app_as::<HelloWatch>(NodeId(1)).unwrap();
+    assert!(mid.hellos >= 10, "only {} HELLOs from N1 in 10 s", mid.hellos);
+    let (window, _) = sim.log(NodeId(1)).read_from(cursor);
+    assert!(
+        !window.iter().any(|(_, r)| matches!(r, LogRecord::MprSet { .. })),
+        "N1's neighborhood changed: {window:?}"
+    );
+    assert_eq!(
+        mid.allocs, mid.hellos,
+        "{} HELLOs allocated {} times, not once each for the frame",
+        mid.hellos, mid.allocs
+    );
 }
