@@ -7,10 +7,9 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use trustlink_olsr::hooks::OlsrHooks;
-use trustlink_olsr::message::DataMessage;
 use trustlink_olsr::node::OlsrNode;
 use trustlink_olsr::types::OlsrConfig;
-use trustlink_olsr::wire::MessageView;
+use trustlink_olsr::wire::{DataView, MessageView};
 use trustlink_sim::NodeId;
 
 /// How aggressively traffic is dropped.
@@ -78,7 +77,7 @@ impl OlsrHooks for DropAttack {
         }
     }
 
-    fn should_forward_data(&mut self, _data: &DataMessage, _from: NodeId) -> bool {
+    fn should_forward_data(&mut self, _data: &DataView<'_>, _from: NodeId) -> bool {
         match self.scope {
             DropScope::DataOnly | DropScope::All => !self.should_drop(),
             DropScope::ControlOnly => true,
@@ -97,7 +96,6 @@ pub fn drop_attack_node(config: OlsrConfig, attack: DropAttack) -> DropAttackNod
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use trustlink_olsr::message::{Message, MessageBody, Packet};
     use trustlink_olsr::types::SequenceNumber;
     use trustlink_olsr::wire::{encode_packet, PacketView};
@@ -119,8 +117,8 @@ mod tests {
         PacketView::parse(&frame).unwrap().messages().next().unwrap()
     }
 
-    fn dummy_data() -> DataMessage {
-        DataMessage { src: NodeId(1), dst: NodeId(2), avoid: None, payload: Bytes::new() }
+    fn dummy_data() -> DataView<'static> {
+        DataView { src: NodeId(1), dst: NodeId(2), avoid: None, payload: &[] }
     }
 
     #[test]

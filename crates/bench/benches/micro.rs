@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the hot primitives: the engine's frame fan-out and
-//! delivery, MPR selection, route calculation, wire codec, the reception of
+//! delivery, MPR selection, route calculation, the topology set's TC
+//! reception and purge, wire codec, the reception of
 //! a repeated TC, of an already retransmitted TC copy and of a TC copy the
 //! node relays, log parsing, signature matching, trust update, detection
 //! aggregation and the probit.
@@ -279,6 +280,60 @@ fn bench_route_run(c: &mut Criterion) {
             black_box(RoutingTable::compute(me, black_box(&sym), &two_hop, &topo, now).len())
         })
     });
+}
+
+fn bench_topology_receive(c: &mut Criterion) {
+    // A topology set holding 256 originators with ids up to about 10^7,
+    // each advertising four destinations for its own validity of 3 to 6 s,
+    // staggered by originator. Each iteration receives the next
+    // originator's TC, 10 ms after the last, and purges. Every originator
+    // moves to a newer ANSN and set every second lap of 256 TCs, and one
+    // in 16 falls silent for four laps of eight: its record lapses, the
+    // purge frees the slot, and its return takes a free slot again. The
+    // set's live tuples must then equal a `BTreeMap` of each originator's
+    // last TC.
+    const ORIGINATORS: u64 = 256;
+    let id = |o: u64| NodeId(o as u32 * 40_009);
+    let advertised = |o: u64, ansn: u16| {
+        let base = o as u32 * 16 + u32::from(ansn % 4);
+        [base, base + 4, base + 8, base + 12].map(NodeId)
+    };
+    let mut set = TopologySet::default();
+    let mut model: std::collections::BTreeMap<NodeId, (u16, [NodeId; 4], SimTime)> =
+        Default::default();
+    let mut turn = 0u64;
+    let mut step = move |set: &mut TopologySet, model: &mut std::collections::BTreeMap<_, _>| {
+        let now = SimTime::from_millis(turn * 10);
+        let (o, lap) = (turn % ORIGINATORS, turn / ORIGINATORS);
+        turn += 1;
+        if o % 16 != 0 || lap % 8 < 4 {
+            let ansn = (lap / 2) as u16;
+            let dests = advertised(o, ansn);
+            let until = now + SimDuration::from_secs(3 + o % 4);
+            set.receive_tc(id(o), ansn, dests.iter().copied(), true, until, now);
+            model.insert(id(o), (ansn, dests, until));
+        }
+        set.purge(now);
+        now
+    };
+    for _ in 0..ORIGINATORS * 16 {
+        step(&mut set, &mut model);
+    }
+    let mut now = SimTime::ZERO;
+    c.bench_function("topology_receive_256", |b| {
+        b.iter(|| {
+            now = step(&mut set, &mut model);
+            black_box(set.len())
+        })
+    });
+    let got: Vec<_> = set.iter(now).map(|t| (t.last_hop, t.dest, t.ansn, t.until)).collect();
+    let want: Vec<_> = model
+        .iter()
+        .filter(|(_, &(_, _, until))| until > now)
+        .flat_map(|(&o, &(ansn, dests, until))| dests.map(|d| (o, d, ansn, until)))
+        .collect();
+    assert_eq!(got, want, "the set's live tuples at {now}");
+    assert!(want.len() > 900, "{} live tuples", want.len());
 }
 
 fn bench_wire(c: &mut Criterion) {
@@ -601,7 +656,8 @@ fn bench_trust_primitives(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(50);
-    targets = bench_engine, bench_mpr_selection, bench_routing, bench_route_run, bench_wire,
+    targets = bench_engine, bench_mpr_selection, bench_routing, bench_route_run,
+              bench_topology_receive, bench_wire,
               bench_olsr_receive, bench_olsr_retransmitted_receive, bench_olsr_tc_relay,
               bench_log_pipeline, bench_signature_engine, bench_trust_primitives
 }

@@ -650,13 +650,7 @@ impl<H: OlsrHooks> DetectorNode<H> {
         }
         // Corroboration through anyone other than the suspect?
         let via_other = self.olsr.two_hop_set().iter_vias_for(contested, now).any(|v| v != suspect);
-        let in_topology = || {
-            self.olsr
-                .topology_set()
-                .iter(now)
-                .any(|t| (t.dest == contested && t.last_hop != suspect) || t.last_hop == contested)
-        };
-        if !via_other && !in_topology() {
+        if !via_other && !self.olsr.topology_set().mentions(contested, suspect, now) {
             if self.warmed_up(now) {
                 Some(false) // nobody but the suspect has ever heard of it
             } else {

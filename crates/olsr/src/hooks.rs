@@ -25,8 +25,8 @@
 use bytes::Bytes;
 use trustlink_sim::{NodeId, SimTime};
 
-use crate::message::{DataMessage, HelloMessage, Message, TcMessage};
-use crate::wire::{materialize_message, MessageView};
+use crate::message::{HelloMessage, Message, TcMessage};
+use crate::wire::{materialize_message, DataView, MessageView};
 use trustlink_sim::record::Willingness;
 
 /// Extension points applied by [`crate::node::OlsrNode`] at well-defined
@@ -60,9 +60,10 @@ pub trait OlsrHooks: Send + 'static {
     /// [`Relay::header`] leaves the received bytes to be relayed.
     fn on_forward(&mut self, _relay: &mut Relay<'_>, _from: NodeId) {}
 
-    /// Decides whether a unicast data message is forwarded. Returning
-    /// `false` implements the black-hole / gray-hole data drop.
-    fn should_forward_data(&mut self, _data: &DataMessage, _from: NodeId) -> bool {
+    /// Decides whether a unicast data message is forwarded, from its body
+    /// read in place. Returning `false` implements the black-hole /
+    /// gray-hole data drop.
+    fn should_forward_data(&mut self, _data: &DataView<'_>, _from: NodeId) -> bool {
         true
     }
 }
@@ -140,12 +141,7 @@ mod tests {
         assert_eq!(tc, tc_before);
 
         assert_eq!(hooks.willingness_override(), None);
-        let data = DataMessage {
-            src: NodeId(0),
-            dst: NodeId(1),
-            avoid: None,
-            payload: bytes::Bytes::new(),
-        };
+        let data = DataView { src: NodeId(0), dst: NodeId(1), avoid: None, payload: &[] };
         assert!(hooks.should_forward_data(&data, NodeId(2)));
     }
 }

@@ -20,6 +20,8 @@ use std::hash::{BuildHasher, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+use trustlink_sim::NodeId;
+
 /// A keyed hash of integer keys: `mix(mul · key + add)`, with the
 /// multiply-add modulo 2⁶⁴ for a random odd `mul` and a random `add`, and
 /// `mix` the splitmix64 finalizer.
@@ -133,11 +135,125 @@ impl Hasher for IdHasher {
 /// A std hash map keyed by ids heard off the air.
 pub type IdHashMap<K, V> = HashMap<K, V, IdBuildHasher>;
 
+/// An open-addressing index from ids heard off the air to the slots a
+/// table of them holds: `(id, slot)` entries in a power-of-two table, found
+/// by linear probing from the home bucket an [`IdHash`] drawn with the
+/// table gives, and removed by backward-shift deletion, so it needs no
+/// tombstones. It stays at most half full, and empty until the first id.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IdSlots {
+    table: Vec<(u32, u32)>,
+    hash: IdHash,
+}
+
+impl IdSlots {
+    /// The slot of an unused entry: slot numbers never reach it.
+    const FREE: u32 = u32::MAX;
+
+    /// First table size.
+    const MIN_LEN: usize = 8;
+
+    /// Entries in the table, used or not.
+    pub(crate) fn capacity(&self) -> usize {
+        self.table.len()
+    }
+
+    /// The entry holding `id`, or the unused entry ending its probe run.
+    /// The table must be allocated.
+    #[inline]
+    fn probe(&self, id: NodeId) -> usize {
+        let mask = self.table.len() - 1;
+        let mut i = self.hash.bucket(u64::from(id.0), self.table.len());
+        loop {
+            let (key, slot) = self.table[i];
+            if slot == Self::FREE || key == id.0 {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The slot of `id`, if indexed.
+    #[inline]
+    pub(crate) fn get(&self, id: NodeId) -> Option<u32> {
+        if self.table.is_empty() {
+            return None;
+        }
+        let slot = self.table[self.probe(id)].1;
+        (slot != Self::FREE).then_some(slot)
+    }
+
+    /// Indexes `id`, which is absent, at `slot`, with `held` ids indexed
+    /// in all: the table is first allocated, or doubles once more than
+    /// half full.
+    pub(crate) fn insert(&mut self, id: NodeId, slot: u32, held: usize) {
+        debug_assert!(slot != Self::FREE);
+        if self.table.is_empty() {
+            self.resize(Self::MIN_LEN);
+        }
+        let i = self.probe(id);
+        self.table[i] = (id.0, slot);
+        if held * 2 > self.table.len() {
+            self.resize(self.table.len() * 2);
+        }
+    }
+
+    /// Rebuilds the table at `len` entries, a power of two above twice the
+    /// ids held, drawing its hash function on the first allocation.
+    pub(crate) fn resize(&mut self, len: usize) {
+        if self.table.is_empty() {
+            self.hash = IdHash::random();
+        }
+        let old = std::mem::replace(&mut self.table, vec![(0, Self::FREE); len]);
+        for (key, slot) in old {
+            if slot != Self::FREE {
+                let i = self.probe(NodeId(key));
+                self.table[i] = (key, slot);
+            }
+        }
+    }
+
+    /// Removes indexed `id` by backward-shift deletion (Knuth's Algorithm
+    /// R for linear probing): every later entry of the probe run whose home
+    /// bucket does not lie cyclically in `(hole, j]` moves back into the
+    /// hole, so each stays reachable from its home.
+    pub(crate) fn remove(&mut self, id: NodeId) {
+        let len = self.table.len();
+        let mut hole = self.probe(id);
+        let mut j = hole;
+        loop {
+            j = (j + 1) & (len - 1);
+            let (key, slot) = self.table[j];
+            if slot == Self::FREE {
+                break;
+            }
+            let home = self.hash.bucket(u64::from(key), len);
+            let stays = if hole <= j { hole < home && home <= j } else { hole < home || home <= j };
+            if !stays {
+                self.table[hole] = self.table[j];
+                hole = j;
+            }
+        }
+        self.table[hole] = (0, Self::FREE);
+    }
+
+    /// The longest run of used entries, cyclically: what a probe can walk.
+    #[cfg(test)]
+    pub(crate) fn longest_run(&self) -> usize {
+        let mut longest = 0;
+        let mut run = 0;
+        for &(_, slot) in self.table.iter().chain(&self.table) {
+            run = if slot == Self::FREE { 0 } else { run + 1 };
+            longest = longest.max(run);
+        }
+        longest
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use trustlink_sim::NodeId;
 
     impl IdHash {
         /// The function with the given multiplier (made odd) and addend.

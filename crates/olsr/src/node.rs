@@ -27,8 +27,8 @@ use crate::state::{
 };
 use crate::types::{FloodScope, OlsrConfig, RecomputeMode, SequenceNumber};
 use crate::wire::{
-    encode_messages_into, materialize_message, relay_message_into, HelloView, MessageType,
-    MessageView, PacketView, TcView,
+    relay_message_into, try_encode_messages_into, HelloView, MessageType, MessageView, Oversize,
+    PacketView, TcView,
 };
 
 /// Timer tokens used by the OLSR state machine. Wrappers layering their own
@@ -173,6 +173,8 @@ pub struct OlsrNode<H: OlsrHooks = NoHooks> {
     last_advertised: Vec<NodeId>,
     msg_seq: SequenceNumber,
     pkt_seq: SequenceNumber,
+    /// Messages dropped because the wire cannot carry them.
+    oversize_drops: u64,
     inbox: Vec<ReceivedData>,
     /// TC emission opportunities consumed while holding TC duty; drives
     /// the fisheye ring schedule ([`FloodScope::Fisheye`]).
@@ -252,6 +254,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
             last_advertised: Vec::new(),
             msg_seq: SequenceNumber(0),
             pkt_seq: SequenceNumber(0),
+            oversize_drops: 0,
             inbox: Vec::new(),
             tc_emissions: 0,
             flood: FloodStats::default(),
@@ -373,6 +376,13 @@ impl<H: OlsrHooks> OlsrNode<H> {
         &self.flood
     }
 
+    /// Messages this node originated, or a hook rewrote, that it dropped
+    /// because the wire cannot carry them: a hook grew a HELLO link group,
+    /// a message or its packet past a 16-bit length field.
+    pub fn oversize_drops(&self) -> u64 {
+        self.oversize_drops
+    }
+
     /// The MPR set this node would materialize at `now`, computed from the
     /// live repositories without touching cached state. Independent of
     /// recompute scheduling: both [`RecomputeMode`]s yield the same value
@@ -403,21 +413,41 @@ impl<H: OlsrHooks> OlsrNode<H> {
         self.msg_seq
     }
 
+    /// `msg`, which this node originates or a hook rewrote, as a packet of
+    /// its own under the next packet sequence number. A message the wire
+    /// cannot carry is dropped and counted instead, and the number stays
+    /// unused.
+    fn encode(&mut self, msg: &Message) -> Option<Bytes> {
+        let seq = self.pkt_seq.next();
+        let msgs = std::slice::from_ref(msg);
+        match try_encode_messages_into(seq, msgs, &mut self.wire_scratch) {
+            Ok(frame) => {
+                self.pkt_seq = seq;
+                Some(frame)
+            }
+            Err(Oversize) => {
+                self.oversize_drops += 1;
+                None
+            }
+        }
+    }
+
     /// Broadcasts `msg`, which this node originates or a hook rewrote, as
     /// a packet of its own.
     fn transmit(&mut self, ctx: &mut Context<'_>, msg: &Message) {
-        self.pkt_seq = self.pkt_seq.next();
-        let frame =
-            encode_messages_into(self.pkt_seq, std::slice::from_ref(msg), &mut self.wire_scratch);
-        ctx.broadcast(frame);
+        if let Some(frame) = self.encode(msg) {
+            ctx.broadcast(frame);
+        }
     }
 
-    /// Sends `msg` to the neighbor `to` as a packet of its own.
-    fn unicast(&mut self, ctx: &mut Context<'_>, to: NodeId, msg: &Message) {
-        self.pkt_seq = self.pkt_seq.next();
-        let frame =
-            encode_messages_into(self.pkt_seq, std::slice::from_ref(msg), &mut self.wire_scratch);
+    /// Sends `msg` to the neighbor `to` as a packet of its own; `false`
+    /// when the wire cannot carry it.
+    fn unicast(&mut self, ctx: &mut Context<'_>, to: NodeId, msg: &Message) -> bool {
+        let Some(frame) = self.encode(msg) else {
+            return false;
+        };
         ctx.send(to, frame);
+        true
     }
 
     /// The received message behind `mv` as a packet of its own, ready to
@@ -551,7 +581,8 @@ impl<H: OlsrHooks> OlsrNode<H> {
     /// first hop (and each forwarding hop) routes around that node — the
     /// investigation primitive of the paper's Algorithm 1.
     ///
-    /// Returns `false` when no admissible route exists.
+    /// Returns `false` when no admissible route exists, or when the wire
+    /// cannot carry the payload.
     pub fn send_data(
         &mut self,
         ctx: &mut Context<'_>,
@@ -578,8 +609,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
             seq: self.next_msg_seq(),
             body: MessageBody::Data(DataMessage { src: self.id, dst, avoid, payload }),
         };
-        self.unicast(ctx, next, &msg);
-        true
+        self.unicast(ctx, next, &msg)
     }
 
     /// The next hop toward `dst`, routing around `avoid` when set. Callers
@@ -839,8 +869,9 @@ impl<H: OlsrHooks> OlsrNode<H> {
         }
     }
 
-    /// Delivers or forwards the data message behind `mv`. A forward relays
-    /// the received bytes, TTL and hop count advanced.
+    /// Delivers or forwards the data message behind `mv`, read in place. A
+    /// delivered payload shares the frame's storage; a forward relays the
+    /// received bytes, TTL and hop count advanced.
     fn process_data(
         &mut self,
         ctx: &mut Context<'_>,
@@ -848,19 +879,17 @@ impl<H: OlsrHooks> OlsrNode<H> {
         mv: &MessageView,
         from: NodeId,
     ) {
-        let msg = materialize_message(frame, mv);
-        let MessageBody::Data(data) = &msg.body else {
-            return;
-        };
+        let data = mv.data(frame).expect("a data view has a data body");
         let now = ctx.now();
         if data.dst == self.id {
-            self.inbox.push(ReceivedData { src: data.src, at: now, payload: data.payload.clone() });
+            let payload = mv.data_payload(frame, &data);
+            self.inbox.push(ReceivedData { src: data.src, at: now, payload });
             return;
         }
-        if msg.ttl <= 1 {
+        if mv.ttl <= 1 {
             return; // silently dies, like an expired IP packet
         }
-        if !self.hooks.should_forward_data(data, from) {
+        if !self.hooks.should_forward_data(&data, from) {
             return; // black hole: swallowed without trace
         }
         let (dst, avoid) = (data.dst, data.avoid);
@@ -1201,7 +1230,7 @@ fn mpr_candidates(
 mod tests {
     use super::*;
     use crate::message::Packet;
-    use crate::wire::encode_packet;
+    use crate::wire::{encode_messages_into, encode_packet, materialize_message};
     use trustlink_sim::{Position, RadioConfig, SimDuration, SimulatorBuilder};
 
     fn line_sim(n: usize, spacing: f64, range: f64, seed: u64) -> trustlink_sim::Simulator {
@@ -2040,5 +2069,47 @@ mod tests {
         let memo_hits = stats.avoid_lookups - stats.avoid_tree_hits - stats.avoid_runs;
         assert!(stats.avoid_tree_hits > 0, "{stats:?}");
         assert!(memo_hits > 0, "{stats:?}");
+    }
+
+    /// Appends 16 000 phantom ids above 0xFFFF, six bytes each on the
+    /// wire, to every HELLO: one link group of 96 000 bytes, past its
+    /// 16-bit size field.
+    struct WidePhantoms;
+
+    impl OlsrHooks for WidePhantoms {
+        fn on_hello_tx(&mut self, hello: &mut HelloMessage, _now: SimTime) {
+            let addrs = (0..16_000u32).map(|k| NodeId(0x1_0000 + k)).collect();
+            let code = LinkCode::new(LinkType::Sym, NeighborType::Sym);
+            hello.groups.push(LinkGroup { code, addrs });
+        }
+    }
+
+    #[test]
+    fn a_hello_the_wire_cannot_carry_is_dropped_not_fatal() {
+        // The centre of a 3×3 grid forges HELLOs too large to encode. It
+        // drops each one and counts it; the simulation runs on, and the
+        // other nodes converge around the silent centre.
+        let mut sim = SimulatorBuilder::new(5)
+            .radio(RadioConfig::unit_disk(150.0))
+            .arena(trustlink_sim::Arena::new(1_000.0, 1_000.0))
+            .build();
+        for (i, p) in trustlink_sim::topologies::grid(9, 3, 100.0).into_iter().enumerate() {
+            let app: Box<dyn Application> = if i == 4 {
+                Box::new(OlsrNode::with_hooks(OlsrConfig::fast(), WidePhantoms))
+            } else {
+                Box::new(OlsrNode::new(OlsrConfig::fast()))
+            };
+            sim.add_node(app, p);
+        }
+        sim.run_for(SimDuration::from_secs(10));
+        let now = sim.now();
+        let centre = sim.app_as::<OlsrNode<WidePhantoms>>(NodeId(4)).unwrap();
+        assert!(centre.oversize_drops() > 10, "{} HELLOs dropped", centre.oversize_drops());
+        for i in (0..9).filter(|&i| i != 4) {
+            let node = sim.app_as::<OlsrNode>(NodeId(i)).unwrap();
+            assert_eq!(node.oversize_drops(), 0);
+            assert!(!node.symmetric_neighbors(now).contains(&NodeId(4)), "N{i} heard the centre");
+            assert!(!node.symmetric_neighbors(now).is_empty(), "N{i} has no neighbor");
+        }
     }
 }

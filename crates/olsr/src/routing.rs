@@ -22,16 +22,12 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use trustlink_sim::{NodeId, SimTime};
 
-use crate::idhash::IdHash;
+use crate::idhash::IdSlots;
 use crate::state::{PairLog, TopologySet, TwoHopSet};
 
 /// Unvisited marker in the BFS distance, position and parent arrays; as a
 /// resume point, no dequeue to resume at.
 const UNVISITED: u32 = u32::MAX;
-
-/// Free-entry marker in the slot half of an id→slot table entry: ids span
-/// all of `u32`, slot numbers never reach `u32::MAX`.
-const FREE: u32 = u32::MAX;
 
 /// Smallest id→slot table, in entries (a power of two).
 const MIN_TABLE: usize = 64;
@@ -109,13 +105,10 @@ const SLOT: u32 = TOPO - 1;
 pub struct RoutingGraph {
     /// The node whose routes the graph computes; its slot is [`ME`].
     me: NodeId,
-    /// Open-addressing id→slot table of `(id, slot)` entries, [`FREE`]
-    /// slot when unused; a power of two at most half full.
-    table: Vec<(u32, u32)>,
-    /// The table's hash function, drawn at random with the graph: ids
+    /// Id → slot, hashed with a key drawn at random with the graph: ids
     /// arrive off the air, and a fixed function would let a sender pick ids
     /// that all share one probe run.
-    hash: IdHash,
+    index: IdSlots,
     /// Slot → id; stale for a free slot.
     ids: Vec<NodeId>,
     /// Every interned slot, ascending by id.
@@ -189,8 +182,7 @@ impl RoutingGraph {
     pub fn new(me: NodeId) -> Self {
         let mut graph = RoutingGraph {
             me,
-            table: vec![(0, FREE); MIN_TABLE],
-            hash: IdHash::random(),
+            index: IdSlots::default(),
             ids: Vec::new(),
             by_id: Vec::new(),
             adj: Vec::new(),
@@ -204,6 +196,7 @@ impl RoutingGraph {
             generation: None,
             stats: SearchStats::default(),
         };
+        graph.index.resize(MIN_TABLE);
         let me_slot = graph.slot(me);
         debug_assert_eq!(me_slot, ME);
         graph
@@ -508,7 +501,7 @@ impl RoutingGraph {
         if self.find(id) != Some(s) || self.adj[ME as usize].contains(&s) {
             return;
         }
-        self.unmap(id);
+        self.index.remove(id);
         let i = self.by_id.partition_point(|&t| self.ids[t as usize] < id);
         self.by_id.remove(i);
         self.free.push(Reverse(s));
@@ -537,8 +530,8 @@ impl RoutingGraph {
             let n = self.ids.len() as u32;
             self.free.retain(|&Reverse(s)| s < n);
         }
-        if self.table.len() > MIN_TABLE && live * 8 < self.table.len() {
-            self.rehash((live * 2).next_power_of_two().max(MIN_TABLE));
+        if self.index.capacity() > MIN_TABLE && live * 8 < self.index.capacity() {
+            self.index.resize((live * 2).next_power_of_two().max(MIN_TABLE));
         }
     }
 
@@ -626,39 +619,24 @@ impl RoutingGraph {
         }
     }
 
-    /// The table entry holding `id`, or the free entry ending its probe
-    /// run.
-    fn probe(&self, id: NodeId) -> usize {
-        let mask = self.table.len() - 1;
-        let mut i = self.hash.bucket(u64::from(id.0), self.table.len());
-        loop {
-            let (key, slot) = self.table[i];
-            if slot == FREE || key == id.0 {
-                return i;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
     /// The slot of `id` if it is interned.
+    #[inline]
     fn find(&self, id: NodeId) -> Option<u32> {
-        let slot = self.table[self.probe(id)].1;
-        (slot != FREE).then_some(slot)
+        self.index.get(id)
     }
 
     /// The slot of `id`, interning it on first sight.
+    #[inline]
     fn slot(&mut self, id: NodeId) -> u32 {
-        let i = self.probe(id);
-        match self.table[i].1 {
-            FREE => self.intern(i, id),
-            slot => slot,
+        match self.index.get(id) {
+            Some(slot) => slot,
+            None => self.intern(id),
         }
     }
 
-    /// Interns `id` into the free table entry `i`, in the smallest free
-    /// slot, doubling the table when it passes half full.
+    /// Interns `id` in the smallest free slot.
     #[cold]
-    fn intern(&mut self, i: usize, id: NodeId) -> u32 {
+    fn intern(&mut self, id: NodeId) -> u32 {
         let slot = match self.free.pop() {
             Some(Reverse(s)) => {
                 self.ids[s as usize] = id;
@@ -671,51 +649,10 @@ impl RoutingGraph {
             }
         };
         assert!(slot < SLOT, "slot numbers are below 2^30");
-        self.table[i] = (id.0, slot);
         let at = self.by_id.partition_point(|&t| self.ids[t as usize] < id);
         self.by_id.insert(at, slot);
-        if self.by_id.len() * 2 > self.table.len() {
-            self.rehash(self.table.len() * 2);
-        }
+        self.index.insert(id, slot, self.by_id.len());
         slot
-    }
-
-    /// Rebuilds the id table at `len` entries from the interned slots.
-    fn rehash(&mut self, len: usize) {
-        self.table.clear();
-        self.table.resize(len, (0, FREE));
-        for &s in &self.by_id {
-            let id = self.ids[s as usize];
-            let mut i = self.hash.bucket(u64::from(id.0), len);
-            while self.table[i].1 != FREE {
-                i = (i + 1) & (len - 1);
-            }
-            self.table[i] = (id.0, s);
-        }
-    }
-
-    /// Removes interned `id` from the table by backward-shift deletion
-    /// (Knuth's Algorithm R for linear probing): every later entry of the
-    /// probe run whose home bucket does not lie cyclically in `(hole, j]`
-    /// moves back into the hole, so each stays reachable from its home.
-    fn unmap(&mut self, id: NodeId) {
-        let len = self.table.len();
-        let mut hole = self.probe(id);
-        let mut j = hole;
-        loop {
-            j = (j + 1) & (len - 1);
-            let (key, slot) = self.table[j];
-            if slot == FREE {
-                break;
-            }
-            let home = self.hash.bucket(u64::from(key), len);
-            let stays = if hole <= j { hole < home && home <= j } else { hole < home || home <= j };
-            if !stays {
-                self.table[hole] = self.table[j];
-                hole = j;
-            }
-        }
-        self.table[hole] = (0, FREE);
     }
 }
 
@@ -1337,7 +1274,7 @@ mod tests {
         // Scratch holds the five ids met, not the largest id's worth.
         assert_eq!(graph.ids.len(), 5);
         assert_eq!(graph.reach.len(), 5);
-        assert_eq!(graph.table.len(), MIN_TABLE);
+        assert_eq!(graph.index.capacity(), MIN_TABLE);
     }
 
     #[test]
@@ -1355,11 +1292,11 @@ mod tests {
         topo.apply_tc(NodeId(1), 1, &wide, until, now());
         assert_eq!(run(&mut graph, 1, &sym, &mut two_hop, &mut topo).len(), 301);
         assert_eq!(graph.ids.len(), 302);
-        assert!(graph.table.len() >= 2 * graph.ids.len());
+        assert!(graph.index.capacity() >= 2 * graph.ids.len());
         topo.apply_tc(NodeId(1), 2, &[NodeId(2)], until, now());
         assert_eq!(run(&mut graph, 2, &sym, &mut two_hop, &mut topo).len(), 2);
         assert_eq!((graph.ids.len(), graph.by_id.len()), (3, 3), "slots of me, 1 and 2");
-        assert_eq!(graph.table.len(), MIN_TABLE);
+        assert_eq!(graph.index.capacity(), MIN_TABLE);
         assert!(graph.adj.len() < 8, "{} adjacency lists kept", graph.adj.len());
         topo.apply_tc(NodeId(1), 3, &wide, until, now());
         assert_eq!(run(&mut graph, 3, &sym, &mut two_hop, &mut topo).len(), 301);
@@ -1382,12 +1319,7 @@ mod tests {
         let mut table = RoutingTable::default();
         graph.run(&mut table, 1, &[NodeId(1)], &mut no2h(), &mut topo_multi(&[(1, &crafted)]));
         assert_eq!(table.len(), 2001);
-        let mut longest = 0;
-        let mut run = 0;
-        for &(_, slot) in graph.table.iter().chain(graph.table.iter()) {
-            run = if slot == FREE { 0 } else { run + 1 };
-            longest = longest.max(run);
-        }
+        let longest = graph.index.longest_run();
         assert!(longest < 200, "a probe run of {longest} entries");
     }
 

@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use trustlink_sim::record::Willingness;
 use trustlink_sim::{NodeId, SimTime};
 
-use crate::idhash::IdHash;
+use crate::idhash::{IdHash, IdSlots};
 use crate::types::SequenceNumber;
 
 /// One sensed link to a 1-hop neighbor (RFC 3626 §4.2.1).
@@ -672,7 +672,8 @@ struct TcRecord {
     /// lapsed.
     logged_set: Option<Box<[NodeId]>>,
     /// Validity of the latest TC heard: the reception state counts only
-    /// while `until > now`.
+    /// while `until > now`. Zero once a purge processed its lapse, or
+    /// before any TC was received.
     until: SimTime,
     /// When the latest TC arrived.
     heard: SimTime,
@@ -682,6 +683,10 @@ struct TcRecord {
 }
 
 impl TcRecord {
+    /// The tuples a record keeps room for once its slot is freed: a larger
+    /// buffer, left by an originator that advertised many, goes with it.
+    const KEPT: usize = 16;
+
     fn dests(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.tuples.iter().map(|t| t.dest)
     }
@@ -785,6 +790,66 @@ impl TcRecord {
         }
         changed
     }
+
+    /// The earliest instant a purge has work on this record: a stored
+    /// tuple's expiry, or the reception state's until a purge processed
+    /// its lapse. A record holding neither is due at once, to be freed.
+    fn next_expiry(&self) -> SimTime {
+        let state = match self.until {
+            SimTime::ZERO if self.tuples.is_empty() => SimTime::ZERO,
+            SimTime::ZERO => SimTime::MAX,
+            until => until,
+        };
+        self.tuples.iter().fold(state, |next, t| next.min(t.until))
+    }
+
+    /// Drops the tuples expired at `now`, recording each in `pairs`, and
+    /// processes a lapsed reception state: its clock goes to `on_lapse`
+    /// unless the log reported it, and its logged set is forgotten.
+    /// Returns `true` when a tuple was dropped.
+    fn purge(
+        &mut self,
+        originator: NodeId,
+        now: SimTime,
+        on_lapse: &mut impl FnMut(NodeId, SimTime),
+        pairs: &mut PairLog,
+    ) -> bool {
+        let state_live = self.until > now;
+        let mut dropped = false;
+        if self.tuples.iter().any(|t| t.until <= now) {
+            if state_live && self.logged_set.is_none() {
+                self.logged_set = Some(self.dests().collect());
+            }
+            self.tuples.retain(|t| {
+                let live = t.until > now;
+                if !live {
+                    pairs.record(originator, t.dest, false);
+                }
+                live
+            });
+            dropped = true;
+        }
+        if !state_live {
+            if self.heard > self.logged {
+                on_lapse(originator, self.heard);
+                self.logged = self.heard;
+            }
+            self.logged_set = None;
+            self.until = SimTime::ZERO;
+        }
+        dropped
+    }
+
+    /// Empties a record whose slot is freed, keeping a small tuple buffer
+    /// for the next originator the slot takes.
+    fn clear(&mut self) {
+        let mut tuples = std::mem::take(&mut self.tuples);
+        tuples.clear();
+        if tuples.capacity() > Self::KEPT {
+            tuples = Vec::new();
+        }
+        *self = TcRecord { tuples, ..TcRecord::default() };
+    }
 }
 
 /// `ids` as an exactly sized boxed slice, in one allocation (collecting
@@ -807,28 +872,100 @@ pub struct TcReceipt {
 /// The topology set built from received TCs: one record per originator
 /// (`last_hop`) holding its tuples, sorted by destination, and the
 /// reception state of its TCs that keeps a repeated TC out of the audit
-/// log. A TC is decided through one lookup of its originator's record
-/// ([`receive_tc`](Self::receive_tc)). Iteration and purges follow
-/// ascending `(last_hop, dest)` order, exactly as a pair-keyed map would.
+/// log.
+///
+/// The records live in a slot arena sized by the originators held, never
+/// by id value. A slot is freed once its record holds neither tuples nor
+/// a reception state, and the next new originator reuses it. Beside the
+/// records the set keeps
+///
+/// - an id→slot index hashed with a random key ([`IdHash`]): a TC
+///   ([`receive_tc`](Self::receive_tc)), an ANSN check or a clock read
+///   makes one probe;
+/// - every occupied slot with its originator, ascending by originator:
+///   iteration and purges follow ascending `(last_hop, dest)` order,
+///   exactly as a pair-keyed map would;
+/// - a dense column of each slot's next expiry: a purge reads it and
+///   touches only the records that are due.
 #[derive(Debug, Clone, Default)]
 pub struct TopologySet {
-    records: BTreeMap<NodeId, TcRecord>,
+    /// Originator → slot.
+    index: IdSlots,
+    /// Records by slot; a free slot's is empty.
+    records: Vec<TcRecord>,
+    /// Per slot, the earliest instant a purge has work on its record
+    /// ([`TcRecord::next_expiry`]); [`SimTime::MAX`] for a free slot.
+    expires: Vec<SimTime>,
+    /// Every occupied slot and its originator, ascending by originator.
+    order: Vec<(NodeId, u32)>,
+    /// Free slots, the last freed on top; room for every slot.
+    free: Vec<u32>,
     /// Stored tuples over all records, and their changes for a routing
     /// graph.
     pub(crate) pairs: PairLog,
-    /// Lower bound on the earliest tuple expiry and reception-state
-    /// validity.
+    /// Lower bound on the earliest slot expiry.
     min_expiry: MinExpiry,
 }
 
 impl TopologySet {
+    /// The slot of `originator`'s record, if it has one.
+    #[inline]
+    fn find(&self, originator: NodeId) -> Option<usize> {
+        self.index.get(originator).map(|slot| slot as usize)
+    }
+
+    /// The slot of `originator`'s record, made on first sight.
+    #[inline]
+    fn slot(&mut self, originator: NodeId) -> usize {
+        match self.find(originator) {
+            Some(slot) => slot,
+            None => self.add(originator),
+        }
+    }
+
+    /// Gives `originator`, which has no record, an empty one: in the last
+    /// freed slot, or in a new one.
+    #[cold]
+    fn add(&mut self, originator: NodeId) -> usize {
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                if self.records.len() == self.records.capacity() {
+                    // Half again, not double: the spare room stays under
+                    // half the originators held. The free list gets room
+                    // for every slot, so a purge never allocates.
+                    let more = self.records.len() / 2 + 4;
+                    self.records.reserve_exact(more);
+                    self.expires.reserve_exact(more);
+                    self.order.reserve_exact(more);
+                    self.free.reserve_exact(self.records.capacity());
+                }
+                self.records.push(TcRecord::default());
+                self.expires.push(SimTime::MAX);
+                u32::try_from(self.records.len() - 1).expect("fewer than 2^32 originators")
+            }
+        };
+        self.index.insert(originator, slot, self.order.len() + 1);
+        let at = self.order.partition_point(|&(id, _)| id < originator);
+        self.order.insert(at, (originator, slot));
+        slot as usize
+    }
+
+    /// Sets slot `slot`'s next expiry from its record.
+    #[inline]
+    fn reschedule(&mut self, slot: usize) {
+        let next = self.records[slot].next_expiry();
+        self.expires[slot] = next;
+        self.min_expiry.cover(next);
+    }
+
     /// Latest ANSN recorded for `last_hop` among tuples still live at
     /// `now`. Expired leftovers carry no authority: an originator whose
     /// entire advertisement has timed out is treated as never heard from,
     /// exactly as if the leftovers had already been garbage-collected —
     /// this keeps the ANSN staleness check independent of purge timing.
     pub fn ansn_of(&self, last_hop: NodeId, now: SimTime) -> Option<u16> {
-        self.records.get(&last_hop)?.live_ansn(now)
+        self.records[self.find(last_hop)?].live_ansn(now)
     }
 
     /// Applies a TC from `last_hop` carrying `ansn` and `dests`
@@ -845,20 +982,23 @@ impl TopologySet {
         until: SimTime,
         now: SimTime,
     ) -> bool {
-        self.min_expiry.cover(until);
-        let record = self.records.entry(last_hop).or_default();
+        let slot = self.slot(last_hop);
+        let record = &mut self.records[slot];
         if record.logged_set.is_none() && record.until > now {
             // The tuples are about to move: store the logged set they
             // stand for.
             record.logged_set = Some(record.dests().collect());
         }
-        record.apply(last_hop, ansn, dests.iter().copied(), until, now, &mut self.pairs)
+        let changed =
+            record.apply(last_hop, ansn, dests.iter().copied(), until, now, &mut self.pairs);
+        self.reschedule(slot);
+        changed
     }
 
     /// Receives a TC (one not already in the duplicate set) from
     /// `originator` carrying `ansn` and `advertised` in wire order, valid
     /// until `until`, relayed by a sender whose link is live at `now` or
-    /// not (`sender_live`). One lookup of the originator's record decides
+    /// not (`sender_live`). One probe for the originator's record decides
     /// both what the TC tells the audit log and what it does to the
     /// topology:
     ///
@@ -885,10 +1025,10 @@ impl TopologySet {
     where
         I: Iterator<Item = NodeId> + Clone,
     {
-        self.min_expiry.cover(until);
         // A new record's reception state starts lapsed, so its first TC
         // is logged in full.
-        let record = self.records.entry(originator).or_default();
+        let slot = self.slot(originator);
+        let record = &mut self.records[slot];
         let state_live = record.until > now && sender_live;
         let (repeat, changed) = if record.is_pure_refresh(ansn, advertised.clone(), now) {
             let repeat = state_live
@@ -918,6 +1058,7 @@ impl TopologySet {
         if !repeat {
             record.logged = now;
         }
+        self.reschedule(slot);
         TcReceipt { log: !repeat, changed }
     }
 
@@ -926,7 +1067,8 @@ impl TopologySet {
     /// IDS's TC-silence check reads the clocks of a node's current MPRs.
     #[inline]
     pub fn take_heard(&mut self, originator: NodeId) -> Option<SimTime> {
-        let record = self.records.get_mut(&originator)?;
+        let slot = self.find(originator)?;
+        let record = &mut self.records[slot];
         (record.heard > record.logged).then(|| {
             record.logged = record.heard;
             record.heard
@@ -935,7 +1077,30 @@ impl TopologySet {
 
     /// All live tuples at `now`, ascending by `(last_hop, dest)`.
     pub fn iter(&self, now: SimTime) -> impl Iterator<Item = &TopologyTuple> {
-        self.records.values().flat_map(|r| &r.tuples).filter(move |t| t.until > now)
+        self.stored().filter(move |t| t.until > now)
+    }
+
+    /// Every stored tuple, live or not, ascending by `(last_hop, dest)`.
+    fn stored(&self) -> impl Iterator<Item = &TopologyTuple> {
+        self.order.iter().flat_map(|&(_, slot)| &self.records[slot as usize].tuples)
+    }
+
+    /// `true` when a tuple live at `now` names `node`: as its originator,
+    /// or as a destination some originator other than `except` advertises.
+    /// An order-free query: one probe for `node`'s own record, then one
+    /// search per record, in slot order.
+    pub fn mentions(&self, node: NodeId, except: NodeId, now: SimTime) -> bool {
+        if self.find(node).is_some_and(|slot| self.records[slot].live_ansn(now).is_some()) {
+            return true;
+        }
+        let skipped = self.find(except);
+        self.records.iter().enumerate().any(|(slot, record)| {
+            Some(slot) != skipped
+                && record
+                    .tuples
+                    .binary_search_by_key(&node, |t| t.dest)
+                    .is_ok_and(|i| record.tuples[i].until > now)
+        })
     }
 
     /// Drops expired tuples, lapsed reception states and records left with
@@ -944,7 +1109,9 @@ impl TopologySet {
     /// `on_lapse(originator, heard)` first, ascending by originator.
     /// Min-expiry gated: free while nothing can have expired — the gate
     /// that turns the former per-reception O(topology) sweep into an
-    /// occasional one.
+    /// occasional one. A purge past the gate walks the slots in originator
+    /// order but reads only their expiries, touching only the records
+    /// that are due.
     pub fn purge_reporting(
         &mut self,
         now: SimTime,
@@ -954,36 +1121,26 @@ impl TopologySet {
             return false;
         }
         self.min_expiry.reset();
-        let (min_expiry, pairs) = (&mut self.min_expiry, &mut self.pairs);
+        let TopologySet { index, records, expires, order, free, pairs, min_expiry } = self;
         let mut dropped = false;
-        self.records.retain(|&originator, record| {
-            let state_live = record.until > now;
-            if record.tuples.iter().any(|t| t.until <= now) {
-                if state_live && record.logged_set.is_none() {
-                    record.logged_set = Some(record.dests().collect());
-                }
-                record.tuples.retain(|t| {
-                    let live = t.until > now;
-                    if !live {
-                        pairs.record(originator, t.dest, false);
-                    }
-                    live
-                });
-                dropped = true;
+        order.retain(|&(originator, slot)| {
+            let s = slot as usize;
+            if expires[s] > now {
+                min_expiry.cover(expires[s]);
+                return true;
             }
-            for t in &record.tuples {
-                min_expiry.cover(t.until);
+            let record = &mut records[s];
+            dropped |= record.purge(originator, now, &mut on_lapse, pairs);
+            if record.until == SimTime::ZERO && record.tuples.is_empty() {
+                record.clear();
+                expires[s] = SimTime::MAX;
+                index.remove(originator);
+                free.push(slot);
+                return false;
             }
-            if state_live {
-                min_expiry.cover(record.until);
-            } else {
-                if record.heard > record.logged {
-                    on_lapse(originator, record.heard);
-                    record.logged = record.heard;
-                }
-                record.logged_set = None;
-            }
-            state_live || !record.tuples.is_empty()
+            expires[s] = record.next_expiry();
+            min_expiry.cover(expires[s]);
+            true
         });
         dropped
     }
@@ -996,7 +1153,7 @@ impl TopologySet {
 
     /// Every stored tuple as `(last_hop, dest)`, live or not, ascending.
     pub(crate) fn stored_pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.records.values().flat_map(|r| &r.tuples).map(|t| (t.last_hop, t.dest))
+        self.stored().map(|t| (t.last_hop, t.dest))
     }
 
     /// Number of stored tuples.
@@ -1512,10 +1669,97 @@ mod tests {
         set.apply_tc(NodeId(6), 1, &[NodeId(2)], t(50), t(0));
         assert!(set.purge(t(10)));
         assert_eq!(set.len(), 1);
-        let left: Vec<(NodeId, NodeId)> =
-            set.records.values().flat_map(|r| &r.tuples).map(|t| (t.last_hop, t.dest)).collect();
+        let left: Vec<(NodeId, NodeId)> = set.stored_pairs().collect();
         assert_eq!(left, vec![(NodeId(6), NodeId(2))]);
         assert!(!set.purge(t(10)), "nothing left to drop");
+    }
+
+    #[test]
+    fn topology_arena_reuses_the_slots_of_lapsed_originators() {
+        // Ten rounds of 50 originators with ids far apart, each round
+        // heard once and lapsed before the next: the arena holds one
+        // round's worth of slots, whatever the ids.
+        let mut set = TopologySet::default();
+        let hold = SimDuration::from_secs(5);
+        for round in 0..10u32 {
+            let now = t(u64::from(round) * 10);
+            set.purge(now);
+            for k in 0..50u32 {
+                let id = NodeId(round * 100_000_000 + k * 7);
+                set.receive_tc(id, 1, [NodeId(1), id].into_iter(), true, now + hold, now);
+            }
+            assert_eq!((set.order.len(), set.len()), (50, 100));
+            assert_eq!((set.records.len(), set.expires.len()), (50, 50), "round {round}");
+        }
+        assert!(set.purge(t(100)));
+        assert!(set.is_empty());
+        assert_eq!((set.order.len(), set.free.len()), (0, 50));
+        assert!((0..50).all(|k| set.index.get(NodeId(900_000_000 + k * 7)).is_none()));
+        assert!(set.expires.iter().all(|&e| e == SimTime::MAX));
+    }
+
+    #[test]
+    fn topology_purge_reports_lapses_by_originator_not_by_slot() {
+        // Originators heard in descending id order take ascending slots;
+        // their clocks lapse together and are reported ascending by id.
+        let mut set = TopologySet::default();
+        for (k, id) in [9u32, 0x1_0000, 3, u32::MAX, 0xFFFF].into_iter().enumerate() {
+            let now = SimTime::from_millis(k as u64);
+            set.receive_tc(NodeId(id), 1, [NodeId(1)].into_iter(), true, t(5), now);
+            set.receive_tc(
+                NodeId(id),
+                1,
+                [NodeId(1)].into_iter(),
+                true,
+                t(6),
+                now + SimDuration::from_millis(1),
+            );
+        }
+        let mut lapsed = Vec::new();
+        assert!(!set.purge_reporting(t(5), |o, _| lapsed.push(o.0)), "no tuple expired yet");
+        assert!(lapsed.is_empty());
+        assert!(set.purge_reporting(t(6), |o, _| lapsed.push(o.0)));
+        assert_eq!(lapsed, [3, 9, 0xFFFF, 0x1_0000, u32::MAX]);
+        assert!(set.is_empty());
+    }
+
+    #[test]
+    fn max_id_originator_costs_one_slot() {
+        // A TC from the largest id, naming it: a set sized by id value
+        // would abort on it.
+        let far = NodeId(u32::MAX);
+        let mut set = TopologySet::default();
+        assert!(set.apply_tc(far, 1, &[NodeId(3), far], t(30), t(0)));
+        assert!(set.apply_tc(NodeId(2), 1, &[far], t(30), t(0)));
+        assert_eq!((set.records.len(), set.expires.len(), set.order.len()), (2, 2, 2));
+        assert_eq!(set.index.capacity(), 8, "the smallest index");
+        assert_eq!(set.ansn_of(far, t(0)), Some(1));
+        assert!(set.mentions(far, NodeId(2), t(0)), "far originates tuples");
+        assert!(set.mentions(NodeId(3), NodeId(2), t(0)));
+        assert!(!set.mentions(NodeId(3), far, t(0)), "only far advertises N3");
+        let pairs: Vec<_> = set.stored_pairs().collect();
+        assert_eq!(pairs, [(NodeId(2), far), (far, NodeId(3)), (far, far)]);
+    }
+
+    #[test]
+    fn crafted_originators_do_not_share_one_probe_run() {
+        // 2000 originators whose ids all land in bucket 0 under the fixed
+        // Fibonacci multiplier (id * 0x9E3779B9 < 2^16 for every table of
+        // at most 2^16 entries). The keyed hash spreads them like any
+        // others.
+        const FIB: u32 = 0x9E37_79B9;
+        let mut inv = FIB;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u32.wrapping_sub(FIB.wrapping_mul(inv)));
+        }
+        assert_eq!(FIB.wrapping_mul(inv), 1);
+        let mut set = TopologySet::default();
+        for j in 1..=2000u32 {
+            set.apply_tc(NodeId(j.wrapping_mul(inv)), 1, &[NodeId(0)], t(30), t(0));
+        }
+        assert_eq!((set.len(), set.order.len()), (2000, 2000));
+        let longest = set.index.longest_run();
+        assert!(longest < 200, "a probe run of {longest} entries");
     }
 
     #[test]

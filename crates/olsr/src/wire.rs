@@ -13,17 +13,17 @@
 //! so forged packets from attack nodes can be thrown at the parser safely.
 //!
 //! Receivers read messages in place: [`PacketView::parse`] validates a
-//! frame once, and [`HelloView`] and [`TcView`] read a body straight off
-//! the validated bytes. Each body kind has that one reader; the owned
-//! [`Message`] types are built from it ([`materialize_message`]) only
-//! where something needs to own or change a message. A relay keeps the
+//! frame once, and [`HelloView`], [`TcView`] and [`DataView`] read a body
+//! straight off the validated bytes. Each body kind has that one reader;
+//! the owned [`Message`] types are built from it ([`materialize_message`])
+//! only where something needs to own or change a message. A relay keeps the
 //! received bytes: [`relay_message_into`] copies the message behind a new
 //! packet header and changes only TTL and hop count, as RFC 3626 §3.4.1
 //! retransmits it. A modify-and-forward hook decodes the message on
 //! demand ([`Relay::message_mut`](crate::hooks::Relay::message_mut)), and
 //! only then is the relay re-encoded.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
 use trustlink_sim::record::Willingness;
 use trustlink_sim::NodeId;
 
@@ -79,32 +79,31 @@ fn put_avoid(buf: &mut Vec<u8>, avoid: Option<NodeId>) {
     }
 }
 
-fn get_avoid(bytes: &mut Bytes) -> Result<Option<NodeId>, WireError> {
-    if bytes.remaining() < 2 {
-        return Err(WireError::Truncated);
-    }
-    match bytes.get_u16() {
-        NO_AVOID => Ok(None),
-        AVOID_ESCAPE => {
-            if bytes.remaining() < 4 {
-                return Err(WireError::Truncated);
-            }
-            Ok(Some(NodeId(bytes.get_u32())))
-        }
-        v => Ok(Some(NodeId(u32::from(v)))),
-    }
-}
-
-#[inline]
-fn get_addr(bytes: &mut Bytes) -> Result<NodeId, WireError> {
-    NodeId::get(bytes).ok_or(WireError::Truncated)
-}
-
 /// Walks one escape-encoded address in a raw slice during structural
 /// validation; `None` when the slice ends inside the address.
 #[inline]
 fn skip_addr(buf: &[u8], off: usize) -> Option<usize> {
     NodeId::read_at(buf, off).map(|(_, n)| off + n)
+}
+
+/// A message the wire format cannot carry: one of its 16-bit length
+/// fields (a HELLO link group's, the message's, the packet's or a data
+/// payload's) would overflow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Oversize;
+
+impl std::fmt::Display for Oversize {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "a length field overflows its 16 bits")
+    }
+}
+
+impl std::error::Error for Oversize {}
+
+/// `len` as a 16-bit length field.
+#[inline]
+fn len16(len: usize) -> Result<u16, Oversize> {
+    u16::try_from(len).map_err(|_| Oversize)
 }
 
 const MSG_HELLO: u8 = 1;
@@ -115,9 +114,10 @@ const MSG_DATA: u8 = 200;
 ///
 /// # Panics
 ///
-/// Panics if a data payload exceeds `u16::MAX` bytes or a message would
-/// overflow the 16-bit size field (neither occurs with protocol-generated
-/// traffic).
+/// Panics when the packet is [`Oversize`]: a data payload, a HELLO link
+/// group, a message or the packet passes `u16::MAX` bytes (none does with
+/// protocol-generated traffic). A node sends through
+/// [`try_encode_messages_into`], which reports it instead.
 pub fn encode_packet(packet: &Packet) -> Bytes {
     let mut scratch = Vec::with_capacity(64);
     encode_packet_into(packet, &mut scratch)
@@ -153,18 +153,36 @@ pub fn encode_messages_into(
     messages: &[Message],
     scratch: &mut Vec<u8>,
 ) -> Bytes {
+    try_encode_messages_into(seq, messages, scratch).expect("an encodable packet")
+}
+
+/// [`encode_messages_into`] for messages the wire may not carry: an
+/// [`Oversize`] packet is an error, not a panic. A hook can grow a
+/// message a node originates past what the length fields hold, and the
+/// node then drops the message instead of aborting the simulation.
+///
+/// # Errors
+///
+/// [`Oversize`] when a data payload, a HELLO link group, a message or the
+/// packet passes `u16::MAX` bytes; `scratch` then holds a partial
+/// encoding.
+pub fn try_encode_messages_into(
+    seq: SequenceNumber,
+    messages: &[Message],
+    scratch: &mut Vec<u8>,
+) -> Result<Bytes, Oversize> {
     scratch.clear();
     scratch.put_u16(0); // length placeholder
     scratch.put_u16(seq.0);
     for msg in messages {
-        encode_message(scratch, msg);
+        encode_message(scratch, msg)?;
     }
-    let len = u16::try_from(scratch.len()).expect("packet too large");
+    let len = len16(scratch.len())?;
     scratch[0..2].copy_from_slice(&len.to_be_bytes());
-    Bytes::copy_from_slice(scratch)
+    Ok(Bytes::copy_from_slice(scratch))
 }
 
-fn encode_message(buf: &mut Vec<u8>, msg: &Message) {
+fn encode_message(buf: &mut Vec<u8>, msg: &Message) -> Result<(), Oversize> {
     let start = buf.len();
     buf.put_u8(msg.body.type_byte());
     buf.put_u8(encode_vtime(msg.vtime));
@@ -174,22 +192,22 @@ fn encode_message(buf: &mut Vec<u8>, msg: &Message) {
     buf.put_u8(msg.hop_count);
     buf.put_u16(msg.seq.0);
     match &msg.body {
-        MessageBody::Hello(h) => encode_hello(buf, h),
+        MessageBody::Hello(h) => encode_hello(buf, h)?,
         MessageBody::Tc(t) => encode_tc(buf, t),
         MessageBody::Data(d) => {
             d.src.put(buf);
             d.dst.put(buf);
             put_avoid(buf, d.avoid);
-            let plen = u16::try_from(d.payload.len()).expect("payload too large");
-            buf.put_u16(plen);
+            buf.put_u16(len16(d.payload.len())?);
             buf.put_slice(&d.payload);
         }
     }
-    let size = u16::try_from(buf.len() - start).expect("message too large");
+    let size = len16(buf.len() - start)?;
     buf[start + 2..start + 4].copy_from_slice(&size.to_be_bytes());
+    Ok(())
 }
 
-fn encode_hello(buf: &mut Vec<u8>, h: &HelloMessage) {
+fn encode_hello(buf: &mut Vec<u8>, h: &HelloMessage) -> Result<(), Oversize> {
     buf.put_u16(0); // reserved
     buf.put_u8(0); // htime (unused by receivers here)
     buf.put_u8(h.willingness.to_wire());
@@ -197,12 +215,12 @@ fn encode_hello(buf: &mut Vec<u8>, h: &HelloMessage) {
         buf.put_u8(group.code.to_wire());
         buf.put_u8(0); // reserved
         let addr_bytes: usize = group.addrs.iter().map(|a| a.wire_len()).sum();
-        let size = u16::try_from(4 + addr_bytes).expect("group too large");
-        buf.put_u16(size);
+        buf.put_u16(len16(4 + addr_bytes)?);
         for a in &group.addrs {
             a.put(buf);
         }
     }
+    Ok(())
 }
 
 fn encode_tc(buf: &mut Vec<u8>, t: &TcMessage) {
@@ -237,25 +255,11 @@ fn decode_tc(tc: &TcView<'_>) -> TcMessage {
     TcMessage { ansn: tc.ansn, advertised: tc.advertised.to_vec() }
 }
 
-fn decode_data(bytes: &mut Bytes) -> Result<DataMessage, WireError> {
-    if bytes.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    let src = get_addr(bytes)?;
-    let dst = get_addr(bytes)?;
-    let avoid = get_avoid(bytes)?;
-    if bytes.remaining() < 2 {
-        return Err(WireError::Truncated);
-    }
-    let plen = bytes.get_u16() as usize;
-    if bytes.remaining() < plen {
-        return Err(WireError::Truncated);
-    }
-    let payload = bytes.split_to(plen);
-    if bytes.has_remaining() {
-        return Err(WireError::BadLength);
-    }
-    Ok(DataMessage { src, dst, avoid, payload })
+/// The data message behind `view`, its payload sharing `frame`'s storage.
+fn decode_data(frame: &Bytes, view: &MessageView) -> DataMessage {
+    let data = view.data(frame).expect("a data view");
+    let payload = view.data_payload(frame, &data);
+    DataMessage { src: data.src, dst: data.dst, avoid: data.avoid, payload }
 }
 
 /// The message discriminant of a [`MessageView`], known from one header
@@ -327,6 +331,56 @@ impl MessageView {
         // Reserved (2 bytes) and htime (1) are unused by receivers here.
         Some(HelloView { willingness: Willingness::from_wire(body[3]), groups: &body[4..] })
     }
+
+    /// The data body behind this view, read in place from `frame`: its
+    /// source, destination, avoided node and payload, without
+    /// materializing the message. `None` when the message is not data.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`MessageView::tc`].
+    #[inline]
+    pub fn data<'a>(&self, frame: &'a [u8]) -> Option<DataView<'a>> {
+        if self.kind != MessageType::Data {
+            return None;
+        }
+        let body = &frame[self.body.0..self.body.1];
+        let read = |off| NodeId::read_at(body, off).expect("data body validated by PacketView");
+        let (src, n) = read(0);
+        let (dst, m) = read(n);
+        let mut off = n + m;
+        let avoid = match be16(body, off) {
+            NO_AVOID => None,
+            AVOID_ESCAPE => {
+                off += 4;
+                Some(NodeId((u32::from(be16(body, off - 2)) << 16) | u32::from(be16(body, off))))
+            }
+            v => Some(NodeId(u32::from(v))),
+        };
+        // The avoid field, the payload length (validated to match) and the
+        // payload.
+        Some(DataView { src, dst, avoid, payload: &body[off + 4..] })
+    }
+
+    /// The payload of `data`, the data body behind this view, as a slice
+    /// of `frame` sharing its storage.
+    #[inline]
+    pub(crate) fn data_payload(&self, frame: &Bytes, data: &DataView<'_>) -> Bytes {
+        frame.slice(self.body.1 - data.payload.len()..self.body.1)
+    }
+}
+
+/// A data body read in place from a validated frame ([`MessageView::data`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DataView<'a> {
+    /// The node that sent the data.
+    pub src: NodeId,
+    /// The final destination.
+    pub dst: NodeId,
+    /// The node every hop routes around, if any.
+    pub avoid: Option<NodeId>,
+    /// The payload.
+    pub payload: &'a [u8],
 }
 
 /// A HELLO body read in place from a validated frame ([`MessageView::hello`]).
@@ -571,7 +625,7 @@ fn validate_addr_run(body: &[u8], from: usize, to: usize) -> Result<(), WireErro
     Ok(())
 }
 
-/// Validates a data-message body, mirroring [`decode_data`].
+/// Validates a data-message body, as [`MessageView::data`] reads it.
 fn validate_data(body: &[u8]) -> Result<(), WireError> {
     if body.len() < 8 {
         return Err(WireError::Truncated);
@@ -661,10 +715,7 @@ pub fn materialize_message(frame: &Bytes, view: &MessageView) -> Message {
             MessageBody::Hello(decode_hello(&view.hello(frame).expect("a HELLO view")))
         }
         MessageType::Tc => MessageBody::Tc(decode_tc(&view.tc(frame).expect("a TC view"))),
-        MessageType::Data => {
-            let mut body = frame.slice(view.body.0..view.body.1);
-            MessageBody::Data(decode_data(&mut body).expect("body validated by PacketView::parse"))
-        }
+        MessageType::Data => MessageBody::Data(decode_data(frame, view)),
     };
     Message {
         vtime: view.vtime,

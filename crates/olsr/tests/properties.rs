@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use trustlink_olsr::hooks::Relay;
 use trustlink_olsr::message::{
@@ -582,6 +583,30 @@ fn topo_live(set: &TopologySet, now: SimTime) -> Vec<(NodeId, NodeId, u16, SimTi
     set.iter(now).map(|t| (t.last_hop, t.dest, t.ansn, t.until)).collect()
 }
 
+/// The ids the topology oracles draw originators and destinations from:
+/// both sides of the wire's 0xFFFF escape, and the largest id.
+const TOPO_IDS: [u32; 8] = [0, 1, 2, 0xFFFE, 0xFFFF, 0x1_0000, 0x1234_5678, u32::MAX];
+
+fn topo_id(i: u32) -> NodeId {
+    NodeId(TOPO_IDS[i as usize])
+}
+
+/// Checks [`TopologySet::mentions`] for every pair of oracle ids against
+/// the scan over the live tuples it replaced.
+fn check_mentions(
+    set: &TopologySet,
+    live: &[(NodeId, NodeId, u16, SimTime)],
+    now: SimTime,
+) -> Result<(), TestCaseError> {
+    for node in TOPO_IDS.map(NodeId) {
+        for except in TOPO_IDS.map(NodeId) {
+            let want = live.iter().any(|&(lh, d, ..)| (d == node && lh != except) || lh == node);
+            prop_assert_eq!(set.mentions(node, except, now), want, "{} except {}", node, except);
+        }
+    }
+    Ok(())
+}
+
 /// A TC-related audit-log line: `TC_RX` (originator, ANSN, advertised set
 /// in wire order) or `TC_HEARD` (originator, reception time).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -684,8 +709,11 @@ fn flush_records(
 /// One step of a TC stream at one receiver: `kind` picks a fresh TC
 /// (0..3), a repeat of the originator's last one (3..6), that one
 /// reversed (6), with its first id doubled (7) or one ANSN older (8..10),
-/// or a flush (10..13) with the MPR set `mprs` (a bit mask over ids 0..4).
-/// Senders are live three times in four.
+/// or a flush (10..13) with the MPR set `mprs` (a bit mask over
+/// [`TOPO_IDS`]). Originators and advertised ids index [`TOPO_IDS`]; six
+/// originators heard a few seconds apart lapse and return, so the set
+/// frees record slots and reuses them. Senders are live three times in
+/// four.
 #[derive(Debug, Clone)]
 struct TcStep {
     dt_ms: u64,
@@ -703,12 +731,12 @@ fn tc_steps() -> impl Strategy<Value = Vec<TcStep>> {
     let step = (
         0u64..2_500,
         0u8..13,
-        0u32..3,
+        0u32..6,
         (0u16..4, any::<bool>()),
-        proptest::collection::vec(0u32..6, 0..5),
+        proptest::collection::vec(0u32..8, 0..5),
         0u8..4,
         1u64..8,
-        0u8..16,
+        any::<u8>(),
     )
         .prop_map(|(dt_ms, kind, orig, (ansn, wrap), advertised, live, vtime_s, mprs)| TcStep {
             dt_ms,
@@ -1000,32 +1028,38 @@ proptest! {
     #[test]
     fn apply_tc_matches_whole_map_retain(
         tcs in proptest::collection::vec(
-            (0u32..5, 0u16..6, any::<bool>(), proptest::collection::vec(0u32..10, 0..5), 1u64..8, 0u64..3, any::<bool>()),
+            (0u32..6, 0u16..6, any::<bool>(), proptest::collection::vec(0u32..8, 0..5), 1u64..8, 0u64..3, any::<bool>()),
             0..60,
         ),
     ) {
         // ANSNs near 0, or near the wrap when the flag is set; `dt` advances
-        // the clock so tuples expire between TCs; a purge now and then.
+        // the clock so tuples expire between TCs; a purge now and then
+        // frees the records of originators whose tuples all expired, and
+        // later originators reuse their slots. Ids index `TOPO_IDS`.
         let mut set = TopologySet::default();
         let mut model = TopoModel::default();
         let mut now = SimTime::ZERO;
         for (step, (lh, ansn, wrap, dests, hold, dt, purge)) in tcs.into_iter().enumerate() {
             now += SimDuration::from_secs(dt);
             let ansn = if wrap { ansn.wrapping_sub(3) } else { ansn };
-            let dests: Vec<NodeId> = dests.into_iter().map(NodeId).collect();
+            let dests: Vec<NodeId> = dests.into_iter().map(topo_id).collect();
             let until = now + SimDuration::from_secs(hold);
-            let got = set.apply_tc(NodeId(lh), ansn, &dests, until, now);
-            let want = model.apply_tc(NodeId(lh), ansn, &dests, until, now);
+            let got = set.apply_tc(topo_id(lh), ansn, &dests, until, now);
+            let want = model.apply_tc(topo_id(lh), ansn, &dests, until, now);
             prop_assert_eq!(got, want, "changed flag at step {}", step);
             prop_assert_eq!(set.len(), model.0.len(), "stored tuples at step {}", step);
-            prop_assert_eq!(topo_live(&set, now), model.live(now), "step {}", step);
-            for o in 0..5 {
-                let want = model.live(now).iter().find(|t| t.0 == NodeId(o)).map(|t| t.2);
-                prop_assert_eq!(set.ansn_of(NodeId(o), now), want);
+            let live = model.live(now);
+            prop_assert_eq!(topo_live(&set, now), live.clone(), "step {}", step);
+            for o in TOPO_IDS.map(NodeId) {
+                let want = live.iter().find(|t| t.0 == o).map(|t| t.2);
+                prop_assert_eq!(set.ansn_of(o, now), want);
             }
+            check_mentions(&set, &live, now)?;
             if purge {
-                set.purge(now);
+                let stored = model.0.len();
                 model.0.retain(|_, &mut (_, u)| u > now);
+                prop_assert_eq!(set.purge(now), model.0.len() != stored, "purge at step {}", step);
+                prop_assert_eq!(set.len(), model.0.len());
             }
         }
     }
@@ -1046,14 +1080,14 @@ proptest! {
             now += SimDuration::from_millis(step.dt_ms);
             if step.kind >= 10 {
                 let mprs: Vec<NodeId> =
-                    (0..4).filter(|b| step.mprs & (1 << b) != 0).map(NodeId).collect();
+                    (0..8).filter(|b| step.mprs & (1 << b) != 0).map(topo_id).collect();
                 let got = flush_records(&mut set, &mprs, now, &mut got_log);
                 let want = model.flush(&mprs, now, &mut want_log);
                 prop_assert_eq!(got, want, "purge result at step {}", i);
             } else {
                 let fresh = || {
                     let ansn = if step.wrap { step.ansn.wrapping_sub(2) } else { step.ansn };
-                    (ansn, step.advertised.iter().copied().map(NodeId).collect::<Vec<_>>())
+                    (ansn, step.advertised.iter().copied().map(topo_id).collect::<Vec<_>>())
                 };
                 let (ansn, advertised) = match (step.kind, last.get(&step.orig)) {
                     (3..=5, Some(prev)) => prev.clone(),
@@ -1065,7 +1099,7 @@ proptest! {
                     _ => fresh(),
                 };
                 last.insert(step.orig, (ansn, advertised.clone()));
-                let orig = NodeId(step.orig);
+                let orig = topo_id(step.orig);
                 let until = now + SimDuration::from_secs(step.vtime_s);
                 let receipt = set.receive_tc(
                     orig,
@@ -1089,13 +1123,17 @@ proptest! {
                 );
                 prop_assert_eq!(receipt.changed, want, "changed flag at step {}", i);
             }
+            // The log holds the `TC_HEARD` lines of lapsing states in the
+            // order the purge reported them: ascending by originator.
             prop_assert_eq!(&got_log, &want_log, "log lines after step {}", i);
-            prop_assert_eq!(topo_live(&set, now), model.topo.live(now), "step {}", i);
+            let live = model.topo.live(now);
+            prop_assert_eq!(topo_live(&set, now), live.clone(), "step {}", i);
             prop_assert_eq!(set.len(), model.topo.0.len(), "stored tuples at step {}", i);
-            for o in 0..4 {
-                let want = model.topo.live(now).iter().find(|t| t.0 == NodeId(o)).map(|t| t.2);
-                prop_assert_eq!(set.ansn_of(NodeId(o), now), want, "step {}", i);
+            for o in TOPO_IDS.map(NodeId) {
+                let want = live.iter().find(|t| t.0 == o).map(|t| t.2);
+                prop_assert_eq!(set.ansn_of(o, now), want, "step {}", i);
             }
+            check_mentions(&set, &live, now)?;
         }
     }
 

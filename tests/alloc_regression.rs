@@ -34,6 +34,10 @@
 //! last one, so once its neighborhood settles, the frame is all it
 //! allocates.
 //!
+//! Another pins the topology set on its own: repeated TCs refresh their
+//! originators' records in place, and a purge that drops a silent
+//! originator frees its slot for the next one, so neither allocates.
+//!
 //! Two more pin the rest of a reception read in place. A HELLO that claims
 //! what its sender claimed before is read off the wire into storage the
 //! node holds, so it allocates nothing. A TC the node relays is sent as
@@ -51,6 +55,7 @@ use std::cell::Cell;
 use bytes::Bytes;
 use trustlink_olsr::message::{Message, MessageBody, Packet, TcMessage};
 use trustlink_olsr::node::{TIMER_HELLO, TIMER_RECOMPUTE, TIMER_REFRESH};
+use trustlink_olsr::state::TopologySet;
 use trustlink_olsr::types::SequenceNumber;
 use trustlink_olsr::wire::{encode_packet, MessageType, PacketView};
 use trustlink_olsr::{OlsrConfig, OlsrNode};
@@ -573,5 +578,43 @@ fn hello_emission_allocates_only_its_frame() {
         mid.allocs, mid.hellos,
         "{} HELLOs allocated {} times, not once each for the frame",
         mid.hellos, mid.allocs
+    );
+}
+
+#[test]
+fn topology_receptions_and_a_purge_allocate_nothing_once_warm() {
+    // 64 originators, each advertising four destinations. Once every
+    // record exists, a repeated TC refreshes its originator's tuples in
+    // place. N0 falls silent: the purge that drops its lapsed record frees
+    // the slot, and the new originator N1000 takes it, with its kept
+    // tuple buffer, its index entry and its place in the order.
+    let hold = SimDuration::from_secs(3);
+    let advertised = |o: u32| (1..=4).map(move |k| NodeId(o * 8 + k));
+    let mut set = TopologySet::default();
+    for o in 0..64 {
+        set.receive_tc(NodeId(o), 1, advertised(o), true, SimTime::ZERO + hold, SimTime::ZERO);
+    }
+    let mut dropped = Vec::with_capacity(10);
+    let before = allocs();
+    for round in 1..=10u64 {
+        let now = SimTime::from_secs(round);
+        for o in 1..64 {
+            let receipt = set.receive_tc(NodeId(o), 1, advertised(o), true, now + hold, now);
+            assert!(!receipt.log && !receipt.changed, "a repeat of N{o}'s TC");
+        }
+        if round >= 5 {
+            set.receive_tc(NodeId(1000), 1, advertised(1000), true, now + hold, now);
+        }
+        if set.purge(now) {
+            dropped.push(round);
+        }
+    }
+    let during = allocs() - before;
+    assert_eq!(dropped, [3], "N0's tuples expire at 3 s");
+    assert_eq!(set.len(), 64 * 4);
+    assert!(set.iter(SimTime::from_secs(10)).all(|t| t.last_hop != NodeId(0)));
+    assert_eq!(
+        during, 0,
+        "630 repeated TCs, a purge and a new originator allocated {during} times"
     );
 }
