@@ -489,6 +489,68 @@ fn bench_olsr_retransmitted_receive(c: &mut Criterion) {
     );
 }
 
+fn bench_olsr_unselected_copy_receive(c: &mut Criterion) {
+    // A TC copy from a symmetric neighbor that did not select the receiver
+    // as MPR: the gate reads the sender's link status and its selection
+    // from one neighbor-table row, and suppresses the copy. N1, the middle
+    // of a converged 3-node line, selects no MPR (both ends are its 1-hop
+    // neighbors) and re-sends one TC from the phantom originator N7 over
+    // and over. N0 and N2 each take the first copy as new and every later
+    // one as seen, not retransmitted: each copy is one duplicate probe,
+    // one row lookup and one suppression at each end.
+    let mut sim = SimulatorBuilder::new(5)
+        .radio(RadioConfig::unit_disk(150.0))
+        .arena(Arena::new(1_000.0, 1_000.0))
+        .build();
+    for x in [0.0, 100.0, 200.0] {
+        sim.add_node(Box::new(OlsrNode::new(OlsrConfig::fast())), Position::new(x, 0.0));
+    }
+    sim.run_for(SimDuration::from_secs(10));
+    let now = sim.now();
+    let mid = sim.app_as::<OlsrNode>(NodeId(1)).expect("N1 is an OLSR node");
+    assert!(mid.mpr_set().is_empty(), "N1 needs no MPR");
+    assert_eq!(mid.mpr_selectors(now), [NodeId(0), NodeId(2)], "both ends select N1");
+    let msg = Message {
+        vtime: SimDuration::from_secs(60),
+        originator: NodeId(7),
+        ttl: 8,
+        hop_count: 1,
+        seq: SequenceNumber(1),
+        body: MessageBody::Tc(TcMessage { ansn: 1, advertised: (10..18).map(NodeId).collect() }),
+    };
+    let frame = encode_packet(&Packet { seq: SequenceNumber(1), messages: vec![msg] });
+    // Unselected suppressions at N0 and N2, and the TCs N1 originated:
+    // each of those reaches both ends and is suppressed there as well.
+    let counts = |sim: &trustlink_sim::Simulator| {
+        let ends = [0, 2].map(|i| {
+            let node = sim.app_as::<OlsrNode>(NodeId(i)).expect("an OLSR node");
+            node.flood_stats().suppressed(SuppressReason::NotMprSelector)
+        });
+        let mid = sim.app_as::<OlsrNode>(NodeId(1)).expect("N1 is an OLSR node");
+        (ends, mid.flood_stats().originated_total())
+    };
+    sim.inject_broadcast(NodeId(1), frame.clone());
+    sim.run_for(SimDuration::from_millis(5));
+    let (ends, originated) = counts(&sim);
+    let mut copies = 0;
+    c.bench_function("olsr_unselected_copy_receive", |b| {
+        b.iter(|| {
+            copies += 1;
+            sim.inject_broadcast(NodeId(1), black_box(frame.clone()));
+            sim.run_for(SimDuration::from_millis(5));
+        })
+    });
+    let (ends_after, originated_after) = counts(&sim);
+    for k in 0..2 {
+        assert_eq!(
+            ends_after[k] - ends[k],
+            copies + (originated_after - originated),
+            "N{}: every copy is suppressed once as not from an MPR selector",
+            2 * k
+        );
+    }
+}
+
 /// An [`OlsrNode`] that keeps the last frame it heard carrying a message
 /// of `originator`.
 struct Tap {
@@ -658,7 +720,8 @@ criterion_group! {
     config = Criterion::default().sample_size(50);
     targets = bench_engine, bench_mpr_selection, bench_routing, bench_route_run,
               bench_topology_receive, bench_wire,
-              bench_olsr_receive, bench_olsr_retransmitted_receive, bench_olsr_tc_relay,
+              bench_olsr_receive, bench_olsr_retransmitted_receive,
+              bench_olsr_unselected_copy_receive, bench_olsr_tc_relay,
               bench_log_pipeline, bench_signature_engine, bench_trust_primitives
 }
 criterion_main!(micro);

@@ -14,7 +14,6 @@ use trustlink_sim::record::{LogRecord, SuppressReason, Willingness};
 use trustlink_sim::{Application, Context, FloodStats, NodeId, SimDuration, SimTime, TimerToken};
 
 use crate::hooks::{NoHooks, OlsrHooks, Relay};
-use crate::idhash::IdHashMap;
 use crate::message::{
     DataMessage, HelloMessage, LinkCode, LinkGroup, LinkType, Message, MessageBody, NeighborType,
     TcMessage,
@@ -22,8 +21,8 @@ use crate::message::{
 use crate::mpr::MprCandidate;
 use crate::routing::{RoutingGraph, RoutingTable, SearchStats, TreeRoute};
 use crate::state::{
-    boxed_ids, DupProbe, DuplicateSet, LinkSet, LinkStatus, LinkTuple, MprSelectorSet, NeighborSet,
-    TopologySet, TwoHopSet,
+    ascending_difference, boxed_ids, DupProbe, DuplicateSet, LinkStatus, NeighborRow, NeighborSet,
+    NeighborTable, TopologySet, TwoHopSet,
 };
 use crate::types::{FloodScope, OlsrConfig, RecomputeMode, SequenceNumber};
 use crate::wire::{
@@ -115,22 +114,6 @@ struct AvoidRoutes {
     table: RoutingTable,
 }
 
-/// What this node last wrote to its audit log about each HELLO sender:
-/// the state that keeps a HELLO which would tell the IDS nothing new out
-/// of the log. Its TC counterpart lives in each originator's
-/// [`TopologySet`] record, beside the tuples it mirrors.
-///
-/// Every decision made from it reads validity times only (`until > now`),
-/// never whether a purge has run, so both [`RecomputeMode`]s log the same
-/// reception-timed records.
-#[derive(Debug, Default)]
-struct LogMemo {
-    /// HELLO sender → the symmetric set its last logged `HELLO_RX` claimed.
-    /// Consulted only while the sender's link tuple is live; dropped with
-    /// the tuple.
-    hellos: IdHashMap<NodeId, Vec<NodeId>>,
-}
-
 /// A unicast data payload delivered to this node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReceivedData {
@@ -160,11 +143,12 @@ pub struct OlsrNode<H: OlsrHooks = NoHooks> {
     id: NodeId,
     config: OlsrConfig,
     hooks: H,
-    links: LinkSet,
+    /// Per neighbor: the sensed link, its selection of this node as MPR,
+    /// and the symmetric set its last logged HELLO claimed.
+    table: NeighborTable,
     neighbors: NeighborSet,
     two_hop: TwoHopSet,
     mprs: Vec<NodeId>,
-    selectors: MprSelectorSet,
     topology: TopologySet,
     duplicates: DuplicateSet,
     routes: RoutingTable,
@@ -212,10 +196,6 @@ pub struct OlsrNode<H: OlsrHooks = NoHooks> {
     routes_scratch: RoutingTable,
     /// Memoised avoid-route tables, at most [`AVOID_MEMO_SLOTS`].
     avoid_memo: Vec<AvoidRoutes>,
-    /// What the audit log last said per HELLO sender. Boxed and created on
-    /// the first HELLO, so set-up allocates nothing for it and the node
-    /// grows by one pointer.
-    log_memo: Option<Box<LogMemo>>,
     /// The last HELLO sent, whose vectors the next one reuses. Boxed and
     /// created by the first HELLO, so set-up allocates nothing for it and
     /// the node grows by one pointer.
@@ -241,11 +221,10 @@ impl<H: OlsrHooks> OlsrNode<H> {
             id: NodeId(0),
             config,
             hooks,
-            links: LinkSet::default(),
+            table: NeighborTable::default(),
             neighbors: NeighborSet::default(),
             two_hop: TwoHopSet::default(),
             mprs: Vec::new(),
-            selectors: MprSelectorSet::default(),
             topology: TopologySet::default(),
             duplicates: DuplicateSet::default(),
             routes: RoutingTable::default(),
@@ -269,7 +248,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
             graph: None,
             routes_scratch: RoutingTable::default(),
             avoid_memo: Vec::new(),
-            log_memo: None,
             hello: None,
         }
     }
@@ -293,13 +271,13 @@ impl<H: OlsrHooks> OlsrNode<H> {
 
     /// Symmetric 1-hop neighbors at `now`, ascending.
     pub fn symmetric_neighbors(&self, now: SimTime) -> Vec<NodeId> {
-        self.links.symmetric_neighbors(now)
+        self.table.symmetric_neighbors(now)
     }
 
     /// `true` when `neighbor` is a symmetric neighbor at `now`: the point
     /// form of [`symmetric_neighbors`](Self::symmetric_neighbors)`.contains(…)`.
     pub fn is_symmetric_neighbor(&self, neighbor: NodeId, now: SimTime) -> bool {
-        self.links.is_symmetric(neighbor, now)
+        self.table.is_symmetric(neighbor, now)
     }
 
     /// The current MPR set (ascending).
@@ -309,7 +287,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
 
     /// The neighbors currently selecting this node as MPR.
     pub fn mpr_selectors(&self, now: SimTime) -> Vec<NodeId> {
-        self.selectors.addrs(now)
+        self.table.selector_addrs(now)
     }
 
     /// The current routing table.
@@ -390,7 +368,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
     /// `tests/recompute_equivalence.rs` pins. Allocates; meant for tests
     /// and tooling, not the hot path.
     pub fn effective_mprs(&self, now: SimTime) -> Vec<NodeId> {
-        let sym = self.links.symmetric_neighbors(now);
+        let sym = self.table.symmetric_neighbors(now);
         let mut targets = Vec::new();
         self.two_hop.two_hop_addrs_into(now, self.id, &sym, &mut targets);
         let candidates =
@@ -402,7 +380,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
     /// from the live repositories. Same contract as
     /// [`OlsrNode::effective_mprs`].
     pub fn effective_routes(&self, now: SimTime) -> RoutingTable {
-        let sym = self.links.symmetric_neighbors(now);
+        let sym = self.table.symmetric_neighbors(now);
         RoutingTable::compute(self.id, &sym, &self.two_hop, &self.topology, now)
     }
 
@@ -433,11 +411,14 @@ impl<H: OlsrHooks> OlsrNode<H> {
     }
 
     /// Broadcasts `msg`, which this node originates or a hook rewrote, as
-    /// a packet of its own.
-    fn transmit(&mut self, ctx: &mut Context<'_>, msg: &Message) {
-        if let Some(frame) = self.encode(msg) {
-            ctx.broadcast(frame);
-        }
+    /// a packet of its own; `false` when the wire cannot carry it, so
+    /// nothing left.
+    fn transmit(&mut self, ctx: &mut Context<'_>, msg: &Message) -> bool {
+        let Some(frame) = self.encode(msg) else {
+            return false;
+        };
+        ctx.broadcast(frame);
+        true
     }
 
     /// Sends `msg` to the neighbor `to` as a packet of its own; `false`
@@ -477,20 +458,20 @@ impl<H: OlsrHooks> OlsrNode<H> {
             groups[i].addrs.clear();
         }
         groups.truncate(CODES.len());
-        for tuple in self.links.iter() {
-            if tuple.until <= now {
+        for (neighbor, row) in self.table.iter() {
+            if row.until <= now {
                 // A wholly expired tuple is semantically purged, whether or
                 // not the sweep has physically removed it yet: advertising
                 // it would make HELLO content depend on purge timing.
                 continue;
             }
-            let group = match tuple.status(now) {
-                LinkStatus::Symmetric if self.mprs.contains(&tuple.neighbor) => 1,
+            let group = match row.status(now) {
+                LinkStatus::Symmetric if self.mprs.contains(&neighbor) => 1,
                 LinkStatus::Symmetric => 0,
                 LinkStatus::Asymmetric => 2,
                 LinkStatus::Lost => 3,
             };
-            groups[group].addrs.push(tuple.neighbor);
+            groups[group].addrs.push(neighbor);
         }
         groups.retain(|g| !g.addrs.is_empty());
     }
@@ -528,7 +509,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
         self.ensure_fresh(ctx);
         let now = ctx.now();
         // TCs advertise the selector set only (RFC 3626 TC_REDUNDANCY 0).
-        let advertised = self.selectors.addrs(now);
+        let advertised = self.table.selector_addrs(now);
         if advertised.is_empty() && self.last_advertised.is_empty() {
             return; // not an MPR: no TC duty
         }
@@ -557,7 +538,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
         }
         let mut tc = TcMessage { ansn: self.ansn, advertised };
         self.hooks.on_tc_tx(&mut tc, now);
-        self.flood.record_originated(ring);
         let msg = Message {
             vtime,
             originator: self.id,
@@ -574,7 +554,11 @@ impl<H: OlsrHooks> OlsrNode<H> {
             now + self.config.duplicate_hold_time,
             now,
         );
-        self.transmit(ctx, &msg);
+        // Only a TC that left counts: one a hook grew past the wire's
+        // limits was dropped instead.
+        if self.transmit(ctx, &msg) {
+            self.flood.record_originated(ring);
+        }
     }
 
     /// Sends `payload` to `dst` over the data plane. When `avoid` is set the
@@ -688,15 +672,18 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 selected_us |= code.neighbor == NeighborType::Mpr;
             }
         }
-        // A tuple whose expiry already passed is semantically purged — its
-        // previous status is `None`, whichever mode got to the sweep first.
-        let before = self.links.get(originator).filter(|t| t.until > now).map(|t| t.status(now));
+        // The sender's row, found or made once, takes the link, the log
+        // memo and the selection. A row whose link expired is semantically
+        // purged — its previous status is `None`, whichever mode got to the
+        // sweep first.
+        let mut entry = self.table.entry(originator);
+        let before = Some(entry.row()).filter(|r| r.until > now).map(|r| r.status(now));
 
         // The IDS reads a HELLO's sender and claimed symmetric set. A claim
         // repeated over a live link changes nothing it knows, so only a new
-        // claim, or any claim after the link lapsed, is logged.
-        let hellos = &mut self.log_memo.get_or_insert_with(Box::default).hellos;
-        let last = hellos.entry(originator).or_default();
+        // claim, or any claim after the link lapsed, is logged. The claim
+        // memo goes with the row.
+        let last = entry.claim_mut();
         if before.is_none() || *last != claimed_sym {
             last.clone_from(&claimed_sym);
             ctx.log(LogRecord::HelloRx {
@@ -709,15 +696,10 @@ impl<H: OlsrHooks> OlsrNode<H> {
 
         // Link sensing: hearing them refreshes the asym validity; being
         // listed by them (heard in both directions) makes it symmetric.
-        self.links.upsert(LinkTuple {
-            neighbor: originator,
-            sym_until: if heard_us { hold } else { SimTime::ZERO },
-            asym_until: hold,
-            until: hold,
-        });
+        entry.sense(if heard_us { hold } else { SimTime::ZERO }, hold, hold);
         // An explicit LOST listing tears the symmetry down immediately.
         if lost_us {
-            self.links.declare_lost(originator, now);
+            entry.declare_lost(now);
             // Losing the link voids the sender's 2-hop contributions and
             // its selector status right here, at reception time: they are
             // predicated on a symmetric link that no longer exists.
@@ -725,9 +707,17 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 self.flags.nbr = true;
             }
         }
-        let after = self.links.get(originator).map(|t| t.status(now));
+        let after = Some(entry.row().status(now));
         if before != after {
             self.flags.nbr = true;
+        }
+
+        // MPR selector set: did they pick us? Only a HELLO that sustains a
+        // live symmetric link can (re)assert selection.
+        if selected_us && heard_us && !lost_us {
+            entry.select(hold);
+        } else {
+            entry.unselect();
         }
 
         // Neighbor set (symmetric only) + willingness bookkeeping.
@@ -750,14 +740,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 flags.nbr = true;
                 ctx.log(LogRecord::TwoHopAdded { via: originator, addr: th });
             });
-        }
-
-        // MPR selector set: did they pick us? Only a HELLO that sustains a
-        // live symmetric link can (re)assert selection.
-        if selected_us && heard_us && !lost_us {
-            self.selectors.upsert(originator, hold);
-        } else {
-            self.selectors.remove(originator);
         }
         self.sym_scratch = claimed_sym; // recycle the allocation
     }
@@ -804,24 +786,23 @@ impl<H: OlsrHooks> OlsrNode<H> {
     }
 
     /// The header-only forwarding gates of the default forwarding
-    /// algorithm (§3.4), after the duplicate check. `link` is the
-    /// sender's link tuple, if any.
+    /// algorithm (§3.4), after the duplicate check. `sender` is the
+    /// sender's row of the neighbor table, if any: its link status and its
+    /// selection of this node decide.
     fn flood_gate(
-        &self,
-        from: NodeId,
-        link: Option<&LinkTuple>,
+        sender: Option<&NeighborRow>,
         ttl: u8,
         now: SimTime,
     ) -> Result<(), SuppressReason> {
         if ttl <= 1 {
             return Err(SuppressReason::TtlExpired);
         }
-        if !link.is_some_and(|t| t.status(now) == LinkStatus::Symmetric) {
+        let Some(row) = sender.filter(|r| r.status(now) == LinkStatus::Symmetric) else {
             return Err(SuppressReason::UnknownSender);
-        }
+        };
         // Default forwarding algorithm: retransmit only if the sender
         // selected us as its MPR.
-        if !self.selectors.contains(from, now) {
+        if !row.selects_us(now) {
             return Err(SuppressReason::NotMprSelector);
         }
         Ok(())
@@ -859,13 +840,17 @@ impl<H: OlsrHooks> OlsrNode<H> {
         }
         let mut relay = Relay::new(frame, mv);
         self.hooks.on_forward(&mut relay, from);
-        self.flood.forwarded += 1;
-        match relay.into_message() {
+        let sent = match relay.into_message() {
             Some(rewritten) => self.transmit(ctx, &rewritten),
             None => {
                 let out = self.relay_frame(frame, mv);
                 ctx.broadcast(out);
+                true
             }
+        };
+        // A relay a hook grew past the wire's limits never left.
+        if sent {
+            self.flood.forwarded += 1;
         }
     }
 
@@ -967,17 +952,17 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 self.suppress_forward(SuppressReason::Duplicate);
                 continue;
             }
-            // One lookup of the sender's link serves the log decision and
+            // One lookup of the sender's row serves the log decision and
             // the forwarding gates; processing a TC does not touch it.
-            let link = self.links.get(from).copied();
+            let sender = self.table.get(from).copied();
             if probe == DupProbe::New {
                 let tc = mv.tc(frame).expect("a TC view has a TC body");
-                let sender_live = link.is_some_and(|t| t.until > now);
+                let sender_live = sender.is_some_and(|r| r.until > now);
                 self.process_tc(ctx, &mv, &tc, from, sender_live);
             }
             // A new TC, or a copy seen but not yet forwarded (processing
             // skipped): the forwarding decision is live.
-            match self.flood_gate(from, link.as_ref(), mv.ttl, now) {
+            match Self::flood_gate(sender.as_ref(), mv.ttl, now) {
                 Err(reason) => self.suppress_forward(reason),
                 Ok(()) => self.forward_approved(ctx, frame, &mv, from, dup_until, now),
             }
@@ -1005,11 +990,10 @@ impl<H: OlsrHooks> OlsrNode<H> {
         let mut topo_changed = self.flags.topo;
         self.flags = ChangeFlags::default();
 
-        // Expired-tuple sweeps. Link-tuple removals cannot change the
-        // symmetric set (an expired tuple was already non-symmetric); two-hop
+        // Expired-tuple sweeps. Neighbor-row removals cannot change the
+        // symmetric set (an expired link was already non-symmetric); two-hop
         // and topology removals invalidate MPR/route inputs.
-        let links_before = self.links.len();
-        self.links.purge(now);
+        self.table.purge(now);
         let dead_pairs = self.two_hop.purge(now);
         if !dead_pairs.is_empty() {
             nbr_changed = true;
@@ -1017,41 +1001,30 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 ctx.log(LogRecord::TwoHopLost { via, addr });
             }
         }
-        self.selectors.purge(now);
         // A TC originator's reception state lapses with its latest TC,
         // after reporting a clock the log has not seen yet.
         let lapsed = |originator, heard_at| ctx.log(LogRecord::TcHeard { originator, heard_at });
         if self.topology.purge_reporting(now, lapsed) {
             topo_changed = true;
         }
-        // The HELLO memo lives no longer than the link tuples it mirrors.
-        if let Some(memo) = self.log_memo.as_deref_mut() {
-            if self.links.len() != links_before {
-                let links = &self.links;
-                memo.hellos.retain(|n, _| links.get(*n).is_some());
-            }
-        }
 
         // Symmetric-neighborhood delta (cheap: O(degree) every flush; this
         // is also what catches pure-time symmetry transitions that no
-        // reception announced).
+        // reception announced). Both sides are ascending, so one merge
+        // walk per direction finds the additions, then the losses.
         let mut sym = std::mem::take(&mut self.sym_scratch);
-        self.links.symmetric_neighbors_into(now, &mut sym);
+        self.table.symmetric_neighbors_into(now, &mut sym);
         let prev = std::mem::take(&mut self.prev_sym);
         if sym != prev {
             nbr_changed = true;
-            for n in &sym {
-                if !prev.contains(n) {
-                    ctx.log(LogRecord::NeighborAdded { addr: *n });
-                }
+            for addr in ascending_difference(&sym, &prev) {
+                ctx.log(LogRecord::NeighborAdded { addr });
             }
-            for n in &prev {
-                if !sym.contains(n) {
-                    ctx.log(LogRecord::NeighborLost { addr: *n });
-                    self.neighbors.remove(*n);
-                    self.two_hop.remove_via(*n, now);
-                    self.selectors.remove(*n);
-                }
+            for addr in ascending_difference(&prev, &sym) {
+                ctx.log(LogRecord::NeighborLost { addr });
+                self.neighbors.remove(addr);
+                self.two_hop.remove_via(addr, now);
+                self.table.unselect(addr);
             }
         }
         self.prev_sym = sym;
@@ -1942,7 +1915,7 @@ mod tests {
             let now = ctx.now();
             let node = &self.node;
             self.saw_injected |= node.topology.iter(now).any(|t| t.last_hop == NodeId(30));
-            let sym = node.links.symmetric_neighbors(now);
+            let sym = node.table.symmetric_neighbors(now);
             let oracles: Vec<RoutingTable> = self
                 .ids
                 .iter()
@@ -2111,5 +2084,67 @@ mod tests {
             assert!(!node.symmetric_neighbors(now).contains(&NodeId(4)), "N{i} heard the centre");
             assert!(!node.symmetric_neighbors(now).is_empty(), "N{i} has no neighbor");
         }
+    }
+
+    /// Grows every TC this node originates or relays by 16 000 phantom ids
+    /// above 0xFFFF, six bytes each on the wire: 96 000 bytes, past the
+    /// message's 16-bit size field. Counts the relays it grew.
+    #[derive(Default)]
+    struct WideTcs {
+        relays: u64,
+    }
+
+    fn widen(advertised: &mut Vec<NodeId>) {
+        advertised.extend((0..16_000u32).map(|k| NodeId(0x1_0000 + k)));
+    }
+
+    impl OlsrHooks for WideTcs {
+        fn on_tc_tx(&mut self, tc: &mut TcMessage, _now: SimTime) {
+            widen(&mut tc.advertised);
+        }
+
+        fn on_forward(&mut self, relay: &mut Relay<'_>, _from: NodeId) {
+            if let MessageBody::Tc(tc) = &mut relay.message_mut().body {
+                widen(&mut tc.advertised);
+                self.relays += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn flood_counters_count_only_frames_that_left() {
+        // The middle of a 3-node line is both ends' MPR, so it owes TCs
+        // and relays N0's floods, but grows each past what the wire
+        // carries. None leaves, and none is counted as originated or
+        // forwarded: each is an oversize drop.
+        let mut sim = SimulatorBuilder::new(41)
+            .radio(RadioConfig::unit_disk(150.0))
+            .arena(trustlink_sim::Arena::new(10_000.0, 10_000.0))
+            .build();
+        for i in 0..3 {
+            let app: Box<dyn Application> = if i == 1 {
+                Box::new(OlsrNode::with_hooks(OlsrConfig::fast(), WideTcs::default()))
+            } else {
+                Box::new(OlsrNode::new(OlsrConfig::fast()))
+            };
+            sim.add_node(app, Position::new(f64::from(i) * 100.0, 0.0));
+        }
+        sim.run_for(SimDuration::from_secs(10));
+        let mid = sim.app_as::<OlsrNode<WideTcs>>(NodeId(1)).unwrap();
+        assert!(mid.mpr_selectors(sim.now()).contains(&NodeId(0)), "N1 must be N0's MPR");
+        let drops = mid.oversize_drops();
+        assert!(drops > 0, "N1 owed TCs but dropped none");
+        assert_eq!(mid.flood_stats().originated_total(), 0);
+        assert!(
+            !sim.log(NodeId(0)).lines().any(|l| l.starts_with("TC_RX orig=N1")),
+            "an oversize TC left N1"
+        );
+
+        inject_tc(&mut sim, 930, 8, 0);
+        let mid = sim.app_as::<OlsrNode<WideTcs>>(NodeId(1)).unwrap();
+        assert_eq!(mid.hooks().relays, 1, "N1 must relay N0's flood");
+        assert_eq!(mid.flood_stats().forwarded, 0, "an oversize relay counted as forwarded");
+        assert!(mid.oversize_drops() > drops, "the relay is an oversize drop");
+        assert!(!sim.log(NodeId(2)).lines().any(|l| l.contains("ansn=930")), "the relay left");
     }
 }

@@ -1,6 +1,6 @@
-//! The OLSR information repositories (RFC 3626 §4.2–§4.4): link set,
-//! neighbor set, 2-hop neighbor set, MPR selector set, topology set and
-//! duplicate set.
+//! The OLSR information repositories (RFC 3626 §4.2–§4.4): the neighbor
+//! table (link set and MPR selector set, one row per neighbor), neighbor
+//! set, 2-hop neighbor set, topology set and duplicate set.
 //!
 //! Every repository is a collection of *tuples valid until a time*. Two
 //! invariants make the incremental recompute pipeline possible:
@@ -11,7 +11,7 @@
 //!    *when* a purge runs can never change protocol behaviour, only
 //!    memory usage and the timing of the corresponding audit-log lines.
 //! 2. **Purges are min-expiry gated.** Each repository tracks a lower
-//!    bound on the earliest expiry it contains; [`purge`](LinkSet::purge)
+//!    bound on the earliest expiry it contains; [`purge`](NeighborTable::purge)
 //!    returns immediately while `now` has not reached it. A sweep only
 //!    ever touches tuples when something may actually have expired,
 //!    instead of scanning the whole set after every received packet.
@@ -29,33 +29,6 @@ use trustlink_sim::{NodeId, SimTime};
 
 use crate::idhash::{IdHash, IdSlots};
 use crate::types::SequenceNumber;
-
-/// One sensed link to a 1-hop neighbor (RFC 3626 §4.2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkTuple {
-    /// The neighbor's main address.
-    pub neighbor: NodeId,
-    /// Until when the link counts as symmetric.
-    pub sym_until: SimTime,
-    /// Until when the link counts as heard (asymmetric).
-    pub asym_until: SimTime,
-    /// When the whole tuple expires.
-    pub until: SimTime,
-}
-
-impl LinkTuple {
-    /// Link status at `now`: symmetric beats asymmetric beats lost.
-    #[inline]
-    pub fn status(&self, now: SimTime) -> LinkStatus {
-        if self.sym_until > now {
-            LinkStatus::Symmetric
-        } else if self.asym_until > now {
-            LinkStatus::Asymmetric
-        } else {
-            LinkStatus::Lost
-        }
-    }
-}
 
 /// The sensed status of a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -176,42 +149,212 @@ impl PairLog {
     }
 }
 
-/// The link set: every link this node has sensed recently.
+/// One neighbor's row of the [`NeighborTable`]: the link this node sensed
+/// to it (RFC 3626 §4.2.1) and its selection of this node as MPR (§4.3.4).
+/// A flood copy's forwarding gates read both, from these 32 bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NeighborRow {
+    /// Until when the link counts as symmetric.
+    pub sym_until: SimTime,
+    /// Until when the link counts as heard (asymmetric).
+    pub asym_until: SimTime,
+    /// When the link tuple expires, and the row with it.
+    pub until: SimTime,
+    /// Until when the neighbor selects this node as its MPR; zero when it
+    /// does not. Never past `until`: a HELLO sets both from its hold time,
+    /// and `until` only extends.
+    pub selected_until: SimTime,
+}
+
+impl NeighborRow {
+    /// Link status at `now`: symmetric beats asymmetric beats lost.
+    #[inline]
+    pub fn status(&self, now: SimTime) -> LinkStatus {
+        if self.sym_until > now {
+            LinkStatus::Symmetric
+        } else if self.asym_until > now {
+            LinkStatus::Asymmetric
+        } else {
+            LinkStatus::Lost
+        }
+    }
+
+    /// `true` when the neighbor selects this node as MPR at `now`.
+    #[inline]
+    pub fn selects_us(&self, now: SimTime) -> bool {
+        self.selected_until > now
+    }
+}
+
+/// The neighbor table: one row per neighbor this node sensed a link to,
+/// holding the link tuple (the RFC's link set), the neighbor's selection of
+/// this node as MPR (the MPR selector set) and the symmetric set its last
+/// logged `HELLO_RX` claimed, which keeps a HELLO repeating it out of the
+/// audit log.
+///
+/// The three share one lifetime. A selection never outlives the link
+/// tuple, and the claim is consulted only while the tuple is live. So a
+/// row holds all three and goes when its link tuple expires: a HELLO finds
+/// or makes its sender's row once, and a flood copy's gates read one row.
+///
+/// The rows live in a slot arena, each column indexed by slot: the rows
+/// the gates read, and the claims only a HELLO reads. Beside them a dense
+/// index lists every neighbor and its slot, ascending by neighbor: a
+/// lookup binary-searches it, and iteration follows it. A new neighbor
+/// shifts only the 8-byte index entries above it, so forged HELLOs from
+/// thousands of senders, in any id order, move little memory. The table
+/// is sized by the neighbors held, never by id value, and allocates
+/// nothing before the first HELLO.
+///
+/// Every read is time-aware, so a row made and not yet given a link, or
+/// one expired and not yet purged, is absent from every query that takes
+/// `now`.
 #[derive(Debug, Clone, Default)]
-pub struct LinkSet {
-    tuples: BTreeMap<NodeId, LinkTuple>,
+pub struct NeighborTable {
+    /// Every neighbor with a row, and the row's slot, ascending by
+    /// neighbor.
+    index: Vec<(NodeId, u32)>,
+    /// Per slot, the link and selection; a free slot's is all zero.
+    rows: Vec<NeighborRow>,
+    /// Per slot, the symmetric set the last logged HELLO claimed.
+    claims: Vec<Vec<NodeId>>,
+    /// Free slots, the last freed on top; room for every slot.
+    free: Vec<u32>,
+    /// Lower bound on the earliest link expiry.
     min_expiry: MinExpiry,
 }
 
-impl LinkSet {
-    /// Looks up the tuple for `neighbor`.
+/// One row of a [`NeighborTable`] open for update, found or made by
+/// [`NeighborTable::entry`].
+#[derive(Debug)]
+pub struct NeighborEntry<'a> {
+    row: &'a mut NeighborRow,
+    claim: &'a mut Vec<NodeId>,
+    min_expiry: &'a mut MinExpiry,
+}
+
+impl NeighborEntry<'_> {
+    /// The row as it stands: all zero times when just made.
     #[inline]
-    pub fn get(&self, neighbor: NodeId) -> Option<&LinkTuple> {
-        self.tuples.get(&neighbor)
+    pub fn row(&self) -> &NeighborRow {
+        self.row
     }
 
-    /// Inserts or updates the tuple for `neighbor`, merging expiry times
-    /// (times only ever extend; purging is how they shrink).
+    /// Merges a sensed link into the row. Times only ever extend; purging
+    /// is how they shrink.
     #[inline]
-    pub fn upsert(&mut self, tuple: LinkTuple) {
-        self.min_expiry.cover(tuple.until);
-        self.tuples
-            .entry(tuple.neighbor)
-            .and_modify(|t| {
-                t.sym_until = t.sym_until.max(tuple.sym_until);
-                t.asym_until = t.asym_until.max(tuple.asym_until);
-                t.until = t.until.max(tuple.until);
-            })
-            .or_insert(tuple);
+    pub fn sense(&mut self, sym_until: SimTime, asym_until: SimTime, until: SimTime) {
+        self.min_expiry.cover(until);
+        let row = &mut *self.row;
+        row.sym_until = row.sym_until.max(sym_until);
+        row.asym_until = row.asym_until.max(asym_until);
+        row.until = row.until.max(until);
     }
 
-    /// Forces the symmetric validity of `neighbor` to expire immediately
-    /// (used when a HELLO explicitly declares the link `LOST`).
+    /// Forces the symmetric validity to expire at `now`: a HELLO declared
+    /// the link `LOST`.
     #[inline]
-    pub fn declare_lost(&mut self, neighbor: NodeId, now: SimTime) {
-        if let Some(t) = self.tuples.get_mut(&neighbor) {
-            t.sym_until = now;
+    pub fn declare_lost(&mut self, now: SimTime) {
+        self.row.sym_until = now;
+    }
+
+    /// Records that the neighbor selects this node as MPR until `until`,
+    /// which must not pass the link tuple's expiry. A stored selection
+    /// only extends; an expired one is revived.
+    #[inline]
+    pub fn select(&mut self, until: SimTime) {
+        debug_assert!(until <= self.row.until, "a selection outliving its link");
+        self.row.selected_until = self.row.selected_until.max(until);
+    }
+
+    /// Drops the neighbor's selection of this node.
+    #[inline]
+    pub fn unselect(&mut self) {
+        self.row.selected_until = SimTime::ZERO;
+    }
+
+    /// The symmetric set the last logged HELLO from the neighbor claimed,
+    /// to compare and overwrite; empty in a row just made.
+    #[inline]
+    pub fn claim_mut(&mut self) -> &mut Vec<NodeId> {
+        self.claim
+    }
+}
+
+impl NeighborTable {
+    /// The rows the first HELLO makes room for.
+    const FIRST: usize = 16;
+
+    /// The slot of `neighbor`'s row, or where its index entry goes.
+    #[inline]
+    fn search(&self, neighbor: NodeId) -> Result<usize, usize> {
+        match self.index.binary_search_by_key(&neighbor, |&(n, _)| n) {
+            Ok(i) => Ok(self.index[i].1 as usize),
+            Err(i) => Err(i),
         }
+    }
+
+    /// The row of `neighbor`, live or not.
+    #[inline]
+    pub fn get(&self, neighbor: NodeId) -> Option<&NeighborRow> {
+        self.search(neighbor).ok().map(|slot| &self.rows[slot])
+    }
+
+    /// The row of `neighbor`, made empty on first sight: one search for
+    /// everything a HELLO updates.
+    #[inline]
+    pub fn entry(&mut self, neighbor: NodeId) -> NeighborEntry<'_> {
+        let slot = match self.search(neighbor) {
+            Ok(slot) => slot,
+            Err(at) => self.insert(at, neighbor),
+        };
+        NeighborEntry {
+            row: &mut self.rows[slot],
+            claim: &mut self.claims[slot],
+            min_expiry: &mut self.min_expiry,
+        }
+    }
+
+    /// Gives `neighbor`, which has no row, an empty one, in the last freed
+    /// slot or a new one, and its index entry at `at`.
+    #[cold]
+    fn insert(&mut self, at: usize, neighbor: NodeId) -> usize {
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                if self.rows.capacity() == 0 {
+                    // Room for a typical neighborhood at once, instead of
+                    // doubling up to it from one row.
+                    self.index.reserve_exact(Self::FIRST);
+                    self.rows.reserve_exact(Self::FIRST);
+                    self.claims.reserve_exact(Self::FIRST);
+                }
+                self.rows.push(NeighborRow::default());
+                self.claims.push(Vec::new());
+                // Room for every slot, so a purge never allocates.
+                let room = self.rows.capacity();
+                if self.free.capacity() < room {
+                    self.free.reserve_exact(room - self.free.len());
+                }
+                u32::try_from(self.rows.len() - 1).expect("fewer than 2^32 neighbors")
+            }
+        };
+        self.index.insert(at, (neighbor, slot));
+        slot as usize
+    }
+
+    /// Drops `neighbor`'s selection of this node, if it has a row.
+    #[inline]
+    pub fn unselect(&mut self, neighbor: NodeId) {
+        if let Ok(slot) = self.search(neighbor) {
+            self.rows[slot].selected_until = SimTime::ZERO;
+        }
+    }
+
+    /// `true` when the link to `neighbor` is symmetric at `now`.
+    #[inline]
+    pub fn is_symmetric(&self, neighbor: NodeId, now: SimTime) -> bool {
+        self.get(neighbor).is_some_and(|r| r.status(now) == LinkStatus::Symmetric)
     }
 
     /// Neighbors with a symmetric link at `now`, ascending.
@@ -221,60 +364,66 @@ impl LinkSet {
         out
     }
 
-    /// `true` when the link to `neighbor` is symmetric at `now`: the
-    /// allocation-free membership form of
-    /// [`LinkSet::symmetric_neighbors`]`.contains(…)`, for per-message
-    /// forwarding gates.
-    #[inline]
-    pub fn is_symmetric(&self, neighbor: NodeId, now: SimTime) -> bool {
-        self.tuples.get(&neighbor).is_some_and(|t| t.status(now) == LinkStatus::Symmetric)
-    }
-
-    /// Allocation-free form of [`LinkSet::symmetric_neighbors`]: `out` is
-    /// cleared and refilled (ascending).
+    /// Allocation-free form of [`NeighborTable::symmetric_neighbors`]:
+    /// `out` is cleared and refilled (ascending).
     #[inline]
     pub fn symmetric_neighbors_into(&self, now: SimTime, out: &mut Vec<NodeId>) {
         out.clear();
         out.extend(
-            self.tuples
-                .values()
-                .filter(|t| t.status(now) == LinkStatus::Symmetric)
-                .map(|t| t.neighbor),
+            self.iter().filter(|(_, r)| r.status(now) == LinkStatus::Symmetric).map(|(n, _)| n),
         );
     }
 
-    /// Removes tuples wholly expired at `now`. Min-expiry gated: free
-    /// while nothing can have expired.
+    /// Neighbors selecting this node as MPR at `now`, ascending.
+    pub fn selector_addrs(&self, now: SimTime) -> Vec<NodeId> {
+        self.iter().filter(|(_, r)| r.selects_us(now)).map(|(n, _)| n).collect()
+    }
+
+    /// The symmetric set the last logged HELLO from `neighbor` claimed,
+    /// while it has a row.
+    pub fn claim(&self, neighbor: NodeId) -> Option<&[NodeId]> {
+        self.search(neighbor).ok().map(|slot| &self.claims[slot][..])
+    }
+
+    /// Removes the rows whose link tuple expired at `now`, claims and
+    /// selections with them, and frees their slots. Min-expiry gated:
+    /// free while nothing can have expired.
     #[inline]
     pub fn purge(&mut self, now: SimTime) {
         if self.min_expiry.nothing_due(now) {
             return;
         }
         self.min_expiry.reset();
-        let min_expiry = &mut self.min_expiry;
-        self.tuples.retain(|_, t| {
-            let live = t.until > now;
-            if live {
-                min_expiry.cover(t.until);
+        let NeighborTable { index, rows, claims, free, min_expiry } = self;
+        index.retain(|&(_, slot)| {
+            let s = slot as usize;
+            let until = rows[s].until;
+            if until > now {
+                min_expiry.cover(until);
+                return true;
             }
-            live
+            rows[s] = NeighborRow::default();
+            claims[s] = Vec::new();
+            free.push(slot);
+            false
         });
     }
 
-    /// Number of tuples (including expired-but-unpurged ones).
+    /// Number of rows (including expired-but-unpurged ones).
     #[inline]
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.index.len()
     }
 
     /// `true` when no link has been sensed.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.index.is_empty()
     }
 
-    /// Iterates over all tuples, ascending by neighbor.
-    pub fn iter(&self) -> impl Iterator<Item = &LinkTuple> {
-        self.tuples.values()
+    /// Iterates over every row, live or not, ascending by neighbor.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &NeighborRow)> {
+        self.index.iter().map(|&(n, slot)| (n, &self.rows[slot as usize]))
     }
 }
 
@@ -579,65 +728,6 @@ impl TwoHopSet {
     }
 }
 
-/// The MPR selector set (RFC 3626 §4.3.4): neighbors that chose *us* as
-/// their MPR. Non-empty selector set ⇒ we must emit TCs and forward floods.
-#[derive(Debug, Clone, Default)]
-pub struct MprSelectorSet {
-    tuples: BTreeMap<NodeId, SimTime>,
-    min_expiry: MinExpiry,
-}
-
-impl MprSelectorSet {
-    /// Inserts a selector valid until `until`, or extends a stored one
-    /// (an expired leftover is revived: validity only ever extends).
-    #[inline]
-    pub fn upsert(&mut self, addr: NodeId, until: SimTime) {
-        self.min_expiry.cover(until);
-        let e = self.tuples.entry(addr).or_insert(until);
-        *e = (*e).max(until);
-    }
-
-    /// Removes a selector (on lost symmetry or an explicit LOST listing).
-    #[inline]
-    pub fn remove(&mut self, addr: NodeId) {
-        self.tuples.remove(&addr);
-    }
-
-    /// `true` when `addr` currently selects us at `now`.
-    #[inline]
-    pub fn contains(&self, addr: NodeId, now: SimTime) -> bool {
-        self.tuples.get(&addr).is_some_and(|&until| until > now)
-    }
-
-    /// All live selector addresses at `now`, ascending.
-    pub fn addrs(&self, now: SimTime) -> Vec<NodeId> {
-        self.tuples.iter().filter(|(_, &until)| until > now).map(|(&a, _)| a).collect()
-    }
-
-    /// `true` when nobody selects us at `now`.
-    pub fn is_empty(&self, now: SimTime) -> bool {
-        self.addrs(now).is_empty()
-    }
-
-    /// Drops expired entries. Min-expiry gated: free while nothing can
-    /// have expired.
-    #[inline]
-    pub fn purge(&mut self, now: SimTime) {
-        if self.min_expiry.nothing_due(now) {
-            return;
-        }
-        self.min_expiry.reset();
-        let min_expiry = &mut self.min_expiry;
-        self.tuples.retain(|_, &mut until| {
-            let live = until > now;
-            if live {
-                min_expiry.cover(until);
-            }
-            live
-        });
-    }
-}
-
 /// A topology tuple (RFC 3626 §4.4): `dest` is reachable in the last hop
 /// through `last_hop` (an MPR of `dest`), per a TC with sequence `ansn`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -652,6 +742,16 @@ pub struct TopologyTuple {
     pub until: SimTime,
 }
 
+/// A topology tuple as its originator's record stores it, the originator
+/// left out: 16 bytes, so a TC's pass over its originator's tuples reads
+/// four to a cache line.
+#[derive(Debug, Clone, Copy)]
+struct StoredTuple {
+    dest: NodeId,
+    ansn: u16,
+    until: SimTime,
+}
+
 /// Everything a node holds about one TC originator: the topology tuples
 /// its advertisements created, and the reception state of its TCs that
 /// the audit log mirrors. The two expire independently: the tuples with
@@ -661,7 +761,7 @@ pub struct TopologyTuple {
 struct TcRecord {
     /// The originator's tuples, live or not, ascending by destination.
     /// Every live one carries the ANSN of the last TC applied.
-    tuples: Vec<TopologyTuple>,
+    tuples: Vec<StoredTuple>,
     /// The advertised set of the last `TC_RX` logged in full, in wire
     /// order, stored only when it differs from the destinations of
     /// `tuples` (expired ones included): `None` means it equals them. It
@@ -772,7 +872,7 @@ impl TcRecord {
             }
         }
         for dest in dests {
-            let fresh = TopologyTuple { dest, last_hop, ansn, until };
+            let fresh = StoredTuple { dest, ansn, until };
             match self.tuples.binary_search_by_key(&dest, |t| t.dest) {
                 Ok(i) => {
                     // A same-ANSN copy of a live tuple is a pure refresh,
@@ -860,6 +960,22 @@ pub(crate) fn boxed_ids(ids: impl Iterator<Item = NodeId> + Clone) -> Box<[NodeI
     out.into_boxed_slice()
 }
 
+/// The ids of `a` that `b` lacks, in `a`'s order, for `a` and `b` both
+/// ascending: one merge walk, linear in their lengths. A flush diffs the
+/// symmetric neighborhood with it, which a node hearing forged HELLOs from
+/// thousands of senders holds by the thousand.
+pub fn ascending_difference<'a>(
+    a: &'a [NodeId],
+    b: &'a [NodeId],
+) -> impl Iterator<Item = NodeId> + 'a {
+    debug_assert!(b.windows(2).all(|w| w[0] <= w[1]), "b must be ascending");
+    let mut rest = b.iter().copied().peekable();
+    a.iter().copied().filter(move |&x| {
+        while rest.next_if(|&y| y < x).is_some() {}
+        rest.peek() != Some(&x)
+    })
+}
+
 /// What [`TopologySet::receive_tc`] decided about one TC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcReceipt {
@@ -930,18 +1046,13 @@ impl TopologySet {
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
-                if self.records.len() == self.records.capacity() {
-                    // Half again, not double: the spare room stays under
-                    // half the originators held. The free list gets room
-                    // for every slot, so a purge never allocates.
-                    let more = self.records.len() / 2 + 4;
-                    self.records.reserve_exact(more);
-                    self.expires.reserve_exact(more);
-                    self.order.reserve_exact(more);
-                    self.free.reserve_exact(self.records.capacity());
-                }
                 self.records.push(TcRecord::default());
                 self.expires.push(SimTime::MAX);
+                // Room for every slot, so a purge never allocates.
+                let room = self.records.capacity();
+                if self.free.capacity() < room {
+                    self.free.reserve_exact(room - self.free.len());
+                }
                 u32::try_from(self.records.len() - 1).expect("fewer than 2^32 originators")
             }
         };
@@ -1076,13 +1187,20 @@ impl TopologySet {
     }
 
     /// All live tuples at `now`, ascending by `(last_hop, dest)`.
-    pub fn iter(&self, now: SimTime) -> impl Iterator<Item = &TopologyTuple> {
+    pub fn iter(&self, now: SimTime) -> impl Iterator<Item = TopologyTuple> + '_ {
         self.stored().filter(move |t| t.until > now)
     }
 
     /// Every stored tuple, live or not, ascending by `(last_hop, dest)`.
-    fn stored(&self) -> impl Iterator<Item = &TopologyTuple> {
-        self.order.iter().flat_map(|&(_, slot)| &self.records[slot as usize].tuples)
+    fn stored(&self) -> impl Iterator<Item = TopologyTuple> + '_ {
+        self.order.iter().flat_map(|&(last_hop, slot)| {
+            self.records[slot as usize].tuples.iter().map(move |t| TopologyTuple {
+                dest: t.dest,
+                last_hop,
+                ansn: t.ansn,
+                until: t.until,
+            })
+        })
     }
 
     /// `true` when a tuple live at `now` names `node`: as its originator,
@@ -1201,19 +1319,40 @@ pub struct DuplicateSet {
     hash: IdHash,
 }
 
-/// One open-addressing slot: 24 bytes, so a 64-byte cache line still
-/// covers the typical one-slot probe.
+/// One open-addressing slot: 16 bytes, four to a 64-byte cache line.
 #[derive(Debug, Clone, Copy)]
 struct DupSlot {
     /// Valid until this instant; zero marks the slot free.
     until: SimTime,
-    /// `(originator << 16) | seq` — the full key, no ambiguity (the
-    /// 32-bit originator id needs the u64 now that ids reach past 2¹⁶).
-    key: u64,
-    retransmitted: bool,
+    /// The key, `(originator << 16) | seq` in the low 48 bits (the full
+    /// key, no ambiguity: the 32-bit originator id needs more than 32 bits
+    /// now that ids reach past 2¹⁶), and the retransmitted flag in bit 63.
+    word: u64,
 }
 
-const DUP_EMPTY: DupSlot = DupSlot { until: SimTime::ZERO, key: 0, retransmitted: false };
+/// The bit of a slot's `word` that flags a retransmitted message: above
+/// every key bit.
+const DUP_RETRANSMITTED: u64 = 1 << 63;
+
+const DUP_EMPTY: DupSlot = DupSlot { until: SimTime::ZERO, word: 0 };
+
+impl DupSlot {
+    #[inline]
+    fn new(until: SimTime, key: u64, retransmitted: bool) -> Self {
+        DupSlot { until, word: key | if retransmitted { DUP_RETRANSMITTED } else { 0 } }
+    }
+
+    /// The key, flag cleared: what the hash and key equality read.
+    #[inline]
+    fn key(self) -> u64 {
+        self.word & !DUP_RETRANSMITTED
+    }
+
+    #[inline]
+    fn retransmitted(self) -> bool {
+        self.word & DUP_RETRANSMITTED != 0
+    }
+}
 
 #[inline]
 fn dup_key(originator: NodeId, seq: SequenceNumber) -> u64 {
@@ -1251,7 +1390,7 @@ impl DuplicateSet {
             if s.until == SimTime::ZERO {
                 return None;
             }
-            if s.key == key {
+            if s.key() == key {
                 return Some(i);
             }
             i = (i + 1) & mask;
@@ -1263,7 +1402,7 @@ impl DuplicateSet {
     /// one slot free, so the probe always terminates.
     fn insert_new(&mut self, slot: DupSlot) {
         let mask = self.slots.len() - 1;
-        let mut i = self.hash.bucket(slot.key, self.slots.len());
+        let mut i = self.hash.bucket(slot.key(), self.slots.len());
         while self.slots[i].until != SimTime::ZERO {
             i = (i + 1) & mask;
         }
@@ -1331,7 +1470,7 @@ impl DuplicateSet {
             if s.until == SimTime::ZERO {
                 break;
             }
-            let home = self.hash.bucket(s.key, self.slots.len());
+            let home = self.hash.bucket(s.key(), self.slots.len());
             let stays = if hole <= j { hole < home && home <= j } else { hole < home || home <= j };
             if !stays {
                 self.slots[hole] = s;
@@ -1350,8 +1489,8 @@ impl DuplicateSet {
     /// `true` when `(originator, seq)` was already retransmitted.
     pub fn retransmitted(&self, originator: NodeId, seq: SequenceNumber, now: SimTime) -> bool {
         self.find(dup_key(originator, seq)).is_some_and(|i| {
-            let s = &self.slots[i];
-            s.until > now && s.retransmitted
+            let s = self.slots[i];
+            s.until > now && s.retransmitted()
         })
     }
 
@@ -1374,13 +1513,15 @@ impl DuplicateSet {
         if let Some(i) = found {
             let s = &mut self.slots[i];
             if s.until > now {
-                s.retransmitted |= retransmitted;
+                if retransmitted {
+                    s.word |= DUP_RETRANSMITTED;
+                }
                 s.until = s.until.max(until);
                 self.min_expiry.cover(until);
                 return;
             }
         }
-        self.store_new(found, DupSlot { until, key, retransmitted }, now);
+        self.store_new(found, DupSlot::new(until, key, retransmitted), now);
     }
 
     /// One-probe flood triage for the receive path: a single map access
@@ -1404,10 +1545,14 @@ impl DuplicateSet {
             if s.until > now {
                 s.until = s.until.max(dup_until);
                 self.min_expiry.cover(dup_until);
-                return if s.retransmitted { DupProbe::Retransmitted } else { DupProbe::SeenFresh };
+                return if s.retransmitted() {
+                    DupProbe::Retransmitted
+                } else {
+                    DupProbe::SeenFresh
+                };
             }
         }
-        self.store_new(found, DupSlot { until: dup_until, key, retransmitted: false }, now);
+        self.store_new(found, DupSlot::new(dup_until, key, false), now);
         DupProbe::New
     }
 
@@ -1456,52 +1601,34 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// A row whose link has the given validity times.
+    fn link(sym_until: SimTime, asym_until: SimTime, until: SimTime) -> NeighborRow {
+        NeighborRow { sym_until, asym_until, until, selected_until: SimTime::ZERO }
+    }
+
     #[test]
     fn link_status_transitions() {
-        let tuple =
-            LinkTuple { neighbor: NodeId(1), sym_until: t(5), asym_until: t(10), until: t(12) };
-        assert_eq!(tuple.status(t(0)), LinkStatus::Symmetric);
-        assert_eq!(tuple.status(t(5)), LinkStatus::Asymmetric);
-        assert_eq!(tuple.status(t(10)), LinkStatus::Lost);
+        let row = link(t(5), t(10), t(12));
+        assert_eq!(row.status(t(0)), LinkStatus::Symmetric);
+        assert_eq!(row.status(t(5)), LinkStatus::Asymmetric);
+        assert_eq!(row.status(t(10)), LinkStatus::Lost);
     }
 
     #[test]
     fn link_set_upsert_extends_only() {
-        let mut set = LinkSet::default();
-        set.upsert(LinkTuple {
-            neighbor: NodeId(1),
-            sym_until: t(5),
-            asym_until: t(5),
-            until: t(6),
-        });
-        set.upsert(LinkTuple {
-            neighbor: NodeId(1),
-            sym_until: t(3),
-            asym_until: t(8),
-            until: t(9),
-        });
-        let tuple = set.get(NodeId(1)).unwrap();
-        assert_eq!(tuple.sym_until, t(5)); // not shrunk
-        assert_eq!(tuple.asym_until, t(8));
-        assert_eq!(tuple.until, t(9));
+        let mut set = NeighborTable::default();
+        set.entry(NodeId(1)).sense(t(5), t(5), t(6));
+        set.entry(NodeId(1)).sense(t(3), t(8), t(9));
+        assert_eq!(set.get(NodeId(1)), Some(&link(t(5), t(8), t(9)))); // sym not shrunk
     }
 
     #[test]
     fn link_set_symmetric_and_purge() {
-        let mut set = LinkSet::default();
-        set.upsert(LinkTuple {
-            neighbor: NodeId(1),
-            sym_until: t(5),
-            asym_until: t(5),
-            until: t(6),
-        });
-        set.upsert(LinkTuple {
-            neighbor: NodeId(2),
-            sym_until: t(0),
-            asym_until: t(5),
-            until: t(6),
-        });
+        let mut set = NeighborTable::default();
+        set.entry(NodeId(2)).sense(t(0), t(5), t(6));
+        set.entry(NodeId(1)).sense(t(5), t(5), t(6));
         assert_eq!(set.symmetric_neighbors(t(1)), vec![NodeId(1)]);
+        assert_eq!(set.iter().map(|(n, _)| n).collect::<Vec<_>>(), [NodeId(1), NodeId(2)]);
         set.purge(t(5));
         assert_eq!(set.len(), 2, "nothing has expired before t(6)");
         set.purge(t(6));
@@ -1510,15 +1637,37 @@ mod tests {
 
     #[test]
     fn link_declared_lost() {
-        let mut set = LinkSet::default();
-        set.upsert(LinkTuple {
-            neighbor: NodeId(1),
-            sym_until: t(50),
-            asym_until: t(50),
-            until: t(60),
-        });
-        set.declare_lost(NodeId(1), t(10));
+        let mut set = NeighborTable::default();
+        set.entry(NodeId(1)).sense(t(50), t(50), t(60));
+        set.entry(NodeId(1)).declare_lost(t(10));
         assert_eq!(set.get(NodeId(1)).unwrap().status(t(10)), LinkStatus::Asymmetric);
+    }
+
+    #[test]
+    fn neighbor_rows_reuse_the_slots_of_expired_links() {
+        // Ten rounds of 50 neighbors with ids far apart, in descending id
+        // order, each round's links expired before the next: the arena
+        // holds one round's worth of slots, whatever the ids.
+        let mut set = NeighborTable::default();
+        for round in 0..10u32 {
+            let now = t(u64::from(round) * 10);
+            set.purge(now);
+            for k in (0..50u32).rev() {
+                let id = NodeId(round * 100_000_000 + k * 7);
+                let mut row = set.entry(id);
+                row.sense(now + SimDuration::from_secs(5), now, now + SimDuration::from_secs(5));
+                row.claim_mut().push(id);
+            }
+            assert_eq!(set.len(), 50);
+            assert_eq!((set.rows.len(), set.claims.len()), (50, 50), "round {round}");
+            let ids: Vec<NodeId> = set.iter().map(|(n, _)| n).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "round {round}: {ids:?}");
+            assert!(ids.iter().all(|&n| set.claim(n) == Some(&[n][..])));
+        }
+        set.purge(t(100));
+        assert!(set.is_empty());
+        assert_eq!(set.free.len(), 50);
+        assert!(set.claims.iter().all(|c| c.capacity() == 0), "claims go with their rows");
     }
 
     #[test]
@@ -1574,39 +1723,68 @@ mod tests {
         assert!(set.upsert(NodeId(1), NodeId(10), t(20), t(9)));
     }
 
+    /// Live selectors at `now` and every row's id, live or not.
+    fn selectors_and_rows(set: &NeighborTable, now: SimTime) -> (Vec<NodeId>, Vec<NodeId>) {
+        (set.selector_addrs(now), set.iter().map(|(n, _)| n).collect())
+    }
+
     #[test]
     fn mpr_selector_set() {
-        let mut set = MprSelectorSet::default();
-        set.upsert(NodeId(1), t(5));
-        set.upsert(NodeId(1), t(8)); // refresh extends
-        set.upsert(NodeId(2), t(3));
-        set.upsert(NodeId(2), t(2)); // never shrinks
-        assert!(set.contains(NodeId(1), t(7)));
-        assert!(!set.contains(NodeId(1), t(9)));
-        assert_eq!(set.addrs(t(2)), vec![NodeId(1), NodeId(2)]);
-        assert!(set.is_empty(t(9)));
+        // Each selection rides on a link valid exactly as long.
+        let mut set = NeighborTable::default();
+        let mut select = |n: u32, until: SimTime| {
+            let mut row = set.entry(NodeId(n));
+            row.sense(until, until, until);
+            row.select(until);
+        };
+        select(1, t(5));
+        select(1, t(8)); // refresh extends
+        select(2, t(3));
+        select(2, t(2)); // never shrinks
+        assert!(set.selector_addrs(t(7)).contains(&NodeId(1)));
+        assert!(!set.selector_addrs(t(9)).contains(&NodeId(1)));
+        assert_eq!(set.selector_addrs(t(2)), vec![NodeId(1), NodeId(2)]);
+        assert!(set.selector_addrs(t(9)).is_empty());
         set.purge(t(3));
-        assert_eq!(set.tuples.keys().copied().collect::<Vec<_>>(), vec![NodeId(1)]);
+        assert_eq!(selectors_and_rows(&set, t(3)), (vec![NodeId(1)], vec![NodeId(1)]));
         set.purge(t(9));
-        assert!(set.tuples.is_empty());
+        assert!(set.is_empty());
     }
 
     #[test]
     fn mpr_selector_expired_leftover_counts_as_fresh() {
-        let mut set = MprSelectorSet::default();
-        set.upsert(NodeId(1), t(5));
+        let mut set = NeighborTable::default();
+        set.entry(NodeId(1)).sense(t(20), t(20), t(20));
+        set.entry(NodeId(1)).select(t(5));
         // Leftover expired at t(5) but never purged: re-adding at t(6)
         // makes it live again, and removing it removes it whatever its
         // validity.
-        set.upsert(NodeId(1), t(9));
-        assert!(set.contains(NodeId(1), t(6)));
-        set.remove(NodeId(1));
-        assert!(!set.contains(NodeId(1), t(7)));
-        assert!(set.tuples.is_empty());
-        set.upsert(NodeId(1), t(12));
-        set.remove(NodeId(1));
-        set.remove(NodeId(1)); // absent: a no-op
-        assert!(set.tuples.is_empty());
+        set.entry(NodeId(1)).select(t(9));
+        assert!(set.selector_addrs(t(6)).contains(&NodeId(1)));
+        set.unselect(NodeId(1));
+        assert!(!set.selector_addrs(t(7)).contains(&NodeId(1)));
+        assert_eq!(set.get(NodeId(1)).unwrap().selected_until, SimTime::ZERO);
+        set.entry(NodeId(1)).select(t(12));
+        set.unselect(NodeId(1));
+        set.unselect(NodeId(1));
+        set.unselect(NodeId(2)); // absent: a no-op
+        assert_eq!(selectors_and_rows(&set, SimTime::ZERO), (vec![], vec![NodeId(1)]));
+    }
+
+    #[test]
+    fn hello_claim_lives_and_dies_with_its_row() {
+        let mut set = NeighborTable::default();
+        assert_eq!(set.claim(NodeId(4)), None);
+        let mut row = set.entry(NodeId(4));
+        assert!(row.claim_mut().is_empty(), "a new row claims nothing");
+        row.claim_mut().extend([NodeId(1), NodeId(9)]);
+        row.sense(t(2), t(2), t(2));
+        set.entry(NodeId(3)).sense(t(5), t(5), t(5));
+        assert_eq!(set.claim(NodeId(4)), Some(&[NodeId(1), NodeId(9)][..]));
+        assert_eq!(set.claim(NodeId(3)), Some(&[][..]));
+        set.purge(t(2));
+        assert_eq!((set.claim(NodeId(4)), set.len()), (None, 1));
+        assert!(set.entry(NodeId(4)).claim_mut().is_empty(), "the claim went with the row");
     }
 
     #[test]
@@ -1881,20 +2059,10 @@ mod tests {
     fn purges_are_min_expiry_gated() {
         // A purge before the earliest expiry must remove nothing; at the
         // expiry it removes exactly the due tuples and re-tracks the rest.
-        let mut links = LinkSet::default();
-        links.upsert(LinkTuple {
-            neighbor: NodeId(1),
-            sym_until: t(5),
-            asym_until: t(5),
-            until: t(5),
-        });
-        links.upsert(LinkTuple {
-            neighbor: NodeId(2),
-            sym_until: t(9),
-            asym_until: t(9),
-            until: t(9),
-        });
-        let neighbors = |links: &LinkSet| links.iter().map(|t| t.neighbor).collect::<Vec<_>>();
+        let mut links = NeighborTable::default();
+        links.entry(NodeId(1)).sense(t(5), t(5), t(5));
+        links.entry(NodeId(2)).sense(t(9), t(9), t(9));
+        let neighbors = |links: &NeighborTable| links.iter().map(|(n, _)| n).collect::<Vec<_>>();
         links.purge(t(4));
         assert_eq!(neighbors(&links), vec![NodeId(1), NodeId(2)]);
         assert_eq!(links.min_expiry, MinExpiry(t(5)));

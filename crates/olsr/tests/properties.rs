@@ -5,10 +5,12 @@
 //! duplicate reclaim, per-originator TC replacement, the merged
 //! per-originator TC record that decides a TC's log line and topology
 //! change in one lookup, per-via 2-hop runs and their batch refresh, the
-//! routing graph a node keeps in step with its 2-hop and topology sets, and
-//! the in-place relay of a received message).
+//! neighbor table that holds link, MPR selector and HELLO-memo state in one
+//! row, the merge walk that diffs the symmetric neighborhood, the routing
+//! graph a node keeps in step with its 2-hop and topology sets, and the
+//! in-place relay of a received message).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -19,7 +21,9 @@ use trustlink_olsr::message::{
 };
 use trustlink_olsr::mpr::{select_mprs, uncovered_targets, MprCandidate};
 use trustlink_olsr::routing::{RoutingGraph, RoutingTable, TreeRoute};
-use trustlink_olsr::state::{DupProbe, DuplicateSet, TopologySet, TwoHopSet};
+use trustlink_olsr::state::{
+    ascending_difference, DupProbe, DuplicateSet, LinkStatus, NeighborTable, TopologySet, TwoHopSet,
+};
 use trustlink_olsr::types::SequenceNumber;
 use trustlink_olsr::wire::{
     encode_messages_into, encode_packet, materialize_message, relay_message_into, PacketView,
@@ -368,9 +372,12 @@ proptest! {
 
     #[test]
     fn duplicate_set_seen_iff_recorded_and_unexpired(
-        records in proptest::collection::vec((0u32..8, 0u16..16, any::<bool>()), 0..32),
-        probe_orig in 0u32..8,
-        probe_seq in 0u16..16,
+        records in proptest::collection::vec(
+            (edge_originator(), edge_seq(), any::<bool>()),
+            0..32,
+        ),
+        probe_orig in edge_originator(),
+        probe_seq in edge_seq(),
     ) {
         let mut set = DuplicateSet::default();
         let until = SimTime::from_secs(30);
@@ -446,6 +453,17 @@ proptest! {
             }
         }
     }
+}
+
+/// Duplicate-set originators: a few small ids and the largest, whose key
+/// fills all 48 key bits, right below the slot's retransmitted flag.
+fn edge_originator() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..8, Just(u32::MAX)]
+}
+
+/// Duplicate-set sequence numbers: a few small ones and the largest.
+fn edge_seq() -> impl Strategy<Value = u16> {
+    prop_oneof![0u16..16, Just(0xFFFF)]
 }
 
 // ---- model oracles for the fast bookkeeping paths ---------------------------
@@ -1369,6 +1387,288 @@ impl Default for GraphNode {
             ansns: BTreeMap::new(),
             generation: 0,
             now: SimTime::ZERO,
+        }
+    }
+}
+
+// ---- neighbor table ----------------------------------------------------------
+
+/// Neighbor ids the table oracle draws from: both sides of the wire's
+/// 0xFFFF escape, and the largest id.
+const NBR_IDS: [u32; 6] = [0, 1, 7, 0xFFFF, 0x1_0000, u32::MAX];
+
+/// One operation on a neighbor table.
+#[derive(Debug, Clone)]
+enum NbrOp {
+    /// What a HELLO does to its sender's row: the log-memo check, the
+    /// link refresh, a `LOST` listing and the selection.
+    Hello {
+        n: usize,
+        heard: bool,
+        lost: bool,
+        selected: bool,
+        claim: Vec<u32>,
+        hold_ms: u64,
+    },
+    /// A link merged in with arbitrary times, no selection touched.
+    Upsert {
+        n: usize,
+        sym_ms: u64,
+        asym_ms: u64,
+        hold_ms: u64,
+    },
+    /// A `LOST` listing for a neighbor that may have no row.
+    Lost {
+        n: usize,
+    },
+    /// The neighbor left the symmetric set: its selection goes.
+    Unselect {
+        n: usize,
+    },
+    Purge,
+}
+
+/// A HELLO step; one in five lists this node as `LOST`.
+fn nbr_hello() -> impl Strategy<Value = NbrOp> {
+    (
+        0..NBR_IDS.len(),
+        any::<bool>(),
+        0u8..5,
+        any::<bool>(),
+        proptest::collection::vec(0u32..4, 0..3),
+        1u64..4_000,
+    )
+        .prop_map(|(n, heard, lost, selected, claim, hold_ms)| NbrOp::Hello {
+            n,
+            heard,
+            lost: lost == 0,
+            selected,
+            claim,
+            hold_ms,
+        })
+}
+
+fn nbr_ops() -> impl Strategy<Value = Vec<(u64, NbrOp)>> {
+    let n = 0..NBR_IDS.len();
+    // HELLOs four times as often as each other operation.
+    let op = prop_oneof![
+        nbr_hello(),
+        nbr_hello(),
+        nbr_hello(),
+        nbr_hello(),
+        (n.clone(), 0u64..4_000, 0u64..4_000, 0u64..4_000).prop_map(
+            |(n, sym_ms, asym_ms, hold_ms)| NbrOp::Upsert { n, sym_ms, asym_ms, hold_ms }
+        ),
+        n.clone().prop_map(|n| NbrOp::Lost { n }),
+        n.prop_map(|n| NbrOp::Unselect { n }),
+        Just(NbrOp::Purge),
+    ];
+    // (clock advance in ms, operation)
+    proptest::collection::vec((0u64..1_500, op), 0..120)
+}
+
+/// The three structures the neighbor table replaced: a link set with its
+/// max-merge, a selector set and the HELLO log memo, each its own map and
+/// each purged on its own.
+#[derive(Default)]
+struct NbrModel {
+    /// Neighbor → `(sym_until, asym_until, until)`.
+    links: BTreeMap<NodeId, (SimTime, SimTime, SimTime)>,
+    selectors: BTreeMap<NodeId, SimTime>,
+    memo: BTreeMap<NodeId, Vec<NodeId>>,
+}
+
+impl NbrModel {
+    fn upsert(&mut self, n: NodeId, sym: SimTime, asym: SimTime, until: SimTime) {
+        let t = self.links.entry(n).or_insert((sym, asym, until));
+        *t = (t.0.max(sym), t.1.max(asym), t.2.max(until));
+    }
+
+    fn status(&self, n: NodeId, now: SimTime) -> Option<LinkStatus> {
+        self.links.get(&n).map(|&(sym, asym, _)| {
+            if sym > now {
+                LinkStatus::Symmetric
+            } else if asym > now {
+                LinkStatus::Asymmetric
+            } else {
+                LinkStatus::Lost
+            }
+        })
+    }
+
+    fn selects(&self, n: NodeId, now: SimTime) -> bool {
+        self.selectors.get(&n).is_some_and(|&until| until > now)
+    }
+
+    /// What `process_hello` did with the three maps; `true` when the
+    /// HELLO is logged.
+    #[allow(clippy::too_many_arguments)]
+    fn hello(
+        &mut self,
+        n: NodeId,
+        heard: bool,
+        lost: bool,
+        selected: bool,
+        claim: &[NodeId],
+        hold: SimTime,
+        now: SimTime,
+    ) -> bool {
+        let live = self.links.get(&n).is_some_and(|t| t.2 > now);
+        let last = self.memo.entry(n).or_default();
+        let logged = !live || last != claim;
+        if logged {
+            *last = claim.to_vec();
+        }
+        self.upsert(n, if heard { hold } else { SimTime::ZERO }, hold, hold);
+        if lost {
+            self.links.get_mut(&n).expect("just upserted").0 = now;
+        }
+        if selected && heard && !lost {
+            let s = self.selectors.entry(n).or_insert(hold);
+            *s = (*s).max(hold);
+        } else {
+            self.selectors.remove(&n);
+        }
+        logged
+    }
+
+    fn purge(&mut self, now: SimTime) {
+        self.links.retain(|_, t| t.2 > now);
+        self.selectors.retain(|_, &mut until| until > now);
+        let links = &self.links;
+        self.memo.retain(|n, _| links.contains_key(n));
+    }
+}
+
+/// Compares every query of `table` with the model at `now`.
+fn check_table(
+    table: &NeighborTable,
+    model: &NbrModel,
+    now: SimTime,
+    step: usize,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(table.len(), model.links.len(), "step {}", step);
+    let live = |f: &dyn Fn(NodeId) -> bool| -> Vec<NodeId> {
+        model.links.keys().copied().filter(|&n| f(n)).collect()
+    };
+    prop_assert_eq!(
+        table.symmetric_neighbors(now),
+        live(&|n| model.status(n, now) == Some(LinkStatus::Symmetric)),
+        "step {}",
+        step
+    );
+    prop_assert_eq!(
+        table.selector_addrs(now),
+        model.selectors.keys().copied().filter(|&n| model.selects(n, now)).collect::<Vec<_>>(),
+        "step {}",
+        step
+    );
+    for n in NBR_IDS.map(NodeId) {
+        let row = table.get(n);
+        prop_assert_eq!(
+            row.map(|r| (r.sym_until, r.asym_until, r.until)),
+            model.links.get(&n).copied(),
+            "step {} {}",
+            step,
+            n
+        );
+        prop_assert_eq!(row.map(|r| r.status(now)), model.status(n, now), "step {} {}", step, n);
+        let symmetric = model.status(n, now) == Some(LinkStatus::Symmetric);
+        prop_assert_eq!(table.is_symmetric(n, now), symmetric, "step {} {}", step, n);
+        prop_assert_eq!(
+            row.is_some_and(|r| r.selects_us(now)),
+            model.selects(n, now),
+            "step {} {}",
+            step,
+            n
+        );
+        // The forwarding gates: the sender must be a symmetric neighbor,
+        // and then it must select this node.
+        let gate =
+            row.filter(|r| r.status(now) == LinkStatus::Symmetric).map(|r| r.selects_us(now));
+        let want = symmetric.then(|| model.selects(n, now));
+        prop_assert_eq!(gate, want, "step {} {}", step, n);
+        // A row's claim is the memo's, or empty for a link no HELLO made.
+        let claim =
+            model.links.contains_key(&n).then(|| model.memo.get(&n).map_or(&[][..], Vec::as_slice));
+        prop_assert_eq!(table.claim(n), claim, "step {} {}", step, n);
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn neighbor_table_matches_link_selector_and_memo_maps(ops in nbr_ops()) {
+        let mut table = NeighborTable::default();
+        let mut model = NbrModel::default();
+        let mut now = SimTime::ZERO;
+        for (step, (dt_ms, op)) in ops.iter().enumerate() {
+            now += SimDuration::from_millis(*dt_ms);
+            let ms = |v: u64| now + SimDuration::from_millis(v);
+            match op {
+                NbrOp::Hello { n, heard, lost, selected, claim, hold_ms } => {
+                    let (n, hold) = (NodeId(NBR_IDS[*n]), ms(*hold_ms));
+                    let claim: Vec<NodeId> = claim.iter().copied().map(NodeId).collect();
+                    let want = model.hello(n, *heard, *lost, *selected, &claim, hold, now);
+                    // As `process_hello` drives the row.
+                    let mut row = table.entry(n);
+                    let live = row.row().until > now;
+                    let last = row.claim_mut();
+                    let logged = !live || *last != claim;
+                    if logged {
+                        last.clone_from(&claim);
+                    }
+                    row.sense(if *heard { hold } else { SimTime::ZERO }, hold, hold);
+                    if *lost {
+                        row.declare_lost(now);
+                    }
+                    if *selected && *heard && !*lost {
+                        row.select(hold);
+                    } else {
+                        row.unselect();
+                    }
+                    prop_assert_eq!(logged, want, "step {}", step);
+                }
+                NbrOp::Upsert { n, sym_ms, asym_ms, hold_ms } => {
+                    let n = NodeId(NBR_IDS[*n]);
+                    let (sym, asym, until) = (ms(*sym_ms), ms(*asym_ms), ms(*hold_ms));
+                    model.upsert(n, sym, asym, until);
+                    table.entry(n).sense(sym, asym, until);
+                }
+                NbrOp::Lost { n } => {
+                    let n = NodeId(NBR_IDS[*n]);
+                    if let Some(t) = model.links.get_mut(&n) {
+                        t.0 = now;
+                    }
+                    if table.get(n).is_some() {
+                        table.entry(n).declare_lost(now);
+                    }
+                }
+                NbrOp::Unselect { n } => {
+                    let n = NodeId(NBR_IDS[*n]);
+                    model.selectors.remove(&n);
+                    table.unselect(n);
+                }
+                NbrOp::Purge => {
+                    model.purge(now);
+                    table.purge(now);
+                }
+            }
+            check_table(&table, &model, now, step)?;
+        }
+    }
+
+    #[test]
+    fn ascending_difference_matches_the_quadratic_scan(
+        a in proptest::collection::vec(0u32..64, 0..40),
+        b in proptest::collection::vec(0u32..64, 0..40),
+    ) {
+        // Both sides ascending and free of repeats, as symmetric sets are.
+        let ids = |v: Vec<u32>| v.into_iter().collect::<BTreeSet<u32>>().into_iter().map(NodeId);
+        let (a, b): (Vec<NodeId>, Vec<NodeId>) = (ids(a).collect(), ids(b).collect());
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            let want: Vec<NodeId> = x.iter().copied().filter(|n| !y.contains(n)).collect();
+            prop_assert_eq!(ascending_difference(x, y).collect::<Vec<_>>(), want);
         }
     }
 }
