@@ -6,7 +6,8 @@
 //! 2. a periodic **log analysis** pass that tails the node's own audit log
 //!    (nothing else — the paper's architectural constraint), extracts
 //!    detection events and feeds each to the signature progress of the
-//!    suspects it names;
+//!    suspects it names. The log is only read forward, so the pass releases
+//!    what it has read unless flight recording keeps the whole log;
 //! 3. the **cooperative investigation** of Algorithm 1, opened by the
 //!    partial signature match: an event that satisfies the first stage of
 //!    a built-in signature (E1, or E2 of any kind) opens a case on each
@@ -27,7 +28,8 @@
 //! file, one entry of one map: its signature progress, a trigger held back
 //! during warm-up, the open case, the round count, the MPRs it replaced and
 //! whether it stands condemned. Only an event that opens a case creates a
-//! file.
+//! file. An index of the open cases, by case id, names the files that hold
+//! one, so a pass and an arriving answer visit only those.
 
 use std::collections::BTreeMap;
 
@@ -86,9 +88,13 @@ pub struct DetectorConfig {
     pub trust_slot_interval: SimDuration,
     /// Keep flight-recorder side history: when each analysis pass sampled
     /// the log ([`DetectorNode::analysis_ticks`]) and every detection event
-    /// it extracted ([`DetectorNode::extracted_events`]). Off by default —
-    /// long large-network runs would hold the whole event history in
-    /// memory; replay/audit scenarios switch it on.
+    /// it extracted ([`DetectorNode::extracted_events`]), and keep the
+    /// node's whole audit log. Off by default — long large-network runs
+    /// would hold the whole event history in memory; replay/audit scenarios
+    /// switch it on. With it off, each analysis pass releases the records it
+    /// has read ([`Context::release_log`]), so the node's log holds only the
+    /// records no pass has analysed yet, and a post-hoc reader of the log
+    /// (the flight recorder, rendered lines) sees only those.
     pub flight_recording: bool,
 }
 
@@ -157,18 +163,30 @@ pub struct DetectorNode<H: OlsrHooks = NoHooks> {
     cfg: DetectorConfig,
     extractor: EventExtractor,
     trust: TrustStore<NodeId>,
+    /// Absolute position in the node's audit log of the next record to
+    /// analyse.
     cursor: usize,
     files: BTreeMap<NodeId, SuspectFile>,
+    /// The open cases, by case id: the suspect whose file holds each one.
+    open: BTreeMap<u64, NodeId>,
+    /// A warm-up trigger is held in some file.
+    held_any: bool,
     verdicts: Vec<VerdictRecord>,
     matches: Vec<SignatureMatch>,
     next_case: u64,
     started_at: SimTime,
     last_slot: SimTime,
-    /// `(when, log cursor after the pass)` per analysis pass; only kept
-    /// when [`DetectorConfig::flight_recording`] is on.
+    /// Side history, boxed so a node that does not record stays small;
+    /// present only when [`DetectorConfig::flight_recording`] is on.
+    recording: Option<Box<Recording>>,
+}
+
+/// A detector's flight-recorder side history.
+#[derive(Debug, Default)]
+struct Recording {
+    /// `(when, log cursor after the pass)` per analysis pass.
     analysis_ticks: Vec<(SimTime, usize)>,
-    /// Every detection event extracted, in extraction order; only kept
-    /// when [`DetectorConfig::flight_recording`] is on.
+    /// Every detection event extracted, in extraction order.
     extracted_events: Vec<DetectionEvent>,
 }
 
@@ -192,17 +210,18 @@ impl<H: OlsrHooks> DetectorNode<H> {
         DetectorNode {
             olsr: OlsrNode::with_hooks(olsr, hooks),
             trust: TrustStore::new(TrustValue::DEFAULT),
+            recording: cfg.flight_recording.then(Box::default),
             cfg,
             extractor: EventExtractor::new(),
             cursor: 0,
             files: BTreeMap::new(),
+            open: BTreeMap::new(),
+            held_any: false,
             verdicts: Vec::new(),
             matches: Vec::new(),
             next_case: 0,
             started_at: SimTime::ZERO,
             last_slot: SimTime::ZERO,
-            analysis_ticks: Vec::new(),
-            extracted_events: Vec::new(),
         }
     }
 
@@ -256,19 +275,19 @@ impl<H: OlsrHooks> DetectorNode<H> {
 
     /// Number of investigations still waiting for answers.
     pub fn open_cases(&self) -> usize {
-        self.files.values().filter(|f| f.case.is_some()).count()
+        self.open.len()
     }
 
     /// When each analysis pass sampled the log, with the log cursor after
     /// the pass. Empty unless [`DetectorConfig::flight_recording`] is on.
     pub fn analysis_ticks(&self) -> &[(SimTime, usize)] {
-        &self.analysis_ticks
+        self.recording.as_ref().map_or(&[], |r| &r.analysis_ticks)
     }
 
     /// Every detection event extracted from the audit log, in extraction
     /// order. Empty unless [`DetectorConfig::flight_recording`] is on.
     pub fn extracted_events(&self) -> &[DetectionEvent] {
-        &self.extracted_events
+        self.recording.as_ref().map_or(&[], |r| &r.extracted_events)
     }
 
     // ---- analysis pass ----------------------------------------------------
@@ -290,6 +309,11 @@ impl<H: OlsrHooks> DetectorNode<H> {
             events.extend(self.extractor.ingest_record(*at, record));
         }
         self.cursor = next;
+        // The log is only read forward: drop what this pass analysed,
+        // unless a recording needs the whole log afterwards.
+        if !self.cfg.flight_recording {
+            ctx.release_log(next);
+        }
         // 2. Periodic checks (E3, TC silence). The silence allowance keys
         // off the scoped emission schedule: under fisheye flooding an MPR
         // legitimately skips 1-hop-audible TC slots when no ring is due
@@ -305,9 +329,9 @@ impl<H: OlsrHooks> DetectorNode<H> {
         // Flight-recorder side history: where this pass sampled the log and
         // what it extracted, so a saved recording replays with the exact
         // live batching.
-        if self.cfg.flight_recording {
-            self.analysis_ticks.push((now, self.cursor));
-            self.extracted_events.extend(events.iter().cloned());
+        if let Some(rec) = &mut self.recording {
+            rec.analysis_ticks.push((now, self.cursor));
+            rec.extracted_events.extend(events.iter().cloned());
         }
 
         // 3. Feed each event to the files of the suspects it names. An
@@ -347,11 +371,13 @@ impl<H: OlsrHooks> DetectorNode<H> {
                 } else {
                     // Remember the trigger; investigate after warmup.
                     file.held = Some(file.held.flatten().or(hint));
+                    self.held_any = true;
                 }
             }
         }
         // Triggers held back during warmup become cases now.
-        if warm {
+        if warm && self.held_any {
+            self.held_any = false;
             let held: Vec<(NodeId, Option<NodeId>)> =
                 self.files.iter_mut().filter_map(|(&s, f)| Some((s, f.held.take()?))).collect();
             for (suspect, hint) in held {
@@ -361,16 +387,16 @@ impl<H: OlsrHooks> DetectorNode<H> {
 
         // 4. Finalize due cases in the order they opened. A case reopened
         // here waits for the next pass.
-        let mut due: Vec<(u64, NodeId)> = self
-            .files
+        debug_assert!(self.open_index_agrees(), "open-case index out of step with the files");
+        let due: Vec<(u64, NodeId)> = self
+            .open
             .iter()
-            .filter_map(|(&s, f)| {
-                f.case.as_ref().filter(|c| c.is_complete(now)).map(|c| (c.case, s))
-            })
+            .filter(|(_, s)| self.files[s].case.as_ref().is_some_and(|c| c.is_complete(now)))
+            .map(|(&case, &s)| (case, s))
             .collect();
-        due.sort_unstable();
         let finalized_any = !due.is_empty();
-        for (_, suspect) in due {
+        for (id, suspect) in due {
+            self.open.remove(&id);
             if let Some(case) = self.files.get_mut(&suspect).and_then(|f| f.case.take()) {
                 self.finalize_case(ctx, *case);
             }
@@ -391,6 +417,14 @@ impl<H: OlsrHooks> DetectorNode<H> {
             self.trust.end_slot();
             self.last_slot = now;
         }
+    }
+
+    /// Whether `open` names exactly the cases the files hold.
+    fn open_index_agrees(&self) -> bool {
+        let mut held: Vec<(u64, NodeId)> =
+            self.files.iter().filter_map(|(&s, f)| f.case.as_ref().map(|c| (c.case, s))).collect();
+        held.sort_unstable();
+        held.into_iter().eq(self.open.iter().map(|(&c, &s)| (c, s)))
     }
 
     /// Picks the advertised link of `suspect` worth disputing: a claimed
@@ -483,6 +517,7 @@ impl<H: OlsrHooks> DetectorNode<H> {
         }
         if let Some(file) = self.files.get_mut(&suspect) {
             file.rounds += 1;
+            self.open.insert(case.case, suspect);
             file.case = Some(Box::new(case));
         }
     }
@@ -602,8 +637,8 @@ impl<H: OlsrHooks> DetectorNode<H> {
                 self.olsr.send_data(ctx, src, resp.encode(), Some(suspect));
             }
             InvestigationMessage::VerifyLinkResponse { case, witness, link_exists, .. } => {
-                let mut open = self.files.values_mut().filter_map(|f| f.case.as_mut());
-                if let Some(c) = open.find(|c| c.case == case) {
+                let open = self.open.get(&case).and_then(|s| self.files.get_mut(s));
+                if let Some(c) = open.and_then(|f| f.case.as_mut()) {
                     c.dispute.record_answer(witness, link_exists);
                 }
             }

@@ -51,8 +51,9 @@ fn verdict_of(k: VerdictKind) -> Verdict {
 }
 
 /// The `(when, cursor)` analysis-slot history of the detector on `id`, for
-/// either the faithful or the attacker-hooked variant.
-fn analysis_ticks_of(sim: &Simulator, id: NodeId) -> Vec<(SimTime, usize)> {
+/// either the faithful or the attacker-hooked variant (empty unless flight
+/// recording was on).
+pub fn analysis_ticks_of(sim: &Simulator, id: NodeId) -> Vec<(SimTime, usize)> {
     if let Some(d) = sim.app_as::<DetectorNode>(id) {
         d.analysis_ticks().to_vec()
     } else if let Some(d) = sim.app_as::<DetectorNode<LinkSpoofing>>(id) {

@@ -322,7 +322,12 @@ impl Simulator {
         (0..self.slots.len()).map(|i| NodeId(i as u32))
     }
 
-    /// The audit log of `id`.
+    /// The audit log of `id`: the records it still holds, and the count of
+    /// every record it ever logged ([`LogBuffer::len`]). A consumer on the
+    /// node may release what it has read ([`Context::release_log`]); a
+    /// trust-enabled detector does so after each analysis pass unless its
+    /// flight recording is on, so its log holds only the records not yet
+    /// analysed.
     ///
     /// # Panics
     ///
@@ -333,7 +338,10 @@ impl Simulator {
 
     /// Captures every node's audit log into one [`FlightRecorder`]: the
     /// whole run as a single attributed record stream in canonical
-    /// `(time, node)` order, ready for rlog serialization or replay.
+    /// `(time, node)` order, ready for rlog serialization or replay. Only
+    /// the records the logs still hold are captured: a detector keeps its
+    /// whole log only with flight recording on, and otherwise holds just
+    /// the records its analysis has not read yet.
     pub fn flight_recorder(&self) -> FlightRecorder {
         let mut records = Vec::new();
         for id in self.node_ids().collect::<Vec<_>>() {

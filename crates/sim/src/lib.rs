@@ -19,9 +19,11 @@
 //!    [`node::LogBuffer`] of typed [`record::LogRecord`] values. Protocols
 //!    log records, not strings; the intrusion detector of the paper consumes
 //!    *only* this audit log, never the protocol internals, and rendering to
-//!    text happens at the edges ([`node::LogBuffer::render_lines`]). A whole
-//!    run can be captured into a [`record::FlightRecorder`] and replayed
-//!    from its rlog serialization.
+//!    text happens at the edges ([`node::LogBuffer::render_lines`]). A
+//!    consumer that reads the log only forward may release what it has read
+//!    ([`Context::release_log`]), so memory stays bounded in simulated time.
+//!    A whole run can be captured into a [`record::FlightRecorder`] and
+//!    replayed from its rlog serialization.
 //!
 //! ## Inlining
 //!

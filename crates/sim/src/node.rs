@@ -293,14 +293,33 @@ impl<'a> Context<'a> {
     pub fn log_buffer(&self) -> &LogBuffer {
         self.log
     }
+
+    /// Drops this node's audit records before the absolute position
+    /// `cursor` ([`LogBuffer::release`]): a consumer that reads the log only
+    /// forward releases what it has analysed, so the log holds only what no
+    /// pass has read yet. Post-hoc readers of the log then see only the
+    /// records logged since.
+    pub fn release_log(&mut self, cursor: usize) {
+        self.log.release(cursor);
+    }
 }
 
-/// An append-only, time-stamped log of typed records owned by one node.
+/// A time-stamped log of typed records owned by one node: a window over
+/// the node's append-only record stream.
 ///
 /// The trust-enabled detector of the paper is *log based*: it reads these
 /// records — and nothing else — to find signs of intrusion. The buffer
 /// supports cursor-style incremental reads so a detector can periodically
 /// consume "what happened since I last looked".
+///
+/// Cursors are absolute positions in the stream: record `i` is the `i`-th
+/// record ever logged. A consumer that reads the log only forward may
+/// [`release`](LogBuffer::release) what it has analysed; the buffer then
+/// holds a count of released records (its [`base`](LogBuffer::base)) and the
+/// records from there on. [`len`](LogBuffer::len) still counts every record
+/// ever logged, and a cursor below the base reads from the base. Nothing is
+/// released unless a consumer asks ([`Context::release_log`]); a buffer
+/// nobody releases holds the whole stream.
 ///
 /// ```
 /// use trustlink_sim::node::LogBuffer;
@@ -314,9 +333,14 @@ impl<'a> Context<'a> {
 /// assert_eq!(records.len(), 1);
 /// let (rest, _) = log.read_from(cursor);
 /// assert!(rest.is_empty());
+/// // Release what was read: the count stays, the record goes.
+/// log.release(cursor);
+/// assert_eq!((log.len(), log.base(), log.entries().len()), (1, 1, 0));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LogBuffer {
+    /// Records released so far: the absolute position of `entries[0]`.
+    base: usize,
     entries: Vec<(SimTime, LogRecord)>,
 }
 
@@ -327,42 +351,60 @@ impl LogBuffer {
         self.entries.push((at, record));
     }
 
-    /// Number of records logged so far.
+    /// Number of records logged so far, released ones included.
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.base + self.entries.len()
     }
 
     /// `true` when nothing has been logged.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
-    /// All `(timestamp, record)` entries, oldest first.
+    /// Number of records released so far: the absolute position of the
+    /// oldest record still held.
+    pub fn base(&self) -> usize {
+        self.base
+    }
+
+    /// The `(timestamp, record)` entries still held, oldest first: the whole
+    /// log unless a consumer [released](LogBuffer::release) part of it.
     pub fn entries(&self) -> &[(SimTime, LogRecord)] {
         &self.entries
     }
 
-    /// Iterator over the canonical text rendering of each record, oldest
-    /// first. Rendering happens here, at the edge — not when logging.
+    /// Iterator over the canonical text rendering of each record held,
+    /// oldest first. Rendering happens here, at the edge — not when logging.
     pub fn lines(&self) -> impl Iterator<Item = String> + '_ {
         self.entries.iter().map(|(_, r)| r.to_line())
     }
 
-    /// Renders the whole buffer to `(timestamp, line)` pairs — byte-for-byte
+    /// Renders the records held to `(timestamp, line)` pairs — byte-for-byte
     /// the strings the buffer stored before records were typed. This is the
     /// adapter external consumers of the old text logs use.
     pub fn render_lines(&self) -> Vec<(SimTime, String)> {
         self.entries.iter().map(|(at, r)| (*at, r.to_line())).collect()
     }
 
-    /// Returns the entries appended at or after position `cursor`, plus the
-    /// next cursor value. Feeding the returned cursor back yields only new
-    /// entries — the idiom for periodic log analysis.
+    /// Returns the entries at or after the absolute position `cursor`, plus
+    /// the next cursor value. Feeding the returned cursor back yields only
+    /// new entries — the idiom for periodic log analysis. A cursor below
+    /// [`base`](LogBuffer::base) reads from the base; one past the end reads
+    /// nothing.
     #[inline]
     pub fn read_from(&self, cursor: usize) -> (&[(SimTime, LogRecord)], usize) {
-        let start = cursor.min(self.entries.len());
-        (&self.entries[start..], self.entries.len())
+        let start = cursor.saturating_sub(self.base).min(self.entries.len());
+        (&self.entries[start..], self.len())
+    }
+
+    /// Drops the records before the absolute position `cursor` (clamped to
+    /// [`len`](LogBuffer::len)), keeping the allocation for the records to
+    /// come. Reads below the new base clamp to it.
+    pub fn release(&mut self, cursor: usize) {
+        let n = cursor.saturating_sub(self.base).min(self.entries.len());
+        self.entries.drain(..n);
+        self.base += n;
     }
 }
 
@@ -425,5 +467,74 @@ mod tests {
         let rendered = log.render_lines();
         assert_eq!(rendered.len(), 2);
         assert_eq!(rendered[0], (SimTime::ZERO, "NBR_ADD addr=N4".to_string()));
+    }
+
+    mod window {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Push(usize),
+            Read(usize),
+            Release(usize),
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (1usize..6).prop_map(Op::Push),
+                (0usize..64).prop_map(Op::Read),
+                (0usize..64).prop_map(Op::Release),
+            ]
+        }
+
+        /// The `i`-th record ever logged names `N{i}`.
+        fn record(i: usize) -> (SimTime, LogRecord) {
+            (SimTime::from_micros(i as u64), LogRecord::NeighborAdded { addr: NodeId(i as u32) })
+        }
+
+        proptest! {
+            /// A released window reads like the tail of the whole stream.
+            #[test]
+            fn window_reads_like_the_tail_of_a_plain_vec(
+                ops in proptest::collection::vec(op(), 1..80),
+            ) {
+                let mut log = LogBuffer::default();
+                let mut model: Vec<(SimTime, LogRecord)> = Vec::new();
+                let mut base = 0usize;
+                for op in ops {
+                    match op {
+                        Op::Push(n) => {
+                            for _ in 0..n {
+                                let (at, r) = record(model.len());
+                                log.push(at, r.clone());
+                                model.push((at, r));
+                            }
+                        }
+                        Op::Read(c) => {
+                            let (got, next) = log.read_from(c);
+                            let start = c.max(base).min(model.len());
+                            prop_assert_eq!(got, &model[start..]);
+                            prop_assert_eq!(next, model.len());
+                        }
+                        Op::Release(c) => {
+                            log.release(c);
+                            base = base.max(c.min(model.len()));
+                        }
+                    }
+                    prop_assert_eq!(log.len(), model.len());
+                    prop_assert_eq!(log.base(), base);
+                    prop_assert_eq!(log.entries(), &model[base..]);
+                    for c in base..=model.len() + 1 {
+                        let (got, next) = log.read_from(c);
+                        prop_assert_eq!(got, &model[c.min(model.len())..]);
+                        prop_assert_eq!(next, model.len());
+                    }
+                    for c in 0..base {
+                        prop_assert_eq!(log.read_from(c).0, &model[base..]);
+                    }
+                }
+            }
+        }
     }
 }

@@ -22,6 +22,9 @@ fn main() {
         },
         warmup: SimDuration::from_secs(10),
         trust_slot_interval: SimDuration::from_secs(3),
+        // Keep each detector's whole audit log for the excerpts below;
+        // without it a detector drops the records it has analysed.
+        flight_recording: true,
         ..DetectorConfig::default()
     };
 

@@ -100,11 +100,13 @@ fn bursty_fading_actually_perturbs_the_run() {
 #[test]
 fn full_detection_scenario_is_identical_under_neutral_channel() {
     // End-to-end: the whole detector stack, spoofer included, with the
-    // channel plumbing engaged but neutral.
+    // channel plumbing engaged but neutral. Flight recording keeps the
+    // detectors' whole logs for the fingerprint.
     let run = |with_channel: bool| {
         let mut b = ScenarioBuilder::new(17, 9)
             .topology(Topology::Grid { cols: 3, spacing: 100.0 })
             .radio(RadioConfig::unit_disk(170.0).with_loss(0.05))
+            .detector(DetectorConfig { flight_recording: true, ..DetectorConfig::default() })
             .attacker(
                 8,
                 LinkSpoofing::permanent(SpoofVariant::AdvertiseNonExistent {

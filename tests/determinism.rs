@@ -21,7 +21,9 @@ use trustlink_tests::{assert_recordings_identical, fnv1a, text_fingerprint};
 
 /// A full packet-level scenario — OLSR + detectors + one attacker + one
 /// liar — exercising the radio (loss, jitter), timers and every RNG
-/// consumer in the stack.
+/// consumer in the stack. Flight recording keeps every node's whole audit
+/// log for the post-hoc reads below (and the extracted events); it changes
+/// nothing in the run.
 fn spoofing_scenario(seed: u64) -> ScenarioReport {
     spoofing_builder(seed).run()
 }
@@ -35,6 +37,7 @@ fn spoofing_builder(seed: u64) -> ScenarioBuilder {
             LinkSpoofing::permanent(SpoofVariant::AdvertiseNonExistent { fake: vec![NodeId(99)] }),
         )
         .liar(5, LiarPolicy::CoverFor { accomplices: vec![NodeId(8)] })
+        .detector(DetectorConfig { flight_recording: true, ..DetectorConfig::default() })
         .duration(SimDuration::from_secs(60))
 }
 
@@ -108,14 +111,11 @@ fn render_lines_matches_pre_typed_golden_digests() {
 fn detection_event_streams_match_golden_digests() {
     // Derived before the log dropped the record kinds the IDS does not
     // read, and unchanged by that: what the detectors extract from the
-    // log must not depend on what else the log holds. Flight recording
-    // keeps the extracted events; it changes nothing in the run.
+    // log must not depend on what else the log holds.
     for (seed, golden, count) in
         [(7u64, 0x56da_a699_ad50_ed6e_u64, 431), (8, 0x9da8_35c7_d179_3207, 447)]
     {
-        let report = spoofing_builder(seed)
-            .detector(DetectorConfig { flight_recording: true, ..DetectorConfig::default() })
-            .run();
+        let report = spoofing_scenario(seed);
         let mut stream = String::new();
         let mut events = 0;
         for id in report.sim.node_ids().collect::<Vec<_>>() {

@@ -287,6 +287,37 @@ impl Application for SilentMpr {
 }
 
 #[test]
+fn detectors_release_the_audit_records_they_have_analysed() {
+    // The 3×3 spoofer grid for 120 s, once with flight recording (every
+    // log kept whole) and once releasing what each analysis pass has read.
+    let run = |flight_recording: bool| {
+        ScenarioBuilder::new(203, 9)
+            .topology(Topology::Grid { cols: 3, spacing: 100.0 })
+            .detector(DetectorConfig { flight_recording, ..fast_detector() })
+            .attacker(8, spoof_phantom(99))
+            .duration(SimDuration::from_secs(120))
+            .run()
+    };
+    let kept = run(true);
+    let released = run(false);
+    assert!(kept.detected(NodeId(8)));
+    assert_eq!(released.verdicts, kept.verdicts, "releasing the log moved a verdict");
+    for id in kept.sim.node_ids().collect::<Vec<_>>() {
+        let (whole, window) = (kept.sim.log(id), released.sim.log(id));
+        assert_eq!(whole.entries().len(), whole.len(), "{id}: the recording dropped records");
+        assert_eq!(window.len(), whole.len(), "{id}: the record count moved");
+        // The recording's last pass says how far the live pass had read:
+        // exactly the records logged since then are held.
+        let ticks = trustlink_core::replay::analysis_ticks_of(&kept.sim, id);
+        let &(last_pass, cursor) = ticks.last().expect("analysis passes ran");
+        assert_eq!(window.base(), cursor, "{id}: released up to another cursor");
+        assert_eq!(window.entries(), &whole.entries()[cursor..], "{id}: held the wrong tail");
+        assert!(window.entries().iter().all(|(at, _)| *at >= last_pass));
+        assert!(window.entries().len() * 100 < whole.len(), "{id}: most records still held");
+    }
+}
+
+#[test]
 fn silent_mpr_is_flagged_at_pinned_instants() {
     // A five-node line whose middle node falls silent at 15 s. Nodes 1 and
     // 3 keep it as their only MPR; once its last TC is more than

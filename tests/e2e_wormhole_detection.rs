@@ -25,6 +25,8 @@ fn fast_detector() -> DetectorConfig {
         },
         warmup: SimDuration::from_secs(10),
         trust_slot_interval: SimDuration::from_secs(3),
+        // Keeps the detectors' whole logs for the flight recorder.
+        flight_recording: true,
         ..DetectorConfig::default()
     }
 }

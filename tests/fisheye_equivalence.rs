@@ -97,9 +97,10 @@ fn single_unbounded_ring_is_byte_identical_on_olsr_mesh() {
 fn single_unbounded_ring_detection_scenario_is_byte_identical() {
     for seed in [201, 204] {
         let run = |scope: FloodScope| {
+            // Flight recording keeps the whole logs the recorders compare.
             ScenarioBuilder::new(seed, 9)
                 .topology(Topology::Grid { cols: 3, spacing: 100.0 })
-                .detector(fast_detector())
+                .detector(DetectorConfig { flight_recording: true, ..fast_detector() })
                 .attacker(8, spoof_phantom(99))
                 .liar(1, LiarPolicy::CoverFor { accomplices: vec![NodeId(8)] })
                 .olsr(OlsrConfig::fast().with_flood_scope(scope))

@@ -232,7 +232,8 @@ fn fisheye_scoped_flooding_is_byte_identical() {
 #[test]
 fn full_detection_scenario_is_byte_identical() {
     // The whole stack — OLSR + detectors + attacker + liar + loss —
-    // through the ScenarioBuilder.
+    // through the ScenarioBuilder. Flight recording keeps the detectors'
+    // whole logs for the digest; it changes nothing in the run.
     let detector = DetectorConfig {
         analysis_interval: SimDuration::from_millis(500),
         investigation: trustlink_ids::investigation::InvestigationConfig {
@@ -241,6 +242,7 @@ fn full_detection_scenario_is_byte_identical() {
         },
         warmup: SimDuration::from_secs(10),
         trust_slot_interval: SimDuration::from_secs(3),
+        flight_recording: true,
         ..DetectorConfig::default()
     };
     for (seed, golden, verdicts) in

@@ -308,6 +308,8 @@ fn full_detection_scenario_verdicts_are_identical() {
         },
         warmup: SimDuration::from_secs(10),
         trust_slot_interval: SimDuration::from_secs(3),
+        // Keeps the whole logs the decision fingerprints compare.
+        flight_recording: true,
         ..DetectorConfig::default()
     };
     for seed in [7, 19, 31] {

@@ -26,11 +26,13 @@ use trustlink_ids::investigation::InvestigationConfig;
 use trustlink_tests::{fnv1a, text_fingerprint};
 
 /// A stationary 3×3 mesh with a phantom-link spoofer and no frame loss:
-/// links come up once, never flap, and stay up for the whole run.
+/// links come up once, never flap, and stay up for the whole run. Flight
+/// recording keeps the detectors' whole logs for the digests.
 fn flap_free_scenario(seed: u64) -> ScenarioReport {
     ScenarioBuilder::new(seed, 9)
         .topology(Topology::Grid { cols: 3, spacing: 100.0 })
         .radio(RadioConfig::unit_disk(170.0))
+        .detector(DetectorConfig { flight_recording: true, ..DetectorConfig::default() })
         .attacker(
             8,
             LinkSpoofing::permanent(SpoofVariant::AdvertiseNonExistent { fake: vec![NodeId(99)] }),
