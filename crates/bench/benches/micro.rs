@@ -2,7 +2,7 @@
 //! delivery, MPR selection, route calculation, the topology set's TC
 //! reception and purge, wire codec, the reception of
 //! a repeated TC, of an already retransmitted TC copy and of a TC copy the
-//! node relays, log parsing, signature matching, trust update, detection
+//! node relays, log parsing, trust update, detection
 //! aggregation and the probit.
 
 use bytes::Bytes;
@@ -656,28 +656,6 @@ fn bench_log_pipeline(c: &mut Criterion) {
     });
 }
 
-fn bench_signature_engine(c: &mut Criterion) {
-    use trustlink_ids::events::DetectionEvent;
-    use trustlink_ids::Progress;
-    c.bench_function("signature_trigger_confirm_pair", |b| {
-        b.iter(|| {
-            let mut progress = Progress::default();
-            let e1 = DetectionEvent::MprReplaced {
-                replaced: vec![NodeId(9)],
-                replacing: vec![NodeId(3)],
-                at: SimTime::from_secs(1),
-            };
-            let e4 = DetectionEvent::NotCovering {
-                mpr: NodeId(3),
-                neighbor: NodeId(7),
-                at: SimTime::from_secs(2),
-            };
-            progress.observe(NodeId(3), &e1);
-            black_box(progress.observe(NodeId(3), &e4))
-        })
-    });
-}
-
 fn bench_trust_primitives(c: &mut Criterion) {
     let update = TrustUpdate::default();
     let evidences = [
@@ -722,6 +700,6 @@ criterion_group! {
               bench_topology_receive, bench_wire,
               bench_olsr_receive, bench_olsr_retransmitted_receive,
               bench_olsr_unselected_copy_receive, bench_olsr_tc_relay,
-              bench_log_pipeline, bench_signature_engine, bench_trust_primitives
+              bench_log_pipeline, bench_trust_primitives
 }
 criterion_main!(micro);

@@ -2,7 +2,7 @@
 //!
 //! The complete system of *"Trust-enabled Link Spoofing Detection in
 //! MANET"* (Alattar, Sailhan, Bourgeois — ICDCS WWASN 2012): a distributed,
-//! log- and signature-based intrusion detector for OLSR ad hoc networks,
+//! log-based intrusion detector for OLSR ad hoc networks,
 //! secured by an entropy-based trust system and a confidence-interval
 //! indicator.
 //!
@@ -10,7 +10,7 @@
 //! evaluation:
 //!
 //! * [`detector`] — [`detector::DetectorNode`], one node running OLSR +
-//!   log analysis + signatures + cooperative investigation + trust;
+//!   log analysis + cooperative investigation + trust;
 //! * [`scenario`] — packet-level networks of detectors with attackers and
 //!   liars, and the measurements taken from them;
 //! * [`rounds`] — the paper's §V evaluation protocol (abstract

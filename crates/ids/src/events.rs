@@ -12,10 +12,15 @@
 //!   interrogating them);
 //! * **E5** — an MPR provides connectivity to a non-neighbor (same).
 //!
-//! E1–E3 are extracted *locally* from the node's own log lines by
-//! [`EventExtractor`]; E4/E5 arrive as answers during the cooperative
-//! investigation and are produced by
-//! [`crate::investigation::Investigation`].
+//! [`EventExtractor`] extracts E1 and E2 *locally* from the node's own log
+//! records, and every event it emits opens a case on the suspects it
+//! names. E3 is not extracted: the paper calls it never sufficient on its
+//! own, so no decision reads it, and scanning every 2-hop target for every
+//! MPR on each pass would let a node claiming many phantoms inflate the
+//! scan. The detector's contested-link choice reads the same sole-via view
+//! directly ([`EventExtractor::vias_for`]). E4 and E5 are not events
+//! either: they are a witness's Deny and NoAnswer answers, held in the
+//! case's dispute ([`crate::investigation::Investigation`]).
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -47,36 +52,6 @@ pub enum DetectionEvent {
         /// When.
         at: SimTime,
     },
-    /// E3: `mpr` is the sole provider of connectivity to `only_via` —
-    /// suspicious but not actionable alone (sparse networks look the same).
-    SoleConnectivity {
-        /// The MPR in question.
-        mpr: NodeId,
-        /// Nodes reachable only through it.
-        only_via: Vec<NodeId>,
-        /// When.
-        at: SimTime,
-    },
-    /// E4: a witness denied being covered by the suspect (investigation
-    /// answer).
-    NotCovering {
-        /// The suspect MPR.
-        mpr: NodeId,
-        /// The adjacent neighbor it fails to cover.
-        neighbor: NodeId,
-        /// When the answer arrived.
-        at: SimTime,
-    },
-    /// E5: the suspect advertises connectivity to a node that is not its
-    /// neighbor (or does not exist).
-    CoveringNonNeighbor {
-        /// The suspect MPR.
-        mpr: NodeId,
-        /// The claimed-but-false neighbor.
-        claimed: NodeId,
-        /// When established.
-        at: SimTime,
-    },
 }
 
 /// The concrete misbehaviour behind an E2 event.
@@ -93,44 +68,27 @@ pub enum MisbehaviourReason {
 }
 
 impl DetectionEvent {
-    /// The node this event incriminates (the first suspect for compound
-    /// events).
-    pub fn suspect(&self) -> Option<NodeId> {
-        match self {
-            DetectionEvent::MprReplaced { replacing, .. } => replacing.first().copied(),
-            DetectionEvent::MprMisbehaving { mpr, .. }
-            | DetectionEvent::SoleConnectivity { mpr, .. }
-            | DetectionEvent::NotCovering { mpr, .. }
-            | DetectionEvent::CoveringNonNeighbor { mpr, .. } => Some(*mpr),
-        }
-    }
-
     /// All suspects named by the event, borrowed from it: the replacing
-    /// MPRs of an E1, the one MPR of any other kind.
+    /// MPRs of an E1, the misbehaving MPR of an E2. Each gets a case.
     pub fn suspects(&self) -> &[NodeId] {
         match self {
             DetectionEvent::MprReplaced { replacing, .. } => replacing,
-            DetectionEvent::MprMisbehaving { mpr, .. }
-            | DetectionEvent::SoleConnectivity { mpr, .. }
-            | DetectionEvent::NotCovering { mpr, .. }
-            | DetectionEvent::CoveringNonNeighbor { mpr, .. } => std::slice::from_ref(mpr),
+            DetectionEvent::MprMisbehaving { mpr, .. } => std::slice::from_ref(mpr),
         }
     }
 
     /// When the event was observed.
     pub fn at(&self) -> SimTime {
         match self {
-            DetectionEvent::MprReplaced { at, .. }
-            | DetectionEvent::MprMisbehaving { at, .. }
-            | DetectionEvent::SoleConnectivity { at, .. }
-            | DetectionEvent::NotCovering { at, .. }
-            | DetectionEvent::CoveringNonNeighbor { at, .. } => *at,
+            DetectionEvent::MprReplaced { at, .. } | DetectionEvent::MprMisbehaving { at, .. } => {
+                *at
+            }
         }
     }
 }
 
 /// Incrementally rebuilds a routing view from audit-log lines and emits
-/// E1–E3 (plus E2 heuristics) as they become visible.
+/// E1 and the E2 heuristics as they become visible.
 ///
 /// The extractor sees **only what the log says** — it deliberately has no
 /// access to protocol internals, mirroring the paper's architecture.
@@ -309,7 +267,7 @@ impl EventExtractor {
     }
 
     /// Periodic sweep for non-event-driven checks (the paper's
-    /// "periodical/random checks"): E3 sole-connectivity and E2 TC-silence.
+    /// "periodical/random checks"): E1 MPR replacement and E2 TC silence.
     ///
     /// `tc_silence_after`: how long an MPR may go without originating TCs
     /// before being flagged. Pass a few multiples of the *worst-case
@@ -338,19 +296,6 @@ impl EventExtractor {
                 events.push(DetectionEvent::MprReplaced { replaced, replacing, at: now });
             }
             self.slot_mprs = self.mprs.clone();
-        }
-
-        // E3: MPRs that are the only via for some 2-hop target.
-        for &mpr in &self.mprs {
-            let only_via: Vec<NodeId> = self
-                .vias
-                .iter()
-                .filter(|(_, vias)| vias.len() == 1 && vias.contains(&mpr))
-                .map(|(&target, _)| target)
-                .collect();
-            if !only_via.is_empty() {
-                events.push(DetectionEvent::SoleConnectivity { mpr, only_via, at: now });
-            }
         }
 
         // E2: an MPR of ours that has stopped originating TCs entirely.
@@ -422,9 +367,9 @@ impl EventExtractor {
         self.known.contains_key(&id)
     }
 
-    /// The 1-hop vias through which `target` is reachable.
-    pub fn vias_for(&self, target: NodeId) -> Vec<NodeId> {
-        self.vias.get(&target).map(|s| s.iter().copied().collect()).unwrap_or_default()
+    /// The 1-hop vias through which `target` is reachable, ascending.
+    pub fn vias_for(&self, target: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.vias.get(&target).into_iter().flatten().copied()
     }
 
     /// The current symmetric neighborhood as logged.
@@ -489,8 +434,7 @@ mod tests {
             }
             other => panic!("wrong event {other:?}"),
         }
-        assert!(crate::signature::opens_case(&events[0]));
-        assert_eq!(events[0].suspect(), Some(NodeId(3)));
+        assert_eq!(events[0].suspects(), [NodeId(3)]);
     }
 
     #[test]
@@ -531,23 +475,16 @@ mod tests {
 
     #[test]
     fn sole_connectivity_on_tick() {
+        // N1 is the only via to N10 (E3): nothing a decision reads, so
+        // the tick extracts no event from it.
         let mut ex = EventExtractor::new();
         ex.ingest_record(t(0), &LogRecord::MprSet { mprs: vec![NodeId(1)].into() });
         ex.ingest_record(t(0), &LogRecord::TwoHopAdded { via: NodeId(1), addr: NodeId(10) });
         ex.ingest_record(t(0), &LogRecord::TwoHopAdded { via: NodeId(1), addr: NodeId(11) });
         ex.ingest_record(t(0), &LogRecord::TwoHopAdded { via: NodeId(2), addr: NodeId(11) });
-        let events = ex.tick(t(5), trustlink_sim::SimDuration::from_secs(100));
-        let e3: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                DetectionEvent::SoleConnectivity { mpr, only_via, .. } => {
-                    Some((*mpr, only_via.clone()))
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(e3, vec![(NodeId(1), vec![NodeId(10)])]);
-        assert!(!crate::signature::opens_case(&events[0]));
+        assert!(ex.tick(t(1), trustlink_sim::SimDuration::from_secs(100)).is_empty());
+        assert!(ex.tick(t(5), trustlink_sim::SimDuration::from_secs(100)).is_empty());
+        assert_eq!(ex.vias_for(NodeId(10)).collect::<Vec<_>>(), [NodeId(1)]);
     }
 
     #[test]
@@ -667,7 +604,8 @@ mod tests {
         ex.ingest_record(t(0), &LogRecord::TwoHopAdded { via: NodeId(1), addr: NodeId(3) });
         ex.ingest_record(t(0), &LogRecord::NeighborAdded { addr: NodeId(1) });
         assert_eq!(ex.claimed_neighbors_of(NodeId(1)), Some(&[NodeId(2), NodeId(3)][..]));
-        assert_eq!(ex.vias_for(NodeId(3)), vec![NodeId(1)]);
+        assert_eq!(ex.vias_for(NodeId(3)).collect::<Vec<_>>(), [NodeId(1)]);
+        assert_eq!(ex.vias_for(NodeId(2)).count(), 0);
         assert!(ex.neighbors().contains(&NodeId(1)));
         assert!(ex.is_known(NodeId(3)));
         assert!(!ex.is_known(NodeId(4)));

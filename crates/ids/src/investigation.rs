@@ -218,7 +218,7 @@ pub fn plan_witnesses(
         let common: Vec<NodeId> = claimed
             .iter()
             .copied()
-            .filter(|w| view.vias_for(*w).iter().any(|v| old_mprs.contains(v)))
+            .filter(|&w| view.vias_for(w).any(|v| old_mprs.contains(&v)))
             .collect();
         if !common.is_empty() {
             witnesses = common;

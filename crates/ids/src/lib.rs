@@ -1,31 +1,32 @@
 //! # trustlink-ids
 //!
-//! The log- and signature-based intrusion detection layer of
-//! *"Trust-enabled Link Spoofing Detection in MANET"* (Alattar, Sailhan,
-//! Bourgeois — ICDCS WWASN 2012).
+//! The log-based intrusion detection layer of *"Trust-enabled Link Spoofing
+//! Detection in MANET"* (Alattar, Sailhan, Bourgeois — ICDCS WWASN 2012).
 //!
-//! The detection pipeline, exactly as the paper structures it:
+//! The detection pipeline, as the paper structures it:
 //!
 //! 1. **Logs** — the OLSR daemon writes typed audit records
 //!    ([`trustlink_sim::record::LogRecord`], rendered as text lines only at
 //!    the edges); nothing else is observed, so "no change is requested in
 //!    the implementation of the node".
 //! 2. **Events** — [`events::EventExtractor`] ingests the records and emits
-//!    the paper's detection events: E1 (MPR replaced), E2 (MPR
-//!    misbehaving), E3 (sole connectivity) locally; E4/E5 arrive later from
-//!    investigations.
-//! 3. **Signatures** — [`signature::Progress`] tracks one suspect through
-//!    the fixed, partially ordered built-in signatures. An event that
-//!    satisfies a signature's first stage (a fresh E1/E2,
-//!    [`signature::opens_case`]) is the partial match that opens a
-//!    cooperative investigation, and a *complete* match ((E1∨E2) then
-//!    (E4∨E5)) is the detection itself (the paper's rule (4)).
-//! 4. **Investigation** — [`investigation`] implements Algorithm 1:
+//!    the paper's local detection events, E1 (MPR replaced) and E2 (MPR
+//!    misbehaving). Each is the partial match of the paper's signature,
+//!    so each opens a cooperative investigation on every suspect it names.
+//!    E3 (an MPR is the sole provider of connectivity) is not extracted:
+//!    the paper calls it suspicious but never sufficient on its own, so no
+//!    decision reads it.
+//! 3. **Investigation** — [`investigation`] implements Algorithm 1:
 //!    selecting witnesses from the suspect's claimed neighborhood,
 //!    request/answer messages routed around the suspect, timeouts, and the
 //!    answers, held in a `trustlink_trust::Dispute`: the same judge of
 //!    formulas (8)–(10) that the round model behind the paper's figures
-//!    uses.
+//!    uses. E4 (the suspect does not cover a neighbor) and E5 (it covers a
+//!    non-neighbor) are the dispute's Deny and NoAnswer answers.
+//! 4. **Decision** — the paper's rule (4), (E1 ∨ E2) then (E4 ∨ E5), is
+//!    what an Intruder verdict is: a case opens only on an E1 or E2, and
+//!    rule (10) decides it from its witnesses' answers. No second matcher
+//!    relabels the convictions.
 //!
 //! ```
 //! use trustlink_ids::prelude::*;
@@ -33,7 +34,6 @@
 //! use trustlink_sim::{NodeId, SimTime, SimDuration};
 //!
 //! let mut extractor = EventExtractor::new();
-//! let mut progress = Progress::default();
 //! let mpr_set = |id| LogRecord::MprSet { mprs: Box::from([NodeId(id)]) };
 //!
 //! // The detector tails its own audit log, then closes the analysis slot
@@ -44,18 +44,13 @@
 //! extractor.tick(t0, SimDuration::from_secs(600));
 //! extractor.ingest_record(SimTime::from_secs(2), &mpr_set(3));
 //! let events = extractor.tick(SimTime::from_secs(2), SimDuration::from_secs(600));
-//! // The replacement names N3: it opens N3's case and leaves N3 a partial
-//! // link-spoofing suspect.
+//! // The replacement names N3: it opens N3's case.
+//! assert!(matches!(events[..], [DetectionEvent::MprReplaced { .. }]));
 //! assert_eq!(events[0].suspects(), [NodeId(3)]);
-//! assert!(opens_case(&events[0]));
-//! assert!(progress.observe(NodeId(3), &events[0]).is_empty());
-//! // An E4 from its investigation (witness N7 denies N3's link) completes
-//! // the match:
+//! // N3 is now the only via to N9 (E3): the next pass extracts nothing.
 //! let t3 = SimTime::from_secs(3);
-//! let e4 = DetectionEvent::NotCovering { mpr: NodeId(3), neighbor: NodeId(7), at: t3 };
-//! let matches = progress.observe(NodeId(3), &e4);
-//! assert_eq!(matches.len(), 1);
-//! assert_eq!((matches[0].signature, matches[0].suspect), ("link-spoofing", NodeId(3)));
+//! extractor.ingest_record(t3, &LogRecord::TwoHopAdded { via: NodeId(3), addr: NodeId(9) });
+//! assert!(extractor.tick(t3, SimDuration::from_secs(600)).is_empty());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,7 +58,6 @@
 
 pub mod events;
 pub mod investigation;
-pub mod signature;
 
 /// Glob-import of the detection pipeline types.
 pub mod prelude {
@@ -71,9 +65,7 @@ pub mod prelude {
     pub use crate::investigation::{
         plan_witnesses, Investigation, InvestigationConfig, InvestigationMessage,
     };
-    pub use crate::signature::{opens_case, EventPattern, Progress, Signature, SignatureMatch};
 }
 
 pub use events::{DetectionEvent, EventExtractor, LinkStability, MisbehaviourReason};
 pub use investigation::{plan_witnesses, Investigation, InvestigationConfig, InvestigationMessage};
-pub use signature::{opens_case, EventPattern, Progress, Signature, SignatureMatch};

@@ -344,22 +344,9 @@ impl MessageView {
         if self.kind != MessageType::Data {
             return None;
         }
-        let body = &frame[self.body.0..self.body.1];
-        let read = |off| NodeId::read_at(body, off).expect("data body validated by PacketView");
-        let (src, n) = read(0);
-        let (dst, m) = read(n);
-        let mut off = n + m;
-        let avoid = match be16(body, off) {
-            NO_AVOID => None,
-            AVOID_ESCAPE => {
-                off += 4;
-                Some(NodeId((u32::from(be16(body, off - 2)) << 16) | u32::from(be16(body, off))))
-            }
-            v => Some(NodeId(u32::from(v))),
-        };
-        // The avoid field, the payload length (validated to match) and the
-        // payload.
-        Some(DataView { src, dst, avoid, payload: &body[off + 4..] })
+        Some(
+            read_data(&frame[self.body.0..self.body.1]).expect("data body validated by PacketView"),
+        )
     }
 
     /// The payload of `data`, the data body behind this view, as a slice
@@ -568,7 +555,9 @@ impl<'a> PacketView<'a> {
                     }
                     validate_addr_run(body, 4, body.len())?;
                 }
-                MSG_DATA => validate_data(body)?,
+                MSG_DATA => {
+                    read_data(body)?;
+                }
                 other => return Err(WireError::UnknownMessageType(other)),
             }
             off += size;
@@ -625,29 +614,34 @@ fn validate_addr_run(body: &[u8], from: usize, to: usize) -> Result<(), WireErro
     Ok(())
 }
 
-/// Validates a data-message body, as [`MessageView::data`] reads it.
-fn validate_data(body: &[u8]) -> Result<(), WireError> {
+/// Reads a data-message body: source, destination, the avoid field (a
+/// two-byte id, `NO_AVOID`, or `AVOID_ESCAPE` and a four-byte id), the
+/// payload length and the payload. The data layout's only reader:
+/// [`PacketView::parse`] validates with it and [`MessageView::data`] reads
+/// with it.
+#[inline]
+fn read_data(body: &[u8]) -> Result<DataView<'_>, WireError> {
     if body.len() < 8 {
         return Err(WireError::Truncated);
     }
-    let mut off = 0;
-    for _ in 0..2 {
-        match skip_addr(body, off) {
-            Some(next) => off = next,
-            None => return Err(WireError::Truncated),
-        }
-    }
+    let (src, n) = NodeId::read_at(body, 0).ok_or(WireError::Truncated)?;
+    let (dst, m) = NodeId::read_at(body, n).ok_or(WireError::Truncated)?;
+    let mut off = n + m;
     if body.len() - off < 2 {
         return Err(WireError::Truncated);
     }
-    let avoid_raw = be16(body, off);
-    off += 2;
-    if avoid_raw == AVOID_ESCAPE {
-        if body.len() - off < 4 {
-            return Err(WireError::Truncated);
+    let avoid = match be16(body, off) {
+        NO_AVOID => None,
+        AVOID_ESCAPE => {
+            if body.len() - off < 6 {
+                return Err(WireError::Truncated);
+            }
+            off += 4;
+            Some(NodeId((u32::from(be16(body, off - 2)) << 16) | u32::from(be16(body, off))))
         }
-        off += 4;
-    }
+        v => Some(NodeId(u32::from(v))),
+    };
+    off += 2;
     if body.len() - off < 2 {
         return Err(WireError::Truncated);
     }
@@ -656,7 +650,7 @@ fn validate_data(body: &[u8]) -> Result<(), WireError> {
     match plen.cmp(&(body.len() - off)) {
         std::cmp::Ordering::Greater => Err(WireError::Truncated),
         std::cmp::Ordering::Less => Err(WireError::BadLength),
-        std::cmp::Ordering::Equal => Ok(()),
+        std::cmp::Ordering::Equal => Ok(DataView { src, dst, avoid, payload: &body[off..] }),
     }
 }
 

@@ -158,25 +158,27 @@ fn attacker_trust_collapses_at_observers() {
 fn detection_emits_signature_matches() {
     let report = ScenarioBuilder::new(210, 9)
         .topology(Topology::Grid { cols: 3, spacing: 100.0 })
-        .detector(fast_detector())
+        .detector(DetectorConfig { flight_recording: true, ..fast_detector() })
         .attacker(4, spoof_phantom(55))
         .duration(SimDuration::from_secs(120))
         .run();
     assert!(report.detected(NodeId(4)));
-    // Rule (4): the completed link-spoofing signature should exist at some
-    // honest observer ((E1 ∨ E2) then (E4 ∨ E5)).
-    let mut matched = false;
-    for id in report.sim.node_ids().collect::<Vec<_>>() {
-        if let Some(d) = report.sim.app_as::<trustlink_core::DetectorNode>(id) {
-            if d.signature_matches()
-                .iter()
-                .any(|m| m.signature == "link-spoofing" && m.suspect == NodeId(4))
-            {
-                matched = true;
-            }
-        }
+    // Rule (4), (E1 ∨ E2) then (E4 ∨ E5): at every observer that convicts
+    // N4, an extracted E1/E2 naming N4 comes before the Intruder verdict,
+    // and the verdict's case heard its witnesses' answers.
+    for (observer, verdict) in report.convictions_of(NodeId(4)) {
+        let trigger = trustlink_core::replay::extracted_events_of(&report.sim, *observer)
+            .iter()
+            .filter(|ev| ev.suspects().contains(&NodeId(4)))
+            .map(DetectionEvent::at)
+            .min();
+        assert!(
+            trigger.is_some_and(|at| at < verdict.at),
+            "{observer} convicted N4 at {:?} with no earlier E1/E2 naming it (first {trigger:?})",
+            verdict.at
+        );
+        assert!(verdict.witnesses >= 2, "{observer}: {verdict:?}");
     }
-    assert!(matched, "no completed link-spoofing signature match anywhere");
 }
 
 #[test]
