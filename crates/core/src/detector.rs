@@ -978,6 +978,27 @@ mod tests {
     }
 
     #[test]
+    fn events_on_an_open_case_add_no_file_or_case() {
+        // Hostile input: N4 claims 1 000 unknown ids in one HELLO. Each is
+        // an E2 naming N4; the first opens its case, and the other 999
+        // advance nothing: still one file, one case, one round.
+        let mut claims = vec![1, 2];
+        claims.extend(5_000..6_000);
+        let sim = &mut scripted(
+            0,
+            vec![(t(1), hello_rx(1, &[])), (t(1), hello_rx(2, &[])), (t(1), hello_rx(4, &claims))],
+        );
+        sim.run_until(t(4));
+        let det = &sim.app_as::<Scripted>(NodeId(0)).expect("scripted detector").det;
+        assert_eq!(det.extracted_events().len(), 1_000);
+        assert_eq!(det.files.keys().copied().collect::<Vec<_>>(), [NodeId(4)]);
+        assert_eq!(det.open_cases(), 1);
+        let file = &det.files[&NodeId(4)];
+        let case = file.case.as_ref().expect("the first claim opened a case");
+        assert_eq!((case.case, case.contested, file.rounds), (1, NodeId(5_000), 1));
+    }
+
+    #[test]
     fn every_extracted_event_creates_its_suspects_file() {
         // E1 (N3 replaces N2) and E2 of each kind: an unknown claim (N4),
         // malformed traffic (N5) and TC silence (N6, silent after its TC
